@@ -26,6 +26,7 @@ import (
 	"nbqueue/internal/bench"
 	"nbqueue/internal/llsc"
 	"nbqueue/internal/llsc/weak"
+	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqllsc"
 	"nbqueue/internal/queues/msqueue"
 )
@@ -123,7 +124,7 @@ func BenchmarkAblationBackoff(b *testing.B) {
 	for _, key := range []string{bench.KeyEvqLLSC, bench.KeyEvqCAS} {
 		for _, backoff := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/backoff=%v", key, backoff), func(b *testing.B) {
-				runWorkload(b, key, 8, bench.Config{Backoff: backoff})
+				runWorkload(b, key, 8, bench.Config{Instr: queue.Instr{Backoff: backoff}})
 			})
 		}
 	}

@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 	case *algo == "evq-cas":
 		label = "FIFO Array Simulated CAS (Algorithm 2)"
 		hooked = func(hook func()) queue.Queue {
-			return evqcas.New(*capacity, evqcas.WithYield(hook))
+			return evqcas.New(*capacity, evqcas.WithInstr(queue.Instr{Yield: hook}))
 		}
 	case *algo == "evq-llsc":
 		label = "FIFO Array LL/SC (Algorithm 1)"

@@ -375,8 +375,8 @@ func instrument(st *statsServer, key string, cfg *bench.Config) func(q queue.Que
 		return func(queue.Queue) {}
 	}
 	cfg.Counters = xsync.NewCounters()
-	cfg.Hists = xsync.NewHistograms()
-	cfg.Trace = trace.New(0)
+	cfg.Instr.Hists = xsync.NewHistograms()
+	cfg.Instr.Trace = trace.New(0)
 	return func(q queue.Queue) {
 		var depth, segments func() int
 		if lq, ok := q.(interface{ Len() int }); ok {
@@ -411,7 +411,7 @@ func instrument(st *statsServer, key string, cfg *bench.Config) func(q queue.Que
 					},
 				})
 		}
-		st.setAlgorithm(key, cfg.Counters, cfg.Hists, cfg.Trace, depth, segments, extras...)
+		st.setAlgorithm(key, cfg.Counters, cfg.Instr.Hists, cfg.Instr.Trace, depth, segments, extras...)
 	}
 }
 
@@ -581,7 +581,7 @@ func soakCrash(out io.Writer, st *statsServer, key string, d time.Duration, thre
 		return fmt.Errorf("%s (seed=%d): %s", key, seed, fmt.Sprintf(format, args...))
 	}
 	var in chaos.Injector
-	cfg := bench.Config{Capacity: capacity, MaxThreads: threads + 64, Yield: in.Hook}
+	cfg := bench.Config{Capacity: capacity, MaxThreads: threads + 64, Instr: queue.Instr{Yield: in.Hook}}
 	register := instrument(st, key, &cfg)
 	q := entry.New(cfg)
 	register(q)

@@ -1,7 +1,7 @@
 package nbqueue
 
 // WithYieldHook installs a pre-access hook on algorithms that support one
-// (see bench.Config.Yield). Test-only: external tests use it to force
+// (see queue.Instr.Yield). Test-only: external tests use it to force
 // scheduling points between atomic steps so contention is reproducible on
 // a single CPU.
-func WithYieldHook(f func()) Option { return func(c *config) { c.yield = f } }
+func WithYieldHook(f func()) Option { return func(c *config) { c.instr.Yield = f } }

@@ -74,15 +74,17 @@ import (
 //	draining ──ring empty ∧ no producer in flight──▶ mpmc (fold-back)
 //
 // In spsc mode the blessed producer enqueues into the shard's SPSC ring
-// (guarded by a seq-cst in-flight flag) and the blessed consumer drains
-// the MPMC ring first — items there are older — then the SPSC ring. Any
-// census change (attach, detach) moves the shard to draining: producers
-// stop feeding the ring immediately (the mode is checked inside the
-// in-flight window), while the blessed consumer keeps draining it and
-// folds the shard back to mpmc once the ring is provably empty — the
-// check order (mode, then in-flight flag, then emptiness) makes a
-// stranded value impossible. A shard may re-specialize after fold-back
-// when the census qualifies again.
+// (guarded by a seq-cst in-flight flag) while the shard's MPMC queue
+// reads empty, and onto the MPMC queue otherwise — ring full, or older
+// values still parked there — so ring values are always older than the
+// producer's MPMC values, and the blessed consumer drains the SPSC ring
+// first, then the MPMC queue. Any census change (attach, detach) moves
+// the shard to draining: producers stop feeding the ring immediately
+// (the mode is checked inside the in-flight window), while the blessed
+// consumer keeps draining it and folds the shard back to mpmc once the
+// ring is provably empty — the check order (mode, then in-flight flag,
+// then emptiness) makes a stranded value impossible. A shard may
+// re-specialize after fold-back when the census qualifies again.
 //
 // # Observability
 //
@@ -139,6 +141,9 @@ type fabShard[T any] struct {
 	f *Fabric[T]
 	i int
 	q *Queue[T]
+	// depth is q's depth probe, nil for algorithms without one; looked
+	// up once because the blessed paths read it on every operation.
+	depth interface{ Len() int }
 	// ring is the SPSC-specialized payload ring (nil with WithSPSC
 	// off). Built eagerly — it is two allocations — so specialization
 	// is a mode flip, not an install race.
@@ -352,11 +357,11 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 		sleepMin:   xsync.DefaultSleepMin,
 		sleepMax:   xsync.DefaultSleepMax,
 	}
-	if sc.policy != nil {
-		sc.policy.Normalize()
-		f.waitSpins = sc.policy.WaitSpins
-		f.sleepMin = sc.policy.SleepMin
-		f.sleepMax = sc.policy.SleepMax
+	if p := sc.instr.Policy; p != nil {
+		p.Normalize()
+		f.waitSpins = p.WaitSpins
+		f.sleepMin = p.SleepMin
+		f.sleepMax = p.SleepMax
 	}
 	f.shards = make([]*fabShard[T], c.shards)
 	for i := range f.shards {
@@ -374,6 +379,7 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 			return nil, fmt.Errorf("nbqueue: building fabric shard %d: %w", i, err)
 		}
 		sh := &fabShard[T]{f: f, i: i, q: q}
+		sh.depth, _ = q.inner.(interface{ Len() int })
 		if c.spscOn {
 			var spscOpts []spsc.Option
 			if sc.metrics != nil {
@@ -664,7 +670,7 @@ func (s *FabricSession[T]) Enqueue(v T) error {
 	}
 	s.stamp()
 	sh := s.f.shards[s.home]
-	if s.role == roleProducer && sh.mode.Load() == modeSPSC {
+	if s.role == roleProducer && sh.mode.Load() == modeSPSC && sh.mpmcEmpty() {
 		// The in-flight bracket: fold-back checks this flag before
 		// declaring the ring retired, so a value stored here can never
 		// be stranded. The mode re-check inside the bracket is what
@@ -676,9 +682,8 @@ func (s *FabricSession[T]) Enqueue(v T) error {
 			if ok {
 				return nil
 			}
-			// Ring full: fall through to the MPMC path. The reorder
-			// this allows is bounded by the ring capacity — the R term
-			// of the relaxation bound.
+			// Ring full: fall through to the MPMC path, which this
+			// producer keeps using until the consumer has drained it.
 		} else {
 			sh.pinflight.Store(false)
 		}
@@ -739,7 +744,7 @@ func (s *FabricSession[T]) EnqueueBatch(vs []T) (int, error) {
 	}
 	done := 0
 	sh := s.f.shards[s.home]
-	if s.role == roleProducer && sh.mode.Load() == modeSPSC {
+	if s.role == roleProducer && sh.mode.Load() == modeSPSC && sh.mpmcEmpty() {
 		sh.pinflight.Store(true)
 		if sh.mode.Load() == modeSPSC {
 			for done < len(vs) && sh.ring.enqueue(vs[done]) {
@@ -806,6 +811,16 @@ func (s *FabricSession[T]) pushPending(vs []T) {
 	e.mu.Unlock()
 }
 
+// mpmcEmpty reports whether the shard's MPMC queue reads empty, the
+// blessed producer's condition for feeding the ring: a value parked on
+// the MPMC path (ring-full overflow, leftovers from before
+// specialization, spill from other shards) must not be overtaken by
+// ring values the consumer reads first. Without a depth probe the queue
+// never reads empty, and the producer stays on the MPMC path.
+func (sh *fabShard[T]) mpmcEmpty() bool {
+	return sh.depth != nil && sh.depth.Len() == 0
+}
+
 // maybeFold retires the home shard's draining ring once it is provably
 // empty. The check order — mode, then producer in-flight flag, then
 // emptiness — is load-bearing: a producer that passes its own mode
@@ -831,8 +846,9 @@ func (s *FabricSession[T]) maybeFold(sh *fabShard[T]) {
 }
 
 // Dequeue removes one value: steal buffer first (already ours), then
-// the overflow backstop, then the home shard (MPMC before SPSC ring —
-// MPMC values are older), then a batch steal from the other shards.
+// the overflow backstop, then the home shard (SPSC ring before MPMC
+// queue — ring values are older, see mpmcEmpty), then a batch steal
+// from the other shards.
 func (s *FabricSession[T]) Dequeue() (T, bool) {
 	s.use()
 	var zero T
@@ -850,26 +866,19 @@ func (s *FabricSession[T]) Dequeue() (T, bool) {
 	}
 	sh := s.f.shards[s.home]
 	blessed := sh.consOwner.Load() == s && sh.mode.Load() != modeMPMC
-	// The blessed consumer's hot path is the ring; spend a failed MPMC
-	// dequeue attempt only when the depth probe says the MPMC queue
-	// actually holds values (pre-specialization leftovers, ring-full
-	// overflow, or spill from other shards' producers — all older than
-	// the ring's contents, so they still go first).
-	tryMPMC := true
 	if blessed {
-		if d, ok := sh.q.Len(); ok && d == 0 {
-			tryMPMC = false
+		if v, ok := sh.ring.dequeue(); ok {
+			return v, true
 		}
 	}
-	if tryMPMC {
+	// The blessed consumer spends a failed MPMC dequeue only when the
+	// depth probe says the MPMC queue holds values.
+	if !blessed || !sh.mpmcEmpty() {
 		if v, ok := s.sess[s.home].Dequeue(); ok {
 			return v, true
 		}
 	}
 	if blessed {
-		if v, ok := sh.ring.dequeue(); ok {
-			return v, true
-		}
 		s.maybeFold(sh)
 	}
 	// Steal: batch-drain the first non-empty sibling, keep the surplus.
@@ -920,16 +929,9 @@ func (s *FabricSession[T]) DequeueBatch(dst []T) (int, error) {
 		dst[done] = v
 		done++
 	}
-	if done == len(dst) {
-		return done, nil
-	}
-	n, err := s.sess[s.home].DequeueBatch(dst[done:])
-	done += n
-	if err != nil || done == len(dst) {
-		return done, err
-	}
 	sh := s.f.shards[s.home]
-	if sh.consOwner.Load() == s && sh.mode.Load() != modeMPMC {
+	blessed := sh.consOwner.Load() == s && sh.mode.Load() != modeMPMC
+	if blessed {
 		for done < len(dst) {
 			v, ok := sh.ring.dequeue()
 			if !ok {
@@ -938,14 +940,23 @@ func (s *FabricSession[T]) DequeueBatch(dst []T) (int, error) {
 			dst[done] = v
 			done++
 		}
-		if done == len(dst) {
-			return done, nil
+	}
+	if done == len(dst) {
+		return done, nil
+	}
+	if !blessed || !sh.mpmcEmpty() {
+		n, err := s.sess[s.home].DequeueBatch(dst[done:])
+		done += n
+		if err != nil || done == len(dst) {
+			return done, err
 		}
+	}
+	if blessed {
 		s.maybeFold(sh)
 	}
 	for off := 1; off < len(s.f.shards) && done < len(dst); off++ {
 		t := (s.home + off) % len(s.f.shards)
-		n, _ = s.sess[t].DequeueBatch(dst[done:])
+		n, _ := s.sess[t].DequeueBatch(dst[done:])
 		done += n
 	}
 	return done, nil

@@ -91,7 +91,7 @@ func RunBatchSweep(threads int, p Params) ([]BatchRow, error) {
 					MaxThreads:  threads,
 					Counters:    ctrs,
 					PaddedSlots: p.PaddedSlots,
-					Backoff:     p.Backoff,
+					Instr:       queue.Instr{Backoff: p.Backoff},
 				}
 				wall := batchRun(algo.New(cfg), threads, size, rounds, batched)
 				opsPerSec := float64(row.Elements) / wall.Seconds()

@@ -82,7 +82,7 @@ func RunBurst(threads int, p Params) ([]BurstRow, error) {
 			Capacity:    p.Capacity,
 			MaxThreads:  threads,
 			PaddedSlots: p.PaddedSlots,
-			Backoff:     p.Backoff,
+			Instr:       queue.Instr{Backoff: p.Backoff},
 			Unbounded:   bc.unbounded,
 		}
 		row := BurstRow{
@@ -95,7 +95,7 @@ func RunBurst(threads int, p Params) ([]BurstRow, error) {
 		// Phase 2: steady-state throughput and tails on a fresh instance,
 		// so burst-phase segment growth does not subsidize or tax it.
 		hists := xsync.NewHistograms()
-		cfg.Hists = hists
+		cfg.Instr.Hists = hists
 		w := Workload{
 			Threads:    threads,
 			Iterations: p.Iterations,

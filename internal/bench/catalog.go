@@ -22,7 +22,6 @@ import (
 	"nbqueue/internal/queues/tsigaszhang"
 	"nbqueue/internal/queues/twolock"
 	"nbqueue/internal/queues/valois"
-	"nbqueue/internal/trace"
 	"nbqueue/internal/xsync"
 )
 
@@ -34,39 +33,16 @@ type Config struct {
 	// MaxThreads hints reclamation headroom for the hazard-pointer
 	// queues.
 	MaxThreads int
-	// Counters receives instrumentation when non-nil.
+	// Counters receives instrumentation when non-nil; every algorithm
+	// records into it.
 	Counters *xsync.Counters
-	// Hists receives latency/retry histograms when non-nil (supported by
-	// the Evequoz and MS hazard-pointer queues; ignored elsewhere).
-	Hists *xsync.Histograms
-	// Trace receives flight-recorder op records when non-nil (supported
-	// by the Evequoz family: evq-llsc, evq-cas, evq-seg; ignored
-	// elsewhere). Recording rides the Hists sampling beat, so a Trace
-	// without Hists records only rare outcomes and lifecycle events.
-	Trace *trace.Recorder
+	// Instr is the instrumentation and retry-policy bundle of the
+	// Evequoz family (evq-llsc, evq-cas, evq-seg; see queue.Instr). Of
+	// the other algorithms, spsc reads its Hists and Trace, and the
+	// MS hazard-pointer queues its Hists and Yield.
+	Instr queue.Instr
 	// PaddedSlots spreads array-queue slots across cache lines.
 	PaddedSlots bool
-	// Backoff enables exponential backoff in the Evequoz queues.
-	Backoff bool
-	// Policy, when non-nil, installs the shared adaptive-backoff
-	// controller on the Evequoz queues, superseding Backoff: session spin
-	// ceilings then follow the AIMD controller instead of the fixed
-	// bounds. Ignored by the baseline algorithms.
-	Policy *xsync.BackoffPolicy
-	// StarvationBound publishes an operation that has lost more than this
-	// many retry rounds to the announce array so winning sessions complete
-	// it cooperatively (evq-llsc and evq-cas); 0 disables helping. Ignored
-	// elsewhere.
-	StarvationBound int
-	// RetryBudget bounds retry-loop iterations per operation in the two
-	// Evequoz queues, surfacing queue.ErrContended when exhausted; 0
-	// keeps the loops unbounded.
-	RetryBudget int
-	// Yield, when non-nil, installs a pre-access hook on the algorithms
-	// that support one (evq-cas and the MS hazard-pointer queues),
-	// enabling interleaving exploration and fault injection. Ignored by
-	// the rest.
-	Yield func()
 	// Weak configures the weak LL/SC memory for the evq-llsc-weak
 	// ablation entry; ignored elsewhere.
 	Weak weak.Config
@@ -164,12 +140,7 @@ var catalog = map[string]Algo{
 			c = c.normalize()
 			mem := func(n int) llsc.Memory { return emul.New(n, c.PaddedSlots) }
 			return evqllsc.New(c.Capacity, mem,
-				evqllsc.WithCounters(c.Counters), evqllsc.WithHistograms(c.Hists),
-				evqllsc.WithTrace(c.Trace),
-				evqllsc.WithBackoff(c.Backoff),
-				evqllsc.WithBackoffPolicy(c.Policy),
-				evqllsc.WithStarvationBound(c.StarvationBound),
-				evqllsc.WithRetryBudget(c.RetryBudget))
+				evqllsc.WithCounters(c.Counters), evqllsc.WithInstr(c.Instr))
 		},
 	},
 	KeyEvqLLSCWeak: {
@@ -179,8 +150,8 @@ var catalog = map[string]Algo{
 			wc := c.Weak
 			wc.Padded = c.PaddedSlots
 			mem := func(n int) llsc.Memory { return weak.New(n, wc) }
-			return evqllsc.New(c.Capacity, mem,
-				evqllsc.WithCounters(c.Counters), evqllsc.WithBackoff(c.Backoff),
+			return evqllsc.New(c.Capacity, mem, evqllsc.WithCounters(c.Counters),
+				evqllsc.WithInstr(queue.Instr{Backoff: c.Instr.Backoff}),
 				evqllsc.WithName("FIFO Array LL/SC (weak)"))
 		},
 	},
@@ -189,13 +160,8 @@ var catalog = map[string]Algo{
 		New: func(c Config) queue.Queue {
 			c = c.normalize()
 			return evqcas.New(c.Capacity,
-				evqcas.WithCounters(c.Counters), evqcas.WithHistograms(c.Hists),
-				evqcas.WithTrace(c.Trace),
-				evqcas.WithBackoff(c.Backoff),
-				evqcas.WithBackoffPolicy(c.Policy),
-				evqcas.WithStarvationBound(c.StarvationBound),
-				evqcas.WithPaddedSlots(c.PaddedSlots),
-				evqcas.WithRetryBudget(c.RetryBudget), evqcas.WithYield(c.Yield))
+				evqcas.WithCounters(c.Counters), evqcas.WithInstr(c.Instr),
+				evqcas.WithPaddedSlots(c.PaddedSlots))
 		},
 	},
 	KeyEvqSeg: {
@@ -218,12 +184,8 @@ var catalog = map[string]Algo{
 			}
 			opts := []evqseg.Option{
 				evqseg.WithHighWater(high),
-				evqseg.WithCounters(c.Counters), evqseg.WithHistograms(c.Hists),
-				evqseg.WithTrace(c.Trace),
-				evqseg.WithBackoff(c.Backoff),
-				evqseg.WithBackoffPolicy(c.Policy),
+				evqseg.WithCounters(c.Counters), evqseg.WithInstr(c.Instr),
 				evqseg.WithPaddedSlots(c.PaddedSlots),
-				evqseg.WithRetryBudget(c.RetryBudget), evqseg.WithYield(c.Yield),
 			}
 			if c.SpareSegments > 0 {
 				opts = append(opts, evqseg.WithSpareSegments(c.SpareSegments))
@@ -247,8 +209,8 @@ var catalog = map[string]Algo{
 		New: func(c Config) queue.Queue {
 			c = c.normalize()
 			return spsc.New(c.Capacity,
-				spsc.WithCounters(c.Counters), spsc.WithHistograms(c.Hists),
-				spsc.WithTrace(c.Trace))
+				spsc.WithCounters(c.Counters), spsc.WithHistograms(c.Instr.Hists),
+				spsc.WithTrace(c.Instr.Trace))
 		},
 	},
 	KeyMSHP: {
@@ -256,9 +218,9 @@ var catalog = map[string]Algo{
 		New: func(c Config) queue.Queue {
 			c = c.normalize()
 			return msqueue.New(c.Capacity, false,
-				msqueue.WithCounters(c.Counters), msqueue.WithHistograms(c.Hists),
+				msqueue.WithCounters(c.Counters), msqueue.WithHistograms(c.Instr.Hists),
 				msqueue.WithMaxThreads(c.MaxThreads),
-				msqueue.WithYield(c.Yield))
+				msqueue.WithYield(c.Instr.Yield))
 		},
 	},
 	KeyMSHPSorted: {
@@ -266,9 +228,9 @@ var catalog = map[string]Algo{
 		New: func(c Config) queue.Queue {
 			c = c.normalize()
 			return msqueue.New(c.Capacity, true,
-				msqueue.WithCounters(c.Counters), msqueue.WithHistograms(c.Hists),
+				msqueue.WithCounters(c.Counters), msqueue.WithHistograms(c.Instr.Hists),
 				msqueue.WithMaxThreads(c.MaxThreads),
-				msqueue.WithYield(c.Yield))
+				msqueue.WithYield(c.Instr.Yield))
 		},
 	},
 	KeyMSDoherty: {

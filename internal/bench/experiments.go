@@ -149,7 +149,7 @@ func RunSweep(algos []string, p Params) ([]stats.Series, error) {
 				Capacity:    p.Capacity,
 				MaxThreads:  maxThreads,
 				PaddedSlots: p.PaddedSlots,
-				Backoff:     p.Backoff,
+				Instr:       queue.Instr{Backoff: p.Backoff},
 			}
 			w := Workload{Threads: n, Iterations: p.Iterations, Burst: p.Burst}
 			sum := Repeat(func() (queue.Queue, *arena.Arena) {

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"nbqueue/internal/queue"
 	"nbqueue/internal/slo"
 	"nbqueue/internal/xsync"
 )
@@ -45,9 +46,8 @@ func RunLatency(keys []string, threads int, p Params) ([]LatencyRow, error) {
 		cfg := Config{
 			Capacity:    p.Capacity,
 			MaxThreads:  threads,
-			Hists:       hists,
+			Instr:       queue.Instr{Hists: hists, Backoff: p.Backoff},
 			PaddedSlots: p.PaddedSlots,
-			Backoff:     p.Backoff,
 		}
 		w := Workload{Threads: threads, Iterations: p.Iterations, Burst: p.Burst}
 		q := algo.New(cfg)

@@ -1,6 +1,6 @@
 // Package chaos injects deterministic faults into queue executions and
 // audits recovery. It reuses the per-operation yield hooks the queues
-// already expose for interleaving exploration (evqcas.WithYield,
+// already expose for interleaving exploration (queue.Instr.Yield,
 // msqueue.WithYield, hazard.Domain.SetYield): every shared-memory access
 // funnels through Injector.Hook, which can
 //

@@ -69,7 +69,7 @@ func TestInjectorKillFiresOnce(t *testing.T) {
 // values but never corrupt them.
 func TestAbandonmentLeaksWithoutScavenging(t *testing.T) {
 	var in Injector
-	q := evqcas.New(2048, evqcas.WithYield(in.Hook))
+	q := evqcas.New(2048, evqcas.WithInstr(queue.Instr{Yield: in.Hook}))
 	o := stormOpts(q, &in, false)
 	rep, err := Run(o)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestAbandonmentLeaksWithoutScavenging(t *testing.T) {
 // race allowance) and leaves no orphans behind.
 func TestScavengingBoundsSpace(t *testing.T) {
 	var in Injector
-	q := evqcas.New(2048, evqcas.WithYield(in.Hook))
+	q := evqcas.New(2048, evqcas.WithInstr(queue.Instr{Yield: in.Hook}))
 	o := stormOpts(q, &in, true)
 	rep, err := Run(o)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestStormMSQueueLeak(t *testing.T) {
 // under schedule pressure.
 func TestPreemptAndDelayStorms(t *testing.T) {
 	in := Injector{PreemptEvery: 13, DelayEvery: 31, DelaySpins: 32}
-	q := evqcas.New(2048, evqcas.WithYield(in.Hook))
+	q := evqcas.New(2048, evqcas.WithInstr(queue.Instr{Yield: in.Hook}))
 	o := stormOpts(q, &in, false)
 	o.KillsPerWave = 0
 	o.Waves = 3
@@ -216,7 +216,7 @@ func TestPreemptAndDelayStorms(t *testing.T) {
 // mid-batch-dequeue may strand up to its dst length values.
 func TestStormBatchEvqcas(t *testing.T) {
 	var in Injector
-	q := evqcas.New(2048, evqcas.WithYield(in.Hook))
+	q := evqcas.New(2048, evqcas.WithInstr(queue.Instr{Yield: in.Hook}))
 	o := stormOpts(q, &in, true)
 	o.BatchMax = 8
 	o.OpsPerWorker = 60 // rounds; each moves up to BatchMax elements
@@ -237,7 +237,7 @@ func TestStormBatchEvqcas(t *testing.T) {
 // half-closed ring or an unlinked successor segment.
 func TestStormBatchEvqseg(t *testing.T) {
 	var in Injector
-	q := evqseg.New(64, evqseg.WithYield(in.Hook))
+	q := evqseg.New(64, evqseg.WithInstr(queue.Instr{Yield: in.Hook}))
 	o := stormOpts(q, &in, true)
 	o.BatchMax = 8
 	o.OpsPerWorker = 60

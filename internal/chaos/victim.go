@@ -14,10 +14,10 @@ import (
 )
 
 // yieldSession is the per-session stall hook the Evequoz queues expose
-// (evqllsc and evqcas Session.SetYield): the hook fires inside the retry
-// round, after the load-linked and before the store-conditional, which
-// is exactly where a stalled thread loses its reservation to faster
-// peers.
+// (queue.Driver.SetYield, embedded in their sessions): the hook fires
+// inside the retry round, after the load-linked and before the
+// store-conditional, which is exactly where a stalled thread loses its
+// reservation to faster peers.
 type yieldSession interface{ SetYield(func()) }
 
 // VictimOptions configures a victim storm: one deliberately slowed
@@ -28,7 +28,7 @@ type yieldSession interface{ SetYield(func()) }
 // the victim's per-operation latency.
 //
 // The queue's sessions must implement SetYield (evq-llsc, evq-cas). Run
-// the storm either with helping enabled on the queue (WithStarvationBound)
+// the storm either with helping enabled on the queue (Instr.StarvationBound)
 // or with OpDeadline set — with both disabled a victim operation has no
 // completion bound and the storm may not terminate.
 type VictimOptions struct {

@@ -7,6 +7,7 @@ import (
 	"nbqueue/internal/arena"
 	"nbqueue/internal/llsc"
 	"nbqueue/internal/llsc/emul"
+	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/queues/evqllsc"
 	"nbqueue/internal/queues/evqseg"
@@ -22,7 +23,7 @@ func TestVictimStormHelpingBoundsLatency(t *testing.T) {
 	ctrs := xsync.NewCounters()
 	q := evqcas.New(1024,
 		evqcas.WithCounters(ctrs),
-		evqcas.WithStarvationBound(32))
+		evqcas.WithInstr(queue.Instr{StarvationBound: 32}))
 	rep, err := RunVictimStorm(VictimOptions{
 		Queue:    q,
 		Counters: ctrs,
@@ -55,7 +56,7 @@ func TestVictimStormLLSCHelping(t *testing.T) {
 	mem := func(n int) llsc.Memory { return emul.New(n, false) }
 	q := evqllsc.New(1024, mem,
 		evqllsc.WithCounters(ctrs),
-		evqllsc.WithStarvationBound(32))
+		evqllsc.WithInstr(queue.Instr{StarvationBound: 32}))
 	rep, err := RunVictimStorm(VictimOptions{
 		Queue:    q,
 		Counters: ctrs,
@@ -148,7 +149,7 @@ func TestAllocFaultHook(t *testing.T) {
 func TestStormWithAppendFaults(t *testing.T) {
 	var in Injector
 	q := evqseg.New(64,
-		evqseg.WithYield(in.Hook),
+		evqseg.WithInstr(queue.Instr{Yield: in.Hook}),
 		evqseg.WithAppendFault(in.AllocFault(3)))
 	o := stormOpts(q, &in, true)
 	o.BatchMax = 8

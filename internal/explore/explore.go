@@ -61,7 +61,7 @@ type Config struct {
 type Build func(mem func(words int) llsc.Memory) queue.Queue
 
 // HookedBuild constructs a fresh queue instrumented with an explicit
-// yield hook (e.g. evqcas.WithYield): the queue must call hook before
+// yield hook (e.g. queue.Instr.Yield): the queue must call hook before
 // every shared-memory access. Used by RunHooked for algorithms that do
 // not route their memory through llsc.Memory.
 type HookedBuild func(hook func()) queue.Queue

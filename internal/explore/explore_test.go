@@ -208,7 +208,7 @@ func TestAlgorithm2TwoThreads(t *testing.T) {
 		MaxDelays:     2,
 		MaxExecutions: 10000,
 	}, func(hook func()) queue.Queue {
-		return evqcas.New(2, evqcas.WithYield(hook))
+		return evqcas.New(2, evqcas.WithInstr(queue.Instr{Yield: hook}))
 	}, enqDeqProgram)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestAlgorithm2ThreeThreads(t *testing.T) {
 		MaxDelays:     2,
 		MaxExecutions: 4000,
 	}, func(hook func()) queue.Queue {
-		return evqcas.New(2, evqcas.WithYield(hook))
+		return evqcas.New(2, evqcas.WithInstr(queue.Instr{Yield: hook}))
 	}, enqDeqProgram)
 	if err != nil {
 		t.Fatal(err)

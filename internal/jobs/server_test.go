@@ -298,7 +298,8 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	retry := &RetryPolicy{Base: 100 * time.Millisecond, Factor: 2, Max: time.Second}
 	id := mustPush(t, s, "q", PushOptions{MaxAttempts: 3, Visibility: time.Minute, Retry: retry})
 
-	for attempt, backoff := range map[int]time.Duration{1: 100 * time.Millisecond, 2: 200 * time.Millisecond} {
+	for i, backoff := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond} {
+		attempt := i + 1
 		env := mustFetchOne(t, s, "q", "w")
 		if env.Attempt != attempt {
 			t.Fatalf("delivery attempt = %d, want %d", env.Attempt, attempt)

@@ -33,11 +33,14 @@ func drainAndAudit(t *testing.T, p *Pipeline) AuditReport {
 // TestPipelineFlow pushes items through three stages and checks they
 // all emit in conservation.
 func TestPipelineFlow(t *testing.T) {
+	// Lanes hold the whole load, so a submitter running flat out ahead of
+	// the workers cannot shed items.
+	room := []nbqueue.Option{nbqueue.WithCapacity(2048)}
 	p, err := New(Config{
 		Stages: []StageSpec{
-			{Name: "ingest", Workers: 1},
-			{Name: "work", Workers: 2, Lanes: 2},
-			{Name: "egress", Workers: 1},
+			{Name: "ingest", Workers: 1, LaneOptions: room},
+			{Name: "work", Workers: 2, Lanes: 2, LaneOptions: room},
+			{Name: "egress", Workers: 1, LaneOptions: room},
 		},
 	})
 	if err != nil {
@@ -165,9 +168,10 @@ func TestWorkerKillRequeue(t *testing.T) {
 
 // TestFabricLane runs the middle stage on a sharded fabric lane.
 func TestFabricLane(t *testing.T) {
+	room := []nbqueue.Option{nbqueue.WithCapacity(2048)}
 	p, err := New(Config{
 		Stages: []StageSpec{
-			{Name: "ingest", Workers: 1},
+			{Name: "ingest", Workers: 1, LaneOptions: room},
 			{Name: "work", Workers: 2, NewLane: func(int) (Lane, error) {
 				f, err := nbqueue.NewFabric[*Item](nbqueue.WithShards(2))
 				if err != nil {
@@ -175,7 +179,7 @@ func TestFabricLane(t *testing.T) {
 				}
 				return FabricLane(f), nil
 			}},
-			{Name: "egress", Workers: 1},
+			{Name: "egress", Workers: 1, LaneOptions: room},
 		},
 	})
 	if err != nil {

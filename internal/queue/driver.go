@@ -1,0 +1,386 @@
+package queue
+
+import (
+	"time"
+
+	"nbqueue/internal/trace"
+	"nbqueue/internal/xsync"
+)
+
+// Instr is the instrumentation and retry-policy bundle of the
+// Evequoz-family rings (evqllsc, evqcas, evqseg): handed to a ring once
+// at construction, and from there to every session's Driver. The zero
+// value is the paper's plain configuration — nothing recorded, retry
+// loops unbounded, no backoff, no helping. Nil sinks cost one branch per
+// recording site. The primitive counters are not part of it: every
+// algorithm, baselines included, takes those on its own (WithCounters).
+type Instr struct {
+	// Hists receives latencies (sampled, see xsync.SampleShift) and
+	// per-operation retry counts.
+	Hists *xsync.Histograms
+	// Trace receives flight-recorder records: operations on the Hists
+	// sampling beat and every rare outcome (ErrContended, ErrDeadline,
+	// rescues, segment lifecycle events).
+	Trace *trace.Recorder
+	// Backoff enables bounded exponential backoff after fruitless rounds.
+	Backoff bool
+	// Policy, when non-nil, replaces Backoff's fixed spin ceiling with a
+	// shared adaptive one (see xsync.BackoffPolicy). It must be
+	// normalized.
+	Policy *xsync.BackoffPolicy
+	// RetryBudget bounds each operation to that many fruitless rounds,
+	// after which it fails with ErrContended; 0 keeps the loops unbounded
+	// (the paper's lock-free default).
+	RetryBudget int
+	// StarvationBound publishes an operation still unperformed after that
+	// many fruitless rounds to the queue's announce array, where sessions
+	// completing operations of their own execute it on the victim's behalf
+	// (see xsync.Announce); 0 disables helping. evqseg ignores it.
+	StarvationBound int
+	// Yield is fired before shared-memory accesses, for interleaving
+	// exploration and fault injection; nil in production. evqllsc ignores
+	// it: its interleavings come from the llsc.Memory it is built on.
+	Yield func()
+}
+
+// Announce returns the announce array helping needs, or nil when
+// StarvationBound leaves helping off.
+func (in Instr) Announce() *xsync.Announce {
+	if in.StarvationBound <= 0 {
+		return nil
+	}
+	return xsync.NewAnnounce()
+}
+
+// Rounds is the algorithm half of a Driver. A round is one attempt at an
+// operation; done=false means it was fruitless (it lost a race, or only
+// helped a lagging index along) and the driver decides whether to retry.
+// Rounds record primitive counters only, so the driver can run them on
+// an announced victim's behalf without double counting completions.
+type Rounds interface {
+	// Prepare runs the ring's between-operations protocol; the driver
+	// calls it before executing another session's announced operation.
+	Prepare()
+	// EnqueueRound attempts to enqueue v once; full (with done) means the
+	// queue was observed full.
+	EnqueueRound(v uint64) (done, full bool)
+	// DequeueRound attempts to dequeue once; empty (with done) means the
+	// queue was observed empty.
+	DequeueRound() (v uint64, empty, done bool)
+}
+
+// Driver is one session's retry loop, shared by the Evequoz-family
+// rings. It runs a ring's Rounds until one is decisive, stops early on
+// the retry budget or the session deadline, backs off between fruitless
+// rounds, escalates starved operations to the announce array, helps one
+// announced operation after each success of its own, and records every
+// completion in the Instr sinks. Batch operations keep their own cursor
+// loops and use the driver for the same stop checks, backoff and
+// accounting (HaltBatch, Skip, Lose, Win, DoneEnqBatch, DoneDeqBatch).
+//
+// Sessions embed it: the embedding supplies SetDeadline (so the session
+// is a DeadlineSession), SetYield, and the handles Ctr, Hist and Tr the
+// rings record primitives and lifecycle events into.
+type Driver struct {
+	Ctr  xsync.Handle
+	Hist xsync.HistHandle
+	Tr   trace.Handle
+	Bo   xsync.Backoff
+
+	rounds   Rounds
+	ann      *xsync.Announce
+	budget   int
+	starve   int
+	deadline int64 // unixnano; 0 = none
+	pause    func()
+	// waste counts a batch's consecutive fruitless iterations since its
+	// last commit — the budget unit, giving per-element parity with
+	// single operations; retries counts the batch's total.
+	waste, retries int
+}
+
+// NewDriver returns a driver running r under in, counting into ctrs
+// (nil records nothing). ann is the queue's announce array (see
+// Instr.Announce), nil when helping is off.
+func NewDriver(ctrs *xsync.Counters, in Instr, ann *xsync.Announce, r Rounds) Driver {
+	d := Driver{
+		Ctr:    ctrs.Handle(),
+		Hist:   in.Hists.Handle(),
+		Tr:     in.Trace.Handle(),
+		rounds: r,
+		ann:    ann,
+		budget: in.RetryBudget,
+		starve: in.StarvationBound,
+	}
+	switch {
+	case in.Policy != nil:
+		d.Bo = xsync.NewAdaptiveBackoff(in.Policy)
+	case in.Backoff:
+		d.Bo = xsync.NewBackoff(0, 0)
+	}
+	return d
+}
+
+// SetDeadline arms (or, with the zero Time, clears) the session
+// deadline; see DeadlineSession for the abort contract.
+func (d *Driver) SetDeadline(t time.Time) {
+	if t.IsZero() {
+		d.deadline = 0
+	} else {
+		d.deadline = t.UnixNano()
+	}
+}
+
+// SetYield installs a per-session hook that rounds fire between a slot
+// reservation and its commit attempt — the window in which other
+// sessions can displace the reservation. The chaos starvation drills use
+// it to slow one session specifically. Nil in production.
+func (d *Driver) SetYield(f func()) { d.pause = f }
+
+// Pause fires the SetYield hook; rounds call it right after reserving a
+// slot.
+func (d *Driver) Pause() {
+	if d.pause != nil {
+		d.pause()
+	}
+}
+
+// deadlineCheckMask throttles deadline polling: the clock is read once
+// per deadlineCheckMask+1 fruitless iterations, so uncontended
+// operations never touch it and an abort overshoots by at most a handful
+// of iterations.
+const deadlineCheckMask = 31
+
+// Halt reports whether a retry loop that has run n fruitless iterations
+// must stop: ErrContended once the retry budget is spent, ErrDeadline
+// once the armed deadline has passed, nil otherwise. A stop is counted.
+func (d *Driver) Halt(n int) error {
+	if d.budget <= 0 && d.deadline == 0 {
+		return nil
+	}
+	return d.halt(n)
+}
+
+func (d *Driver) halt(n int) error {
+	if d.budget > 0 && n >= d.budget {
+		d.Ctr.Inc(xsync.OpContended)
+		return ErrContended
+	}
+	if d.deadline != 0 && n&deadlineCheckMask == deadlineCheckMask &&
+		time.Now().UnixNano() > d.deadline {
+		d.Ctr.Inc(xsync.OpDeadline)
+		return ErrDeadline
+	}
+	return nil
+}
+
+// Self-run and helper attempt budgets for announced operations: small
+// enough that a claim never becomes a new stall, large enough to beat
+// the per-round cost of the claim CAS.
+const (
+	annSelfBudget = 8
+	annHelpBudget = 8
+)
+
+// Enqueue drives one enqueue of v to completion. The caller has
+// validated v and run the ring's between-operations protocol.
+func (d *Driver) Enqueue(v uint64) error {
+	start := d.Hist.StartEnq()
+	for n := 0; ; n++ {
+		if err := d.Halt(n); err != nil {
+			d.doneEnq(start, n, outcome(err))
+			return err
+		}
+		if d.ann != nil && n >= d.starve {
+			// Starved past the bound: announce the operation so winning
+			// sessions complete it. AnnNoCell (array busy) falls back to
+			// one more plain round and re-announces next time.
+			switch d.ann.RunEnqueue(v, d, annSelfBudget, d.deadline) {
+			case xsync.AnnOK:
+				d.Ctr.Inc(xsync.OpEnqueue)
+				d.doneEnq(start, n, trace.OutcomeRescued)
+				d.Bo.Reset()
+				return nil
+			case xsync.AnnFull:
+				d.Tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, n, int(d.Bo.Spins()), 0)
+				return ErrFull
+			case xsync.AnnDeadline:
+				d.Ctr.Inc(xsync.OpDeadline)
+				d.doneEnq(start, n, trace.OutcomeDeadline)
+				return ErrDeadline
+			}
+		}
+		if done, full := d.rounds.EnqueueRound(v); done {
+			if full {
+				d.Tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, n, int(d.Bo.Spins()), 0)
+				return ErrFull
+			}
+			d.Ctr.Inc(xsync.OpEnqueue)
+			d.doneEnq(start, n, trace.OutcomeOK)
+			d.Bo.Reset()
+			d.help()
+			return nil
+		}
+		d.Bo.Fail()
+	}
+}
+
+// DequeueErr drives one dequeue to completion: ok=false with a nil error
+// means the queue was observed empty, with ErrContended or ErrDeadline
+// that the retry budget or the deadline ran out first. The caller has
+// run the ring's between-operations protocol.
+func (d *Driver) DequeueErr() (uint64, bool, error) {
+	start := d.Hist.StartDeq()
+	for n := 0; ; n++ {
+		if err := d.Halt(n); err != nil {
+			d.doneDeq(start, n, outcome(err))
+			return 0, false, err
+		}
+		if d.ann != nil && n >= d.starve {
+			v, res := d.ann.RunDequeue(d, annSelfBudget, d.deadline)
+			switch res {
+			case xsync.AnnOK:
+				d.Ctr.Inc(xsync.OpDequeue)
+				d.doneDeq(start, n, trace.OutcomeRescued)
+				d.Bo.Reset()
+				return v, true, nil
+			case xsync.AnnEmpty:
+				return 0, false, nil
+			case xsync.AnnDeadline:
+				d.Ctr.Inc(xsync.OpDeadline)
+				d.doneDeq(start, n, trace.OutcomeDeadline)
+				return 0, false, ErrDeadline
+			}
+		}
+		if v, empty, done := d.rounds.DequeueRound(); done {
+			if empty {
+				return 0, false, nil
+			}
+			d.Ctr.Inc(xsync.OpDequeue)
+			d.doneDeq(start, n, trace.OutcomeOK)
+			d.Bo.Reset()
+			d.help()
+			return v, true, nil
+		}
+		d.Bo.Fail()
+	}
+}
+
+func (d *Driver) doneEnq(start time.Time, retries int, out trace.Outcome) {
+	d.Hist.DoneEnq(start, retries)
+	d.Tr.Op(start, trace.KindEnqueue, out, retries, int(d.Bo.Spins()), 0)
+}
+
+func (d *Driver) doneDeq(start time.Time, retries int, out trace.Outcome) {
+	d.Hist.DoneDeq(start, retries)
+	d.Tr.Op(start, trace.KindDequeue, out, retries, int(d.Bo.Spins()), 0)
+}
+
+// ExecEnqueue implements xsync.AnnounceExec: at most budget rounds of an
+// announced enqueue, after the between-operations protocol (a helper
+// runs the victim's operation with its own per-session records). It
+// never announces or helps in turn, so helping cannot recurse.
+func (d *Driver) ExecEnqueue(v uint64, budget int) (done, full bool) {
+	d.rounds.Prepare()
+	for i := 0; i < budget; i++ {
+		if done, full = d.rounds.EnqueueRound(v); done {
+			return done, full
+		}
+	}
+	return false, false
+}
+
+// ExecDequeue implements xsync.AnnounceExec; see ExecEnqueue.
+func (d *Driver) ExecDequeue(budget int) (v uint64, empty, done bool) {
+	d.rounds.Prepare()
+	for i := 0; i < budget; i++ {
+		if v, empty, done = d.rounds.DequeueRound(); done {
+			return v, empty, done
+		}
+	}
+	return 0, false, false
+}
+
+// help executes at most one announced operation after completing one of
+// our own; with nothing announced it costs a single atomic load.
+func (d *Driver) help() {
+	if d.ann != nil && d.ann.HelpOne(d, annHelpBudget) {
+		d.Ctr.Inc(xsync.OpRescue)
+	}
+}
+
+// StartEnqBatch opens a batch enqueue: it zeroes the batch tally and
+// returns the histogram start stamp for DoneEnqBatch.
+func (d *Driver) StartEnqBatch() time.Time {
+	d.waste, d.retries = 0, 0
+	return d.Hist.StartEnq()
+}
+
+// StartDeqBatch is StartEnqBatch for a batch dequeue.
+func (d *Driver) StartDeqBatch() time.Time {
+	d.waste, d.retries = 0, 0
+	return d.Hist.StartDeq()
+}
+
+// HaltBatch is Halt against the batch's fruitless iterations since its
+// last commit.
+func (d *Driver) HaltBatch() error { return d.Halt(d.waste) }
+
+// Skip records a fruitless batch iteration that needs no backoff: the
+// cursor stepped over a slot someone else settled, or resynchronized
+// with the published index.
+func (d *Driver) Skip() {
+	d.waste++
+	d.retries++
+}
+
+// Lose records a batch iteration that lost a race, and backs off.
+func (d *Driver) Lose() {
+	d.Skip()
+	d.Bo.Fail()
+}
+
+// Win records a batch commit.
+func (d *Driver) Win() {
+	d.waste = 0
+	d.Bo.Reset()
+}
+
+// DoneEnqBatch closes a batch enqueue that committed n elements and
+// ended with err: it counts the elements, helps one announced operation
+// after progress, and records the histograms and the trace.
+func (d *Driver) DoneEnqBatch(start time.Time, n int, err error) {
+	if n > 0 {
+		d.Ctr.Add(xsync.OpEnqueue, uint64(n))
+		d.help()
+	}
+	d.Hist.DoneEnqBatch(start, d.retries, n)
+	d.Tr.Op(start, trace.KindEnqueueBatch, outcome(err), d.retries, int(d.Bo.Spins()), n)
+}
+
+// DoneDeqBatch is DoneEnqBatch for a batch dequeue of n elements.
+func (d *Driver) DoneDeqBatch(start time.Time, n int, err error) {
+	if n > 0 {
+		d.Ctr.Add(xsync.OpDequeue, uint64(n))
+		d.help()
+	}
+	d.Hist.DoneDeqBatch(start, d.retries, n)
+	d.Tr.Op(start, trace.KindDequeueBatch, outcome(err), d.retries, int(d.Bo.Spins()), n)
+}
+
+// outcome maps an operation's returned error onto its flight-recorder
+// outcome.
+func outcome(err error) trace.Outcome {
+	switch err {
+	case ErrFull:
+		return trace.OutcomeFull
+	case ErrContended:
+		return trace.OutcomeContended
+	case ErrDeadline:
+		return trace.OutcomeDeadline
+	case ErrOverloaded:
+		return trace.OutcomeOverloaded
+	default:
+		return trace.OutcomeOK
+	}
+}

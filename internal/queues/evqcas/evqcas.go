@@ -28,13 +28,11 @@ package evqcas
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"nbqueue/internal/llsc/registry"
 	"nbqueue/internal/pad"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/tagptr"
-	"nbqueue/internal/trace"
 	"nbqueue/internal/xsync"
 )
 
@@ -48,14 +46,8 @@ type Queue struct {
 	size   uint64
 	reg    *registry.Registry
 	ctrs   *xsync.Counters
-	hists  *xsync.Histograms
-	useBO  bool
-	budget int
-	pol    *xsync.BackoffPolicy
+	in     queue.Instr
 	ann    *xsync.Announce
-	starve int
-	yield  func()
-	rec    *trace.Recorder
 }
 
 // Option configures a Queue.
@@ -64,55 +56,10 @@ type Option func(*Queue)
 // WithCounters attaches instrumentation counters.
 func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c } }
 
-// WithHistograms attaches latency/retry histograms. Latency is sampled
-// (xsync.SampleShift); retry counts are recorded for every completed or
-// shed operation. Nil keeps the hot path free of clock reads.
-func WithHistograms(h *xsync.Histograms) Option { return func(q *Queue) { q.hists = h } }
-
-// WithBackoff enables bounded exponential backoff on retry loops.
-func WithBackoff(on bool) Option { return func(q *Queue) { q.useBO = on } }
-
-// WithTrace attaches a flight recorder: operations on the histogram
-// sampling beat and every rare outcome (ErrContended, ErrDeadline,
-// announce-array rescues) write one fixed-size record. Nil keeps every
-// recording site a single branch.
-func WithTrace(r *trace.Recorder) Option { return func(q *Queue) { q.rec = r } }
-
-// WithRetryBudget bounds each operation to at most n retry-loop
-// iterations; exhausting the budget surfaces queue.ErrContended instead
-// of spinning further (graceful degradation under contention). n <= 0
-// keeps the loops unbounded (lock-free progress as in the paper).
-func WithRetryBudget(n int) Option { return func(q *Queue) { q.budget = n } }
-
-// WithYield installs a pre-access hook invoked before every shared-memory
-// access (queue words and registry state), enabling systematic
-// interleaving exploration via internal/explore. Nil in production.
-func WithYield(f func()) Option { return func(q *Queue) { q.yield = f } }
-
-// WithBackoffPolicy attaches a shared adaptive backoff policy: sessions
-// grow their spin interval toward the policy's live ceiling (which moves
-// with the observed failure rate) instead of a fixed maximum. Implies
-// backoff. The policy must be normalized (see xsync.NewBackoffPolicy).
-func WithBackoffPolicy(p *xsync.BackoffPolicy) Option { return func(q *Queue) { q.pol = p } }
-
-// WithStarvationBound enables cooperative helping: an operation still
-// unperformed after n fruitless retry rounds is published to the queue's
-// announce array, where sessions completing operations of their own
-// execute it on the victim's behalf (see xsync.Announce). Lock-freedom
-// only promises system-wide progress; the bound adds a per-operation
-// one — under any schedule where the queue as a whole completes
-// operations, a starved thread's operation completes too. n <= 0
-// disables helping (the paper's plain loops).
-func WithStarvationBound(n int) Option {
-	return func(q *Queue) {
-		q.starve = n
-		if n > 0 {
-			q.ann = xsync.NewAnnounce()
-		} else {
-			q.ann = nil
-		}
-	}
-}
+// WithInstr attaches the instrumentation and retry-policy bundle; see
+// queue.Instr. Its Yield hook fires before every shared-memory access,
+// queue words and registry state alike.
+func WithInstr(in queue.Instr) Option { return func(q *Queue) { q.in = in } }
 
 // WithPaddedSlots spreads slots across cache-line pairs.
 func WithPaddedSlots(on bool) Option {
@@ -143,15 +90,16 @@ func New(capacity int, opts ...Option) *Queue {
 	for _, o := range opts {
 		o(q)
 	}
-	q.reg = registry.New(registry.WithYield(q.yield))
+	q.ann = q.in.Announce()
+	q.reg = registry.New(registry.WithYield(q.in.Yield))
 	q.slots = make([]atomic.Uint64, int(size)*q.stride)
 	return q
 }
 
 // fire invokes the yield hook, if any.
 func (q *Queue) fire() {
-	if q.yield != nil {
-		q.yield()
+	if q.in.Yield != nil {
+		q.in.Yield()
 	}
 }
 
@@ -166,90 +114,30 @@ func (q *Queue) Registry() *registry.Registry { return q.reg }
 
 func (q *Queue) slot(i uint64) *atomic.Uint64 { return &q.slots[int(i)*q.stride] }
 
-// Session carries the goroutine's registered LLSCvar.
+// Session carries the goroutine's registered LLSCvar and its retry
+// driver.
 type Session struct {
-	q        *Queue
-	varH     registry.Handle
-	varGen   uint64
-	ctr      xsync.Handle
-	hist     xsync.HistHandle
-	tr       trace.Handle
-	bo       xsync.Backoff
-	deadline int64 // unixnano; 0 = none
-	yield    func()
+	queue.Driver
+	q      *Queue
+	varH   registry.Handle
+	varGen uint64
 }
 
 var (
 	_ queue.Session         = (*Session)(nil)
 	_ queue.BudgetSession   = (*Session)(nil)
 	_ queue.DeadlineSession = (*Session)(nil)
-	_ xsync.AnnounceExec    = (*Session)(nil)
+	_ queue.BatchSession    = (*Session)(nil)
 )
 
 // Attach registers the calling goroutine with the queue's LLSCvar
 // registry.
 func (q *Queue) Attach() queue.Session {
-	s := &Session{q: q, ctr: q.ctrs.Handle(), hist: q.hists.Handle(), tr: q.rec.Handle()}
-	s.varH = q.reg.Register(s.ctr)
+	s := &Session{q: q}
+	s.Driver = queue.NewDriver(q.ctrs, q.in, q.ann, s)
+	s.varH = q.reg.Register(s.Ctr)
 	s.varGen = q.reg.Gen(s.varH)
-	if q.pol != nil {
-		s.bo = xsync.NewAdaptiveBackoff(q.pol)
-	} else if q.useBO {
-		s.bo = xsync.NewBackoff(0, 0)
-	}
 	return s
-}
-
-// SetDeadline arms (or, with the zero Time, clears) the session
-// deadline; see queue.DeadlineSession for the abort contract.
-func (s *Session) SetDeadline(t time.Time) {
-	if t.IsZero() {
-		s.deadline = 0
-	} else {
-		s.deadline = t.UnixNano()
-	}
-}
-
-// deadlineCheckMask throttles deadline polling: the clock is read once
-// per deadlineCheckMask+1 fruitless retry iterations, so uncontended
-// operations never touch it and an abort overshoots by at most a
-// handful of iterations.
-const deadlineCheckMask = 31
-
-// expired reports whether the armed deadline has passed, polling the
-// clock only on throttle boundaries of the fruitless-iteration count n.
-func (s *Session) expired(n int) bool {
-	return s.deadline != 0 && n&deadlineCheckMask == deadlineCheckMask &&
-		time.Now().UnixNano() > s.deadline
-}
-
-// SetYield installs a per-session hook fired between a slot reservation
-// (simulated LL) and its commit attempt — the window in which other
-// sessions can displace the reservation. The chaos starvation drills
-// use it to delay one session specifically; unlike the queue-level
-// WithYield it does not instrument the registry. Nil in production.
-func (s *Session) SetYield(f func()) { s.yield = f }
-
-func (s *Session) fireYield() {
-	if s.yield != nil {
-		s.yield()
-	}
-}
-
-// Self-run and helper attempt budgets for announced operations: small
-// enough that a claim never becomes a new stall, large enough to beat
-// the per-round cost of the claim CAS.
-const (
-	annSelfBudget = 8
-	annHelpBudget = 8
-)
-
-// help executes at most one announced operation after completing one of
-// our own; with nothing announced it costs a single atomic load.
-func (s *Session) help() {
-	if s.q.ann != nil && s.q.ann.HelpOne(s, annHelpBudget) {
-		s.ctr.Inc(xsync.OpRescue)
-	}
 }
 
 // Detach deregisters the goroutine's LLSCvar so it can be recycled.
@@ -258,42 +146,40 @@ func (s *Session) Detach() {
 	if s.varH == 0 {
 		return
 	}
-	s.q.reg.DeregisterGen(s.varH, s.varGen, s.ctr)
+	s.q.reg.DeregisterGen(s.varH, s.varGen, s.Ctr)
 	s.varH = 0
-	s.hist.Flush()
+	s.Hist.Flush()
 }
 
-// prepare runs the between-operations protocol: ReRegister swaps the
-// LLSCvar for a fresh one if another thread still holds a reference,
-// closing the recycled-record ABA described in §5. It also stamps the
-// record's heartbeat and recovers from scavenger revocation.
-func (s *Session) prepare() {
+// Prepare runs the between-operations protocol (queue.Rounds):
+// ReRegister swaps the LLSCvar for a fresh one if another thread still
+// holds a reference, closing the recycled-record ABA described in §5. It
+// also stamps the record's heartbeat and recovers from scavenger
+// revocation. A helper runs it before executing a victim's announced
+// operation with its *own* LLSCvar, so the §5 defence applies unchanged.
+func (s *Session) Prepare() {
 	if s.varH == 0 {
 		panic("evqcas: session used after Detach")
 	}
-	s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.ctr)
+	s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.Ctr)
 }
 
 // cas wraps CompareAndSwap with instrumentation.
 func (s *Session) cas(w *atomic.Uint64, old, new uint64) bool {
-	s.ctr.Inc(xsync.OpCASAttempt)
+	s.Ctr.Inc(xsync.OpCASAttempt)
 	s.q.fire()
 	if w.CompareAndSwap(old, new) {
-		s.ctr.Inc(xsync.OpCASSuccess)
+		s.Ctr.Inc(xsync.OpCASSuccess)
 		return true
 	}
 	return false
 }
 
-// enqueueRound runs one attempt round of Figure 5 Enqueue. done=false
-// means the round was fruitless (lost a race, or helped advance a
-// lagging Tail); full (with done) means the queue was observed full.
-// The round records only primitive counters — completed operations and
-// latency are accounted by the caller, so rounds can run on a victim's
-// behalf without double counting. The marker is recomputed per round
-// because prepare (run between operations, including announced ones)
-// may have swapped the LLSCvar.
-func (s *Session) enqueueRound(v uint64) (done, full bool) {
+// EnqueueRound runs one attempt round of Figure 5 Enqueue; see
+// queue.Rounds. The marker is recomputed per round because Prepare (run
+// between operations, including announced ones) may have swapped the
+// LLSCvar.
+func (s *Session) EnqueueRound(v uint64) (done, full bool) {
 	q := s.q
 	marker := tagptr.Tag(s.varH)
 	q.fire()
@@ -304,8 +190,8 @@ func (s *Session) enqueueRound(v uint64) (done, full bool) {
 	}
 	tail := t & q.mask
 	w := q.slot(tail)
-	slot := q.reg.LL(w, s.varH, s.ctr) // reserve: slot word now holds marker
-	s.fireYield()
+	slot := q.reg.LL(w, s.varH, s.Ctr) // reserve: slot word now holds marker
+	s.Pause()
 	q.fire()
 	if t == q.tail.Load() {
 		if slot != 0 {
@@ -329,58 +215,8 @@ func (s *Session) Enqueue(v uint64) error {
 	if err := queue.CheckValue(v); err != nil {
 		return err
 	}
-	s.prepare()
-	q := s.q
-	start := s.hist.StartEnq()
-	for attempt := 0; ; attempt++ {
-		if q.budget > 0 && attempt >= q.budget {
-			s.ctr.Inc(xsync.OpContended)
-			s.hist.DoneEnq(start, attempt)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeContended, attempt, int(s.bo.Spins()), 0)
-			return queue.ErrContended
-		}
-		if s.expired(attempt) {
-			s.ctr.Inc(xsync.OpDeadline)
-			s.hist.DoneEnq(start, attempt)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeDeadline, attempt, int(s.bo.Spins()), 0)
-			return queue.ErrDeadline
-		}
-		if q.ann != nil && attempt >= q.starve {
-			// Starved past the bound: announce the operation so winning
-			// sessions complete it for us. AnnNoCell (array busy) falls
-			// back to one more plain round and re-announces next time.
-			switch q.ann.RunEnqueue(v, s, annSelfBudget, s.deadline) {
-			case xsync.AnnOK:
-				s.ctr.Inc(xsync.OpEnqueue)
-				s.hist.DoneEnq(start, attempt)
-				s.tr.Op(start, trace.KindEnqueue, trace.OutcomeRescued, attempt, int(s.bo.Spins()), 0)
-				s.bo.Reset()
-				return nil
-			case xsync.AnnFull:
-				s.tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, attempt, int(s.bo.Spins()), 0)
-				return queue.ErrFull
-			case xsync.AnnDeadline:
-				s.ctr.Inc(xsync.OpDeadline)
-				s.hist.DoneEnq(start, attempt)
-				s.tr.Op(start, trace.KindEnqueue, trace.OutcomeDeadline, attempt, int(s.bo.Spins()), 0)
-				return queue.ErrDeadline
-			}
-		}
-		done, full := s.enqueueRound(v)
-		if done {
-			if full {
-				s.tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, attempt, int(s.bo.Spins()), 0)
-				return queue.ErrFull
-			}
-			s.ctr.Inc(xsync.OpEnqueue)
-			s.hist.DoneEnq(start, attempt)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeOK, attempt, int(s.bo.Spins()), 0)
-			s.bo.Reset()
-			s.help()
-			return nil
-		}
-		s.bo.Fail()
-	}
+	s.Prepare()
+	return s.Driver.Enqueue(v)
 }
 
 // Dequeue removes the head value; Figure 5 Dequeue. On a queue with a
@@ -395,59 +231,13 @@ func (s *Session) Dequeue() (uint64, bool) {
 // error means the queue was observed empty; ok=false with
 // queue.ErrContended means the retry budget ran out first.
 func (s *Session) DequeueErr() (uint64, bool, error) {
-	s.prepare()
-	q := s.q
-	start := s.hist.StartDeq()
-	for attempt := 0; ; attempt++ {
-		if q.budget > 0 && attempt >= q.budget {
-			s.ctr.Inc(xsync.OpContended)
-			s.hist.DoneDeq(start, attempt)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeContended, attempt, int(s.bo.Spins()), 0)
-			return 0, false, queue.ErrContended
-		}
-		if s.expired(attempt) {
-			s.ctr.Inc(xsync.OpDeadline)
-			s.hist.DoneDeq(start, attempt)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeDeadline, attempt, int(s.bo.Spins()), 0)
-			return 0, false, queue.ErrDeadline
-		}
-		if q.ann != nil && attempt >= q.starve {
-			v, res := q.ann.RunDequeue(s, annSelfBudget, s.deadline)
-			switch res {
-			case xsync.AnnOK:
-				s.ctr.Inc(xsync.OpDequeue)
-				s.hist.DoneDeq(start, attempt)
-				s.tr.Op(start, trace.KindDequeue, trace.OutcomeRescued, attempt, int(s.bo.Spins()), 0)
-				s.bo.Reset()
-				return v, true, nil
-			case xsync.AnnEmpty:
-				return 0, false, nil
-			case xsync.AnnDeadline:
-				s.ctr.Inc(xsync.OpDeadline)
-				s.hist.DoneDeq(start, attempt)
-				s.tr.Op(start, trace.KindDequeue, trace.OutcomeDeadline, attempt, int(s.bo.Spins()), 0)
-				return 0, false, queue.ErrDeadline
-			}
-		}
-		v, empty, done := s.dequeueRound()
-		if done {
-			if empty {
-				return 0, false, nil
-			}
-			s.ctr.Inc(xsync.OpDequeue)
-			s.hist.DoneDeq(start, attempt)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeOK, attempt, int(s.bo.Spins()), 0)
-			s.bo.Reset()
-			s.help()
-			return v, true, nil
-		}
-		s.bo.Fail()
-	}
+	s.Prepare()
+	return s.Driver.DequeueErr()
 }
 
-// dequeueRound runs one attempt round of Figure 5 Dequeue; see
-// enqueueRound for the round contract.
-func (s *Session) dequeueRound() (v uint64, empty, done bool) {
+// DequeueRound runs one attempt round of Figure 5 Dequeue; see
+// queue.Rounds.
+func (s *Session) DequeueRound() (v uint64, empty, done bool) {
 	q := s.q
 	marker := tagptr.Tag(s.varH)
 	q.fire()
@@ -458,8 +248,8 @@ func (s *Session) dequeueRound() (v uint64, empty, done bool) {
 	}
 	head := h & q.mask
 	w := q.slot(head)
-	slot := q.reg.LL(w, s.varH, s.ctr)
-	s.fireYield()
+	slot := q.reg.LL(w, s.varH, s.Ctr)
+	s.Pause()
 	q.fire()
 	if h == q.head.Load() {
 		if slot == 0 {
@@ -476,77 +266,34 @@ func (s *Session) dequeueRound() (v uint64, empty, done bool) {
 	return 0, false, false
 }
 
-// ExecEnqueue and ExecDequeue run bounded attempt rounds on behalf of an
-// announced (starved) operation; see xsync.AnnounceExec. Each call runs
-// the between-operations protocol first — a helper executes the
-// victim's operation with its *own* LLSCvar, so the §5 recycled-record
-// defence applies unchanged. They never announce or help in turn, so
-// helping cannot recurse.
-
-// ExecEnqueue implements xsync.AnnounceExec.
-func (s *Session) ExecEnqueue(v uint64, budget int) (done, full bool) {
-	s.prepare()
-	for i := 0; i < budget; i++ {
-		if done, full = s.enqueueRound(v); done {
-			return done, full
-		}
-	}
-	return false, false
-}
-
-// ExecDequeue implements xsync.AnnounceExec.
-func (s *Session) ExecDequeue(budget int) (v uint64, empty, done bool) {
-	s.prepare()
-	for i := 0; i < budget; i++ {
-		if v, empty, done = s.dequeueRound(); done {
-			return v, empty, done
-		}
-	}
-	return 0, false, false
-}
-
-// publishTail advances the published Tail to at least c with a single
-// CAS. Every index in [Tail, c) is committed and not yet dequeued — the
-// batch cursor only moves past slots it committed, observed committed,
-// or that the published Tail had already passed, and dequeuers never
-// touch indices at or above the published Tail — so the paper's
-// one-step-at-a-time help advance collapses into one jump. Tail only
-// moves forward, so a lost race re-reads and either finds the target
-// covered or retries from the new floor.
-func (s *Session) publishTail(c uint64) {
-	q := s.q
+// publish advances the index word idx (the published Tail or Head) to
+// at least c with a single CAS. Every index in [published, c) has been
+// settled by the batch cursor, so the paper's one-step-at-a-time help
+// advance collapses into one jump:
+//
+//   - Tail: every index in [Tail, c) is committed and not yet dequeued —
+//     the cursor only moves past slots it committed, observed committed,
+//     or that the published Tail had already passed, and dequeuers never
+//     touch indices at or above the published Tail.
+//   - Head: every index in [Head, c) is drained, and no enqueuer can
+//     refill those positions while Head is at or below them (refilling
+//     position i for index i+size requires Head > i first), so the jump
+//     publishes only genuinely consumed indices.
+//
+// Indices only move forward, so a lost race re-reads and either finds
+// the target covered or retries from the new floor.
+func (s *Session) publish(idx *pad.Uint64, c uint64) {
 	for {
-		q.fire()
-		cur := q.tail.Load()
+		s.q.fire()
+		cur := idx.Load()
 		if cur >= c {
 			return
 		}
-		if s.cas(q.tail.Ptr(), cur, c) {
+		if s.cas(idx.Ptr(), cur, c) {
 			return
 		}
 	}
 }
-
-// publishHead is publishTail for the Head index: every index in
-// [Head, c) is drained, and no enqueuer can refill those positions
-// while Head is at or below them (refilling position i for index
-// i+size requires Head > i first), so the jump publishes only
-// genuinely consumed indices.
-func (s *Session) publishHead(c uint64) {
-	q := s.q
-	for {
-		q.fire()
-		cur := q.head.Load()
-		if cur >= c {
-			return
-		}
-		if s.cas(q.head.Ptr(), cur, c) {
-			return
-		}
-	}
-}
-
-var _ queue.BatchSession = (*Session)(nil)
 
 // EnqueueBatch inserts the values of vs in order with a single Tail CAS
 // for the whole batch; see queue.BatchSession for the contract. The
@@ -570,23 +317,15 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	if len(vs) == 0 {
 		return 0, nil
 	}
-	s.prepare()
+	s.Prepare()
 	q := s.q
-	start := s.hist.StartEnq()
+	start := s.StartEnqBatch()
 	marker := tagptr.Tag(s.varH)
 	c := q.tail.Load()
 	filled := 0
-	waste, retries := 0, 0 // consecutive / total fruitless iterations
 	var err error
 	for filled < len(vs) {
-		if q.budget > 0 && waste >= q.budget {
-			s.ctr.Inc(xsync.OpContended)
-			err = queue.ErrContended
-			break
-		}
-		if s.expired(waste) {
-			s.ctr.Inc(xsync.OpDeadline)
-			err = queue.ErrDeadline
+		if err = s.HaltBatch(); err != nil {
 			break
 		}
 		q.fire()
@@ -604,7 +343,7 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 			break
 		}
 		w := q.slot(c & q.mask)
-		slot := q.reg.LL(w, s.varH, s.ctr) // reserve: slot word now holds marker
+		slot := q.reg.LL(w, s.varH, s.Ctr) // reserve: slot word now holds marker
 		q.fire()
 		if slot != 0 {
 			// Someone's item is already at the cursor: release the
@@ -612,8 +351,7 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 			// final publish may pass it).
 			s.cas(w, marker, slot)
 			c++
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
 		if t := q.tail.Load(); t > c {
@@ -624,28 +362,19 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 			// successful commit below really is at index c.
 			s.cas(w, marker, 0)
 			c = t
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
 		if s.cas(w, marker, vs[filled]) {
 			filled++
 			c++
-			waste = 0
-			s.bo.Reset()
+			s.Win()
 		} else {
-			waste++
-			retries++
-			s.bo.Fail()
+			s.Lose()
 		}
 	}
-	s.publishTail(c)
-	if filled > 0 {
-		s.ctr.Add(xsync.OpEnqueue, uint64(filled))
-		s.help()
-	}
-	s.hist.DoneEnqBatch(start, retries, filled)
-	s.tr.Op(start, trace.KindEnqueueBatch, queue.TraceOutcome(err), retries, int(s.bo.Spins()), filled)
+	s.publish(&q.tail, c)
+	s.DoneEnqBatch(start, filled, err)
 	return filled, err
 }
 
@@ -658,23 +387,15 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	s.prepare()
+	s.Prepare()
 	q := s.q
-	start := s.hist.StartDeq()
+	start := s.StartDeqBatch()
 	marker := tagptr.Tag(s.varH)
 	c := q.head.Load()
 	n := 0
-	waste, retries := 0, 0
 	var err error
 	for n < len(dst) {
-		if q.budget > 0 && waste >= q.budget {
-			s.ctr.Inc(xsync.OpContended)
-			err = queue.ErrContended
-			break
-		}
-		if s.expired(waste) {
-			s.ctr.Inc(xsync.OpDeadline)
-			err = queue.ErrDeadline
+		if err = s.HaltBatch(); err != nil {
 			break
 		}
 		q.fire()
@@ -686,15 +407,14 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 			break // observed empty at the cursor
 		}
 		w := q.slot(c & q.mask)
-		x := q.reg.LL(w, s.varH, s.ctr)
+		x := q.reg.LL(w, s.varH, s.Ctr)
 		q.fire()
 		if x == 0 {
 			// Index c was drained by someone else with Head lagging:
 			// release and step over it.
 			s.cas(w, marker, 0)
 			c++
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
 		if h := q.head.Load(); h > c {
@@ -705,29 +425,20 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 			// commit below really drains index c.
 			s.cas(w, marker, x)
 			c = h
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
 		if s.cas(w, marker, 0) {
 			dst[n] = x
 			n++
 			c++
-			waste = 0
-			s.bo.Reset()
+			s.Win()
 		} else {
-			waste++
-			retries++
-			s.bo.Fail()
+			s.Lose()
 		}
 	}
-	s.publishHead(c)
-	if n > 0 {
-		s.ctr.Add(xsync.OpDequeue, uint64(n))
-		s.help()
-	}
-	s.hist.DoneDeqBatch(start, retries, n)
-	s.tr.Op(start, trace.KindDequeueBatch, queue.TraceOutcome(err), retries, int(s.bo.Spins()), n)
+	s.publish(&q.head, c)
+	s.DoneDeqBatch(start, n, err)
 	return n, err
 }
 

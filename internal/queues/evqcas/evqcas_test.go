@@ -25,7 +25,7 @@ func TestConformancePadded(t *testing.T) {
 
 func TestConformanceBackoff(t *testing.T) {
 	queuetest.RunAll(t, func(c int) queue.Queue {
-		return evqcas.New(c, evqcas.WithBackoff(true))
+		return evqcas.New(c, evqcas.WithInstr(queue.Instr{Backoff: true}))
 	})
 }
 

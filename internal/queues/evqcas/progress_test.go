@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/tagptr"
 )
@@ -33,7 +34,7 @@ func TestNonBlockingUnderSuspendedReservation(t *testing.T) {
 			}
 		}
 	}
-	q = evqcas.New(4, evqcas.WithYield(hook))
+	q = evqcas.New(4, evqcas.WithInstr(queue.Instr{Yield: hook}))
 
 	aDone := make(chan error, 1)
 	go func() {

@@ -26,29 +26,22 @@ package evqllsc
 
 import (
 	"fmt"
-	"time"
 
 	"nbqueue/internal/llsc"
 	"nbqueue/internal/queue"
-	"nbqueue/internal/trace"
 	"nbqueue/internal/xsync"
 )
 
 // Queue is the Figure 3 LL/SC array queue. Create with New.
 type Queue struct {
-	slots  llsc.Memory
-	idx    llsc.Memory // word 0 = Head, word 1 = Tail
-	mask   uint64
-	size   uint64
-	ctrs   *xsync.Counters
-	hists  *xsync.Histograms
-	useBO  bool
-	budget int
-	pol    *xsync.BackoffPolicy
-	ann    *xsync.Announce
-	starve int
-	name   string
-	rec    *trace.Recorder
+	slots llsc.Memory
+	idx   llsc.Memory // word 0 = Head, word 1 = Tail
+	mask  uint64
+	size  uint64
+	ctrs  *xsync.Counters
+	in    queue.Instr
+	ann   *xsync.Announce
+	name  string
 }
 
 const (
@@ -62,50 +55,10 @@ type Option func(*Queue)
 // WithCounters attaches instrumentation counters.
 func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c } }
 
-// WithHistograms attaches latency/retry histograms. Latency is sampled
-// (xsync.SampleShift); retry counts are recorded for every completed or
-// shed operation. Nil keeps the hot path free of clock reads.
-func WithHistograms(h *xsync.Histograms) Option { return func(q *Queue) { q.hists = h } }
-
-// WithBackoff enables bounded exponential backoff on retry loops.
-func WithBackoff(on bool) Option { return func(q *Queue) { q.useBO = on } }
-
-// WithRetryBudget bounds each operation to at most n retry-loop
-// iterations, surfacing queue.ErrContended when the budget runs out so
-// callers can shed load instead of spinning. n <= 0 keeps the loops
-// unbounded.
-func WithRetryBudget(n int) Option { return func(q *Queue) { q.budget = n } }
-
-// WithBackoffPolicy attaches a shared adaptive backoff policy: sessions
-// grow their spin interval toward the policy's live ceiling (which moves
-// with the observed failure rate) instead of a fixed maximum. Implies
-// backoff. The policy must be normalized (see xsync.NewBackoffPolicy).
-func WithBackoffPolicy(p *xsync.BackoffPolicy) Option { return func(q *Queue) { q.pol = p } }
-
-// WithStarvationBound enables cooperative helping: an operation still
-// unperformed after n fruitless retry rounds is published to the queue's
-// announce array, where sessions completing operations of their own
-// execute it on the victim's behalf (see xsync.Announce). Lock-freedom
-// only promises system-wide progress; the bound adds a per-operation
-// one — under any schedule where the queue as a whole completes
-// operations, a starved thread's operation completes too. n <= 0
-// disables helping (the paper's plain loops).
-func WithStarvationBound(n int) Option {
-	return func(q *Queue) {
-		q.starve = n
-		if n > 0 {
-			q.ann = xsync.NewAnnounce()
-		} else {
-			q.ann = nil
-		}
-	}
-}
-
-// WithTrace attaches a flight recorder: operations on the histogram
-// sampling beat and every rare outcome (ErrContended, ErrDeadline,
-// announce-array rescues) write one fixed-size record. Nil keeps every
-// recording site a single branch.
-func WithTrace(r *trace.Recorder) Option { return func(q *Queue) { q.rec = r } }
+// WithInstr attaches the instrumentation and retry-policy bundle; see
+// queue.Instr. Its Yield hook is ignored: interleavings of this
+// algorithm come from the llsc.Memory it is built on.
+func WithInstr(in queue.Instr) Option { return func(q *Queue) { q.in = in } }
 
 // WithName overrides the display name (used by the weak-LL/SC ablation to
 // distinguish configurations).
@@ -138,6 +91,7 @@ func New(capacity int, mem func(words int) llsc.Memory, opts ...Option) *Queue {
 	for _, o := range opts {
 		o(q)
 	}
+	q.ann = q.in.Announce()
 	return q
 }
 
@@ -147,102 +101,42 @@ func (q *Queue) Capacity() int { return int(q.size) }
 // Name returns the figure label for this algorithm.
 func (q *Queue) Name() string { return q.name }
 
-// Session is a stateless per-goroutine handle (Algorithm 1 needs no
-// registration).
+// Session is a per-goroutine handle carrying only the retry driver
+// (Algorithm 1 needs no registration).
 type Session struct {
-	q        *Queue
-	ctr      xsync.Handle
-	hist     xsync.HistHandle
-	tr       trace.Handle
-	bo       xsync.Backoff
-	deadline int64 // unixnano; 0 = none
-	yield    func()
+	queue.Driver
+	q *Queue
 }
 
 var (
 	_ queue.Session         = (*Session)(nil)
 	_ queue.BudgetSession   = (*Session)(nil)
 	_ queue.DeadlineSession = (*Session)(nil)
-	_ xsync.AnnounceExec    = (*Session)(nil)
+	_ queue.BatchSession    = (*Session)(nil)
 )
 
 // Attach returns a session for the calling goroutine.
 func (q *Queue) Attach() queue.Session {
-	s := &Session{q: q, ctr: q.ctrs.Handle(), hist: q.hists.Handle(), tr: q.rec.Handle()}
-	if q.pol != nil {
-		s.bo = xsync.NewAdaptiveBackoff(q.pol)
-	} else if q.useBO {
-		s.bo = xsync.NewBackoff(0, 0)
-	}
+	s := &Session{q: q}
+	s.Driver = queue.NewDriver(q.ctrs, q.in, q.ann, s)
 	return s
 }
 
 // Detach releases the session (a no-op for this algorithm).
-func (s *Session) Detach() { s.hist.Flush() }
+func (s *Session) Detach() { s.Hist.Flush() }
 
-// SetDeadline arms (or, with the zero Time, clears) the session
-// deadline; see queue.DeadlineSession for the abort contract.
-func (s *Session) SetDeadline(t time.Time) {
-	if t.IsZero() {
-		s.deadline = 0
-	} else {
-		s.deadline = t.UnixNano()
-	}
-}
-
-// deadlineCheckMask throttles deadline polling: the clock is read once
-// per deadlineCheckMask+1 fruitless retry iterations, so uncontended
-// operations never touch it and an abort overshoots by at most a
-// handful of iterations.
-const deadlineCheckMask = 31
-
-// expired reports whether the armed deadline has passed, polling the
-// clock only on throttle boundaries of the fruitless-iteration count n.
-func (s *Session) expired(n int) bool {
-	return s.deadline != 0 && n&deadlineCheckMask == deadlineCheckMask &&
-		time.Now().UnixNano() > s.deadline
-}
-
-// SetYield installs a per-session hook fired between a slot reservation
-// (LL) and its commit attempt — the window in which other sessions can
-// displace the reservation. The chaos starvation drills use it to delay
-// one session specifically. Nil in production.
-func (s *Session) SetYield(f func()) { s.yield = f }
-
-func (s *Session) fireYield() {
-	if s.yield != nil {
-		s.yield()
-	}
-}
-
-// Self-run and helper attempt budgets for announced operations: small
-// enough that a claim never becomes a new stall, large enough to beat
-// the per-round cost of the claim CAS.
-const (
-	annSelfBudget = 8
-	annHelpBudget = 8
-)
-
-// help executes at most one announced operation after completing one of
-// our own; with nothing announced it costs a single atomic load.
-func (s *Session) help() {
-	if s.q.ann != nil && s.q.ann.HelpOne(s, annHelpBudget) {
-		s.ctr.Inc(xsync.OpRescue)
-	}
-}
+// Prepare implements queue.Rounds; Algorithm 1 has no between-operations
+// protocol.
+func (s *Session) Prepare() {}
 
 // indexDelta returns (t - h) in the wrapped index domain. Index words
 // live in the 40-bit value field of the LL/SC memory and the queue size
 // divides 2^40, so wrapped subtraction stays exact.
 func indexDelta(t, h uint64) uint64 { return (t - h) & queue.MaxValue }
 
-// enqueueRound runs one attempt round of Figure 3 lines E5–E17.
-// done=false means the round was fruitless (lost a race, or helped
-// advance a lagging index); full (with done) means the queue was
-// observed full. The round records only primitive counters — completed
-// operations and latency are accounted by the caller, so rounds can run
-// on a victim's behalf without double counting.
-func (s *Session) enqueueRound(v uint64) (done, full bool) {
+// EnqueueRound runs one attempt round of Figure 3 lines E5–E17; see
+// queue.Rounds.
+func (s *Session) EnqueueRound(v uint64) (done, full bool) {
 	q := s.q
 	t := q.idx.Load(tailWord) // E5
 	// E6: exact equality, as in the paper. Head is read after Tail,
@@ -252,16 +146,16 @@ func (s *Session) enqueueRound(v uint64) (done, full bool) {
 		return true, true
 	}
 	tail := int(t & q.mask) // E8
-	s.ctr.Inc(xsync.OpLL)
+	s.Ctr.Inc(xsync.OpLL)
 	slot, res := q.slots.LL(tail) // E9
-	s.fireYield()
+	s.Pause()
 	if t == q.idx.Load(tailWord) { // E10
 		if slot != 0 { // E11: a delayed enqueuer filled the slot; help advance Tail.
 			s.advance(tailWord, t)
 		} else {
-			s.ctr.Inc(xsync.OpSCAttempt)
+			s.Ctr.Inc(xsync.OpSCAttempt)
 			if q.slots.SC(tail, res, v) { // E15
-				s.ctr.Inc(xsync.OpSCSuccess)
+				s.Ctr.Inc(xsync.OpSCSuccess)
 				s.advance(tailWord, t) // E16–E17
 				return true, false
 			}
@@ -275,57 +169,7 @@ func (s *Session) Enqueue(v uint64) error {
 	if err := queue.CheckValue(v); err != nil {
 		return err
 	}
-	q := s.q
-	start := s.hist.StartEnq()
-	for attempt := 0; ; attempt++ {
-		if q.budget > 0 && attempt >= q.budget {
-			s.ctr.Inc(xsync.OpContended)
-			s.hist.DoneEnq(start, attempt)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeContended, attempt, int(s.bo.Spins()), 0)
-			return queue.ErrContended
-		}
-		if s.expired(attempt) {
-			s.ctr.Inc(xsync.OpDeadline)
-			s.hist.DoneEnq(start, attempt)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeDeadline, attempt, int(s.bo.Spins()), 0)
-			return queue.ErrDeadline
-		}
-		if q.ann != nil && attempt >= q.starve {
-			// Starved past the bound: announce the operation so winning
-			// sessions complete it for us. AnnNoCell (array busy) falls
-			// back to one more plain round and re-announces next time.
-			switch q.ann.RunEnqueue(v, s, annSelfBudget, s.deadline) {
-			case xsync.AnnOK:
-				s.ctr.Inc(xsync.OpEnqueue)
-				s.hist.DoneEnq(start, attempt)
-				s.tr.Op(start, trace.KindEnqueue, trace.OutcomeRescued, attempt, int(s.bo.Spins()), 0)
-				s.bo.Reset()
-				return nil
-			case xsync.AnnFull:
-				s.tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, attempt, int(s.bo.Spins()), 0)
-				return queue.ErrFull
-			case xsync.AnnDeadline:
-				s.ctr.Inc(xsync.OpDeadline)
-				s.hist.DoneEnq(start, attempt)
-				s.tr.Op(start, trace.KindEnqueue, trace.OutcomeDeadline, attempt, int(s.bo.Spins()), 0)
-				return queue.ErrDeadline
-			}
-		}
-		done, full := s.enqueueRound(v)
-		if done {
-			if full {
-				s.tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, attempt, int(s.bo.Spins()), 0)
-				return queue.ErrFull
-			}
-			s.ctr.Inc(xsync.OpEnqueue)
-			s.hist.DoneEnq(start, attempt)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeOK, attempt, int(s.bo.Spins()), 0)
-			s.bo.Reset()
-			s.help()
-			return nil
-		}
-		s.bo.Fail()
-	}
+	return s.Driver.Enqueue(v)
 }
 
 // Dequeue removes the head value; Figure 3 lines D1–D21. On a queue with
@@ -336,105 +180,28 @@ func (s *Session) Dequeue() (uint64, bool) {
 	return v, ok
 }
 
-// DequeueErr is Dequeue with a contention signal: ok=false with a nil
-// error means the queue was observed empty; ok=false with
-// queue.ErrContended means the retry budget ran out first.
-func (s *Session) DequeueErr() (uint64, bool, error) {
-	q := s.q
-	start := s.hist.StartDeq()
-	for attempt := 0; ; attempt++ {
-		if q.budget > 0 && attempt >= q.budget {
-			s.ctr.Inc(xsync.OpContended)
-			s.hist.DoneDeq(start, attempt)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeContended, attempt, int(s.bo.Spins()), 0)
-			return 0, false, queue.ErrContended
-		}
-		if s.expired(attempt) {
-			s.ctr.Inc(xsync.OpDeadline)
-			s.hist.DoneDeq(start, attempt)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeDeadline, attempt, int(s.bo.Spins()), 0)
-			return 0, false, queue.ErrDeadline
-		}
-		if q.ann != nil && attempt >= q.starve {
-			v, res := q.ann.RunDequeue(s, annSelfBudget, s.deadline)
-			switch res {
-			case xsync.AnnOK:
-				s.ctr.Inc(xsync.OpDequeue)
-				s.hist.DoneDeq(start, attempt)
-				s.tr.Op(start, trace.KindDequeue, trace.OutcomeRescued, attempt, int(s.bo.Spins()), 0)
-				s.bo.Reset()
-				return v, true, nil
-			case xsync.AnnEmpty:
-				return 0, false, nil
-			case xsync.AnnDeadline:
-				s.ctr.Inc(xsync.OpDeadline)
-				s.hist.DoneDeq(start, attempt)
-				s.tr.Op(start, trace.KindDequeue, trace.OutcomeDeadline, attempt, int(s.bo.Spins()), 0)
-				return 0, false, queue.ErrDeadline
-			}
-		}
-		v, empty, done := s.dequeueRound()
-		if done {
-			if empty {
-				return 0, false, nil
-			}
-			s.ctr.Inc(xsync.OpDequeue)
-			s.hist.DoneDeq(start, attempt)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeOK, attempt, int(s.bo.Spins()), 0)
-			s.bo.Reset()
-			s.help()
-			return v, true, nil
-		}
-		s.bo.Fail()
-	}
-}
-
-// dequeueRound runs one attempt round of Figure 3 lines D5–D17; see
-// enqueueRound for the round contract.
-func (s *Session) dequeueRound() (v uint64, empty, done bool) {
+// DequeueRound runs one attempt round of Figure 3 lines D5–D17; see
+// queue.Rounds.
+func (s *Session) DequeueRound() (v uint64, empty, done bool) {
 	q := s.q
 	h := q.idx.Load(headWord)      // D5
 	if h == q.idx.Load(tailWord) { // D6
 		return 0, true, true
 	}
 	head := int(h & q.mask) // D8
-	s.ctr.Inc(xsync.OpLL)
+	s.Ctr.Inc(xsync.OpLL)
 	slot, res := q.slots.LL(head) // D9
-	s.fireYield()
+	s.Pause()
 	if h == q.idx.Load(headWord) { // D10
 		if slot == 0 { // D11: Head is falling behind; help advance it.
 			s.advance(headWord, h)
 		} else {
-			s.ctr.Inc(xsync.OpSCAttempt)
+			s.Ctr.Inc(xsync.OpSCAttempt)
 			if q.slots.SC(head, res, 0) { // D15
-				s.ctr.Inc(xsync.OpSCSuccess)
+				s.Ctr.Inc(xsync.OpSCSuccess)
 				s.advance(headWord, h) // D16–D17
 				return slot, false, true
 			}
-		}
-	}
-	return 0, false, false
-}
-
-// ExecEnqueue and ExecDequeue run bounded attempt rounds on behalf of an
-// announced (starved) operation; see xsync.AnnounceExec. They never
-// announce or help in turn, so helping cannot recurse.
-
-// ExecEnqueue implements xsync.AnnounceExec.
-func (s *Session) ExecEnqueue(v uint64, budget int) (done, full bool) {
-	for i := 0; i < budget; i++ {
-		if done, full = s.enqueueRound(v); done {
-			return done, full
-		}
-	}
-	return false, false
-}
-
-// ExecDequeue implements xsync.AnnounceExec.
-func (s *Session) ExecDequeue(budget int) (v uint64, empty, done bool) {
-	for i := 0; i < budget; i++ {
-		if v, empty, done = s.dequeueRound(); done {
-			return v, empty, done
 		}
 	}
 	return 0, false, false
@@ -454,14 +221,14 @@ func (s *Session) ExecDequeue(budget int) (v uint64, empty, done bool) {
 // loop body runs exactly once, so the paper's cost model is unchanged.
 func (s *Session) advance(word int, expect uint64) {
 	for {
-		s.ctr.Inc(xsync.OpLL)
+		s.Ctr.Inc(xsync.OpLL)
 		cur, res := s.q.idx.LL(word)
 		if cur != expect {
 			return // somebody advanced it for us
 		}
-		s.ctr.Inc(xsync.OpSCAttempt)
+		s.Ctr.Inc(xsync.OpSCAttempt)
 		if s.q.idx.SC(word, res, (expect+1)&queue.MaxValue) {
-			s.ctr.Inc(xsync.OpSCSuccess)
+			s.Ctr.Inc(xsync.OpSCSuccess)
 			return
 		}
 	}
@@ -476,20 +243,18 @@ func (s *Session) advance(word int, expect uint64) {
 // argument), so the jump is skipped.
 func (s *Session) publishIndex(word int, c uint64) {
 	for {
-		s.ctr.Inc(xsync.OpLL)
+		s.Ctr.Inc(xsync.OpLL)
 		cur, res := s.q.idx.LL(word)
 		if d := indexDelta(c, cur); d == 0 || d > s.q.size {
 			return // already at or past the target
 		}
-		s.ctr.Inc(xsync.OpSCAttempt)
+		s.Ctr.Inc(xsync.OpSCAttempt)
 		if s.q.idx.SC(word, res, c&queue.MaxValue) {
-			s.ctr.Inc(xsync.OpSCSuccess)
+			s.Ctr.Inc(xsync.OpSCSuccess)
 			return
 		}
 	}
 }
-
-var _ queue.BatchSession = (*Session)(nil)
 
 // EnqueueBatch inserts the values of vs in order with a single Tail
 // LL/SC pair for the whole batch; see queue.BatchSession for the
@@ -513,20 +278,12 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 		return 0, nil
 	}
 	q := s.q
-	start := s.hist.StartEnq()
+	start := s.StartEnqBatch()
 	c := q.idx.Load(tailWord)
 	filled := 0
-	waste, retries := 0, 0 // consecutive / total fruitless iterations
 	var err error
 	for filled < len(vs) {
-		if q.budget > 0 && waste >= q.budget {
-			s.ctr.Inc(xsync.OpContended)
-			err = queue.ErrContended
-			break
-		}
-		if s.expired(waste) {
-			s.ctr.Inc(xsync.OpDeadline)
-			err = queue.ErrDeadline
+		if err = s.HaltBatch(); err != nil {
 			break
 		}
 		if t := q.idx.Load(tailWord); indexDelta(c, t) > q.size {
@@ -539,13 +296,12 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 			break
 		}
 		pos := int(c & q.mask)
-		s.ctr.Inc(xsync.OpLL)
+		s.Ctr.Inc(xsync.OpLL)
 		slot, res := q.slots.LL(pos)
 		if slot != 0 {
 			// Someone's item is committed at the cursor: step over it.
 			c = (c + 1) & queue.MaxValue
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
 		if t := q.idx.Load(tailWord); indexDelta(c, t) > q.size {
@@ -554,30 +310,21 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 			// killing the reservation, so a successful SC really
 			// commits index c.
 			c = t
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
-		s.ctr.Inc(xsync.OpSCAttempt)
+		s.Ctr.Inc(xsync.OpSCAttempt)
 		if q.slots.SC(pos, res, vs[filled]) {
-			s.ctr.Inc(xsync.OpSCSuccess)
+			s.Ctr.Inc(xsync.OpSCSuccess)
 			filled++
 			c = (c + 1) & queue.MaxValue
-			waste = 0
-			s.bo.Reset()
+			s.Win()
 		} else {
-			waste++
-			retries++
-			s.bo.Fail()
+			s.Lose()
 		}
 	}
 	s.publishIndex(tailWord, c)
-	if filled > 0 {
-		s.ctr.Add(xsync.OpEnqueue, uint64(filled))
-		s.help()
-	}
-	s.hist.DoneEnqBatch(start, retries, filled)
-	s.tr.Op(start, trace.KindEnqueueBatch, queue.TraceOutcome(err), retries, int(s.bo.Spins()), filled)
+	s.DoneEnqBatch(start, filled, err)
 	return filled, err
 }
 
@@ -594,20 +341,12 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 		return 0, nil
 	}
 	q := s.q
-	start := s.hist.StartDeq()
+	start := s.StartDeqBatch()
 	c := q.idx.Load(headWord)
 	n := 0
-	waste, retries := 0, 0
 	var err error
 	for n < len(dst) {
-		if q.budget > 0 && waste >= q.budget {
-			s.ctr.Inc(xsync.OpContended)
-			err = queue.ErrContended
-			break
-		}
-		if s.expired(waste) {
-			s.ctr.Inc(xsync.OpDeadline)
-			err = queue.ErrDeadline
+		if err = s.HaltBatch(); err != nil {
 			break
 		}
 		if indexDelta(q.idx.Load(tailWord), c) == 0 {
@@ -620,48 +359,37 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 			// exact-hit test) can never fire again and the scan cycles
 			// forever between resync and overshoot.
 			c = h
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
 		pos := int(c & q.mask)
-		s.ctr.Inc(xsync.OpLL)
+		s.Ctr.Inc(xsync.OpLL)
 		x, res := q.slots.LL(pos)
 		if x == 0 {
 			// Index c was drained by someone else with Head lagging:
 			// step over it.
 			c = (c + 1) & queue.MaxValue
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
 		if h := q.idx.Load(headWord); indexDelta(c, h) > q.size {
 			c = h
-			waste++
-			retries++
+			s.Skip()
 			continue
 		}
-		s.ctr.Inc(xsync.OpSCAttempt)
+		s.Ctr.Inc(xsync.OpSCAttempt)
 		if q.slots.SC(pos, res, 0) {
-			s.ctr.Inc(xsync.OpSCSuccess)
+			s.Ctr.Inc(xsync.OpSCSuccess)
 			dst[n] = x
 			n++
 			c = (c + 1) & queue.MaxValue
-			waste = 0
-			s.bo.Reset()
+			s.Win()
 		} else {
-			waste++
-			retries++
-			s.bo.Fail()
+			s.Lose()
 		}
 	}
 	s.publishIndex(headWord, c)
-	if n > 0 {
-		s.ctr.Add(xsync.OpDequeue, uint64(n))
-		s.help()
-	}
-	s.hist.DoneDeqBatch(start, retries, n)
-	s.tr.Op(start, trace.KindDequeueBatch, queue.TraceOutcome(err), retries, int(s.bo.Spins()), n)
+	s.DoneDeqBatch(start, n, err)
 	return n, err
 }
 

@@ -31,7 +31,7 @@ func TestConformanceBackoff(t *testing.T) {
 	queuetest.RunAll(t, func(capacity int) queue.Queue {
 		return evqllsc.New(capacity,
 			func(n int) llsc.Memory { return emul.New(n, false) },
-			evqllsc.WithBackoff(true))
+			evqllsc.WithInstr(queue.Instr{Backoff: true}))
 	})
 }
 

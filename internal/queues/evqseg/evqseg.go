@@ -107,7 +107,6 @@ package evqseg
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"nbqueue/internal/arena"
 	"nbqueue/internal/hazard"
@@ -139,8 +138,9 @@ const (
 )
 
 // segment is one bounded ring plus its chain link and lifecycle state.
-// The ring fields replicate evqcas.Queue; the logic in enqueue/dequeue
-// below is Figure 5 verbatim with the closed bit threaded through.
+// The ring fields replicate evqcas.Queue; the logic in enqueueRound and
+// dequeueRound below is Figure 5 verbatim with the closed bit threaded
+// through.
 type segment struct {
 	head pad.Uint64
 	tail pad.Uint64 // top bit: closedBit
@@ -207,12 +207,7 @@ type Queue struct {
 	qctr xsync.Handle
 
 	ctrs           *xsync.Counters
-	hists          *xsync.Histograms
-	trc            *trace.Recorder
-	useBO          bool
-	budget         int
-	pol            *xsync.BackoffPolicy
-	yield          func()
+	in             queue.Instr
 	grow           func(liveSegments int)
 	overHook       func(entered bool, segments int)
 	appendFault    func() bool
@@ -225,28 +220,14 @@ type Option func(*Queue)
 // WithCounters attaches instrumentation counters.
 func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c } }
 
-// WithHistograms attaches latency/retry histograms; see evqcas.
-func WithHistograms(h *xsync.Histograms) Option { return func(q *Queue) { q.hists = h } }
-
-// WithBackoff enables bounded exponential backoff on retry loops.
-func WithBackoff(on bool) Option { return func(q *Queue) { q.useBO = on } }
-
-// WithTrace attaches a flight recorder: operations on the histogram
-// sampling beat, every rare outcome (ErrContended, ErrDeadline), and
-// the segment lifecycle (grow, spare hit/miss) write one fixed-size
-// record. Nil keeps every recording site a single branch.
-func WithTrace(r *trace.Recorder) Option { return func(q *Queue) { q.trc = r } }
-
-// WithRetryBudget bounds each operation to at most n retry-loop
-// iterations across segments; exhausting the budget surfaces
-// queue.ErrContended. Segment hops (closed ring, drained ring) count
-// toward the budget. n <= 0 keeps the loops unbounded.
-func WithRetryBudget(n int) Option { return func(q *Queue) { q.budget = n } }
-
-// WithYield installs a pre-access hook invoked before shared-memory
-// accesses (ring words, chain pointers, registry and hazard state),
-// enabling interleaving exploration and fault injection.
-func WithYield(f func()) Option { return func(q *Queue) { q.yield = f } }
+// WithInstr attaches the instrumentation and retry-policy bundle; see
+// queue.Instr. The retry budget counts segment hops (closed ring,
+// drained ring) as fruitless rounds; StarvationBound is ignored. The
+// Yield hook fires before shared-memory accesses — ring words, chain
+// pointers, registry and hazard state — enabling interleaving
+// exploration and fault injection. Its Trace additionally records the
+// segment lifecycle (grow, spare hit/miss).
+func WithInstr(in queue.Instr) Option { return func(q *Queue) { q.in = in } }
 
 // WithPaddedSlots spreads ring slots across cache-line pairs.
 func WithPaddedSlots(on bool) Option {
@@ -271,12 +252,6 @@ func WithHighWater(n int) Option { return func(q *Queue) { q.high = n } }
 // that need a new segment return queue.ErrFull — the hard backstop
 // behind the "unbounded" queue, sized generously by default.
 func WithMaxSegments(n int) Option { return func(q *Queue) { q.maxSegs = n } }
-
-// WithBackoffPolicy attaches a shared adaptive backoff policy: sessions
-// grow their spin interval toward the policy's live ceiling (which
-// moves with the observed failure rate) instead of a fixed maximum.
-// Implies backoff. The policy must be normalized.
-func WithBackoffPolicy(p *xsync.BackoffPolicy) Option { return func(q *Queue) { q.pol = p } }
 
 // WithAppendFault installs a fault hook consulted each time a producer
 // needs a fresh segment: a true return makes the allocation fail as if
@@ -399,12 +374,12 @@ func New(segSize int, opts ...Option) *Queue {
 	if q.spareCap > q.maxSegs/2 {
 		q.spareCap = q.maxSegs / 2
 	}
-	q.reg = registry.New(registry.WithYield(q.yield))
+	q.reg = registry.New(registry.WithYield(q.in.Yield))
 	q.pool = arena.New(q.maxSegs)
 	q.segs = make([]atomic.Pointer[segment], q.maxSegs+1)
 	q.dom = hazard.NewDomain(q.pool, true, 2)
-	if q.yield != nil {
-		q.dom.SetYield(q.yield)
+	if q.in.Yield != nil {
+		q.dom.SetYield(q.in.Yield)
 	}
 	q.fin = xsync.NewTaskAnnounce()
 	q.qctr = q.ctrs.Handle()
@@ -429,8 +404,8 @@ func New(segSize int, opts ...Option) *Queue {
 
 // fire invokes the yield hook, if any.
 func (q *Queue) fire() {
-	if q.yield != nil {
-		q.yield()
+	if q.in.Yield != nil {
+		q.in.Yield()
 	}
 }
 
@@ -603,19 +578,19 @@ func (q *Queue) allocSegment(s *Session) uint64 {
 		return 0
 	}
 	if h := q.popSpare(); h != 0 {
-		s.ctr.Inc(xsync.OpSegSpareHit)
-		s.tr.Event(trace.OutcomeSpareHit, 1)
+		s.Ctr.Inc(xsync.OpSegSpareHit)
+		s.Tr.Event(trace.OutcomeSpareHit, 1)
 		return h
 	}
 	if q.spareCap > 0 {
-		s.ctr.Inc(xsync.OpSegSpareMiss)
-		s.tr.Event(trace.OutcomeSpareMiss, 1)
+		s.Ctr.Inc(xsync.OpSegSpareMiss)
+		s.Tr.Event(trace.OutcomeSpareMiss, 1)
 	}
 	if !q.reserveMem() {
 		// Memory-bounded shed: growth refused. Pressure reclamation so
 		// the free list — not fresh memory — absorbs the next append.
 		s.rec.Scan()
-		s.ctr.Inc(xsync.OpSegShed)
+		s.Ctr.Inc(xsync.OpSegShed)
 		return 0
 	}
 	h := q.pool.Alloc()
@@ -626,7 +601,7 @@ func (q *Queue) allocSegment(s *Session) uint64 {
 			return 0
 		}
 	}
-	return q.prepareSegment(h, s.ctr)
+	return q.prepareSegment(h, s.Ctr)
 }
 
 // prepareSegment readies a freshly popped pool slot for linking: fresh
@@ -691,15 +666,25 @@ func (q *Queue) popSpare() uint64 {
 }
 
 // pushSpare parks a prepared segment in the spare pool, moving it
-// preparing→spare. Returns false (and reverts to preparing) when every
-// slot is taken — the caller frees the segment instead.
+// preparing→spare. Returns false (and leaves it preparing) when the pool
+// is full — the caller frees the segment instead. The depth is reserved
+// by CAS below the cap before any slot is taken, so racing pushers never
+// lift the gauge past the pool's capacity, even transiently.
 func (q *Queue) pushSpare(h uint64) bool {
 	if q.spareCap == 0 {
 		return false
 	}
+	for {
+		d := q.spareDepth.Load()
+		if d >= int64(q.spareCap) {
+			return false
+		}
+		if q.spareDepth.CompareAndSwap(d, d+1) {
+			break
+		}
+	}
 	g := q.seg(h)
 	g.state.Store(segSpare)
-	q.spareDepth.Add(1)
 	q.prepSegs.Add(-1)
 	for i := range q.spares {
 		if q.spares[i].Load() == 0 && q.spares[i].CompareAndSwap(0, h) {
@@ -755,7 +740,7 @@ func (q *Queue) replenishSpares(s *Session, n int) int {
 		}
 		ctr := q.qctr
 		if s != nil {
-			ctr = s.ctr
+			ctr = s.Ctr
 		}
 		q.prepareSegment(h, ctr)
 		if !q.pushSpare(h) {
@@ -809,8 +794,8 @@ func (q *Queue) admitSegments(s *Session) error {
 	segs := int(q.liveSegs.Load() + q.prepSegs.Load())
 	if q.segOver.Load() {
 		if segs > q.segLow {
-			s.ctr.Inc(xsync.OpSegShed)
-			s.tr.OpSampled(trace.KindEnqueue, trace.OutcomeSegShed, 0)
+			s.Ctr.Inc(xsync.OpSegShed)
+			s.Tr.OpSampled(trace.KindEnqueue, trace.OutcomeSegShed, 0)
 			return queue.ErrOverloaded
 		}
 		if q.segOver.CompareAndSwap(true, false) && q.overHook != nil {
@@ -822,8 +807,8 @@ func (q *Queue) admitSegments(s *Session) error {
 		if q.segOver.CompareAndSwap(false, true) && q.overHook != nil {
 			q.overHook(true, segs)
 		}
-		s.ctr.Inc(xsync.OpSegShed)
-		s.tr.OpSampled(trace.KindEnqueue, trace.OutcomeSegShed, 0)
+		s.Ctr.Inc(xsync.OpSegShed)
+		s.Tr.OpSampled(trace.KindEnqueue, trace.OutcomeSegShed, 0)
 		return queue.ErrOverloaded
 	}
 	return nil
@@ -932,64 +917,39 @@ func (q *Queue) scavengeAppends(minAge uint64) int {
 	return n
 }
 
-// Session carries the goroutine's LLSCvar (slot reservation) and hazard
-// record (segment protection).
+// Session carries the goroutine's LLSCvar (slot reservation), its
+// hazard record (segment protection), and its retry driver.
 type Session struct {
-	q        *Queue
-	varH     registry.Handle
-	varGen   uint64
-	rec      *hazard.Record
-	hpGen    uint64
-	ctr      xsync.Handle
-	hist     xsync.HistHandle
-	tr       trace.Handle
-	bo       xsync.Backoff
-	deadline int64 // unixnano; 0 = none
+	queue.Driver
+	q      *Queue
+	varH   registry.Handle
+	varGen uint64
+	rec    *hazard.Record
+	hpGen  uint64
+	// cur is the pool handle of the segment the running single operation
+	// holds protected in hpSeg; 0 when none is, so the next round
+	// protects the current tail (head) segment afresh. Rounds keep it
+	// across fruitless attempts on one ring and drop it on a segment hop.
+	cur uint64
 }
 
 var (
 	_ queue.Session         = (*Session)(nil)
 	_ queue.BudgetSession   = (*Session)(nil)
 	_ queue.DeadlineSession = (*Session)(nil)
+	_ queue.BatchSession    = (*Session)(nil)
 )
 
 // Attach registers the calling goroutine with the shared registry and
 // acquires a hazard record. One registration serves every segment.
 func (q *Queue) Attach() queue.Session {
-	s := &Session{q: q, ctr: q.ctrs.Handle(), hist: q.hists.Handle(), tr: q.trc.Handle()}
-	s.varH = q.reg.Register(s.ctr)
+	s := &Session{q: q}
+	s.Driver = queue.NewDriver(q.ctrs, q.in, nil, s)
+	s.varH = q.reg.Register(s.Ctr)
 	s.varGen = q.reg.Gen(s.varH)
 	s.rec = q.dom.Acquire()
 	s.hpGen = s.rec.Gen()
-	if q.pol != nil {
-		s.bo = xsync.NewAdaptiveBackoff(q.pol)
-	} else if q.useBO {
-		s.bo = xsync.NewBackoff(0, 0)
-	}
 	return s
-}
-
-// SetDeadline arms (or, with the zero Time, clears) the session
-// deadline; see queue.DeadlineSession for the abort contract.
-func (s *Session) SetDeadline(t time.Time) {
-	if t.IsZero() {
-		s.deadline = 0
-	} else {
-		s.deadline = t.UnixNano()
-	}
-}
-
-// deadlineCheckMask throttles deadline polling: the clock is read once
-// per deadlineCheckMask+1 fruitless retry iterations, so uncontended
-// operations never touch it and an abort overshoots by at most a
-// handful of iterations.
-const deadlineCheckMask = 31
-
-// expired reports whether the armed deadline has passed, polling the
-// clock only on throttle boundaries of the fruitless-iteration count n.
-func (s *Session) expired(n int) bool {
-	return s.deadline != 0 && n&deadlineCheckMask == deadlineCheckMask &&
-		time.Now().UnixNano() > s.deadline
 }
 
 // Detach releases both records for recycling. Idempotent. A detaching
@@ -1005,24 +965,24 @@ func (s *Session) Detach() {
 		// Revoked hazard record: replenish without the retiree scan.
 		s.q.replenishSpares(nil, 1)
 	}
-	s.q.reg.DeregisterGen(s.varH, s.varGen, s.ctr)
+	s.q.reg.DeregisterGen(s.varH, s.varGen, s.Ctr)
 	s.varH = 0
 	if s.rec.Gen() == s.hpGen {
 		s.rec.Release()
 	}
 	s.rec = nil
-	s.hist.Flush()
+	s.Hist.Flush()
 }
 
-// prepare runs the between-operations protocol on both records:
-// ReRegister for the LLSCvar (closing the recycled-record ABA, §5),
-// revocation recovery for the hazard record, and heartbeats for the
-// orphan scavenger.
-func (s *Session) prepare() {
+// Prepare runs the between-operations protocol on both records
+// (queue.Rounds): ReRegister for the LLSCvar (closing the
+// recycled-record ABA, §5), revocation recovery for the hazard record,
+// and heartbeats for the orphan scavenger.
+func (s *Session) Prepare() {
 	if s.varH == 0 {
 		panic("evqseg: session used after Detach")
 	}
-	s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.ctr)
+	s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.Ctr)
 	if s.rec.Gen() != s.hpGen {
 		s.rec = s.q.dom.Acquire()
 		s.hpGen = s.rec.Gen()
@@ -1032,10 +992,10 @@ func (s *Session) prepare() {
 
 // cas wraps CompareAndSwap with instrumentation.
 func (s *Session) cas(w *atomic.Uint64, old, new uint64) bool {
-	s.ctr.Inc(xsync.OpCASAttempt)
+	s.Ctr.Inc(xsync.OpCASAttempt)
 	s.q.fire()
 	if w.CompareAndSwap(old, new) {
-		s.ctr.Inc(xsync.OpCASSuccess)
+		s.Ctr.Inc(xsync.OpCASSuccess)
 		return true
 	}
 	return false
@@ -1043,18 +1003,20 @@ func (s *Session) cas(w *atomic.Uint64, old, new uint64) bool {
 
 // hpSeg is the hazard slot publishing the segment a session operates
 // on. One slot suffices: an operation addresses one segment at a time.
+// Operations clear it before returning: a slot left published past the
+// operation would pin its segment against reclamation until the
+// session's next operation or Detach.
 const hpSeg = 0
 
-// Results of a single-segment attempt.
+// Results of one ring-level step.
 type segResult int
 
 const (
-	segOK        segResult = iota // operation completed
-	segClosed                     // ring closed; move to the successor
-	segEmpty                      // ring open and empty (dequeue only)
-	segDrained                    // ring closed and finalized empty
-	segContended                  // retry budget exhausted
-	segDeadline                   // session deadline passed mid-loop
+	segOK      segResult = iota // operation (or batch run) completed in this ring
+	segRetry                    // fruitless round; retry
+	segClosed                   // ring closed; move to the successor
+	segEmpty                    // ring open and empty
+	segDrained                  // ring closed and finalized empty
 )
 
 // Enqueue inserts v at the tail of the segment chain.
@@ -1062,106 +1024,128 @@ func (s *Session) Enqueue(v uint64) error {
 	if err := queue.CheckValue(v); err != nil {
 		return err
 	}
-	s.prepare()
+	s.Prepare()
 	q := s.q
 	if err := q.admitSegments(s); err != nil {
 		return err
 	}
-	start := s.hist.StartEnq()
-	attempts := 0
-	for {
-		if q.budget > 0 && attempts >= q.budget {
-			// Clear before every return: a hazard slot left published past
-			// the operation would pin its segment against reclamation until
-			// the session's next operation or Detach.
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpContended)
-			s.hist.DoneEnq(start, attempts)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeContended, attempts, int(s.bo.Spins()), 0)
-			return queue.ErrContended
-		}
-		if s.expired(attempts) {
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDeadline)
-			s.hist.DoneEnq(start, attempts)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeDeadline, attempts, int(s.bo.Spins()), 0)
-			return queue.ErrDeadline
-		}
+	err := s.Driver.Enqueue(v)
+	s.unpin()
+	if err == nil {
+		// Maintenance runs after the latency measurement closed: the
+		// spare top-up and any announced finalize help are this
+		// operation's contribution to the *next* spike, not part of its
+		// own admitted latency.
+		q.afterEnqueue(s)
+	}
+	return err
+}
+
+// EnqueueRound runs one Figure 5 Enqueue attempt against the tail ring
+// (queue.Rounds). A closed ring moves the append pointer on — linking a
+// fresh successor first when there is none — and counts as a fruitless
+// round; a high-water cap or a failed append reports the queue full. The
+// cap is checked, and the tail segment protected, only on an operation's
+// first round and after each hop: retries on one ring skip both.
+func (s *Session) EnqueueRound(v uint64) (done, full bool) {
+	q := s.q
+	if s.cur == 0 {
 		if q.high > 0 && q.Len() >= q.high {
-			s.rec.Clear(hpSeg)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, attempts, int(s.bo.Spins()), 0)
-			return queue.ErrFull
+			return true, true
 		}
-		ts := s.rec.Protect(hpSeg, q.tailSeg.Ptr())
-		g := q.seg(ts)
-		switch g.enqueue(s, v, &attempts) {
-		case segOK:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpEnqueue)
-			s.hist.DoneEnq(start, attempts)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeOK, attempts, int(s.bo.Spins()), 0)
-			s.bo.Reset()
-			// Maintenance runs after the latency measurement closed: the
-			// spare top-up and any announced finalize help are this
-			// operation's contribution to the *next* spike, not part of
-			// its own admitted latency.
-			q.afterEnqueue(s)
-			return nil
-		case segContended:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpContended)
-			s.hist.DoneEnq(start, attempts)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeContended, attempts, int(s.bo.Spins()), 0)
-			return queue.ErrContended
-		case segDeadline:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDeadline)
-			s.hist.DoneEnq(start, attempts)
-			s.tr.Op(start, trace.KindEnqueue, trace.OutcomeDeadline, attempts, int(s.bo.Spins()), 0)
-			return queue.ErrDeadline
-		case segClosed:
-			q.fire()
-			next := g.next.Load()
-			if next == 0 {
-				nh := q.allocSegment(s)
-				if nh == 0 {
-					s.rec.Clear(hpSeg)
-					s.tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, attempts, int(s.bo.Spins()), 0)
-					return queue.ErrFull
-				}
-				q.fire()
-				if s.cas(&g.next, 0, nh) {
-					// The state CAS gates the live-count increment: if this
-					// producer dies right here, the scavenger finds the
-					// chain-reachable preparing segment and completes the
-					// transition (and the accounting) on its behalf.
-					ng := q.seg(nh)
-					if ng.state.CompareAndSwap(segPreparing, segLive) {
-						q.prepSegs.Add(-1)
-						live := q.liveSegs.Add(1)
-						s.tr.Event(trace.OutcomeSegGrow, int(live))
-						if q.grow != nil {
-							q.grow(int(live))
-						}
-					}
-					next = nh
-				} else {
-					// Another producer linked first. Ours is already fully
-					// prepared — park it as a spare rather than discard the
-					// reset work; free only when the pool has no room.
-					if !q.pushSpare(nh) {
-						q.freeSegment(nh)
-					}
-					next = g.next.Load()
+		s.cur = s.rec.Protect(hpSeg, q.tailSeg.Ptr())
+	}
+	g := q.seg(s.cur)
+	switch g.enqueueRound(s, v) {
+	case segOK:
+		return true, false
+	case segClosed:
+		if !q.appendSegment(s, g, s.cur) {
+			return true, true
+		}
+		s.cur = 0
+	}
+	return false, false
+}
+
+// unpin ends a single operation's segment protection.
+func (s *Session) unpin() {
+	s.rec.Clear(hpSeg)
+	s.cur = 0
+}
+
+// appendSegment moves the append pointer past the closed ring g (pool
+// handle ts), first linking a fresh successor when g has none. It
+// reports false when no segment could be had — the memory bound, an
+// exhausted pool, or an append fault — and the enqueue sheds with
+// ErrFull.
+func (q *Queue) appendSegment(s *Session, g *segment, ts uint64) bool {
+	q.fire()
+	next := g.next.Load()
+	if next == 0 {
+		nh := q.allocSegment(s)
+		if nh == 0 {
+			return false
+		}
+		q.fire()
+		if s.cas(&g.next, 0, nh) {
+			// The state CAS gates the live-count increment: if this
+			// producer dies right here, the scavenger finds the
+			// chain-reachable preparing segment and completes the
+			// transition (and the accounting) on its behalf.
+			ng := q.seg(nh)
+			if ng.state.CompareAndSwap(segPreparing, segLive) {
+				q.prepSegs.Add(-1)
+				live := q.liveSegs.Add(1)
+				s.Tr.Event(trace.OutcomeSegGrow, int(live))
+				if q.grow != nil {
+					q.grow(int(live))
 				}
 			}
-			if next != 0 {
-				s.cas(q.tailSeg.Ptr(), ts, next)
+			next = nh
+		} else {
+			// Another producer linked first. Ours is already fully
+			// prepared — park it as a spare rather than discard the reset
+			// work; free only when the pool has no room.
+			if !q.pushSpare(nh) {
+				q.freeSegment(nh)
 			}
-			attempts++
-			s.bo.Fail()
+			next = g.next.Load()
 		}
 	}
+	if next != 0 {
+		s.cas(q.tailSeg.Ptr(), ts, next)
+	}
+	return true
+}
+
+// unlinkHead retires the drained head ring g (pool handle hs) by
+// swinging the head pointer to its successor. It reports false when g is
+// still the last segment: closed, drained and last means the queue is
+// empty (a successor append linearizes any later enqueue after this
+// observation).
+func (q *Queue) unlinkHead(s *Session, g *segment, hs uint64) bool {
+	q.fire()
+	next := g.next.Load()
+	if next == 0 {
+		return false
+	}
+	// Keep tailSeg at or ahead of headSeg (Michael–Scott help) before
+	// unlinking, so the append pointer never dangles into a retired
+	// segment.
+	if q.tailSeg.Load() == hs {
+		s.cas(q.tailSeg.Ptr(), hs, next)
+	}
+	if s.cas(q.headSeg.Ptr(), hs, next) {
+		// The unlink CAS makes this session the unique retirer;
+		// retireState settles whichever population gauge the segment was
+		// counted under.
+		q.retireState(g)
+		s.Ctr.Inc(xsync.OpSegRetire)
+		s.rec.Clear(hpSeg)
+		s.rec.Retire(hs)
+	}
+	return true
 }
 
 // afterEnqueue is the post-operation maintenance hook, run after an
@@ -1222,7 +1206,7 @@ func (q *Queue) finalizeStep(s *Session, task uint64, budget int) bool {
 			return true // consumable items remain; dequeuers own them
 		}
 		w := g.slot(q, pos&q.mask)
-		x := q.reg.LL(w, s.varH, s.ctr)
+		x := q.reg.LL(w, s.varH, s.Ctr)
 		s.cas(w, marker, x) // release our reservation, restoring x
 		if x != 0 {
 			// Straggler committed before the close: advance over it.
@@ -1238,8 +1222,8 @@ func (q *Queue) finalizeStep(s *Session, task uint64, budget int) bool {
 		}
 		if s.cas(q.headSeg.Ptr(), hs, next) {
 			q.retireState(g)
-			s.ctr.Inc(xsync.OpSegRetire)
-			s.ctr.Inc(xsync.OpSegFinalizeHelp)
+			s.Ctr.Inc(xsync.OpSegRetire)
+			s.Ctr.Inc(xsync.OpSegFinalizeHelp)
 			s.rec.Clear(hpSeg)
 			s.rec.Retire(hs)
 		}
@@ -1248,53 +1232,44 @@ func (q *Queue) finalizeStep(s *Session, task uint64, budget int) bool {
 	return false
 }
 
-// enqueue attempts the Figure 5 Enqueue against one ring. Returns
-// segClosed when the ring is (or becomes) closed.
-func (g *segment) enqueue(s *Session, v uint64, attempts *int) segResult {
+// enqueueRound runs one Figure 5 Enqueue attempt against ring g, with
+// the closed bit threaded through.
+func (g *segment) enqueueRound(s *Session, v uint64) segResult {
 	q := s.q
-	marker := tagptr.Tag(s.varH)
-	for {
-		if q.budget > 0 && *attempts >= q.budget {
-			return segContended
-		}
-		if s.expired(*attempts) {
-			return segDeadline
-		}
-		q.fire()
-		t := g.tail.Load()
-		if t&closedBit != 0 {
-			return segClosed
-		}
-		q.fire()
-		if t == g.head.Load()+q.size {
-			// Ring full: close it so the append in the caller cannot
-			// reorder ahead of a straggling install here (see the
-			// close/finalize race in the package comment). Failure means
-			// the ring moved — either direction is progress; retry.
-			s.cas(g.tail.Ptr(), t, t|closedBit)
-			*attempts++
-			continue
-		}
-		w := g.slot(q, t&q.mask)
-		slot := q.reg.LL(w, s.varH, s.ctr) // reserve: slot word now holds marker
-		q.fire()
-		if t == g.tail.Load() {
-			if slot != 0 {
-				// A delayed enqueuer's item is already here; release the
-				// reservation and help advance Tail.
-				s.cas(w, marker, slot)
-				s.cas(g.tail.Ptr(), t, t+1)
-			} else if s.cas(w, marker, v) {
-				s.cas(g.tail.Ptr(), t, t+1)
-				return segOK
-			}
-		} else {
-			// Tail moved (or closed) under us: release and re-read.
-			s.cas(w, marker, slot)
-		}
-		*attempts++
-		s.bo.Fail()
+	q.fire()
+	t := g.tail.Load()
+	if t&closedBit != 0 {
+		return segClosed
 	}
+	q.fire()
+	if t == g.head.Load()+q.size {
+		// Ring full: close it so the append in the caller cannot reorder
+		// ahead of a straggling install here (see the close/finalize race
+		// in the package comment). Failure means the ring moved — either
+		// direction is progress; retry.
+		s.cas(g.tail.Ptr(), t, t|closedBit)
+		return segRetry
+	}
+	marker := tagptr.Tag(s.varH)
+	w := g.slot(q, t&q.mask)
+	slot := q.reg.LL(w, s.varH, s.Ctr) // reserve: slot word now holds marker
+	s.Pause()
+	q.fire()
+	if t == g.tail.Load() {
+		if slot != 0 {
+			// A delayed enqueuer's item is already here; release the
+			// reservation and help advance Tail.
+			s.cas(w, marker, slot)
+			s.cas(g.tail.Ptr(), t, t+1)
+		} else if s.cas(w, marker, v) {
+			s.cas(g.tail.Ptr(), t, t+1)
+			return segOK
+		}
+	} else {
+		// Tail moved (or closed) under us: release and re-read.
+		s.cas(w, marker, slot)
+	}
+	return segRetry
 }
 
 // Dequeue removes the head value. On a queue with a retry budget,
@@ -1309,90 +1284,88 @@ func (s *Session) Dequeue() (uint64, bool) {
 // error means the queue was observed empty; ok=false with
 // queue.ErrContended means the retry budget ran out first.
 func (s *Session) DequeueErr() (uint64, bool, error) {
-	s.prepare()
-	q := s.q
-	start := s.hist.StartDeq()
-	attempts := 0
-	for {
-		if q.budget > 0 && attempts >= q.budget {
-			// Clear before every return; see Enqueue.
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpContended)
-			s.hist.DoneDeq(start, attempts)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeContended, attempts, int(s.bo.Spins()), 0)
-			return 0, false, queue.ErrContended
-		}
-		if s.expired(attempts) {
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDeadline)
-			s.hist.DoneDeq(start, attempts)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeDeadline, attempts, int(s.bo.Spins()), 0)
-			return 0, false, queue.ErrDeadline
-		}
-		hs := s.rec.Protect(hpSeg, q.headSeg.Ptr())
-		g := q.seg(hs)
-		v, res := g.dequeue(s, &attempts)
-		switch res {
-		case segOK:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDequeue)
-			s.hist.DoneDeq(start, attempts)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeOK, attempts, int(s.bo.Spins()), 0)
-			s.bo.Reset()
-			return v, true, nil
-		case segContended:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpContended)
-			s.hist.DoneDeq(start, attempts)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeContended, attempts, int(s.bo.Spins()), 0)
-			return 0, false, queue.ErrContended
-		case segDeadline:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDeadline)
-			s.hist.DoneDeq(start, attempts)
-			s.tr.Op(start, trace.KindDequeue, trace.OutcomeDeadline, attempts, int(s.bo.Spins()), 0)
-			return 0, false, queue.ErrDeadline
-		case segEmpty:
-			s.rec.Clear(hpSeg)
-			return 0, false, nil
-		case segDrained:
-			q.fire()
-			next := g.next.Load()
-			if next == 0 {
-				// Closed, drained, and still the last segment: the queue
-				// is empty (a successor append linearizes any later
-				// enqueue after this observation).
-				s.rec.Clear(hpSeg)
-				return 0, false, nil
-			}
-			// Keep tailSeg at or ahead of headSeg (Michael–Scott help)
-			// before unlinking, so the append pointer never dangles into
-			// a retired segment.
-			if q.tailSeg.Load() == hs {
-				s.cas(q.tailSeg.Ptr(), hs, next)
-			}
-			if s.cas(q.headSeg.Ptr(), hs, next) {
-				// The unlink CAS makes this session the unique retirer;
-				// retireState settles whichever population gauge the
-				// segment was counted under.
-				q.retireState(g)
-				s.ctr.Inc(xsync.OpSegRetire)
-				s.rec.Clear(hpSeg)
-				s.rec.Retire(hs)
-			}
-			attempts++
-			s.bo.Fail()
-		}
-	}
+	s.Prepare()
+	v, ok, err := s.Driver.DequeueErr()
+	s.unpin()
+	return v, ok, err
 }
 
-// batchCtr tracks a batch's retry accounting: waste is the consecutive
-// fruitless iterations since the last commit (the budget unit, giving
-// per-element parity with single operations); retries is the batch
-// total (the histogram observation).
-type batchCtr struct{ waste, retries int }
+// DequeueRound runs one Figure 5 Dequeue attempt against the head ring
+// (queue.Rounds); a ring that proves drained is unlinked, which counts
+// as a fruitless round unless it was the last one. As in EnqueueRound,
+// the head segment is protected only on the first round and after a hop.
+func (s *Session) DequeueRound() (v uint64, empty, done bool) {
+	q := s.q
+	if s.cur == 0 {
+		s.cur = s.rec.Protect(hpSeg, q.headSeg.Ptr())
+	}
+	g := q.seg(s.cur)
+	v, res := g.dequeueRound(s)
+	switch res {
+	case segOK:
+		return v, false, true
+	case segEmpty:
+		return 0, true, true
+	case segDrained:
+		if !q.unlinkHead(s, g, s.cur) {
+			return 0, true, true
+		}
+		s.cur = 0
+	}
+	return 0, false, false
+}
 
-func (b *batchCtr) fail() { b.waste++; b.retries++ }
+// dequeueRound runs one Figure 5 Dequeue attempt against ring g,
+// extended with the closed-segment finalize step.
+func (g *segment) dequeueRound(s *Session) (uint64, segResult) {
+	q := s.q
+	marker := tagptr.Tag(s.varH)
+	q.fire()
+	h := g.head.Load()
+	q.fire()
+	t := g.tail.Load()
+	pos := t &^ closedBit
+	if h == pos {
+		if t&closedBit == 0 {
+			return 0, segEmpty
+		}
+		// Finalize: Head caught the closed Tail. LL the slot Tail names:
+		// the LL displaces any still-pending enqueue reservation
+		// (defeating its SC; that producer retries in the successor), and
+		// reads whatever was committed there.
+		w := g.slot(q, pos&q.mask)
+		x := q.reg.LL(w, s.varH, s.Ctr)
+		s.cas(w, marker, x) // release our reservation, restoring x
+		if x == 0 {
+			return 0, segDrained
+		}
+		// A straggler committed before the close: advance the closed Tail
+		// over it so the normal path consumes it. Also announce the drain,
+		// so enqueuers help from their post-op path — a stalled dequeuer
+		// here must not serialize the walk (see the overload-hardening
+		// package section).
+		q.fin.Publish(g.self)
+		s.cas(g.tail.Ptr(), t, (pos+1)|closedBit)
+		return 0, segRetry
+	}
+	w := g.slot(q, h&q.mask)
+	slot := q.reg.LL(w, s.varH, s.Ctr)
+	s.Pause()
+	q.fire()
+	if h == g.head.Load() {
+		if slot == 0 {
+			// Head is lagging; release the reservation and help.
+			s.cas(w, marker, slot)
+			s.cas(g.head.Ptr(), h, h+1)
+		} else if s.cas(w, marker, 0) {
+			s.cas(g.head.Ptr(), h, h+1)
+			return slot, segOK
+		}
+	} else {
+		s.cas(w, marker, slot)
+	}
+	return 0, segRetry
+}
 
 // publishTail advances the ring's published Tail to at least c with one
 // CAS; see the evqcas batch for why the jump is sound. A closed Tail is
@@ -1433,27 +1406,24 @@ func (g *segment) publishHead(s *Session, c uint64) {
 // ring it publishes the cursor first and then closes at the published
 // position, so the close can strand at most the stragglers the
 // finalize walk in dequeue already consumes one by one. Returns with
-// *filled counting every element committed into this ring.
-func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int, b *batchCtr) segResult {
+// *filled counting every element committed into this ring; a non-nil
+// error is the driver's stop (budget or deadline).
+func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int) (segResult, error) {
 	q := s.q
 	marker := tagptr.Tag(s.varH)
 	c := g.tail.Load()
 	if c&closedBit != 0 {
-		return segClosed
+		return segClosed, nil
 	}
 	for *filled < len(vs) {
-		if q.budget > 0 && b.waste >= q.budget {
+		if err := s.HaltBatch(); err != nil {
 			g.publishTail(s, c)
-			return segContended
-		}
-		if s.expired(b.waste) {
-			g.publishTail(s, c)
-			return segDeadline
+			return segOK, err
 		}
 		q.fire()
 		t := g.tail.Load()
 		if t&closedBit != 0 {
-			return segClosed
+			return segClosed, nil
 		}
 		if t > c {
 			c = t // another thread published past the cursor
@@ -1467,62 +1437,56 @@ func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int, b *batchCtr
 			if t := g.tail.Load(); t&closedBit == 0 {
 				s.cas(g.tail.Ptr(), t, t|closedBit)
 			}
-			b.fail()
+			s.Skip()
 			continue
 		}
 		w := g.slot(q, c&q.mask)
-		slot := q.reg.LL(w, s.varH, s.ctr) // reserve: slot word now holds marker
+		slot := q.reg.LL(w, s.varH, s.Ctr) // reserve: slot word now holds marker
 		q.fire()
 		if slot != 0 {
 			// Someone's item is committed at the cursor: step over it.
 			s.cas(w, marker, slot)
 			c++
-			b.fail()
+			s.Skip()
 			continue
 		}
 		t2 := g.tail.Load()
 		if t2&closedBit != 0 {
 			s.cas(w, marker, 0)
-			return segClosed
+			return segClosed, nil
 		}
 		if t2 > c {
 			// The ring lapped the cursor before our reservation; see the
 			// evqcas batch for why this check makes the commit decisive.
 			s.cas(w, marker, 0)
 			c = t2
-			b.fail()
+			s.Skip()
 			continue
 		}
 		if s.cas(w, marker, vs[*filled]) {
 			*filled++
 			c++
-			b.waste = 0
-			s.bo.Reset()
+			s.Win()
 		} else {
-			b.fail()
-			s.bo.Fail()
+			s.Lose()
 		}
 	}
 	g.publishTail(s, c)
-	return segOK
+	return segOK, nil
 }
 
 // dequeueBatch runs the batch cursor loop of the evqcas DequeueBatch
 // against one ring, extended with the closed-segment finalize step
 // (which here may walk over several stragglers: commits a concurrent
 // batch left above the close position).
-func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int, b *batchCtr) segResult {
+func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int) (segResult, error) {
 	q := s.q
 	marker := tagptr.Tag(s.varH)
 	c := g.head.Load()
 	for *n < len(dst) {
-		if q.budget > 0 && b.waste >= q.budget {
+		if err := s.HaltBatch(); err != nil {
 			g.publishHead(s, c)
-			return segContended
-		}
-		if s.expired(b.waste) {
-			g.publishHead(s, c)
-			return segDeadline
+			return segOK, err
 		}
 		q.fire()
 		if h := g.head.Load(); h > c {
@@ -1535,33 +1499,33 @@ func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int, b *batchCtr) se
 		if c >= pos {
 			g.publishHead(s, c)
 			if !closed {
-				return segEmpty
+				return segEmpty, nil
 			}
 			// Finalize: the cursor caught the closed Tail. LL the slot
 			// Tail names, displacing any still-pending reservation, and
-			// either declare the ring drained or walk the closed Tail
-			// over a committed straggler.
+			// either declare the ring drained or walk the closed Tail over
+			// a committed straggler.
 			w := g.slot(q, pos&q.mask)
-			x := q.reg.LL(w, s.varH, s.ctr)
+			x := q.reg.LL(w, s.varH, s.Ctr)
 			s.cas(w, marker, x) // release our reservation, restoring x
 			if x == 0 {
-				return segDrained
+				return segDrained, nil
 			}
-			// Announce the drain for post-op helpers; see dequeue.
+			// Announce the drain for post-op helpers; see dequeueRound.
 			q.fin.Publish(g.self)
 			s.cas(g.tail.Ptr(), t, (pos+1)|closedBit)
-			b.fail()
+			s.Skip()
 			continue
 		}
 		w := g.slot(q, c&q.mask)
-		x := q.reg.LL(w, s.varH, s.ctr)
+		x := q.reg.LL(w, s.varH, s.Ctr)
 		q.fire()
 		if x == 0 {
 			// Index c was drained by someone else with Head lagging:
 			// release and step over it.
 			s.cas(w, marker, 0)
 			c++
-			b.fail()
+			s.Skip()
 			continue
 		}
 		if h := g.head.Load(); h > c {
@@ -1569,25 +1533,21 @@ func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int, b *batchCtr) se
 			// and restart from the published Head.
 			s.cas(w, marker, x)
 			c = h
-			b.fail()
+			s.Skip()
 			continue
 		}
 		if s.cas(w, marker, 0) {
 			dst[*n] = x
 			*n++
 			c++
-			b.waste = 0
-			s.bo.Reset()
+			s.Win()
 		} else {
-			b.fail()
-			s.bo.Fail()
+			s.Lose()
 		}
 	}
 	g.publishHead(s, c)
-	return segOK
+	return segOK, nil
 }
-
-var _ queue.BatchSession = (*Session)(nil)
 
 // EnqueueBatch inserts the values of vs in order with one Tail CAS per
 // ring touched; see queue.BatchSession for the contract. A batch that
@@ -1605,35 +1565,22 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	if len(vs) == 0 {
 		return 0, nil
 	}
-	s.prepare()
+	s.Prepare()
 	q := s.q
 	if err := q.admitSegments(s); err != nil {
 		return 0, err
 	}
-	start := s.hist.StartEnq()
+	start := s.StartEnqBatch()
 	filled := 0
-	var b batchCtr
 	var err error
-loop:
 	for filled < len(vs) {
-		if q.budget > 0 && b.waste >= q.budget {
-			// Clear before every exit; see Enqueue.
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpContended)
-			err = queue.ErrContended
-			break
-		}
-		if s.expired(b.waste) {
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDeadline)
-			err = queue.ErrDeadline
+		if err = s.HaltBatch(); err != nil {
 			break
 		}
 		limit := len(vs)
 		if q.high > 0 {
 			room := q.high - q.Len()
 			if room <= 0 {
-				s.rec.Clear(hpSeg)
 				err = queue.ErrFull
 				break
 			}
@@ -1643,63 +1590,22 @@ loop:
 		}
 		ts := s.rec.Protect(hpSeg, q.tailSeg.Ptr())
 		g := q.seg(ts)
-		switch g.enqueueBatch(s, vs[:limit], &filled, &b) {
-		case segOK:
-			s.rec.Clear(hpSeg)
-			// Done unless the high-water cap limited this round; then
-			// re-evaluate the room and continue (or shed with ErrFull).
-		case segContended:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpContended)
-			err = queue.ErrContended
-			break loop
-		case segDeadline:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDeadline)
-			err = queue.ErrDeadline
-			break loop
-		case segClosed:
-			q.fire()
-			next := g.next.Load()
-			if next == 0 {
-				nh := q.allocSegment(s)
-				if nh == 0 {
-					s.rec.Clear(hpSeg)
-					err = queue.ErrFull
-					break loop
-				}
-				q.fire()
-				if s.cas(&g.next, 0, nh) {
-					ng := q.seg(nh)
-					if ng.state.CompareAndSwap(segPreparing, segLive) {
-						q.prepSegs.Add(-1)
-						live := q.liveSegs.Add(1)
-						s.tr.Event(trace.OutcomeSegGrow, int(live))
-						if q.grow != nil {
-							q.grow(int(live))
-						}
-					}
-					next = nh
-				} else {
-					// Park the race loser's prepared segment; see Enqueue.
-					if !q.pushSpare(nh) {
-						q.freeSegment(nh)
-					}
-					next = g.next.Load()
-				}
+		var res segResult
+		if res, err = g.enqueueBatch(s, vs[:limit], &filled); err != nil {
+			break
+		}
+		// segOK: done, unless the high-water cap limited this round; then
+		// the loop re-evaluates the room and continues (or sheds).
+		if res == segClosed {
+			if !q.appendSegment(s, g, ts) {
+				err = queue.ErrFull
+				break
 			}
-			if next != 0 {
-				s.cas(q.tailSeg.Ptr(), ts, next)
-			}
-			b.fail()
-			s.bo.Fail()
+			s.Lose()
 		}
 	}
-	if filled > 0 {
-		s.ctr.Add(xsync.OpEnqueue, uint64(filled))
-	}
-	s.hist.DoneEnqBatch(start, b.retries, filled)
-	s.tr.Op(start, trace.KindEnqueueBatch, queue.TraceOutcome(err), b.retries, int(s.bo.Spins()), filled)
+	s.rec.Clear(hpSeg)
+	s.DoneEnqBatch(start, filled, err)
 	if filled > 0 {
 		q.afterEnqueue(s) // off the measured path; see Enqueue
 	}
@@ -1714,129 +1620,27 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	s.prepare()
+	s.Prepare()
 	q := s.q
-	start := s.hist.StartDeq()
+	start := s.StartDeqBatch()
 	n := 0
-	var b batchCtr
 	var err error
-loop:
 	for n < len(dst) {
-		if q.budget > 0 && b.waste >= q.budget {
-			// Clear before every exit; see Enqueue.
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpContended)
-			err = queue.ErrContended
-			break
-		}
-		if s.expired(b.waste) {
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDeadline)
-			err = queue.ErrDeadline
+		if err = s.HaltBatch(); err != nil {
 			break
 		}
 		hs := s.rec.Protect(hpSeg, q.headSeg.Ptr())
 		g := q.seg(hs)
-		switch g.dequeueBatch(s, dst, &n, &b) {
-		case segOK, segEmpty:
-			s.rec.Clear(hpSeg)
-			break loop
-		case segContended:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpContended)
-			err = queue.ErrContended
-			break loop
-		case segDeadline:
-			s.rec.Clear(hpSeg)
-			s.ctr.Inc(xsync.OpDeadline)
-			err = queue.ErrDeadline
-			break loop
-		case segDrained:
-			q.fire()
-			next := g.next.Load()
-			if next == 0 {
-				s.rec.Clear(hpSeg)
-				break loop // closed, drained, last segment: queue empty
-			}
-			if q.tailSeg.Load() == hs {
-				s.cas(q.tailSeg.Ptr(), hs, next)
-			}
-			if s.cas(q.headSeg.Ptr(), hs, next) {
-				q.retireState(g)
-				s.ctr.Inc(xsync.OpSegRetire)
-				s.rec.Clear(hpSeg)
-				s.rec.Retire(hs)
-			}
-			b.fail()
-			s.bo.Fail()
+		var res segResult
+		if res, err = g.dequeueBatch(s, dst, &n); err != nil || res != segDrained {
+			break
 		}
+		if !q.unlinkHead(s, g, hs) {
+			break // closed, drained, last segment: queue empty
+		}
+		s.Lose()
 	}
-	if n > 0 {
-		s.ctr.Add(xsync.OpDequeue, uint64(n))
-	}
-	s.hist.DoneDeqBatch(start, b.retries, n)
-	s.tr.Op(start, trace.KindDequeueBatch, queue.TraceOutcome(err), b.retries, int(s.bo.Spins()), n)
+	s.rec.Clear(hpSeg)
+	s.DoneDeqBatch(start, n, err)
 	return n, err
-}
-
-// dequeue attempts the Figure 5 Dequeue against one ring, extended with
-// the closed-segment finalize step.
-func (g *segment) dequeue(s *Session, attempts *int) (uint64, segResult) {
-	q := s.q
-	marker := tagptr.Tag(s.varH)
-	for {
-		if q.budget > 0 && *attempts >= q.budget {
-			return 0, segContended
-		}
-		if s.expired(*attempts) {
-			return 0, segDeadline
-		}
-		q.fire()
-		h := g.head.Load()
-		q.fire()
-		t := g.tail.Load()
-		closed := t&closedBit != 0
-		pos := t &^ closedBit
-		if h == pos {
-			if !closed {
-				return 0, segEmpty
-			}
-			// Finalize: Head caught the closed Tail. LL the slot Tail
-			// names: the LL displaces any still-pending enqueue
-			// reservation (defeating its SC; that producer retries in
-			// the successor), and reads whatever was committed there.
-			w := g.slot(q, pos&q.mask)
-			x := q.reg.LL(w, s.varH, s.ctr)
-			s.cas(w, marker, x) // release our reservation, restoring x
-			if x == 0 {
-				return 0, segDrained
-			}
-			// A straggler committed before the close: advance the
-			// closed Tail over it so the normal path consumes it. Also
-			// announce the drain, so enqueuers help from their post-op
-			// path — a stalled dequeuer here must not serialize the
-			// walk (see the overload-hardening package section).
-			q.fin.Publish(g.self)
-			s.cas(g.tail.Ptr(), t, (pos+1)|closedBit)
-			*attempts++
-			continue
-		}
-		w := g.slot(q, h&q.mask)
-		slot := q.reg.LL(w, s.varH, s.ctr)
-		q.fire()
-		if h == g.head.Load() {
-			if slot == 0 {
-				// Head is lagging; release the reservation and help.
-				s.cas(w, marker, slot)
-				s.cas(g.head.Ptr(), h, h+1)
-			} else if s.cas(w, marker, 0) {
-				s.cas(g.head.Ptr(), h, h+1)
-				return slot, segOK
-			}
-		} else {
-			s.cas(w, marker, slot)
-		}
-		*attempts++
-		s.bo.Fail()
-	}
 }

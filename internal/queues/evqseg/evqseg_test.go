@@ -33,7 +33,7 @@ func TestConformancePadded(t *testing.T) {
 
 func TestConformanceBackoff(t *testing.T) {
 	queuetest.RunAll(t, func(c int) queue.Queue {
-		return evqseg.New(16, evqseg.WithHighWater(c), evqseg.WithBackoff(true))
+		return evqseg.New(16, evqseg.WithHighWater(c), evqseg.WithInstr(queue.Instr{Backoff: true}))
 	})
 }
 

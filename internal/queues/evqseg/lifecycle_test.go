@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nbqueue/internal/chaos"
+	"nbqueue/internal/queue"
 )
 
 // TestAppendOrphanScavenge simulates the exact crash the ISSUE names: a
@@ -99,7 +100,7 @@ func TestLinkedPreparingPromoted(t *testing.T) {
 // for as live, parked awaiting hazard reclamation, or returned.
 func TestChaosStormMidAppend(t *testing.T) {
 	var in chaos.Injector
-	q := New(4, WithMaxSegments(4096), WithYield(in.Hook))
+	q := New(4, WithMaxSegments(4096), WithInstr(queue.Instr{Yield: in.Hook}))
 	rep, err := chaos.Run(chaos.Options{
 		Queue:        q,
 		Injector:     &in,
@@ -146,7 +147,7 @@ func TestChaosDelayStorm(t *testing.T) {
 	var in chaos.Injector
 	in.DelayEvery = 7
 	in.DelaySpins = 96
-	q := New(2, WithMaxSegments(4096), WithYield(in.Hook))
+	q := New(2, WithMaxSegments(4096), WithInstr(queue.Instr{Yield: in.Hook}))
 	rep, err := chaos.Run(chaos.Options{
 		Queue:        q,
 		Injector:     &in,

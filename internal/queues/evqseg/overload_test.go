@@ -38,7 +38,7 @@ func fillRetrying(t *testing.T, s queue.Session, v uint64) {
 func TestDequeueBatchBudgetStraddlePartial(t *testing.T) {
 	// Two-slot rings, budget 1: every drained-ring unlink hop costs one
 	// fruitless iteration, exhausting the budget right at the boundary.
-	q := evqseg.New(2, evqseg.WithRetryBudget(1))
+	q := evqseg.New(2, evqseg.WithInstr(queue.Instr{RetryBudget: 1}))
 	s := q.Attach()
 	defer s.Detach()
 	for i := 1; i <= 6; i++ {

@@ -413,7 +413,7 @@ func TestSpareExhaustionStorm(t *testing.T) {
 func TestChaosStormSpareReplenishFault(t *testing.T) {
 	var in chaos.Injector
 	var n atomic.Uint64
-	q := New(4, WithMaxSegments(4096), WithYield(in.Hook),
+	q := New(4, WithMaxSegments(4096), WithInstr(queue.Instr{Yield: in.Hook}),
 		WithSpareSegments(2),
 		WithReplenishFault(func() bool { return n.Add(1)%3 == 0 }))
 	rep, err := chaos.Run(chaos.Options{

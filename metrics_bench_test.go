@@ -5,6 +5,7 @@ import (
 
 	"nbqueue/internal/arena"
 	"nbqueue/internal/bench"
+	"nbqueue/internal/queue"
 	"nbqueue/internal/xsync"
 )
 
@@ -30,7 +31,7 @@ func BenchmarkInstrumentation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			q := algo.New(bench.Config{Capacity: 1024, Counters: ctrs, Hists: hists})
+			q := algo.New(bench.Config{Capacity: 1024, Counters: ctrs, Instr: queue.Instr{Hists: hists}})
 			a := arena.New(1024 + 16)
 			s := q.Attach()
 			defer s.Detach()

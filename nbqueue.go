@@ -152,21 +152,19 @@ func NewBackoffPolicy() *BackoffPolicy { return xsync.NewBackoffPolicy() }
 
 // config collects option state.
 type config struct {
-	algorithm      Algorithm
-	capacity       int
-	capSet         bool
-	maxThreads     int
-	padded         bool
-	backoff        bool
-	retryBudget    int
-	unbounded      bool
-	segSet         bool
-	segSize        int
-	metrics        *Metrics
-	hook           func(Event)
-	yield          func()
-	policy         *BackoffPolicy
-	starve         int
+	algorithm  Algorithm
+	capacity   int
+	capSet     bool
+	maxThreads int
+	padded     bool
+	unbounded  bool
+	segSet     bool
+	segSize    int
+	metrics    *Metrics
+	hook       func(Event)
+	// instr carries the retry policy (backoff, budget, starvation bound,
+	// yield hook) to the word-level queue; newInner adds the metric sinks.
+	instr          queue.Instr
 	lowWater       int
 	highWater      int
 	wmSet          bool
@@ -239,7 +237,7 @@ func WithPaddedSlots(on bool) Option { return func(c *config) { c.padded = on } 
 
 // WithBackoff enables bounded exponential backoff in the retry loops of
 // the two Evequoz algorithms.
-func WithBackoff(on bool) Option { return func(c *config) { c.backoff = on } }
+func WithBackoff(on bool) Option { return func(c *config) { c.instr.Backoff = on } }
 
 // WithRetryBudget bounds each operation of the two Evequoz algorithms to
 // at most n retry-loop iterations. When the budget runs out, Enqueue and
@@ -248,7 +246,7 @@ func WithBackoff(on bool) Option { return func(c *config) { c.backoff = on } }
 // win, which is the paper's lock-free default. Ignored by the baseline
 // algorithms. n == 0 disables the budget (the default); New rejects a
 // negative n rather than guessing whether it meant "disabled".
-func WithRetryBudget(n int) Option { return func(c *config) { c.retryBudget = n } }
+func WithRetryBudget(n int) Option { return func(c *config) { c.instr.RetryBudget = n } }
 
 // WithUnbounded lifts the capacity bound of AlgorithmSegmented: the
 // queue grows by appending segments under burst and shrinks by retiring
@@ -285,7 +283,7 @@ func WithMetrics(m *Metrics) Option { return func(c *config) { c.metrics = m } }
 // spin counts and sleep bounds. One policy per queue — sharing blends
 // unrelated contention signals. A nil p is ignored. Ignored by the
 // baseline algorithms (the wait-layer tuning still applies).
-func WithBackoffPolicy(p *BackoffPolicy) Option { return func(c *config) { c.policy = p } }
+func WithBackoffPolicy(p *BackoffPolicy) Option { return func(c *config) { c.instr.Policy = p } }
 
 // WithStarvationBound enables starvation detection with cooperative
 // helping on AlgorithmLLSC and AlgorithmCAS: an operation that has lost
@@ -295,7 +293,7 @@ func WithBackoffPolicy(p *BackoffPolicy) Option { return func(c *config) { c.pol
 // the bound adds a per-operation one. Completed rescues are visible as
 // Metrics Snapshot.StarvationRescues. n == 0 disables helping (the
 // default); New rejects a negative n. Ignored by the other algorithms.
-func WithStarvationBound(n int) Option { return func(c *config) { c.starve = n } }
+func WithStarvationBound(n int) Option { return func(c *config) { c.instr.StarvationBound = n } }
 
 // WithWatermarks enables admission control on the queue built by New:
 // once the observed depth reaches high, Enqueue and EnqueueBatch fail
@@ -488,11 +486,11 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 	if c.maxThreads <= 0 {
 		return nil, c, fmt.Errorf("nbqueue: WithMaxThreads(%d) must be positive", c.maxThreads)
 	}
-	if c.retryBudget < 0 {
-		return nil, c, fmt.Errorf("nbqueue: WithRetryBudget(%d) is negative; use 0 to disable the budget", c.retryBudget)
+	if c.instr.RetryBudget < 0 {
+		return nil, c, fmt.Errorf("nbqueue: WithRetryBudget(%d) is negative; use 0 to disable the budget", c.instr.RetryBudget)
 	}
-	if c.starve < 0 {
-		return nil, c, fmt.Errorf("nbqueue: WithStarvationBound(%d) is negative; use 0 to disable helping", c.starve)
+	if c.instr.StarvationBound < 0 {
+		return nil, c, fmt.Errorf("nbqueue: WithStarvationBound(%d) is negative; use 0 to disable helping", c.instr.StarvationBound)
 	}
 	if c.wmSet {
 		if c.lowWater <= 0 || c.lowWater > c.highWater {
@@ -557,17 +555,16 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 		return nil, c, fmt.Errorf("nbqueue: algorithm %q is not safe for concurrent use", c.algorithm)
 	}
 	var ctrs *xsync.Counters
-	var hists *xsync.Histograms
 	if c.metrics != nil {
 		ctrs = c.metrics.counters()
-		hists = c.metrics.histograms()
+		c.instr.Hists = c.metrics.histograms()
 	}
-	if c.policy != nil {
+	if p := c.instr.Policy; p != nil {
 		// Fill defaults and, when counters exist, let the AIMD controller
 		// read the live CAS/SC failure rate from them.
-		c.policy.Normalize()
+		p.Normalize()
 		if ctrs != nil {
-			c.policy.Bind(ctrs)
+			p.Bind(ctrs)
 		}
 	}
 	spare := 0
@@ -579,26 +576,21 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 	}
 	if c.traceSet {
 		c.rec = trace.New(c.tracePerRing)
+		c.instr.Trace = c.rec
 	}
 	inner := algo.New(bench.Config{
-		Capacity:        c.capacity,
-		MaxThreads:      c.maxThreads,
-		Counters:        ctrs,
-		Hists:           hists,
-		Trace:           c.rec,
-		PaddedSlots:     c.padded,
-		Backoff:         c.backoff,
-		RetryBudget:     c.retryBudget,
-		Yield:           c.yield,
-		Unbounded:       c.unbounded,
-		SegSize:         c.segSize,
-		Policy:          c.policy,
-		StarvationBound: c.starve,
-		SpareSegments:   spare,
-		MemoryBound:     c.memBound,
-		ReplenishFault:  c.replenishFault,
-		SegLow:          c.segLow,
-		SegHigh:         c.segHigh,
+		Capacity:       c.capacity,
+		MaxThreads:     c.maxThreads,
+		Counters:       ctrs,
+		Instr:          c.instr,
+		PaddedSlots:    c.padded,
+		Unbounded:      c.unbounded,
+		SegSize:        c.segSize,
+		SpareSegments:  spare,
+		MemoryBound:    c.memBound,
+		ReplenishFault: c.replenishFault,
+		SegLow:         c.segLow,
+		SegHigh:        c.segHigh,
 	})
 	if c.hook != nil {
 		name := inner.Name()
@@ -650,10 +642,10 @@ func New[T any](opts ...Option) (*Queue[T], error) {
 		rec:       c.rec,
 		qtr:       c.rec.Handle(),
 	}
-	if c.policy != nil {
-		q.waitSpins = c.policy.WaitSpins
-		q.sleepMin = c.policy.SleepMin
-		q.sleepMax = c.policy.SleepMax
+	if p := c.instr.Policy; p != nil {
+		q.waitSpins = p.WaitSpins
+		q.sleepMin = p.SleepMin
+		q.sleepMax = p.SleepMax
 	}
 	if c.wmSet {
 		l, ok := inner.(interface{ Len() int })
