@@ -102,7 +102,7 @@ func run(args []string, out io.Writer) error {
 		exps = []bench.Experiment{bench.Experiment(*experiment)}
 	}
 	for _, e := range exps {
-		if err := runOne(out, e, p, *format, *syncopsN, *artifacts, *seed); err != nil {
+		if err := runOne(out, e, p, *threads == "", *format, *syncopsN, *artifacts, *seed); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
@@ -119,11 +119,14 @@ var titles = map[bench.Experiment]string{
 	bench.ExpExtended: "Extended sweep: all algorithms incl. related-work and Go-native baselines",
 }
 
-func runOne(out io.Writer, e bench.Experiment, p bench.Params, format string, syncopsThreads int, artifacts string, seed int64) error {
+// runOne runs experiment e; defaultThreads is false when -threads set
+// the sweep's thread counts explicitly.
+func runOne(out io.Writer, e bench.Experiment, p bench.Params, defaultThreads bool, format string, syncopsThreads int, artifacts string, seed int64) error {
 	switch e {
 	case bench.Fig6a, bench.Fig6b, bench.Fig6c, bench.Fig6d:
-		// The CAS-profile panels sweep to 64 threads in the paper.
-		if (e == bench.Fig6b || e == bench.Fig6d) && maxOf(p.Threads) <= 32 {
+		// The CAS-profile panels sweep to 64 threads in the paper,
+		// unless -threads chose the sweep.
+		if (e == bench.Fig6b || e == bench.Fig6d) && defaultThreads && maxOf(p.Threads) <= 32 {
 			p.Threads = append(append([]int{}, p.Threads...), 48, 64)
 		}
 		series, err := bench.RunFigure(e, p)

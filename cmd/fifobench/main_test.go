@@ -41,6 +41,21 @@ func TestRunFig6dNormalizedCSV(t *testing.T) {
 	}
 }
 
+// TestRunFig6dHonorsThreads pins that an explicit -threads list is the
+// whole CAS-profile sweep: the paper's 48- and 64-thread points are
+// added only to the default list.
+func TestRunFig6dHonorsThreads(t *testing.T) {
+	var sb strings.Builder
+	if err := run(tiny("-experiment", "fig6d", "-format", "csv"), &sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "48,") || strings.HasPrefix(line, "64,") {
+			t.Fatalf("sweep ran beyond -threads 1,2: %q", line)
+		}
+	}
+}
+
 func TestRunAsciiChart(t *testing.T) {
 	var sb strings.Builder
 	if err := run(tiny("-experiment", "fig6b", "-format", "ascii"), &sb); err != nil {

@@ -1,7 +1,35 @@
 package nbqueue
 
+import "nbqueue/internal/tagptr"
+
 // WithYieldHook installs a pre-access hook on algorithms that support one
 // (see queue.Instr.Yield). Test-only: external tests use it to force
 // scheduling points between atomic steps so contention is reproducible on
 // a single CPU.
 func WithYieldHook(f func()) Option { return func(c *config) { c.instr.Yield = f } }
+
+// PayloadChunkSize is the number of payload-store slots materialised at
+// a time.
+const PayloadChunkSize = storeChunkSize
+
+// PayloadSlots reports how many of q's payload-store slots are
+// allocated, how many chunks are materialised, and how many free slots
+// still hold a non-zero value. It walks the free list, so call it only
+// while no session is operating on q.
+func PayloadSlots[T comparable](q *Queue[T]) (live, chunks, pinned int) {
+	s := q.store
+	var zero T
+	free := 0
+	for idx := tagptr.VerValue(s.head.Load()); idx != 0; idx = s.slot(idx).next.Load() {
+		free++
+		if s.slot(idx).v != zero {
+			pinned++
+		}
+	}
+	for i := range s.spine {
+		if s.spine[i].Load() != nil {
+			chunks++
+		}
+	}
+	return int(s.fresh.Load()-1) - free, chunks, pinned
+}

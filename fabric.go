@@ -47,8 +47,10 @@ import (
 //
 //   - Values enqueued by one session and dequeued by one session stay
 //     in FIFO order per (shard, path) stream.
+//
 //   - Every enqueued value is dequeued exactly once (conservation; the
 //     chaos harness audits this under session kills).
+//
 //   - A dequeue may overtake at most k older values — values whose
 //     enqueue completed before the dequeued value's enqueue began and
 //     which are still queued — where
@@ -266,7 +268,7 @@ func WithStealBatch(n int) FabricOption {
 // fences the producer out. No arena, no CAS — the blessed 1p1c pair
 // pays four uncontended atomic ops per transfer, which is what makes
 // the specialization pay off over the MPMC path's reservation CAS plus
-// two arena freelist CASes.
+// two payload-store free-list CASes.
 //
 // Both sessions are pre-attached: spsc sessions are stateless, and the
 // mode protocol already serializes producer (pinflight bracket) and

@@ -135,6 +135,30 @@ func TestRunFigureNormalized(t *testing.T) {
 	}
 }
 
+// TestRunSweepRejectsUndersizedQueue pins the deadlock guard: 64
+// workers of 5-enqueue bursts can fill a 64-slot queue with every
+// worker mid-burst, so sweep, syncops and latency runs must refuse
+// rather than spin.
+func TestRunSweepRejectsUndersizedQueue(t *testing.T) {
+	p := tinyParams()
+	p.Threads = []int{1, 64}
+	p.Capacity = 64
+	p.Burst = 5
+	if _, err := RunSweep([]string{KeyEvqCAS}, p); err == nil {
+		t.Fatal("sweep accepted capacity 64 < 64 threads x burst 5")
+	}
+	if _, err := RunSyncOps(64, p); err == nil {
+		t.Fatal("syncops accepted capacity 64 < 64 threads x burst 5")
+	}
+	if _, err := RunLatency([]string{KeyEvqCAS}, 64, p); err == nil {
+		t.Fatal("latency accepted capacity 64 < 64 threads x burst 5")
+	}
+	p.Capacity = 320
+	if err := p.Validate(); err != nil {
+		t.Fatalf("capacity == threads x burst rejected: %v", err)
+	}
+}
+
 func TestRunFigureRejectsNonFigure(t *testing.T) {
 	if _, err := RunFigure(ExpOverhead, tinyParams()); err == nil {
 		t.Fatal("non-figure experiment accepted")

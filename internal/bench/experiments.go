@@ -26,6 +26,25 @@ type Params struct {
 	Backoff     bool
 }
 
+// Validate rejects parameters under which the §6 workload can deadlock:
+// every worker enqueues a whole burst before it dequeues, so a queue
+// with fewer than max(Threads) x Burst slots can fill with every worker
+// mid-burst, all retrying enqueues and none dequeuing.
+func (p Params) Validate() error { return p.validateFor(maxInt(p.Threads)) }
+
+// validateFor is Validate for a run at the given thread count.
+func (p Params) validateFor(threads int) error {
+	burst := p.Burst
+	if burst <= 0 {
+		burst = DefaultBurst
+	}
+	if need := threads * burst; p.Capacity < need {
+		return fmt.Errorf("bench: capacity %d is below threads x burst = %d x %d = %d; the workload could deadlock",
+			p.Capacity, threads, burst, need)
+	}
+	return nil
+}
+
 // DefaultParams returns scaled-down parameters that complete in seconds;
 // PaperParams returns the paper's own values.
 func DefaultParams() Params {
@@ -133,6 +152,9 @@ func maxInt(xs []int) int {
 // RunSweep produces one Series per algorithm: mean seconds per run as a
 // function of thread count.
 func RunSweep(algos []string, p Params) ([]stats.Series, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	series := make([]stats.Series, 0, len(algos))
 	maxThreads := maxInt(p.Threads)
 	for _, key := range algos {
@@ -229,6 +251,9 @@ type SyncOpsRow struct {
 // operation, reproducing the §6 claims (Algorithm 2: three CAS and two
 // FetchAndAdd; MS: 2 enq / 1 deq CAS; Doherty: ~7 CAS).
 func RunSyncOps(threads int, p Params) ([]SyncOpsRow, error) {
+	if err := p.validateFor(threads); err != nil {
+		return nil, err
+	}
 	algos := []string{
 		KeyEvqLLSC, KeyEvqCAS, KeyShann, KeyMSHP, KeyMSHPSorted,
 		KeyMSDoherty, KeyTsigasZhang, KeyHerlihyWing, KeyTreiber,

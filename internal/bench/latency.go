@@ -33,6 +33,9 @@ type LatencyRow struct {
 // histograms attached. Algorithms that do not support histograms report
 // zero-count views (the table marks them).
 func RunLatency(keys []string, threads int, p Params) ([]LatencyRow, error) {
+	if err := p.validateFor(threads); err != nil {
+		return nil, err
+	}
 	rows := make([]LatencyRow, 0, len(keys))
 	for _, key := range keys {
 		algo, err := Lookup(key)

@@ -304,7 +304,13 @@ func (v *Var) Beat() uint64 { return v.beat.Load() }
 // which acts as the reservation marker. If the word already carries
 // another thread's marker, the application value is read through that
 // thread's record under a FetchAndAdd-protected reference (the r field),
-// which prevents the owner from recycling the record mid-read.
+// which prevents the owner from recycling the record mid-read. The word
+// is re-read after the reference is taken: only a marker still in place
+// once the owner can see the reference names the reservation whose
+// value the record holds, because an owner that sees r > 1 at its
+// ReRegister moves to a fresh record before it reserves again. A marker
+// seen before that point may be an earlier reservation's, with the
+// record already holding the value of a later one.
 //
 // Returns the application value observed (a node handle or 0 for null).
 // The subsequent "SC" is a plain CAS from tagptr.Tag(varH) to the new
@@ -323,6 +329,13 @@ func (g *Registry) LL(addr *atomic.Uint64, varH Handle, ctr xsync.Handle) uint64
 			ctr.Inc(xsync.OpFAA)
 			g.fire()
 			owner.r.Add(1)
+			g.fire()
+			if addr.Load() != slot {
+				ctr.Inc(xsync.OpFAA)
+				g.fire()
+				owner.r.Add(-1)
+				continue
+			}
 			g.fire()
 			v.node.Store(owner.node.Load())
 		} else {

@@ -197,3 +197,53 @@ func TestWalkFirstIntegrity(t *testing.T) {
 		t.Fatalf("found %d of %d records on First list", found, len(want))
 	}
 }
+
+// TestLLRevalidatesForeignMarker pins the reader's re-read in LL. The
+// reader loads the owner's marker from one reservation of w1; before
+// the reader reads the owner's value, the owner commits w1 and reserves
+// w2, and before the reader's CAS the owner reserves w1 again. Without
+// the re-read, the reader would return the owner's w2 value while its
+// CAS displaced the owner's newer reservation of w1.
+func TestLLRevalidatesForeignMarker(t *testing.T) {
+	var w1, w2 atomic.Uint64
+	w1.Store(10 << 1)
+	w2.Store(20 << 1)
+	var g *registry.Registry
+	var a registry.Handle
+	fires, armed := 0, false
+	owner := func(step func()) {
+		armed = false
+		step()
+		armed = true
+	}
+	g = registry.New(registry.WithYield(func() {
+		if !armed {
+			return
+		}
+		fires++
+		switch fires {
+		case 2: // the reader has loaded a's marker from w1
+			owner(func() {
+				w1.CompareAndSwap(tagptr.Tag(a), 12<<1) // a's SC on w1
+				g.LL(&w2, a, noCtr())
+			})
+		case 4: // the reader holds a reference on a's record
+			owner(func() {
+				w2.CompareAndSwap(tagptr.Tag(a), 20<<1) // a releases w2
+				g.LL(&w1, a, noCtr())
+			})
+		}
+	}))
+	a = g.Register(noCtr())
+	r := g.Register(noCtr())
+	g.LL(&w1, a, noCtr())
+	armed = true
+	v := g.LL(&w1, r, noCtr())
+	armed = false
+	if got := w1.Load(); got != tagptr.Tag(r) {
+		t.Fatalf("w1 = %#x, want the reader's marker", got)
+	}
+	if v != 12<<1 {
+		t.Fatalf("reader's LL on w1 = %d, want 12: it read the owner's value for another reservation", v>>1)
+	}
+}

@@ -17,7 +17,10 @@
 // The residual ABA hazard — thread A's recycled LLSCvar reappearing in a
 // slot that thread B still holds a stale tagged reference to — is closed
 // by the reference counter in each LLSCvar record together with the
-// ReRegister call between consecutive queue operations, per §5.
+// ReRegister call between consecutive queue operations, per §5. Because
+// one operation may LL several words (retry rounds, batch cursors), the
+// session also runs ReRegister between its LLs within an operation (see
+// Session.ll).
 //
 // Per the paper, each successful enqueue or dequeue costs three CAS
 // operations (the LL substitution, the value install, the index advance)
@@ -121,6 +124,8 @@ type Session struct {
 	q      *Queue
 	varH   registry.Handle
 	varGen uint64
+	// reserved records an LL since the last ReRegister; see ll.
+	reserved bool
 }
 
 var (
@@ -162,6 +167,24 @@ func (s *Session) Prepare() {
 		panic("evqcas: session used after Detach")
 	}
 	s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.Ctr)
+	s.reserved = false
+}
+
+// ll is the session's simulated LL on w; it returns the application
+// value observed and the marker that now reserves w. Every LL after the
+// first of an operation runs ReRegister first, as Prepare does before
+// the first: a reader that raised this record's reference count while
+// reading through an earlier reservation must never see the record
+// reserve a word again, or its LL could displace the new reservation
+// while holding the node value of the old one. Retry rounds and batch
+// cursors LL many words per operation, so the between-operations
+// ReRegister alone does not close that window.
+func (s *Session) ll(w *atomic.Uint64) (slot, marker uint64) {
+	if s.reserved {
+		s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.Ctr)
+	}
+	s.reserved = true
+	return s.q.reg.LL(w, s.varH, s.Ctr), tagptr.Tag(s.varH)
 }
 
 // cas wraps CompareAndSwap with instrumentation.
@@ -176,12 +199,10 @@ func (s *Session) cas(w *atomic.Uint64, old, new uint64) bool {
 }
 
 // EnqueueRound runs one attempt round of Figure 5 Enqueue; see
-// queue.Rounds. The marker is recomputed per round because Prepare (run
-// between operations, including announced ones) may have swapped the
-// LLSCvar.
+// queue.Rounds. The marker comes from each round's LL because the
+// ReRegister before it may have swapped the LLSCvar.
 func (s *Session) EnqueueRound(v uint64) (done, full bool) {
 	q := s.q
-	marker := tagptr.Tag(s.varH)
 	q.fire()
 	t := q.tail.Load()
 	q.fire()
@@ -190,7 +211,7 @@ func (s *Session) EnqueueRound(v uint64) (done, full bool) {
 	}
 	tail := t & q.mask
 	w := q.slot(tail)
-	slot := q.reg.LL(w, s.varH, s.Ctr) // reserve: slot word now holds marker
+	slot, marker := s.ll(w) // reserve: slot word now holds marker
 	s.Pause()
 	q.fire()
 	if t == q.tail.Load() {
@@ -239,7 +260,6 @@ func (s *Session) DequeueErr() (uint64, bool, error) {
 // queue.Rounds.
 func (s *Session) DequeueRound() (v uint64, empty, done bool) {
 	q := s.q
-	marker := tagptr.Tag(s.varH)
 	q.fire()
 	h := q.head.Load()
 	q.fire()
@@ -248,7 +268,7 @@ func (s *Session) DequeueRound() (v uint64, empty, done bool) {
 	}
 	head := h & q.mask
 	w := q.slot(head)
-	slot := q.reg.LL(w, s.varH, s.Ctr)
+	slot, marker := s.ll(w)
 	s.Pause()
 	q.fire()
 	if h == q.head.Load() {
@@ -320,7 +340,6 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	s.Prepare()
 	q := s.q
 	start := s.StartEnqBatch()
-	marker := tagptr.Tag(s.varH)
 	c := q.tail.Load()
 	filled := 0
 	var err error
@@ -343,7 +362,7 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 			break
 		}
 		w := q.slot(c & q.mask)
-		slot := q.reg.LL(w, s.varH, s.Ctr) // reserve: slot word now holds marker
+		slot, marker := s.ll(w) // reserve: slot word now holds marker
 		q.fire()
 		if slot != 0 {
 			// Someone's item is already at the cursor: release the
@@ -390,7 +409,6 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 	s.Prepare()
 	q := s.q
 	start := s.StartDeqBatch()
-	marker := tagptr.Tag(s.varH)
 	c := q.head.Load()
 	n := 0
 	var err error
@@ -407,7 +425,7 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 			break // observed empty at the cursor
 		}
 		w := q.slot(c & q.mask)
-		x := q.reg.LL(w, s.varH, s.Ctr)
+		x, marker := s.ll(w)
 		q.fire()
 		if x == 0 {
 			// Index c was drained by someone else with Head lagging:

@@ -931,6 +931,8 @@ type Session struct {
 	// protects the current tail (head) segment afresh. Rounds keep it
 	// across fruitless attempts on one ring and drop it on a segment hop.
 	cur uint64
+	// reserved records an LL since the last ReRegister; see ll.
+	reserved bool
 }
 
 var (
@@ -983,11 +985,24 @@ func (s *Session) Prepare() {
 		panic("evqseg: session used after Detach")
 	}
 	s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.Ctr)
+	s.reserved = false
 	if s.rec.Gen() != s.hpGen {
 		s.rec = s.q.dom.Acquire()
 		s.hpGen = s.rec.Gen()
 	}
 	s.rec.Heartbeat()
+}
+
+// ll is the session's simulated LL on w; it returns the application
+// value observed and the marker that now reserves w. Every LL after the
+// first of an operation runs ReRegister first, as Prepare does before
+// the first; see evqcas Session.ll for the reader race this closes.
+func (s *Session) ll(w *atomic.Uint64) (slot, marker uint64) {
+	if s.reserved {
+		s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.Ctr)
+	}
+	s.reserved = true
+	return s.q.reg.LL(w, s.varH, s.Ctr), tagptr.Tag(s.varH)
 }
 
 // cas wraps CompareAndSwap with instrumentation.
@@ -1193,7 +1208,6 @@ func (q *Queue) finalizeStep(s *Session, task uint64, budget int) bool {
 		return true // head moved on; the drain completed without us
 	}
 	g := q.seg(hs)
-	marker := tagptr.Tag(s.varH)
 	for i := 0; i < budget; i++ {
 		q.fire()
 		t := g.tail.Load()
@@ -1206,7 +1220,7 @@ func (q *Queue) finalizeStep(s *Session, task uint64, budget int) bool {
 			return true // consumable items remain; dequeuers own them
 		}
 		w := g.slot(q, pos&q.mask)
-		x := q.reg.LL(w, s.varH, s.Ctr)
+		x, marker := s.ll(w)
 		s.cas(w, marker, x) // release our reservation, restoring x
 		if x != 0 {
 			// Straggler committed before the close: advance over it.
@@ -1250,9 +1264,8 @@ func (g *segment) enqueueRound(s *Session, v uint64) segResult {
 		s.cas(g.tail.Ptr(), t, t|closedBit)
 		return segRetry
 	}
-	marker := tagptr.Tag(s.varH)
 	w := g.slot(q, t&q.mask)
-	slot := q.reg.LL(w, s.varH, s.Ctr) // reserve: slot word now holds marker
+	slot, marker := s.ll(w) // reserve: slot word now holds marker
 	s.Pause()
 	q.fire()
 	if t == g.tail.Load() {
@@ -1319,7 +1332,6 @@ func (s *Session) DequeueRound() (v uint64, empty, done bool) {
 // extended with the closed-segment finalize step.
 func (g *segment) dequeueRound(s *Session) (uint64, segResult) {
 	q := s.q
-	marker := tagptr.Tag(s.varH)
 	q.fire()
 	h := g.head.Load()
 	q.fire()
@@ -1334,7 +1346,7 @@ func (g *segment) dequeueRound(s *Session) (uint64, segResult) {
 		// (defeating its SC; that producer retries in the successor), and
 		// reads whatever was committed there.
 		w := g.slot(q, pos&q.mask)
-		x := q.reg.LL(w, s.varH, s.Ctr)
+		x, marker := s.ll(w)
 		s.cas(w, marker, x) // release our reservation, restoring x
 		if x == 0 {
 			return 0, segDrained
@@ -1349,7 +1361,7 @@ func (g *segment) dequeueRound(s *Session) (uint64, segResult) {
 		return 0, segRetry
 	}
 	w := g.slot(q, h&q.mask)
-	slot := q.reg.LL(w, s.varH, s.Ctr)
+	slot, marker := s.ll(w)
 	s.Pause()
 	q.fire()
 	if h == g.head.Load() {
@@ -1410,7 +1422,6 @@ func (g *segment) publishHead(s *Session, c uint64) {
 // error is the driver's stop (budget or deadline).
 func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int) (segResult, error) {
 	q := s.q
-	marker := tagptr.Tag(s.varH)
 	c := g.tail.Load()
 	if c&closedBit != 0 {
 		return segClosed, nil
@@ -1441,7 +1452,7 @@ func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int) (segResult,
 			continue
 		}
 		w := g.slot(q, c&q.mask)
-		slot := q.reg.LL(w, s.varH, s.Ctr) // reserve: slot word now holds marker
+		slot, marker := s.ll(w) // reserve: slot word now holds marker
 		q.fire()
 		if slot != 0 {
 			// Someone's item is committed at the cursor: step over it.
@@ -1481,7 +1492,6 @@ func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int) (segResult,
 // batch left above the close position).
 func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int) (segResult, error) {
 	q := s.q
-	marker := tagptr.Tag(s.varH)
 	c := g.head.Load()
 	for *n < len(dst) {
 		if err := s.HaltBatch(); err != nil {
@@ -1506,7 +1516,7 @@ func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int) (segResult, err
 			// either declare the ring drained or walk the closed Tail over
 			// a committed straggler.
 			w := g.slot(q, pos&q.mask)
-			x := q.reg.LL(w, s.varH, s.Ctr)
+			x, marker := s.ll(w)
 			s.cas(w, marker, x) // release our reservation, restoring x
 			if x == 0 {
 				return segDrained, nil
@@ -1518,7 +1528,7 @@ func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int) (segResult, err
 			continue
 		}
 		w := g.slot(q, c&q.mask)
-		x := q.reg.LL(w, s.varH, s.Ctr)
+		x, marker := s.ll(w)
 		q.fire()
 		if x == 0 {
 			// Index c was drained by someone else with Head lagging:

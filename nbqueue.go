@@ -58,7 +58,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbqueue/internal/arena"
 	"nbqueue/internal/bench"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/trace"
@@ -226,7 +225,8 @@ func WithCapacity(n int) Option {
 
 // WithMaxThreads hints the peak number of concurrently attached sessions,
 // sizing reclamation headroom for the hazard-pointer algorithms and the
-// payload arena for all of them. Exceeding the hint is safe for the array
+// bound of the payload store (materialised on demand up to that bound)
+// for all of them. Exceeding the hint is safe for the array
 // algorithms (they are population-oblivious) but may surface as early
 // ErrFull on the link-based ones. Default 128; New rejects n <= 0.
 func WithMaxThreads(n int) Option { return func(c *config) { c.maxThreads = n } }
@@ -252,8 +252,9 @@ func WithRetryBudget(n int) Option { return func(c *config) { c.instr.RetryBudge
 // queue grows by appending segments under burst and shrinks by retiring
 // drained ones, and Enqueue never returns ErrFull for lack of space
 // (only the segment-pool backstop, far past any configured capacity,
-// and payload-arena exhaustion on the generic Queue[T] — see New —
-// still shed). Mutually exclusive with WithCapacity: combine capacity
+// and exhaustion of the generic Queue[T]'s payload store, materialised
+// on demand up to its bound — see New — still shed). Mutually
+// exclusive with WithCapacity: combine capacity
 // with AlgorithmSegmented *instead of* WithUnbounded to get a
 // high-water soft cap that still returns ErrFull at the configured
 // depth. Only valid with AlgorithmSegmented.
@@ -297,7 +298,7 @@ func WithStarvationBound(n int) Option { return func(c *config) { c.instr.Starva
 
 // WithWatermarks enables admission control on the queue built by New:
 // once the observed depth reaches high, Enqueue and EnqueueBatch fail
-// fast with ErrOverloaded — before any arena allocation or slot-protocol
+// fast with ErrOverloaded — before any payload allocation or slot-protocol
 // work — until the depth drains to low or below (hysteresis, so
 // admission does not flap at the boundary). Dequeues are never refused.
 // The overload transitions fire EventOverloadEnter/EventOverloadExit on
@@ -392,8 +393,7 @@ func WithSegmentWatermarks(low, high int) Option {
 // through per-goroutine Sessions.
 type Queue[T any] struct {
 	inner  queue.Queue
-	arena  *arena.Arena
-	values []T
+	store  *payloadStore[T]
 	leaked atomic.Uint64
 	// mctr records lifecycle events (scavenges, leaks) into the
 	// WithMetrics counter bank; a zero handle when metrics are off.
@@ -619,22 +619,20 @@ func New[T any](opts ...Option) (*Queue[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	// The payload arena needs one node per queued value plus one
-	// in-flight node per attached session. An unbounded queue
-	// (Capacity() == 0) has no word-level bound to size from, so the
-	// arena becomes the generic layer's own backstop: 64Ki payload
-	// nodes, past which Enqueue sheds with ErrFull rather than growing
-	// without limit.
+	// The payload store needs one slot per queued value plus one
+	// in-flight slot per attached session; it is materialised on demand
+	// up to that bound, so only the peak depth costs memory. An
+	// unbounded queue (Capacity() == 0) has no word-level bound to size
+	// from, so the store's bound becomes the generic layer's own
+	// backstop: 64Ki payload slots, past which Enqueue sheds with
+	// ErrFull rather than growing without limit.
 	capHint := inner.Capacity()
 	if capHint == 0 {
 		capHint = 1 << 16
 	}
-	nodes := capHint + c.maxThreads + 16
-	a := arena.New(nodes)
 	q := &Queue[T]{
 		inner:     inner,
-		arena:     a,
-		values:    make([]T, nodes+1),
+		store:     newPayloadStore[T](capHint + c.maxThreads + 16),
 		hook:      c.hook,
 		waitSpins: xsync.DefaultWaitSpins,
 		sleepMin:  xsync.DefaultSleepMin,
@@ -686,9 +684,9 @@ type Session[T any] struct {
 	// batch-native.
 	bhist xsync.HistHandle
 	// tr records the payload layer's own shed outcomes (admission
-	// control, arena exhaustion) into the WithTracing flight recorder;
-	// the word-level algorithms record their outcomes themselves. A zero
-	// handle when tracing is off.
+	// control, payload-store exhaustion) into the WithTracing flight
+	// recorder; the word-level algorithms record their outcomes
+	// themselves. A zero handle when tracing is off.
 	tr trace.Handle
 }
 
@@ -800,7 +798,7 @@ func (s *Session[T]) SetDeadline(t time.Time) (ok bool) {
 //
 // The operation family shares one error contract. Enqueue, EnqueueBatch
 // and DequeueBatch report conditions through the single error result:
-// nil on success, ErrFull for a queue (or payload arena) at capacity,
+// nil on success, ErrFull for a queue (or payload store) at capacity,
 // ErrContended for a retry budget that ran out; the batch forms pair it
 // with a count of elements that took effect before the condition.
 // Dequeue and TryDequeue report emptiness through ok=false instead —
@@ -813,34 +811,21 @@ func (s *Session[T]) Enqueue(v T) error {
 		s.tr.OpSampled(trace.KindEnqueue, trace.OutcomeOverloaded, 0)
 		return err
 	}
-	h := s.q.arena.Alloc()
-	if h == arena.Nil {
-		// Arena pressure means capacity + in-flight slack is exhausted —
+	h := s.q.store.put(v)
+	if h == 0 {
+		// Store pressure means capacity + in-flight slack is exhausted —
 		// the queue is full for all practical purposes.
 		s.tr.OpSampled(trace.KindEnqueue, trace.OutcomeFull, 0)
 		return ErrFull
 	}
-	s.q.values[h>>1] = v
 	if err := inner.Enqueue(h); err != nil {
-		var zero T
-		s.q.values[h>>1] = zero
-		s.q.arena.Free(h)
+		s.q.store.take(h)
 		if err == ErrContended {
 			s.q.emit(Event{Kind: EventContentionShed, Op: "enqueue"})
 		}
 		return err
 	}
 	return nil
-}
-
-// take maps a dequeued word back to its payload and releases the node.
-func (s *Session[T]) take(h uint64) T {
-	idx := h >> 1
-	v := s.q.values[idx]
-	var zero T
-	s.q.values[idx] = zero
-	s.q.arena.Free(h)
-	return v
 }
 
 // Dequeue removes and returns the value at the head; ok is false when the
@@ -861,14 +846,14 @@ func (s *Session[T]) Dequeue() (v T, ok bool) {
 			if !ok {
 				return v, false
 			}
-			return s.take(h), true
+			return s.q.store.take(h), true
 		}
 	}
 	h, ok := inner.Dequeue()
 	if !ok {
 		return v, false
 	}
-	return s.take(h), true
+	return s.q.store.take(h), true
 }
 
 // TryDequeue is the ErrContended-aware variant of Dequeue: ok=false with
@@ -890,7 +875,7 @@ func (s *Session[T]) TryDequeue() (v T, ok bool, err error) {
 		}
 		return v, false, err
 	}
-	return s.take(h), true, nil
+	return s.q.store.take(h), true, nil
 }
 
 // words returns a scratch word slice of length n, reused across this
@@ -924,25 +909,22 @@ func (s *Session[T]) EnqueueBatch(vs []T) (int, error) {
 		s.tr.OpSampled(trace.KindEnqueueBatch, trace.OutcomeOverloaded, len(vs))
 		return 0, err
 	}
-	// Map payloads into arena nodes first; a short allocation is arena
+	// Map payloads into store slots first; a short allocation is store
 	// pressure, reported as ErrFull after the words that did fit go in.
 	buf := s.words(len(vs))
 	filled := 0
 	for _, v := range vs {
-		h := s.q.arena.Alloc()
-		if h == arena.Nil {
+		h := s.q.store.put(v)
+		if h == 0 {
 			break
 		}
-		s.q.values[h>>1] = v
 		buf[filled] = h
 		filled++
 	}
 	n, err := queue.EnqueueBatch(inner, buf[:filled])
 	s.bhist.ObserveEnqBatchSize(n)
-	var zero T
 	for _, h := range buf[n:filled] {
-		s.q.values[h>>1] = zero
-		s.q.arena.Free(h)
+		s.q.store.take(h)
 	}
 	if err == nil && filled < len(vs) {
 		err = ErrFull
@@ -969,7 +951,7 @@ func (s *Session[T]) DequeueBatch(dst []T) (int, error) {
 	n, err := queue.DequeueBatch(inner, buf)
 	s.bhist.ObserveDeqBatchSize(n)
 	for i := 0; i < n; i++ {
-		dst[i] = s.take(buf[i])
+		dst[i] = s.q.store.take(buf[i])
 	}
 	if err == ErrContended {
 		s.q.emit(Event{Kind: EventContentionShed, Op: "dequeue"})

@@ -88,8 +88,8 @@ func RawDequeueBatch(s RawSession, dst []uint64) (int, error) {
 }
 
 // NewRaw builds a word-level queue with the same options as New. The
-// payload arena and values table of Queue[T] are skipped entirely; each
-// enqueue/dequeue moves exactly one machine word. WithWatermarks is not
+// payload store of Queue[T] is skipped entirely; each enqueue/dequeue
+// moves exactly one machine word. WithWatermarks is not
 // supported here — admission control lives in the payload layer — and is
 // rejected rather than silently dropped.
 func NewRaw(opts ...Option) (RawQueue, error) {
