@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke slo-gate experiments check soak explore jobd conformance bench-jobd clean
+.PHONY: all build test race cover loc bench bench-smoke slo-gate experiments check soak explore jobd conformance bench-jobd clean
 
 all: build test
 
@@ -17,6 +17,11 @@ race:
 
 cover:
 	$(GO) test -cover ./...
+
+# Non-test Go lines outside the benchmark module: the size the
+# simplification work tracks.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # The full testing.B view of the paper's evaluation (see bench_test.go).
 bench:

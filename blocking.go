@@ -3,7 +3,6 @@ package nbqueue
 import (
 	"context"
 	"errors"
-	"runtime"
 	"time"
 
 	"nbqueue/internal/queue"
@@ -12,12 +11,14 @@ import (
 // Blocking operations adapt the non-blocking queue to callers that want
 // to wait rather than handle ErrFull/empty themselves. The underlying
 // algorithms have no wait queues (that is the point of being
-// non-blocking), so waiting is implemented as bounded-backoff polling:
-// spin briefly with scheduler yields, then sleep with exponential backoff
-// capped at the sleep ceiling. This keeps the worst-case added latency
-// small while idle waiting costs no CPU to speak of, and — unlike a
-// condition-variable wrapper — it cannot reintroduce the
-// preemption-sensitivity the paper's algorithms eliminate.
+// non-blocking), so waiting is polling on the library's one wait ladder,
+// xsync.WaitLadder: spin briefly with scheduler yields, then sleep with
+// exponential backoff capped at the sleep ceiling. This keeps the
+// worst-case added latency small while idle waiting costs no CPU to
+// speak of, and — unlike a condition-variable wrapper — it cannot
+// reintroduce the preemption-sensitivity the paper's algorithms
+// eliminate. The same ladder runs Fabric's waits and the job server's
+// long-poll Fetch.
 //
 // The spin count and sleep bounds come from the queue's WithBackoffPolicy
 // policy when one is installed (WaitSpins, SleepMin, SleepMax), and from
@@ -39,62 +40,27 @@ func retryable(err error) bool {
 		errors.Is(err, ErrOverloaded)
 }
 
-// sleeper owns the single reusable timer of a wait loop, so that waking
-// up every backoff interval does not allocate a fresh runtime timer the
-// way time.After does.
-type sleeper struct {
-	timer *time.Timer
-}
-
-// wait sleeps for d or until ctx is done, whichever comes first,
-// reporting whether the context ended the wait.
-func (sl *sleeper) wait(ctx context.Context, d time.Duration) (cancelled bool) {
-	if sl.timer == nil {
-		sl.timer = time.NewTimer(d)
-	} else {
-		// The timer is guaranteed expired-and-drained here: wait only
-		// returns cancelled=false after consuming timer.C, and
-		// cancelled=true aborts the whole loop.
-		sl.timer.Reset(d)
-	}
-	select {
-	case <-ctx.Done():
-		if !sl.timer.Stop() {
-			<-sl.timer.C
+// wait runs try on the queue's wait ladder with ctx's deadline, if
+// any, armed on the word-level session for the duration: an attempt
+// still retrying when the deadline passes aborts with ErrDeadline
+// instead of spinning on.
+func (s *Session[T]) wait(ctx context.Context, try func() (done, progress bool)) error {
+	if d, ok := ctx.Deadline(); ok {
+		if ds, ok := s.use().(queue.DeadlineSession); ok {
+			ds.SetDeadline(d)
+			defer ds.SetDeadline(time.Time{})
 		}
-		return true
-	case <-sl.timer.C:
-		return false
 	}
+	return s.q.wait.Run(ctx, try)
 }
 
-// stop releases the timer, if any was ever armed.
-func (sl *sleeper) stop() {
-	if sl.timer != nil {
-		sl.timer.Stop()
+// ctxErr maps a word-level ErrDeadline, surfaced under an armed context
+// deadline, back to the context error the *Wait contract promises;
+// every other error passes through.
+func ctxErr(ctx context.Context, err error) error {
+	if !errors.Is(err, ErrDeadline) {
+		return err
 	}
-}
-
-// armDeadline propagates ctx's deadline into the word-level session when
-// both sides support it, returning a disarm func (a no-op when nothing
-// was armed). While armed, word-level retry loops abort with ErrDeadline
-// once the deadline passes instead of burning the sleep-loop interval.
-func (s *Session[T]) armDeadline(ctx context.Context) func() {
-	d, ok := ctx.Deadline()
-	if !ok {
-		return func() {}
-	}
-	ds, ok := s.use().(queue.DeadlineSession)
-	if !ok {
-		return func() {}
-	}
-	ds.SetDeadline(d)
-	return func() { ds.SetDeadline(time.Time{}) }
-}
-
-// ctxDeadlineErr maps a word-level ErrDeadline surfaced under an armed
-// context deadline back to the context error the *Wait contract promises.
-func ctxDeadlineErr(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -108,79 +74,31 @@ func ctxDeadlineErr(ctx context.Context) error {
 // Returns ctx.Err() on cancellation or deadline expiry; non-transient
 // errors are returned immediately.
 func (s *Session[T]) EnqueueWait(ctx context.Context, v T) error {
-	disarm := s.armDeadline(ctx)
-	defer disarm()
-	for spin := 0; spin < s.q.waitSpins; spin++ {
-		err := s.Enqueue(v)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			return ctxDeadlineErr(ctx)
-		}
-		if !retryable(err) {
-			return err
-		}
-		runtime.Gosched()
+	var err error
+	if werr := s.wait(ctx, func() (bool, bool) {
+		err = s.Enqueue(v)
+		return err == nil || !retryable(err), false
+	}); werr != nil {
+		return werr
 	}
-	var sl sleeper
-	defer sl.stop()
-	sleep := s.q.sleepMin
-	for {
-		err := s.Enqueue(v)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			return ctxDeadlineErr(ctx)
-		}
-		if !retryable(err) {
-			return err
-		}
-		if sl.wait(ctx, sleep) {
-			return ctx.Err()
-		}
-		if sleep < s.q.sleepMax {
-			sleep *= 2
-		}
-	}
+	return ctxErr(ctx, err)
 }
 
 // DequeueWait removes the head value, waiting while the queue is empty
 // (or, under WithRetryBudget, contended) until the context is done.
 // Returns ctx.Err() on cancellation or deadline expiry.
-func (s *Session[T]) DequeueWait(ctx context.Context) (T, error) {
-	var zero T
-	disarm := s.armDeadline(ctx)
-	defer disarm()
-	for spin := 0; spin < s.q.waitSpins; spin++ {
-		v, ok, err := s.TryDequeue()
-		if ok {
-			return v, nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			return zero, ctxDeadlineErr(ctx)
-		}
-		runtime.Gosched()
+func (s *Session[T]) DequeueWait(ctx context.Context) (v T, err error) {
+	var ok bool
+	if werr := s.wait(ctx, func() (bool, bool) {
+		v, ok, err = s.TryDequeue()
+		return ok || errors.Is(err, ErrDeadline), false
+	}); werr != nil {
+		return v, werr
 	}
-	var sl sleeper
-	defer sl.stop()
-	sleep := s.q.sleepMin
-	for {
-		v, ok, err := s.TryDequeue()
-		if ok {
-			return v, nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			return zero, ctxDeadlineErr(ctx)
-		}
-		if sl.wait(ctx, sleep) {
-			return zero, ctx.Err()
-		}
-		if sleep < s.q.sleepMax {
-			sleep *= 2
-		}
+	if ok {
+		return v, nil
 	}
+	return v, ctxErr(ctx, err)
 }
 
 // EnqueueBatchWait inserts all of vs, in order, waiting out transient
@@ -191,39 +109,20 @@ func (s *Session[T]) DequeueWait(ctx context.Context) (T, error) {
 // wait ends stay delivered — the batch is not atomic, exactly as in
 // EnqueueBatch.
 func (s *Session[T]) EnqueueBatchWait(ctx context.Context, vs []T) (int, error) {
-	disarm := s.armDeadline(ctx)
-	defer disarm()
 	done := 0
-	var sl sleeper
-	defer sl.stop()
-	sleep := s.q.sleepMin
-	for spin := 0; ; spin++ {
-		n, err := s.EnqueueBatch(vs[done:])
+	var err error
+	if werr := s.wait(ctx, func() (bool, bool) {
+		var n int
+		n, err = s.EnqueueBatch(vs[done:])
 		done += n
-		if done == len(vs) {
-			return done, nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			return done, ctxDeadlineErr(ctx)
-		}
-		if err != nil && !retryable(err) {
-			return done, err
-		}
-		if n > 0 {
-			// Progress: restart the backoff ladder.
-			spin, sleep = 0, s.q.sleepMin
-		}
-		if spin < s.q.waitSpins {
-			runtime.Gosched()
-			continue
-		}
-		if sl.wait(ctx, sleep) {
-			return done, ctx.Err()
-		}
-		if sleep < s.q.sleepMax {
-			sleep *= 2
-		}
+		return done == len(vs) || (err != nil && !retryable(err)), n > 0
+	}); werr != nil {
+		return done, werr
 	}
+	if done == len(vs) {
+		return done, nil
+	}
+	return done, ctxErr(ctx, err)
 }
 
 // DequeueBatchWait fills dst with up to len(dst) values, waiting until
@@ -235,28 +134,16 @@ func (s *Session[T]) DequeueBatchWait(ctx context.Context, dst []T) (int, error)
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	disarm := s.armDeadline(ctx)
-	defer disarm()
-	var sl sleeper
-	defer sl.stop()
-	sleep := s.q.sleepMin
-	for spin := 0; ; spin++ {
-		n, err := s.DequeueBatch(dst)
-		if n > 0 {
-			return n, nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			return 0, ctxDeadlineErr(ctx)
-		}
-		if spin < s.q.waitSpins {
-			runtime.Gosched()
-			continue
-		}
-		if sl.wait(ctx, sleep) {
-			return 0, ctx.Err()
-		}
-		if sleep < s.q.sleepMax {
-			sleep *= 2
-		}
+	n := 0
+	var err error
+	if werr := s.wait(ctx, func() (bool, bool) {
+		n, err = s.DequeueBatch(dst)
+		return n > 0 || errors.Is(err, ErrDeadline), false
+	}); werr != nil {
+		return 0, werr
 	}
+	if n > 0 {
+		return n, nil
+	}
+	return 0, ctxErr(ctx, err)
 }

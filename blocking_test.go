@@ -438,3 +438,74 @@ func TestWaitRetriesThroughContention(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestWaitFastPathAllocs: a *Wait call that succeeds without waiting
+// allocates nothing, on Session and FabricSession alike, with and
+// without a context deadline to arm. Each case pairs the wait with its
+// non-blocking counterpart, which allocates nothing itself, so the
+// queue returns to the same state every run.
+func TestWaitFastPathAllocs(t *testing.T) {
+	q, err := nbqueue.New[int](nbqueue.WithCapacity(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := q.Attach()
+	defer s.Detach()
+	f, err := nbqueue.NewFabric[int](nbqueue.WithShards(1),
+		nbqueue.WithShardOptions(nbqueue.WithCapacity(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := f.Attach()
+	defer fs.Detach()
+	timed, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	batch := []int{1, 2, 3}
+	dst := make([]int, len(batch))
+	for _, ctx := range []context.Context{context.Background(), timed} {
+		_, deadline := ctx.Deadline()
+		cases := []struct {
+			name string
+			run  func() error
+		}{
+			{"Session.EnqueueWait", func() error {
+				err := s.EnqueueWait(ctx, 1)
+				s.Dequeue()
+				return err
+			}},
+			{"Session.DequeueWait", func() error {
+				_ = s.Enqueue(1)
+				_, err := s.DequeueWait(ctx)
+				return err
+			}},
+			{"Session.EnqueueBatchWait", func() error {
+				_, err := s.EnqueueBatchWait(ctx, batch)
+				_, _ = s.DequeueBatch(dst)
+				return err
+			}},
+			{"Session.DequeueBatchWait", func() error {
+				_, _ = s.EnqueueBatch(batch)
+				_, err := s.DequeueBatchWait(ctx, dst)
+				return err
+			}},
+			{"FabricSession.EnqueueWait", func() error {
+				err := fs.EnqueueWait(ctx, 1)
+				fs.Dequeue()
+				return err
+			}},
+			{"FabricSession.DequeueWait", func() error {
+				_ = fs.Enqueue(1)
+				_, err := fs.DequeueWait(ctx)
+				return err
+			}},
+		}
+		for _, c := range cases {
+			if err := c.run(); err != nil {
+				t.Fatalf("%s (deadline %v): %v", c.name, deadline, err)
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = c.run() }); n != 0 {
+				t.Errorf("%s (deadline %v): %v allocs per call, want 0", c.name, deadline, n)
+			}
+		}
+	}
+}

@@ -209,8 +209,8 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 			case <-stop:
 				return
 			case <-t.C:
-				if n, ok := q1.MemorySegments(); ok && n > peakSegs {
-					peakSegs = n
+				if ss, ok := q1.SegmentStats(); ok && ss.Memory > peakSegs {
+					peakSegs = ss.Memory
 				}
 			}
 		}

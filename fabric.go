@@ -8,8 +8,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/spsc"
 	"nbqueue/internal/xsync"
 )
@@ -121,10 +121,8 @@ type Fabric[T any] struct {
 	overflowMu sync.Mutex
 	overflow   []T
 	overflowN  atomic.Int64
-	// waitSpins/sleepMin/sleepMax tune the blocking *Wait variants.
-	waitSpins int
-	sleepMin  time.Duration
-	sleepMax  time.Duration
+	// wait is the blocking *Wait variants' ladder.
+	wait xsync.WaitLadder
 	// seed hands each session a distinct xorshift state for
 	// power-of-two-choices sampling.
 	seed atomic.Uint64
@@ -351,19 +349,14 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 	if sc.algorithm == AlgorithmSPSC {
 		return nil, fmt.Errorf("nbqueue: WithShardOptions(WithAlgorithm(AlgorithmSPSC)) — SPSC specialization is fabric-managed; leave WithSPSC on and let the census specialize shards")
 	}
+	if p := sc.instr.Policy; p != nil {
+		p.Normalize()
+	}
 	f := &Fabric[T]{
 		stealBatch: c.stealBatch,
 		spscOn:     c.spscOn,
 		hook:       sc.hook,
-		waitSpins:  xsync.DefaultWaitSpins,
-		sleepMin:   xsync.DefaultSleepMin,
-		sleepMax:   xsync.DefaultSleepMax,
-	}
-	if p := sc.instr.Policy; p != nil {
-		p.Normalize()
-		f.waitSpins = p.WaitSpins
-		f.sleepMin = p.SleepMin
-		f.sleepMax = p.SleepMax
+		wait:       sc.instr.Policy.WaitLadder(),
 	}
 	f.shards = make([]*fabShard[T], c.shards)
 	for i := range f.shards {
@@ -387,7 +380,7 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 			if sc.metrics != nil {
 				spscOpts = append(spscOpts,
 					spsc.WithCounters(sc.metrics.counters()),
-					spsc.WithHistograms(sc.metrics.histograms()))
+					spsc.WithInstr(queue.Instr{Hists: sc.metrics.histograms()}))
 			}
 			// Unbounded shard algorithms report Capacity 0; the ring is
 			// always bounded (its fill spills to the shard queue), so
@@ -970,75 +963,31 @@ func (s *FabricSession[T]) DequeueBatch(dst []T) (int, error) {
 // concurrent enqueues may be missed, exactly like the single-queue
 // drain.
 func (s *FabricSession[T]) TryDrain(max int) []T {
-	const chunkSize = 64
-	var out []T
-	chunk := make([]T, chunkSize)
-	for max <= 0 || len(out) < max {
-		c := chunk
-		if max > 0 && max-len(out) < chunkSize {
-			c = chunk[:max-len(out)]
-		}
-		n, err := s.DequeueBatch(c)
-		out = append(out, c[:n]...)
-		if err != nil || n < len(c) {
-			break
-		}
-	}
-	return out
+	return tryDrain(max, s.DequeueBatch)
 }
 
 // EnqueueWait inserts v, waiting out transient sheds (full, contended,
 // overloaded on every shard) until ctx is done — the fabric analogue
 // of Session.EnqueueWait.
 func (s *FabricSession[T]) EnqueueWait(ctx context.Context, v T) error {
-	for spin := 0; spin < s.f.waitSpins; spin++ {
-		err := s.Enqueue(v)
-		if err == nil || !retryable(err) {
-			return err
-		}
-		runtime.Gosched()
+	var err error
+	if werr := s.f.wait.Run(ctx, func() (bool, bool) {
+		err = s.Enqueue(v)
+		return err == nil || !retryable(err), false
+	}); werr != nil {
+		return werr
 	}
-	var sl sleeper
-	defer sl.stop()
-	sleep := s.f.sleepMin
-	for {
-		err := s.Enqueue(v)
-		if err == nil || !retryable(err) {
-			return err
-		}
-		if sl.wait(ctx, sleep) {
-			return ctx.Err()
-		}
-		if sleep < s.f.sleepMax {
-			sleep *= 2
-		}
-	}
+	return err
 }
 
 // DequeueWait removes one value, waiting while every source is empty
 // until ctx is done.
-func (s *FabricSession[T]) DequeueWait(ctx context.Context) (T, error) {
-	var zero T
-	for spin := 0; spin < s.f.waitSpins; spin++ {
-		if v, ok := s.Dequeue(); ok {
-			return v, nil
-		}
-		runtime.Gosched()
-	}
-	var sl sleeper
-	defer sl.stop()
-	sleep := s.f.sleepMin
-	for {
-		if v, ok := s.Dequeue(); ok {
-			return v, nil
-		}
-		if sl.wait(ctx, sleep) {
-			return zero, ctx.Err()
-		}
-		if sleep < s.f.sleepMax {
-			sleep *= 2
-		}
-	}
+func (s *FabricSession[T]) DequeueWait(ctx context.Context) (v T, err error) {
+	err = s.f.wait.Run(ctx, func() (ok, _ bool) {
+		v, ok = s.Dequeue()
+		return ok, false
+	})
+	return v, err
 }
 
 // Detach deregisters the session: steal-buffer values flush back to

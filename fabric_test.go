@@ -447,6 +447,30 @@ func TestFabricWait(t *testing.T) {
 	}
 }
 
+// On a full fabric EnqueueWait waits until its context ends and
+// reports which way it ended.
+func TestFabricEnqueueWaitFull(t *testing.T) {
+	f := fabricOf(t, nbqueue.WithShards(1),
+		nbqueue.WithShardOptions(nbqueue.WithCapacity(4)))
+	p := f.Attach()
+	defer p.Detach()
+	for i := 0; p.Enqueue(i) == nil; i++ {
+		if i > 1000 {
+			t.Fatal("fabric of capacity 4 never reported full")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := p.EnqueueWait(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("EnqueueWait on full under a timeout = %v, want deadline", err)
+	}
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if err := p.EnqueueWait(ctx2, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("EnqueueWait on full under a cancelled context = %v, want canceled", err)
+	}
+}
+
 // ScavengeOrphans recovers what an abandoned session stranded: the
 // steal buffer moves to the overflow backstop, the census entry goes
 // away, and a dead blessed consumer's ring retires into its shard.

@@ -67,17 +67,12 @@ func TestHardeningAccessorsDeclineOnOtherAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.SpareSegments(); ok {
-		t.Error("SpareSegments ok=true on AlgorithmCAS")
+	ss, ok := q.SegmentStats()
+	if ok {
+		t.Error("SegmentStats ok=true on AlgorithmCAS")
 	}
-	if _, ok := q.PendingSegments(); ok {
-		t.Error("PendingSegments ok=true on AlgorithmCAS")
-	}
-	if _, ok := q.MemorySegments(); ok {
-		t.Error("MemorySegments ok=true on AlgorithmCAS")
-	}
-	if q.SegmentsOverloaded() {
-		t.Error("SegmentsOverloaded() = true on AlgorithmCAS")
+	if ss.Overloaded {
+		t.Error("SegmentStats().Overloaded = true on AlgorithmCAS")
 	}
 }
 
@@ -114,8 +109,8 @@ func TestMemoryBoundShedsAndReadmits(t *testing.T) {
 			t.Fatalf("accepted %d items; bound of %d four-slot segments never engaged", accepted, bound)
 		}
 	}
-	if n, ok := q.MemorySegments(); !ok || n > bound {
-		t.Fatalf("MemorySegments() = %d, %v at the bound, want <= %d", n, ok, bound)
+	if ss, ok := q.SegmentStats(); !ok || ss.Memory > bound {
+		t.Fatalf("SegmentStats().Memory = %d, %v at the bound, want <= %d", ss.Memory, ok, bound)
 	}
 	if snap := m.Snapshot(); snap.SegmentSheds == 0 {
 		t.Fatal("SegmentSheds = 0 after a bounded-memory refusal")
@@ -172,15 +167,19 @@ func TestSegmentWatermarksPublicHysteresis(t *testing.T) {
 			t.Fatal("segment watermarks never engaged")
 		}
 	}
-	if !q.SegmentsOverloaded() {
-		t.Fatal("SegmentsOverloaded() = false while shedding")
+	overloaded := func() bool {
+		ss, _ := q.SegmentStats()
+		return ss.Overloaded
+	}
+	if !overloaded() {
+		t.Fatal("SegmentStats().Overloaded = false while shedding")
 	}
 	// Above the low watermark the gate must stay shut (hysteresis).
 	if err := s.Enqueue(500); !errors.Is(err, nbqueue.ErrOverloaded) {
 		t.Fatalf("enqueue above low watermark: got %v, want ErrOverloaded", err)
 	}
 	drained := 0
-	for q.SegmentsOverloaded() {
+	for overloaded() {
 		if _, ok := s.Dequeue(); !ok {
 			t.Fatalf("queue empty after %d dequeues but still overloaded", drained)
 		}
@@ -230,11 +229,12 @@ func TestSparePoolPublicObservers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, ok := q.SpareSegments(); !ok || n != 2 {
-		t.Fatalf("SpareSegments() = %d, %v after New, want pre-armed 2", n, ok)
+	ss, ok := q.SegmentStats()
+	if !ok || ss.Spare != 2 {
+		t.Fatalf("SegmentStats().Spare = %d, %v after New, want pre-armed 2", ss.Spare, ok)
 	}
-	if n, ok := q.PendingSegments(); !ok || n != 0 {
-		t.Fatalf("PendingSegments() = %d, %v at rest, want 0", n, ok)
+	if ss.Pending != 0 {
+		t.Fatalf("SegmentStats().Pending = %d at rest, want 0", ss.Pending)
 	}
 	s := q.Attach()
 	defer s.Detach()

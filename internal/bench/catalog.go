@@ -36,10 +36,8 @@ type Config struct {
 	// Counters receives instrumentation when non-nil; every algorithm
 	// records into it.
 	Counters *xsync.Counters
-	// Instr is the instrumentation and retry-policy bundle of the
-	// Evequoz family (evq-llsc, evq-cas, evq-seg; see queue.Instr). Of
-	// the other algorithms, spsc reads its Hists and Trace, and the
-	// MS hazard-pointer queues its Hists and Yield.
+	// Instr is the instrumentation and retry-policy bundle handed to
+	// every algorithm that takes one (see queue.Instr).
 	Instr queue.Instr
 	// PaddedSlots spreads array-queue slots across cache lines.
 	PaddedSlots bool
@@ -209,8 +207,7 @@ var catalog = map[string]Algo{
 		New: func(c Config) queue.Queue {
 			c = c.normalize()
 			return spsc.New(c.Capacity,
-				spsc.WithCounters(c.Counters), spsc.WithHistograms(c.Instr.Hists),
-				spsc.WithTrace(c.Instr.Trace))
+				spsc.WithCounters(c.Counters), spsc.WithInstr(c.Instr))
 		},
 	},
 	KeyMSHP: {
@@ -218,9 +215,8 @@ var catalog = map[string]Algo{
 		New: func(c Config) queue.Queue {
 			c = c.normalize()
 			return msqueue.New(c.Capacity, false,
-				msqueue.WithCounters(c.Counters), msqueue.WithHistograms(c.Instr.Hists),
-				msqueue.WithMaxThreads(c.MaxThreads),
-				msqueue.WithYield(c.Instr.Yield))
+				msqueue.WithCounters(c.Counters), msqueue.WithInstr(c.Instr),
+				msqueue.WithMaxThreads(c.MaxThreads))
 		},
 	},
 	KeyMSHPSorted: {
@@ -228,9 +224,8 @@ var catalog = map[string]Algo{
 		New: func(c Config) queue.Queue {
 			c = c.normalize()
 			return msqueue.New(c.Capacity, true,
-				msqueue.WithCounters(c.Counters), msqueue.WithHistograms(c.Instr.Hists),
-				msqueue.WithMaxThreads(c.MaxThreads),
-				msqueue.WithYield(c.Instr.Yield))
+				msqueue.WithCounters(c.Counters), msqueue.WithInstr(c.Instr),
+				msqueue.WithMaxThreads(c.MaxThreads))
 		},
 	},
 	KeyMSDoherty: {

@@ -1,7 +1,7 @@
 // Package chaos injects deterministic faults into queue executions and
 // audits recovery. It reuses the per-operation yield hooks the queues
 // already expose for interleaving exploration (queue.Instr.Yield,
-// msqueue.WithYield, hazard.Domain.SetYield): every shared-memory access
+// hazard.Domain.SetYield): every shared-memory access
 // funnels through Injector.Hook, which can
 //
 //   - preempt the running goroutine (runtime.Gosched storms),

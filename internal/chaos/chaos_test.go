@@ -140,7 +140,7 @@ func TestScavengingBoundsSpace(t *testing.T) {
 // space stays within the live-thread bound.
 func TestStormMSQueueScavenging(t *testing.T) {
 	var in Injector
-	q := msqueue.New(2048, false, msqueue.WithYield(in.Hook), msqueue.WithMaxThreads(64))
+	q := msqueue.New(2048, false, msqueue.WithInstr(queue.Instr{Yield: in.Hook}), msqueue.WithMaxThreads(64))
 	o := stormOpts(q, &in, true)
 	rep, err := Run(o)
 	if err != nil {
@@ -165,7 +165,7 @@ func TestStormMSQueueScavenging(t *testing.T) {
 // accumulate past the live-thread bound and show up as orphans.
 func TestStormMSQueueLeak(t *testing.T) {
 	var in Injector
-	q := msqueue.New(2048, false, msqueue.WithYield(in.Hook), msqueue.WithMaxThreads(64))
+	q := msqueue.New(2048, false, msqueue.WithInstr(queue.Instr{Yield: in.Hook}), msqueue.WithMaxThreads(64))
 	o := stormOpts(q, &in, false)
 	rep, err := Run(o)
 	if err != nil {
@@ -255,7 +255,7 @@ func TestStormBatchEvqseg(t *testing.T) {
 // fallback loops under kills.
 func TestStormBatchFallback(t *testing.T) {
 	var in Injector
-	q := msqueue.New(2048, false, msqueue.WithYield(in.Hook), msqueue.WithMaxThreads(64))
+	q := msqueue.New(2048, false, msqueue.WithInstr(queue.Instr{Yield: in.Hook}), msqueue.WithMaxThreads(64))
 	o := stormOpts(q, &in, true)
 	o.BatchMax = 8
 	o.OpsPerWorker = 60

@@ -251,7 +251,7 @@ func TestMSHazardTwoThreads(t *testing.T) {
 		return msqueue.New(8, true,
 			msqueue.WithMaxThreads(2),
 			msqueue.WithRetireFactor(1), // scan eagerly: more reclamation interleavings
-			msqueue.WithYield(hook))
+			msqueue.WithInstr(queue.Instr{Yield: hook}))
 	}, enqDeqProgram)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 
 	"nbqueue"
 	"nbqueue/internal/expose"
+	"nbqueue/internal/xsync"
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -371,7 +374,9 @@ func (s *Server) Info(id string) (*Envelope, error) {
 
 // Fetch leases up to count jobs from the named queues for worker,
 // optionally waiting up to wait (real time) for work to arrive.
-// Unknown queue names count as empty. An empty result is not an error.
+// Unknown queue names count as empty, a repeated name counts once, and
+// naming more than Config.MaxQueues queues is ErrInvalid. An empty
+// result is not an error.
 func (s *Server) Fetch(queues []string, worker string, count int, wait time.Duration) ([]*Envelope, error) {
 	if worker == "" {
 		return nil, fmt.Errorf("%w: empty worker id", ErrInvalid)
@@ -379,39 +384,64 @@ func (s *Server) Fetch(queues []string, worker string, count int, wait time.Dura
 	if len(queues) == 0 {
 		return nil, fmt.Errorf("%w: no queues requested", ErrInvalid)
 	}
+	if len(queues) > s.cfg.MaxQueues {
+		return nil, fmt.Errorf("%w: %d queues requested, limit %d", ErrInvalid, len(queues), s.cfg.MaxQueues)
+	}
 	if count <= 0 {
 		count = 1
 	}
-	deadline := time.Now().Add(wait)
+	// A repeated name is polled once, in its first position.
+	names := make([]string, 0, len(queues))
+	for _, name := range queues {
+		if !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	// One session per distinct queue for the whole call, attached when
+	// the queue is first seen: a queue created by a PUSH mid-wait joins
+	// on the next pass.
+	sess := make([]*nbqueue.Session[*Job], len(names))
+	defer func() {
+		for _, ss := range sess {
+			if ss != nil {
+				ss.Detach()
+			}
+		}
+	}()
 	var out []*Envelope
-	for {
+	pass := func() (done, _ bool) {
 		now := s.now()
-		for _, name := range queues {
+		for i, name := range names {
 			if len(out) >= count {
 				break
 			}
-			tq := s.lookup(name)
-			if tq == nil {
-				continue
-			}
-			_ = tq.q.AttachFunc(func(sess *nbqueue.Session[*Job]) error {
-				for len(out) < count {
-					j, ok := sess.Dequeue()
-					if !ok {
-						return nil
-					}
-					if env := s.lease(j, worker, now); env != nil {
-						out = append(out, env)
-					}
+			if sess[i] == nil {
+				tq := s.lookup(name)
+				if tq == nil {
+					continue
 				}
-				return nil
-			})
+				sess[i] = tq.q.Attach()
+			}
+			for len(out) < count {
+				j, ok := sess[i].Dequeue()
+				if !ok {
+					break
+				}
+				if env := s.lease(j, worker, now); env != nil {
+					out = append(out, env)
+				}
+			}
 		}
-		if len(out) > 0 || wait <= 0 || !time.Now().Before(deadline) {
-			return out, nil
-		}
-		time.Sleep(2 * time.Millisecond)
+		return len(out) > 0, false
 	}
+	if done, _ := pass(); done || wait <= 0 {
+		return out, nil
+	}
+	ctx, cancel := context.WithTimeout(context.TODO(), wait)
+	defer cancel()
+	// The wait running out is the empty result, not an error.
+	_ = xsync.DefaultWaitLadder().Run(ctx, pass)
+	return out, nil
 }
 
 // lease attempts the available→active transition on a job just

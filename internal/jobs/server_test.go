@@ -467,3 +467,94 @@ func TestPushBackpressureSheds(t *testing.T) {
 		t.Fatalf("pushed %d + shed %d != 64", c["jobs_pushed_total"], shed)
 	}
 }
+
+// TestFetchWait: a waiting Fetch returns as soon as a job reaches any
+// of its queues, including one created by a PUSH mid-wait, and an
+// empty one returns nothing, without error, once its wait runs out.
+func TestFetchWait(t *testing.T) {
+	s, _ := newTestServer(Config{})
+	// Create queue a; queue b first appears mid-wait below.
+	mustPush(t, s, "a", PushOptions{})
+	mustFetchOne(t, s, "a", "w")
+	pushLater := func(typ string) (id chan string) {
+		id = make(chan string, 1)
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			env, err := s.Push(typ, json.RawMessage(`{"n":1}`), PushOptions{})
+			if err != nil {
+				t.Errorf("push %s: %v", typ, err)
+				close(id)
+				return
+			}
+			id <- env.ID
+		}()
+		return id
+	}
+	for _, c := range []struct {
+		name   string
+		queues []string
+		push   string
+	}{
+		{"one queue", []string{"a"}, "a"},
+		{"second of two queues", []string{"a", "b"}, "b"},
+	} {
+		id := pushLater(c.push)
+		start := time.Now()
+		got, err := s.Fetch(c.queues, "w", 1, 2*time.Second)
+		elapsed := time.Since(start)
+		want := <-id
+		if err != nil || len(got) != 1 || got[0].ID != want {
+			t.Fatalf("%s: Fetch = %v, %v; want job %s", c.name, got, err, want)
+		}
+		if elapsed > time.Second {
+			t.Fatalf("%s: Fetch took %v of its 2s wait for a job pushed after 5ms", c.name, elapsed)
+		}
+	}
+	start := time.Now()
+	got, err := s.Fetch([]string{"a", "b"}, "w", 1, 20*time.Millisecond)
+	if elapsed := time.Since(start); err != nil || len(got) != 0 || elapsed < 20*time.Millisecond {
+		t.Fatalf("empty Fetch = %v, %v after %v; want no jobs, no error, after at least 20ms", got, err, elapsed)
+	}
+}
+
+// TestFetchRepeatedNames: a name repeated in one Fetch is polled through
+// a single session, so the request cannot pile per-thread records onto
+// the queue; more names than Config.MaxQueues is rejected outright.
+func TestFetchRepeatedNames(t *testing.T) {
+	s, _ := newTestServer(Config{})
+	mustPush(t, s, "a", PushOptions{})
+	mustFetchOne(t, s, "a", "w")
+	repeated := make([]string, s.cfg.MaxQueues)
+	for i := range repeated {
+		repeated[i] = "a"
+	}
+
+	// Every attached session allocates, so a Fetch that attached one per
+	// entry would allocate hundreds of times more than a one-name Fetch.
+	fetchEmpty := func(queues []string) func() {
+		return func() {
+			if got, err := s.Fetch(queues, "w", 1, 0); err != nil || len(got) != 0 {
+				t.Fatalf("Fetch on an empty queue = %v, %v", got, err)
+			}
+		}
+	}
+	one := testing.AllocsPerRun(20, fetchEmpty([]string{"a"}))
+	many := testing.AllocsPerRun(20, fetchEmpty(repeated))
+	if many > one {
+		t.Fatalf("Fetch naming a %d times: %v allocs per call; naming it once: %v", len(repeated), many, one)
+	}
+
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		if _, err := s.Push("a", json.RawMessage(`{"n":1}`), PushOptions{}); err != nil {
+			t.Errorf("push: %v", err)
+		}
+	}()
+	if got, err := s.Fetch(repeated, "w", 2, 2*time.Second); err != nil || len(got) != 1 {
+		t.Fatalf("waiting Fetch naming a %d times = %v, %v; want the one job pushed mid-wait", len(repeated), got, err)
+	}
+
+	if _, err := s.Fetch(append(repeated, "a"), "w", 1, 0); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Fetch naming %d queues (limit %d): err = %v, want ErrInvalid", len(repeated)+1, s.cfg.MaxQueues, err)
+	}
+}

@@ -22,6 +22,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -32,6 +33,7 @@ import (
 
 	"nbqueue"
 	"nbqueue/internal/chaos"
+	"nbqueue/internal/xsync"
 )
 
 // Item states: one word, one transition. StatePending is the only
@@ -292,15 +294,16 @@ type Lane interface {
 	Depth() int
 }
 
-// LaneSession is one worker's handle on a Lane.
+// LaneSession is one worker's handle on a Lane: the method set
+// nbqueue.Session and nbqueue.FabricSession share, so a lane hands out
+// its backing's own session.
 type LaneSession interface {
-	// Enqueue publishes the item, arming the lane's deadline machinery
-	// with the item's budget when the backing supports it.
+	// Enqueue publishes the item.
 	Enqueue(it *Item) error
 	// Dequeue removes the oldest item (non-blocking).
 	Dequeue() (*Item, bool)
-	// Drain removes up to max queued items without blocking.
-	Drain(max int) []*Item
+	// TryDrain removes up to max queued items without blocking.
+	TryDrain(max int) []*Item
 	// Detach releases the session.
 	Detach()
 }
@@ -311,27 +314,13 @@ type queueLane struct{ q *nbqueue.Queue[*Item] }
 // QueueLane wraps an nbqueue queue as a pipeline lane.
 func QueueLane(q *nbqueue.Queue[*Item]) Lane { return queueLane{q} }
 
-func (l queueLane) Attach() LaneSession { return &queueLaneSession{s: l.q.Attach()} }
+func (l queueLane) Attach() LaneSession { return l.q.Attach() }
 func (l queueLane) Scavenge() int       { return l.q.ScavengeOrphans() }
 func (l queueLane) Orphans() int        { return l.q.Orphans() }
 func (l queueLane) Depth() int {
 	n, _ := l.q.Len()
 	return n
 }
-
-type queueLaneSession struct{ s *nbqueue.Session[*Item] }
-
-func (s *queueLaneSession) Enqueue(it *Item) error {
-	if !it.Deadline.IsZero() {
-		if s.s.SetDeadline(it.Deadline) {
-			defer s.s.SetDeadline(time.Time{})
-		}
-	}
-	return s.s.Enqueue(it)
-}
-func (s *queueLaneSession) Dequeue() (*Item, bool) { return s.s.Dequeue() }
-func (s *queueLaneSession) Drain(max int) []*Item  { return s.s.TryDrain(max) }
-func (s *queueLaneSession) Detach()                { s.s.Detach() }
 
 // fabricLane adapts nbqueue.Fabric[*Item].
 type fabricLane struct{ f *nbqueue.Fabric[*Item] }
@@ -341,17 +330,10 @@ type fabricLane struct{ f *nbqueue.Fabric[*Item] }
 // enforced at every stage boundary by the workers.
 func FabricLane(f *nbqueue.Fabric[*Item]) Lane { return fabricLane{f} }
 
-func (l fabricLane) Attach() LaneSession { return &fabricLaneSession{s: l.f.Attach()} }
+func (l fabricLane) Attach() LaneSession { return l.f.Attach() }
 func (l fabricLane) Scavenge() int       { return l.f.ScavengeOrphans() }
 func (l fabricLane) Orphans() int        { return 0 }
 func (l fabricLane) Depth() int          { return l.f.Len() }
-
-type fabricLaneSession struct{ s *nbqueue.FabricSession[*Item] }
-
-func (s *fabricLaneSession) Enqueue(it *Item) error { return s.s.Enqueue(it) }
-func (s *fabricLaneSession) Dequeue() (*Item, bool) { return s.s.Dequeue() }
-func (s *fabricLaneSession) Drain(max int) []*Item  { return s.s.TryDrain(max) }
-func (s *fabricLaneSession) Detach()                { s.s.Detach() }
 
 // StageSpec describes one pipeline stage.
 type StageSpec struct {
@@ -748,9 +730,14 @@ func (p *Pipeline) place(it *Item, dst int, sess []LaneSession) error {
 
 // enqueueLane publishes the item on one lane, yield-retrying transient
 // ErrFull up to retries times. ErrOverloaded (watermark admission) and
-// ErrDeadline return immediately.
+// ErrDeadline return immediately. On a queue lane the item's deadline
+// budget is armed on the session for the attempts, so an enqueue still
+// retrying when the budget runs out aborts with ErrDeadline.
 func (p *Pipeline) enqueueLane(it *Item, dst int, s LaneSession, retries int) error {
 	it.stage = dst
+	if qs, ok := s.(*nbqueue.Session[*Item]); ok && !it.Deadline.IsZero() && qs.SetDeadline(it.Deadline) {
+		defer qs.SetDeadline(time.Time{})
+	}
 	for attempt := 0; ; attempt++ {
 		it.enqueuedAt = time.Now().UnixNano()
 		err := s.Enqueue(it)
@@ -853,27 +840,28 @@ func (p *Pipeline) workerBody(w *worker) {
 			out[l] = ln.Attach()
 		}
 	}
-	idle := 0
+	// An idle worker waits on a flat ladder: 256 yields, then 100µs
+	// naps, so it sees a new item or a stop within 100µs.
+	idle := xsync.WaitLadder{Spins: 256, SleepMin: 100 * time.Microsecond, SleepMax: 100 * time.Microsecond}
 	var stride uint64
-	for !p.stop.Load() {
-		w.hb.Store(time.Now().UnixNano())
+	for {
 		var it *Item
-		for _, s := range in {
-			if v, ok := s.Dequeue(); ok {
-				it = v
-				break
+		_ = idle.Run(context.Background(), func() (bool, bool) {
+			w.hb.Store(time.Now().UnixNano())
+			if p.stop.Load() {
+				return true, false
 			}
-		}
+			for _, s := range in {
+				if v, ok := s.Dequeue(); ok {
+					it = v
+					return true, false
+				}
+			}
+			return false, false
+		})
 		if it == nil {
-			idle++
-			if idle > 256 {
-				time.Sleep(100 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-			continue
+			break // stopped
 		}
-		idle = 0
 		now := time.Now()
 		stride++
 		if stride%4 == 0 {
@@ -994,7 +982,7 @@ func (p *Pipeline) Stop() {
 		for _, ln := range lanes {
 			s := ln.Attach()
 			for {
-				got := s.Drain(256)
+				got := s.TryDrain(256)
 				for _, it := range got {
 					p.ledger.settle(it, StateDrained)
 				}

@@ -9,6 +9,12 @@ import (
 	"nbqueue/internal/chaos"
 )
 
+// Both session types are lane sessions as they stand.
+var (
+	_ LaneSession = (*nbqueue.Session[*Item])(nil)
+	_ LaneSession = (*nbqueue.FabricSession[*Item])(nil)
+)
+
 // drainAndAudit is the common epilogue: quiesce, stop, scavenge, audit.
 func drainAndAudit(t *testing.T, p *Pipeline) AuditReport {
 	t.Helper()
@@ -197,6 +203,48 @@ func TestFabricLane(t *testing.T) {
 	a := drainAndAudit(t, p)
 	if a.Emitted != n {
 		t.Fatalf("fabric lane lost items: %+v", a)
+	}
+}
+
+// TestDeadlineBudget runs the deadline budget both ways: a generous
+// budget sheds nothing, and a budget shorter than the ingest service
+// time sheds items at the next stage boundary while the ledger still
+// conserves every item and emits no fenced one.
+func TestDeadlineBudget(t *testing.T) {
+	room := []nbqueue.Option{nbqueue.WithCapacity(1024)}
+	run := func(budget time.Duration, service func(*Item), n int) (AuditReport, uint64) {
+		p, err := New(Config{
+			DeadlineBudget: budget,
+			Stages: []StageSpec{
+				{Name: "ingest", Workers: 1, LaneOptions: room, Service: service},
+				{Name: "work", Workers: 1, LaneOptions: room},
+				{Name: "egress", Workers: 1, LaneOptions: room},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Start()
+		pr := p.Producer()
+		for i := 0; i < n; i++ {
+			if _, err := pr.Submit(0); err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+		pr.Close()
+		a := drainAndAudit(t, p)
+		var sheds uint64
+		for i := 0; i < 3; i++ {
+			sheds += p.Stats(i).DeadlineSheds.Load()
+		}
+		return a, sheds
+	}
+	if a, sheds := run(time.Minute, nil, 500); a.Emitted != 500 || sheds != 0 {
+		t.Fatalf("generous budget: %d of 500 emitted, %d deadline sheds; want all, 0 (%+v)", a.Emitted, sheds, a)
+	}
+	slow := func(*Item) { time.Sleep(2 * time.Millisecond) }
+	if a, sheds := run(time.Millisecond, slow, 20); sheds == 0 {
+		t.Fatalf("1ms budget behind a 2ms service: no deadline sheds (%+v)", a)
 	}
 }
 

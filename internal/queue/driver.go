@@ -7,13 +7,15 @@ import (
 	"nbqueue/internal/xsync"
 )
 
-// Instr is the instrumentation and retry-policy bundle of the
-// Evequoz-family rings (evqllsc, evqcas, evqseg): handed to a ring once
-// at construction, and from there to every session's Driver. The zero
-// value is the paper's plain configuration — nothing recorded, retry
-// loops unbounded, no backoff, no helping. Nil sinks cost one branch per
-// recording site. The primitive counters are not part of it: every
-// algorithm, baselines included, takes those on its own (WithCounters).
+// Instr is the instrumentation and retry-policy bundle: handed to an
+// algorithm once at construction through its WithInstr option, and, on
+// the rings built on Driver, from there to every session's Driver. Each
+// algorithm reads the fields its design can act on; its WithInstr doc
+// says which. The zero value is the paper's plain configuration —
+// nothing recorded, retry loops unbounded, no backoff, no helping. Nil
+// sinks cost one branch per recording site. The primitive counters are
+// not part of it: every algorithm takes those on its own
+// (WithCounters).
 type Instr struct {
 	// Hists receives latencies (sampled, see xsync.SampleShift) and
 	// per-operation retry counts.
@@ -35,11 +37,10 @@ type Instr struct {
 	// StarvationBound publishes an operation still unperformed after that
 	// many fruitless rounds to the queue's announce array, where sessions
 	// completing operations of their own execute it on the victim's behalf
-	// (see xsync.Announce); 0 disables helping. evqseg ignores it.
+	// (see xsync.Announce); 0 disables helping.
 	StarvationBound int
 	// Yield is fired before shared-memory accesses, for interleaving
-	// exploration and fault injection; nil in production. evqllsc ignores
-	// it: its interleavings come from the llsc.Memory it is built on.
+	// exploration and fault injection; nil in production.
 	Yield func()
 }
 

@@ -49,22 +49,21 @@ type Option func(*Queue)
 // WithCounters attaches instrumentation counters.
 func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c } }
 
-// WithHistograms attaches latency/retry histograms. Latency is sampled
-// (xsync.SampleShift); retry counts are recorded for every successful
-// operation. Nil keeps the hot path free of clock reads.
-func WithHistograms(h *xsync.Histograms) Option { return func(q *Queue) { q.hists = h } }
+// WithInstr attaches the instrumentation bundle; see queue.Instr. The
+// queue reads its Hists (latency sampled per xsync.SampleShift, retry
+// counts recorded for every successful operation; nil keeps the hot
+// path free of clock reads) and its Yield, a pre-access hook invoked
+// before every shared queue-word access and, via the hazard domain,
+// before reclamation accesses, for systematic interleaving exploration.
+func WithInstr(in queue.Instr) Option {
+	return func(q *Queue) { q.hists, q.yield = in.Hists, in.Yield }
+}
 
 // WithMaxThreads sizes the retire-list headroom of the node arena. Each
 // of up to n threads may park hazard.RetireFactor x n retired nodes
 // before its scan threshold fires, so the arena holds capacity + 1 +
 // RetireFactor x n^2 nodes. Default 128.
 func WithMaxThreads(n int) Option { return func(q *Queue) { q.maxThreads = n } }
-
-// WithYield installs a pre-access hook invoked before every shared
-// queue-word access (and, via the hazard domain, before reclamation
-// accesses), enabling systematic interleaving exploration. Nil in
-// production.
-func WithYield(f func()) Option { return func(q *Queue) { q.yield = f } }
 
 // WithRetireFactor overrides the hazard-pointer scan threshold multiplier
 // (default hazard.RetireFactor, the paper's 4x). Lower factors reclaim

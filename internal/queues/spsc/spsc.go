@@ -76,13 +76,14 @@ type Option func(*Queue)
 // WithCounters attaches instrumentation counters.
 func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c } }
 
-// WithHistograms attaches latency histograms (sampled, like the other
-// algorithms). Nil keeps the hot path free of clock reads.
-func WithHistograms(h *xsync.Histograms) Option { return func(q *Queue) { q.hist = h } }
-
-// WithTrace attaches a flight recorder; records ride the histogram
-// sampling beat.
-func WithTrace(r *trace.Recorder) Option { return func(q *Queue) { q.rec = r } }
+// WithInstr attaches the instrumentation bundle; see queue.Instr. The
+// ring reads its Hists (latencies, sampled like the other algorithms;
+// nil keeps the hot path free of clock reads) and its Trace, whose
+// records ride the histogram sampling beat. With no index to contend
+// on, the retry-policy fields and Yield have nothing to act on.
+func WithInstr(in queue.Instr) Option {
+	return func(q *Queue) { q.hist, q.rec = in.Hists, in.Trace }
+}
 
 // New returns an SPSC ring holding up to capacity items (rounded up to a
 // power of two).

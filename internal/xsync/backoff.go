@@ -1,6 +1,7 @@
 package xsync
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -191,6 +192,79 @@ const (
 	DefaultSleepMin = 10 * time.Microsecond
 	DefaultSleepMax = time.Millisecond
 )
+
+// WaitLadder is the one wait policy of every blocking call. The
+// paper's queues have no wait queues, so a waiter polls: it yields
+// Spins times, then sleeps for doubling intervals from SleepMin up to
+// SleepMax. Idle waiting costs next to no CPU and adds at most SleepMax
+// of latency, and, unlike a condition variable, polling cannot
+// reintroduce the preemption-sensitivity the algorithms eliminate.
+type WaitLadder struct {
+	Spins    int
+	SleepMin time.Duration
+	SleepMax time.Duration
+}
+
+// DefaultWaitLadder returns the ladder of the default wait bounds.
+func DefaultWaitLadder() WaitLadder {
+	return WaitLadder{Spins: DefaultWaitSpins, SleepMin: DefaultSleepMin, SleepMax: DefaultSleepMax}
+}
+
+// WaitLadder returns the ladder p's WaitSpins, SleepMin and SleepMax
+// describe (p must be normalized), or the default ladder when p is nil.
+func (p *BackoffPolicy) WaitLadder() WaitLadder {
+	if p == nil {
+		return DefaultWaitLadder()
+	}
+	return WaitLadder{Spins: p.WaitSpins, SleepMin: p.SleepMin, SleepMax: p.SleepMax}
+}
+
+// Run calls try until it reports done, then returns nil. Between
+// attempts it climbs the ladder, and a try that reports progress
+// restarts the climb from the first yield. When ctx ends during a
+// sleep, Run returns ctx.Err() without another attempt. Under a
+// context that can end, the sleeps share one timer, armed on the first,
+// so a long wait does not allocate a runtime timer per interval the way
+// time.After would; under one that cannot (a nil Done channel) they are
+// plain sleeps and allocate nothing.
+func (l WaitLadder) Run(ctx context.Context, try func() (done, progress bool)) error {
+	var timer *time.Timer
+	spin, sleep := 0, l.SleepMin
+	for {
+		done, progress := try()
+		if done {
+			return nil
+		}
+		if progress {
+			spin, sleep = 0, l.SleepMin
+		}
+		if spin < l.Spins {
+			spin++
+			runtime.Gosched()
+			continue
+		}
+		if ctxDone := ctx.Done(); ctxDone == nil {
+			time.Sleep(sleep)
+		} else {
+			// The timer is expired and drained here: every sleep
+			// either consumed timer.C or returned.
+			if timer == nil {
+				timer = time.NewTimer(sleep)
+			} else {
+				timer.Reset(sleep)
+			}
+			select {
+			case <-ctxDone:
+				timer.Stop()
+				return ctx.Err()
+			case <-timer.C:
+			}
+		}
+		if sleep < l.SleepMax {
+			sleep *= 2
+		}
+	}
+}
 
 // NewBackoffPolicy returns a policy with every knob at its default.
 func NewBackoffPolicy() *BackoffPolicy {

@@ -1,9 +1,12 @@
 package xsync
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBarrierReleasesAll(t *testing.T) {
@@ -90,6 +93,36 @@ func TestBackoffZeroValueYields(t *testing.T) {
 		b.Fail()
 	}
 	b.Reset() // no-op, must not panic
+}
+
+// TestWaitLadderClimb: Run makes Spins+1 attempts before its first
+// sleep, a progress report restarts the count, and a context that ends
+// during a sleep stops the run with its error. The hour-long first
+// sleep keeps the timer from racing the cancelled context.
+func TestWaitLadderClimb(t *testing.T) {
+	l := WaitLadder{Spins: 3, SleepMin: time.Hour, SleepMax: time.Hour}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct{ progressFor, want int }{
+		{0, 4}, // Spins+1
+		{5, 8}, // the fifth attempt restarts the climb: 5 + Spins
+	} {
+		tries := 0
+		err := l.Run(ctx, func() (bool, bool) {
+			tries++
+			return false, tries <= c.progressFor
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("progress for %d tries: Run = %v, want canceled", c.progressFor, err)
+		}
+		if tries != c.want {
+			t.Fatalf("progress for %d tries: %d attempts before the sleep, want %d", c.progressFor, tries, c.want)
+		}
+	}
+	tries := 0
+	if err := l.Run(ctx, func() (bool, bool) { tries++; return tries == 2, false }); err != nil || tries != 2 {
+		t.Fatalf("Run = %v after %d tries, want nil after 2", err, tries)
+	}
 }
 
 func TestCountersBasic(t *testing.T) {

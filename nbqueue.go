@@ -413,11 +413,9 @@ type Queue[T any] struct {
 	// reached highWater, cleared when an enqueue probe sees depth at or
 	// below lowWater.
 	overloaded atomic.Bool
-	// waitSpins/sleepMin/sleepMax tune the blocking *Wait variants,
-	// from the WithBackoffPolicy policy or the package defaults.
-	waitSpins int
-	sleepMin  time.Duration
-	sleepMax  time.Duration
+	// wait is the blocking *Wait variants' ladder, from the
+	// WithBackoffPolicy policy or the package defaults.
+	wait xsync.WaitLadder
 	// rec is the WithTracing flight recorder (nil when tracing is off);
 	// qtr is the queue-level handle used for lifecycle events that have
 	// no owning session (scavenges).
@@ -631,19 +629,12 @@ func New[T any](opts ...Option) (*Queue[T], error) {
 		capHint = 1 << 16
 	}
 	q := &Queue[T]{
-		inner:     inner,
-		store:     newPayloadStore[T](capHint + c.maxThreads + 16),
-		hook:      c.hook,
-		waitSpins: xsync.DefaultWaitSpins,
-		sleepMin:  xsync.DefaultSleepMin,
-		sleepMax:  xsync.DefaultSleepMax,
-		rec:       c.rec,
-		qtr:       c.rec.Handle(),
-	}
-	if p := c.instr.Policy; p != nil {
-		q.waitSpins = p.WaitSpins
-		q.sleepMin = p.SleepMin
-		q.sleepMax = p.SleepMax
+		inner: inner,
+		store: newPayloadStore[T](capHint + c.maxThreads + 16),
+		hook:  c.hook,
+		wait:  c.instr.Policy.WaitLadder(),
+		rec:   c.rec,
+		qtr:   c.rec.Handle(),
 	}
 	if c.wmSet {
 		l, ok := inner.(interface{ Len() int })
@@ -1023,11 +1014,9 @@ func (q *Queue[T]) Len() (n int, ok bool) {
 // SegmentStats is one coherent snapshot of AlgorithmSegmented's segment
 // accounting: live chain length, spare-pool depth, preparing-state
 // segments, the memory-bound-governed population, and whether
-// segment-watermark admission is currently shedding. It replaces the
-// five per-field accessors (Segments, SpareSegments, PendingSegments,
-// MemorySegments, SegmentsOverloaded), which survive as deprecated
-// wrappers; new code reads the struct once instead of sequencing five
-// calls, and Fabric sums it across shards.
+// segment-watermark admission is currently shedding. Callers read the
+// struct once instead of sequencing one call per gauge, and Fabric sums
+// it across shards.
 type SegmentStats = queue.SegmentStats
 
 // SegmentStats reports the segment accounting of AlgorithmSegmented in
@@ -1043,60 +1032,6 @@ func (q *Queue[T]) SegmentStats() (s SegmentStats, ok bool) {
 	return ss.SegmentStats(), true
 }
 
-// Segments reports the number of live ring segments for
-// AlgorithmSegmented; ok is false for the other algorithms.
-//
-// Deprecated: use SegmentStats, which returns all segment gauges in one
-// snapshot; this wrapper reads SegmentStats().Live.
-func (q *Queue[T]) Segments() (n int, ok bool) {
-	s, ok := q.SegmentStats()
-	return s.Live, ok
-}
-
-// SpareSegments reports how many prepared ring segments are parked in
-// AlgorithmSegmented's spare pool (see WithSpareSegments); ok is false
-// for the other algorithms.
-//
-// Deprecated: use SegmentStats, which returns all segment gauges in one
-// snapshot; this wrapper reads SegmentStats().Spare.
-func (q *Queue[T]) SpareSegments() (n int, ok bool) {
-	s, ok := q.SegmentStats()
-	return s.Spare, ok
-}
-
-// PendingSegments reports AlgorithmSegmented's preparing-state segments
-// (allocated or popped from the spare pool, not yet linked); ok is
-// false for the other algorithms.
-//
-// Deprecated: use SegmentStats, which returns all segment gauges in one
-// snapshot; this wrapper reads SegmentStats().Pending.
-func (q *Queue[T]) PendingSegments() (n int, ok bool) {
-	s, ok := q.SegmentStats()
-	return s.Pending, ok
-}
-
-// MemorySegments reports the segment population WithMemoryBound governs
-// — live + preparing + spare — for AlgorithmSegmented; ok is false for
-// the other algorithms.
-//
-// Deprecated: use SegmentStats, which returns all segment gauges in one
-// snapshot; this wrapper reads SegmentStats().Memory.
-func (q *Queue[T]) MemorySegments() (n int, ok bool) {
-	s, ok := q.SegmentStats()
-	return s.Memory, ok
-}
-
-// SegmentsOverloaded reports whether WithSegmentWatermarks admission is
-// currently refusing enqueues. Always false without segment watermarks
-// or on other algorithms; the depth-based analogue is Overloaded.
-//
-// Deprecated: use SegmentStats, which returns all segment gauges in one
-// snapshot; this wrapper reads SegmentStats().Overloaded.
-func (q *Queue[T]) SegmentsOverloaded() bool {
-	s, _ := q.SegmentStats()
-	return s.Overloaded
-}
-
 // TryDrain dequeues up to max values (all available when max <= 0),
 // returning them in FIFO order. Convenience for shutdown paths. It
 // drains through DequeueBatch in chunks of 64, so on the batch-capable
@@ -1104,6 +1039,13 @@ func (q *Queue[T]) SegmentsOverloaded() bool {
 // Like Dequeue, it folds ErrContended away: budget exhaustion ends the
 // drain early with whatever had been collected.
 func (s *Session[T]) TryDrain(max int) []T {
+	return tryDrain(max, s.DequeueBatch)
+}
+
+// tryDrain is TryDrain for Session and FabricSession alike: it collects
+// up to max values (all reachable when max <= 0) through dequeueBatch
+// in chunks of 64, stopping at the first short or failed chunk.
+func tryDrain[T any](max int, dequeueBatch func([]T) (int, error)) []T {
 	const chunkSize = 64
 	var out []T
 	chunk := make([]T, chunkSize)
@@ -1112,7 +1054,7 @@ func (s *Session[T]) TryDrain(max int) []T {
 		if max > 0 && max-len(out) < chunkSize {
 			c = chunk[:max-len(out)]
 		}
-		n, err := s.DequeueBatch(c)
+		n, err := dequeueBatch(c)
 		out = append(out, c[:n]...)
 		if err != nil || n < len(c) {
 			break

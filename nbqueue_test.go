@@ -516,13 +516,13 @@ func TestRawBatch(t *testing.T) {
 		t.Fatal("default algorithm session lacks native batch support")
 	}
 	vs := []uint64{2, 4, 6, 8}
-	if n, err := nbqueue.RawEnqueueBatch(s, vs); n != 4 || err != nil {
-		t.Fatalf("RawEnqueueBatch = %d,%v", n, err)
+	if n, err := nbqueue.Batch(s).Enqueue(vs); n != 4 || err != nil {
+		t.Fatalf("Batch(s).Enqueue = %d,%v", n, err)
 	}
 	dst := make([]uint64, 8)
-	n, err := nbqueue.RawDequeueBatch(s, dst)
+	n, err := nbqueue.Batch(s).Dequeue(dst)
 	if n != 4 || err != nil {
-		t.Fatalf("RawDequeueBatch = %d,%v", n, err)
+		t.Fatalf("Batch(s).Dequeue = %d,%v", n, err)
 	}
 	for i, v := range vs {
 		if dst[i] != v {
@@ -531,7 +531,7 @@ func TestRawBatch(t *testing.T) {
 	}
 	// Odd values violate the raw word contract and must be rejected
 	// before any element is enqueued.
-	if n, err := nbqueue.RawEnqueueBatch(s, []uint64{2, 3}); n != 0 || !errors.Is(err, nbqueue.ErrRawValue) {
+	if n, err := nbqueue.Batch(s).Enqueue([]uint64{2, 3}); n != 0 || !errors.Is(err, nbqueue.ErrRawValue) {
 		t.Fatalf("odd raw value = %d,%v want 0,ErrRawValue", n, err)
 	}
 }

@@ -27,15 +27,13 @@ var ErrRawValue = queue.ErrValue
 
 // RawBatchSession is implemented by sessions with native batch
 // operations — the Evequoz-family algorithms, which reserve a whole
-// range of slots with a single head/tail RMW per batch. Use the
-// RawEnqueueBatch/RawDequeueBatch helpers to get the native path when
-// present and a single-op loop otherwise.
+// range of slots with a single head/tail RMW per batch. Use Batch to
+// get the native path when present and a single-op loop otherwise.
 type RawBatchSession = queue.BatchSession
 
 // RawBatch is the batch view of a RawSession — the word-level analogue
-// of Session.EnqueueBatch/DequeueBatch, fixing the old asymmetry where
-// the generic layer had batch methods but the raw layer only had free
-// functions. Build one per session with Batch; the wrapper is a value
+// of Session.EnqueueBatch/DequeueBatch. Build one per session with
+// Batch; the wrapper is a value
 // (one word) and carries no state of its own, so it is free to construct
 // and copies share the underlying session. Like the session it wraps,
 // a RawBatch must be used by one goroutine only.
@@ -69,22 +67,6 @@ func (b RawBatch) Enqueue(vs []uint64) (int, error) {
 // valid in every case.
 func (b RawBatch) Dequeue(dst []uint64) (int, error) {
 	return queue.DequeueBatch(b.s, dst)
-}
-
-// RawEnqueueBatch enqueues the values of vs in order through s.
-//
-// Deprecated: use Batch(s).Enqueue(vs) — the RawBatch methods are the
-// documented batch surface; this alias delegates to it.
-func RawEnqueueBatch(s RawSession, vs []uint64) (int, error) {
-	return Batch(s).Enqueue(vs)
-}
-
-// RawDequeueBatch dequeues up to len(dst) values through s into dst.
-//
-// Deprecated: use Batch(s).Dequeue(dst) — the RawBatch methods are the
-// documented batch surface; this alias delegates to it.
-func RawDequeueBatch(s RawSession, dst []uint64) (int, error) {
-	return Batch(s).Dequeue(dst)
 }
 
 // NewRaw builds a word-level queue with the same options as New. The

@@ -38,8 +38,8 @@ func TestSegmentedUnboundedAbsorbsBurst(t *testing.T) {
 	if n, ok := q.Len(); !ok || n != burst {
 		t.Fatalf("Len() = %d, %v after %d enqueues, want exact at quiescence", n, ok, burst)
 	}
-	if segs, ok := q.Segments(); !ok || segs < burst/16 {
-		t.Fatalf("Segments() = %d, %v; %d items over 16-slot rings need >= %d", segs, ok, burst, burst/16)
+	if ss, ok := q.SegmentStats(); !ok || ss.Live < burst/16 {
+		t.Fatalf("SegmentStats().Live = %d, %v; %d items over 16-slot rings need >= %d", ss.Live, ok, burst, burst/16)
 	}
 	for i := 0; i < burst; i++ {
 		v, ok := s.Dequeue()
@@ -47,8 +47,8 @@ func TestSegmentedUnboundedAbsorbsBurst(t *testing.T) {
 			t.Fatalf("dequeue %d = %d, %v", i, v, ok)
 		}
 	}
-	if segs, ok := q.Segments(); !ok || segs != 1 {
-		t.Fatalf("Segments() = %d, %v after full drain, want 1", segs, ok)
+	if ss, ok := q.SegmentStats(); !ok || ss.Live != 1 {
+		t.Fatalf("SegmentStats().Live = %d, %v after full drain, want 1", ss.Live, ok)
 	}
 }
 
@@ -209,8 +209,8 @@ func TestSegmentedExporterSeries(t *testing.T) {
 	s.Detach()
 	e := nbqueue.NewExporter(m, map[string]string{"algorithm": q.Algorithm()})
 	e.AddGauge("segments", "Live ring segments.", func() float64 {
-		n, _ := q.Segments()
-		return float64(n)
+		ss, _ := q.SegmentStats()
+		return float64(ss.Live)
 	})
 	var sb strings.Builder
 	if err := e.WritePrometheus(&sb); err != nil {
@@ -311,7 +311,7 @@ func ExampleWithUnbounded() {
 		}
 	}
 	n, _ := q.Len()
-	segs, _ := q.Segments()
-	fmt.Println(n, segs > 1)
+	ss, _ := q.SegmentStats()
+	fmt.Println(n, ss.Live > 1)
 	// Output: 200 true
 }
