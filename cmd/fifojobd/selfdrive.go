@@ -7,13 +7,13 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nbqueue/internal/bench"
 	"nbqueue/internal/slo"
+	"nbqueue/internal/xsync"
 )
 
 // selfdrive drives PUSH/FETCH/ACK load against the already-listening
@@ -39,9 +39,7 @@ func selfdrive(addr string, o *options) (bench.JobdRow, error) {
 
 	var (
 		pushed, shed, fetched, acked, failed atomic.Uint64
-		mu                                   sync.Mutex
-		pushNs                               []float64
-		cycleNs                              []float64
+		pushNs, cycleNs                      xsync.Hist
 	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -73,7 +71,6 @@ func selfdrive(addr string, o *options) (bench.JobdRow, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local []float64
 			for running() {
 				t0 := time.Now()
 				status, _, err := post("/ojs/queues/selfdrive/jobs", map[string]any{
@@ -82,7 +79,7 @@ func selfdrive(addr string, o *options) (bench.JobdRow, error) {
 				if err != nil {
 					return // server shut down under us
 				}
-				local = append(local, float64(time.Since(t0)))
+				pushNs.Observe(uint64(time.Since(t0)))
 				switch status {
 				case http.StatusCreated:
 					pushed.Add(1)
@@ -91,9 +88,6 @@ func selfdrive(addr string, o *options) (bench.JobdRow, error) {
 					time.Sleep(time.Millisecond) // honor backpressure
 				}
 			}
-			mu.Lock()
-			pushNs = append(pushNs, local...)
-			mu.Unlock()
 		}()
 	}
 
@@ -102,7 +96,6 @@ func selfdrive(addr string, o *options) (bench.JobdRow, error) {
 		go func(id int) {
 			defer wg.Done()
 			worker := fmt.Sprintf("selfdrive-%d", id)
-			var local []float64
 			var deliveries uint64
 			for running() {
 				status, data, err := post("/ojs/fetch", map[string]any{
@@ -145,14 +138,11 @@ func selfdrive(addr string, o *options) (bench.JobdRow, error) {
 							PushedNs int64 `json:"pushed_ns"`
 						}
 						if json.Unmarshal(j.Args, &args) == nil && args.PushedNs > 0 {
-							local = append(local, float64(time.Now().UnixNano()-args.PushedNs))
+							cycleNs.Observe(uint64(max(time.Now().UnixNano()-args.PushedNs, 0)))
 						}
 					}
 				}
 			}
-			mu.Lock()
-			cycleNs = append(cycleNs, local...)
-			mu.Unlock()
 		}(w)
 	}
 
@@ -175,22 +165,10 @@ func selfdrive(addr string, o *options) (bench.JobdRow, error) {
 		row.PushPerSec = float64(row.Pushed) / elapsed
 		row.AckPerSec = float64(row.Acked) / elapsed
 	}
-	row.PushP50Ns, row.PushP99Ns = quantiles(pushNs)
-	row.CycleP50Ns, row.CycleP99Ns = quantiles(cycleNs)
+	push, cycle := pushNs.View(), cycleNs.View()
+	row.PushP50Ns, row.PushP99Ns = push.Quantile(0.50), push.Quantile(0.99)
+	row.CycleP50Ns, row.CycleP99Ns = cycle.Quantile(0.50), cycle.Quantile(0.99)
 	return row, nil
-}
-
-// quantiles returns (p50, p99) of samples; zeros when empty.
-func quantiles(samples []float64) (p50, p99 float64) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(samples)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(samples)-1))
-		return samples[i]
-	}
-	return at(0.50), at(0.99)
 }
 
 // writeResult emits the jobd slo.Result to -out (stdout when empty

@@ -305,15 +305,7 @@ loop:
 	close(stop)
 	wg.Wait()
 
-	s := q.Attach()
-	drained := 0
-	for {
-		if _, ok := s.Dequeue(); !ok {
-			break
-		}
-		drained++
-	}
-	s.Detach()
+	drained := drain(q.Attach, nil)
 
 	snap := m.Snapshot()
 	if got := produced.Load() - consumed.Load() - int64(drained); got != 0 {
@@ -458,53 +450,8 @@ func soak(out io.Writer, st *statsServer, key string, d time.Duration, threads, 
 				}
 				// Alternate roles by worker parity, with balancing
 				// dequeues so the queue cannot fill permanently.
-				switch {
-				case w%2 == 0 && batch > 1:
-					k := 0
-					for k < batch {
-						h := a.Alloc()
-						if h == arena.Nil {
-							break
-						}
-						buf[k] = h
-						k++
-					}
-					n, _ := queue.EnqueueBatch(s, buf[:k])
-					for _, h := range buf[n:k] {
-						a.Free(h)
-					}
-					produced.Add(int64(n))
-					if n == 0 {
-						runtime.Gosched()
-					}
-				case w%2 == 0:
-					h := a.Alloc()
-					if h == arena.Nil {
-						runtime.Gosched()
-						continue
-					}
-					if s.Enqueue(h) != nil {
-						a.Free(h)
-						runtime.Gosched()
-					} else {
-						produced.Add(1)
-					}
-				case batch > 1:
-					n, _ := queue.DequeueBatch(s, buf)
-					for _, h := range buf[:n] {
-						a.Free(h)
-					}
-					consumed.Add(int64(n))
-					if n == 0 {
-						runtime.Gosched()
-					}
-				default:
-					if h, ok := s.Dequeue(); ok {
-						a.Free(h)
-						consumed.Add(1)
-					} else {
-						runtime.Gosched()
-					}
+				if !step(s, a, w%2 == 0, buf, &produced, &consumed) {
+					continue
 				}
 				ops.Add(1)
 				sinceRotate++
@@ -540,17 +487,7 @@ loop:
 	wg.Wait()
 
 	// Final audit at quiescence: drain and check conservation.
-	s := q.Attach()
-	drained := 0
-	for {
-		h, ok := s.Dequeue()
-		if !ok {
-			break
-		}
-		a.Free(h)
-		drained++
-	}
-	s.Detach()
+	drained := drain(q.Attach, a.Free)
 	if live := a.Live(); live != 0 {
 		return fmt.Errorf("%s: %d arena nodes leaked after drain", key, live)
 	}
@@ -627,53 +564,8 @@ func soakCrash(out io.Writer, st *statsServer, key string, d time.Duration, thre
 							return
 						default:
 						}
-						switch {
-						case w%2 == 0 && batch > 1:
-							k := 0
-							for k < batch {
-								h := a.Alloc()
-								if h == arena.Nil {
-									break
-								}
-								buf[k] = h
-								k++
-							}
-							n, _ := queue.EnqueueBatch(s, buf[:k])
-							for _, h := range buf[n:k] {
-								a.Free(h)
-							}
-							produced.Add(int64(n))
-							if n == 0 {
-								runtime.Gosched()
-							}
-						case w%2 == 0:
-							h := a.Alloc()
-							if h == arena.Nil {
-								runtime.Gosched()
-								continue
-							}
-							if s.Enqueue(h) != nil {
-								a.Free(h)
-								runtime.Gosched()
-							} else {
-								produced.Add(1)
-							}
-						case batch > 1:
-							n, _ := queue.DequeueBatch(s, buf)
-							for _, h := range buf[:n] {
-								a.Free(h)
-							}
-							consumed.Add(int64(n))
-							if n == 0 {
-								runtime.Gosched()
-							}
-						default:
-							if h, ok := s.Dequeue(); ok {
-								a.Free(h)
-								consumed.Add(1)
-							} else {
-								runtime.Gosched()
-							}
+						if !step(s, a, w%2 == 0, buf, &produced, &consumed) {
+							continue
 						}
 						ops.Add(1)
 					}
@@ -749,17 +641,7 @@ loop:
 		}
 		scavenged.Add(int64(sc.Scavenge(2)))
 	}
-	s := q.Attach()
-	drained := 0
-	for {
-		h, ok := s.Dequeue()
-		if !ok {
-			break
-		}
-		a.Free(h)
-		drained++
-	}
-	s.Detach()
+	drained := drain(q.Attach, a.Free)
 
 	// A session killed mid-operation can strand up to one value in
 	// single-op mode and up to a whole in-flight batch in batch mode —
@@ -776,6 +658,84 @@ loop:
 	fmt.Fprintf(out, "%-18s ok (crash): ops=%d produced=%d consumed=%d drained=%d abandoned=%d scavenged=%d audits=%d\n",
 		key, ops.Load(), produced.Load(), consumed.Load(), drained, ab, scavenged.Load(), audits)
 	return nil
+}
+
+// step runs one soak worker operation: a producer allocates arena
+// handles and enqueues them, a consumer dequeues and frees them, moving
+// up to len(buf) values at a time through the batch operations when
+// buf holds more than one. It reports false when a single enqueue found
+// the arena exhausted, which the workers do not count as an operation.
+func step(s queue.Session, a *arena.Arena, produce bool, buf []uint64, produced, consumed *atomic.Int64) bool {
+	switch {
+	case produce && len(buf) > 1:
+		k := 0
+		for k < len(buf) {
+			h := a.Alloc()
+			if h == arena.Nil {
+				break
+			}
+			buf[k] = h
+			k++
+		}
+		n, _ := queue.EnqueueBatch(s, buf[:k])
+		for _, h := range buf[n:k] {
+			a.Free(h)
+		}
+		produced.Add(int64(n))
+		if n == 0 {
+			runtime.Gosched()
+		}
+	case produce:
+		h := a.Alloc()
+		if h == arena.Nil {
+			runtime.Gosched()
+			return false
+		}
+		if s.Enqueue(h) != nil {
+			a.Free(h)
+			runtime.Gosched()
+		} else {
+			produced.Add(1)
+		}
+	case len(buf) > 1:
+		n, _ := queue.DequeueBatch(s, buf)
+		for _, h := range buf[:n] {
+			a.Free(h)
+		}
+		consumed.Add(int64(n))
+		if n == 0 {
+			runtime.Gosched()
+		}
+	default:
+		if h, ok := s.Dequeue(); ok {
+			a.Free(h)
+			consumed.Add(1)
+		} else {
+			runtime.Gosched()
+		}
+	}
+	return true
+}
+
+// drain empties a quiescent queue through one session from attach,
+// handing each value to free (nil drops them), and returns the count.
+func drain[S interface {
+	Dequeue() (uint64, bool)
+	Detach()
+}](attach func() S, free func(uint64)) int {
+	s := attach()
+	defer s.Detach()
+	n := 0
+	for {
+		v, ok := s.Dequeue()
+		if !ok {
+			return n
+		}
+		if free != nil {
+			free(v)
+		}
+		n++
+	}
 }
 
 // auditCrash checks the crash drill's relaxed space bounds mid-flight:

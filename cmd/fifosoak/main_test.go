@@ -220,7 +220,13 @@ func TestSoakStatsEndpoint(t *testing.T) {
 		}
 		return string(b)
 	}
+	// The server announces itself before the soak registers its queue,
+	// so wait for the algorithm's series before checking them.
 	metrics := get("/metrics")
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(metrics, `algorithm="evq-cas"`) && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		metrics = get("/metrics")
+	}
 	for _, want := range []string{
 		"# TYPE nbq_enqueues_total counter",
 		"# TYPE nbq_enqueue_latency_ns histogram",

@@ -160,13 +160,6 @@ func (r *Record) Set(i int, h arena.Handle) {
 // Clear empties hazard slot i.
 func (r *Record) Clear(i int) { r.hp[i].Store(arena.Nil) }
 
-// ClearAll empties every hazard slot.
-func (r *Record) ClearAll() {
-	for i := range r.hp {
-		r.hp[i].Store(arena.Nil)
-	}
-}
-
 // Retire marks h unreachable; it is returned to the arena by a later scan
 // once no thread has it published. Triggers a scan when the retired list
 // reaches the domain threshold.

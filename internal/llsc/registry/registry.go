@@ -295,9 +295,6 @@ func (g *Registry) Scavenge(minAge uint64, unpin func(h Handle, v *Var)) int {
 	return n
 }
 
-// Beat returns the record's last heartbeat epoch; exposed for tests.
-func (v *Var) Beat() uint64 { return v.beat.Load() }
-
 // LL is the simulated load-linked of Figure 5: it reads the shared word
 // addr, copies the observed application value into the caller's record,
 // and atomically substitutes the word with the caller's tagged handle,

@@ -407,57 +407,18 @@ type StageStats struct {
 	Respawns      atomic.Uint64
 	Scavenged     atomic.Uint64
 
-	queueWait sampler
+	queueWait xsync.Hist
 }
 
 // QueueWaitQuantile returns the q-quantile (0..1) of the sampled lane
 // wait, in nanoseconds.
-func (s *StageStats) QueueWaitQuantile(q float64) float64 { return s.queueWait.quantile(q) }
-
-// sampler is a bounded mutex-guarded sample buffer; once full, new
-// samples overwrite round-robin so late behavior stays represented.
-type sampler struct {
-	mu  sync.Mutex
-	buf []float64
-	n   uint64
+func (s *StageStats) QueueWaitQuantile(q float64) float64 {
+	return s.queueWait.View().Quantile(q)
 }
 
-const samplerCap = 8192
-
-func (s *sampler) add(v float64) {
-	s.mu.Lock()
-	if len(s.buf) < samplerCap {
-		s.buf = append(s.buf, v)
-	} else {
-		s.buf[int(s.n%samplerCap)] = v
-	}
-	s.n++
-	s.mu.Unlock()
-}
-
-func (s *sampler) count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-func (s *sampler) quantile(q float64) float64 {
-	s.mu.Lock()
-	cp := append([]float64(nil), s.buf...)
-	s.mu.Unlock()
-	if len(cp) == 0 {
-		return 0
-	}
-	sort.Float64s(cp)
-	idx := int(q*float64(len(cp))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	return cp[idx]
-}
+// sinceNs returns the nanoseconds from the unixnano stamp from to now,
+// 0 if the wall clock stepped back past it.
+func sinceNs(now, from int64) uint64 { return uint64(max(now-from, 0)) }
 
 // worker is one stage goroutine's identity and liveness record.
 type worker struct {
@@ -475,7 +436,7 @@ type Pipeline struct {
 	lanes  [][]Lane // [stage][prio]
 	stats  []*StageStats
 	ledger *Ledger
-	e2e    sampler
+	e2e    xsync.Hist
 
 	workers [][]*worker
 	hook    atomic.Pointer[Hook]
@@ -572,7 +533,7 @@ func (p *Pipeline) Stages() int { return len(p.cfg.Stages) }
 
 // E2EQuantile returns the q-quantile of end-to-end submit→emit
 // latency in nanoseconds.
-func (p *Pipeline) E2EQuantile(q float64) float64 { return p.e2e.quantile(q) }
+func (p *Pipeline) E2EQuantile(q float64) float64 { return p.e2e.View().Quantile(q) }
 
 // Condemned reports whether the heartbeat supervisor has declared the
 // worker dead; fault hooks consult it to convert a hang into a kill.
@@ -865,7 +826,7 @@ func (p *Pipeline) workerBody(w *worker) {
 		now := time.Now()
 		stride++
 		if stride%4 == 0 {
-			st.queueWait.add(float64(now.UnixNano() - it.enqueuedAt))
+			st.queueWait.Observe(sinceNs(now.UnixNano(), it.enqueuedAt))
 		}
 		if it.State() != StatePending {
 			// Fenced (or otherwise settled) mid-pipe: the fence
@@ -901,7 +862,7 @@ func (p *Pipeline) workerBody(w *worker) {
 			// this output never happens.
 			if p.ledger.settle(it, StateEmitted) {
 				st.Serviced.Add(1)
-				p.e2e.add(float64(time.Now().UnixNano() - it.SubmittedAt.UnixNano()))
+				p.e2e.Observe(sinceNs(time.Now().UnixNano(), it.SubmittedAt.UnixNano()))
 				if p.cfg.OnEmit != nil {
 					p.cfg.OnEmit(it)
 				}

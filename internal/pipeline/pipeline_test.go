@@ -68,7 +68,7 @@ func TestPipelineFlow(t *testing.T) {
 	if p.E2EQuantile(0.99) <= 0 {
 		t.Error("no end-to-end latency samples recorded")
 	}
-	if p.Stats(1).queueWait.count() == 0 {
+	if p.Stats(1).queueWait.View().Count == 0 {
 		t.Error("no queue-wait samples at the work stage")
 	}
 }

@@ -277,26 +277,21 @@ func (d *Driver) doneDeq(start time.Time, retries int, out trace.Outcome) {
 	d.Tr.Op(start, trace.KindDequeue, out, retries, int(d.Bo.Spins()), 0)
 }
 
-// ExecEnqueue implements xsync.AnnounceExec: at most budget rounds of an
-// announced enqueue, after the between-operations protocol (a helper
-// runs the victim's operation with its own per-session records). It
-// never announces or helps in turn, so helping cannot recurse.
-func (d *Driver) ExecEnqueue(v uint64, budget int) (done, full bool) {
+// Exec implements xsync.AnnounceExec: at most budget rounds of an
+// announced enqueue of v or dequeue, after the between-operations
+// protocol (a helper runs the victim's operation with its own
+// per-session records). It never announces or helps in turn, so helping
+// cannot recurse.
+func (d *Driver) Exec(deq bool, v uint64, budget int) (out uint64, refused, done bool) {
 	d.rounds.Prepare()
 	for i := 0; i < budget; i++ {
-		if done, full = d.rounds.EnqueueRound(v); done {
-			return done, full
+		if deq {
+			out, refused, done = d.rounds.DequeueRound()
+		} else {
+			done, refused = d.rounds.EnqueueRound(v)
 		}
-	}
-	return false, false
-}
-
-// ExecDequeue implements xsync.AnnounceExec; see ExecEnqueue.
-func (d *Driver) ExecDequeue(budget int) (v uint64, empty, done bool) {
-	d.rounds.Prepare()
-	for i := 0; i < budget; i++ {
-		if v, empty, done = d.rounds.DequeueRound(); done {
-			return v, empty, done
+		if done {
+			return out, refused, true
 		}
 	}
 	return 0, false, false

@@ -2,14 +2,14 @@ package xsync
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 )
 
 // Announce is the starvation-rescue substrate shared by the Evequoz
 // array queues: a small fixed array of help cells through which a
 // session that keeps losing its CAS/SC races publishes the stalled
-// operation so that winning sessions complete it on its behalf.
+// operation so that winning sessions complete it on its behalf. It is
+// the victim front end on the claim-cell core (see claimCells).
 //
 // Lock-freedom guarantees system-wide progress, not per-thread progress:
 // under an adversarial schedule one session's reservation can be
@@ -23,66 +23,28 @@ import (
 // no session ever waits on a condition only another specific session can
 // establish, except while a claimer is inside its *bounded* run.
 //
-// Cell life cycle (state word = seq<<annPhaseBits | phase):
-//
-//	empty --CAS--> setup --Store--> pendEnq|pendDeq
-//	pend  --CAS--> run (claimed by victim or helper; exclusive)
-//	run   --Store--> done{OK,Full,Empty}   (claimer resolved it)
-//	run   --Store--> pend                  (claimer's budget ran out)
-//	done  --Store--> empty(seq+1)          (victim consumed the result)
-//	pend  --CAS--> empty(seq+1)            (victim retracted: deadline)
-//
-// The sequence number bumps only when the cell empties, so a stale claim
-// CAS from a previous occupancy can never land. Exactly-once execution
-// follows from the claim CAS: only the claimer runs the operation, and a
-// result is written before the cell can be claimed again.
-//
-// The documented limitation: a claimer that dies (not merely stalls)
-// inside run strands the cell and its victim — in-process Go helpers do
-// not die independently of the process, but the chaos crash drills
-// disable helping for exactly this reason.
+// On top of the core's life cycle a helper that resolves the operation
+// stores its result and moves the cell to done (or refused, for a full
+// queue on an enqueue and an empty one on a dequeue); the victim
+// releases the cell, whether it resolved the operation itself or a
+// helper did, and a victim whose deadline passed releases it from
+// pend, retracting the operation unperformed.
 const AnnounceCells = 8
 
-// Cell phases.
-const (
-	annEmpty uint64 = iota
-	annSetup
-	annPendEnq
-	annPendDeq
-	annRunEnq
-	annRunDeq
-	annDoneOK
-	annDoneFull
-	annDoneEmpty
-)
+// annDeq is the phase bit marking an announced dequeue; enqueues (and
+// TaskAnnounce tasks) leave it clear.
+const annDeq uint64 = 1 << 3
 
-const (
-	annPhaseBits = 4
-	annPhaseMask = (1 << annPhaseBits) - 1
-)
-
-func annState(seq, phase uint64) uint64 { return seq<<annPhaseBits | phase }
-
-// annCell is one help cell, padded so concurrent cells do not share a
-// cache line.
-type annCell struct {
-	state atomic.Uint64
-	val   atomic.Uint64
-	_     [6]uint64
-}
+// annPendEnq is the pending phase of an announced enqueue.
+const annPendEnq = cellPend
 
 // Announce is a queue's announce array. A nil *Announce disables helping
 // (HelpOne is nil-safe); the Run* entry points are only reached when the
 // owning queue configured a starvation bound.
-type Announce struct {
-	cells [AnnounceCells]annCell
-	// pending counts published-but-unconsumed cells; the helpers' fast
-	// path is a single load of it.
-	pending atomic.Int64
-}
+type Announce struct{ claimCells }
 
 // NewAnnounce returns an empty announce array.
-func NewAnnounce() *Announce { return &Announce{} }
+func NewAnnounce() *Announce { return &Announce{newClaimCells(AnnounceCells)} }
 
 // Pending reports the number of currently announced operations.
 func (a *Announce) Pending() int {
@@ -98,13 +60,12 @@ func (a *Announce) Pending() int {
 // a helper executing a victim's operation runs the raw retry rounds
 // only, never announcing and never helping further.
 type AnnounceExec interface {
-	// ExecEnqueue attempts to enqueue v for at most budget retry rounds.
-	// done=false means the budget ran out with the operation not
-	// performed; full (with done) means the queue was observed full.
-	ExecEnqueue(v uint64, budget int) (done, full bool)
-	// ExecDequeue attempts to dequeue for at most budget rounds.
-	// empty (with done) means the queue was observed empty.
-	ExecDequeue(budget int) (v uint64, empty, done bool)
+	// Exec attempts an enqueue of v (deq false) or a dequeue (deq true,
+	// v unused) for at most budget retry rounds. done=false means the
+	// budget ran out with the operation not performed; refused (with
+	// done) means the queue was observed full for an enqueue or empty
+	// for a dequeue. out is the dequeued value.
+	Exec(deq bool, v uint64, budget int) (out uint64, refused, done bool)
 }
 
 // AnnResult is the resolution of an announced operation.
@@ -125,34 +86,6 @@ const (
 	AnnDeadline
 )
 
-// publish claims an empty cell and installs the pending operation.
-func (a *Announce) publish(kind, v uint64) (ci int, seq uint64, ok bool) {
-	for i := range a.cells {
-		c := &a.cells[i]
-		st := c.state.Load()
-		if st&annPhaseMask != annEmpty {
-			continue
-		}
-		s := st >> annPhaseBits
-		if !c.state.CompareAndSwap(st, annState(s, annSetup)) {
-			continue
-		}
-		// The cell is exclusively ours between setup and pend, so the
-		// value store cannot race another publisher.
-		c.val.Store(v)
-		c.state.Store(annState(s, kind))
-		a.pending.Add(1)
-		return i, s, true
-	}
-	return 0, 0, false
-}
-
-// consume empties a resolved (or self-run) cell. Victim-only.
-func (a *Announce) consume(c *annCell, seq uint64) {
-	c.state.Store(annState(seq+1, annEmpty))
-	a.pending.Add(-1)
-}
-
 // RunEnqueue publishes a stalled enqueue of v and drives it to
 // resolution. The victim alternates claiming the cell for bounded
 // self-execution with observing helper results; deadline (unixnano, 0 =
@@ -160,138 +93,92 @@ func (a *Announce) consume(c *annCell, seq uint64) {
 // result produced by a helper after the deadline is still consumed and
 // reported, because the value is in the queue.
 func (a *Announce) RunEnqueue(v uint64, ex AnnounceExec, selfBudget int, deadline int64) AnnResult {
-	ci, seq, ok := a.publish(annPendEnq, v)
-	if !ok {
-		return AnnNoCell
-	}
-	c := &a.cells[ci]
-	for {
-		st := c.state.Load()
-		switch st & annPhaseMask {
-		case annPendEnq:
-			if deadline != 0 && time.Now().UnixNano() > deadline {
-				if c.state.CompareAndSwap(st, annState(seq+1, annEmpty)) {
-					a.pending.Add(-1)
-					return AnnDeadline
-				}
-				continue // a helper claimed it first; resolve that
-			}
-			if c.state.CompareAndSwap(st, annState(seq, annRunEnq)) {
-				done, full := ex.ExecEnqueue(v, selfBudget)
-				if !done {
-					c.state.Store(annState(seq, annPendEnq))
-					runtime.Gosched()
-					continue
-				}
-				a.consume(c, seq)
-				if full {
-					return AnnFull
-				}
-				return AnnOK
-			}
-		case annRunEnq:
-			runtime.Gosched() // a helper is inside its bounded run
-		case annDoneOK:
-			a.consume(c, seq)
-			return AnnOK
-		case annDoneFull:
-			a.consume(c, seq)
-			return AnnFull
-		}
-	}
+	_, res := a.run(false, v, ex, selfBudget, deadline)
+	return res
 }
 
 // RunDequeue is RunEnqueue for the dequeue side; on AnnOK the dequeued
 // value is returned.
 func (a *Announce) RunDequeue(ex AnnounceExec, selfBudget int, deadline int64) (uint64, AnnResult) {
-	ci, seq, ok := a.publish(annPendDeq, 0)
+	return a.run(true, 0, ex, selfBudget, deadline)
+}
+
+// run is the victim's loop for both sides of RunEnqueue/RunDequeue.
+func (a *Announce) run(deq bool, v uint64, ex AnnounceExec, budget int, deadline int64) (uint64, AnnResult) {
+	phase := annPendEnq
+	if deq {
+		phase |= annDeq
+	}
+	i, _, ok := a.publish(phase, v)
 	if !ok {
 		return 0, AnnNoCell
 	}
-	c := &a.cells[ci]
+	c := &a.cells[i]
 	for {
 		st := c.state.Load()
-		switch st & annPhaseMask {
-		case annPendDeq:
+		switch st & cellStageMask {
+		case cellPend:
 			if deadline != 0 && time.Now().UnixNano() > deadline {
-				if c.state.CompareAndSwap(st, annState(seq+1, annEmpty)) {
-					a.pending.Add(-1)
+				if a.release(c, st) {
 					return 0, AnnDeadline
 				}
-				continue
+				continue // a helper claimed it first; resolve that
 			}
-			if c.state.CompareAndSwap(st, annState(seq, annRunDeq)) {
-				v, empty, done := ex.ExecDequeue(selfBudget)
+			if c.claim(st) {
+				out, refused, done := ex.Exec(deq, v, budget)
 				if !done {
-					c.state.Store(annState(seq, annPendDeq))
+					c.handBack(st)
 					runtime.Gosched()
 					continue
 				}
-				a.consume(c, seq)
-				if empty {
-					return 0, AnnEmpty
-				}
-				return v, AnnOK
+				a.release(c, st+1)
+				return out, annResult(deq, refused)
 			}
-		case annRunDeq:
-			runtime.Gosched()
-		case annDoneOK:
-			v := c.val.Load()
-			a.consume(c, seq)
-			return v, AnnOK
-		case annDoneEmpty:
-			a.consume(c, seq)
-			return 0, AnnEmpty
+		case cellRun:
+			runtime.Gosched() // a helper is inside its bounded run
+		case cellDone, cellRefused:
+			out := c.val.Load()
+			a.release(c, st)
+			return out, annResult(deq, st&cellStageMask == cellRefused)
 		}
 	}
 }
 
-// HelpOne scans for one pending announcement and executes it with the
+func annResult(deq, refused bool) AnnResult {
+	switch {
+	case !refused:
+		return AnnOK
+	case deq:
+		return AnnEmpty
+	default:
+		return AnnFull
+	}
+}
+
+// HelpOne claims one pending announcement and executes it with the
 // given attempt budget, reporting whether it completed a stalled
 // operation (a rescue). Sessions call it from their own success paths;
 // with nothing announced it costs one atomic load. A helper whose budget
 // runs out hands the cell back to pending rather than blocking, so
 // helping never trades one stall for another.
 func (a *Announce) HelpOne(ex AnnounceExec, budget int) bool {
-	if a == nil || a.pending.Load() == 0 {
+	if a == nil {
 		return false
 	}
-	for i := range a.cells {
-		c := &a.cells[i]
-		st := c.state.Load()
-		seq := st >> annPhaseBits
-		switch st & annPhaseMask {
-		case annPendEnq:
-			if !c.state.CompareAndSwap(st, annState(seq, annRunEnq)) {
-				continue
-			}
-			v := c.val.Load()
-			done, full := ex.ExecEnqueue(v, budget)
-			switch {
-			case !done:
-				c.state.Store(annState(seq, annPendEnq))
-			case full:
-				c.state.Store(annState(seq, annDoneFull))
-			default:
-				c.state.Store(annState(seq, annDoneOK))
-			}
-			return done
-		case annPendDeq:
-			if !c.state.CompareAndSwap(st, annState(seq, annRunDeq)) {
-				continue
-			}
-			v, empty, done := ex.ExecDequeue(budget)
-			switch {
-			case !done:
-				c.state.Store(annState(seq, annPendDeq))
-			case empty:
-				c.state.Store(annState(seq, annDoneEmpty))
-			default:
-				c.val.Store(v)
-				c.state.Store(annState(seq, annDoneOK))
-			}
-			return done
-		}
+	c, st, ok := a.claimPending()
+	if !ok {
+		return false
 	}
-	return false
+	out, refused, done := ex.Exec(st&annDeq != 0, c.val.Load(), budget)
+	if !done {
+		c.handBack(st)
+		return false
+	}
+	stage := cellDone
+	if refused {
+		stage = cellRefused
+	}
+	c.val.Store(out)
+	c.state.Store(st&^cellStageMask | stage)
+	return true
 }

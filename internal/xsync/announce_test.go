@@ -16,20 +16,15 @@ type countExec struct {
 	deqSeq   atomic.Uint64
 }
 
-func (e *countExec) ExecEnqueue(v uint64, budget int) (bool, bool) {
-	if e.attempts.Add(1)%3 == 0 {
-		e.dones.Add(1)
-		return true, false
+func (e *countExec) Exec(deq bool, v uint64, budget int) (uint64, bool, bool) {
+	if e.attempts.Add(1)%3 != 0 {
+		return 0, false, false
 	}
-	return false, false
-}
-
-func (e *countExec) ExecDequeue(budget int) (uint64, bool, bool) {
-	if e.attempts.Add(1)%3 == 0 {
-		e.dones.Add(1)
+	e.dones.Add(1)
+	if deq {
 		return e.deqSeq.Add(2), false, true // even, nonzero, unique
 	}
-	return 0, false, false
+	return 0, false, true
 }
 
 // TestAnnounceExactlyOnce drives announcements through concurrent
@@ -85,8 +80,7 @@ func TestAnnounceExactlyOnce(t *testing.T) {
 // neverExec refuses to resolve anything.
 type neverExec struct{}
 
-func (neverExec) ExecEnqueue(v uint64, budget int) (bool, bool) { return false, false }
-func (neverExec) ExecDequeue(budget int) (uint64, bool, bool)   { return 0, false, false }
+func (neverExec) Exec(deq bool, v uint64, budget int) (uint64, bool, bool) { return 0, false, false }
 
 // TestAnnounceDeadlineRetract checks a victim whose deadline passed
 // retracts the unperformed operation instead of spinning.
@@ -128,8 +122,7 @@ func TestAnnounceNoCell(t *testing.T) {
 // results propagate to the victim.
 type fullEmptyExec struct{}
 
-func (fullEmptyExec) ExecEnqueue(v uint64, budget int) (bool, bool) { return true, true }
-func (fullEmptyExec) ExecDequeue(budget int) (uint64, bool, bool)   { return 0, true, true }
+func (fullEmptyExec) Exec(deq bool, v uint64, budget int) (uint64, bool, bool) { return 0, true, true }
 
 func TestAnnounceFullAndEmptyResults(t *testing.T) {
 	a := NewAnnounce()

@@ -36,9 +36,6 @@ func NewBarrier(n int) *Barrier {
 	return &Barrier{parties: int32(n)}
 }
 
-// Parties returns the number of parties the barrier synchronizes.
-func (b *Barrier) Parties() int { return int(b.parties) }
-
 // Wait blocks until all parties have called Wait for the current phase.
 // It returns the phase's serial sense, which alternates 0/1 per phase;
 // callers normally ignore it.

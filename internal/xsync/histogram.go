@@ -83,23 +83,28 @@ const SampleShift = 5
 // sampleMask selects the sampled operations.
 const sampleMask = (1 << SampleShift) - 1
 
-// hist is one striped histogram bank: log2 buckets plus sum/min/max for
-// exact edge statistics the buckets quantize away.
-type hist struct {
+// Hist is one histogram bank: log2 buckets plus sum/min/max for exact
+// edge statistics the buckets quantize away. Observe is safe from any
+// number of goroutines and the zero value is ready to use. Histograms
+// stripes one Hist per kind per stripe; a recorder that is not a
+// queue session (a pipeline stage, a load generator) uses a Hist
+// directly.
+type Hist struct {
 	buckets [HistBuckets]atomic.Uint64
 	sum     atomic.Uint64
-	min     atomic.Uint64 // math.MaxUint64 until first observation
-	max     atomic.Uint64
-	_       [4]uint64
+	// minInv holds ^min, so the zero value reads as no minimum yet.
+	minInv atomic.Uint64
+	max    atomic.Uint64
+	_      [4]uint64
 }
 
-// observe records v into the bank. The v==0 case is one atomic add:
+// Observe records v into the bank. The v==0 case is one atomic add:
 // zero never raises max or sum, and View derives Min == 0 from the zero
 // bucket. Nonzero min/max updates use fast-path loads so the CAS loop
 // only runs while the extremes are still moving.
-func (h *hist) observe(v uint64) {
+func (h *Hist) Observe(v uint64) {
 	if v == 0 {
-		// Kept loop-free so observe inlines into the recording sites.
+		// Kept loop-free so Observe inlines into the recording sites.
 		h.buckets[0].Add(1)
 		return
 	}
@@ -107,13 +112,13 @@ func (h *hist) observe(v uint64) {
 }
 
 // observeSlow records a nonzero value: bucket, sum, and the min/max CAS
-// loops (which bar inlining — hence the split from observe).
-func (h *hist) observeSlow(v uint64) {
+// loops (which bar inlining — hence the split from Observe).
+func (h *Hist) observeSlow(v uint64) {
 	h.buckets[bits.Len64(v)].Add(1)
 	h.sum.Add(v)
 	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
+		cur := h.minInv.Load()
+		if ^v <= cur || h.minInv.CompareAndSwap(cur, ^v) {
 			break
 		}
 	}
@@ -125,12 +130,40 @@ func (h *hist) observeSlow(v uint64) {
 	}
 }
 
+// View returns a point-in-time view of the bank.
+func (h *Hist) View() HistView {
+	var v HistView
+	for k := range h.buckets {
+		n := h.buckets[k].Load()
+		v.Buckets[k] = n
+		v.Count += n
+	}
+	v.Sum = h.sum.Load()
+	v.Max = h.max.Load()
+	// The zero fast path in Observe skips the min word entirely, so a
+	// populated zero bucket implies the true minimum.
+	if v.Buckets[0] == 0 && v.Count > 0 {
+		v.Min = ^h.minInv.Load()
+	}
+	return v
+}
+
+// reset zeroes the bank.
+func (h *Hist) reset() {
+	for b := range h.buckets {
+		h.buckets[b].Store(0)
+	}
+	h.sum.Store(0)
+	h.minInv.Store(0)
+	h.max.Store(0)
+}
+
 // histStripe is one stripe's bank of all histogram kinds. A stripe is
 // far larger than a cache line, so cross-stripe false sharing is
-// limited to the boundary lines; the [4]uint64 pad in hist keeps the
+// limited to the boundary lines; the [4]uint64 pad in Hist keeps the
 // hot zero-bucket words of adjacent kinds on separate lines.
 type histStripe struct {
-	h [numHistKinds]hist
+	h [numHistKinds]Hist
 }
 
 // Histograms is a striped bank of log-bucketed histograms, sharing the
@@ -144,15 +177,7 @@ type Histograms struct {
 }
 
 // NewHistograms returns an empty histogram bank.
-func NewHistograms() *Histograms {
-	hs := &Histograms{}
-	for i := range hs.stripes {
-		for k := range hs.stripes[i].h {
-			hs.stripes[i].h[k].min.Store(math.MaxUint64)
-		}
-	}
-	return hs
-}
+func NewHistograms() *Histograms { return &Histograms{} }
 
 // HistHandle is a per-session accessor bound to one stripe. Obtain via
 // Histograms.Handle; hold it by value in the session and call Start/Done
@@ -251,7 +276,7 @@ func (h *HistHandle) doneSlowEnq(start time.Time, retries int) {
 		h.pendEnq = 0
 	}
 	if !start.IsZero() {
-		h.s.h[HistEnqLatency].observe(uint64(time.Since(start)))
+		h.s.h[HistEnqLatency].Observe(uint64(time.Since(start)))
 	}
 }
 
@@ -277,7 +302,7 @@ func (h *HistHandle) doneSlowDeq(start time.Time, retries int) {
 		h.pendDeq = 0
 	}
 	if !start.IsZero() {
-		h.s.h[HistDeqLatency].observe(uint64(time.Since(start)))
+		h.s.h[HistDeqLatency].Observe(uint64(time.Since(start)))
 	}
 }
 
@@ -292,10 +317,10 @@ func (h *HistHandle) DoneEnqBatch(start time.Time, retries, n int) {
 	if h.s == nil {
 		return
 	}
-	h.s.h[HistEnqBatch].observe(uint64(n))
-	h.s.h[HistEnqRetries].observe(uint64(retries))
+	h.s.h[HistEnqBatch].Observe(uint64(n))
+	h.s.h[HistEnqRetries].Observe(uint64(retries))
 	if !start.IsZero() && n > 0 {
-		h.s.h[HistEnqLatency].observe(uint64(time.Since(start)) / uint64(n))
+		h.s.h[HistEnqLatency].Observe(uint64(time.Since(start)) / uint64(n))
 	}
 }
 
@@ -304,10 +329,10 @@ func (h *HistHandle) DoneDeqBatch(start time.Time, retries, n int) {
 	if h.s == nil {
 		return
 	}
-	h.s.h[HistDeqBatch].observe(uint64(n))
-	h.s.h[HistDeqRetries].observe(uint64(retries))
+	h.s.h[HistDeqBatch].Observe(uint64(n))
+	h.s.h[HistDeqRetries].Observe(uint64(retries))
 	if !start.IsZero() && n > 0 {
-		h.s.h[HistDeqLatency].observe(uint64(time.Since(start)) / uint64(n))
+		h.s.h[HistDeqLatency].Observe(uint64(time.Since(start)) / uint64(n))
 	}
 }
 
@@ -320,7 +345,7 @@ func (h *HistHandle) ObserveEnqBatchSize(n int) {
 	if h.s == nil {
 		return
 	}
-	h.s.h[HistEnqBatch].observe(uint64(n))
+	h.s.h[HistEnqBatch].Observe(uint64(n))
 }
 
 // ObserveDeqBatchSize is ObserveEnqBatchSize for DequeueBatch.
@@ -328,7 +353,7 @@ func (h *HistHandle) ObserveDeqBatchSize(n int) {
 	if h.s == nil {
 		return
 	}
-	h.s.h[HistDeqBatch].observe(uint64(n))
+	h.s.h[HistDeqBatch].Observe(uint64(n))
 }
 
 // Flush publishes batched zero-retry observations. Sessions call it on
@@ -354,11 +379,11 @@ func (h *HistHandle) Observe(kind HistKind, v uint64) {
 	if h.s == nil {
 		return
 	}
-	h.s.h[kind].observe(v)
+	h.s.h[kind].Observe(v)
 }
 
-// HistView is a point-in-time merge of one histogram kind across all
-// stripes.
+// HistView is a point-in-time view of one Hist, or of one histogram
+// kind merged across all stripes.
 type HistView struct {
 	// Count is the number of recorded observations (for latency kinds,
 	// sampled observations; see SampleShift).
@@ -378,28 +403,26 @@ func (hs *Histograms) View(kind HistKind) HistView {
 	if hs == nil {
 		return v
 	}
-	v.Min = math.MaxUint64
 	for i := range hs.stripes {
-		h := &hs.stripes[i].h[kind]
-		for k := range h.buckets {
-			n := h.buckets[k].Load()
-			v.Buckets[k] += n
-			v.Count += n
-		}
-		v.Sum += h.sum.Load()
-		if m := h.min.Load(); m < v.Min {
-			v.Min = m
-		}
-		if m := h.max.Load(); m > v.Max {
-			v.Max = m
-		}
-	}
-	// The zero fast path in observe skips the min word entirely, so a
-	// populated zero bucket implies the true minimum.
-	if v.Buckets[0] > 0 || v.Count == 0 {
-		v.Min = 0
+		v.merge(hs.stripes[i].h[kind].View())
 	}
 	return v
+}
+
+// merge adds o's observations to v.
+func (v *HistView) merge(o HistView) {
+	if o.Count == 0 {
+		return
+	}
+	if v.Count == 0 || o.Min < v.Min {
+		v.Min = o.Min
+	}
+	v.Max = max(v.Max, o.Max)
+	v.Count += o.Count
+	v.Sum += o.Sum
+	for k, n := range o.Buckets {
+		v.Buckets[k] += n
+	}
 }
 
 // Reset zeroes every histogram.
@@ -409,13 +432,7 @@ func (hs *Histograms) Reset() {
 	}
 	for i := range hs.stripes {
 		for k := range hs.stripes[i].h {
-			h := &hs.stripes[i].h[k]
-			for b := range h.buckets {
-				h.buckets[b].Store(0)
-			}
-			h.sum.Store(0)
-			h.min.Store(math.MaxUint64)
-			h.max.Store(0)
+			hs.stripes[i].h[k].reset()
 		}
 	}
 }

@@ -65,38 +65,64 @@ func TestHistogramExtremes(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent hammers all stripes from GOMAXPROCS goroutines
-// and asserts exact totals: striping must lose nothing.
-func TestHistogramConcurrent(t *testing.T) {
+// histBank is one recorder under test: observer returns a per-goroutine
+// recording function and view reads the merged result.
+type histBank struct {
+	name     string
+	observer func() func(uint64)
+	view     func() HistView
+}
+
+// histBanks returns a fresh striped Histograms (one handle per
+// recorder, kind HistEnqRetries) and a fresh unstriped Hist shared by
+// every recorder.
+func histBanks() []histBank {
 	hs := NewHistograms()
-	workers := runtime.GOMAXPROCS(0) * 2
-	const perWorker = 20000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := hs.Handle()
-			for i := 0; i < perWorker; i++ {
-				h.Observe(HistEnqRetries, uint64(i%17))
+	var h Hist
+	return []histBank{
+		{"striped", func() func(uint64) {
+			hh := hs.Handle()
+			return func(v uint64) { hh.Observe(HistEnqRetries, v) }
+		}, func() HistView { return hs.View(HistEnqRetries) }},
+		{"hist", func() func(uint64) { return h.Observe }, h.View},
+	}
+}
+
+// TestHistogramConcurrent hammers each bank from GOMAXPROCS goroutines
+// and asserts exact totals: striping (or sharing) must lose nothing.
+func TestHistogramConcurrent(t *testing.T) {
+	for _, b := range histBanks() {
+		t.Run(b.name, func(t *testing.T) {
+			workers := runtime.GOMAXPROCS(0) * 2
+			const perWorker = 20000
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					observe := b.observer()
+					for i := 0; i < perWorker; i++ {
+						observe(uint64(i % 17))
+					}
+				}()
 			}
-		}(w)
-	}
-	wg.Wait()
-	v := hs.View(HistEnqRetries)
-	if want := uint64(workers * perWorker); v.Count != want {
-		t.Fatalf("count = %d, want %d", v.Count, want)
-	}
-	var wantSum uint64
-	for i := 0; i < perWorker; i++ {
-		wantSum += uint64(i % 17)
-	}
-	wantSum *= uint64(workers)
-	if v.Sum != wantSum {
-		t.Fatalf("sum = %d, want %d", v.Sum, wantSum)
-	}
-	if v.Min != 0 || v.Max != 16 {
-		t.Fatalf("min/max = %d/%d, want 0/16", v.Min, v.Max)
+			wg.Wait()
+			v := b.view()
+			if want := uint64(workers * perWorker); v.Count != want {
+				t.Fatalf("count = %d, want %d", v.Count, want)
+			}
+			var wantSum uint64
+			for i := 0; i < perWorker; i++ {
+				wantSum += uint64(i % 17)
+			}
+			wantSum *= uint64(workers)
+			if v.Sum != wantSum {
+				t.Fatalf("sum = %d, want %d", v.Sum, wantSum)
+			}
+			if v.Min != 0 || v.Max != 16 {
+				t.Fatalf("min/max = %d/%d, want 0/16", v.Min, v.Max)
+			}
+		})
 	}
 }
 
@@ -139,31 +165,34 @@ func TestCountersConcurrentAllStripes(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	hs := NewHistograms()
-	h := hs.Handle()
-	// 1000 observations of 100ns, 10 of 100000ns: p50 must sit near 100,
-	// p999 near the tail bucket.
-	for i := 0; i < 1000; i++ {
-		h.Observe(HistEnqLatency, 100)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(HistEnqLatency, 100000)
-	}
-	v := hs.View(HistEnqLatency)
-	p50 := v.Quantile(0.5)
-	if p50 < 64 || p50 > 128 {
-		t.Errorf("p50 = %g, want within bucket [64,128)", p50)
-	}
-	p999 := v.Quantile(0.999)
-	if p999 < 65536 || p999 > 131072 {
-		t.Errorf("p999 = %g, want within bucket [65536,131072)", p999)
-	}
-	// Clamp: quantiles can never overshoot the observed extremes.
-	if q := v.Quantile(1); q > float64(v.Max) {
-		t.Errorf("p100 = %g beyond max %d", q, v.Max)
-	}
-	if q := v.Quantile(0); q < float64(v.Min) {
-		t.Errorf("p0 = %g below min %d", q, v.Min)
+	for _, b := range histBanks() {
+		t.Run(b.name, func(t *testing.T) {
+			observe := b.observer()
+			// 1000 observations of 100ns, 10 of 100000ns: p50 must sit
+			// near 100, p999 near the tail bucket.
+			for i := 0; i < 1000; i++ {
+				observe(100)
+			}
+			for i := 0; i < 10; i++ {
+				observe(100000)
+			}
+			v := b.view()
+			p50 := v.Quantile(0.5)
+			if p50 < 64 || p50 > 128 {
+				t.Errorf("p50 = %g, want within bucket [64,128)", p50)
+			}
+			p999 := v.Quantile(0.999)
+			if p999 < 65536 || p999 > 131072 {
+				t.Errorf("p999 = %g, want within bucket [65536,131072)", p999)
+			}
+			// Clamp: quantiles can never overshoot the observed extremes.
+			if q := v.Quantile(1); q > float64(v.Max) {
+				t.Errorf("p100 = %g beyond max %d", q, v.Max)
+			}
+			if q := v.Quantile(0); q < float64(v.Min) {
+				t.Errorf("p0 = %g below min %d", q, v.Min)
+			}
+		})
 	}
 }
 

@@ -1,25 +1,20 @@
 package xsync
 
-import "sync/atomic"
-
-// TaskAnnounce is the Announce protocol specialized for *anonymous
-// maintenance tasks* instead of victim-owned operations: a fixed array
-// of cells through which any session can publish an opaque task word
-// (nonzero) for whichever session next passes a help point to execute.
-// The segmented queue uses it to move the close/finalize straggler
-// drain off the dequeuer latency path — a dequeuer that reaches the
-// finalize step announces the head segment's handle, and enqueuers
-// drive the drain from their own post-operation path.
+// TaskAnnounce is the task front end on the claim-cell core (see
+// claimCells): instead of victim-owned operations its cells carry
+// *anonymous maintenance tasks*, opaque nonzero words that any session
+// can publish for whichever session next passes a help point to
+// execute. The segmented queue uses it to move the close/finalize
+// straggler drain off the dequeuer latency path — a dequeuer that
+// reaches the finalize step announces the head segment's handle, and
+// enqueuers drive the drain from their own post-operation path.
 //
-// The differences from Announce, and why this is a separate type rather
-// than new phases on it:
+// The differences from Announce:
 //
 //   - No victim. Nobody waits on the result, so there are no done
-//     phases: the claimer that completes a task empties the cell
+//     phases: the claimer that completes a task releases the cell
 //     itself, and an incomplete run hands the cell straight back to
-//     pending for the next helper. Extending AnnounceExec instead would
-//     force every implementor of the victim protocol to grow methods it
-//     cannot mean.
+//     pending for the next helper.
 //   - Tasks are idempotent work descriptions, not linearizable
 //     operations. Exactly-once does not matter (the executor re-checks
 //     the queue state under the usual CAS protocol and no-ops when the
@@ -27,48 +22,17 @@ import "sync/atomic"
 //     two racing publishers of the same word may occupy two cells, and
 //     the second claimer simply finds nothing to do.
 //
-// Cell life cycle (state word = seq<<annPhaseBits | phase, sharing the
-// Announce encoding):
-//
-//	empty --CAS--> setup --Store--> pend
-//	pend  --CAS--> run (claimed; exclusive)
-//	run   --Store--> empty(seq+1)   (claimer completed the task)
-//	run   --Store--> pend           (claimer's budget ran out)
-//
-// As with Announce, the sequence number bumps only when the cell
-// empties, so a stale claim CAS can never land; and a claimer that dies
-// inside run strands the cell (the chaos drills document the same
-// limitation for helping generally). A stranded *pending* cell is
-// harmless beyond occupying one of the slots: tasks describe work that
-// some later claimer re-validates before acting.
+// A stranded *pending* cell is harmless beyond occupying one of the
+// slots: tasks describe work that some later claimer re-validates
+// before acting.
 const taskCells = 4
-
-// Task cell phases (the Announce sequence/phase encoding is reused).
-const (
-	taskEmpty uint64 = iota
-	taskSetup
-	taskPend
-	taskRun
-)
-
-// taskCell is one task cell, padded like annCell.
-type taskCell struct {
-	state atomic.Uint64
-	val   atomic.Uint64
-	_     [6]uint64
-}
 
 // TaskAnnounce is a queue's maintenance-task array. A nil *TaskAnnounce
 // disables the mechanism (Publish and HelpOne are nil-safe).
-type TaskAnnounce struct {
-	cells [taskCells]taskCell
-	// pending counts published-but-uncompleted cells; the helpers' fast
-	// path is a single load of it.
-	pending atomic.Int64
-}
+type TaskAnnounce struct{ claimCells }
 
 // NewTaskAnnounce returns an empty task array.
-func NewTaskAnnounce() *TaskAnnounce { return &TaskAnnounce{} }
+func NewTaskAnnounce() *TaskAnnounce { return &TaskAnnounce{newClaimCells(taskCells)} }
 
 // Pending reports the number of currently announced tasks.
 func (a *TaskAnnounce) Pending() int {
@@ -89,58 +53,33 @@ func (a *TaskAnnounce) Publish(v uint64) bool {
 	}
 	for i := range a.cells {
 		c := &a.cells[i]
-		ph := c.state.Load() & annPhaseMask
-		if (ph == taskPend || ph == taskRun) && c.val.Load() == v {
+		stage := c.state.Load() & cellStageMask
+		if (stage == cellPend || stage == cellRun) && c.val.Load() == v {
 			return false
 		}
 	}
-	for i := range a.cells {
-		c := &a.cells[i]
-		st := c.state.Load()
-		if st&annPhaseMask != taskEmpty {
-			continue
-		}
-		seq := st >> annPhaseBits
-		if !c.state.CompareAndSwap(st, annState(seq, taskSetup)) {
-			continue
-		}
-		// The cell is exclusively ours between setup and pend.
-		c.val.Store(v)
-		c.state.Store(annState(seq, taskPend))
-		a.pending.Add(1)
-		return true
-	}
-	return false
+	_, _, ok := a.publish(cellPend, v)
+	return ok
 }
 
 // HelpOne claims one pending task and executes it through run, which
 // reports whether the task is complete (needs no further help). A
-// completed task empties its cell; an incomplete one goes back to
+// completed task releases its cell; an incomplete one goes back to
 // pending for the next helper, so helping never trades one stall for
 // another. Returns whether a task was completed. With nothing announced
 // the cost is one atomic load.
 func (a *TaskAnnounce) HelpOne(budget int, run func(v uint64, budget int) bool) bool {
-	if a == nil || a.pending.Load() == 0 {
+	if a == nil {
 		return false
 	}
-	for i := range a.cells {
-		c := &a.cells[i]
-		st := c.state.Load()
-		if st&annPhaseMask != taskPend {
-			continue
-		}
-		seq := st >> annPhaseBits
-		if !c.state.CompareAndSwap(st, annState(seq, taskRun)) {
-			continue
-		}
-		v := c.val.Load()
-		if run(v, budget) {
-			c.state.Store(annState(seq+1, taskEmpty))
-			a.pending.Add(-1)
-			return true
-		}
-		c.state.Store(annState(seq, taskPend))
+	c, st, ok := a.claimPending()
+	if !ok {
 		return false
 	}
+	if run(c.val.Load(), budget) {
+		a.release(c, st+1)
+		return true
+	}
+	c.handBack(st)
 	return false
 }
