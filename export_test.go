@@ -1,6 +1,10 @@
 package nbqueue
 
-import "nbqueue/internal/tagptr"
+import (
+	"unsafe"
+
+	"nbqueue/internal/tagptr"
+)
 
 // WithYieldHook installs a pre-access hook on algorithms that support one
 // (see queue.Instr.Yield). Test-only: external tests use it to force
@@ -11,6 +15,10 @@ func WithYieldHook(f func()) Option { return func(c *config) { c.instr.Yield = f
 // PayloadChunkSize is the number of payload-store slots materialised at
 // a time.
 const PayloadChunkSize = storeChunkSize
+
+// PayloadChunkBytes is the size of one materialised payload-store chunk
+// of a Queue[T].
+func PayloadChunkBytes[T any]() uint64 { return uint64(unsafe.Sizeof(storeChunk[T]{})) }
 
 // PayloadSlots reports how many of q's payload-store slots are
 // allocated, how many chunks are materialised, and how many free slots

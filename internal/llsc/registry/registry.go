@@ -16,14 +16,19 @@
 // Records are addressed by even, nonzero handles so that a handle with
 // its least-significant bit set (tagptr.Tag) can serve as the reservation
 // marker stored in queue slots, mirroring the paper's var^1 trick on
-// even-aligned malloc addresses. Storage is a lock-free segmented array:
-// segments are installed on demand with CAS, so registration remains
-// lock-free and no existing handle is ever invalidated by growth.
+// even-aligned malloc addresses. Storage is a lock-free array of
+// geometric segments: segment s holds 8<<s records and is installed with
+// CAS when an allocation first needs it, so registration remains
+// lock-free, no existing *Var ever moves, and space follows the peak
+// population: a one-session registry costs one 8-record segment (320 B),
+// and n records never cost more than about 2n.
 package registry
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"nbqueue/internal/tagptr"
 	"nbqueue/internal/xsync"
@@ -34,13 +39,12 @@ import (
 type Handle = uint64
 
 const (
-	segBits = 10
-	segSize = 1 << segBits // records per segment
-	segMask = segSize - 1
-	// MaxRecords bounds the registry (spine length x segment size). 64k
-	// concurrent-thread records is far beyond any realistic workload.
-	spineLen   = 64
-	MaxRecords = spineLen * segSize
+	// MaxRecords bounds the registry. 64k concurrent-thread records is
+	// far beyond any realistic workload.
+	MaxRecords = 1 << 16
+	// spineLen segments cover MaxRecords: segment s holds 8<<s records,
+	// so segments 0..12 hold 65,528 and segment 13 is cut to the last 8.
+	spineLen = 14
 )
 
 // Var is one LLSCvar record (the paper's struct LLSCvar).
@@ -64,13 +68,13 @@ type Var struct {
 	gen atomic.Uint64
 }
 
-type segment [segSize]Var
-
 // Registry is the global LLSCvar store and First list. One Registry
 // serves one queue instance (nothing prevents sharing one across queues,
 // but isolating them keeps experiment interference down).
 type Registry struct {
-	spine   [spineLen]atomic.Pointer[segment]
+	// spine[s] points at segment s's first record; the rest of the
+	// segment follows it contiguously.
+	spine   [spineLen]atomic.Pointer[Var]
 	nextIdx atomic.Uint64
 	first   atomic.Uint64
 	// epoch is the logical orphan-detection clock; see AdvanceEpoch.
@@ -109,10 +113,25 @@ func (g *Registry) Var(h Handle) *Var {
 	if h&1 != 0 || h == 0 {
 		panic(fmt.Sprintf("registry: invalid handle %#x", h))
 	}
-	idx := h>>1 - 1
-	seg := g.spine[idx>>segBits].Load()
-	return &seg[idx&segMask]
+	s, off := locate(h>>1 - 1)
+	return (*Var)(unsafe.Add(unsafe.Pointer(g.spine[s].Load()), off*unsafe.Sizeof(Var{})))
 }
+
+// locate maps a record index to its segment and the offset within it.
+// Segments 0..s-1 hold 8<<s - 8 records, so idx+8 has its top bit at
+// position s+3 and the offset below it. Var runs this on every LL: the
+// |8 (a no-op, since j >= 8) tells the compiler j is nonzero, which
+// drops the zero check from the bit scan, and clearing the top bit
+// compiles to one instruction.
+func locate(idx uint64) (s int, off uintptr) {
+	j := idx + 8
+	top := uint(bits.Len64(j|8) - 1)
+	return int(top) - 3, uintptr(j &^ (1 << top))
+}
+
+// segmentLen returns how many records segment s holds: 8<<s, with the
+// last segment cut at MaxRecords.
+func segmentLen(s int) int { return min(8<<s, MaxRecords-(8<<s-8)) }
 
 // handleFor converts a record index to its handle.
 func handleFor(idx uint64) Handle { return (idx + 1) << 1 }
@@ -145,7 +164,8 @@ func (g *Registry) Register(ctr xsync.Handle) Handle {
 	if idx >= MaxRecords {
 		panic("registry: record limit exceeded")
 	}
-	g.ensureSegment(idx >> segBits)
+	s, _ := locate(idx)
+	g.ensureSegment(s)
 	h := handleFor(idx)
 	v := g.Var(h)
 	v.beat.Store(g.epoch.Load())
@@ -163,12 +183,13 @@ func (g *Registry) Register(ctr xsync.Handle) Handle {
 	}
 }
 
-// ensureSegment installs the segment for spine slot s if absent.
-func (g *Registry) ensureSegment(s uint64) {
+// ensureSegment installs segment s if absent. Racing installers
+// allocate, one CAS wins, and the losers' segments are garbage.
+func (g *Registry) ensureSegment(s int) {
 	if g.spine[s].Load() != nil {
 		return
 	}
-	g.spine[s].CompareAndSwap(nil, new(segment))
+	g.spine[s].CompareAndSwap(nil, &make([]Var, segmentLen(s))[0])
 }
 
 // ReRegister must be called between two consecutive queue operations by

@@ -25,8 +25,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,7 +114,8 @@ var ErrStopped = errors.New("pipeline: stopped")
 
 // Ledger is the fencing/conservation ledger: the single place every
 // terminal transition is recorded. Emitted and fenced IDs are kept as
-// sets so Audit can prove their disjointness observationally.
+// sets (bitmaps, one bit per item) so Audit can prove their
+// disjointness observationally.
 type Ledger struct {
 	injected atomic.Uint64
 
@@ -135,15 +136,37 @@ type Ledger struct {
 	cancelLate atomic.Uint64
 
 	mu      sync.Mutex
-	emitted map[uint64]struct{}
-	fenced  map[uint64]struct{}
-	deadIDs []uint64
+	emitted idSet
+	fenced  idSet
 }
 
-func newLedger() *Ledger {
-	return &Ledger{
-		emitted: make(map[uint64]struct{}),
-		fenced:  make(map[uint64]struct{}),
+// idSet is a set of item IDs as a dense bitmap: bit id%64 of word id/64.
+// IDs are dense and 1-based, so a set costs one bit per item injected.
+type idSet []uint64
+
+func (s *idSet) add(id uint64) {
+	w := int(id >> 6)
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	(*s)[w] |= 1 << (id & 63)
+}
+
+// eachCommon calls fn, in ascending order, with every ID present in all
+// of sets, until fn returns false.
+func eachCommon(fn func(id uint64) bool, sets ...idSet) {
+	for i, w := range sets[0] {
+		for _, s := range sets[1:] {
+			if i >= len(s) {
+				return
+			}
+			w &= s[i]
+		}
+		for ; w != 0; w &= w - 1 {
+			if !fn(uint64(i)<<6 | uint64(bits.TrailingZeros64(w))) {
+				return
+			}
+		}
 	}
 }
 
@@ -159,20 +182,17 @@ func (l *Ledger) settle(it *Item, to uint32) bool {
 	case StateEmitted:
 		l.emittedN.Add(1)
 		l.mu.Lock()
-		l.emitted[it.ID] = struct{}{}
+		l.emitted.add(it.ID)
 		l.mu.Unlock()
 	case StateFenced:
 		l.fencedN.Add(1)
 		l.mu.Lock()
-		l.fenced[it.ID] = struct{}{}
+		l.fenced.add(it.ID)
 		l.mu.Unlock()
 	case StateShed:
 		l.shedN.Add(1)
 	case StateDeadLetter:
 		l.deadN.Add(1)
-		l.mu.Lock()
-		l.deadIDs = append(l.deadIDs, it.ID)
-		l.mu.Unlock()
 	case StateDrained:
 		l.drainedN.Add(1)
 	}
@@ -186,19 +206,16 @@ func (l *Ledger) Inflight() uint64 {
 	return l.injected.Load() - settled
 }
 
-// FencedIDs returns a sorted copy of the fenced trace-ID set (capped
+// FencedIDs returns the fenced trace-ID set in ascending order (capped
 // at max when max > 0) for the fencing-ledger artifact.
 func (l *Ledger) FencedIDs(max int) []uint64 {
+	var ids []uint64
 	l.mu.Lock()
-	ids := make([]uint64, 0, len(l.fenced))
-	for id := range l.fenced {
+	eachCommon(func(id uint64) bool {
 		ids = append(ids, id)
-	}
+		return max <= 0 || len(ids) < max
+	}, l.fenced)
 	l.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if max > 0 && len(ids) > max {
-		ids = ids[:max]
-	}
 	return ids
 }
 
@@ -248,14 +265,13 @@ func (l *Ledger) Audit() AuditReport {
 		r.ConservationViolations = settled - r.Injected
 	}
 	l.mu.Lock()
-	for id := range l.fenced {
-		if _, ok := l.emitted[id]; ok {
-			r.FencingViolations++
-			if len(r.ViolatingIDs) < 64 {
-				r.ViolatingIDs = append(r.ViolatingIDs, id)
-			}
+	eachCommon(func(id uint64) bool {
+		r.FencingViolations++
+		if len(r.ViolatingIDs) < 64 {
+			r.ViolatingIDs = append(r.ViolatingIDs, id)
 		}
-	}
+		return true
+	}, l.fenced, l.emitted)
 	l.mu.Unlock()
 	return r
 }
@@ -274,8 +290,8 @@ const (
 	RecoverSpill Recovery = "spill-sibling"
 	// RecoverShed settles the item StateShed (the ErrOverloaded path).
 	RecoverShed Recovery = "shed"
-	// RecoverDeadLetter settles the item StateDeadLetter and records
-	// its ID on the dead-letter ledger.
+	// RecoverDeadLetter settles the item StateDeadLetter, which the
+	// ledger counts.
 	RecoverDeadLetter Recovery = "dead-letter"
 )
 
@@ -453,7 +469,7 @@ func New(cfg Config) (*Pipeline, error) {
 	if len(cfg.Stages) == 0 {
 		return nil, errors.New("pipeline: need at least one stage")
 	}
-	p := &Pipeline{cfg: cfg, ledger: newLedger(), hbStop: make(chan struct{})}
+	p := &Pipeline{cfg: cfg, ledger: &Ledger{}, hbStop: make(chan struct{})}
 	for i := range p.cfg.Stages {
 		spec := &p.cfg.Stages[i]
 		if spec.Name == "" {

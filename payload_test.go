@@ -2,11 +2,13 @@ package nbqueue_test
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"nbqueue"
 )
@@ -274,5 +276,36 @@ func TestNewAllocatedBytes(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("%s: New allocates %d B, ceiling %d B", tc.name, got, tc.ceiling)
 		}
+	}
+}
+
+// TestLaneAllocatedBytes is the bytes-per-layer row for one pipeline
+// lane: an evq-cas Queue[*T] of capacity 4096 plus its first Attach
+// may allocate the ring's slot words, one payload chunk and 2 KiB of
+// bookkeeping, nothing sized by MaxRecords or by the capacity beyond
+// the ring itself. Before the registry grew geometrically, the first
+// Attach alone allocated a 40 kB registry segment. The figure is the
+// smallest TotalAlloc delta over three trials, since another
+// goroutine's allocation can only inflate a trial.
+func TestLaneAllocatedBytes(t *testing.T) {
+	type item struct{ n int }
+	const capacity = 4096
+	ceiling := capacity*uint64(unsafe.Sizeof(uint64(0))) + nbqueue.PayloadChunkBytes[*item]() + 2<<10
+	got := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		q, err := nbqueue.New[*item](nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS), nbqueue.WithCapacity(capacity))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := q.Attach()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+		s.Detach()
+	}
+	t.Logf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
+	if got > ceiling {
+		t.Errorf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
 	}
 }
