@@ -158,16 +158,17 @@ type Envelope struct {
 	History []Transition `json:"history"`
 }
 
-// Job is the server-side runtime record.
+// Job is the server-side runtime record. Instants are unix
+// nanoseconds, like deadline; Envelope renders them as time.Time.
 type Job struct {
 	id          string
-	typ         string
+	typ         string // the typeQueue's name, shared by every job of the type
 	args        json.RawMessage
 	maxAttempts int
 	visibility  time.Duration // per-lease no-heartbeat redelivery window
 	timeout     time.Duration // per-attempt execution ceiling, heartbeat-proof
-	retry       RetryPolicy
-	createdAt   time.Time
+	retry       *RetryPolicy  // &Config.Retry unless the PUSH set its own
+	createdAt   int64
 
 	// word is the packed (generation, state) transition word; see pack.
 	word atomic.Uint64
@@ -183,14 +184,33 @@ type Job struct {
 	mu          sync.Mutex
 	attempt     int
 	worker      string
-	fetchedAt   time.Time
-	scheduledAt time.Time
-	errors      []JobError
-	history     []Transition
+	fetchedAt   int64
+	scheduledAt int64
+	// log holds the first nlog lifecycle entries inline: push, fetch
+	// and ack fill three, so a job that never fails never allocates
+	// for its history.
+	nlog int
+	log  [4]logEntry
+	// spill is allocated by the first failure or fifth transition.
+	spill *jobSpill
+}
+
+// logEntry is one stored lifecycle transition: a state code and when
+// it happened. Envelope renders it as a Transition.
+type logEntry struct {
+	at   int64
+	code uint64
+}
+
+// jobSpill holds the metadata only failing or long-lived jobs carry:
+// the error history and the lifecycle entries past the inline four.
+type jobSpill struct {
+	errors []JobError
+	log    []logEntry
 }
 
 // newJob builds an available job and stamps its creation transition.
-func newJob(id, typ string, args json.RawMessage, maxAttempts int, visibility, timeout time.Duration, retry RetryPolicy, now time.Time) *Job {
+func newJob(id, typ string, args json.RawMessage, maxAttempts int, visibility, timeout time.Duration, retry *RetryPolicy, now int64) *Job {
 	j := &Job{
 		id:          id,
 		typ:         typ,
@@ -200,7 +220,8 @@ func newJob(id, typ string, args json.RawMessage, maxAttempts int, visibility, t
 		timeout:     timeout,
 		retry:       retry,
 		createdAt:   now,
-		history:     []Transition{{State: StateAvailable, At: now}},
+		nlog:        1,
+		log:         [4]logEntry{{at: now, code: codeAvailable}},
 	}
 	j.word.Store(pack(codeAvailable, 0))
 	return j
@@ -218,12 +239,49 @@ func (j *Job) State() State {
 	return codeState[code]
 }
 
-// recordTransition appends to the lifecycle log; callers hold j.mu.
-func (j *Job) recordTransition(st State, at time.Time) {
-	j.history = append(j.history, Transition{State: st, At: at})
+// leaseDeadline is the expiry of a lease extended at now (unix nanos)
+// for an attempt fetched at fetched: the visibility window, capped by
+// the attempt's execution timeout.
+func (j *Job) leaseDeadline(now, fetched int64) int64 {
+	dl := now + int64(j.visibility)
+	if j.timeout > 0 {
+		dl = min(dl, fetched+int64(j.timeout))
+	}
+	return dl
 }
 
-// Envelope snapshots the job for the wire. The word is read first and
+// spilled returns the job's spill record, allocating it on first use;
+// callers hold j.mu.
+func (j *Job) spilled() *jobSpill {
+	if j.spill == nil {
+		j.spill = new(jobSpill)
+	}
+	return j.spill
+}
+
+// recordTransition appends to the lifecycle log; callers hold j.mu.
+func (j *Job) recordTransition(code uint64, at int64) {
+	e := logEntry{at: at, code: code}
+	if j.nlog < len(j.log) {
+		j.log[j.nlog] = e
+		j.nlog++
+		return
+	}
+	sp := j.spilled()
+	sp.log = append(sp.log, e)
+}
+
+// recordError appends to the error history; callers hold j.mu. The
+// instant goes through time.Unix like every other Envelope instant, so
+// one envelope never mixes zones.
+func (j *Job) recordError(attempt int, msg string, at int64) {
+	sp := j.spilled()
+	sp.errors = append(sp.errors, JobError{Attempt: attempt, Error: msg, At: time.Unix(0, at)})
+}
+
+// Envelope snapshots the job for the wire. Every instant is rendered
+// with time.Unix, in the Local zone, whatever zone Config.Now returns.
+// The word is read first and
 // the metadata under the mutex after, so the snapshot's state is never
 // older than its metadata (it may be one transition newer, which is
 // the usual racy-read contract of INFO).
@@ -238,22 +296,36 @@ func (j *Job) Envelope() *Envelope {
 		State:        codeState[code],
 		Attempt:      j.attempt,
 		MaxAttempts:  j.maxAttempts,
-		CreatedAt:    j.createdAt,
+		CreatedAt:    time.Unix(0, j.createdAt),
 		VisibilityMS: j.visibility.Milliseconds(),
 		TimeoutMS:    j.timeout.Milliseconds(),
-		Errors:       append([]JobError(nil), j.errors...),
-		History:      append([]Transition(nil), j.history...),
 	}
+	var spilled []logEntry
+	if j.spill != nil {
+		e.Errors = append([]JobError(nil), j.spill.errors...)
+		spilled = j.spill.log
+	}
+	e.History = make([]Transition, 0, j.nlog+len(spilled))
+	e.History = appendHistory(e.History, j.log[:j.nlog])
+	e.History = appendHistory(e.History, spilled)
 	switch codeState[code] {
 	case StateActive:
 		e.Worker = j.worker
 		t := time.Unix(0, j.deadline.Load())
 		e.LeaseExpiresAt = &t
 	case StateRetryable:
-		t := j.scheduledAt
+		t := time.Unix(0, j.scheduledAt)
 		e.ScheduledAt = &t
 	}
 	return e
+}
+
+// appendHistory renders stored log entries as wire transitions.
+func appendHistory(h []Transition, log []logEntry) []Transition {
+	for _, t := range log {
+		h = append(h, Transition{State: codeState[t.code], At: time.Unix(0, t.at)})
+	}
+	return h
 }
 
 // newID returns a fresh 128-bit hex job id.

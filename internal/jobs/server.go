@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -284,9 +285,12 @@ func (s *Server) getOrCreateQueue(typ string) (*typeQueue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: building ready queue for %q: %w", typ, err)
 	}
-	tq := &typeQueue{name: typ, q: q}
-	s.queues[typ] = tq
-	s.order = append(s.order, typ)
+	// A clone, so that no job's typ (which shares tq.name) pins the
+	// request that created the queue.
+	name := strings.Clone(typ)
+	tq := &typeQueue{name: name, q: q}
+	s.queues[name] = tq
+	s.order = append(s.order, name)
 	return tq, nil
 }
 
@@ -329,15 +333,15 @@ func (s *Server) Push(typ string, args json.RawMessage, o PushOptions) (*Envelop
 	if timeout < 0 {
 		timeout = 0
 	}
-	retry := s.cfg.Retry
+	retry := &s.cfg.Retry
 	if o.Retry != nil {
-		retry = *o.Retry
+		r := *o.Retry
+		retry = &r
 	}
 	if len(args) == 0 {
 		args = json.RawMessage("null")
 	}
-	now := s.now()
-	j := newJob(newID(), typ, args, maxAttempts, visibility, timeout, retry, now)
+	j := newJob(newID(), tq.name, args, maxAttempts, visibility, timeout, retry, s.now().UnixNano())
 	s.jobs.Store(j.id, j)
 	s.tracked.Add(1)
 	if err := tq.enqueue(j); err != nil {
@@ -457,23 +461,19 @@ func (s *Server) lease(j *Job, worker string, now time.Time) *Envelope {
 	if !j.word.CompareAndSwap(word, pack(codeActive, gen+1)) {
 		return nil
 	}
+	at := now.UnixNano()
 	j.mu.Lock()
 	j.attempt++
 	attempt := j.attempt
 	j.worker = worker
-	j.fetchedAt = now
-	j.recordTransition(StateActive, now)
+	j.fetchedAt = at
+	j.recordTransition(codeActive, at)
 	j.mu.Unlock()
-	dl := now.Add(j.visibility)
-	if j.timeout > 0 {
-		if hard := now.Add(j.timeout); hard.Before(dl) {
-			dl = hard
-		}
-	}
-	j.deadline.Store(dl.UnixNano())
+	dl := j.leaseDeadline(at, at)
+	j.deadline.Store(dl)
 	s.leases.Store(j.id, j)
 	s.active.Add(1)
-	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl.UnixNano()})
+	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl})
 	s.ctrs.inc(opFetched)
 	s.event(EventFetched, j, attempt, "")
 	return j.Envelope()
@@ -528,7 +528,7 @@ func (s *Server) Ack(id, worker string) (*Envelope, error) {
 		}
 		j.mu.Lock()
 		attempt := j.attempt
-		j.recordTransition(StateCompleted, now)
+		j.recordTransition(codeCompleted, now.UnixNano())
 		j.mu.Unlock()
 		s.dropLease(id)
 		s.ctrs.inc(opAcked)
@@ -566,12 +566,12 @@ func (s *Server) Fail(id, worker, msg string) (*Envelope, error) {
 		if !j.word.CompareAndSwap(word, pack(target, gen+1)) {
 			continue
 		}
-		var release time.Time
+		var release int64
 		j.mu.Lock()
-		j.errors = append(j.errors, JobError{Attempt: attempt, Error: msg, At: now})
-		j.recordTransition(codeState[target], now)
+		j.recordError(attempt, msg, now.UnixNano())
+		j.recordTransition(target, now.UnixNano())
 		if !exhausted {
-			release = now.Add(j.retry.Backoff(attempt))
+			release = now.Add(j.retry.Backoff(attempt)).UnixNano()
 			j.scheduledAt = release
 		}
 		j.mu.Unlock()
@@ -579,7 +579,7 @@ func (s *Server) Fail(id, worker, msg string) (*Envelope, error) {
 		if exhausted {
 			s.discard(j, attempt, msg)
 		} else {
-			s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerRetry, at: release.UnixNano()})
+			s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerRetry, at: release})
 			s.ctrs.inc(opFailed)
 			s.event(EventFailed, j, attempt, msg)
 		}
@@ -620,7 +620,7 @@ func (s *Server) Cancel(id string) (*Envelope, error) {
 		}
 		j.mu.Lock()
 		attempt := j.attempt
-		j.recordTransition(StateCancelled, now)
+		j.recordTransition(codeCancelled, now.UnixNano())
 		j.mu.Unlock()
 		s.ctrs.inc(opCancelled)
 		s.event(EventCancelled, j, attempt, "")
@@ -657,24 +657,20 @@ func (s *Server) heartbeat(worker, id string, now time.Time) string {
 	fetched := j.fetchedAt
 	attempt := j.attempt
 	j.mu.Unlock()
-	dl := now.Add(j.visibility)
-	if j.timeout > 0 {
-		if hard := fetched.Add(j.timeout); hard.Before(dl) {
-			dl = hard
-		}
-	}
-	if !dl.After(now) {
+	at := now.UnixNano()
+	dl := j.leaseDeadline(at, fetched)
+	if dl <= at {
 		return "lost" // execution ceiling reached; expiry is imminent
 	}
 	// Store the new deadline BEFORE the generation CAS: a racing expiry
 	// either reads the extended deadline (and reschedules itself) or
 	// CASes first (and this heartbeat reports the lease lost). See the
 	// Job.deadline comment.
-	j.deadline.Store(dl.UnixNano())
+	j.deadline.Store(dl)
 	if !j.word.CompareAndSwap(word, pack(codeActive, gen+1)) {
 		return "lost"
 	}
-	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl.UnixNano()})
+	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl})
 	s.ctrs.inc(opHeartbeats)
 	s.event(EventHeartbeat, j, attempt, "")
 	return "ok"
@@ -712,7 +708,7 @@ func (s *Server) fireLease(e timerEntry, now time.Time) {
 	attempt := j.attempt
 	fetched := j.fetchedAt
 	j.mu.Unlock()
-	execTimeout := j.timeout > 0 && !now.Before(fetched.Add(j.timeout))
+	execTimeout := j.timeout > 0 && now.UnixNano() >= fetched+int64(j.timeout)
 	exhausted := attempt >= j.maxAttempts
 	target := codeAvailable
 	switch {
@@ -728,12 +724,12 @@ func (s *Server) fireLease(e timerEntry, now time.Time) {
 	if execTimeout {
 		msg = "execution timeout: attempt exceeded its ceiling"
 	}
-	var release time.Time
+	var release int64
 	j.mu.Lock()
-	j.errors = append(j.errors, JobError{Attempt: attempt, Error: msg, At: now})
-	j.recordTransition(codeState[target], now)
+	j.recordError(attempt, msg, now.UnixNano())
+	j.recordTransition(target, now.UnixNano())
 	if target == codeRetryable {
-		release = now.Add(j.retry.Backoff(attempt))
+		release = now.Add(j.retry.Backoff(attempt)).UnixNano()
 		j.scheduledAt = release
 	}
 	j.mu.Unlock()
@@ -744,7 +740,7 @@ func (s *Server) fireLease(e timerEntry, now time.Time) {
 	case codeDiscarded:
 		s.discard(j, attempt, msg)
 	case codeRetryable:
-		s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerRetry, at: release.UnixNano()})
+		s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerRetry, at: release})
 	default:
 		s.release(j, gen+1)
 	}
@@ -763,7 +759,7 @@ func (s *Server) fireRetry(e timerEntry, now time.Time) {
 	}
 	j.mu.Lock()
 	attempt := j.attempt
-	j.recordTransition(StateAvailable, now)
+	j.recordTransition(codeAvailable, now.UnixNano())
 	j.mu.Unlock()
 	s.ctrs.inc(opRetried)
 	s.event(EventRetried, j, attempt, "")
@@ -835,7 +831,7 @@ func (s *Server) RequeueDead(id string) (*Envelope, error) {
 		j.mu.Lock()
 		j.attempt = 0
 		j.worker = ""
-		j.recordTransition(StateAvailable, now)
+		j.recordTransition(codeAvailable, now.UnixNano())
 		j.mu.Unlock()
 		s.ctrs.inc(opRequeued)
 		s.event(EventRequeued, j, 0, "")

@@ -23,7 +23,6 @@ func TestFullEmpty(t *testing.T)       { queuetest.FullEmpty(t, maker, false) }
 func TestValueValidation(t *testing.T) { queuetest.ValueValidation(t, maker) }
 func TestBatchSequential(t *testing.T) { queuetest.BatchSequential(t, maker, false) }
 func TestModelSequential(t *testing.T) { queuetest.ModelSequential(t, maker) }
-func TestDetachReattach(t *testing.T)  { queuetest.DetachReattach(t, maker) }
 
 func TestCapacityRounding(t *testing.T) {
 	if got := spsc.New(100).Capacity(); got != 128 {
@@ -72,6 +71,58 @@ func TestConcurrent1p1c(t *testing.T) {
 	if v, ok := s.Dequeue(); ok {
 		t.Fatalf("queue not empty after drain: got %d", v)
 	}
+}
+
+// TestDetachReattach is the SPSC form of queuetest.DetachReattach,
+// whose eight concurrent sessions break the ring's one-producer,
+// one-consumer contract: here one producer and one consumer each detach
+// and re-attach mid-stream, on different periods so the hand-overs
+// land at every offset of the other side's run, and every value still
+// arrives exactly once, in order.
+func TestDetachReattach(t *testing.T) {
+	const total = 5000
+	q := spsc.New(32)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s := q.Attach()
+		for i := 0; i < total; {
+			if err := s.Enqueue(uint64(i+1) << 1); err != nil {
+				runtime.Gosched()
+				continue
+			}
+			i++
+			if i%7 == 0 {
+				s.Detach()
+				s = q.Attach()
+			}
+		}
+		s.Detach()
+	}()
+	s := q.Attach()
+	want := uint64(1) << 1
+	for got := 0; got < total; {
+		v, ok := s.Dequeue()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		if v != want {
+			t.Fatalf("dequeue %d: got %d, want %d", got, v, want)
+		}
+		want += 2
+		got++
+		if got%5 == 0 {
+			s.Detach()
+			s = q.Attach()
+		}
+	}
+	wg.Wait()
+	if v, ok := s.Dequeue(); ok {
+		t.Fatalf("queue not empty after drain: got %d", v)
+	}
+	s.Detach()
 }
 
 // TestConcurrentBatches is the batched variant: the producer pushes runs

@@ -201,8 +201,11 @@ type Record struct {
 }
 
 // numRings fixes the ring count. Sessions bind round-robin, so the
-// recorder keeps working at any session count; 32 matches the counter
-// stripe count so a typical soak population gets a private ring each.
+// recorder keeps working at any session count, and 32 rings give a
+// typical soak population a private ring each. Unlike the striped
+// counter banks, which size themselves to GOMAXPROCS, the count does
+// not follow the host: at DefaultPerRing, New preallocates 32 × 4,096
+// slots × 64 B = 8 MiB per traced queue (TestRecorderBytes).
 const numRings = 32
 
 // DefaultPerRing is the per-ring record capacity used when the caller

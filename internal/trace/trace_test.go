@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestDisabledHandleIsFree(t *testing.T) {
@@ -234,5 +237,29 @@ func TestOutcomeStrings(t *testing.T) {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no label", k)
 		}
+	}
+}
+
+// TestRecorderBytes pins what New(0) allocates: every ring's slots up
+// front (numRings × DefaultPerRing × 64 B = 8 MiB), plus the Recorder
+// itself. The smallest TotalAlloc delta of 3 trials leaves out other
+// goroutines' allocations.
+func TestRecorderBytes(t *testing.T) {
+	const ringBytes = numRings * DefaultPerRing * uint64(unsafe.Sizeof(slot{}))
+	if ringBytes != 8<<20 {
+		t.Fatalf("ring slots = %d B, want 8 MiB", ringBytes)
+	}
+	got := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := New(0)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(r)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("New(0) allocated %d B", got)
+	if extra := got - ringBytes; got < ringBytes || extra > 2*uint64(unsafe.Sizeof(Recorder{})) {
+		t.Fatalf("New(0) allocated %d B, want %d B of ring slots plus the %d B Recorder", got, ringBytes, unsafe.Sizeof(Recorder{}))
 	}
 }

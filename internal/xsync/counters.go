@@ -1,6 +1,7 @@
 package xsync
 
 import (
+	"runtime"
 	"sync/atomic"
 )
 
@@ -132,11 +133,30 @@ func (k OpKind) String() string {
 	}
 }
 
-// counterStripes is the number of independent counter banks. Striping
-// keeps instrumentation from becoming its own contention hot spot: each
-// goroutine hashes to a stripe, so the common case is an uncontended
-// atomic add on a private cache line.
+// counterStripes caps the number of independent stripes in a striped
+// Counters or Histograms. Striping keeps instrumentation from becoming
+// its own contention hot spot: each handle binds to a stripe, so the
+// common case is an uncontended atomic add on a private cache line.
 const counterStripes = 32
+
+// stripeCount is the one stripe-count rule for both striped banks: the
+// next power of two at or above twice GOMAXPROCS, capped at
+// counterStripes. Handles bind by id, not by P, so two sessions running
+// at once share a stripe about once in len(stripes) handles, and a
+// shared counter stripe is a contended cache line on every operation.
+// BenchmarkStripeWriters measures this: on 2 Ps (2 vCPUs) with per-request
+// handles, 2 stripes cost about 20% more per counter update than 32,
+// while 4 stripes read the same as 32. Histogram stripes are written
+// once in 2^SampleShift operations and show no such cost, but share
+// the rule so that one count sizes a Metrics. Hosts with 16 or more Ps
+// get the full bank.
+func stripeCount() int {
+	n := 1
+	for n < 2*runtime.GOMAXPROCS(0) && n < counterStripes {
+		n <<= 1
+	}
+	return n
+}
 
 type stripe struct {
 	vals [numOpKinds]atomic.Uint64
@@ -149,12 +169,12 @@ type stripe struct {
 // single predictable branch per recording site, so instrumentation can be
 // compiled in permanently and enabled per queue instance.
 type Counters struct {
-	stripes [counterStripes]stripe
+	stripes []stripe
 	nextID  atomic.Uint32
 }
 
-// NewCounters returns an empty counter bank.
-func NewCounters() *Counters { return &Counters{} }
+// NewCounters returns an empty counter bank with stripeCount stripes.
+func NewCounters() *Counters { return &Counters{stripes: make([]stripe, stripeCount())} }
 
 // Handle is a per-goroutine accessor bound to one stripe of a Counters
 // bank. Handles are cheap value types; each worker goroutine obtains its
@@ -170,7 +190,7 @@ func (c *Counters) Handle() Handle {
 		return Handle{}
 	}
 	id := c.nextID.Add(1) - 1
-	return Handle{s: &c.stripes[id%counterStripes]}
+	return Handle{s: &c.stripes[id%uint32(len(c.stripes))]}
 }
 
 // Inc adds one to kind. No-op on a zero Handle.

@@ -167,17 +167,19 @@ type histStripe struct {
 }
 
 // Histograms is a striped bank of log-bucketed histograms, sharing the
-// stripe design of Counters: each session records into its own stripe,
-// so the common case is an uncontended atomic add on private lines. A
-// nil *Histograms yields disabled handles that cost one branch per
-// recording site and read no clocks.
+// stripe design and stripe count (stripeCount) of Counters: each
+// session records into its own stripe, so the common case is an
+// uncontended atomic add on private lines. A nil *Histograms yields
+// disabled handles that cost one branch per recording site and read no
+// clocks.
 type Histograms struct {
-	stripes [counterStripes]histStripe
+	stripes []histStripe
 	nextID  atomic.Uint32
 }
 
-// NewHistograms returns an empty histogram bank.
-func NewHistograms() *Histograms { return &Histograms{} }
+// NewHistograms returns an empty histogram bank with stripeCount
+// stripes.
+func NewHistograms() *Histograms { return &Histograms{stripes: make([]histStripe, stripeCount())} }
 
 // HistHandle is a per-session accessor bound to one stripe. Obtain via
 // Histograms.Handle; hold it by value in the session and call Start/Done
@@ -209,7 +211,7 @@ func (hs *Histograms) Handle() HistHandle {
 	id := hs.nextID.Add(1) - 1
 	// Offset the sampling phase per handle so concurrent sessions do not
 	// all sample the same beat of a lock-step workload.
-	return HistHandle{s: &hs.stripes[id%counterStripes], nEnq: id, nDeq: id}
+	return HistHandle{s: &hs.stripes[id%uint32(len(hs.stripes))], nEnq: id, nDeq: id}
 }
 
 // Enabled reports whether the handle records anything.

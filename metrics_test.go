@@ -3,6 +3,7 @@ package nbqueue_test
 import (
 	"errors"
 	"expvar"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -395,5 +396,26 @@ func TestSnapshotDeltaAllFields(t *testing.T) {
 			t.Errorf("reversed Delta wrapped on field %s: got %d",
 				dv.Type().Field(i).Name, got)
 		}
+	}
+}
+
+// TestNewMetricsBytes: at GOMAXPROCS 2 the counter and histogram banks
+// hold four stripes each, so a Metrics costs under 16 KiB instead of
+// the ~112 KiB a full 32-stripe pair takes. The smallest TotalAlloc
+// delta of 3 trials leaves out other goroutines' allocations.
+func TestNewMetricsBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	got := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := nbqueue.NewMetrics()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(m)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("NewMetrics() at GOMAXPROCS 2 allocated %d B", got)
+	if got > 16<<10 {
+		t.Fatalf("NewMetrics() at GOMAXPROCS 2 allocated %d B, want at most 16 KiB", got)
 	}
 }
