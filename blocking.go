@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nbqueue/internal/queue"
+	"nbqueue/internal/xsync"
 )
 
 // Blocking operations adapt the non-blocking queue to callers that want
@@ -19,11 +20,6 @@ import (
 // reintroduce the preemption-sensitivity the paper's algorithms
 // eliminate. The same ladder runs Fabric's waits and the job server's
 // long-poll Fetch.
-//
-// The spin count and sleep bounds come from the queue's WithBackoffPolicy
-// policy when one is installed (WaitSpins, SleepMin, SleepMax), and from
-// the package defaults otherwise, so a single policy tunes both the
-// retry loops and the waits.
 //
 // A context deadline is propagated into the word-level operation on the
 // algorithms that support it (see Session.SetDeadline): an attempt that
@@ -51,7 +47,7 @@ func (s *Session[T]) wait(ctx context.Context, try func() (done, progress bool))
 			defer ds.SetDeadline(time.Time{})
 		}
 	}
-	return s.q.wait.Run(ctx, try)
+	return xsync.DefaultWaitLadder().Run(ctx, try)
 }
 
 // ctxErr maps a word-level ErrDeadline, surfaced under an armed context

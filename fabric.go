@@ -121,8 +121,6 @@ type Fabric[T any] struct {
 	overflowMu sync.Mutex
 	overflow   []T
 	overflowN  atomic.Int64
-	// wait is the blocking *Wait variants' ladder.
-	wait xsync.WaitLadder
 	// seed hands each session a distinct xorshift state for
 	// power-of-two-choices sampling.
 	seed atomic.Uint64
@@ -349,14 +347,10 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 	if sc.algorithm == AlgorithmSPSC {
 		return nil, fmt.Errorf("nbqueue: WithShardOptions(WithAlgorithm(AlgorithmSPSC)) — SPSC specialization is fabric-managed; leave WithSPSC on and let the census specialize shards")
 	}
-	if p := sc.instr.Policy; p != nil {
-		p.Normalize()
-	}
 	f := &Fabric[T]{
 		stealBatch: c.stealBatch,
 		spscOn:     c.spscOn,
 		hook:       sc.hook,
-		wait:       sc.instr.Policy.WaitLadder(),
 	}
 	f.shards = make([]*fabShard[T], c.shards)
 	for i := range f.shards {
@@ -971,7 +965,7 @@ func (s *FabricSession[T]) TryDrain(max int) []T {
 // of Session.EnqueueWait.
 func (s *FabricSession[T]) EnqueueWait(ctx context.Context, v T) error {
 	var err error
-	if werr := s.f.wait.Run(ctx, func() (bool, bool) {
+	if werr := xsync.DefaultWaitLadder().Run(ctx, func() (bool, bool) {
 		err = s.Enqueue(v)
 		return err == nil || !retryable(err), false
 	}); werr != nil {
@@ -983,7 +977,7 @@ func (s *FabricSession[T]) EnqueueWait(ctx context.Context, v T) error {
 // DequeueWait removes one value, waiting while every source is empty
 // until ctx is done.
 func (s *FabricSession[T]) DequeueWait(ctx context.Context) (v T, err error) {
-	err = s.f.wait.Run(ctx, func() (ok, _ bool) {
+	err = xsync.DefaultWaitLadder().Run(ctx, func() (ok, _ bool) {
 		v, ok = s.Dequeue()
 		return ok, false
 	})

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"nbqueue/internal/queue"
-	"nbqueue/internal/xsync"
 )
 
 // yieldSession is the per-session stall hook the Evequoz queues expose
@@ -24,18 +23,15 @@ type yieldSession interface{ SetYield(func()) }
 // session (the victim) competes against Threads-1 full-speed aggressors,
 // reproducing the starvation mode lock-freedom permits — the queue as a
 // whole makes progress while one thread loses every SC/CAS race. The
-// storm measures whether the starvation countermeasures actually bound
-// the victim's per-operation latency.
+// storm measures whether session deadlines actually bound the victim's
+// per-operation latency.
 //
-// The queue's sessions must implement SetYield (evq-llsc, evq-cas). Run
-// the storm either with helping enabled on the queue (Instr.StarvationBound)
-// or with OpDeadline set — with both disabled a victim operation has no
-// completion bound and the storm may not terminate.
+// The queue's sessions must implement SetYield and SetDeadline
+// (evq-llsc, evq-cas), and OpDeadline must be positive: the deadline is
+// a victim operation's only completion bound, so without it the storm
+// may not terminate.
 type VictimOptions struct {
 	Queue queue.Queue
-	// Counters must be the bank the queue was built with when Rescues is
-	// to be reported; nil skips the readout.
-	Counters *xsync.Counters
 	// Threads is the total goroutine count including the victim (>= 2).
 	Threads int
 	// Duration is how long the storm runs.
@@ -53,10 +49,9 @@ type VictimOptions struct {
 	// (completed, shed, or aborted) exceeding it counts as a violation.
 	// Default 100ms.
 	OpBound time.Duration
-	// OpDeadline, when nonzero, arms a session deadline of that length on
-	// every victim operation (requires queue.DeadlineSession sessions).
-	// This is the helping-off contrast configuration: the victim then
-	// aborts with ErrDeadline instead of stalling unboundedly.
+	// OpDeadline arms a session deadline of that length on every victim
+	// operation (required): the victim aborts with ErrDeadline instead
+	// of stalling unboundedly.
 	OpDeadline time.Duration
 	// Seed drives the victim's enqueue/dequeue mix so a failing storm
 	// reproduces deterministically (0 means 1). Echoed in the report for
@@ -74,10 +69,6 @@ type VictimReport struct {
 	// OpBound; MaxOp is the worst observed.
 	Violations int
 	MaxOp      time.Duration
-	// Rescues is the growth of the rescue counter over the storm:
-	// operations completed on the victim's behalf by helping aggressors
-	// (0 when Counters is nil or helping is off).
-	Rescues uint64
 	// AggressorOps counts completed aggressor operations — nonzero proves
 	// the victim was starved by live competition, not by a quiet queue.
 	AggressorOps uint64
@@ -99,6 +90,9 @@ func RunVictimStorm(o VictimOptions) (*VictimReport, error) {
 	if o.Duration <= 0 {
 		return nil, fmt.Errorf("chaos: VictimOptions.Duration must be positive")
 	}
+	if o.OpDeadline <= 0 {
+		return nil, fmt.Errorf("chaos: VictimOptions.OpDeadline must be positive; it is the victim's only completion bound")
+	}
 	if o.VictimDelay <= 0 {
 		o.VictimDelay = 20 * time.Microsecond
 	}
@@ -109,9 +103,16 @@ func RunVictimStorm(o VictimOptions) (*VictimReport, error) {
 		o.Seed = 1
 	}
 
-	var rescueBase uint64
-	if o.Counters != nil {
-		rescueBase = o.Counters.Total(xsync.OpRescue)
+	vs := o.Queue.Attach()
+	ys, ok := vs.(yieldSession)
+	if !ok {
+		vs.Detach()
+		return nil, fmt.Errorf("chaos: %s sessions expose no yield hook; cannot slow a victim", o.Queue.Name())
+	}
+	ds, ok := vs.(queue.DeadlineSession)
+	if !ok {
+		vs.Detach()
+		return nil, fmt.Errorf("chaos: %s sessions support no deadline; cannot bound a victim", o.Queue.Name())
 	}
 
 	// Seed the queue half full so both sides of the victim's alternating
@@ -159,21 +160,6 @@ func RunVictimStorm(o VictimOptions) (*VictimReport, error) {
 	}
 
 	rep := &VictimReport{Seed: o.Seed}
-	vs := o.Queue.Attach()
-	ys, ok := vs.(yieldSession)
-	if !ok {
-		stop.Store(true)
-		wg.Wait()
-		vs.Detach()
-		return nil, fmt.Errorf("chaos: %s sessions expose no yield hook; cannot slow a victim", o.Queue.Name())
-	}
-	ds, hasDeadline := vs.(queue.DeadlineSession)
-	if o.OpDeadline > 0 && !hasDeadline {
-		stop.Store(true)
-		wg.Wait()
-		vs.Detach()
-		return nil, fmt.Errorf("chaos: %s sessions support no deadline; cannot run the contrast configuration", o.Queue.Name())
-	}
 	ys.SetYield(func() {
 		if stop.Load() {
 			return
@@ -189,9 +175,7 @@ func RunVictimStorm(o VictimOptions) (*VictimReport, error) {
 	rng := rand.New(rand.NewSource(o.Seed))
 	end := time.Now().Add(o.Duration)
 	for i := 0; time.Now().Before(end); i++ {
-		if o.OpDeadline > 0 {
-			ds.SetDeadline(time.Now().Add(o.OpDeadline))
-		}
+		ds.SetDeadline(time.Now().Add(o.OpDeadline))
 		start := time.Now()
 		var err error
 		if rng.Intn(2) == 0 {
@@ -218,14 +202,9 @@ func RunVictimStorm(o VictimOptions) (*VictimReport, error) {
 	wg.Wait()
 	// Let teardown run at full speed.
 	ys.SetYield(nil)
-	if o.OpDeadline > 0 {
-		ds.SetDeadline(time.Time{})
-	}
+	ds.SetDeadline(time.Time{})
 	vs.Detach()
 
 	rep.AggressorOps = aggressorOps.Load()
-	if o.Counters != nil {
-		rep.Rescues = o.Counters.Total(xsync.OpRescue) - rescueBase
-	}
 	return rep, nil
 }

@@ -11,98 +11,71 @@ import (
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/queues/evqllsc"
 	"nbqueue/internal/queues/evqseg"
-	"nbqueue/internal/xsync"
 )
 
-// TestVictimStormHelpingBoundsLatency is the victim storm the starvation
-// claim needs: one session stalled in every retry round competes with 7
-// full-speed aggressors, and with helping enabled every victim operation
-// must still complete within the per-op bound — with at least some of
-// them demonstrably completed by helpers.
-func TestVictimStormHelpingBoundsLatency(t *testing.T) {
-	ctrs := xsync.NewCounters()
-	q := evqcas.New(1024,
-		evqcas.WithCounters(ctrs),
-		evqcas.WithInstr(queue.Instr{StarvationBound: 32}))
-	rep, err := RunVictimStorm(VictimOptions{
-		Queue:    q,
-		Counters: ctrs,
-		Threads:  8,
-		Duration: 300 * time.Millisecond,
-		OpBound:  100 * time.Millisecond,
-		Seed:     11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AggressorOps == 0 {
-		t.Fatalf("aggressors completed nothing; the victim was not competing (seed=%d)", rep.Seed)
-	}
-	if rep.VictimOps == 0 {
-		t.Fatalf("victim completed no operations (seed=%d)", rep.Seed)
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("%d victim operations exceeded the %v bound (max %v) despite helping (seed=%d)",
-			rep.Violations, 100*time.Millisecond, rep.MaxOp, rep.Seed)
-	}
-	if rep.Rescues == 0 {
-		t.Fatalf("no rescues recorded over %d victim ops; helping never engaged (seed=%d)", rep.VictimOps, rep.Seed)
-	}
-}
-
-// TestVictimStormLLSCHelping runs the same storm against Algorithm 1.
-func TestVictimStormLLSCHelping(t *testing.T) {
-	ctrs := xsync.NewCounters()
-	mem := func(n int) llsc.Memory { return emul.New(n, false) }
-	q := evqllsc.New(1024, mem,
-		evqllsc.WithCounters(ctrs),
-		evqllsc.WithInstr(queue.Instr{StarvationBound: 32}))
-	rep, err := RunVictimStorm(VictimOptions{
-		Queue:    q,
-		Counters: ctrs,
-		Threads:  8,
-		Duration: 300 * time.Millisecond,
-		OpBound:  100 * time.Millisecond,
-		Seed:     13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("%d victim operations exceeded the bound (max %v) (seed=%d)", rep.Violations, rep.MaxOp, rep.Seed)
-	}
-	if rep.Rescues == 0 {
-		t.Fatalf("no rescues over %d victim ops (seed=%d)", rep.VictimOps, rep.Seed)
-	}
-}
-
-// TestVictimStormDeadlineContrast is the helping-off contrast: the same
-// starved victim, no announce array, but a 5ms deadline per operation.
-// The victim must abort with ErrDeadline rather than stall unboundedly —
-// starvation is real (aborts happen) and bounded (no op exceeds OpBound).
+// TestVictimStormDeadlineContrast starves one session on each paper
+// ring: the victim is stalled in every retry round against 7 full-speed
+// aggressors, and a 5ms deadline per operation is its only completion
+// bound. The victim must abort with ErrDeadline rather than stall
+// unboundedly — starvation is real (aborts happen, while aggressors
+// make progress) and bounded (no op exceeds OpBound).
 func TestVictimStormDeadlineContrast(t *testing.T) {
-	ctrs := xsync.NewCounters()
-	q := evqcas.New(1024, evqcas.WithCounters(ctrs))
-	rep, err := RunVictimStorm(VictimOptions{
-		Queue:      q,
-		Counters:   ctrs,
-		Threads:    8,
-		Duration:   300 * time.Millisecond,
-		OpBound:    100 * time.Millisecond,
-		OpDeadline: 5 * time.Millisecond,
-		Seed:       17,
-	})
-	if err != nil {
-		t.Fatal(err)
+	mem := func(n int) llsc.Memory { return emul.New(n, false) }
+	for _, c := range []struct {
+		name string
+		q    queue.Queue
+		seed int64
+	}{
+		{"evq-cas", evqcas.New(1024), 17},
+		{"evq-llsc", evqllsc.New(1024, mem), 13},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := RunVictimStorm(VictimOptions{
+				Queue:      c.q,
+				Threads:    8,
+				Duration:   300 * time.Millisecond,
+				OpBound:    100 * time.Millisecond,
+				OpDeadline: 5 * time.Millisecond,
+				Seed:       c.seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.AggressorOps == 0 {
+				t.Fatalf("aggressors completed nothing; the victim was not competing (seed=%d)", rep.Seed)
+			}
+			if rep.DeadlineAborts == 0 {
+				t.Fatalf("victim never hit its deadline (%d ops completed); the storm is not starving it (seed=%d)", rep.VictimOps, rep.Seed)
+			}
+			if rep.Violations != 0 {
+				t.Fatalf("%d operations exceeded the bound (max %v) despite per-op deadlines (seed=%d)", rep.Violations, rep.MaxOp, rep.Seed)
+			}
+		})
 	}
-	if rep.DeadlineAborts == 0 {
-		t.Fatalf("victim never hit its deadline (%d ops completed); the storm is not starving it (seed=%d)", rep.VictimOps, rep.Seed)
+}
+
+// yieldOnlyQueue hands out sessions that can be slowed but carry no
+// deadline.
+type yieldOnlyQueue struct{ queue.Queue }
+
+type yieldOnlySession struct{ queue.Session }
+
+func (yieldOnlySession) SetYield(func()) {}
+
+func (q yieldOnlyQueue) Attach() queue.Session { return yieldOnlySession{q.Queue.Attach()} }
+
+// TestVictimStormNeedsDeadline: the deadline is a victim operation's
+// only completion bound, so a storm without one, or over sessions that
+// cannot take one, is refused instead of run.
+func TestVictimStormNeedsDeadline(t *testing.T) {
+	o := VictimOptions{Queue: evqcas.New(64), Threads: 2, Duration: time.Millisecond}
+	if _, err := RunVictimStorm(o); err == nil {
+		t.Fatal("storm with OpDeadline 0 ran")
 	}
-	if rep.Violations != 0 {
-		t.Fatalf("%d operations exceeded the bound (max %v) despite per-op deadlines (seed=%d)", rep.Violations, rep.MaxOp, rep.Seed)
-	}
-	if rep.Rescues != 0 {
-		t.Fatalf("%d rescues recorded with helping disabled (seed=%d)", rep.Rescues, rep.Seed)
+	o.OpDeadline = time.Millisecond
+	o.Queue = yieldOnlyQueue{o.Queue}
+	if _, err := RunVictimStorm(o); err == nil {
+		t.Fatal("storm over sessions without SetDeadline ran")
 	}
 }
 

@@ -88,7 +88,6 @@ var counterSeries = []struct {
 	{xsync.OpContended, "contended_total", "Operations shed with ErrContended (retry budget exhausted)."},
 	{xsync.OpDeadline, "deadline_aborts_total", "Operations aborted with ErrDeadline (session deadline passed mid-retry)."},
 	{xsync.OpOverload, "overload_sheds_total", "Enqueues refused with ErrOverloaded by watermark admission control."},
-	{xsync.OpRescue, "starvation_rescues_total", "Operations completed on a starved session's behalf by cooperative helping."},
 	{xsync.OpScavenge, "orphans_scavenged_total", "Per-thread records reclaimed from presumed-dead sessions."},
 	{xsync.OpLeak, "leaked_sessions_total", "Sessions garbage collected without Detach (caller bug)."},
 	{xsync.OpSegAlloc, "segments_allocated_total", "Ring segments allocated fresh from the segment pool."},

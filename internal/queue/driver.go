@@ -12,56 +12,33 @@ import (
 // the rings built on Driver, from there to every session's Driver. Each
 // algorithm reads the fields its design can act on; its WithInstr doc
 // says which. The zero value is the paper's plain configuration —
-// nothing recorded, retry loops unbounded, no backoff, no helping. Nil
-// sinks cost one branch per recording site. The primitive counters are
-// not part of it: every algorithm takes those on its own
-// (WithCounters).
+// nothing recorded, retry loops unbounded, no backoff. Nil sinks cost
+// one branch per recording site. The primitive counters are not part
+// of it: every algorithm takes those on its own (WithCounters).
 type Instr struct {
 	// Hists receives latencies (sampled, see xsync.SampleShift) and
 	// per-operation retry counts.
 	Hists *xsync.Histograms
 	// Trace receives flight-recorder records: operations on the Hists
 	// sampling beat and every rare outcome (ErrContended, ErrDeadline,
-	// rescues, segment lifecycle events).
+	// segment lifecycle events).
 	Trace *trace.Recorder
 	// Backoff enables bounded exponential backoff after fruitless rounds.
 	Backoff bool
-	// Policy, when non-nil, replaces Backoff's fixed spin ceiling with a
-	// shared adaptive one (see xsync.BackoffPolicy). It must be
-	// normalized.
-	Policy *xsync.BackoffPolicy
 	// RetryBudget bounds each operation to that many fruitless rounds,
 	// after which it fails with ErrContended; 0 keeps the loops unbounded
 	// (the paper's lock-free default).
 	RetryBudget int
-	// StarvationBound publishes an operation still unperformed after that
-	// many fruitless rounds to the queue's announce array, where sessions
-	// completing operations of their own execute it on the victim's behalf
-	// (see xsync.Announce); 0 disables helping.
-	StarvationBound int
 	// Yield is fired before shared-memory accesses, for interleaving
 	// exploration and fault injection; nil in production.
 	Yield func()
 }
 
-// Announce returns the announce array helping needs, or nil when
-// StarvationBound leaves helping off.
-func (in Instr) Announce() *xsync.Announce {
-	if in.StarvationBound <= 0 {
-		return nil
-	}
-	return xsync.NewAnnounce()
-}
-
 // Rounds is the algorithm half of a Driver. A round is one attempt at an
 // operation; done=false means it was fruitless (it lost a race, or only
 // helped a lagging index along) and the driver decides whether to retry.
-// Rounds record primitive counters only, so the driver can run them on
-// an announced victim's behalf without double counting completions.
+// Rounds record primitive counters only; the driver counts completions.
 type Rounds interface {
-	// Prepare runs the ring's between-operations protocol; the driver
-	// calls it before executing another session's announced operation.
-	Prepare()
 	// EnqueueRound attempts to enqueue v once; full (with done) means the
 	// queue was observed full.
 	EnqueueRound(v uint64) (done, full bool)
@@ -73,11 +50,10 @@ type Rounds interface {
 // Driver is one session's retry loop, shared by the Evequoz-family
 // rings. It runs a ring's Rounds until one is decisive, stops early on
 // the retry budget or the session deadline, backs off between fruitless
-// rounds, escalates starved operations to the announce array, helps one
-// announced operation after each success of its own, and records every
-// completion in the Instr sinks. Batch operations keep their own cursor
-// loops and use the driver for the same stop checks, backoff and
-// accounting (HaltBatch, Skip, Lose, Win, DoneEnqBatch, DoneDeqBatch).
+// rounds, and records every completion in the Instr sinks. Batch
+// operations keep their own cursor loops and use the driver for the
+// same stop checks, backoff and accounting (HaltBatch, Skip, Lose, Win,
+// DoneEnqBatch, DoneDeqBatch).
 //
 // Sessions embed it: the embedding supplies SetDeadline (so the session
 // is a DeadlineSession), SetYield, and the handles Ctr, Hist and Tr the
@@ -89,9 +65,7 @@ type Driver struct {
 	Bo   xsync.Backoff
 
 	rounds   Rounds
-	ann      *xsync.Announce
 	budget   int
-	starve   int
 	deadline int64 // unixnano; 0 = none
 	pause    func()
 	// waste counts a batch's consecutive fruitless iterations since its
@@ -101,22 +75,16 @@ type Driver struct {
 }
 
 // NewDriver returns a driver running r under in, counting into ctrs
-// (nil records nothing). ann is the queue's announce array (see
-// Instr.Announce), nil when helping is off.
-func NewDriver(ctrs *xsync.Counters, in Instr, ann *xsync.Announce, r Rounds) Driver {
+// (nil records nothing).
+func NewDriver(ctrs *xsync.Counters, in Instr, r Rounds) Driver {
 	d := Driver{
 		Ctr:    ctrs.Handle(),
 		Hist:   in.Hists.Handle(),
 		Tr:     in.Trace.Handle(),
 		rounds: r,
-		ann:    ann,
 		budget: in.RetryBudget,
-		starve: in.StarvationBound,
 	}
-	switch {
-	case in.Policy != nil:
-		d.Bo = xsync.NewAdaptiveBackoff(in.Policy)
-	case in.Backoff:
+	if in.Backoff {
 		d.Bo = xsync.NewBackoff(0, 0)
 	}
 	return d
@@ -175,14 +143,6 @@ func (d *Driver) halt(n int) error {
 	return nil
 }
 
-// Self-run and helper attempt budgets for announced operations: small
-// enough that a claim never becomes a new stall, large enough to beat
-// the per-round cost of the claim CAS.
-const (
-	annSelfBudget = 8
-	annHelpBudget = 8
-)
-
 // Enqueue drives one enqueue of v to completion. The caller has
 // validated v and run the ring's between-operations protocol.
 func (d *Driver) Enqueue(v uint64) error {
@@ -192,25 +152,6 @@ func (d *Driver) Enqueue(v uint64) error {
 			d.doneEnq(start, n, outcome(err))
 			return err
 		}
-		if d.ann != nil && n >= d.starve {
-			// Starved past the bound: announce the operation so winning
-			// sessions complete it. AnnNoCell (array busy) falls back to
-			// one more plain round and re-announces next time.
-			switch d.ann.RunEnqueue(v, d, annSelfBudget, d.deadline) {
-			case xsync.AnnOK:
-				d.Ctr.Inc(xsync.OpEnqueue)
-				d.doneEnq(start, n, trace.OutcomeRescued)
-				d.Bo.Reset()
-				return nil
-			case xsync.AnnFull:
-				d.Tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, n, int(d.Bo.Spins()), 0)
-				return ErrFull
-			case xsync.AnnDeadline:
-				d.Ctr.Inc(xsync.OpDeadline)
-				d.doneEnq(start, n, trace.OutcomeDeadline)
-				return ErrDeadline
-			}
-		}
 		if done, full := d.rounds.EnqueueRound(v); done {
 			if full {
 				d.Tr.Op(start, trace.KindEnqueue, trace.OutcomeFull, n, int(d.Bo.Spins()), 0)
@@ -219,7 +160,6 @@ func (d *Driver) Enqueue(v uint64) error {
 			d.Ctr.Inc(xsync.OpEnqueue)
 			d.doneEnq(start, n, trace.OutcomeOK)
 			d.Bo.Reset()
-			d.help()
 			return nil
 		}
 		d.Bo.Fail()
@@ -237,22 +177,6 @@ func (d *Driver) DequeueErr() (uint64, bool, error) {
 			d.doneDeq(start, n, outcome(err))
 			return 0, false, err
 		}
-		if d.ann != nil && n >= d.starve {
-			v, res := d.ann.RunDequeue(d, annSelfBudget, d.deadline)
-			switch res {
-			case xsync.AnnOK:
-				d.Ctr.Inc(xsync.OpDequeue)
-				d.doneDeq(start, n, trace.OutcomeRescued)
-				d.Bo.Reset()
-				return v, true, nil
-			case xsync.AnnEmpty:
-				return 0, false, nil
-			case xsync.AnnDeadline:
-				d.Ctr.Inc(xsync.OpDeadline)
-				d.doneDeq(start, n, trace.OutcomeDeadline)
-				return 0, false, ErrDeadline
-			}
-		}
 		if v, empty, done := d.rounds.DequeueRound(); done {
 			if empty {
 				return 0, false, nil
@@ -260,7 +184,6 @@ func (d *Driver) DequeueErr() (uint64, bool, error) {
 			d.Ctr.Inc(xsync.OpDequeue)
 			d.doneDeq(start, n, trace.OutcomeOK)
 			d.Bo.Reset()
-			d.help()
 			return v, true, nil
 		}
 		d.Bo.Fail()
@@ -275,34 +198,6 @@ func (d *Driver) doneEnq(start time.Time, retries int, out trace.Outcome) {
 func (d *Driver) doneDeq(start time.Time, retries int, out trace.Outcome) {
 	d.Hist.DoneDeq(start, retries)
 	d.Tr.Op(start, trace.KindDequeue, out, retries, int(d.Bo.Spins()), 0)
-}
-
-// Exec implements xsync.AnnounceExec: at most budget rounds of an
-// announced enqueue of v or dequeue, after the between-operations
-// protocol (a helper runs the victim's operation with its own
-// per-session records). It never announces or helps in turn, so helping
-// cannot recurse.
-func (d *Driver) Exec(deq bool, v uint64, budget int) (out uint64, refused, done bool) {
-	d.rounds.Prepare()
-	for i := 0; i < budget; i++ {
-		if deq {
-			out, refused, done = d.rounds.DequeueRound()
-		} else {
-			done, refused = d.rounds.EnqueueRound(v)
-		}
-		if done {
-			return out, refused, true
-		}
-	}
-	return 0, false, false
-}
-
-// help executes at most one announced operation after completing one of
-// our own; with nothing announced it costs a single atomic load.
-func (d *Driver) help() {
-	if d.ann != nil && d.ann.HelpOne(d, annHelpBudget) {
-		d.Ctr.Inc(xsync.OpRescue)
-	}
 }
 
 // StartEnqBatch opens a batch enqueue: it zeroes the batch tally and
@@ -343,12 +238,11 @@ func (d *Driver) Win() {
 }
 
 // DoneEnqBatch closes a batch enqueue that committed n elements and
-// ended with err: it counts the elements, helps one announced operation
-// after progress, and records the histograms and the trace.
+// ended with err: it counts the elements and records the histograms and
+// the trace.
 func (d *Driver) DoneEnqBatch(start time.Time, n int, err error) {
 	if n > 0 {
 		d.Ctr.Add(xsync.OpEnqueue, uint64(n))
-		d.help()
 	}
 	d.Hist.DoneEnqBatch(start, d.retries, n)
 	d.Tr.Op(start, trace.KindEnqueueBatch, outcome(err), d.retries, int(d.Bo.Spins()), n)
@@ -358,7 +252,6 @@ func (d *Driver) DoneEnqBatch(start time.Time, n int, err error) {
 func (d *Driver) DoneDeqBatch(start time.Time, n int, err error) {
 	if n > 0 {
 		d.Ctr.Add(xsync.OpDequeue, uint64(n))
-		d.help()
 	}
 	d.Hist.DoneDeqBatch(start, d.retries, n)
 	d.Tr.Op(start, trace.KindDequeueBatch, outcome(err), d.retries, int(d.Bo.Spins()), n)

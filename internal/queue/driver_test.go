@@ -12,12 +12,9 @@ import (
 // stuck is a Rounds whose first losses rounds are fruitless and whose
 // rounds succeed after that.
 type stuck struct {
-	losses   int
-	rounds   int
-	prepared int
+	losses int
+	rounds int
 }
-
-func (r *stuck) Prepare() { r.prepared++ }
 
 func (r *stuck) EnqueueRound(uint64) (done, full bool) {
 	r.rounds++
@@ -43,7 +40,7 @@ func (r *stuck) DequeueRound() (uint64, bool, bool) {
 func TestDriverStops(t *testing.T) {
 	ctrs := xsync.NewCounters()
 	r := &stuck{losses: 1 << 30}
-	d := queue.NewDriver(ctrs, queue.Instr{RetryBudget: 5}, nil, r)
+	d := queue.NewDriver(ctrs, queue.Instr{RetryBudget: 5}, r)
 	if err := d.Enqueue(2); !errors.Is(err, queue.ErrContended) {
 		t.Fatalf("Enqueue over budget = %v, want ErrContended", err)
 	}
@@ -58,7 +55,7 @@ func TestDriverStops(t *testing.T) {
 	}
 
 	r = &stuck{losses: 1 << 30}
-	d = queue.NewDriver(ctrs, queue.Instr{}, nil, r)
+	d = queue.NewDriver(ctrs, queue.Instr{}, r)
 	d.SetDeadline(time.Now().Add(-time.Second))
 	if err := d.Enqueue(2); !errors.Is(err, queue.ErrDeadline) {
 		t.Fatalf("Enqueue past deadline = %v, want ErrDeadline", err)
@@ -68,24 +65,5 @@ func TestDriverStops(t *testing.T) {
 	}
 	if n := ctrs.Total(xsync.OpDeadline); n != 1 {
 		t.Fatalf("OpDeadline = %d, want 1", n)
-	}
-}
-
-// TestDriverRescue checks a starved operation goes through the announce
-// array, which runs it with the driver's own rounds after Prepare, and
-// that the completion is counted once.
-func TestDriverRescue(t *testing.T) {
-	ctrs := xsync.NewCounters()
-	in := queue.Instr{StarvationBound: 3}
-	r := &stuck{losses: 5}
-	d := queue.NewDriver(ctrs, in, in.Announce(), r)
-	if err := d.Enqueue(2); err != nil {
-		t.Fatalf("starved Enqueue = %v, want nil", err)
-	}
-	if r.prepared == 0 {
-		t.Fatal("announced rounds ran without Prepare")
-	}
-	if n := ctrs.Total(xsync.OpEnqueue); n != 1 {
-		t.Fatalf("OpEnqueue = %d, want 1", n)
 	}
 }

@@ -50,7 +50,6 @@ type Queue struct {
 	reg    *registry.Registry
 	ctrs   *xsync.Counters
 	in     queue.Instr
-	ann    *xsync.Announce
 }
 
 // Option configures a Queue.
@@ -93,7 +92,6 @@ func New(capacity int, opts ...Option) *Queue {
 	for _, o := range opts {
 		o(q)
 	}
-	q.ann = q.in.Announce()
 	q.reg = registry.New(registry.WithYield(q.in.Yield))
 	q.slots = make([]atomic.Uint64, int(size)*q.stride)
 	return q
@@ -139,7 +137,7 @@ var (
 // registry.
 func (q *Queue) Attach() queue.Session {
 	s := &Session{q: q}
-	s.Driver = queue.NewDriver(q.ctrs, q.in, q.ann, s)
+	s.Driver = queue.NewDriver(q.ctrs, q.in, s)
 	s.varH = q.reg.Register(s.Ctr)
 	s.varGen = q.reg.Gen(s.varH)
 	return s
@@ -156,13 +154,11 @@ func (s *Session) Detach() {
 	s.Hist.Flush()
 }
 
-// Prepare runs the between-operations protocol (queue.Rounds):
-// ReRegister swaps the LLSCvar for a fresh one if another thread still
-// holds a reference, closing the recycled-record ABA described in §5. It
-// also stamps the record's heartbeat and recovers from scavenger
-// revocation. A helper runs it before executing a victim's announced
-// operation with its *own* LLSCvar, so the §5 defence applies unchanged.
-func (s *Session) Prepare() {
+// prepare runs the between-operations protocol: ReRegister swaps the
+// LLSCvar for a fresh one if another thread still holds a reference,
+// closing the recycled-record ABA described in §5. It also stamps the
+// record's heartbeat and recovers from scavenger revocation.
+func (s *Session) prepare() {
 	if s.varH == 0 {
 		panic("evqcas: session used after Detach")
 	}
@@ -172,7 +168,7 @@ func (s *Session) Prepare() {
 
 // ll is the session's simulated LL on w; it returns the application
 // value observed and the marker that now reserves w. Every LL after the
-// first of an operation runs ReRegister first, as Prepare does before
+// first of an operation runs ReRegister first, as prepare does before
 // the first: a reader that raised this record's reference count while
 // reading through an earlier reservation must never see the record
 // reserve a word again, or its LL could displace the new reservation
@@ -236,7 +232,7 @@ func (s *Session) Enqueue(v uint64) error {
 	if err := queue.CheckValue(v); err != nil {
 		return err
 	}
-	s.Prepare()
+	s.prepare()
 	return s.Driver.Enqueue(v)
 }
 
@@ -252,7 +248,7 @@ func (s *Session) Dequeue() (uint64, bool) {
 // error means the queue was observed empty; ok=false with
 // queue.ErrContended means the retry budget ran out first.
 func (s *Session) DequeueErr() (uint64, bool, error) {
-	s.Prepare()
+	s.prepare()
 	return s.Driver.DequeueErr()
 }
 
@@ -337,7 +333,7 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	if len(vs) == 0 {
 		return 0, nil
 	}
-	s.Prepare()
+	s.prepare()
 	q := s.q
 	start := s.StartEnqBatch()
 	c := q.tail.Load()
@@ -406,7 +402,7 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	s.Prepare()
+	s.prepare()
 	q := s.q
 	start := s.StartDeqBatch()
 	c := q.head.Load()

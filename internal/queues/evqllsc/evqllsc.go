@@ -40,7 +40,6 @@ type Queue struct {
 	size  uint64
 	ctrs  *xsync.Counters
 	in    queue.Instr
-	ann   *xsync.Announce
 	name  string
 }
 
@@ -91,7 +90,6 @@ func New(capacity int, mem func(words int) llsc.Memory, opts ...Option) *Queue {
 	for _, o := range opts {
 		o(q)
 	}
-	q.ann = q.in.Announce()
 	return q
 }
 
@@ -118,16 +116,12 @@ var (
 // Attach returns a session for the calling goroutine.
 func (q *Queue) Attach() queue.Session {
 	s := &Session{q: q}
-	s.Driver = queue.NewDriver(q.ctrs, q.in, q.ann, s)
+	s.Driver = queue.NewDriver(q.ctrs, q.in, s)
 	return s
 }
 
 // Detach releases the session (a no-op for this algorithm).
 func (s *Session) Detach() { s.Hist.Flush() }
-
-// Prepare implements queue.Rounds; Algorithm 1 has no between-operations
-// protocol.
-func (s *Session) Prepare() {}
 
 // indexDelta returns (t - h) in the wrapped index domain. Index words
 // live in the 40-bit value field of the LL/SC memory and the queue size

@@ -222,11 +222,11 @@ func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c
 
 // WithInstr attaches the instrumentation and retry-policy bundle; see
 // queue.Instr. The retry budget counts segment hops (closed ring,
-// drained ring) as fruitless rounds; StarvationBound is ignored. The
-// Yield hook fires before shared-memory accesses — ring words, chain
-// pointers, registry and hazard state — enabling interleaving
-// exploration and fault injection. Its Trace additionally records the
-// segment lifecycle (grow, spare hit/miss).
+// drained ring) as fruitless rounds. The Yield hook fires before
+// shared-memory accesses — ring words, chain pointers, registry and
+// hazard state — enabling interleaving exploration and fault injection.
+// Its Trace additionally records the segment lifecycle (grow, spare
+// hit/miss).
 func WithInstr(in queue.Instr) Option { return func(q *Queue) { q.in = in } }
 
 // WithPaddedSlots spreads ring slots across cache-line pairs.
@@ -946,7 +946,7 @@ var (
 // acquires a hazard record. One registration serves every segment.
 func (q *Queue) Attach() queue.Session {
 	s := &Session{q: q}
-	s.Driver = queue.NewDriver(q.ctrs, q.in, nil, s)
+	s.Driver = queue.NewDriver(q.ctrs, q.in, s)
 	s.varH = q.reg.Register(s.Ctr)
 	s.varGen = q.reg.Gen(s.varH)
 	s.rec = q.dom.Acquire()
@@ -976,11 +976,11 @@ func (s *Session) Detach() {
 	s.Hist.Flush()
 }
 
-// Prepare runs the between-operations protocol on both records
-// (queue.Rounds): ReRegister for the LLSCvar (closing the
+// prepare runs the between-operations protocol on both records:
+// ReRegister for the LLSCvar (closing the
 // recycled-record ABA, §5), revocation recovery for the hazard record,
 // and heartbeats for the orphan scavenger.
-func (s *Session) Prepare() {
+func (s *Session) prepare() {
 	if s.varH == 0 {
 		panic("evqseg: session used after Detach")
 	}
@@ -995,7 +995,7 @@ func (s *Session) Prepare() {
 
 // ll is the session's simulated LL on w; it returns the application
 // value observed and the marker that now reserves w. Every LL after the
-// first of an operation runs ReRegister first, as Prepare does before
+// first of an operation runs ReRegister first, as prepare does before
 // the first; see evqcas Session.ll for the reader race this closes.
 func (s *Session) ll(w *atomic.Uint64) (slot, marker uint64) {
 	if s.reserved {
@@ -1039,7 +1039,7 @@ func (s *Session) Enqueue(v uint64) error {
 	if err := queue.CheckValue(v); err != nil {
 		return err
 	}
-	s.Prepare()
+	s.prepare()
 	q := s.q
 	if err := q.admitSegments(s); err != nil {
 		return err
@@ -1297,7 +1297,7 @@ func (s *Session) Dequeue() (uint64, bool) {
 // error means the queue was observed empty; ok=false with
 // queue.ErrContended means the retry budget ran out first.
 func (s *Session) DequeueErr() (uint64, bool, error) {
-	s.Prepare()
+	s.prepare()
 	v, ok, err := s.Driver.DequeueErr()
 	s.unpin()
 	return v, ok, err
@@ -1575,7 +1575,7 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	if len(vs) == 0 {
 		return 0, nil
 	}
-	s.Prepare()
+	s.prepare()
 	q := s.q
 	if err := q.admitSegments(s); err != nil {
 		return 0, err
@@ -1630,7 +1630,7 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	s.Prepare()
+	s.prepare()
 	q := s.q
 	start := s.StartDeqBatch()
 	n := 0

@@ -5,8 +5,8 @@
 // aggregate questions — how many CAS per op, what is the p99.9 — the
 // flight recorder answers the individual ones the aggregates fold away:
 // which enqueue ate 40 retry rounds before shedding, whether the p99.9
-// straggler was a victim rescued by helping or a spare-pool miss that
-// zeroed a ring inline.
+// straggler was a deadline abort or a spare-pool miss that zeroed a
+// ring inline.
 //
 // # Recording policy
 //
@@ -15,7 +15,7 @@
 // per session side, see xsync.SampleShift) writes one record, so the
 // common case adds nothing beyond the branch that notices it was not
 // sampled. Outcomes that end a pathological operation — ErrContended,
-// ErrDeadline, a starvation rescue — and the segment lifecycle events
+// ErrDeadline — and the segment lifecycle events
 // (grow, spare-pool hit/miss) are recorded unconditionally: they are
 // rare by construction (each ends a long retry loop or a segment
 // boundary crossing), and they are precisely the records a postmortem
@@ -102,10 +102,6 @@ const (
 	// depth-watermark admission control (sampled: shedding is designed to
 	// run at millions per second).
 	OutcomeOverloaded
-	// OutcomeRescued is an operation completed on the session's behalf by
-	// the starvation-helping protocol — the victim's side of a rescue
-	// (always recorded).
-	OutcomeRescued
 	// OutcomeSegShed is an enqueue the segmented queue refused because
 	// segment watermarks or the memory bound blocked growth (sampled).
 	OutcomeSegShed
@@ -139,8 +135,6 @@ func (o Outcome) String() string {
 		return "deadline"
 	case OutcomeOverloaded:
 		return "overloaded"
-	case OutcomeRescued:
-		return "rescued"
 	case OutcomeSegShed:
 		return "segment-shed"
 	case OutcomeSegGrow:
@@ -158,13 +152,13 @@ func (o Outcome) String() string {
 
 // Rare reports whether records with this outcome are written
 // unconditionally rather than on the sampled beat. Rare outcomes either
-// end a long retry loop (contended, deadline, rescued) or fire at
+// end a long retry loop (contended, deadline) or fire at
 // segment-boundary cadence (grow, spare traffic, scavenge), so recording
 // every one costs nothing measurable and gives the postmortem a complete
 // set; everything else — including the hot shed paths — stays sampled.
 func (o Outcome) Rare() bool {
 	switch o {
-	case OutcomeContended, OutcomeDeadline, OutcomeRescued,
+	case OutcomeContended, OutcomeDeadline,
 		OutcomeSegGrow, OutcomeSpareHit, OutcomeSpareMiss, OutcomeScavenge:
 		return true
 	}
@@ -183,9 +177,8 @@ type Record struct {
 	// Retries is the number of failed retry-loop iterations the operation
 	// burned (0 for events).
 	Retries uint32
-	// Spins is the backoff spin ceiling in effect when the record was
-	// written — how hard the adaptive backoff was braking (0 without
-	// backoff).
+	// Spins is the backoff spin interval in effect when the record was
+	// written — how hard backoff was braking (0 without backoff).
 	Spins uint32
 	// N is the batch element count for batch kinds and the event
 	// magnitude (live segments, records scavenged) for KindEvent.

@@ -48,10 +48,6 @@ const (
 	// OpSegRetire counts drained segments handed to the hazard domain for
 	// reclamation by the segmented queue.
 	OpSegRetire
-	// OpRescue counts starved operations completed by a helping session:
-	// the victim published its stalled operation to the announce array and
-	// a winning thread executed it (see Announce).
-	OpRescue
 	// OpOverload counts enqueues shed with ErrOverloaded by watermark
 	// admission control before any slot-protocol work.
 	OpOverload
@@ -112,8 +108,6 @@ func (k OpKind) String() string {
 		return "seg-recycle"
 	case OpSegRetire:
 		return "seg-retire"
-	case OpRescue:
-		return "rescue"
 	case OpOverload:
 		return "overload-shed"
 	case OpDeadline:

@@ -87,6 +87,26 @@ func TestBackoffGrowsAndResets(t *testing.T) {
 	b.Fail() // after reset the interval restarts small; just exercise it
 }
 
+// TestBackoffDefaults: NewBackoff(0, 0) selects both default bounds, so
+// the interval grows geometrically to DefaultBackoffMax, stays there,
+// and Reset returns it to DefaultBackoffMin.
+func TestBackoffDefaults(t *testing.T) {
+	b := NewBackoff(0, 0)
+	if got := b.Spins(); got != DefaultBackoffMin {
+		t.Fatalf("fresh Spins() = %d, want %d", got, DefaultBackoffMin)
+	}
+	for i := 0; i < 20; i++ {
+		b.Fail()
+	}
+	if got := b.Spins(); got != DefaultBackoffMax {
+		t.Fatalf("Spins() = %d after 20 Fails, want %d", got, DefaultBackoffMax)
+	}
+	b.Reset()
+	if got := b.Spins(); got != DefaultBackoffMin {
+		t.Fatalf("Spins() = %d after Reset, want %d", got, DefaultBackoffMin)
+	}
+}
+
 func TestBackoffZeroValueYields(t *testing.T) {
 	var b Backoff // disabled: every Fail is a bare yield
 	for i := 0; i < 3; i++ {

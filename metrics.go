@@ -70,9 +70,6 @@ type Snapshot struct {
 	// OverloadSheds counts enqueues refused with ErrOverloaded by
 	// watermark admission control (WithWatermarks).
 	OverloadSheds uint64
-	// StarvationRescues counts operations completed on a starved
-	// session's behalf by the WithStarvationBound helping protocol.
-	StarvationRescues uint64
 	// OrphansScavenged counts per-thread records reclaimed by
 	// ScavengeOrphans (sessions presumed dead without Detach).
 	OrphansScavenged uint64
@@ -125,7 +122,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Contended:          m.c.Total(xsync.OpContended),
 		DeadlineAborts:     m.c.Total(xsync.OpDeadline),
 		OverloadSheds:      m.c.Total(xsync.OpOverload),
-		StarvationRescues:  m.c.Total(xsync.OpRescue),
 		OrphansScavenged:   m.c.Total(xsync.OpScavenge),
 		LeakedSessions:     m.c.Total(xsync.OpLeak),
 		SegmentAllocs:      m.c.Total(xsync.OpSegAlloc),
@@ -298,7 +294,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		Contended:          sub(s.Contended, prev.Contended),
 		DeadlineAborts:     sub(s.DeadlineAborts, prev.DeadlineAborts),
 		OverloadSheds:      sub(s.OverloadSheds, prev.OverloadSheds),
-		StarvationRescues:  sub(s.StarvationRescues, prev.StarvationRescues),
 		OrphansScavenged:   sub(s.OrphansScavenged, prev.OrphansScavenged),
 		LeakedSessions:     sub(s.LeakedSessions, prev.LeakedSessions),
 		SegmentAllocs:      sub(s.SegmentAllocs, prev.SegmentAllocs),

@@ -136,19 +136,6 @@ var (
 	ErrOverloaded = queue.ErrOverloaded
 )
 
-// BackoffPolicy is the shared adaptive-backoff controller installed with
-// WithBackoffPolicy: one per queue, consulted by every session's retry
-// backoff and by the blocking wait layer. The controller applies AIMD to
-// retry aggressiveness — under a high CAS/SC failure rate the spin
-// ceiling doubles (decongesting the contended words), and once the
-// failure rate falls it decays additively back toward MinSpin. The
-// exported fields are configuration; zero values mean defaults. Mutate
-// them only before handing the policy to New.
-type BackoffPolicy = xsync.BackoffPolicy
-
-// NewBackoffPolicy returns a policy with every knob at its default.
-func NewBackoffPolicy() *BackoffPolicy { return xsync.NewBackoffPolicy() }
-
 // config collects option state.
 type config struct {
 	algorithm  Algorithm
@@ -161,8 +148,8 @@ type config struct {
 	segSize    int
 	metrics    *Metrics
 	hook       func(Event)
-	// instr carries the retry policy (backoff, budget, starvation bound,
-	// yield hook) to the word-level queue; newInner adds the metric sinks.
+	// instr carries the retry policy (backoff, budget, yield hook) to the
+	// word-level queue; newInner adds the metric sinks.
 	instr          queue.Instr
 	lowWater       int
 	highWater      int
@@ -275,26 +262,6 @@ func WithSegmentSize(n int) Option {
 
 // WithMetrics attaches an operation-counter sink; see Metrics.
 func WithMetrics(m *Metrics) Option { return func(c *config) { c.metrics = m } }
-
-// WithBackoffPolicy installs a shared adaptive-backoff controller on the
-// Evequoz-family algorithms, superseding WithBackoff's fixed bounds: the
-// per-session spin ceiling follows the policy's AIMD controller, driven
-// by the live CAS/SC failure rate (read from the WithMetrics counters
-// when present). The same policy also tunes the blocking *Wait variants'
-// spin counts and sleep bounds. One policy per queue — sharing blends
-// unrelated contention signals. A nil p is ignored. Ignored by the
-// baseline algorithms (the wait-layer tuning still applies).
-func WithBackoffPolicy(p *BackoffPolicy) Option { return func(c *config) { c.instr.Policy = p } }
-
-// WithStarvationBound enables starvation detection with cooperative
-// helping on AlgorithmLLSC and AlgorithmCAS: an operation that has lost
-// more than n consecutive retry rounds is published to the queue's
-// announce array, where the sessions currently winning complete it on
-// the victim's behalf. Lock-freedom only promises system-wide progress;
-// the bound adds a per-operation one. Completed rescues are visible as
-// Metrics Snapshot.StarvationRescues. n == 0 disables helping (the
-// default); New rejects a negative n. Ignored by the other algorithms.
-func WithStarvationBound(n int) Option { return func(c *config) { c.instr.StarvationBound = n } }
 
 // WithWatermarks enables admission control on the queue built by New:
 // once the observed depth reaches high, Enqueue and EnqueueBatch fail
@@ -413,9 +380,6 @@ type Queue[T any] struct {
 	// reached highWater, cleared when an enqueue probe sees depth at or
 	// below lowWater.
 	overloaded atomic.Bool
-	// wait is the blocking *Wait variants' ladder, from the
-	// WithBackoffPolicy policy or the package defaults.
-	wait xsync.WaitLadder
 	// rec is the WithTracing flight recorder (nil when tracing is off);
 	// qtr is the queue-level handle used for lifecycle events that have
 	// no owning session (scavenges).
@@ -487,9 +451,6 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 	if c.instr.RetryBudget < 0 {
 		return nil, c, fmt.Errorf("nbqueue: WithRetryBudget(%d) is negative; use 0 to disable the budget", c.instr.RetryBudget)
 	}
-	if c.instr.StarvationBound < 0 {
-		return nil, c, fmt.Errorf("nbqueue: WithStarvationBound(%d) is negative; use 0 to disable helping", c.instr.StarvationBound)
-	}
 	if c.wmSet {
 		if c.lowWater <= 0 || c.lowWater > c.highWater {
 			return nil, c, fmt.Errorf("nbqueue: WithWatermarks(%d, %d) needs 0 < low <= high", c.lowWater, c.highWater)
@@ -556,14 +517,6 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 	if c.metrics != nil {
 		ctrs = c.metrics.counters()
 		c.instr.Hists = c.metrics.histograms()
-	}
-	if p := c.instr.Policy; p != nil {
-		// Fill defaults and, when counters exist, let the AIMD controller
-		// read the live CAS/SC failure rate from them.
-		p.Normalize()
-		if ctrs != nil {
-			p.Bind(ctrs)
-		}
 	}
 	spare := 0
 	if c.spareSet {
@@ -632,7 +585,6 @@ func New[T any](opts ...Option) (*Queue[T], error) {
 		inner: inner,
 		store: newPayloadStore[T](capHint + c.maxThreads + 16),
 		hook:  c.hook,
-		wait:  c.instr.Policy.WaitLadder(),
 		rec:   c.rec,
 		qtr:   c.rec.Handle(),
 	}

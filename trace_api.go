@@ -23,16 +23,15 @@ type TraceRecord struct {
 	// "dequeue-batch", or "event" for queue-lifecycle records.
 	Kind string `json:"kind"`
 	// Outcome says how the operation ended ("ok", "full", "contended",
-	// "deadline", "overloaded", "rescued", "segment-shed") or which
+	// "deadline", "overloaded", "segment-shed") or which
 	// lifecycle event fired ("segment-grow", "spare-hit", "spare-miss",
 	// "scavenge").
 	Outcome string `json:"outcome"`
 	// Retries is the number of fruitless retry-loop iterations the
 	// operation burned before ending.
 	Retries uint32 `json:"retries"`
-	// Spins is the backoff spin ceiling in effect when the record was
-	// written — how hard adaptive backoff was braking (0 when backoff is
-	// off).
+	// Spins is the backoff spin interval in effect when the record was
+	// written — how hard backoff was braking (0 when backoff is off).
 	Spins uint32 `json:"spins"`
 	// N is the element count for batch kinds and the magnitude for
 	// events (live segments after a grow, records scavenged).
@@ -52,7 +51,7 @@ type TraceRecord struct {
 // already gate: one in 2^5 operations per session records (with
 // latency), so the steady-state cost is a branch on the hot path and
 // one ring write per 32 operations. Outcomes that end a pathological
-// operation — ErrContended, ErrDeadline, a starvation rescue — and the
+// operation — ErrContended, ErrDeadline — and the
 // segment lifecycle (grow, spare-pool hit/miss, scavenge) are recorded
 // unconditionally, so a postmortem sees every one of them; hot shed
 // outcomes (ErrFull, ErrOverloaded, segment-watermark sheds) stay
@@ -122,7 +121,7 @@ func (q *Queue[T]) TraceWritten() uint64 { return q.rec.Written() }
 
 // SetTraceLogContext links the flight recorder to Go's execution
 // tracer: while runtime/trace is collecting, rare-outcome records
-// (contended, deadline, rescued, spare misses …) additionally emit a
+// (contended, deadline, spare misses …) additionally emit a
 // trace.Log event under ctx — typically a context carrying a
 // runtime/trace.Task per queue — so a stall in `go tool trace` is
 // attributable to the specific operation's retry storm. nil detaches.
