@@ -34,9 +34,9 @@ import (
 // against one yield-paced consumer.
 const overloadProducers = 4
 
-// segment watermarks for the segmented overload pass: with the derived
-// segment size of capacity/4, the (2, 3) band holds the same backlog as
-// the depth band (capacity/4, capacity/2) the other algorithms run.
+// segment watermarks for the segmented overload pass: with segments of
+// capacity/4 slots, the (2, 3) band holds the same backlog as the depth
+// band (capacity/4, capacity/2) the other algorithms run.
 const (
 	overloadSegLow  = 2
 	overloadSegHigh = 3
@@ -108,7 +108,7 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 			nbqueue.WithMetrics(m),
 		}
 		if segMode {
-			opts = append(opts, nbqueue.WithUnbounded())
+			opts = append(opts, nbqueue.WithUnbounded(), nbqueue.WithSegmentSize(p.Capacity/4))
 			if gated {
 				opts = append(opts, nbqueue.WithSegmentWatermarks(overloadSegLow, overloadSegHigh))
 			}

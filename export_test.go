@@ -3,6 +3,7 @@ package nbqueue
 import (
 	"unsafe"
 
+	"nbqueue/internal/arena"
 	"nbqueue/internal/tagptr"
 )
 
@@ -40,4 +41,15 @@ func PayloadSlots[T comparable](q *Queue[T]) (live, chunks, pinned int) {
 		}
 	}
 	return int(s.fresh.Load()-1) - free, chunks, pinned
+}
+
+// SegmentGeometry reports an AlgorithmSegmented queue's slots per
+// segment and the capacity of its segment-handle pool, which also sizes
+// its segment table.
+func SegmentGeometry[T any](q *Queue[T]) (segSize, handles int) {
+	g := q.inner.(interface {
+		SegmentSize() int
+		Pool() *arena.Arena
+	})
+	return g.SegmentSize(), g.Pool().Capacity()
 }

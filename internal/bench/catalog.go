@@ -49,7 +49,7 @@ type Config struct {
 	// ErrFull (until the segment pool backstop). Ignored elsewhere.
 	Unbounded bool
 	// SegSize is the per-segment ring size for the segmented queue; 0
-	// derives it from Capacity (clamped to [16, 1024]). Ignored
+	// derives it from Capacity (clamped to [16, 256]). Ignored
 	// elsewhere.
 	SegSize int
 	// SpareSegments sets the segmented queue's spare-pool capacity:
@@ -172,8 +172,8 @@ var catalog = map[string]Algo{
 				if seg < 16 {
 					seg = 16
 				}
-				if seg > 1024 {
-					seg = 1024
+				if seg > 256 {
+					seg = 256
 				}
 			}
 			high := c.Capacity

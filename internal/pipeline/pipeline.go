@@ -282,8 +282,8 @@ type Recovery string
 
 // The recovery actions of the fault/failover matrix.
 const (
-	// RecoverRespawn scavenges orphaned lane sessions and respawns the
-	// dead worker (the kill/heartbeat recovery; pressure never uses it).
+	// RecoverRespawn reclaims the dead worker's lane sessions and
+	// respawns it (the kill/heartbeat recovery; pressure never uses it).
 	RecoverRespawn Recovery = "scavenge-respawn"
 	// RecoverSpill retries the enqueue on the stage's sibling lanes
 	// before falling back to shedding.
@@ -306,6 +306,9 @@ type Lane interface {
 	// Orphans reports attached-but-stale session records (0 when the
 	// backing cannot count them).
 	Orphans() int
+	// SessionRecords reports the per-thread records one session holds,
+	// which its Detach frees (0 when the backing cannot count them).
+	SessionRecords() int
 	// Depth reports the approximate lane population.
 	Depth() int
 }
@@ -333,6 +336,7 @@ func QueueLane(q *nbqueue.Queue[*Item]) Lane { return queueLane{q} }
 func (l queueLane) Attach() LaneSession { return l.q.Attach() }
 func (l queueLane) Scavenge() int       { return l.q.ScavengeOrphans() }
 func (l queueLane) Orphans() int        { return l.q.Orphans() }
+func (l queueLane) SessionRecords() int { return l.q.SessionRecords() }
 func (l queueLane) Depth() int {
 	n, _ := l.q.Len()
 	return n
@@ -349,6 +353,7 @@ func FabricLane(f *nbqueue.Fabric[*Item]) Lane { return fabricLane{f} }
 func (l fabricLane) Attach() LaneSession { return l.f.Attach() }
 func (l fabricLane) Scavenge() int       { return l.f.ScavengeOrphans() }
 func (l fabricLane) Orphans() int        { return 0 }
+func (l fabricLane) SessionRecords() int { return 0 }
 func (l fabricLane) Depth() int          { return l.f.Len() }
 
 // StageSpec describes one pipeline stage.
@@ -362,7 +367,8 @@ type StageSpec struct {
 	// NewLane is set and returns fewer.
 	Lanes int
 	// LaneOptions configures each lane queue (nbqueue.New options);
-	// ignored when NewLane is set.
+	// ignored when NewLane is set. Lanes are AlgorithmSegmented, whose
+	// ring memory follows depth; a WithAlgorithm here overrides that.
 	LaneOptions []nbqueue.Option
 	// NewLane, when non-nil, builds lane l explicitly — the hook for
 	// fabric-backed or custom lanes.
@@ -388,9 +394,9 @@ type Config struct {
 	// boundary and the budget is pushed into the lane deadline
 	// machinery on every forward.
 	DeadlineBudget time.Duration
-	// Respawn re-spawns killed workers after scavenging their stage's
-	// lanes (the scavenge-respawn recovery). When false a killed
-	// worker stays dead.
+	// Respawn re-spawns killed workers with fresh lane sessions (the
+	// scavenge-respawn recovery). When false a killed worker stays
+	// dead.
 	Respawn bool
 	// Heartbeat, when positive, runs a supervisor that condemns
 	// workers whose heartbeat goes stale for longer than this; a
@@ -406,7 +412,9 @@ type Config struct {
 // Hook is the fault-injection point: called with the stage, worker
 // index, and item at the top of every service, before any downstream
 // effect. A hook may panic with chaos.Abandon (a worker kill) or stall
-// (a storm); it must return/panic eventually once its fault clears.
+// (a storm); it must return/panic eventually once its fault clears. The
+// hook is the only kill point: a killed worker is outside any lane
+// operation, so its sessions can be detached.
 type Hook func(stage, worker int, it *Item)
 
 // StageStats aggregates one stage's counters and queue-time samples.
@@ -421,7 +429,9 @@ type StageStats struct {
 	DeadLetters   atomic.Uint64
 	WorkerDeaths  atomic.Uint64
 	Respawns      atomic.Uint64
-	Scavenged     atomic.Uint64
+	// Reclaimed counts the per-thread lane records freed by detaching
+	// killed workers' sessions.
+	Reclaimed atomic.Uint64
 
 	queueWait xsync.Hist
 }
@@ -497,7 +507,10 @@ func New(cfg Config) (*Pipeline, error) {
 				lanes[l] = ln
 				continue
 			}
-			q, err := nbqueue.New[*Item](spec.LaneOptions...)
+			q, err := nbqueue.New[*Item](nbqueue.Options(
+				nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
+				nbqueue.Options(spec.LaneOptions...),
+			))
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: stage %q lane %d: %w", spec.Name, l, err)
 			}
@@ -610,11 +623,7 @@ type Producer struct {
 
 // Producer attaches a new submission handle.
 func (p *Pipeline) Producer() *Producer {
-	pr := &Producer{p: p}
-	for _, ln := range p.lanes[0] {
-		pr.sess = append(pr.sess, ln.Attach())
-	}
-	return pr
+	return &Producer{p: p, sess: p.attach(0)}
 }
 
 // Close detaches the producer's sessions.
@@ -754,19 +763,26 @@ func (p *Pipeline) requeue(it *Item) {
 	}
 }
 
-// runWorker supervises one worker slot: it runs the worker body under
-// chaos.Worker, and on an Abandon kill it requeues the dangling item,
-// scavenges the stage's lanes, and (when cfg.Respawn) spawns a fresh
-// incarnation with fresh sessions.
+// runWorker supervises one worker slot. Each incarnation gets fresh
+// sessions on its stage's lanes (in) and the next stage's (out) and
+// runs the worker body under chaos.Worker. The only kill point is the
+// fault hook at the top of service, outside any lane operation, so on a
+// kill the supervisor detaches exactly the dead incarnation's sessions,
+// requeues the dangling item, and (when cfg.Respawn) starts a fresh
+// incarnation. Nothing is reclaimed by staleness, which cannot tell a
+// dead worker's records from an idle live one's.
 func (p *Pipeline) runWorker(w *worker) {
 	defer p.wg.Done()
+	st := p.stats[w.stage]
 	for !p.stop.Load() {
-		killed := chaos.Worker(func() { p.workerBody(w) })
+		in, out := p.attach(w.stage), p.attach(w.stage+1)
+		killed := chaos.Worker(func() { p.workerBody(w, in, out) })
+		records := p.release(w.stage, in) + p.release(w.stage+1, out)
 		if !killed {
 			return // clean exit via stop
 		}
-		st := p.stats[w.stage]
 		st.WorkerDeaths.Add(1)
+		st.Reclaimed.Add(uint64(records))
 		w.condemned.Store(false)
 		if it := w.inflight.Swap(nil); it != nil {
 			p.requeue(it)
@@ -775,48 +791,40 @@ func (p *Pipeline) runWorker(w *worker) {
 			w.dead.Store(true)
 			return
 		}
-		// Scavenge the dead incarnation's sessions off this stage's
-		// lanes (and its output sessions off the next stage's).
-		st.Scavenged.Add(uint64(p.scavengeStage(w.stage)))
 		st.Respawns.Add(1)
 	}
 }
 
-// scavengeStage reclaims orphaned sessions on stage s's lanes and its
-// downstream neighbor's (a dead worker holds sessions on both).
-func (p *Pipeline) scavengeStage(s int) int {
-	total := 0
-	for round := 0; round < 4; round++ {
-		for _, ln := range p.lanes[s] {
-			total += ln.Scavenge()
-		}
-		if s+1 < len(p.lanes) {
-			for _, ln := range p.lanes[s+1] {
-				total += ln.Scavenge()
-			}
-		}
+// attach opens one session on each of stage's lanes (none past the
+// last stage).
+func (p *Pipeline) attach(stage int) []LaneSession {
+	if stage >= len(p.lanes) {
+		return nil
 	}
-	return total
+	ss := make([]LaneSession, len(p.lanes[stage]))
+	for l, ln := range p.lanes[stage] {
+		ss[l] = ln.Attach()
+	}
+	return ss
 }
 
-// workerBody is one worker incarnation: attach sessions, drain the
-// stage's lanes in priority order, service, forward. Sessions are NOT
-// detached on a kill panic (that is the point: they become orphans for
-// the scavenger); only the clean stop path detaches.
-func (p *Pipeline) workerBody(w *worker) {
+// release detaches sessions opened by attach(stage), returning the
+// per-thread records freed.
+func (p *Pipeline) release(stage int, ss []LaneSession) int {
+	records := 0
+	for l, s := range ss {
+		s.Detach()
+		records += p.lanes[stage][l].SessionRecords()
+	}
+	return records
+}
+
+// workerBody is one worker incarnation: drain the stage's lanes through
+// in in priority order, service, forward through out (nil at egress).
+// runWorker owns the sessions.
+func (p *Pipeline) workerBody(w *worker, in, out []LaneSession) {
 	spec := &p.cfg.Stages[w.stage]
 	st := p.stats[w.stage]
-	in := make([]LaneSession, len(p.lanes[w.stage]))
-	for l, ln := range p.lanes[w.stage] {
-		in[l] = ln.Attach()
-	}
-	var out []LaneSession
-	if w.stage+1 < len(p.lanes) {
-		out = make([]LaneSession, len(p.lanes[w.stage+1]))
-		for l, ln := range p.lanes[w.stage+1] {
-			out[l] = ln.Attach()
-		}
-	}
 	// An idle worker waits on a flat ladder: 256 yields, then 100µs
 	// naps, so it sees a new item or a stop within 100µs.
 	idle := xsync.WaitLadder{Spins: 256, SleepMin: 100 * time.Microsecond, SleepMax: 100 * time.Microsecond}
@@ -891,12 +899,6 @@ func (p *Pipeline) workerBody(w *worker) {
 			p.place(it, w.stage+1, out)
 		}
 		w.inflight.Store(nil)
-	}
-	for _, s := range in {
-		s.Detach()
-	}
-	for _, s := range out {
-		s.Detach()
 	}
 }
 

@@ -172,6 +172,69 @@ func TestWorkerKillRequeue(t *testing.T) {
 	}
 }
 
+// TestRespawnReclaimsOnlyTheDead kills the work-stage worker once while
+// every other worker is idle. The respawn must free exactly the dead
+// incarnation's records (its session on the work lane and its session
+// on the egress lane), not the idle ingest and egress workers' records
+// on the same lanes, and lose no item.
+func TestRespawnReclaimsOnlyTheDead(t *testing.T) {
+	const deadSessions = 2
+	for _, tc := range []struct {
+		name string
+		opts []nbqueue.Option
+		// cost is the per-thread records one session holds: evq-cas
+		// registers one LLSCvar, evq-seg an LLSCvar and a hazard record.
+		cost int
+	}{
+		{"evq-cas", []nbqueue.Option{nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS)}, 1},
+		{"default", nil, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stages []StageSpec
+			for _, name := range []string{"ingest", "work", "egress"} {
+				stages = append(stages, StageSpec{Name: name, Workers: 1, LaneOptions: tc.opts})
+			}
+			p, err := New(Config{Stages: stages, Respawn: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kill atomic.Bool
+			p.SetHook(func(stage, _ int, _ *Item) {
+				if stage == 1 && kill.CompareAndSwap(true, false) {
+					panic(chaos.Abandon{})
+				}
+			})
+			p.Start()
+			pr := p.Producer()
+			// Spaced submits: each item is emitted and every worker
+			// is back on its idle ladder before the next one.
+			const n = 4
+			for i := 0; i < n; i++ {
+				kill.Store(i == n-1)
+				if _, err := pr.Submit(0); err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+				if !p.Drain(10 * time.Second) {
+					t.Fatalf("item %d not settled", i)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			pr.Close()
+			p.Stop()
+			st := p.Stats(1)
+			if st.WorkerDeaths.Load() != 1 || st.Respawns.Load() != 1 {
+				t.Fatalf("deaths=%d respawns=%d, want 1 and 1", st.WorkerDeaths.Load(), st.Respawns.Load())
+			}
+			if got, want := st.Reclaimed.Load(), uint64(deadSessions*tc.cost); got != want {
+				t.Errorf("respawn reclaimed %d records, want %d (%d dead sessions x %d)", got, want, deadSessions, tc.cost)
+			}
+			if a := p.Ledger().Audit(); a.Injected != n || a.Emitted != n || a.Requeued != 1 {
+				t.Errorf("kill recovery lost items: %+v", a)
+			}
+		})
+	}
+}
+
 // TestFabricLane runs the middle stage on a sharded fabric lane.
 func TestFabricLane(t *testing.T) {
 	room := []nbqueue.Option{nbqueue.WithCapacity(2048)}

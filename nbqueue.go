@@ -251,7 +251,7 @@ func WithUnbounded() Option { return func(c *config) { c.unbounded = true } }
 // (rounded up to a power of two). Smaller segments track bursts more
 // tightly and reclaim memory sooner; larger segments amortize the
 // append/retire machinery further. Default: capacity/4 clamped to
-// [16, 1024]. New rejects n <= 0 and any use with an algorithm other
+// [16, 256]. New rejects n <= 0 and any use with an algorithm other
 // than AlgorithmSegmented (the knob would be silently meaningless).
 func WithSegmentSize(n int) Option {
 	return func(c *config) {
@@ -940,6 +940,21 @@ func (q *Queue[T]) Orphans() int {
 		return 0
 	}
 	return sc.Orphans(2)
+}
+
+// SessionRecords reports how many per-thread records one attached
+// session holds: what its Detach frees, and what ScavengeOrphans
+// reclaims for it once it is presumed dead. AlgorithmSegmented sessions
+// hold two (an LLSCvar and a hazard record); 0 for algorithms with
+// stateless sessions.
+func (q *Queue[T]) SessionRecords() int {
+	if rc, ok := q.inner.(interface{ SessionRecordCost() int }); ok {
+		return rc.SessionRecordCost()
+	}
+	if _, ok := q.inner.(queue.Scavenger); ok {
+		return 1
+	}
+	return 0
 }
 
 // Len reports the queue's current depth for algorithms that can observe

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"nbqueue"
+	"nbqueue/internal/arena"
 )
 
 // TestPayloadExhaustionParity pins where Queue[T] sheds for lack of
@@ -279,8 +280,8 @@ func TestNewAllocatedBytes(t *testing.T) {
 	}
 }
 
-// TestLaneAllocatedBytes is the bytes-per-layer row for one pipeline
-// lane: an evq-cas Queue[*T] of capacity 4096 plus its first Attach
+// TestLaneAllocatedBytes is the bytes-per-layer row for an evq-cas
+// queue: a Queue[*T] of capacity 4096 plus its first Attach
 // may allocate the ring's slot words, one payload chunk and 2 KiB of
 // bookkeeping, nothing sized by MaxRecords or by the capacity beyond
 // the ring itself. Before the registry grew geometrically, the first
@@ -307,5 +308,78 @@ func TestLaneAllocatedBytes(t *testing.T) {
 	t.Logf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
 	if got > ceiling {
 		t.Errorf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
+	}
+}
+
+// TestSegmentedLaneBytes is the bytes-per-layer row for one pipeline
+// lane, an AlgorithmSegmented Queue[*T] of capacity 4096, which takes
+// the default segment size. New plus its first Attach may allocate
+// three rings (the live one and two pre-armed spares), the handle pool
+// and segment table sized for the pool, one payload chunk and 2 KiB of
+// bookkeeping, against the 32 KiB ring of the evq-cas lane above. At a
+// steady depth the ring wraps instead of growing, so after 100k
+// enqueue/dequeue pairs at depth 8 the queue has allocated no segment
+// beyond the pre-armed spares.
+func TestSegmentedLaneBytes(t *testing.T) {
+	type item struct{ n int }
+	const capacity = 4096
+	newLane := func(m *nbqueue.Metrics) *nbqueue.Queue[*item] {
+		q, err := nbqueue.New[*item](nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
+			nbqueue.WithCapacity(capacity), nbqueue.WithMetrics(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	got := uint64(math.MaxUint64)
+	var q *nbqueue.Queue[*item]
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		q = newLane(nil)
+		s := q.Attach()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+		s.Detach()
+	}
+	segSize, handles := nbqueue.SegmentGeometry(q)
+	if segSize != 256 {
+		t.Fatalf("default segment size at capacity %d is %d, want 256", capacity, segSize)
+	}
+	rings := 3 * uint64(segSize) * uint64(unsafe.Sizeof(uint64(0)))
+	pool := uint64(unsafe.Sizeof(arena.Arena{})) + uint64(handles+1)*uint64(unsafe.Sizeof(arena.Node{}))
+	table := uint64(handles+1) * uint64(unsafe.Sizeof(uintptr(0)))
+	ceiling := rings + pool + table + nbqueue.PayloadChunkBytes[*item]() + 2<<10
+	t.Logf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
+	if got > ceiling {
+		t.Errorf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
+	}
+
+	m := nbqueue.NewMetrics()
+	q = newLane(m)
+	s := q.Attach()
+	defer s.Detach()
+	ss, _ := q.SegmentStats()
+	spares := ss.Spare
+	v := &item{}
+	const depth, pairs = 8, 100_000
+	for i := 0; i < depth; i++ {
+		if err := s.Enqueue(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < pairs; i++ {
+		if err := s.Enqueue(v); err != nil {
+			t.Fatalf("pair %d: %v", i, err)
+		}
+		if _, ok := s.Dequeue(); !ok {
+			t.Fatalf("pair %d: dequeue found the queue empty", i)
+		}
+	}
+	snap := m.Snapshot()
+	t.Logf("after %d pairs at depth %d: %d segment allocs, %d retires, %d spares", pairs, depth, snap.SegmentAllocs, snap.SegmentRetires, spares)
+	if snap.SegmentAllocs != uint64(spares) || snap.SegmentRetires != 0 {
+		t.Errorf("after %d pairs at depth %d: %d segment allocs and %d retires, want %d (the pre-armed spares) and 0",
+			pairs, depth, snap.SegmentAllocs, snap.SegmentRetires, spares)
 	}
 }
