@@ -72,6 +72,7 @@ check:
 explore:
 	$(GO) run ./cmd/fifoexplore -threads 2 -delays 3
 	$(GO) run ./cmd/fifoexplore -algo evq-cas -threads 2 -delays 2
+	$(GO) run ./cmd/fifoexplore -algo evq-seg -threads 3 -delays 2 -max-exec 5000
 
 soak:
 	$(GO) run ./cmd/fifosoak -algo all -duration 5s

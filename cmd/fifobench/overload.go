@@ -24,8 +24,8 @@ import (
 // overload and the ratio between the two.
 //
 // The bounded algorithms gate on depth watermarks. The segmented queue
-// instead runs its overload-hardening stack — pre-armed spare segments,
-// segment-count watermarks, off-path finalization — so the measured
+// instead runs its overload-hardening stack — pre-armed spare segments
+// and segment-count watermarks — so the measured
 // admitted tail reflects what an unbounded queue can promise under
 // overload: boundary crossings pop a prepared ring instead of zeroing
 // one inline, and admission refuses before any grow work starts.

@@ -9,6 +9,7 @@
 //
 //	fifoexplore -threads 2 -delays 3 -ops 2
 //	fifoexplore -algo evq-cas -threads 3 -delays 2
+//	fifoexplore -algo evq-seg -threads 3 -delays 2 -max-exec 5000
 //	fifoexplore -threads 3 -delays 2 -capacity 2 -max-exec 50000
 //	fifoexplore -demo-broken            # watch it catch a planted race
 //
@@ -32,6 +33,7 @@ import (
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/queues/evqllsc"
+	"nbqueue/internal/queues/evqseg"
 )
 
 func main() {
@@ -45,11 +47,11 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fifoexplore", flag.ContinueOnError)
 	fs.SetOutput(out) // keep usage/errors off stderr in tests
 	var (
-		algo     = fs.String("algo", "evq-llsc", "algorithm to explore: evq-llsc|evq-cas")
+		algo     = fs.String("algo", "evq-llsc", "algorithm to explore: evq-llsc|evq-cas|evq-seg")
 		threads  = fs.Int("threads", 2, "concurrent program instances")
 		delays   = fs.Int("delays", 2, "maximum preemptions per schedule")
 		ops      = fs.Int("ops", 2, "operations per thread (alternating enqueue/dequeue)")
-		capacity = fs.Int("capacity", 2, "queue capacity")
+		capacity = fs.Int("capacity", 2, "queue capacity (slots per segment for evq-seg)")
 		maxExec  = fs.Int("max-exec", 20000, "execution budget")
 		broken   = fs.Bool("demo-broken", false, "explore a deliberately racy ring instead of Algorithm 1")
 	)
@@ -70,13 +72,18 @@ func run(args []string, out io.Writer) error {
 		hooked = func(hook func()) queue.Queue {
 			return evqcas.New(*capacity, evqcas.WithInstr(queue.Instr{Yield: hook}))
 		}
+	case *algo == "evq-seg":
+		label = "FIFO Array Segmented (Algorithm 2 rings, linked)"
+		hooked = func(hook func()) queue.Queue {
+			return evqseg.New(*capacity, evqseg.WithInstr(queue.Instr{Yield: hook}))
+		}
 	case *algo == "evq-llsc":
 		label = "FIFO Array LL/SC (Algorithm 1)"
 		hooked = llscAdapter(func(mem func(int) llsc.Memory) queue.Queue {
 			return evqllsc.New(*capacity, mem)
 		})
 	default:
-		return fmt.Errorf("unknown -algo %q (evq-llsc|evq-cas)", *algo)
+		return fmt.Errorf("unknown -algo %q (evq-llsc|evq-cas|evq-seg)", *algo)
 	}
 
 	prog := func(tid int, s queue.Session, log *lincheck.ThreadLog) {

@@ -19,6 +19,19 @@ func TestExploreAlgorithm1Clean(t *testing.T) {
 	}
 }
 
+// TestExploreSegmented runs the segmented queue on 2-slot segments: three
+// threads can fill a ring, so schedules close it and append a successor.
+func TestExploreSegmented(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-algo", "evq-seg", "-threads", "3", "-delays", "2", "-max-exec", "300"}, &sb); err != nil {
+		t.Fatalf("run: %v\n%s", err, sb.String())
+	}
+	out := sb.String()
+	if !strings.Contains(out, "FIFO Array Segmented") || !strings.Contains(out, "executions=300") {
+		t.Errorf("unexpected output:\n%s", out)
+	}
+}
+
 func TestExploreDemoBrokenFindsBug(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-demo-broken", "-threads", "2", "-delays", "2"}, &sb)

@@ -328,9 +328,9 @@ loop:
 			return fmt.Errorf("%s: segment conservation broken: %d handed out (allocs+recycles+initial) but %d accounted (retires+frees+live+preparing+spare)",
 				key, handedOut, accounted)
 		}
-		fmt.Fprintf(out, "%-18s ok (overload): produced=%d consumed=%d drained=%d segsheds=%d enters=%d exits=%d sparehits=%d finhelps=%d peakmem=%d (bound=%d) maxdepth=%d audits=%d\n",
+		fmt.Fprintf(out, "%-18s ok (overload): produced=%d consumed=%d drained=%d segsheds=%d enters=%d exits=%d sparehits=%d peakmem=%d (bound=%d) maxdepth=%d audits=%d\n",
 			key, produced.Load(), consumed.Load(), drained, snap.SegmentSheds, segEnters.Load(), segExits.Load(),
-			snap.SpareSegmentHits, snap.FinalizeHelps, peakMem, memBound, maxDepth, audits)
+			snap.SpareSegmentHits, peakMem, memBound, maxDepth, audits)
 		return nil
 	}
 	if sheds.Load() == 0 || snap.OverloadSheds == 0 {

@@ -11,6 +11,7 @@ import (
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/queues/evqllsc"
+	"nbqueue/internal/queues/evqseg"
 	"nbqueue/internal/queues/msqueue"
 )
 
@@ -261,4 +262,95 @@ func TestMSHazardTwoThreads(t *testing.T) {
 	}
 	t.Logf("explored %d executions (%d events, %d exhaustively checked)",
 		res.Executions, res.Events, res.Exhaustive)
+}
+
+// enq2Deq2Program gives each thread two enqueues of unique values
+// followed by two dequeues, all logged: on 2-slot segments two threads
+// fill a ring, so schedules close rings, append successors and retire
+// drained heads.
+func enq2Deq2Program(tid int, s queue.Session, log *lincheck.ThreadLog) {
+	for i := 0; i < 2; i++ {
+		v := uint64(2*tid+i+1) << 1
+		inv := log.Begin()
+		err := s.Enqueue(v)
+		log.Enq(inv, v, err == nil)
+	}
+	for i := 0; i < 2; i++ {
+		inv := log.Begin()
+		got, ok := s.Dequeue()
+		log.Deq(inv, got, ok)
+	}
+}
+
+// segBuild builds evq-seg on 2-slot segments with the yield hook, which
+// fires at the ring words, the chain pointers, the registry and the
+// hazard domain.
+func segBuild(hook func()) queue.Queue {
+	return evqseg.New(2, evqseg.WithInstr(queue.Instr{Yield: hook}))
+}
+
+// TestSegmentedTwoThreads explores evq-seg with two threads: every
+// interleaving of the close, append, finalize walk and unlink within two
+// preemptions must linearize. The budget covers the whole space (about
+// 3,000 schedules).
+func TestSegmentedTwoThreads(t *testing.T) {
+	res, err := explore.RunHooked(explore.Config{
+		Threads:       2,
+		MaxDelays:     2,
+		MaxExecutions: 5000,
+	}, segBuild, enq2Deq2Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Executions < 100 {
+		t.Errorf("only %d executions explored", res.Executions)
+	}
+	t.Logf("explored %d executions (%d events, %d exhaustively checked)",
+		res.Executions, res.Events, res.Exhaustive)
+}
+
+// TestSegmentedThreeThreads widens evq-seg to three threads: a third
+// session contends on the close CAS, the successor append and the head
+// unlink. The straggler branch of the finalize walk needs three
+// preemptions placed just so and is not reached within this budget;
+// evqseg's TestStragglerDrain covers it directly.
+func TestSegmentedThreeThreads(t *testing.T) {
+	res, err := explore.RunHooked(explore.Config{
+		Threads:       3,
+		MaxDelays:     2,
+		MaxExecutions: 6000,
+	}, segBuild, enq2Deq2Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("explored %d executions (%d events)", res.Executions, res.Events)
+}
+
+// TestSegmentedBatchTwoThreads explores the evq-seg batch cursor loops:
+// each thread enqueues three values in one batch, straddling a 2-slot
+// segment, then dequeues up to three in one batch. The budget covers
+// the whole two-preemption space (about 8,000 schedules).
+func TestSegmentedBatchTwoThreads(t *testing.T) {
+	res, err := explore.RunHooked(explore.Config{
+		Threads:       2,
+		MaxDelays:     2,
+		MaxExecutions: 10000,
+	}, segBuild, func(tid int, s queue.Session, log *lincheck.ThreadLog) {
+		b := s.(queue.BatchSession)
+		vs := make([]uint64, 3)
+		for i := range vs {
+			vs[i] = uint64(3*tid+i+1) << 1
+		}
+		inv := log.Begin()
+		n, _ := b.EnqueueBatch(vs)
+		log.EnqBatch(inv, vs, n)
+		dst := make([]uint64, 3)
+		inv = log.Begin()
+		n, _ = b.DequeueBatch(dst)
+		log.DeqBatch(inv, dst, n)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("explored %d executions (%d events)", res.Executions, res.Events)
 }

@@ -97,7 +97,6 @@ var counterSeries = []struct {
 	{xsync.OpSegShed, "segment_sheds_total", "Enqueues refused because segment watermarks or the memory bound blocked growth."},
 	{xsync.OpSegSpareHit, "segment_spare_hits_total", "Segment appends served from the pre-armed spare pool."},
 	{xsync.OpSegSpareMiss, "segment_spare_misses_total", "Segment appends that found the spare pool empty and allocated inline."},
-	{xsync.OpSegFinalizeHelp, "segment_finalize_helps_total", "Closed segments finalized by a helping enqueuer off the dequeue path."},
 }
 
 // histSeries maps histogram kinds to Prometheus series names. Latency

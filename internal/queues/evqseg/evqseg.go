@@ -72,10 +72,9 @@
 //
 // Under sustained overload the naive composition amplifies tail latency
 // and memory at once: every segment-boundary crossing resets (or
-// allocates) a whole ring inside an admitted enqueue, the finalize
-// drain runs inside dequeues, and an unbounded queue converts excess
-// offered load into unbounded segment growth. Four mechanisms keep the
-// degradation graceful:
+// allocates) a whole ring inside an admitted enqueue, and an unbounded
+// queue converts excess offered load into unbounded segment growth.
+// Three mechanisms keep the degradation graceful:
 //
 //   - Spare-segment pool (WithSpareSegments): N prepared rings are kept
 //     ready in a small slot array, so allocSegment is an O(N) pop with
@@ -96,12 +95,6 @@
 //     (queue.ErrFull, counted as OpSegShed) plus reclamation pressure:
 //     the shedding session scans its parked retirees first, so the
 //     free list absorbs churn ahead of fresh growth.
-//   - Helped finalization: a dequeuer that finds a committed straggler
-//     during the close/finalize walk announces the head segment
-//     through an xsync.TaskAnnounce, and enqueuers drive the drain
-//     (straggler advances and the final unlink) from their own
-//     post-operation path, so one stalled victim dequeuer cannot keep
-//     the drain work in every dequeuer's latency path during a spike.
 package evqseg
 
 import (
@@ -118,11 +111,10 @@ import (
 	"nbqueue/internal/xsync"
 )
 
-// closedBit marks a segment's Tail index as closed: the ring is full
-// (or was sealed by the finalize helper) and all further enqueues must
-// go to a successor segment. Index arithmetic always strips it first.
-// Tail indices stay far below 2^63: they are bounded by the segment
-// size per incarnation and reset on recycle.
+// closedBit marks a segment's Tail index as closed: the ring is full and
+// all further enqueues must go to a successor segment. Index arithmetic
+// always strips it first. Tail indices stay far below 2^63: they are
+// bounded by the segment size per incarnation and reset on recycle.
 const closedBit = uint64(1) << 63
 
 // Segment states, for scavenging and diagnostics. The open/closed/
@@ -154,11 +146,7 @@ type segment struct {
 	// a segment stuck in segPreparing for minAge epochs is an append
 	// orphan (its producer died before linking) and is reclaimed by
 	// Scavenge.
-	beat atomic.Uint64
-	// self is the segment's own pool handle, fixed at creation (the
-	// segs-table binding never changes); it lets ring-level code name
-	// the segment in announce cells without threading the handle down.
-	self  uint64
+	beat  atomic.Uint64
 	slots []atomic.Uint64
 }
 
@@ -199,9 +187,6 @@ type Queue struct {
 	segHigh  int // segment-watermark admission ceiling; 0 = disabled
 	segOver  atomic.Bool
 
-	// fin carries announced finalize-drain tasks from dequeuers to
-	// helping enqueuers (see the overload-hardening package section).
-	fin *xsync.TaskAnnounce
 	// qctr records ops that happen outside any session (scavenging,
 	// queue-level replenishes).
 	qctr xsync.Handle
@@ -381,12 +366,11 @@ func New(segSize int, opts ...Option) *Queue {
 	if q.in.Yield != nil {
 		q.dom.SetYield(q.in.Yield)
 	}
-	q.fin = xsync.NewTaskAnnounce()
 	q.qctr = q.ctrs.Handle()
 	// Install the first segment directly: the queue is born with one
 	// live, open, empty ring.
 	h := q.pool.Alloc()
-	g := &segment{self: h, slots: make([]atomic.Uint64, int(size)*q.stride)}
+	g := &segment{slots: make([]atomic.Uint64, int(size)*q.stride)}
 	g.state.Store(segLive)
 	q.segs[h>>1].Store(g)
 	q.headSeg.Store(h)
@@ -610,7 +594,7 @@ func (q *Queue) allocSegment(s *Session) uint64 {
 func (q *Queue) prepareSegment(h uint64, ctr xsync.Handle) uint64 {
 	g := q.segs[h>>1].Load()
 	if g == nil {
-		g = &segment{self: h, slots: make([]atomic.Uint64, int(q.size)*q.stride)}
+		g = &segment{slots: make([]atomic.Uint64, int(q.size)*q.stride)}
 		g.beat.Store(q.epoch.Load())
 		g.state.Store(segPreparing)
 		q.prepSegs.Add(1)
@@ -1048,9 +1032,8 @@ func (s *Session) Enqueue(v uint64) error {
 	s.unpin()
 	if err == nil {
 		// Maintenance runs after the latency measurement closed: the
-		// spare top-up and any announced finalize help are this
-		// operation's contribution to the *next* spike, not part of its
-		// own admitted latency.
+		// spare top-up is this operation's contribution to the *next*
+		// spike, not part of its own admitted latency.
 		q.afterEnqueue(s)
 	}
 	return err
@@ -1164,86 +1147,12 @@ func (q *Queue) unlinkHead(s *Session, g *segment, hs uint64) bool {
 }
 
 // afterEnqueue is the post-operation maintenance hook, run after an
-// enqueue's latency measurement closes: top the spare pool back up and
-// help one announced finalize drain. Both are bounded (one segment
-// reset, finalizeHelpBudget straggler steps) so the hook cannot turn
-// into an unbounded detour, and both fast-path to a single atomic load
-// when there is nothing to do.
+// enqueue's latency measurement closes: top the spare pool back up by at
+// most one segment. With the pool full the cost is one atomic load.
 func (q *Queue) afterEnqueue(s *Session) {
 	if q.spareCap > 0 && int(q.spareDepth.Load()) < q.spareCap {
 		q.replenishSpares(s, 1)
 	}
-	q.helpFinalize(s)
-}
-
-// finalizeHelpBudget bounds the straggler advances one helper performs
-// per announced finalize task; an unfinished drain goes back to the
-// pending cell for the next helper.
-const finalizeHelpBudget = 4
-
-// helpFinalize executes at most one announced finalize task. With
-// nothing announced the cost is one atomic load.
-func (q *Queue) helpFinalize(s *Session) {
-	if q.fin.Pending() == 0 {
-		return
-	}
-	q.fin.HelpOne(finalizeHelpBudget, func(task uint64, budget int) bool {
-		return q.finalizeStep(s, task, budget)
-	})
-	s.rec.Clear(hpSeg)
-}
-
-// finalizeStep drives the close/finalize drain of the announced head
-// segment: advance the closed Tail over committed stragglers and, once
-// the ring proves drained, unlink and retire it — exactly the steps a
-// dequeuer would otherwise take inline. Returns whether the task needs
-// no further help. Tasks are hints: the handle is re-validated against
-// the current head under hazard protection, and a handle that was
-// recycled into a *new* head incarnation is still safe to help (every
-// step below is the normal protocol against whatever ring the current
-// head is; at worst the help is a no-op CAS failure).
-func (q *Queue) finalizeStep(s *Session, task uint64, budget int) bool {
-	hs := s.rec.Protect(hpSeg, q.headSeg.Ptr())
-	if hs != task {
-		return true // head moved on; the drain completed without us
-	}
-	g := q.seg(hs)
-	for i := 0; i < budget; i++ {
-		q.fire()
-		t := g.tail.Load()
-		if t&closedBit == 0 {
-			return true // not (or no longer) a closing ring
-		}
-		pos := t &^ closedBit
-		q.fire()
-		if g.head.Load() != pos {
-			return true // consumable items remain; dequeuers own them
-		}
-		w := g.slot(q, pos&q.mask)
-		x, marker := s.ll(w)
-		s.cas(w, marker, x) // release our reservation, restoring x
-		if x != 0 {
-			// Straggler committed before the close: advance over it.
-			s.cas(g.tail.Ptr(), t, (pos+1)|closedBit)
-			continue
-		}
-		next := g.next.Load()
-		if next == 0 {
-			return true // drained last segment: nothing to unlink
-		}
-		if q.tailSeg.Load() == hs {
-			s.cas(q.tailSeg.Ptr(), hs, next)
-		}
-		if s.cas(q.headSeg.Ptr(), hs, next) {
-			q.retireState(g)
-			s.Ctr.Inc(xsync.OpSegRetire)
-			s.Ctr.Inc(xsync.OpSegFinalizeHelp)
-			s.rec.Clear(hpSeg)
-			s.rec.Retire(hs)
-		}
-		return true
-	}
-	return false
 }
 
 // enqueueRound runs one Figure 5 Enqueue attempt against ring g, with
@@ -1352,11 +1261,7 @@ func (g *segment) dequeueRound(s *Session) (uint64, segResult) {
 			return 0, segDrained
 		}
 		// A straggler committed before the close: advance the closed Tail
-		// over it so the normal path consumes it. Also announce the drain,
-		// so enqueuers help from their post-op path — a stalled dequeuer
-		// here must not serialize the walk (see the overload-hardening
-		// package section).
-		q.fin.Publish(g.self)
+		// over it so the normal path consumes it.
 		s.cas(g.tail.Ptr(), t, (pos+1)|closedBit)
 		return 0, segRetry
 	}
@@ -1521,8 +1426,6 @@ func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int) (segResult, err
 			if x == 0 {
 				return segDrained, nil
 			}
-			// Announce the drain for post-op helpers; see dequeueRound.
-			q.fin.Publish(g.self)
 			s.cas(g.tail.Ptr(), t, (pos+1)|closedBit)
 			s.Skip()
 			continue

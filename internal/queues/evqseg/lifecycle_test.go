@@ -1,15 +1,95 @@
 package evqseg
 
-// White-box tests of the segment lifecycle: append orphans, the
-// preparing→live promotion of a segment whose producer died after
-// linking, and the crash-storm recovery the chaos harness audits.
+// White-box tests of the segment lifecycle: the close/finalize race's
+// straggler, append orphans, the preparing→live promotion of a segment
+// whose producer died after linking, and the crash-storm recovery the
+// chaos harness audits.
 
 import (
+	"fmt"
 	"testing"
 
 	"nbqueue/internal/chaos"
 	"nbqueue/internal/queue"
+	"nbqueue/internal/xsync"
 )
+
+// TestStragglerDrain builds the close/finalize race's worst outcome by
+// hand on a 4-slot head ring and drains it through each finalize walk.
+// Values 2, 4, 6, 8 fill the ring (Tail p = 4) and one dequeue takes 2.
+// A producer then reads Tail p, commits 10 into slot p and stalls before
+// its Tail CAS, and a closer's CAS seals Tail at p: the enqueue has
+// completed, but Tail does not cover it. 12 and 14 go to the successor.
+// The walk must advance the closed Tail over 10 so it comes out once, in
+// order, before the successor's values, and the ring must then retire.
+// The retry budget turns a walk that cannot pass the straggler into
+// ErrContended instead of a hang.
+func TestStragglerDrain(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drain func(s *Session) ([]uint64, error)
+	}{
+		{"Dequeue", func(s *Session) ([]uint64, error) {
+			var got []uint64
+			for {
+				v, ok, err := s.DequeueErr()
+				if err != nil || !ok {
+					return got, err
+				}
+				got = append(got, v)
+			}
+		}},
+		{"DequeueBatch", func(s *Session) ([]uint64, error) {
+			dst := make([]uint64, 8)
+			n, err := s.DequeueBatch(dst)
+			return dst[:n], err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := xsync.NewCounters()
+			q := New(4, WithSpareSegments(0), WithCounters(c), WithInstr(queue.Instr{RetryBudget: 64}))
+			s := q.Attach().(*Session)
+			defer s.Detach()
+			for v := uint64(2); v <= 8; v += 2 {
+				if err := s.Enqueue(v); err != nil {
+					t.Fatalf("enqueue %d: %v", v, err)
+				}
+			}
+			if v, ok := s.Dequeue(); !ok || v != 2 {
+				t.Fatalf("first dequeue = %d, %v; want 2", v, ok)
+			}
+			h1 := q.headSeg.Load()
+			g := q.seg(h1)
+			p := g.tail.Load()
+			if p != 4 || g.head.Load() != 1 {
+				t.Fatalf("head ring at Head %d, Tail %#x; want 1, 4", g.head.Load(), p)
+			}
+			g.slot(q, p&q.mask).Store(10)
+			g.tail.Store(p | closedBit)
+			for _, v := range []uint64{12, 14} {
+				if err := s.Enqueue(v); err != nil {
+					t.Fatalf("enqueue %d: %v", v, err)
+				}
+			}
+
+			got, err := tc.drain(s)
+			if err != nil {
+				t.Fatalf("drain after %v: %v", got, err)
+			}
+			want := []uint64{4, 6, 8, 10, 12, 14}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("drained %v, want %v", got, want)
+			}
+			if v, ok := s.Dequeue(); ok {
+				t.Fatalf("extra value %d after the drain", v)
+			}
+			if q.headSeg.Load() == h1 || q.Segments() != 1 || c.Total(xsync.OpSegRetire) != 1 {
+				t.Fatalf("closed ring not retired: head moved %v, Segments() = %d, retires = %d",
+					q.headSeg.Load() != h1, q.Segments(), c.Total(xsync.OpSegRetire))
+			}
+		})
+	}
+}
 
 // TestAppendOrphanScavenge simulates the exact crash the ISSUE names: a
 // producer dies between allocating a segment and linking it. The

@@ -2,8 +2,8 @@ package evqseg
 
 // White-box tests of the overload-hardening machinery: the pre-armed
 // spare-segment pool and its replenish/fault paths, the memory bound,
-// segment-count admission hysteresis, off-path finalize helping, and
-// the Len estimate under concurrent segment recycling.
+// segment-count admission hysteresis, and the Len estimate under
+// concurrent segment recycling.
 
 import (
 	"runtime"
@@ -234,61 +234,6 @@ func TestSegmentWatermarkHysteresis(t *testing.T) {
 	}
 	if log[0].segments < 2 || log[1].segments > 1 {
 		t.Fatalf("transition segment counts = %+v, want enter at >=2, exit at <=1", log)
-	}
-}
-
-// TestFinalizeHelp checks the announce/help machinery end to end: with
-// the head segment closed and drained but not yet unlinked, publishing
-// its handle lets the next enqueuer finalize it off the dequeue path —
-// unlink, retire, counter — while FIFO order is preserved.
-func TestFinalizeHelp(t *testing.T) {
-	c := xsync.NewCounters()
-	q := New(4, WithSpareSegments(0), WithCounters(c))
-	s := q.Attach().(*Session)
-	defer s.Detach()
-	for i := 1; i <= 5; i++ {
-		if err := s.Enqueue(uint64(2 * i)); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
-		}
-	}
-	h1 := q.headSeg.Load()
-	// Drain the first ring completely but stop before the dequeue that
-	// would unlink it: head now points at a closed, empty ring.
-	for i := 1; i <= 4; i++ {
-		if v, ok := s.Dequeue(); !ok || v != uint64(2*i) {
-			t.Fatalf("dequeue %d = %#x, %v", i, v, ok)
-		}
-	}
-	g1 := q.seg(h1)
-	if tl := g1.tail.Load(); tl&closedBit == 0 {
-		t.Fatalf("first ring tail %#x not closed after overflow", tl)
-	}
-	if q.headSeg.Load() != h1 {
-		t.Skip("a dequeue already finalized the head; nothing left to help")
-	}
-	if !q.fin.Publish(h1) {
-		t.Fatal("Publish refused a fresh finalize task")
-	}
-	// The next enqueue's post-operation hook must pick the task up.
-	if err := s.Enqueue(12); err != nil {
-		t.Fatalf("enqueue 6: %v", err)
-	}
-	if got := q.headSeg.Load(); got == h1 {
-		t.Fatal("head still the drained ring after help: finalize did not run")
-	}
-	if got := c.Total(xsync.OpSegFinalizeHelp); got != 1 {
-		t.Fatalf("finalize helps = %d, want 1", got)
-	}
-	if got := q.fin.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after the help completed, want 0", got)
-	}
-	if got := q.Segments(); got != 1 {
-		t.Fatalf("Segments() = %d after the helped retire, want 1", got)
-	}
-	for i := 5; i <= 6; i++ {
-		if v, ok := s.Dequeue(); !ok || v != uint64(2*i) {
-			t.Fatalf("dequeue %d = %#x, %v (order broken by help)", i, v, ok)
-		}
 	}
 }
 

@@ -69,10 +69,6 @@ const (
 	// OpSegSpareMiss counts segment appends that found the spare pool
 	// empty and fell back to allocating or recycling inline.
 	OpSegSpareMiss
-	// OpSegFinalizeHelp counts closed segments finalized and unlinked by
-	// a helping enqueuer via the announced finalize task rather than by a
-	// dequeuer inline.
-	OpSegFinalizeHelp
 
 	numOpKinds
 )
@@ -120,8 +116,6 @@ func (k OpKind) String() string {
 		return "seg-spare-hit"
 	case OpSegSpareMiss:
 		return "seg-spare-miss"
-	case OpSegFinalizeHelp:
-		return "seg-finalize-help"
 	default:
 		return "unknown"
 	}

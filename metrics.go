@@ -101,11 +101,6 @@ type Snapshot struct {
 	// load means the pool is undersized for the burst cadence.
 	SpareSegmentHits   uint64
 	SpareSegmentMisses uint64
-	// FinalizeHelps counts closed segments finalized and unlinked by a
-	// helping enqueuer from its post-operation path, rather than by a
-	// dequeuer inline — the off-path finalization of the overload
-	// hardening.
-	FinalizeHelps uint64
 }
 
 // Snapshot returns the current totals.
@@ -131,7 +126,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		SegmentSheds:       m.c.Total(xsync.OpSegShed),
 		SpareSegmentHits:   m.c.Total(xsync.OpSegSpareHit),
 		SpareSegmentMisses: m.c.Total(xsync.OpSegSpareMiss),
-		FinalizeHelps:      m.c.Total(xsync.OpSegFinalizeHelp),
 	}
 }
 
@@ -303,6 +297,5 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		SegmentSheds:       sub(s.SegmentSheds, prev.SegmentSheds),
 		SpareSegmentHits:   sub(s.SpareSegmentHits, prev.SpareSegmentHits),
 		SpareSegmentMisses: sub(s.SpareSegmentMisses, prev.SpareSegmentMisses),
-		FinalizeHelps:      sub(s.FinalizeHelps, prev.FinalizeHelps),
 	}
 }
