@@ -21,6 +21,7 @@ package nbqueue_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"nbqueue/internal/arena"
 	"nbqueue/internal/bench"
@@ -55,11 +56,44 @@ func runWorkload(b *testing.B, key string, threads int, cfg bench.Config) {
 		Arena:      a,
 	}
 	b.ResetTimer()
-	_, wall := bench.Run(q, w)
+	wall := mustRun(b, q, w)
 	b.StopTimer()
 	ops := float64(b.N) * float64(threads) * float64(2*bench.DefaultBurst)
 	b.ReportMetric(float64(wall.Nanoseconds())/ops, "ns/queue-op")
 }
+
+// mustRun runs w on q once and fails b if a worker stalls.
+func mustRun(b *testing.B, q queue.Queue, w bench.Workload) time.Duration {
+	b.Helper()
+	_, wall, err := bench.Run(q, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return wall
+}
+
+// BenchmarkNew prices construction alone at capacity 1024, one row per
+// layer that pays for it: evq-llsc (LL/SC word memory), evq-cas (ring
+// slots), evq-seg (segment pool arena, first segment, spare pool) and
+// ms-hp (node arena, hazard domain). It reports B/op and allocs/op.
+func BenchmarkNew(b *testing.B) {
+	for _, key := range []string{bench.KeyEvqLLSC, bench.KeyEvqCAS, bench.KeyEvqSeg, bench.KeyMSHP} {
+		b.Run(key, func(b *testing.B) {
+			algo, err := bench.Lookup(key)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := bench.Config{Capacity: benchCapacity, MaxThreads: 4}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newSink = algo.New(cfg)
+			}
+		})
+	}
+}
+
+// newSink keeps BenchmarkNew's queues from being optimized away.
+var newSink queue.Queue
 
 // figureBench runs one panel's algorithm set across its thread axis.
 func figureBench(b *testing.B, algos []string, threads []int) {
@@ -164,7 +198,7 @@ func BenchmarkAblationWeakLLSC(b *testing.B) {
 			a := bench.NewWorkloadArena(4, bench.DefaultBurst, benchCapacity)
 			w := bench.Workload{Threads: 4, Iterations: b.N, Burst: bench.DefaultBurst, Arena: a}
 			b.ResetTimer()
-			bench.Run(q, w)
+			mustRun(b, q, w)
 		})
 	}
 }
@@ -183,7 +217,7 @@ func BenchmarkAblationRetireFactor(b *testing.B) {
 				a := bench.NewWorkloadArena(threads, bench.DefaultBurst, benchCapacity)
 				w := bench.Workload{Threads: threads, Iterations: b.N, Burst: bench.DefaultBurst, Arena: a}
 				b.ResetTimer()
-				bench.Run(q, w)
+				mustRun(b, q, w)
 			})
 		}
 	}
@@ -201,7 +235,7 @@ func BenchmarkAblationBurst(b *testing.B) {
 				a := bench.NewWorkloadArena(4, burst, benchCapacity)
 				w := bench.Workload{Threads: 4, Iterations: b.N, Burst: burst, Arena: a}
 				b.ResetTimer()
-				bench.Run(q, w)
+				mustRun(b, q, w)
 			})
 		}
 	}
@@ -282,7 +316,7 @@ func BenchmarkAblationCapacity(b *testing.B) {
 				a := bench.NewWorkloadArena(4, bench.DefaultBurst, capacity)
 				w := bench.Workload{Threads: 4, Iterations: b.N, Burst: bench.DefaultBurst, Arena: a}
 				b.ResetTimer()
-				bench.Run(q, w)
+				mustRun(b, q, w)
 			})
 		}
 	}
@@ -299,7 +333,7 @@ func BenchmarkAblationHPScanVariant(b *testing.B) {
 				a := bench.NewWorkloadArena(threads, bench.DefaultBurst, benchCapacity)
 				w := bench.Workload{Threads: threads, Iterations: b.N, Burst: bench.DefaultBurst, Arena: a}
 				b.ResetTimer()
-				bench.Run(q, w)
+				mustRun(b, q, w)
 			})
 		}
 	}

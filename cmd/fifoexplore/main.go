@@ -139,11 +139,7 @@ type racyRing struct {
 }
 
 func newRacyRing(capacity int, mem func(int) llsc.Memory) *racyRing {
-	q := &racyRing{mem: mem(2 + capacity), size: uint64(capacity)}
-	for i := 0; i < 2+capacity; i++ {
-		q.mem.Init(i, 0)
-	}
-	return q
+	return &racyRing{mem: mem(2 + capacity), size: uint64(capacity)}
 }
 
 func (q *racyRing) Attach() queue.Session { return &racySession{q} }
@@ -154,23 +150,14 @@ type racySession struct{ q *racyRing }
 
 func (s *racySession) Detach() {}
 
-func (s *racySession) set(word int, v uint64) {
-	for {
-		_, res := s.q.mem.LL(word)
-		if s.q.mem.SC(word, res, v) {
-			return
-		}
-	}
-}
-
 func (s *racySession) Enqueue(v uint64) error {
 	q := s.q
 	t := q.mem.Load(1)
 	if t-q.mem.Load(0) == q.size {
 		return queue.ErrFull
 	}
-	s.set(2+int(t%q.size), v)
-	s.set(1, t+1)
+	llsc.Store(q.mem, 2+int(t%q.size), v)
+	llsc.Store(q.mem, 1, t+1)
 	return nil
 }
 
@@ -181,8 +168,8 @@ func (s *racySession) Dequeue() (uint64, bool) {
 		return 0, false
 	}
 	v := q.mem.Load(2 + int(h%q.size))
-	s.set(2+int(h%q.size), 0)
-	s.set(0, h+1)
+	llsc.Store(q.mem, 2+int(h%q.size), 0)
+	llsc.Store(q.mem, 0, h+1)
 	if v == 0 {
 		return 0, false
 	}

@@ -43,6 +43,10 @@ func PayloadSlots[T comparable](q *Queue[T]) (live, chunks, pinned int) {
 	return int(s.fresh.Load()-1) - free, chunks, pinned
 }
 
+// TraceRings reports how many flight-recorder rings q's sessions and
+// the queue itself have bound.
+func TraceRings[T any](q *Queue[T]) int { return q.rec.Rings() }
+
 // SegmentGeometry reports an AlgorithmSegmented queue's slots per
 // segment and the capacity of its segment-handle pool, which also sizes
 // its segment table.

@@ -24,6 +24,13 @@
 // tagptr.PackVer; the version defeats the classic Treiber-stack ABA where
 // a pop's CAS succeeds against a head that was popped and re-pushed while
 // the popper was preempted.
+//
+// The free list holds only nodes that were allocated and freed. A node
+// never handed out sits past a fresh-index frontier instead: Alloc pops
+// the list first and, when it is empty, claims the next never-used index
+// by CAS on a counter. So New stores nothing into the node array, and a
+// new arena hands out indices 1, 2, 3, ... in order — the same idiom as
+// the payload store behind nbqueue.Queue[T].
 package arena
 
 import (
@@ -74,19 +81,28 @@ type Arena struct {
 	allocs pad.Uint64
 	frees  pad.Uint64
 	failed pad.Uint64
-	debug  bool
-	// fault, when non-nil, is consulted by Alloc before touching the free
-	// list; a true return makes the allocation fail as if the arena were
-	// exhausted. Fault-injection drills use it to prove allocation
-	// failure surfaces as clean back-pressure, never corruption.
-	fault func() bool
+	// fresh counts the indices claimed past the frontier (1..fresh). It
+	// is written only while the arena first fills, so it is unpadded.
+	fresh atomic.Uint64
+	debug bool
+	// yield, when set, fires before each shared-memory access of Alloc
+	// so a cooperative scheduler (internal/explore) can interleave
+	// threads through the allocator. Nil in production. Free fires none:
+	// a handle inside Free is reachable from nowhere else, so a crash
+	// drill that kills at yield points (internal/chaos) would leak it.
+	yield func()
 }
 
-// SetFaultHook installs f as the allocation-fault hook (nil removes it).
-// Install before the arena is shared between goroutines; the hook itself
-// must be safe for concurrent use (gate on internal atomics for armed
-// injection).
-func (a *Arena) SetFaultHook(f func() bool) { a.fault = f }
+// SetYield installs a pre-access hook for systematic interleaving
+// exploration; call before concurrent use.
+func (a *Arena) SetYield(f func()) { a.yield = f }
+
+// fire invokes the yield hook, if any.
+func (a *Arena) fire() {
+	if a.yield != nil {
+		a.yield()
+	}
+}
 
 // New returns an arena with capacity nodes, all initially free. Capacity
 // must be positive and at most MaxCapacity.
@@ -106,48 +122,66 @@ func newArena(capacity int, debug bool) *Arena {
 	if capacity <= 0 || capacity > MaxCapacity {
 		panic(fmt.Sprintf("arena: capacity %d out of range (1..%d)", capacity, MaxCapacity))
 	}
-	a := &Arena{
-		// Index 0 is never used so that handle 0 can mean nil.
-		nodes: make([]Node, capacity+1),
-		debug: debug,
-	}
-	// Thread all nodes onto the free list: i -> i+1, last -> 0.
-	for i := 1; i < capacity; i++ {
-		a.nodes[i].Next.Store(uint64(i + 1))
-	}
-	a.nodes[capacity].Next.Store(0)
-	a.head.Store(tagptr.PackVer(1, 0))
-	return a
+	// Index 0 is never used so that handle 0 can mean nil. The zero
+	// state is complete: an empty free list and no index claimed.
+	return &Arena{nodes: make([]Node, capacity+1), debug: debug}
 }
 
 // Capacity returns the total number of nodes.
 func (a *Arena) Capacity() int { return len(a.nodes) - 1 }
 
-// Alloc pops a free node and returns its handle, or Nil when the arena is
+// Alloc pops a free node, or claims a never-used one when the free list
+// is empty, and returns its handle; it returns Nil when the arena is
 // exhausted. The returned node's Value and Next are not cleared; callers
 // that care must initialize them (queue code always stores Value before
 // publishing the handle).
 func (a *Arena) Alloc() Handle {
-	if a.fault != nil && a.fault() {
-		a.failed.Add(1)
-		return Nil
-	}
 	for {
+		a.fire()
 		head := a.head.Load()
 		idx, _ := tagptr.UnpackVer(head)
 		if idx == 0 {
-			a.failed.Add(1)
-			return Nil
-		}
-		next := a.nodes[idx].Next.Load()
-		if a.head.CompareAndSwap(head, tagptr.BumpVer(head, next)) {
-			if a.debug {
-				if !a.nodes[idx].state.CompareAndSwap(stateFree, stateAllocated) {
-					panic(fmt.Sprintf("arena: node %d allocated while not free", idx))
+			if idx = a.claim(); idx == 0 {
+				// Exhausted only if no Free landed since the list read
+				// empty: then the list was empty when the frontier was
+				// read spent.
+				a.fire()
+				if a.head.Load() != head {
+					continue
 				}
+				a.failed.Add(1)
+				return Nil
 			}
-			a.allocs.Add(1)
-			return Handle(idx << 1)
+		} else {
+			a.fire()
+			next := a.nodes[idx].Next.Load()
+			a.fire()
+			if !a.head.CompareAndSwap(head, tagptr.BumpVer(head, next)) {
+				continue
+			}
+		}
+		if a.debug {
+			if !a.nodes[idx].state.CompareAndSwap(stateFree, stateAllocated) {
+				panic(fmt.Sprintf("arena: node %d allocated while not free", idx))
+			}
+		}
+		a.allocs.Add(1)
+		return Handle(idx << 1)
+	}
+}
+
+// claim takes the next never-used index, or returns 0 when every index
+// has been claimed.
+func (a *Arena) claim() uint64 {
+	for {
+		a.fire()
+		n := a.fresh.Load()
+		if n == uint64(a.Capacity()) {
+			return 0
+		}
+		a.fire()
+		if a.fresh.CompareAndSwap(n, n+1) {
+			return n + 1
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package arena
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -182,5 +184,195 @@ func TestCapacityValidation(t *testing.T) {
 			}()
 			New(bad)
 		}()
+	}
+}
+
+// TestFrontierOrder: a new arena hands out indices 1..n in order from
+// its fresh-index frontier, then Nil (counted once in FailedAlloc), and
+// a Free re-admits exactly the freed handle.
+func TestFrontierOrder(t *testing.T) {
+	const n = 5
+	a := New(n)
+	for i := 1; i <= n; i++ {
+		if h := a.Alloc(); h != Handle(i<<1) {
+			t.Fatalf("alloc %d = %#x, want %#x", i, h, i<<1)
+		}
+	}
+	if h := a.Alloc(); h != Nil {
+		t.Fatalf("alloc past capacity = %#x, want Nil", h)
+	}
+	if got := a.Stats().FailedAlloc; got != 1 {
+		t.Fatalf("FailedAlloc = %d, want 1", got)
+	}
+	a.Free(3 << 1)
+	if h := a.Alloc(); h != 3<<1 {
+		t.Fatalf("alloc after Free(%#x) = %#x", 3<<1, h)
+	}
+	if h := a.Alloc(); h != Nil {
+		t.Fatalf("second alloc after one Free = %#x, want Nil", h)
+	}
+}
+
+// TestSeamPreemption enumerates every single-preemption schedule of an
+// Alloc on a capacity-2 arena poised at each point of the
+// frontier/free-list seam: the inner operations run whole inside the
+// Alloc's k-th yield. Each schedule must hand out no index twice, lose
+// none, and return Nil only where a linearization makes the arena
+// exhausted. An Alloc that claims the frontier with a plain load and
+// store hands one index to both allocations here.
+func TestSeamPreemption(t *testing.T) {
+	const capacity = 2
+	names := map[seamOp]string{opAlloc: "alloc", opFree: "free", opAllocFree: "alloc+free"}
+	for _, prep := range [][2]int{{0, 0}, {1, 0}, {1, 1}, {2, 0}, {2, 1}, {2, 2}} {
+		for _, inner := range []seamOp{opAlloc, opFree, opAllocFree} {
+			if inner == opFree && prep[0] == prep[1] {
+				continue // no held handle to free
+			}
+			for k := 1; ; k++ {
+				name := fmt.Sprintf("prep %d/%d, alloc preempted by %s at yield %d",
+					prep[0], prep[1], names[inner], k)
+				if !seamSchedule(t, name, capacity, prep, inner, k) {
+					break
+				}
+			}
+		}
+	}
+}
+
+// seamOp is the inner side of a TestSeamPreemption schedule.
+type seamOp int
+
+const (
+	opAlloc     seamOp = iota
+	opFree             // frees a handle held before the schedule
+	opAllocFree        // allocs a handle and frees it again
+)
+
+// seamSchedule runs one schedule of TestSeamPreemption and reports
+// whether the outer Alloc reached its k-th yield.
+func seamSchedule(t *testing.T, name string, capacity int, prep [2]int, inner seamOp, k int) bool {
+	t.Helper()
+	a := New(capacity)
+	var held []Handle
+	for i := 0; i < prep[0]; i++ {
+		held = append(held, a.Alloc())
+	}
+	for i := 0; i < prep[1]; i++ {
+		a.Free(held[0])
+		held = held[1:]
+	}
+	// avail[i] is the free-node count after i inner steps, with the
+	// outer Alloc not yet linearized.
+	avail := []int{capacity - len(held)}
+	var innerGot Handle
+	yields := 0
+	a.SetYield(func() {
+		if yields++; yields != k {
+			return
+		}
+		a.SetYield(nil)
+		switch inner {
+		case opFree:
+			a.Free(held[len(held)-1])
+			held = held[:len(held)-1]
+			avail = append(avail, avail[0]+1)
+		default:
+			if innerGot = a.Alloc(); innerGot == Nil {
+				avail = append(avail, avail[0])
+				break
+			}
+			avail = append(avail, avail[0]-1)
+			if inner == opAllocFree {
+				a.Free(innerGot)
+				innerGot = Nil
+				avail = append(avail, avail[0])
+			}
+		}
+	})
+	outerGot := a.Alloc()
+	if yields < k {
+		return false
+	}
+	// The outer Alloc is linearized at one of the points of avail, the
+	// inner steps keep their order: Nil is correct only where the arena
+	// is exhausted.
+	if outerGot == Nil && !slices.Contains(avail, 0) {
+		t.Fatalf("%s: outer Alloc returned Nil with a node free at every point %v", name, avail)
+	}
+	if inner != opFree && len(avail) > 1 && avail[1] == avail[0] && avail[0] > 1 {
+		t.Fatalf("%s: inner Alloc returned Nil with a node free on both sides", name)
+	}
+	for _, h := range []Handle{outerGot, innerGot} {
+		if h != Nil {
+			held = append(held, h)
+		}
+	}
+	for h := a.Alloc(); h != Nil; h = a.Alloc() {
+		held = append(held, h)
+	}
+	seen := map[Handle]bool{}
+	for _, h := range held {
+		if seen[h] {
+			t.Fatalf("%s: handle %#x handed out twice", name, h)
+		}
+		seen[h] = true
+	}
+	if len(seen) != capacity {
+		t.Fatalf("%s: %d distinct handles reachable, want %d", name, len(seen), capacity)
+	}
+	return true
+}
+
+// TestSeamStress drives 4 goroutines across the frontier/free-list seam
+// of fresh capacity-64 debug arenas: while some goroutines still claim
+// never-used indices, others pop indices freed moments earlier, and the
+// demand (4 × 20 held) exceeds capacity, so the exhausted path runs too.
+// The debug arena's double-allocation panic is the oracle; run it under
+// -race.
+func TestSeamStress(t *testing.T) {
+	const (
+		goroutines = 4
+		capacity   = 64
+		maxHeld    = 20
+		arenas     = 200
+		opsPer     = 120
+	)
+	for r := 0; r < arenas; r++ {
+		a := NewDebug(capacity)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				held := make([]Handle, 0, maxHeld)
+				for i := 0; i < opsPer; i++ {
+					if len(held) < maxHeld && (i+g)%4 != 3 {
+						if h := a.Alloc(); h != Nil {
+							held = append(held, h)
+						}
+						continue
+					}
+					if len(held) > 0 {
+						a.Free(held[0])
+						held = held[1:]
+					}
+				}
+				for _, h := range held {
+					a.Free(h)
+				}
+			}(g)
+		}
+		wg.Wait()
+		if a.Live() != 0 {
+			t.Fatalf("arena %d: live = %d after balanced run", r, a.Live())
+		}
+		for i := 0; i < capacity; i++ {
+			if a.Alloc() == Nil {
+				t.Fatalf("arena %d: drained after %d allocs, want %d", r, i, capacity)
+			}
+		}
+		if a.Alloc() != Nil {
+			t.Fatalf("arena %d: handed out more than %d nodes", r, capacity)
+		}
 	}
 }

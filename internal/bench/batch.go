@@ -10,9 +10,9 @@ package bench
 // singles' fixed per-element cost).
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -93,7 +93,10 @@ func RunBatchSweep(threads int, p Params) ([]BatchRow, error) {
 					PaddedSlots: p.PaddedSlots,
 					Instr:       queue.Instr{Backoff: p.Backoff},
 				}
-				wall := batchRun(algo.New(cfg), threads, size, rounds, batched)
+				wall, err := batchRun(algo.New(cfg), threads, size, rounds, batched)
+				if err != nil {
+					return nil, err
+				}
 				opsPerSec := float64(row.Elements) / wall.Seconds()
 				rmw := float64(ctrs.Total(xsync.OpCASSuccess)+ctrs.Total(xsync.OpSCSuccess)) /
 					float64(row.Elements)
@@ -116,9 +119,11 @@ func RunBatchSweep(threads int, p Params) ([]BatchRow, error) {
 // elements, pull size elements", batched or looped. Every worker pulls
 // exactly as much as it pushed, so the run drains itself and no worker
 // can starve: when one is mid-drain the queue provably holds at least
-// its own outstanding elements.
-func batchRun(q queue.Queue, threads, size, rounds int, batched bool) time.Duration {
+// its own outstanding elements. It fails when a worker stalls (see
+// stall).
+func batchRun(q queue.Queue, threads, size, rounds int, batched bool) (time.Duration, error) {
 	start := xsync.NewBarrier(threads + 1)
+	errs := make([]error, threads)
 	var wg sync.WaitGroup
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
@@ -132,44 +137,64 @@ func batchRun(q queue.Queue, threads, size, rounds int, batched bool) time.Durat
 			}
 			dst := make([]uint64, size)
 			start.Wait()
-			for r := 0; r < rounds; r++ {
-				if batched {
-					for filled := 0; filled < size; {
-						n, _ := queue.EnqueueBatch(s, vs[filled:])
-						filled += n
-						if n == 0 {
-							runtime.Gosched()
-						}
-					}
-					for drained := 0; drained < size; {
-						n, _ := queue.DequeueBatch(s, dst[drained:])
-						drained += n
-						if n == 0 {
-							runtime.Gosched()
-						}
-					}
-				} else {
-					for i := 0; i < size; i++ {
-						for s.Enqueue(vs[i]) != nil {
-							runtime.Gosched()
-						}
-					}
-					for i := 0; i < size; i++ {
-						for {
-							if _, ok := s.Dequeue(); ok {
-								break
-							}
-							runtime.Gosched()
-						}
-					}
-				}
-			}
+			errs[tid] = batchWorker(s, vs, dst, rounds, batched, stall{algo: q.Name(), thread: tid})
 		}(t)
 	}
 	start.Wait()
 	t0 := time.Now()
 	wg.Wait()
-	return time.Since(t0)
+	return time.Since(t0), errors.Join(errs...)
+}
+
+// batchWorker runs one thread of batchRun, pushing vs and pulling into
+// dst each round; a round is its iteration.
+func batchWorker(s queue.Session, vs, dst []uint64, rounds int, batched bool, st stall) error {
+	size := len(vs)
+	for r := 0; r < rounds; r++ {
+		if batched {
+			for filled, try := 0, 0; filled < size; {
+				n, _ := queue.EnqueueBatch(s, vs[filled:])
+				if filled += n; n > 0 {
+					try = 0
+					continue
+				}
+				if err := st.wait(try, "enqueue-batch", r); err != nil {
+					return err
+				}
+				try++
+			}
+			for drained, try := 0, 0; drained < size; {
+				n, _ := queue.DequeueBatch(s, dst[drained:])
+				if drained += n; n > 0 {
+					try = 0
+					continue
+				}
+				if err := st.wait(try, "dequeue-batch", r); err != nil {
+					return err
+				}
+				try++
+			}
+			continue
+		}
+		for i := 0; i < size; i++ {
+			for try := 0; s.Enqueue(vs[i]) != nil; try++ {
+				if err := st.wait(try, "enqueue", r); err != nil {
+					return err
+				}
+			}
+		}
+		for i := 0; i < size; i++ {
+			for try := 0; ; try++ {
+				if _, ok := s.Dequeue(); ok {
+					break
+				}
+				if err := st.wait(try, "dequeue", r); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // WriteBatchTable prints the sweep as an aligned table.

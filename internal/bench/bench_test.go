@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"nbqueue/internal/arena"
 	"nbqueue/internal/queue"
@@ -72,7 +73,10 @@ func TestRunMeasuresWork(t *testing.T) {
 		Burst:      DefaultBurst,
 		Arena:      NewWorkloadArena(2, DefaultBurst, 64),
 	}
-	mean, wall := Run(q, w)
+	mean, wall, err := Run(q, w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mean <= 0 || wall <= 0 {
 		t.Fatalf("mean=%v wall=%v", mean, wall)
 	}
@@ -85,9 +89,12 @@ func TestRunMeasuresWork(t *testing.T) {
 func TestRepeatSummarizes(t *testing.T) {
 	a, _ := Lookup(KeyShann)
 	w := Workload{Threads: 1, Iterations: 50, Burst: 5}
-	sum := Repeat(func() (queue.Queue, *arena.Arena) {
+	sum, err := Repeat(func() (queue.Queue, *arena.Arena) {
 		return a.New(Config{Capacity: 64}), NewWorkloadArena(1, 5, 64)
 	}, w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.N != 3 || sum.Mean <= 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -393,5 +400,73 @@ func TestWriteSpaceTable(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "parked-nodes") || !strings.Contains(sb.String(), "16") {
 		t.Errorf("space table malformed:\n%s", sb.String())
+	}
+}
+
+// stuckQueue never makes progress: with refuse set every Enqueue fails
+// with ErrFull, otherwise every Enqueue succeeds and drops its value, so
+// every Dequeue finds the queue empty (a lost value).
+type stuckQueue struct{ refuse bool }
+
+func (q stuckQueue) Attach() queue.Session { return q }
+func (stuckQueue) Capacity() int           { return 64 }
+func (q stuckQueue) Name() string {
+	if q.refuse {
+		return "refusing"
+	}
+	return "losing"
+}
+func (q stuckQueue) Enqueue(uint64) error {
+	if q.refuse {
+		return queue.ErrFull
+	}
+	return nil
+}
+func (stuckQueue) Dequeue() (uint64, bool) { return 0, false }
+func (stuckQueue) Detach()                 {}
+
+// TestStallFails: a harness worker that makes no progress fails its run
+// after stallTimeout with an error naming the algorithm, thread, step
+// and iteration, in every retry loop of the harness.
+func TestStallFails(t *testing.T) {
+	defer func(d time.Duration) { stallTimeout = d }(stallTimeout)
+	stallTimeout = 20 * time.Millisecond
+	refuse, lose := stuckQueue{refuse: true}, stuckQueue{}
+	run := func(q queue.Queue) error {
+		_, _, err := Run(q, Workload{Threads: 2, Iterations: 3, Arena: NewWorkloadArena(2, DefaultBurst, 64)})
+		return err
+	}
+	batch := func(q queue.Queue, batched bool) func() error {
+		return func() error {
+			_, err := batchRun(q, 2, 4, 3, batched)
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() error
+		want []string
+	}{
+		{"run/enqueue", func() error { return run(refuse) }, []string{"refusing thread 0 ", "refusing thread 1 ", "on enqueue at iteration 0"}},
+		{"run/dequeue", func() error { return run(lose) }, []string{"losing thread", "on dequeue at iteration 0"}},
+		{"batch/enqueue-batch", batch(refuse, true), []string{"refusing thread", "on enqueue-batch at iteration 0"}},
+		{"batch/dequeue-batch", batch(lose, true), []string{"losing thread", "on dequeue-batch at iteration 0"}},
+		{"batch/enqueue", batch(refuse, false), []string{"on enqueue at iteration 0"}},
+		{"batch/dequeue", batch(lose, false), []string{"on dequeue at iteration 0"}},
+		{"related/dequeue", func() error {
+			_, err := timedPairs(lose, arena.New(8), 3, stall{algo: lose.Name()})
+			return err
+		}, []string{"losing thread 0 ", "on dequeue at iteration 0"}},
+	}
+	for _, c := range cases {
+		err := c.run()
+		if err == nil {
+			t.Fatalf("%s: stuck run returned no error", c.name)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", c.name, err, w)
+			}
+		}
 	}
 }

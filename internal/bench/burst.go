@@ -102,7 +102,10 @@ func RunBurst(threads int, p Params) ([]BurstRow, error) {
 			Burst:      p.Burst,
 			Arena:      NewWorkloadArena(threads, p.Burst, p.Capacity),
 		}
-		_, wall := Run(algo.New(cfg), w)
+		_, wall, err := Run(algo.New(cfg), w)
+		if err != nil {
+			return nil, err
+		}
 		burst := w.Burst
 		if burst <= 0 {
 			burst = DefaultBurst

@@ -174,9 +174,12 @@ func RunSweep(algos []string, p Params) ([]stats.Series, error) {
 				Instr:       queue.Instr{Backoff: p.Backoff},
 			}
 			w := Workload{Threads: n, Iterations: p.Iterations, Burst: p.Burst}
-			sum := Repeat(func() (queue.Queue, *arena.Arena) {
+			sum, err := Repeat(func() (queue.Queue, *arena.Arena) {
 				return algo.New(cfg), NewWorkloadArena(n, p.Burst, p.Capacity)
 			}, w, p.Runs)
+			if err != nil {
+				return nil, err
+			}
 			s.Points = append(s.Points, stats.Point{X: n, Y: sum.Mean})
 		}
 		series = append(series, s)
@@ -222,9 +225,12 @@ func RunOverhead(p Params) ([]OverheadRow, error) {
 		}
 		cfg := Config{Capacity: p.Capacity, MaxThreads: 1, PaddedSlots: p.PaddedSlots}
 		w := Workload{Threads: 1, Iterations: p.Iterations, Burst: p.Burst}
-		sum := Repeat(func() (queue.Queue, *arena.Arena) {
+		sum, err := Repeat(func() (queue.Queue, *arena.Arena) {
 			return algo.New(cfg), NewWorkloadArena(1, p.Burst, p.Capacity)
 		}, w, p.Runs)
+		if err != nil {
+			return nil, err
+		}
 		row := OverheadRow{Label: algo.Label, Seconds: sum.Mean}
 		if key == KeySeq {
 			base = sum.Mean
@@ -272,7 +278,9 @@ func RunSyncOps(threads int, p Params) ([]SyncOpsRow, error) {
 			Burst:      p.Burst,
 			Arena:      NewWorkloadArena(threads, p.Burst, p.Capacity),
 		}
-		Run(algo.New(cfg), w)
+		if _, _, err := Run(algo.New(cfg), w); err != nil {
+			return nil, err
+		}
 		rows = append(rows, SyncOpsRow{
 			Label:      algo.Label,
 			CASSuccess: ctrs.PerOp(xsync.OpCASSuccess),

@@ -55,7 +55,10 @@ func RunLatency(keys []string, threads int, p Params) ([]LatencyRow, error) {
 		w := Workload{Threads: threads, Iterations: p.Iterations, Burst: p.Burst}
 		q := algo.New(cfg)
 		w.Arena = NewWorkloadArena(threads, p.Burst, p.Capacity)
-		_, wall := Run(q, w)
+		_, wall, err := Run(q, w)
+		if err != nil {
+			return nil, err
+		}
 		burst := w.Burst
 		if burst <= 0 {
 			burst = DefaultBurst

@@ -16,6 +16,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
@@ -47,8 +48,8 @@ const DefaultBurst = 5
 
 // Run executes the workload once against q and returns the mean of the
 // per-thread completion times (the paper's per-run figure) and the wall
-// time of the whole run.
-func Run(q queue.Queue, w Workload) (meanThread, wall time.Duration) {
+// time of the whole run. It fails when a worker stalls (see stall).
+func Run(q queue.Queue, w Workload) (meanThread, wall time.Duration, err error) {
 	if w.Burst <= 0 {
 		w.Burst = DefaultBurst
 	}
@@ -60,6 +61,7 @@ func Run(q queue.Queue, w Workload) (meanThread, wall time.Duration) {
 	}
 	start := xsync.NewBarrier(w.Threads + 1)
 	perThread := make([]time.Duration, w.Threads)
+	errs := make([]error, w.Threads)
 	var wg sync.WaitGroup
 	wg.Add(w.Threads)
 	// Every thread's time is measured from one shared epoch taken just
@@ -79,7 +81,7 @@ func Run(q queue.Queue, w Workload) (meanThread, wall time.Duration) {
 			// Label the hot loop so CPU profiles attribute samples to the
 			// algorithm under test rather than one anonymous goroutine pile.
 			pprof.Do(context.Background(), labels, func(context.Context) {
-				worker(s, w)
+				errs[id] = worker(s, w, stall{algo: q.Name(), thread: id})
 			})
 			perThread[id] = time.Since(epoch)
 		}(i)
@@ -95,40 +97,73 @@ func Run(q queue.Queue, w Workload) (meanThread, wall time.Duration) {
 	for _, d := range perThread {
 		sum += d
 	}
-	return sum / time.Duration(w.Threads), wall
+	return sum / time.Duration(w.Threads), wall, errors.Join(errs...)
 }
 
 // worker runs one thread's iterations: burst enqueues (alloc first), then
 // burst dequeues (free after). Transient full/empty results are retried —
 // with the queue sized above Threads x Burst they can only be transient.
-func worker(s queue.Session, w Workload) {
+func worker(s queue.Session, w Workload, st stall) error {
 	for it := 0; it < w.Iterations; it++ {
 		for b := 0; b < w.Burst; b++ {
 			h := w.Arena.Alloc()
-			for h == arena.Nil {
-				runtime.Gosched()
+			for try := 0; h == arena.Nil; try++ {
+				if err := st.wait(try, "alloc", it); err != nil {
+					return err
+				}
 				h = w.Arena.Alloc()
 			}
-			for s.Enqueue(h) != nil {
-				runtime.Gosched()
+			for try := 0; s.Enqueue(h) != nil; try++ {
+				if err := st.wait(try, "enqueue", it); err != nil {
+					return err
+				}
 			}
 		}
 		for b := 0; b < w.Burst; b++ {
 			h, ok := s.Dequeue()
-			for !ok {
-				runtime.Gosched()
+			for try := 0; !ok; try++ {
+				if err := st.wait(try, "dequeue", it); err != nil {
+					return err
+				}
 				h, ok = s.Dequeue()
 			}
 			w.Arena.Free(h)
 		}
 	}
+	return nil
+}
+
+// stallTimeout bounds how long a harness worker may retry one step.
+var stallTimeout = 10 * time.Second
+
+// stall is a worker's retry deadline. A retry loop calls wait after
+// each fruitless attempt, counting attempts from 0; wait yields, and
+// after stallTimeout without progress returns an error naming the
+// algorithm, thread, step and iteration, so a stuck worker fails its
+// run instead of hanging the test binary. The workloads draw no random
+// numbers, so that position is the whole replay key.
+type stall struct {
+	algo   string
+	thread int
+	since  time.Time
+}
+
+func (st *stall) wait(try int, step string, it int) error {
+	if try == 0 {
+		st.since = time.Now()
+	} else if d := time.Since(st.since); d > stallTimeout {
+		return fmt.Errorf("bench: %s thread %d made no progress on %s at iteration %d for %v",
+			st.algo, st.thread, step, it, d.Round(time.Millisecond))
+	}
+	runtime.Gosched()
+	return nil
 }
 
 // Repeat performs runs measurement runs against fresh queue/arena pairs
 // built by mk and summarizes the per-run means, as the paper averages 50
 // runs. A fresh queue and arena per run keeps runs independent (no
 // retired-list or free-list state carries over).
-func Repeat(mk func() (queue.Queue, *arena.Arena), w Workload, runs int) stats.Summary {
+func Repeat(mk func() (queue.Queue, *arena.Arena), w Workload, runs int) (stats.Summary, error) {
 	if runs <= 0 {
 		runs = 1
 	}
@@ -136,10 +171,13 @@ func Repeat(mk func() (queue.Queue, *arena.Arena), w Workload, runs int) stats.S
 	for r := 0; r < runs; r++ {
 		q, a := mk()
 		w.Arena = a
-		mean, _ := Run(q, w)
+		mean, _, err := Run(q, w)
+		if err != nil {
+			return stats.Summary{}, err
+		}
 		ds = append(ds, mean)
 	}
-	return stats.SummarizeDurations(ds)
+	return stats.SummarizeDurations(ds), nil
 }
 
 // NewWorkloadArena returns an arena sized for w: each thread holds at

@@ -66,7 +66,9 @@ func RunSpace(threadCounts []int, p Params) ([]SpaceRow, error) {
 				Burst:      p.Burst,
 				Arena:      NewWorkloadArena(n, p.Burst, p.Capacity),
 			}
-			Run(q, w)
+			if _, _, err := Run(q, w); err != nil {
+				return nil, err
+			}
 			row := SpaceRow{Label: algo.Label, Threads: n}
 			if r, ok := q.(recordsReporter); ok {
 				row.Records = r.SpaceRecords()
@@ -159,22 +161,28 @@ func relatedPoint(algo Algo, scale int, p Params) (float64, error) {
 	if iters <= 0 {
 		iters = 1000
 	}
-	w := timedPairs(s, a, iters)
-	return w.Seconds() / float64(iters*2), nil
+	w, err := timedPairs(s, a, iters, stall{algo: q.Name()})
+	return w.Seconds() / float64(iters*2), err
 }
 
 // timedPairs is split out so the timer covers exactly the measured ops.
-func timedPairs(s queue.Session, a *arena.Arena, iters int) time.Duration {
+func timedPairs(s queue.Session, a *arena.Arena, iters int, st stall) (time.Duration, error) {
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		h := a.Alloc()
-		for s.Enqueue(h) != nil {
+		for try := 0; s.Enqueue(h) != nil; try++ {
+			if err := st.wait(try, "enqueue", i); err != nil {
+				return 0, err
+			}
 		}
 		got, ok := s.Dequeue()
-		for !ok {
+		for try := 0; !ok; try++ {
+			if err := st.wait(try, "dequeue", i); err != nil {
+				return 0, err
+			}
 			got, ok = s.Dequeue()
 		}
 		a.Free(got)
 	}
-	return time.Since(start)
+	return time.Since(start), nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"nbqueue/internal/arena"
 	"nbqueue/internal/llsc"
 	"nbqueue/internal/llsc/emul"
 	"nbqueue/internal/queue"
@@ -80,38 +79,32 @@ func TestVictimStormNeedsDeadline(t *testing.T) {
 }
 
 // TestAllocFaultHook: the injector's allocation-fault producer fires on
-// its cadence only while armed, both against the arena and as a segment
-// append fault.
+// its cadence only while armed; TestStormWithAppendFaults drives it as a
+// segment append fault.
 func TestAllocFaultHook(t *testing.T) {
 	var in Injector
-	a := arena.New(8)
-	a.SetFaultHook(in.AllocFault(2))
+	fault := in.AllocFault(2)
 
 	// Disarmed: no injection.
-	h := a.Alloc()
-	if h == arena.Nil {
+	if fault() {
 		t.Fatal("disarmed fault hook failed an allocation")
 	}
-	a.Free(h)
 
 	in.Arm()
 	var failed, okCount int
 	for i := 0; i < 8; i++ {
-		if h := a.Alloc(); h == arena.Nil {
+		if fault() {
 			failed++
 		} else {
 			okCount++
-			defer a.Free(h)
 		}
 	}
 	if failed != 4 || okCount != 4 {
 		t.Fatalf("armed every-2nd fault = %d failures / %d successes over 8 allocs, want 4/4", failed, okCount)
 	}
 	in.Disarm()
-	if h := a.Alloc(); h == arena.Nil {
+	if fault() {
 		t.Fatal("fault survived Disarm")
-	} else {
-		a.Free(h)
 	}
 }
 

@@ -78,11 +78,7 @@ type naiveQueue struct {
 }
 
 func newNaive(capacity int, mem func(int) llsc.Memory) *naiveQueue {
-	q := &naiveQueue{mem: mem(2 + capacity), size: uint64(capacity)}
-	for i := 0; i < 2+capacity; i++ {
-		q.mem.Init(i, 0)
-	}
-	return q
+	return &naiveQueue{mem: mem(2 + capacity), size: uint64(capacity)}
 }
 
 func (q *naiveQueue) Attach() queue.Session { return &naiveSession{q} }
@@ -93,25 +89,14 @@ type naiveSession struct{ q *naiveQueue }
 
 func (s *naiveSession) Detach() {}
 
-// set unconditionally writes a word (LL immediately followed by SC; with
-// no interference checks in between this is just a store).
-func (s *naiveSession) set(word int, v uint64) {
-	for {
-		_, res := s.q.mem.LL(word)
-		if s.q.mem.SC(word, res, v) {
-			return
-		}
-	}
-}
-
 func (s *naiveSession) Enqueue(v uint64) error {
 	q := s.q
 	t := q.mem.Load(1)
 	if t-q.mem.Load(0) == q.size {
 		return queue.ErrFull
 	}
-	s.set(2+int(t%q.size), v) // racy: another enqueuer may target the same slot
-	s.set(1, t+1)
+	llsc.Store(q.mem, 2+int(t%q.size), v) // racy: another enqueuer may target the same slot
+	llsc.Store(q.mem, 1, t+1)
 	return nil
 }
 
@@ -122,8 +107,8 @@ func (s *naiveSession) Dequeue() (uint64, bool) {
 		return 0, false
 	}
 	v := q.mem.Load(2 + int(h%q.size))
-	s.set(2+int(h%q.size), 0)
-	s.set(0, h+1)
+	llsc.Store(q.mem, 2+int(h%q.size), 0)
+	llsc.Store(q.mem, 0, h+1)
 	if v == 0 {
 		return 0, false
 	}

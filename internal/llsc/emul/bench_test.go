@@ -3,6 +3,7 @@ package emul_test
 import (
 	"testing"
 
+	"nbqueue/internal/llsc"
 	"nbqueue/internal/llsc/emul"
 )
 
@@ -38,7 +39,7 @@ func BenchmarkLLSCContended(b *testing.B) {
 // BenchmarkLoad measures the plain read path.
 func BenchmarkLoad(b *testing.B) {
 	m := emul.New(1, false)
-	m.Init(0, 42)
+	llsc.Store(m, 0, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m.Load(0) != 42 {

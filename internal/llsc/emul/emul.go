@@ -32,7 +32,8 @@ type Memory struct {
 
 var _ llsc.Memory = (*Memory)(nil)
 
-// New returns a Memory of n words initialized to zero. When padded is
+// New returns a Memory of n words, each reading value 0 at version 0
+// (the zero word). When padded is
 // true, consecutive words are spread across distinct cache-line pairs so
 // that CAS traffic on neighbouring queue slots does not false-share; the
 // ablation benchmarks measure the difference.
@@ -51,11 +52,6 @@ func New(n int, padded bool) *Memory {
 func (m *Memory) Len() int { return len(m.words) / m.stride }
 
 func (m *Memory) word(i int) *atomic.Uint64 { return &m.words[i*m.stride] }
-
-// Init sets word i to v; not for concurrent use.
-func (m *Memory) Init(i int, v uint64) {
-	m.word(i).Store(tagptr.PackVer(v, 0))
-}
 
 // Load returns the value of word i without taking a reservation.
 func (m *Memory) Load(i int) uint64 {

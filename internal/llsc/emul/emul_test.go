@@ -9,9 +9,30 @@ import (
 	"nbqueue/internal/llsc/emul"
 )
 
+// TestFreshMemory pins the construction contract of llsc.Memory: every
+// word of a new memory reads 0, padded or not, and the first LL/SC on it
+// succeeds (the zero word is value 0 at version 0, a valid snapshot).
+func TestFreshMemory(t *testing.T) {
+	for _, padded := range []bool{false, true} {
+		m := emul.New(8, padded)
+		for i := 0; i < m.Len(); i++ {
+			if got := m.Load(i); got != 0 {
+				t.Fatalf("padded=%v: fresh word %d reads %d, want 0", padded, i, got)
+			}
+			v, r := m.LL(i)
+			if v != 0 || !m.SC(i, r, uint64(i)+1) {
+				t.Fatalf("padded=%v: first LL/SC on word %d: LL = %d, SC failed", padded, i, v)
+			}
+			if got := m.Load(i); got != uint64(i)+1 {
+				t.Fatalf("padded=%v: word %d reads %d after SC", padded, i, got)
+			}
+		}
+	}
+}
+
 func TestLLSCBasic(t *testing.T) {
 	m := emul.New(4, false)
-	m.Init(0, 10)
+	llsc.Store(m, 0, 10)
 	v, r := m.LL(0)
 	if v != 10 {
 		t.Fatalf("LL = %d, want 10", v)
@@ -27,7 +48,7 @@ func TestLLSCBasic(t *testing.T) {
 // TestSCFailsAfterInterveningSC is the defining LL/SC property.
 func TestSCFailsAfterInterveningSC(t *testing.T) {
 	m := emul.New(1, false)
-	m.Init(0, 1)
+	llsc.Store(m, 0, 1)
 	_, r1 := m.LL(0)
 	_, r2 := m.LL(0)
 	if !m.SC(0, r2, 2) {
@@ -46,7 +67,7 @@ func TestSCFailsAfterInterveningSC(t *testing.T) {
 // and the reason the paper's Figure 3 algorithm is ABA-free.
 func TestSCFailsOnABA(t *testing.T) {
 	m := emul.New(1, false)
-	m.Init(0, 7)
+	llsc.Store(m, 0, 7)
 	_, stale := m.LL(0)
 	_, r := m.LL(0)
 	if !m.SC(0, r, 99) {
@@ -66,7 +87,7 @@ func TestSCFailsOnABA(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	m := emul.New(1, false)
-	m.Init(0, 5)
+	llsc.Store(m, 0, 5)
 	_, r := m.LL(0)
 	if !m.Validate(0, r) {
 		t.Fatal("fresh reservation should validate")
@@ -83,8 +104,8 @@ func TestValidate(t *testing.T) {
 // memory's granules).
 func TestWordsIndependent(t *testing.T) {
 	m := emul.New(2, false)
-	m.Init(0, 1)
-	m.Init(1, 2)
+	llsc.Store(m, 0, 1)
+	llsc.Store(m, 1, 2)
 	_, r0 := m.LL(0)
 	_, r1 := m.LL(1)
 	if !m.SC(1, r1, 22) {
@@ -102,8 +123,8 @@ func TestPaddedEquivalent(t *testing.T) {
 		a := emul.New(8, false)
 		b := emul.New(8, true)
 		for i := 0; i < 8; i++ {
-			a.Init(i, uint64(i))
-			b.Init(i, uint64(i))
+			llsc.Store(a, i, uint64(i))
+			llsc.Store(b, i, uint64(i))
 		}
 		for _, op := range ops {
 			w := int(op % 8)
@@ -133,7 +154,6 @@ func TestPaddedEquivalent(t *testing.T) {
 // lose updates — the canonical LL/SC litmus test.
 func TestAtomicIncrementStress(t *testing.T) {
 	m := emul.New(1, false)
-	m.Init(0, 0)
 	const goroutines = 8
 	const perG = 20000
 	var wg sync.WaitGroup

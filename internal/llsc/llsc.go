@@ -35,13 +35,15 @@ type Res struct {
 // loads. Word values are limited to tagptr.VerMax because implementations
 // pack a version tag alongside.
 //
-// All methods are safe for concurrent use except Init, which callers must
-// complete before sharing the Memory.
+// Every word of a new Memory reads value 0 at version 0: the all-zero
+// word Go's allocator hands out already encodes it, so construction
+// stores nothing. That is exactly the initial state Algorithm 1 needs
+// (null slots, Head = Tail = 0); a caller that wants another value
+// writes it with an SC (see Store). All methods are safe for concurrent
+// use.
 type Memory interface {
 	// Len returns the number of words.
 	Len() int
-	// Init sets word i to v before concurrent use begins.
-	Init(i int, v uint64)
 	// Load returns the current value of word i (an ordinary atomic read;
 	// it takes no reservation).
 	Load(i int) uint64
@@ -55,4 +57,16 @@ type Memory interface {
 	// Validate reports whether the reservation is still valid without
 	// spending it (the paper's VL).
 	Validate(i int, r Res) bool
+}
+
+// Store writes v to word i unconditionally, retrying LL/SC until an SC
+// lands. It is a plain store built from the interface, for seeding a
+// word in tests and for deliberately unsynchronized models.
+func Store(m Memory, i int, v uint64) {
+	for {
+		_, r := m.LL(i)
+		if m.SC(i, r, v) {
+			return
+		}
+	}
 }

@@ -99,10 +99,6 @@ func (m *Memory) fire(op Op, word int, value uint64) {
 // Len returns the number of words.
 func (m *Memory) Len() int { return m.inner.Len() }
 
-// Init forwards without interception (initialization precedes the
-// concurrent phase by contract).
-func (m *Memory) Init(i int, v uint64) { m.inner.Init(i, v) }
-
 // Load intercepts then forwards.
 func (m *Memory) Load(i int) uint64 {
 	m.fire(OpLoad, i, 0)

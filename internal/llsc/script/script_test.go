@@ -5,13 +5,34 @@ import (
 	"testing"
 	"time"
 
+	"nbqueue/internal/llsc"
 	"nbqueue/internal/llsc/emul"
 	"nbqueue/internal/llsc/script"
 )
 
+// TestFreshMemory: a scripted view of a new memory reads 0 in every
+// word, and the first LL/SC on it succeeds through the hook.
+func TestFreshMemory(t *testing.T) {
+	var ops int
+	m := script.Wrap(emul.New(4, false), func(script.Event) { ops++ })
+	for i := 0; i < m.Len(); i++ {
+		if got := m.Load(i); got != 0 {
+			t.Fatalf("fresh word %d reads %d, want 0", i, got)
+		}
+		v, r := m.LL(i)
+		if v != 0 || !m.SC(i, r, 3) {
+			t.Fatalf("first LL/SC on word %d: LL = %d, SC failed", i, v)
+		}
+	}
+	if ops != 3*m.Len() {
+		t.Fatalf("hook saw %d ops, want %d", ops, 3*m.Len())
+	}
+}
+
 func TestTransparentForwarding(t *testing.T) {
-	m := script.Wrap(emul.New(4, false), nil)
-	m.Init(2, 7)
+	inner := emul.New(4, false)
+	llsc.Store(inner, 2, 7)
+	m := script.Wrap(inner, nil)
 	if m.Len() != 4 {
 		t.Fatalf("Len = %d", m.Len())
 	}
@@ -35,7 +56,6 @@ func TestHookObservesOps(t *testing.T) {
 	m := script.Wrap(emul.New(1, false), func(e script.Event) {
 		events = append(events, e)
 	})
-	m.Init(0, 1)
 	_, r := m.LL(0)
 	m.SC(0, r, 2)
 	m.Load(0)
@@ -67,7 +87,6 @@ func TestSetHookSwaps(t *testing.T) {
 func TestGateTrapsExactlyOnce(t *testing.T) {
 	gate := script.NewGate(func(e script.Event) bool { return e.Op == script.OpSC })
 	m := script.Wrap(emul.New(1, false), gate.Hook(nil))
-	m.Init(0, 0)
 
 	done := make(chan bool, 1)
 	go func() {

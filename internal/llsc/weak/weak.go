@@ -97,9 +97,6 @@ func New(n int, cfg Config) *Memory {
 // Len returns the number of words.
 func (m *Memory) Len() int { return m.strong.Len() }
 
-// Init sets word i to v; not for concurrent use.
-func (m *Memory) Init(i int, v uint64) { m.strong.Init(i, v) }
-
 // Load returns the value of word i without taking a reservation.
 func (m *Memory) Load(i int) uint64 { return m.strong.Load(i) }
 

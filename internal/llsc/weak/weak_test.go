@@ -4,14 +4,33 @@ import (
 	"sync"
 	"testing"
 
+	"nbqueue/internal/llsc"
 	"nbqueue/internal/llsc/weak"
 )
+
+// TestFreshMemory: whatever the injection config, every word of a new
+// weak memory reads 0 and the first LL/SC on it succeeds (no spurious
+// failures configured).
+func TestFreshMemory(t *testing.T) {
+	for _, cfg := range []weak.Config{{}, {GranuleWords: 4}, {GranuleWords: 2, Padded: true}} {
+		m := weak.New(8, cfg)
+		for i := 0; i < m.Len(); i++ {
+			if got := m.Load(i); got != 0 {
+				t.Fatalf("%+v: fresh word %d reads %d, want 0", cfg, i, got)
+			}
+			v, r := m.LL(i)
+			if v != 0 || !m.SC(i, r, 1) {
+				t.Fatalf("%+v: first LL/SC on word %d: LL = %d, SC failed", cfg, i, v)
+			}
+		}
+	}
+}
 
 // TestStrongWhenUnconfigured: with no injected weaknesses, the memory
 // behaves exactly like the strong emulation.
 func TestStrongWhenUnconfigured(t *testing.T) {
 	m := weak.New(2, weak.Config{})
-	m.Init(0, 5)
+	llsc.Store(m, 0, 5)
 	v, r := m.LL(0)
 	if v != 5 || !m.SC(0, r, 6) || m.Load(0) != 6 {
 		t.Fatal("unconfigured weak memory diverged from strong semantics")
@@ -23,7 +42,6 @@ func TestStrongWhenUnconfigured(t *testing.T) {
 // never lose updates.
 func TestSpuriousFailuresHappenButProgress(t *testing.T) {
 	m := weak.New(1, weak.Config{SpuriousFailureRate: 0.5, Seed: 12345})
-	m.Init(0, 0)
 	failures := 0
 	for i := 0; i < 1000; i++ {
 		for {
@@ -49,8 +67,8 @@ func TestSpuriousFailuresHappenButProgress(t *testing.T) {
 // the reservation — §5 limitation 5.
 func TestGranuleInvalidation(t *testing.T) {
 	m := weak.New(8, weak.Config{GranuleWords: 8})
-	m.Init(0, 1)
-	m.Init(1, 2)
+	llsc.Store(m, 0, 1)
+	llsc.Store(m, 1, 2)
 	_, r0 := m.LL(0)
 	_, r1 := m.LL(1)
 	if !m.SC(1, r1, 20) {
@@ -67,8 +85,8 @@ func TestGranuleInvalidation(t *testing.T) {
 // TestGranuleSizeOne behaves per-word, like the strong memory.
 func TestGranuleSizeOne(t *testing.T) {
 	m := weak.New(8, weak.Config{GranuleWords: 1})
-	m.Init(0, 1)
-	m.Init(1, 2)
+	llsc.Store(m, 0, 1)
+	llsc.Store(m, 1, 2)
 	_, r0 := m.LL(0)
 	_, r1 := m.LL(1)
 	if !m.SC(1, r1, 20) {
@@ -85,9 +103,6 @@ func TestGranuleSizeOne(t *testing.T) {
 // success).
 func TestNeverFalselySucceeds(t *testing.T) {
 	m := weak.New(4, weak.Config{GranuleWords: 4, SpuriousFailureRate: 0.1, Seed: 7})
-	for i := 0; i < 4; i++ {
-		m.Init(i, 0)
-	}
 	const goroutines = 6
 	const perG = 5000
 	var wg sync.WaitGroup

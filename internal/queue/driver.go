@@ -74,6 +74,11 @@ type Driver struct {
 	waste, retries int
 }
 
+// TraceHandle returns the session's flight-recorder handle, so the
+// payload layer above records into the same ring instead of binding a
+// second one.
+func (d *Driver) TraceHandle() *trace.Handle { return &d.Tr }
+
 // NewDriver returns a driver running r under in, counting into ctrs
 // (nil records nothing).
 func NewDriver(ctrs *xsync.Counters, in Instr, r Rounds) Driver {

@@ -66,7 +66,9 @@ func WithName(n string) Option { return func(q *Queue) { q.name = n } }
 // New returns a queue with the given capacity (rounded up to a power of
 // two so the indices can wrap without skipping slots, as the paper
 // requires) over LL/SC memory built by mem. mem is called twice: once for
-// the slot array and once for the two index words.
+// the slot array and once for the two index words. A new Memory's words
+// read 0, which is already Figure 3's initial state (every slot null,
+// Head = Tail = 0), so New stores nothing.
 func New(capacity int, mem func(words int) llsc.Memory, opts ...Option) *Queue {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("evqllsc: capacity %d must be positive", capacity))
@@ -82,11 +84,6 @@ func New(capacity int, mem func(words int) llsc.Memory, opts ...Option) *Queue {
 		size:  size,
 		name:  "FIFO Array LL/SC",
 	}
-	for i := 0; i < int(size); i++ {
-		q.slots.Init(i, 0)
-	}
-	q.idx.Init(headWord, 0)
-	q.idx.Init(tailWord, 0)
 	for _, o := range opts {
 		o(q)
 	}

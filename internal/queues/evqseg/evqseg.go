@@ -364,6 +364,7 @@ func New(segSize int, opts ...Option) *Queue {
 	q.segs = make([]atomic.Pointer[segment], q.maxSegs+1)
 	q.dom = hazard.NewDomain(q.pool, true, 2)
 	if q.in.Yield != nil {
+		q.pool.SetYield(q.in.Yield)
 		q.dom.SetYield(q.in.Yield)
 	}
 	q.qctr = q.ctrs.Handle()

@@ -141,6 +141,10 @@ func (q *Queue) Attach() queue.Session {
 	return &Session{q: q, ctr: q.ctrs.Handle(), hist: q.hist.Handle(), tr: q.rec.Handle()}
 }
 
+// TraceHandle returns the session's flight-recorder handle; see
+// queue.Driver.TraceHandle.
+func (s *Session) TraceHandle() *trace.Handle { return &s.tr }
+
 // Detach releases the session (stateless; a no-op).
 func (s *Session) Detach() {}
 

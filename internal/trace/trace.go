@@ -195,10 +195,11 @@ type Record struct {
 
 // numRings fixes the ring count. Sessions bind round-robin, so the
 // recorder keeps working at any session count, and 32 rings give a
-// typical soak population a private ring each. Unlike the striped
-// counter banks, which size themselves to GOMAXPROCS, the count does
-// not follow the host: at DefaultPerRing, New preallocates 32 × 4,096
-// slots × 64 B = 8 MiB per traced queue (TestRecorderBytes).
+// typical soak population a private ring each. A ring's slots are
+// allocated when the first handle binds to it, so the recorder's memory
+// follows the handle count: New allocates only the Recorder, and each
+// ring costs 4,096 slots × 64 B = 256 KiB at DefaultPerRing, up to
+// 8 MiB once 32 handles have bound (TestRecorderBytes).
 const numRings = 32
 
 // DefaultPerRing is the per-ring record capacity used when the caller
@@ -242,8 +243,10 @@ func (r *ring) write(w0, w1, w2, w3 uint64) {
 // Recorder is the per-queue flight recorder: a fixed set of rings plus
 // the drop accounting. Create with New; hand each session a Handle.
 type Recorder struct {
-	rings  [numRings]ring
-	nextID atomic.Uint32
+	// rings[i] is nil until the first handle binds to ring i.
+	rings   [numRings]atomic.Pointer[ring]
+	perRing int
+	nextID  atomic.Uint32
 	// torn counts records a Snapshot had to discard because a writer
 	// raced the copy.
 	torn atomic.Uint64
@@ -263,12 +266,7 @@ func New(perRing int) *Recorder {
 	if perRing > 1 {
 		n = 1 << bits.Len(uint(perRing-1))
 	}
-	r := &Recorder{}
-	for i := range r.rings {
-		r.rings[i].slots = make([]slot, n)
-		r.rings[i].mask = uint64(n - 1)
-	}
-	return r
+	return &Recorder{perRing: n}
 }
 
 // PerRing returns the per-ring record capacity.
@@ -276,7 +274,7 @@ func (r *Recorder) PerRing() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.rings[0].slots)
+	return r.perRing
 }
 
 // SetLogContext routes rare-outcome records to runtime/trace.Log under
@@ -293,7 +291,8 @@ func (r *Recorder) SetLogContext(ctx context.Context) {
 	r.logCtx.Store(&ctx)
 }
 
-// Handle returns a writer handle bound to the next ring (round-robin).
+// Handle returns a writer handle bound to the next ring (round-robin),
+// installing that ring's slots by CAS if no handle has bound to it yet.
 // A nil recorder yields a disabled handle whose recording sites cost one
 // branch.
 func (r *Recorder) Handle() Handle {
@@ -301,7 +300,31 @@ func (r *Recorder) Handle() Handle {
 		return Handle{}
 	}
 	id := r.nextID.Add(1) - 1
-	return Handle{r: &r.rings[id%numRings], rec: r, phase: id}
+	p := &r.rings[id%numRings]
+	rg := p.Load()
+	if rg == nil {
+		rg = &ring{slots: make([]slot, r.perRing), mask: uint64(r.perRing - 1)}
+		if !p.CompareAndSwap(nil, rg) {
+			rg = p.Load()
+		}
+	}
+	return Handle{r: rg, rec: r, phase: id}
+}
+
+// each calls f with every installed ring and its index.
+func (r *Recorder) each(f func(i int, rg *ring)) {
+	for i := range r.rings {
+		if rg := r.rings[i].Load(); rg != nil {
+			f(i, rg)
+		}
+	}
+}
+
+// Rings reports how many rings handles have bound to, and so installed.
+func (r *Recorder) Rings() int {
+	n := 0
+	r.each(func(int, *ring) { n++ })
+	return n
 }
 
 // Written reports how many records were ever written across all rings.
@@ -310,9 +333,7 @@ func (r *Recorder) Written() uint64 {
 		return 0
 	}
 	var sum uint64
-	for i := range r.rings {
-		sum += r.rings[i].cursor.Load()
-	}
+	r.each(func(_ int, rg *ring) { sum += rg.cursor.Load() })
 	return sum
 }
 
@@ -325,12 +346,11 @@ func (r *Recorder) Dropped() uint64 {
 		return 0
 	}
 	sum := r.torn.Load()
-	for i := range r.rings {
-		rg := &r.rings[i]
+	r.each(func(_ int, rg *ring) {
 		if c, n := rg.cursor.Load(), uint64(len(rg.slots)); c > n {
 			sum += c - n
 		}
-	}
+	})
 	return sum
 }
 
@@ -345,8 +365,7 @@ func (r *Recorder) Snapshot() []Record {
 		return nil
 	}
 	var out []Record
-	for ri := range r.rings {
-		rg := &r.rings[ri]
+	r.each(func(ri int, rg *ring) {
 		n := rg.cursor.Load()
 		if n > uint64(len(rg.slots)) {
 			n = uint64(len(rg.slots))
@@ -377,7 +396,7 @@ func (r *Recorder) Snapshot() []Record {
 				Ring:    ri,
 			})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Start != b.Start {

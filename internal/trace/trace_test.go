@@ -240,26 +240,78 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
-// TestRecorderBytes pins what New(0) allocates: every ring's slots up
-// front (numRings × DefaultPerRing × 64 B = 8 MiB), plus the Recorder
-// itself. The smallest TotalAlloc delta of 3 trials leaves out other
+// TestRecorderBytes pins what the recorder allocates: New(0) allocates
+// only the Recorder; the first handle bound to a ring allocates that
+// ring (DefaultPerRing × 64 B = 256 KiB of slots plus its header); a
+// handle bound to an installed ring allocates nothing. Each figure is
+// the smallest TotalAlloc delta of 3 trials, which leaves out other
 // goroutines' allocations.
 func TestRecorderBytes(t *testing.T) {
-	const ringBytes = numRings * DefaultPerRing * uint64(unsafe.Sizeof(slot{}))
-	if ringBytes != 8<<20 {
-		t.Fatalf("ring slots = %d B, want 8 MiB", ringBytes)
+	const slotBytes = DefaultPerRing * uint64(unsafe.Sizeof(slot{}))
+	if slotBytes != 256<<10 {
+		t.Fatalf("ring slots = %d B, want 256 KiB", slotBytes)
 	}
-	got := uint64(math.MaxUint64)
-	for trial := 0; trial < 3; trial++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	allocated := func(setup func() *Recorder, f func(*Recorder)) uint64 {
+		got := uint64(math.MaxUint64)
+		for trial := 0; trial < 3; trial++ {
+			r := setup()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f(r)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(r)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		return got
+	}
+	recBytes := uint64(unsafe.Sizeof(Recorder{}))
+	newBytes := allocated(func() *Recorder { return nil }, func(*Recorder) { recorderSink = New(0) })
+	t.Logf("New(0) allocated %d B", newBytes)
+	if newBytes < recBytes || newBytes > 2*recBytes {
+		t.Fatalf("New(0) allocated %d B, want only the %d B Recorder", newBytes, recBytes)
+	}
+	firstBytes := allocated(func() *Recorder { return New(0) }, func(r *Recorder) { r.Handle() })
+	t.Logf("first Handle allocated %d B", firstBytes)
+	if ringBytes := uint64(unsafe.Sizeof(ring{})); firstBytes < slotBytes || firstBytes > slotBytes+2*ringBytes {
+		t.Fatalf("first Handle allocated %d B, want %d B of slots plus the %d B ring", firstBytes, slotBytes, ringBytes)
+	}
+	full := func() *Recorder {
 		r := New(0)
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(r)
-		got = min(got, after.TotalAlloc-before.TotalAlloc)
+		for i := 0; i < numRings; i++ {
+			r.Handle()
+		}
+		return r
 	}
-	t.Logf("New(0) allocated %d B", got)
-	if extra := got - ringBytes; got < ringBytes || extra > 2*uint64(unsafe.Sizeof(Recorder{})) {
-		t.Fatalf("New(0) allocated %d B, want %d B of ring slots plus the %d B Recorder", got, ringBytes, unsafe.Sizeof(Recorder{}))
+	if got := allocated(full, func(r *Recorder) { r.Handle() }); got != 0 {
+		t.Fatalf("Handle on an installed ring allocated %d B, want 0", got)
+	}
+}
+
+// recorderSink keeps TestRecorderBytes' recorder on the heap.
+var recorderSink *Recorder
+
+// TestRingsFollowHandles: rings are installed one per bound handle, up
+// to numRings, and a recorder whose rings were never bound reports
+// nothing written, dropped or snapshotted.
+func TestRingsFollowHandles(t *testing.T) {
+	r := New(4)
+	if got := r.Rings(); got != 0 {
+		t.Fatalf("new recorder has %d rings, want 0", got)
+	}
+	if r.Snapshot() != nil || r.Written() != 0 || r.Dropped() != 0 {
+		t.Fatal("recorder without rings reports records")
+	}
+	for k := 1; k <= numRings+8; k++ {
+		h := r.Handle()
+		h.Event(OutcomeSegGrow, k)
+		if got, want := r.Rings(), min(k, numRings); got != want {
+			t.Fatalf("after %d handles: %d rings, want %d", k, got, want)
+		}
+	}
+	if got := r.Written(); got != numRings+8 {
+		t.Fatalf("written = %d, want %d", got, numRings+8)
+	}
+	if got := len(r.Snapshot()); got != numRings+8 {
+		t.Fatalf("snapshot holds %d records, want %d", got, numRings+8)
 	}
 }

@@ -629,9 +629,15 @@ type Session[T any] struct {
 	// tr records the payload layer's own shed outcomes (admission
 	// control, payload-store exhaustion) into the WithTracing flight
 	// recorder; the word-level algorithms record their outcomes
-	// themselves. A zero handle when tracing is off.
-	tr trace.Handle
+	// themselves. It points at the inner session's handle when the
+	// algorithm has one, so a session binds one ring, and at noTrace
+	// when tracing is off.
+	tr *trace.Handle
 }
+
+// noTrace is the disabled handle sessions share when tracing is off; a
+// disabled handle's methods return before touching it.
+var noTrace trace.Handle
 
 // leakHandler, when set, observes garbage-collected undetached sessions.
 var leakHandler atomic.Pointer[func(algorithm string)]
@@ -665,7 +671,13 @@ func (q *Queue[T]) LeakedSessions() uint64 { return q.leaked.Load() }
 // SetLeakHandler hook — but GC-timed reclamation is far too late for a
 // production attach/detach cycle, so treat any leak report as a bug.
 func (q *Queue[T]) Attach() *Session[T] {
-	s := &Session[T]{q: q, inner: q.inner.Attach(), tr: q.rec.Handle()}
+	s := &Session[T]{q: q, inner: q.inner.Attach(), tr: &noTrace}
+	if in, ok := s.inner.(interface{ TraceHandle() *trace.Handle }); ok {
+		s.tr = in.TraceHandle()
+	} else if q.rec != nil {
+		h := q.rec.Handle()
+		s.tr = &h
+	}
 	if _, native := s.inner.(queue.BatchSession); !native {
 		s.bhist = q.hists.Handle()
 	}

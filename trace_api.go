@@ -3,8 +3,6 @@ package nbqueue
 import (
 	"context"
 	"time"
-
-	"nbqueue/internal/trace"
 )
 
 // TraceRecord is one decoded flight-recorder entry, the public view of
@@ -127,7 +125,3 @@ func (q *Queue[T]) TraceWritten() uint64 { return q.rec.Written() }
 // attributable to the specific operation's retry storm. nil detaches.
 // No-op without WithTracing.
 func (q *Queue[T]) SetTraceLogContext(ctx context.Context) { q.rec.SetLogContext(ctx) }
-
-// traceRecorder exposes the internal recorder to the package's own
-// tooling (fifosoak's stats server serves it at /debug/fifotrace).
-func (q *Queue[T]) traceRecorder() *trace.Recorder { return q.rec }

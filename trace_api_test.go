@@ -286,3 +286,32 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		run(b, nbqueue.WithMetrics(nbqueue.NewMetrics()), nbqueue.WithTracing(0))
 	})
 }
+
+// TestTraceRingsFollowSessions: a traced queue installs one ring for
+// itself and one per attached session (the payload layer shares the
+// word-level session's ring), up to the recorder's 32, so an idle or
+// lightly used traced queue does not hold 32 rings.
+func TestTraceRingsFollowSessions(t *testing.T) {
+	for _, algo := range []nbqueue.Algorithm{
+		nbqueue.AlgorithmLLSC, nbqueue.AlgorithmSegmented, nbqueue.AlgorithmMSHazard,
+	} {
+		for _, k := range []int{0, 1, 3, 40} {
+			q, err := nbqueue.New[int](
+				nbqueue.WithAlgorithm(algo),
+				nbqueue.WithCapacity(64),
+				nbqueue.WithMaxThreads(64),
+				nbqueue.WithMetrics(nbqueue.NewMetrics()),
+				nbqueue.WithTracing(16),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				defer q.Attach().Detach()
+			}
+			if got, want := nbqueue.TraceRings(q), min(k+1, 32); got != want {
+				t.Errorf("%s with %d sessions: %d rings, want %d", algo, k, got, want)
+			}
+		}
+	}
+}
