@@ -27,13 +27,12 @@ import (
 // instead of spinning on, and the wait surfaces context.DeadlineExceeded.
 
 // retryable reports whether err is a transient condition worth waiting
-// out — full, contended, or shed by watermark admission control (the
-// queue re-admits once it drains below the low watermark) — as opposed
+// out — full, or shed by watermark admission control (the queue
+// re-admits once it drains below the low watermark) — as opposed
 // to a permanent error (e.g. ErrRawValue) or a deadline abort that no
 // amount of waiting will fix.
 func retryable(err error) bool {
-	return errors.Is(err, ErrFull) || errors.Is(err, ErrContended) ||
-		errors.Is(err, ErrOverloaded)
+	return errors.Is(err, ErrFull) || errors.Is(err, ErrOverloaded)
 }
 
 // wait runs try on the queue's wait ladder with ctx's deadline, if
@@ -65,8 +64,8 @@ func ctxErr(ctx context.Context, err error) error {
 	return context.DeadlineExceeded
 }
 
-// EnqueueWait inserts v, waiting while the queue is full, contended, or
-// shedding under watermark admission control, until the context is done.
+// EnqueueWait inserts v, waiting while the queue is full or shedding
+// under watermark admission control, until the context is done.
 // Returns ctx.Err() on cancellation or deadline expiry; non-transient
 // errors are returned immediately.
 func (s *Session[T]) EnqueueWait(ctx context.Context, v T) error {
@@ -81,7 +80,7 @@ func (s *Session[T]) EnqueueWait(ctx context.Context, v T) error {
 }
 
 // DequeueWait removes the head value, waiting while the queue is empty
-// (or, under WithRetryBudget, contended) until the context is done.
+// until the context is done.
 // Returns ctx.Err() on cancellation or deadline expiry.
 func (s *Session[T]) DequeueWait(ctx context.Context) (v T, err error) {
 	var ok bool

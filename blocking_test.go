@@ -3,6 +3,7 @@ package nbqueue_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,34 +351,84 @@ func TestWaitSegmentedContext(t *testing.T) {
 	}
 }
 
-// TestWaitSegmentedBudgetExhaustion: under a tight retry budget on
-// AlgorithmSegmented, budget exhaustion (ErrContended) must be treated
-// as transient by the *Wait variants — a contended pipeline completes
-// rather than surfacing the shed to callers.
+// TestWaitSegmentedBudgetExhaustion: on AlgorithmSegmented, every *Wait
+// call runs on a per-call time budget (a context deadline, armed on the
+// word-level session). A call whose budget runs out — while waiting, or
+// mid-retry in the word-level loop — must surface
+// context.DeadlineExceeded, never the word-level ErrDeadline, and have
+// no effect, so a contended pipeline whose callers retry completes with
+// every value delivered exactly once.
+//
+// The mid-retry abort is forced first, on one goroutine, by a rival;
+// the pipeline then runs with the hook yielding the processor.
 func TestWaitSegmentedBudgetExhaustion(t *testing.T) {
+	m := nbqueue.NewMetrics()
+	r := rival{idle: runtime.Gosched}
 	q, err := nbqueue.New[int](
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
 		nbqueue.WithCapacity(8),
 		nbqueue.WithSegmentSize(8),
-		nbqueue.WithRetryBudget(1),
+		nbqueue.WithMetrics(m),
+		nbqueue.WithYieldHook(r.hook),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.s = q.Attach()
+	victim := q.Attach()
+	spent, cancel := context.WithDeadline(context.Background(), time.Now())
+	r.armed.Store(true)
+	if err := victim.EnqueueWait(spent, 3); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("EnqueueWait against a rival on a spent budget = %v, want DeadlineExceeded", err)
+	}
+	r.armed.Store(false)
+	cancel()
+	if n := m.Snapshot().DeadlineAborts; n == 0 {
+		t.Fatal("the rival never forced a mid-retry deadline abort")
+	}
+	if v, ok := victim.Dequeue(); ok {
+		t.Fatalf("the aborted EnqueueWait took effect: dequeued %d", v)
+	}
+	victim.Detach()
+	r.s.Detach()
+
 	const items = 1500
 	const pairs = 3
+	seen := make([]atomic.Int32, pairs*items)
 	var wg sync.WaitGroup
-	var consumed atomic.Int64
+	var consumed, expired atomic.Int64
+	// budget returns the next call's context: alternately already
+	// spent and a millisecond long.
+	budget := func(call int) (context.Context, context.CancelFunc) {
+		if call%2 == 0 {
+			return context.WithDeadline(context.Background(), time.Now())
+		}
+		return context.WithTimeout(context.Background(), time.Millisecond)
+	}
+	// done reports whether a wait took effect; a DeadlineExceeded one did
+	// not and is retried.
+	done := func(err error) bool {
+		if errors.Is(err, context.DeadlineExceeded) {
+			expired.Add(1)
+			return false
+		}
+		if err != nil {
+			t.Errorf("wait under a time budget: %v", err)
+		}
+		return true
+	}
 	for p := 0; p < pairs; p++ {
 		wg.Add(2)
 		go func(p int) {
 			defer wg.Done()
 			s := q.Attach()
 			defer s.Detach()
-			for i := 0; i < items; i++ {
-				if err := s.EnqueueWait(context.Background(), p*items+i); err != nil {
-					t.Errorf("producer %d: %v", p, err)
-					return
+			for i, call := 0, 0; i < items; call++ {
+				ctx, cancel := budget(call)
+				err := s.EnqueueWait(ctx, p*items+i)
+				cancel()
+				if done(err) {
+					i++
 				}
 			}
 		}(p)
@@ -385,24 +436,33 @@ func TestWaitSegmentedBudgetExhaustion(t *testing.T) {
 			defer wg.Done()
 			s := q.Attach()
 			defer s.Detach()
-			for consumed.Add(1) <= pairs*items {
-				if _, err := s.DequeueWait(context.Background()); err != nil {
-					t.Errorf("consumer: %v", err)
-					return
+			for call := 0; consumed.Add(1) <= pairs*items; {
+				for ; ; call++ {
+					ctx, cancel := budget(call)
+					v, err := s.DequeueWait(ctx)
+					cancel()
+					if done(err) {
+						seen[v].Add(1)
+						break
+					}
 				}
 			}
-			consumed.Add(-1)
 		}()
 	}
 	wg.Wait()
+	for v := range seen {
+		if n := seen[v].Load(); n != 1 {
+			t.Fatalf("value %d delivered %d times", v, n)
+		}
+	}
+	t.Logf("%d pipeline waits ran out of budget", expired.Load())
 }
 
-// TestWaitRetriesThroughContention: with a retry budget installed, the
-// *Wait variants treat ErrContended like ErrFull/empty — wait and retry —
-// so a budgeted pipeline completes instead of erroring out or
-// deadlocking.
+// TestWaitRetriesThroughContention: the *Wait variants wait out ErrFull
+// and empty under contention, so a tightly bounded pipeline completes
+// instead of erroring out or deadlocking.
 func TestWaitRetriesThroughContention(t *testing.T) {
-	q, err := nbqueue.New[int](nbqueue.WithCapacity(8), nbqueue.WithRetryBudget(2))
+	q, err := nbqueue.New[int](nbqueue.WithCapacity(8), nbqueue.WithYieldHook(runtime.Gosched))
 	if err != nil {
 		t.Fatal(err)
 	}

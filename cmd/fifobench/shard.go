@@ -207,25 +207,26 @@ func runShard(out io.Writer, format string, p bench.Params) error {
 			FlatOpsSec: runFlatPairs(fl, t, shardPhase),
 		})
 	}
-	// 1p1c: SPSC specialization on vs off, one shard.
-	mk := func(spsc bool) (*nbqueue.Fabric[int], error) {
+	// 1p1c on one default shard: role-declared sessions specialize it to
+	// the SPSC ring; untyped sessions never do, which is the MPMC
+	// baseline.
+	mk := func() (*nbqueue.Fabric[int], error) {
 		return nbqueue.NewFabric[int](
 			nbqueue.WithShards(1),
-			nbqueue.WithSPSC(spsc),
 			nbqueue.WithShardOptions(
 				nbqueue.WithCapacity(shardCap),
 				nbqueue.WithMaxThreads(6)))
 	}
-	fOn, err := mk(true)
+	fOn, err := mk()
 	if err != nil {
 		return err
 	}
 	spscOps := runFabricPairs(fOn, 1, true, shardPhase)
-	fOff, err := mk(false)
+	fOff, err := mk()
 	if err != nil {
 		return err
 	}
-	mpmcOps := runFabricPairs(fOff, 1, true, shardPhase)
+	mpmcOps := runFabricPairs(fOff, 1, false, shardPhase)
 	rows = append(rows,
 		shardRow{Case: "1p1c-spsc", Threads: 1, OpsSec: spscOps},
 		shardRow{Case: "1p1c-mpmc", Threads: 1, OpsSec: mpmcOps})

@@ -232,7 +232,7 @@ func TestSoakStatsEndpoint(t *testing.T) {
 		"# TYPE nbq_enqueue_latency_ns histogram",
 		"# TYPE nbq_enqueue_retries histogram",
 		`algorithm="evq-cas"`,
-		"nbq_contended_total",
+		"nbq_deadline_aborts_total",
 		"nbq_orphans_scavenged_total",
 		"nbq_leaked_sessions_total",
 	} {

@@ -179,8 +179,8 @@ func (st *statsServer) tick(every time.Duration) {
 		return cur[k] - prev[k]
 	}
 	ops := float64(delta(xsync.OpEnqueue)+delta(xsync.OpDequeue)) / every.Seconds()
-	line := fmt.Sprintf("stats: %s ops/s=%.3g contended=%d scavenged=%d leaked=%d",
-		key, ops, delta(xsync.OpContended), delta(xsync.OpScavenge), delta(xsync.OpLeak))
+	line := fmt.Sprintf("stats: %s ops/s=%.3g scavenged=%d leaked=%d",
+		key, ops, delta(xsync.OpScavenge), delta(xsync.OpLeak))
 	if hists != nil {
 		if v := hists.View(xsync.HistEnqLatency); v.Count > 0 {
 			line += fmt.Sprintf(" p99(enq)=%.2fµs", v.Quantile(0.99)/1e3)

@@ -4,18 +4,9 @@ package nbqueue
 type EventKind int
 
 const (
-	// EventContentionShed reports an operation that surfaced
-	// ErrContended to its caller: the WithRetryBudget budget ran out and
-	// the load was shed. Event.Op says which side.
-	EventContentionShed EventKind = iota
-	// EventRetryBudgetExhausted reports a Dequeue whose retry budget ran
-	// out but whose caller only sees ok=false — the exhaustion a plain
-	// Dequeue folds away. TryDequeue surfaces the same condition as
-	// EventContentionShed instead.
-	EventRetryBudgetExhausted
 	// EventOrphanScavenged reports a ScavengeOrphans call that reclaimed
 	// per-thread records of presumed-dead sessions; Event.N is how many.
-	EventOrphanScavenged
+	EventOrphanScavenged EventKind = iota
 	// EventSessionLeaked reports a session garbage collected without
 	// Detach (the finalizer safety net fired; always a caller bug).
 	EventSessionLeaked
@@ -46,10 +37,6 @@ const (
 // String returns the label used in logs and metric names.
 func (k EventKind) String() string {
 	switch k {
-	case EventContentionShed:
-		return "contention-shed"
-	case EventRetryBudgetExhausted:
-		return "retry-budget-exhausted"
 	case EventOrphanScavenged:
 		return "orphan-scavenged"
 	case EventSessionLeaked:
@@ -71,8 +58,8 @@ type Event struct {
 	Kind EventKind
 	// Algorithm is the display name of the queue implementation.
 	Algorithm string
-	// Op is "enqueue" or "dequeue" for per-operation events, empty for
-	// lifecycle events.
+	// Op names the admission gate of an overload event ("" for depth
+	// watermarks, "segments" for segment watermarks); empty otherwise.
 	Op string
 	// N is the event magnitude where one exists (records scavenged,
 	// live segments after a grow).
@@ -85,9 +72,10 @@ type Event struct {
 
 // WithEventHook installs fn as the queue's event observer. The hook is
 // invoked synchronously from whichever goroutine hits the event — the
-// contended operation's own goroutine, the ScavengeOrphans caller, or
-// the runtime's finalizer goroutine — so it must be fast, non-blocking,
-// and safe for concurrent invocation. Events fire only on paths that
-// are already off the fast path (shed operations, scavenges, leaks):
+// enqueuer that crossed a watermark or grew a segment, the
+// ScavengeOrphans caller, or the runtime's finalizer goroutine — so it
+// must be fast, non-blocking, and safe for concurrent invocation. Events
+// fire only on paths that are already off the fast path (overload
+// transitions, segment growth, scavenges, leaks):
 // with no events occurring, the hook costs nothing per operation.
 func WithEventHook(fn func(Event)) Option { return func(c *config) { c.hook = fn } }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"nbqueue"
 )
@@ -129,9 +130,10 @@ func ExampleSession_DequeueBatch() {
 	// Output: 3 [a b c]
 }
 
-// Dequeue folds every non-success into ok=false: observed-empty and a
-// WithRetryBudget shed look the same. It is the right call when the
-// caller's reaction to both is identical (try again later).
+// Dequeue folds every non-success into ok=false: observed-empty and an
+// operation aborted by its session deadline look the same. It is the
+// right call when the caller's reaction to both is identical (try again
+// later).
 func ExampleSession_Dequeue() {
 	q, err := nbqueue.New[int](nbqueue.WithCapacity(8))
 	if err != nil {
@@ -144,26 +146,25 @@ func ExampleSession_Dequeue() {
 	for {
 		v, ok := s.Dequeue()
 		if !ok {
-			break // empty (or shed, under a retry budget)
+			break // empty (or aborted, under a session deadline)
 		}
 		fmt.Println(v)
 	}
 	// Output: 1
 }
 
-// TryDequeue keeps budget exhaustion visible: ok=false with a nil error
-// is a real empty, ok=false with ErrContended means the retry budget
-// ran out and the queue may still hold values.
+// TryDequeue keeps a deadline abort visible: ok=false with a nil error
+// is a real empty, ok=false with ErrDeadline means the session deadline
+// passed mid-retry and the queue may still hold values.
 func ExampleSession_TryDequeue() {
-	q, err := nbqueue.New[int](
-		nbqueue.WithCapacity(8),
-		nbqueue.WithRetryBudget(100),
-	)
+	q, err := nbqueue.New[int](nbqueue.WithCapacity(8))
 	if err != nil {
 		log.Fatal(err)
 	}
 	s := q.Attach()
 	defer s.Detach()
+	s.SetDeadline(time.Now().Add(time.Second))
+	defer s.SetDeadline(time.Time{})
 
 	_, ok, err := s.TryDequeue()
 	fmt.Println(ok, err == nil) // uncontended empty: no error

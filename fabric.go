@@ -59,10 +59,12 @@ import (
 //
 //     with S shards of capacity C, A consumer sessions holding steal
 //     buffers of at most B values, and R the capacity of one SPSC ring
-//     (0 with specialization off). The first term is values parked on
-//     other shards, the second values parked in steal buffers, the
-//     third values slipping between a shard's MPMC ring and its SPSC
-//     ring during a specialization transition.
+//     (0 on shards that never see a declared 1p1c census: a fabric whose
+//     sessions all attach with untyped Attach never specializes). The
+//     first term is values parked on other shards, the second values
+//     parked in steal buffers, the third values slipping between a
+//     shard's MPMC ring and its SPSC ring during a specialization
+//     transition.
 //
 // internal/lincheck.CheckRelaxedFIFO asserts exactly this bound over
 // recorded histories; the conformance tests run it against the fabric.
@@ -103,7 +105,6 @@ type Fabric[T any] struct {
 	hook func(Event)
 	// stealBatch is the number of values a steal attempt moves.
 	stealBatch int
-	spscOn     bool
 	// prodRR/consRR/anyRR assign home shards round-robin per role, so
 	// the first producer and the first consumer meet on shard 0 — the
 	// census that triggers SPSC specialization.
@@ -142,9 +143,9 @@ type fabShard[T any] struct {
 	// depth is q's depth probe, nil for algorithms without one; looked
 	// up once because the blessed paths read it on every operation.
 	depth interface{ Len() int }
-	// ring is the SPSC-specialized payload ring (nil with WithSPSC
-	// off). Built eagerly — it is two allocations — so specialization
-	// is a mode flip, not an install race.
+	// ring is the SPSC-specialized payload ring. Built eagerly — it is
+	// two allocations — so specialization is a mode flip, not an install
+	// race.
 	ring *fabRing[T]
 	// mode is the specialization state machine; read on every hot-path
 	// operation, written on census changes and fold-back.
@@ -209,7 +210,6 @@ type fabricConfig struct {
 	shards     int
 	shardsSet  bool
 	stealBatch int
-	spscOn     bool
 	shardOpts  []Option
 }
 
@@ -235,13 +235,6 @@ func WithShards(n int) FabricOption {
 // itself rejects, stamped with the shard index.
 func WithShardOptions(opts ...Option) FabricOption {
 	return func(c *fabricConfig) { c.shardOpts = append(c.shardOpts, opts...) }
-}
-
-// WithSPSC toggles automatic SPSC shard specialization; default on.
-// With it off, shards never leave mpmc mode and the relaxation bound
-// loses its R term.
-func WithSPSC(on bool) FabricOption {
-	return func(c *fabricConfig) { c.spscOn = on }
 }
 
 // WithStealBatch sets how many values one steal attempt moves (default
@@ -326,7 +319,6 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 	c := fabricConfig{
 		shards:     runtime.GOMAXPROCS(0),
 		stealBatch: 32,
-		spscOn:     true,
 	}
 	for _, o := range opts {
 		if o != nil {
@@ -345,11 +337,10 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 	sc.algorithm = AlgorithmCAS
 	Options(c.shardOpts...)(&sc)
 	if sc.algorithm == AlgorithmSPSC {
-		return nil, fmt.Errorf("nbqueue: WithShardOptions(WithAlgorithm(AlgorithmSPSC)) — SPSC specialization is fabric-managed; leave WithSPSC on and let the census specialize shards")
+		return nil, fmt.Errorf("nbqueue: WithShardOptions(WithAlgorithm(AlgorithmSPSC)) — SPSC specialization is fabric-managed; attach with AttachProducer/AttachConsumer and let the census specialize shards")
 	}
 	f := &Fabric[T]{
 		stealBatch: c.stealBatch,
-		spscOn:     c.spscOn,
 		hook:       sc.hook,
 	}
 	f.shards = make([]*fabShard[T], c.shards)
@@ -369,22 +360,20 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 		}
 		sh := &fabShard[T]{f: f, i: i, q: q}
 		sh.depth, _ = q.inner.(interface{ Len() int })
-		if c.spscOn {
-			var spscOpts []spsc.Option
-			if sc.metrics != nil {
-				spscOpts = append(spscOpts,
-					spsc.WithCounters(sc.metrics.counters()),
-					spsc.WithInstr(queue.Instr{Hists: sc.metrics.histograms()}))
-			}
-			// Unbounded shard algorithms report Capacity 0; the ring is
-			// always bounded (its fill spills to the shard queue), so
-			// give it a fixed working-set-sized window there.
-			ringCap := q.Capacity()
-			if ringCap <= 0 {
-				ringCap = 1024
-			}
-			sh.ring = newFabRing[T](ringCap, spscOpts...)
+		var spscOpts []spsc.Option
+		if sc.metrics != nil {
+			spscOpts = append(spscOpts,
+				spsc.WithCounters(sc.metrics.counters()),
+				spsc.WithInstr(queue.Instr{Hists: sc.metrics.histograms()}))
 		}
+		// Unbounded shard algorithms report Capacity 0; the ring is
+		// always bounded (its fill spills to the shard queue), so give
+		// it a fixed working-set-sized window there.
+		ringCap := q.Capacity()
+		if ringCap <= 0 {
+			ringCap = 1024
+		}
+		sh.ring = newFabRing[T](ringCap, spscOpts...)
 		f.shards[i] = sh
 	}
 	return f, nil
@@ -425,9 +414,7 @@ func (f *Fabric[T]) Len() int {
 		if d, ok := sh.q.Len(); ok {
 			n += d
 		}
-		if sh.ring != nil {
-			n += sh.ring.len()
-		}
+		n += sh.ring.len()
 	}
 	return n
 }
@@ -594,9 +581,6 @@ func (f *Fabric[T]) attach(role fabRole) *FabricSession[T] {
 // shard still draining keeps draining and re-specializes (via the
 // consumer's fold-back recompute) once the ring is empty.
 func (sh *fabShard[T]) recomputeLocked() {
-	if sh.ring == nil {
-		return
-	}
 	if len(sh.producers) == 1 && len(sh.consumers) == 1 && sh.untyped == 0 {
 		if sh.mode.Load() == modeMPMC {
 			sh.consOwner.Store(sh.consumers[0])
@@ -640,9 +624,9 @@ func (s *FabricSession[T]) next64() uint64 {
 }
 
 // spillable reports whether err means "this shard is out of room" —
-// the conditions power-of-two spill can route around. ErrContended and
-// ErrDeadline are properties of the attempt, not the shard, and are
-// returned to the caller unchanged.
+// the conditions power-of-two spill can route around. ErrDeadline is a
+// property of the attempt, not the shard, and is returned to the caller
+// unchanged.
 func spillable(err error) bool {
 	return errors.Is(err, ErrFull) || errors.Is(err, ErrOverloaded)
 }
@@ -960,7 +944,7 @@ func (s *FabricSession[T]) TryDrain(max int) []T {
 	return tryDrain(max, s.DequeueBatch)
 }
 
-// EnqueueWait inserts v, waiting out transient sheds (full, contended,
+// EnqueueWait inserts v, waiting out transient sheds (full or
 // overloaded on every shard) until ctx is done — the fabric analogue
 // of Session.EnqueueWait.
 func (s *FabricSession[T]) EnqueueWait(ctx context.Context, v T) error {

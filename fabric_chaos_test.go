@@ -21,8 +21,8 @@ import (
 var chaosSeed = flag.Int64("seed", 1, "seed for the fabric chaos storms; printed on every failure")
 
 // A recorded concurrent run through a fabric must stay within the
-// documented relaxation bound k = (S-1)·C + A·B (MPMC-only: SPSC off,
-// so the R term vanishes). The bound is checked by the Fenwick-sweep
+// documented relaxation bound k = (S-1)·C + A·B (MPMC-only: untyped
+// sessions never specialize a shard, so the R term vanishes). The bound is checked by the Fenwick-sweep
 // checker whose seeded self-test lives in internal/lincheck.
 func TestFabricRelaxationBoundMPMC(t *testing.T) {
 	const (
@@ -35,7 +35,6 @@ func TestFabricRelaxationBoundMPMC(t *testing.T) {
 	k := (shards-1)*capacity + consumers*stealN
 	f, err := nbqueue.NewFabric[uint64](
 		nbqueue.WithShards(shards),
-		nbqueue.WithSPSC(false),
 		nbqueue.WithStealBatch(stealN),
 		nbqueue.WithShardOptions(nbqueue.WithCapacity(capacity)))
 	if err != nil {
@@ -286,7 +285,6 @@ func TestFabricScavengeRacesLiveSteal(t *testing.T) {
 	seed := *chaosSeed
 	f, err := nbqueue.NewFabric[int](
 		nbqueue.WithShards(2),
-		nbqueue.WithSPSC(false),
 		nbqueue.WithStealBatch(8),
 		nbqueue.WithShardOptions(nbqueue.WithCapacity(2048), nbqueue.WithMaxThreads(64)))
 	if err != nil {

@@ -168,7 +168,6 @@ func RunVictimStorm(o VictimOptions) (*VictimReport, error) {
 			runtime.Gosched()
 		}
 	})
-	bs, _ := vs.(queue.BudgetSession)
 
 	// The op mix is seeded rather than strictly alternating: a failing
 	// storm replays exactly under the same VictimOptions.Seed.
@@ -180,10 +179,8 @@ func RunVictimStorm(o VictimOptions) (*VictimReport, error) {
 		var err error
 		if rng.Intn(2) == 0 {
 			err = vs.Enqueue(2)
-		} else if bs != nil {
-			_, _, err = bs.DequeueErr()
 		} else {
-			vs.Dequeue()
+			_, _, err = ds.DequeueErr()
 		}
 		el := time.Since(start)
 		if el > rep.MaxOp {

@@ -85,7 +85,6 @@ var counterSeries = []struct {
 	{xsync.OpLL, "load_linked_total", "Load-linked operations (real or simulated)."},
 	{xsync.OpSCAttempt, "sc_attempts_total", "Store-conditional attempts."},
 	{xsync.OpSCSuccess, "sc_successes_total", "Store-conditional successes."},
-	{xsync.OpContended, "contended_total", "Operations shed with ErrContended (retry budget exhausted)."},
 	{xsync.OpDeadline, "deadline_aborts_total", "Operations aborted with ErrDeadline (session deadline passed mid-retry)."},
 	{xsync.OpOverload, "overload_sheds_total", "Enqueues refused with ErrOverloaded by watermark admission control."},
 	{xsync.OpScavenge, "orphans_scavenged_total", "Per-thread records reclaimed from presumed-dead sessions."},

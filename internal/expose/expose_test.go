@@ -22,7 +22,7 @@ func fill(t *testing.T) (*xsync.Counters, *xsync.Histograms) {
 	h.Add(xsync.OpDequeue, 90)
 	h.Add(xsync.OpCASAttempt, 300)
 	h.Add(xsync.OpCASSuccess, 290)
-	h.Add(xsync.OpContended, 3)
+	h.Add(xsync.OpDeadline, 3)
 	h.Add(xsync.OpScavenge, 2)
 	h.Add(xsync.OpLeak, 1)
 	hists := xsync.NewHistograms()
@@ -52,7 +52,7 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 	// Every series the acceptance criteria names must be present.
 	for _, want := range []string{
 		"nbq_enqueue_latency_ns_bucket", "nbq_enqueue_retries_bucket",
-		"nbq_contended_total", "nbq_orphans_scavenged_total", "nbq_leaked_sessions_total",
+		"nbq_deadline_aborts_total", "nbq_orphans_scavenged_total", "nbq_leaked_sessions_total",
 		`nbq_enqueues_total{algorithm="evq-cas"} 100`,
 		`nbq_depth{algorithm="evq-cas"} 10`,
 	} {

@@ -97,7 +97,7 @@ func (tq *typeQueue) enqueue(j *Job) error {
 		return nil
 	case errors.Is(err, nbqueue.ErrFull):
 		return ErrQueueFull
-	case errors.Is(err, nbqueue.ErrOverloaded), errors.Is(err, nbqueue.ErrContended):
+	case errors.Is(err, nbqueue.ErrOverloaded):
 		return ErrOverloaded
 	default:
 		return err

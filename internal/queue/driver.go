@@ -7,28 +7,24 @@ import (
 	"nbqueue/internal/xsync"
 )
 
-// Instr is the instrumentation and retry-policy bundle: handed to an
+// Instr is the instrumentation and backoff bundle: handed to an
 // algorithm once at construction through its WithInstr option, and, on
 // the rings built on Driver, from there to every session's Driver. Each
 // algorithm reads the fields its design can act on; its WithInstr doc
 // says which. The zero value is the paper's plain configuration —
-// nothing recorded, retry loops unbounded, no backoff. Nil sinks cost
-// one branch per recording site. The primitive counters are not part
-// of it: every algorithm takes those on its own (WithCounters).
+// nothing recorded, no backoff. Nil sinks cost one branch per recording
+// site. The primitive counters are not part of it: every algorithm
+// takes those on its own (WithCounters).
 type Instr struct {
 	// Hists receives latencies (sampled, see xsync.SampleShift) and
 	// per-operation retry counts.
 	Hists *xsync.Histograms
 	// Trace receives flight-recorder records: operations on the Hists
-	// sampling beat and every rare outcome (ErrContended, ErrDeadline,
-	// segment lifecycle events).
+	// sampling beat and every rare outcome (ErrDeadline, segment
+	// lifecycle events).
 	Trace *trace.Recorder
 	// Backoff enables bounded exponential backoff after fruitless rounds.
 	Backoff bool
-	// RetryBudget bounds each operation to that many fruitless rounds,
-	// after which it fails with ErrContended; 0 keeps the loops unbounded
-	// (the paper's lock-free default).
-	RetryBudget int
 	// Yield is fired before shared-memory accesses, for interleaving
 	// exploration and fault injection; nil in production.
 	Yield func()
@@ -49,15 +45,14 @@ type Rounds interface {
 
 // Driver is one session's retry loop, shared by the Evequoz-family
 // rings. It runs a ring's Rounds until one is decisive, stops early on
-// the retry budget or the session deadline, backs off between fruitless
-// rounds, and records every completion in the Instr sinks. Batch
-// operations keep their own cursor loops and use the driver for the
-// same stop checks, backoff and accounting (HaltBatch, Skip, Lose, Win,
-// DoneEnqBatch, DoneDeqBatch).
+// the session deadline, backs off between fruitless rounds, and records
+// every completion in the Instr sinks. Batch operations keep their own
+// cursor loops and use the driver for the same stop checks, backoff and
+// accounting (HaltBatch, Skip, Lose, Win, DoneEnqBatch, DoneDeqBatch).
 //
-// Sessions embed it: the embedding supplies SetDeadline (so the session
-// is a DeadlineSession), SetYield, and the handles Ctr, Hist and Tr the
-// rings record primitives and lifecycle events into.
+// Sessions embed it: the embedding supplies SetDeadline and DequeueErr
+// (so the session is a DeadlineSession), SetYield, and the handles Ctr,
+// Hist and Tr the rings record primitives and lifecycle events into.
 type Driver struct {
 	Ctr  xsync.Handle
 	Hist xsync.HistHandle
@@ -65,12 +60,11 @@ type Driver struct {
 	Bo   xsync.Backoff
 
 	rounds   Rounds
-	budget   int
 	deadline int64 // unixnano; 0 = none
 	pause    func()
 	// waste counts a batch's consecutive fruitless iterations since its
-	// last commit — the budget unit, giving per-element parity with
-	// single operations; retries counts the batch's total.
+	// last commit — the deadline poll's unit, giving per-element parity
+	// with single operations; retries counts the batch's total.
 	waste, retries int
 }
 
@@ -87,7 +81,6 @@ func NewDriver(ctrs *xsync.Counters, in Instr, r Rounds) Driver {
 		Hist:   in.Hists.Handle(),
 		Tr:     in.Trace.Handle(),
 		rounds: r,
-		budget: in.RetryBudget,
 	}
 	if in.Backoff {
 		d.Bo = xsync.NewBackoff(0, 0)
@@ -126,21 +119,17 @@ func (d *Driver) Pause() {
 const deadlineCheckMask = 31
 
 // Halt reports whether a retry loop that has run n fruitless iterations
-// must stop: ErrContended once the retry budget is spent, ErrDeadline
-// once the armed deadline has passed, nil otherwise. A stop is counted.
+// must stop: ErrDeadline once the armed deadline has passed, nil
+// otherwise. A stop is counted.
 func (d *Driver) Halt(n int) error {
-	if d.budget <= 0 && d.deadline == 0 {
+	if d.deadline == 0 {
 		return nil
 	}
 	return d.halt(n)
 }
 
 func (d *Driver) halt(n int) error {
-	if d.budget > 0 && n >= d.budget {
-		d.Ctr.Inc(xsync.OpContended)
-		return ErrContended
-	}
-	if d.deadline != 0 && n&deadlineCheckMask == deadlineCheckMask &&
+	if n&deadlineCheckMask == deadlineCheckMask &&
 		time.Now().UnixNano() > d.deadline {
 		d.Ctr.Inc(xsync.OpDeadline)
 		return ErrDeadline
@@ -172,9 +161,9 @@ func (d *Driver) Enqueue(v uint64) error {
 }
 
 // DequeueErr drives one dequeue to completion: ok=false with a nil error
-// means the queue was observed empty, with ErrContended or ErrDeadline
-// that the retry budget or the deadline ran out first. The caller has
-// run the ring's between-operations protocol.
+// means the queue was observed empty, with ErrDeadline that the
+// deadline passed first. The caller has run the ring's
+// between-operations protocol.
 func (d *Driver) DequeueErr() (uint64, bool, error) {
 	start := d.Hist.StartDeq()
 	for n := 0; ; n++ {
@@ -268,8 +257,6 @@ func outcome(err error) trace.Outcome {
 	switch err {
 	case ErrFull:
 		return trace.OutcomeFull
-	case ErrContended:
-		return trace.OutcomeContended
 	case ErrDeadline:
 		return trace.OutcomeDeadline
 	case ErrOverloaded:

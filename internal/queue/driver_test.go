@@ -34,24 +34,19 @@ func (r *stuck) DequeueRound() (uint64, bool, bool) {
 	return 2, false, true
 }
 
-// TestDriverStops pins the driver's stop rules independently of any
-// ring: the retry budget bounds fruitless rounds exactly, an expired
-// deadline aborts on the throttled poll, and each stop is counted.
+// TestDriverStops pins the driver's stop rule independently of any
+// ring: without a deadline the loop is unbounded, an expired deadline
+// aborts on the throttled poll, clearing it unbounds the loop again, and
+// each stop is counted.
 func TestDriverStops(t *testing.T) {
 	ctrs := xsync.NewCounters()
-	r := &stuck{losses: 1 << 30}
-	d := queue.NewDriver(ctrs, queue.Instr{RetryBudget: 5}, r)
-	if err := d.Enqueue(2); !errors.Is(err, queue.ErrContended) {
-		t.Fatalf("Enqueue over budget = %v, want ErrContended", err)
+	r := &stuck{losses: 1000}
+	d := queue.NewDriver(ctrs, queue.Instr{}, r)
+	if err := d.Enqueue(2); err != nil {
+		t.Fatalf("Enqueue without a deadline = %v, want nil", err)
 	}
-	if r.rounds != 5 {
-		t.Fatalf("ran %d rounds under a budget of 5", r.rounds)
-	}
-	if _, ok, err := d.DequeueErr(); ok || !errors.Is(err, queue.ErrContended) {
-		t.Fatalf("DequeueErr over budget = (%v, %v), want (false, ErrContended)", ok, err)
-	}
-	if n := ctrs.Total(xsync.OpContended); n != 2 {
-		t.Fatalf("OpContended = %d, want 2", n)
+	if r.rounds != 1001 {
+		t.Fatalf("ran %d rounds, want 1001 (1000 losses, then the win)", r.rounds)
 	}
 
 	r = &stuck{losses: 1 << 30}
@@ -63,7 +58,16 @@ func TestDriverStops(t *testing.T) {
 	if r.rounds != 31 {
 		t.Fatalf("deadline abort after %d rounds, want 31 (polled every 32nd iteration)", r.rounds)
 	}
-	if n := ctrs.Total(xsync.OpDeadline); n != 1 {
-		t.Fatalf("OpDeadline = %d, want 1", n)
+	if _, ok, err := d.DequeueErr(); ok || !errors.Is(err, queue.ErrDeadline) {
+		t.Fatalf("DequeueErr past deadline = (%v, %v), want (false, ErrDeadline)", ok, err)
+	}
+	if n := ctrs.Total(xsync.OpDeadline); n != 2 {
+		t.Fatalf("OpDeadline = %d, want 2", n)
+	}
+
+	r.losses = 100
+	d.SetDeadline(time.Time{})
+	if v, ok, err := d.DequeueErr(); !ok || err != nil || v != 2 {
+		t.Fatalf("DequeueErr after clearing the deadline = (%d, %v, %v), want (2, true, nil)", v, ok, err)
 	}
 }

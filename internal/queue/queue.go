@@ -23,21 +23,13 @@ var ErrFull = errors.New("queue: full")
 // contract (zero, odd, or too wide).
 var ErrValue = errors.New("queue: value must be even, nonzero and below 2^40")
 
-// ErrContended is returned by operations on queues configured with a
-// retry budget when the budget is exhausted before the operation can
-// complete. The operation had no effect; the caller may retry or shed
-// load. Distinct from ErrFull: the queue may well have room (or items),
-// the thread just kept losing CAS races for it.
-var ErrContended = errors.New("queue: retry budget exhausted under contention")
-
 // ErrDeadline is returned by operations on sessions with a deadline set
 // (see DeadlineSession) when the deadline passes mid-retry-loop before
-// the operation can complete. Like ErrContended, the operation had no
-// effect and the queue state says nothing about why: the thread ran out
-// of time, not necessarily out of room or items. Distinct from
-// ErrContended so callers can tell "my time budget expired" from "my
-// attempt budget expired" — a deadline abort should not be retried, a
-// contention abort may be.
+// the operation can complete. The operation had no effect and the queue
+// state says nothing about why: the thread ran out of time, not
+// necessarily out of room or items. It is the only way an operation of
+// the Evequoz-family rings gives up early; their retry loops are
+// otherwise unbounded, as in the paper.
 var ErrDeadline = errors.New("queue: deadline exceeded mid-operation")
 
 // ErrOverloaded is returned by enqueues rejected by admission control: a
@@ -101,19 +93,14 @@ type Session interface {
 // few retry iterations. Callers that want context plumbing set the
 // deadline from ctx before the operation and clear it after; the
 // blocking wait layer does exactly that.
+//
+// DequeueErr is Dequeue with an error channel: ok=false with a nil error
+// means the queue was observed empty; ok=false with ErrDeadline means
+// the deadline passed first (the queue may be nonempty). Plain Dequeue
+// folds the abort into ok=false.
 type DeadlineSession interface {
 	Session
 	SetDeadline(t time.Time)
-}
-
-// BudgetSession is implemented by sessions of queues constructed with a
-// retry budget. DequeueErr is Dequeue with an error channel: ok=false
-// with a nil error means the queue was observed empty; ok=false with
-// ErrContended means the attempt budget ran out while the queue was
-// contended (it may be nonempty). Plain Dequeue on such a session folds
-// budget exhaustion into ok=false.
-type BudgetSession interface {
-	Session
 	DequeueErr() (v uint64, ok bool, err error)
 }
 
@@ -130,12 +117,12 @@ type BudgetSession interface {
 //   - EnqueueBatch(vs) returns (n, nil) iff all len(vs) values were
 //     enqueued. A partial batch returns the count of values actually
 //     enqueued — a strict prefix of vs — with ErrFull (out of space) or
-//     ErrContended (retry budget exhausted). A contract violation in any
+//     ErrDeadline (session deadline passed). A contract violation in any
 //     element returns (0, ErrValue) before anything is enqueued.
 //   - DequeueBatch(dst) fills a prefix of dst and returns its length.
 //     err is nil both when dst was filled and when the queue was
-//     observed empty first; ErrContended reports a retry budget running
-//     out (the queue may be nonempty). Dequeued values are FIFO.
+//     observed empty first; ErrDeadline reports the session deadline
+//     passing (the queue may be nonempty). Dequeued values are FIFO.
 type BatchSession interface {
 	Session
 	EnqueueBatch(vs []uint64) (n int, err error)
@@ -171,19 +158,6 @@ func EnqueueBatch(s Session, vs []uint64) (int, error) {
 func DequeueBatch(s Session, dst []uint64) (int, error) {
 	if b, ok := s.(BatchSession); ok {
 		return b.DequeueBatch(dst)
-	}
-	if bs, ok := s.(BudgetSession); ok {
-		for i := range dst {
-			v, ok, err := bs.DequeueErr()
-			if err != nil {
-				return i, err
-			}
-			if !ok {
-				return i, nil
-			}
-			dst[i] = v
-		}
-		return len(dst), nil
 	}
 	for i := range dst {
 		v, ok := s.Dequeue()

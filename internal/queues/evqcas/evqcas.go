@@ -128,7 +128,6 @@ type Session struct {
 
 var (
 	_ queue.Session         = (*Session)(nil)
-	_ queue.BudgetSession   = (*Session)(nil)
 	_ queue.DeadlineSession = (*Session)(nil)
 	_ queue.BatchSession    = (*Session)(nil)
 )
@@ -236,17 +235,16 @@ func (s *Session) Enqueue(v uint64) error {
 	return s.Driver.Enqueue(v)
 }
 
-// Dequeue removes the head value; Figure 5 Dequeue. On a queue with a
-// retry budget, budget exhaustion is folded into ok=false; use DequeueErr
-// to tell the two apart.
+// Dequeue removes the head value; Figure 5 Dequeue. A deadline abort is
+// folded into ok=false; use DequeueErr to tell the two apart.
 func (s *Session) Dequeue() (uint64, bool) {
 	v, ok, _ := s.DequeueErr()
 	return v, ok
 }
 
-// DequeueErr is Dequeue with a contention signal: ok=false with a nil
-// error means the queue was observed empty; ok=false with
-// queue.ErrContended means the retry budget ran out first.
+// DequeueErr is Dequeue with an abort signal: ok=false with a nil error
+// means the queue was observed empty; ok=false with queue.ErrDeadline
+// means the session deadline passed first.
 func (s *Session) DequeueErr() (uint64, bool, error) {
 	s.prepare()
 	return s.Driver.DequeueErr()
@@ -322,7 +320,7 @@ func (s *Session) publish(idx *pad.Uint64, c uint64) {
 // dequeuers and to Len, except where concurrent enqueuers help Tail
 // over them.
 //
-// The retry budget counts consecutive fruitless iterations since the
+// The deadline poll counts consecutive fruitless iterations since the
 // last commit, giving per-element parity with single operations.
 func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	for _, v := range vs {

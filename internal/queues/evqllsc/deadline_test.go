@@ -71,7 +71,7 @@ func TestDeadlineAbortsStarvedOps(t *testing.T) {
 	}
 
 	s.SetDeadline(time.Now().Add(20 * time.Millisecond))
-	if _, ok, err := s.(queue.BudgetSession).DequeueErr(); ok || !errors.Is(err, queue.ErrDeadline) {
+	if _, ok, err := s.DequeueErr(); ok || !errors.Is(err, queue.ErrDeadline) {
 		t.Fatalf("starved DequeueErr = (%v, %v), want (false, ErrDeadline)", ok, err)
 	}
 	if n := ctrs.Total(xsync.OpDeadline); n != 2 {

@@ -105,7 +105,6 @@ type Session struct {
 
 var (
 	_ queue.Session         = (*Session)(nil)
-	_ queue.BudgetSession   = (*Session)(nil)
 	_ queue.DeadlineSession = (*Session)(nil)
 	_ queue.BatchSession    = (*Session)(nil)
 )
@@ -163,9 +162,8 @@ func (s *Session) Enqueue(v uint64) error {
 	return s.Driver.Enqueue(v)
 }
 
-// Dequeue removes the head value; Figure 3 lines D1–D21. On a queue with
-// a retry budget, budget exhaustion is folded into ok=false; use
-// DequeueErr to tell the two apart.
+// Dequeue removes the head value; Figure 3 lines D1–D21. A deadline
+// abort is folded into ok=false; use DequeueErr to tell the two apart.
 func (s *Session) Dequeue() (uint64, bool) {
 	v, ok, _ := s.DequeueErr()
 	return v, ok
@@ -257,7 +255,7 @@ func (s *Session) publishIndex(word int, c uint64) {
 // (delta <= size), while a cursor the indices have lapped shows an
 // astronomical delta, so delta > size detects staleness.
 //
-// The retry budget counts consecutive fruitless iterations since the
+// The deadline poll counts consecutive fruitless iterations since the
 // last commit, giving per-element parity with single operations.
 func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	for _, v := range vs {

@@ -205,8 +205,8 @@ type Option func(*Queue)
 // WithCounters attaches instrumentation counters.
 func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c } }
 
-// WithInstr attaches the instrumentation and retry-policy bundle; see
-// queue.Instr. The retry budget counts segment hops (closed ring,
+// WithInstr attaches the instrumentation and backoff bundle; see
+// queue.Instr. The deadline poll counts segment hops (closed ring,
 // drained ring) as fruitless rounds. The Yield hook fires before
 // shared-memory accesses — ring words, chain pointers, registry and
 // hazard state — enabling interleaving exploration and fault injection.
@@ -922,7 +922,6 @@ type Session struct {
 
 var (
 	_ queue.Session         = (*Session)(nil)
-	_ queue.BudgetSession   = (*Session)(nil)
 	_ queue.DeadlineSession = (*Session)(nil)
 	_ queue.BatchSession    = (*Session)(nil)
 )
@@ -1195,17 +1194,16 @@ func (g *segment) enqueueRound(s *Session, v uint64) segResult {
 	return segRetry
 }
 
-// Dequeue removes the head value. On a queue with a retry budget,
-// budget exhaustion is folded into ok=false; use DequeueErr to tell the
-// two apart.
+// Dequeue removes the head value. A deadline abort is folded into
+// ok=false; use DequeueErr to tell the two apart.
 func (s *Session) Dequeue() (uint64, bool) {
 	v, ok, _ := s.DequeueErr()
 	return v, ok
 }
 
-// DequeueErr is Dequeue with a contention signal: ok=false with a nil
-// error means the queue was observed empty; ok=false with
-// queue.ErrContended means the retry budget ran out first.
+// DequeueErr is Dequeue with an abort signal: ok=false with a nil error
+// means the queue was observed empty; ok=false with queue.ErrDeadline
+// means the session deadline passed first.
 func (s *Session) DequeueErr() (uint64, bool, error) {
 	s.prepare()
 	v, ok, err := s.Driver.DequeueErr()
@@ -1325,7 +1323,7 @@ func (g *segment) publishHead(s *Session, c uint64) {
 // position, so the close can strand at most the stragglers the
 // finalize walk in dequeue already consumes one by one. Returns with
 // *filled counting every element committed into this ring; a non-nil
-// error is the driver's stop (budget or deadline).
+// error is the driver's deadline stop.
 func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int) (segResult, error) {
 	q := s.q
 	c := g.tail.Load()

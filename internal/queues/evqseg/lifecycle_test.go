@@ -8,6 +8,7 @@ package evqseg
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"nbqueue/internal/chaos"
 	"nbqueue/internal/queue"
@@ -22,8 +23,8 @@ import (
 // completed, but Tail does not cover it. 12 and 14 go to the successor.
 // The walk must advance the closed Tail over 10 so it comes out once, in
 // order, before the successor's values, and the ring must then retire.
-// The retry budget turns a walk that cannot pass the straggler into
-// ErrContended instead of a hang.
+// A session deadline turns a walk that cannot pass the straggler into
+// ErrDeadline instead of a hang.
 func TestStragglerDrain(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -47,7 +48,7 @@ func TestStragglerDrain(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := xsync.NewCounters()
-			q := New(4, WithSpareSegments(0), WithCounters(c), WithInstr(queue.Instr{RetryBudget: 64}))
+			q := New(4, WithSpareSegments(0), WithCounters(c))
 			s := q.Attach().(*Session)
 			defer s.Detach()
 			for v := uint64(2); v <= 8; v += 2 {
@@ -72,7 +73,9 @@ func TestStragglerDrain(t *testing.T) {
 				}
 			}
 
+			s.SetDeadline(time.Now().Add(time.Second))
 			got, err := tc.drain(s)
+			s.SetDeadline(time.Time{})
 			if err != nil {
 				t.Fatalf("drain after %v: %v", got, err)
 			}

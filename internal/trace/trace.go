@@ -4,7 +4,7 @@
 // time-ordered dump. Where the metrics layer (internal/xsync) answers
 // aggregate questions — how many CAS per op, what is the p99.9 — the
 // flight recorder answers the individual ones the aggregates fold away:
-// which enqueue ate 40 retry rounds before shedding, whether the p99.9
+// which enqueue ate 40 retry rounds before its deadline, whether the p99.9
 // straggler was a deadline abort or a spare-pool miss that zeroed a
 // ring inline.
 //
@@ -14,8 +14,8 @@
 // gates: an operation whose latency was sampled (one in 2^SampleShift
 // per session side, see xsync.SampleShift) writes one record, so the
 // common case adds nothing beyond the branch that notices it was not
-// sampled. Outcomes that end a pathological operation — ErrContended,
-// ErrDeadline — and the segment lifecycle events
+// sampled. The outcome that ends a pathological operation — ErrDeadline
+// — and the segment lifecycle events
 // (grow, spare-pool hit/miss) are recorded unconditionally: they are
 // rare by construction (each ends a long retry loop or a segment
 // boundary crossing), and they are precisely the records a postmortem
@@ -92,9 +92,6 @@ const (
 	// OutcomeFull is an enqueue refused with ErrFull (sampled: under a
 	// full bounded queue this is the hot path).
 	OutcomeFull
-	// OutcomeContended is an operation shed with ErrContended after its
-	// retry budget ran out (always recorded).
-	OutcomeContended
 	// OutcomeDeadline is an operation aborted with ErrDeadline mid-retry
 	// (always recorded).
 	OutcomeDeadline
@@ -129,8 +126,6 @@ func (o Outcome) String() string {
 		return "ok"
 	case OutcomeFull:
 		return "full"
-	case OutcomeContended:
-		return "contended"
 	case OutcomeDeadline:
 		return "deadline"
 	case OutcomeOverloaded:
@@ -152,14 +147,13 @@ func (o Outcome) String() string {
 
 // Rare reports whether records with this outcome are written
 // unconditionally rather than on the sampled beat. Rare outcomes either
-// end a long retry loop (contended, deadline) or fire at
+// end a long retry loop (deadline) or fire at
 // segment-boundary cadence (grow, spare traffic, scavenge), so recording
 // every one costs nothing measurable and gives the postmortem a complete
 // set; everything else — including the hot shed paths — stays sampled.
 func (o Outcome) Rare() bool {
 	switch o {
-	case OutcomeContended, OutcomeDeadline,
-		OutcomeSegGrow, OutcomeSpareHit, OutcomeSpareMiss, OutcomeScavenge:
+	case OutcomeDeadline, OutcomeSegGrow, OutcomeSpareHit, OutcomeSpareMiss, OutcomeScavenge:
 		return true
 	}
 	return false

@@ -42,7 +42,7 @@ func TestSampledAndRareRecording(t *testing.T) {
 		t.Fatalf("unsampled OK wrote %d records", got)
 	}
 	// Unsampled rare outcome: recorded with a fresh timestamp, no latency.
-	h.Op(time.Time{}, KindEnqueue, OutcomeContended, 40, 1024, 0)
+	h.Op(time.Time{}, KindEnqueue, OutcomeDeadline, 40, 1024, 0)
 	// Sampled common outcome: recorded with latency.
 	start := time.Now().Add(-time.Millisecond)
 	h.Op(start, KindDequeue, OutcomeOK, 2, 8, 0)
@@ -56,14 +56,14 @@ func TestSampledAndRareRecording(t *testing.T) {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
 	counts := CountByOutcome(recs)
-	if counts["contended"] != 1 || counts["ok"] != 2 || counts["spare-miss"] != 1 {
+	if counts["deadline"] != 1 || counts["ok"] != 2 || counts["spare-miss"] != 1 {
 		t.Fatalf("bad outcome counts: %v", counts)
 	}
 	for _, rec := range recs {
 		switch {
-		case rec.Outcome == OutcomeContended:
+		case rec.Outcome == OutcomeDeadline:
 			if rec.Retries != 40 || rec.Spins != 1024 {
-				t.Fatalf("contended record lost retry/spin detail: %+v", rec)
+				t.Fatalf("deadline record lost retry/spin detail: %+v", rec)
 			}
 			if rec.Latency != 0 {
 				t.Fatalf("unsampled rare record carries latency: %+v", rec)
@@ -99,7 +99,7 @@ func TestOpSampledCadence(t *testing.T) {
 	}
 	// Rare outcomes ignore the cadence.
 	for i := 0; i < 10; i++ {
-		h.OpSampled(KindEnqueue, OutcomeContended, 0)
+		h.OpSampled(KindEnqueue, OutcomeDeadline, 0)
 	}
 	if got := r.Written(); got != 110 {
 		t.Fatalf("rare outcomes were sampled away: wrote %d, want 110", got)
@@ -196,7 +196,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 				case 0:
 					h.Op(start, KindEnqueue, OutcomeOK, i, 16, 0)
 				case 1:
-					h.Op(time.Time{}, KindDequeue, OutcomeContended, i, 0, 0)
+					h.Op(time.Time{}, KindDequeue, OutcomeDeadline, i, 0, 0)
 				case 2:
 					h.OpSampled(KindEnqueue, OutcomeOverloaded, 0)
 				}

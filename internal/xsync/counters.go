@@ -30,9 +30,6 @@ const (
 	OpEnqueue
 	// OpDequeue counts completed (non-empty) dequeue operations.
 	OpDequeue
-	// OpContended counts operations abandoned with ErrContended because
-	// their retry budget ran out (see queue.ErrContended).
-	OpContended
 	// OpScavenge counts per-thread records reclaimed by the orphan
 	// scavenger (sessions presumed abandoned without Detach).
 	OpScavenge
@@ -92,8 +89,6 @@ func (k OpKind) String() string {
 		return "enqueue"
 	case OpDequeue:
 		return "dequeue"
-	case OpContended:
-		return "contended"
 	case OpScavenge:
 		return "scavenge"
 	case OpLeak:

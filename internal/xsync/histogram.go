@@ -11,7 +11,7 @@ import (
 // queues record. Latencies are nanoseconds of one enqueue/dequeue call
 // (sampled, see SampleShift); retries are the number of failed
 // retry-loop iterations the operation burned before succeeding or
-// shedding with ErrContended (recorded for every operation).
+// aborting with ErrDeadline (recorded for every operation).
 type HistKind int
 
 const (

@@ -61,9 +61,6 @@ type Snapshot struct {
 	LLs         uint64
 	SCAttempts  uint64
 	SCSuccesses uint64
-	// Contended counts operations abandoned with ErrContended because
-	// their WithRetryBudget budget ran out — the load actually shed.
-	Contended uint64
 	// DeadlineAborts counts operations aborted with ErrDeadline because
 	// the session deadline passed mid-retry-loop.
 	DeadlineAborts uint64
@@ -114,7 +111,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		LLs:                m.c.Total(xsync.OpLL),
 		SCAttempts:         m.c.Total(xsync.OpSCAttempt),
 		SCSuccesses:        m.c.Total(xsync.OpSCSuccess),
-		Contended:          m.c.Total(xsync.OpContended),
 		DeadlineAborts:     m.c.Total(xsync.OpDeadline),
 		OverloadSheds:      m.c.Total(xsync.OpOverload),
 		OrphansScavenged:   m.c.Total(xsync.OpScavenge),
@@ -146,8 +142,8 @@ const (
 )
 
 // Latencies returns the latency distribution of op in nanoseconds.
-// Latency is recorded for completed operations and for operations shed
-// with ErrContended; dequeues that merely observed an empty queue are
+// Latency is recorded for completed operations and for operations
+// aborted with ErrDeadline; dequeues that merely observed an empty queue are
 // not recorded. Observations are sampled — one operation in
 // 2^xsync.SampleShift per session — so Count is the sample count, not
 // the operation count; quantiles and the mean are unaffected. Batch
@@ -285,7 +281,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		LLs:                sub(s.LLs, prev.LLs),
 		SCAttempts:         sub(s.SCAttempts, prev.SCAttempts),
 		SCSuccesses:        sub(s.SCSuccesses, prev.SCSuccesses),
-		Contended:          sub(s.Contended, prev.Contended),
 		DeadlineAborts:     sub(s.DeadlineAborts, prev.DeadlineAborts),
 		OverloadSheds:      sub(s.OverloadSheds, prev.OverloadSheds),
 		OrphansScavenged:   sub(s.OrphansScavenged, prev.OrphansScavenged),

@@ -1,7 +1,6 @@
 package nbqueue_test
 
 import (
-	"errors"
 	"expvar"
 	"math"
 	"net/http/httptest"
@@ -247,59 +246,6 @@ func TestEventHookScavenge(t *testing.T) {
 	}
 	if e.N != 1 || e.Algorithm != q.Algorithm() {
 		t.Fatalf("event = %+v", *e)
-	}
-}
-
-// TestEventHookContention: shed operations deliver contention events;
-// the plain Dequeue path reports the otherwise-invisible budget
-// exhaustion as EventRetryBudgetExhausted.
-func TestEventHookContention(t *testing.T) {
-	var sheds, exhausted atomic.Int64
-	q, err := nbqueue.New[int](
-		nbqueue.WithCapacity(4), nbqueue.WithRetryBudget(1),
-		nbqueue.WithYieldHook(runtime.Gosched),
-		nbqueue.WithEventHook(func(e nbqueue.Event) {
-			switch e.Kind {
-			case nbqueue.EventContentionShed:
-				sheds.Add(1)
-			case nbqueue.EventRetryBudgetExhausted:
-				exhausted.Add(1)
-			}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			_ = q.AttachFunc(func(s *nbqueue.Session[int]) error {
-				<-start
-				for i := 0; i < 50000 && sheds.Load()+exhausted.Load() == 0; i++ {
-					switch (w + i) % 3 {
-					case 0:
-						if err := s.Enqueue(i); err != nil && !errors.Is(err, nbqueue.ErrFull) &&
-							!errors.Is(err, nbqueue.ErrContended) {
-							t.Error(err)
-							return nil
-						}
-					case 1:
-						s.Dequeue() // folds exhaustion; hook must still see it
-					default:
-						s.TryDequeue()
-					}
-				}
-				return nil
-			})
-		}(w)
-	}
-	close(start)
-	wg.Wait()
-	if sheds.Load()+exhausted.Load() == 0 {
-		t.Fatal("no contention events under 8-way contention with budget 1")
 	}
 }
 

@@ -117,16 +117,11 @@ const (
 var (
 	// ErrFull reports a bounded queue at capacity.
 	ErrFull = queue.ErrFull
-	// ErrContended reports an operation abandoned because the retry
-	// budget set with WithRetryBudget ran out while the operation kept
-	// losing CAS races. The operation had no effect; the queue may have
-	// room (or items). Callers use it to shed load instead of spinning.
-	ErrContended = queue.ErrContended
 	// ErrDeadline reports an operation aborted because the session
 	// deadline (Session.SetDeadline, or the context deadline inside the
 	// *Wait variants) passed while the operation was still retrying. The
-	// operation had no effect. Distinct from ErrContended: the budget may
-	// have had iterations left; time ran out instead.
+	// operation had no effect; the queue may have room (or items). It is
+	// the only way an Evequoz-family operation gives up early.
 	ErrDeadline = queue.ErrDeadline
 	// ErrOverloaded reports an enqueue refused by watermark admission
 	// control (WithWatermarks): the queue depth crossed the high
@@ -142,13 +137,12 @@ type config struct {
 	capacity   int
 	capSet     bool
 	maxThreads int
-	padded     bool
 	unbounded  bool
 	segSet     bool
 	segSize    int
 	metrics    *Metrics
 	hook       func(Event)
-	// instr carries the retry policy (backoff, budget, yield hook) to the
+	// instr carries the retry policy (backoff, yield hook) to the
 	// word-level queue; newInner adds the metric sinks.
 	instr          queue.Instr
 	lowWater       int
@@ -218,22 +212,9 @@ func WithCapacity(n int) Option {
 // ErrFull on the link-based ones. Default 128; New rejects n <= 0.
 func WithMaxThreads(n int) Option { return func(c *config) { c.maxThreads = n } }
 
-// WithPaddedSlots spreads array-queue slots across cache lines, trading
-// memory for the elimination of inter-slot false sharing.
-func WithPaddedSlots(on bool) Option { return func(c *config) { c.padded = on } }
-
 // WithBackoff enables bounded exponential backoff in the retry loops of
 // the two Evequoz algorithms.
 func WithBackoff(on bool) Option { return func(c *config) { c.instr.Backoff = on } }
-
-// WithRetryBudget bounds each operation of the two Evequoz algorithms to
-// at most n retry-loop iterations. When the budget runs out, Enqueue and
-// the *Wait variants surface ErrContended (and TryDequeue reports it) so
-// the caller can shed load; without a budget the loops retry until they
-// win, which is the paper's lock-free default. Ignored by the baseline
-// algorithms. n == 0 disables the budget (the default); New rejects a
-// negative n rather than guessing whether it meant "disabled".
-func WithRetryBudget(n int) Option { return func(c *config) { c.instr.RetryBudget = n } }
 
 // WithUnbounded lifts the capacity bound of AlgorithmSegmented: the
 // queue grows by appending segments under burst and shrinks by retiring
@@ -448,9 +429,6 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 	if c.maxThreads <= 0 {
 		return nil, c, fmt.Errorf("nbqueue: WithMaxThreads(%d) must be positive", c.maxThreads)
 	}
-	if c.instr.RetryBudget < 0 {
-		return nil, c, fmt.Errorf("nbqueue: WithRetryBudget(%d) is negative; use 0 to disable the budget", c.instr.RetryBudget)
-	}
 	if c.wmSet {
 		if c.lowWater <= 0 || c.lowWater > c.highWater {
 			return nil, c, fmt.Errorf("nbqueue: WithWatermarks(%d, %d) needs 0 < low <= high", c.lowWater, c.highWater)
@@ -534,7 +512,6 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 		MaxThreads:     c.maxThreads,
 		Counters:       ctrs,
 		Instr:          c.instr,
-		PaddedSlots:    c.padded,
 		Unbounded:      c.unbounded,
 		SegSize:        c.segSize,
 		SpareSegments:  spare,
@@ -734,11 +711,11 @@ func (s *Session[T]) use() queue.Session {
 // SetDeadline arms an absolute deadline on every subsequent operation of
 // this session: an operation still retrying when t passes aborts with
 // ErrDeadline (Dequeue folds the abort into ok=false; batch forms return
-// the positional partial). The zero time clears the deadline. Unlike a
-// retry budget — which bounds iterations — the deadline bounds wall
-// time, so a preempted or helped-along session still stops on schedule.
-// Supported by the Evequoz-family algorithms; ok is false (and the call
-// a no-op) elsewhere. The *Wait variants arm it automatically from their
+// the positional partial). The zero time clears the deadline. It is the
+// only early stop of the retry loops, and it bounds wall time, so a
+// preempted session still stops on schedule. Supported by the
+// Evequoz-family algorithms; ok is false (and the call a no-op)
+// elsewhere. The *Wait variants arm it automatically from their
 // context's deadline.
 func (s *Session[T]) SetDeadline(t time.Time) (ok bool) {
 	ds, ok := s.use().(queue.DeadlineSession)
@@ -749,17 +726,18 @@ func (s *Session[T]) SetDeadline(t time.Time) (ok bool) {
 }
 
 // Enqueue inserts v at the tail, returning ErrFull when the queue is at
-// capacity, or ErrContended when a WithRetryBudget budget ran out.
+// capacity, or ErrDeadline when an armed session deadline passed first.
 //
 // The operation family shares one error contract. Enqueue, EnqueueBatch
 // and DequeueBatch report conditions through the single error result:
 // nil on success, ErrFull for a queue (or payload store) at capacity,
-// ErrContended for a retry budget that ran out; the batch forms pair it
-// with a count of elements that took effect before the condition.
-// Dequeue and TryDequeue report emptiness through ok=false instead —
-// Dequeue folds budget exhaustion into the same ok=false, TryDequeue
-// keeps it visible as an error. TryDrain is the loop-free bulk form of
-// Dequeue, built on DequeueBatch.
+// ErrOverloaded for a watermark shed, ErrDeadline for a session deadline
+// that passed mid-retry; the batch forms pair it with a count of
+// elements that took effect before the condition. Dequeue and
+// TryDequeue report emptiness through ok=false instead — Dequeue folds
+// a deadline abort into the same ok=false, TryDequeue keeps it visible
+// as an error. TryDrain is the loop-free bulk form of Dequeue, built on
+// DequeueBatch.
 func (s *Session[T]) Enqueue(v T) error {
 	inner := s.use()
 	if err := s.q.admit(); err != nil {
@@ -775,9 +753,6 @@ func (s *Session[T]) Enqueue(v T) error {
 	}
 	if err := inner.Enqueue(h); err != nil {
 		s.q.store.take(h)
-		if err == ErrContended {
-			s.q.emit(Event{Kind: EventContentionShed, Op: "enqueue"})
-		}
 		return err
 	}
 	return nil
@@ -785,49 +760,30 @@ func (s *Session[T]) Enqueue(v T) error {
 
 // Dequeue removes and returns the value at the head; ok is false when the
 // queue was observed empty. Dequeue is exactly TryDequeue with the error
-// coerced away: under WithRetryBudget, a contended attempt whose budget
-// ran out also reports ok=false, indistinguishable from empty. Use
-// TryDequeue when shedding and emptiness must be told apart.
+// coerced away: under an armed session deadline, an attempt aborted with
+// ErrDeadline also reports ok=false, indistinguishable from empty. Use
+// TryDequeue when an abort and emptiness must be told apart.
 func (s *Session[T]) Dequeue() (v T, ok bool) {
-	inner := s.use()
-	if s.q.hook != nil {
-		// With an event hook installed, budget exhaustion must stay
-		// observable even though Dequeue's signature folds it away.
-		if bs, budgeted := inner.(queue.BudgetSession); budgeted {
-			h, ok, err := bs.DequeueErr()
-			if err == ErrContended {
-				s.q.emit(Event{Kind: EventRetryBudgetExhausted, Op: "dequeue"})
-			}
-			if !ok {
-				return v, false
-			}
-			return s.q.store.take(h), true
-		}
-	}
-	h, ok := inner.Dequeue()
+	h, ok := s.use().Dequeue()
 	if !ok {
 		return v, false
 	}
 	return s.q.store.take(h), true
 }
 
-// TryDequeue is the ErrContended-aware variant of Dequeue: ok=false with
+// TryDequeue is the ErrDeadline-aware variant of Dequeue: ok=false with
 // a nil error means the queue was observed empty, while ok=false with
-// ErrContended means the WithRetryBudget attempt budget ran out while
-// the queue was contended (it may be nonempty). Without a retry budget
-// it behaves exactly like Dequeue.
+// ErrDeadline means the session deadline passed while the operation was
+// still retrying (the queue may be nonempty). On algorithms without
+// deadline support it behaves exactly like Dequeue.
 func (s *Session[T]) TryDequeue() (v T, ok bool, err error) {
-	inner := s.use()
-	bs, budgeted := inner.(queue.BudgetSession)
-	if !budgeted {
+	ds, aborts := s.use().(queue.DeadlineSession)
+	if !aborts {
 		v, ok = s.Dequeue()
 		return v, ok, nil
 	}
-	h, ok, err := bs.DequeueErr()
+	h, ok, err := ds.DequeueErr()
 	if !ok {
-		if err == ErrContended {
-			s.q.emit(Event{Kind: EventContentionShed, Op: "dequeue"})
-		}
 		return v, false, err
 	}
 	return s.q.store.take(h), true, nil
@@ -851,7 +807,7 @@ func (s *Session[T]) words(n int) []uint64 {
 //
 // A batch is not atomic: each element becomes visible individually, in
 // order, and consumers can observe a half-delivered batch. On ErrFull
-// or ErrContended the first n elements were enqueued and the rest had
+// or ErrDeadline the first n elements were enqueued and the rest had
 // no effect; retry with vs[n:] to continue. n < len(vs) with a nil
 // error does not occur. An empty vs returns (0, nil) without touching
 // the queue.
@@ -884,9 +840,6 @@ func (s *Session[T]) EnqueueBatch(vs []T) (int, error) {
 	if err == nil && filled < len(vs) {
 		err = ErrFull
 	}
-	if err == ErrContended {
-		s.q.emit(Event{Kind: EventContentionShed, Op: "enqueue"})
-	}
 	return n, err
 }
 
@@ -894,8 +847,8 @@ func (s *Session[T]) EnqueueBatch(vs []T) (int, error) {
 // returning how many it filled. Like EnqueueBatch, the Evequoz-family
 // algorithms reserve the whole range with a single head RMW; baselines
 // loop. n < len(dst) with a nil error means the queue was observed
-// empty after n elements; ErrContended means a WithRetryBudget budget
-// ran out with n elements already drained (those are kept — dst[:n] is
+// empty after n elements; ErrDeadline means the session deadline
+// passed with n elements already drained (those are kept — dst[:n] is
 // always valid). An empty dst returns (0, nil).
 func (s *Session[T]) DequeueBatch(dst []T) (int, error) {
 	inner := s.use()
@@ -907,9 +860,6 @@ func (s *Session[T]) DequeueBatch(dst []T) (int, error) {
 	s.bhist.ObserveDeqBatchSize(n)
 	for i := 0; i < n; i++ {
 		dst[i] = s.q.store.take(buf[i])
-	}
-	if err == ErrContended {
-		s.q.emit(Event{Kind: EventContentionShed, Op: "dequeue"})
 	}
 	return n, err
 }
@@ -1015,7 +965,7 @@ func (q *Queue[T]) SegmentStats() (s SegmentStats, ok bool) {
 // returning them in FIFO order. Convenience for shutdown paths. It
 // drains through DequeueBatch in chunks of 64, so on the batch-capable
 // algorithms a drain of n items costs ~n/64 head RMWs instead of n.
-// Like Dequeue, it folds ErrContended away: budget exhaustion ends the
+// Like Dequeue, it folds ErrDeadline away: a deadline abort ends the
 // drain early with whatever had been collected.
 func (s *Session[T]) TryDrain(max int) []T {
 	return tryDrain(max, s.DequeueBatch)

@@ -121,7 +121,6 @@ func TestInvalidConfig(t *testing.T) {
 		{"non-concurrent algorithm", []nbqueue.Option{nbqueue.WithAlgorithm("seq")}, "concurrent"},
 		{"zero max threads", []nbqueue.Option{nbqueue.WithMaxThreads(0)}, "WithMaxThreads"},
 		{"negative max threads", []nbqueue.Option{nbqueue.WithMaxThreads(-4)}, "WithMaxThreads"},
-		{"negative retry budget", []nbqueue.Option{nbqueue.WithRetryBudget(-1)}, "WithRetryBudget"},
 		{"unbounded on default algorithm", []nbqueue.Option{nbqueue.WithUnbounded()}, "WithUnbounded"},
 		{"unbounded on llsc", []nbqueue.Option{
 			nbqueue.WithAlgorithm(nbqueue.AlgorithmLLSC), nbqueue.WithUnbounded()}, "WithUnbounded"},
@@ -161,7 +160,6 @@ func TestInvalidConfig(t *testing.T) {
 	}
 	// The valid forms of the knobs the table rejects must still work.
 	valid := [][]nbqueue.Option{
-		{nbqueue.WithRetryBudget(0)},
 		{nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented), nbqueue.WithUnbounded(), nbqueue.WithSegmentSize(32)},
 		{nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented), nbqueue.WithCapacity(64)},
 		// Options composition: later options override earlier ones,

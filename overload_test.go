@@ -324,18 +324,20 @@ func TestBatchWaitHonorsContext(t *testing.T) {
 	}
 }
 
-// TestEventHookRacesDetach hammers shed-path event delivery concurrently
-// with session detach/reattach churn; run under -race it proves hook
-// invocation never races session teardown.
+// TestEventHookRacesDetach hammers watermark-admission event delivery
+// (overload enter/exit) concurrently with session detach/reattach churn;
+// run under -race it proves hook invocation never races session
+// teardown.
 func TestEventHookRacesDetach(t *testing.T) {
 	var fired atomic.Uint64
 	q, err := nbqueue.New[int](
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS),
 		nbqueue.WithCapacity(8),
 		nbqueue.WithWatermarks(2, 4),
-		nbqueue.WithRetryBudget(4),
 		nbqueue.WithEventHook(func(e nbqueue.Event) {
-			fired.Add(1)
+			if e.Kind == nbqueue.EventOverloadEnter || e.Kind == nbqueue.EventOverloadExit {
+				fired.Add(1)
+			}
 		}),
 	)
 	if err != nil {
@@ -350,8 +352,8 @@ func TestEventHookRacesDetach(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				s := q.Attach()
 				// Production outweighs consumption so the watermark
-				// flaps, firing shed events while other goroutines are
-				// mid-Detach.
+				// flaps, firing overload events while other goroutines
+				// are mid-Detach.
 				if w%2 == 0 {
 					_ = s.Enqueue(i)
 					_ = s.Enqueue(i)
@@ -368,6 +370,6 @@ func TestEventHookRacesDetach(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	if fired.Load() == 0 {
-		t.Fatal("event hook never fired under overload churn")
+		t.Fatal("no overload enter/exit event under watermark churn")
 	}
 }

@@ -52,7 +52,7 @@ func (b RawBatch) Session() RawSession { return b.s }
 
 // Enqueue inserts the values of vs, in order, at the tail, returning
 // how many took effect. A batch is not atomic: each element linearizes
-// individually, in slice order. On ErrFull or ErrContended the first n
+// individually, in slice order. On ErrFull or ErrDeadline the first n
 // values went in and the rest had no effect (retry with vs[n:]); a
 // contract violation in any element returns (0, ErrRawValue) before
 // anything is enqueued.
@@ -62,8 +62,8 @@ func (b RawBatch) Enqueue(vs []uint64) (int, error) {
 
 // Dequeue removes up to len(dst) values from the head into dst,
 // returning how many it filled. n < len(dst) with a nil error means the
-// queue was observed empty after n elements; ErrContended reports a
-// retry budget running out (the queue may be nonempty). dst[:n] is
+// queue was observed empty after n elements; ErrDeadline reports the
+// session deadline passing (the queue may be nonempty). dst[:n] is
 // valid in every case.
 func (b RawBatch) Dequeue(dst []uint64) (int, error) {
 	return queue.DequeueBatch(b.s, dst)

@@ -20,8 +20,8 @@ type TraceRecord struct {
 	// Kind is the operation: "enqueue", "dequeue", "enqueue-batch",
 	// "dequeue-batch", or "event" for queue-lifecycle records.
 	Kind string `json:"kind"`
-	// Outcome says how the operation ended ("ok", "full", "contended",
-	// "deadline", "overloaded", "segment-shed") or which
+	// Outcome says how the operation ended ("ok", "full", "deadline",
+	// "overloaded", "segment-shed") or which
 	// lifecycle event fired ("segment-grow", "spare-hit", "spare-miss",
 	// "scavenge").
 	Outcome string `json:"outcome"`
@@ -48,9 +48,8 @@ type TraceRecord struct {
 // Recording rides the same sampled path the WithMetrics histograms
 // already gate: one in 2^5 operations per session records (with
 // latency), so the steady-state cost is a branch on the hot path and
-// one ring write per 32 operations. Outcomes that end a pathological
-// operation — ErrContended, ErrDeadline — and the
-// segment lifecycle (grow, spare-pool hit/miss, scavenge) are recorded
+// one ring write per 32 operations. The outcome that ends a
+// pathological operation — ErrDeadline — and the segment lifecycle (grow, spare-pool hit/miss, scavenge) are recorded
 // unconditionally, so a postmortem sees every one of them; hot shed
 // outcomes (ErrFull, ErrOverloaded, segment-watermark sheds) stay
 // sampled so the recorder cannot become its own overload problem.
@@ -81,7 +80,7 @@ func (q *Queue[T]) TraceEnabled() bool { return q.rec != nil }
 // per ring; older entries were overwritten and are visible only in
 // TraceDropped. For always-recorded outcomes whose rings never wrapped,
 // the per-outcome record counts reconcile exactly with the Metrics
-// counters (Snapshot.ContendedOps, DeadlineAborts); sampled outcomes
+// counters (Snapshot.DeadlineAborts); sampled outcomes
 // reconcile as a lower bound.
 func (q *Queue[T]) TraceSnapshot() []TraceRecord {
 	if q.rec == nil {
@@ -119,7 +118,7 @@ func (q *Queue[T]) TraceWritten() uint64 { return q.rec.Written() }
 
 // SetTraceLogContext links the flight recorder to Go's execution
 // tracer: while runtime/trace is collecting, rare-outcome records
-// (contended, deadline, spare misses …) additionally emit a
+// (deadline, spare misses …) additionally emit a
 // trace.Log event under ctx — typically a context carrying a
 // runtime/trace.Task per queue — so a stall in `go tool trace` is
 // attributable to the specific operation's retry storm. nil detaches.

@@ -1,7 +1,9 @@
 package nbqueue_test
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,51 +148,100 @@ func TestTraceRecordsOverloadShed(t *testing.T) {
 	}
 }
 
+// rival forces a deadline abort deterministically on one goroutine.
+// While armed, its yield hook runs an enqueue+dequeue pair on s before
+// every shared access of the operation in progress, so each round of
+// that operation finds the index it read already moved and comes up
+// fruitless until its expired deadline is polled. The pair's own yields
+// pass through. Disarmed, the hook calls idle, if set.
+type rival struct {
+	s     *nbqueue.Session[int]
+	armed atomic.Bool
+	busy  bool
+	idle  func()
+}
+
+func (r *rival) hook() {
+	if !r.armed.Load() {
+		if r.idle != nil {
+			r.idle()
+		}
+		return
+	}
+	if r.busy {
+		return
+	}
+	r.busy = true
+	if r.s.Enqueue(1) == nil {
+		r.s.Dequeue()
+	}
+	r.busy = false
+}
+
+// TestTraceRecordsContendedAlways: contended operations that end in a
+// deadline abort surface ErrDeadline (Dequeue folds it into ok=false),
+// every abort is both counted and traced so the two reconcile exactly,
+// and the queue stays fully functional afterwards. A rival forces the
+// contention.
 func TestTraceRecordsContendedAlways(t *testing.T) {
 	m := nbqueue.NewMetrics()
+	var r rival
 	q, err := nbqueue.New[int](
 		nbqueue.WithCapacity(64),
 		nbqueue.WithMetrics(m),
 		nbqueue.WithTracing(1024),
-		nbqueue.WithRetryBudget(1),
+		nbqueue.WithYieldHook(r.hook),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Single-session runs cannot lose CAS races, so drive two sessions
-	// from the harness's side: exercised properly by the concurrent
-	// reconciliation drill; here just assert the plumbing is wired by
-	// checking contended records equal the counter when any occur.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s := q.Attach()
-		defer s.Detach()
-		for i := 0; i < 20000; i++ {
-			if s.Enqueue(i) != nil {
-				s.Dequeue()
-			}
-		}
-	}()
+	r.s = q.Attach()
+	defer r.s.Detach()
 	s := q.Attach()
-	for i := 0; i < 20000; i++ {
-		if s.Enqueue(i) != nil {
-			s.Dequeue()
+	defer s.Detach()
+
+	const rounds = 5
+	s.SetDeadline(time.Now().Add(-time.Second))
+	r.armed.Store(true)
+	for i := 0; i < rounds; i++ {
+		if err := s.Enqueue(i); !errors.Is(err, nbqueue.ErrDeadline) {
+			t.Fatalf("Enqueue under a rival past its deadline = %v, want ErrDeadline", err)
+		}
+		if _, ok, err := s.TryDequeue(); ok || !errors.Is(err, nbqueue.ErrDeadline) {
+			t.Fatalf("TryDequeue under a rival past its deadline = (%v, %v), want (false, ErrDeadline)", ok, err)
+		}
+		if _, ok := s.Dequeue(); ok {
+			t.Fatal("Dequeue under a rival past its deadline reported a value")
 		}
 	}
-	s.Detach()
-	<-done
+	r.armed.Store(false)
+	s.SetDeadline(time.Time{})
+
 	snap := m.Snapshot()
-	contended := uint64(0)
+	if snap.DeadlineAborts != 3*rounds {
+		t.Fatalf("DeadlineAborts = %d, want %d", snap.DeadlineAborts, 3*rounds)
+	}
+	deadline := uint64(0)
 	for _, r := range q.TraceSnapshot() {
-		if r.Outcome == "contended" {
-			contended++
+		if r.Outcome == "deadline" {
+			deadline++
 		}
 	}
-	// Contended outcomes record unconditionally; with rings far larger
+	// Deadline outcomes record unconditionally; with rings far larger
 	// than the op count nothing wrapped, so the counts must reconcile.
-	if q.TraceDropped() == 0 && contended != snap.Contended {
-		t.Fatalf("trace contended=%d, counter=%d", contended, snap.Contended)
+	if q.TraceDropped() != 0 || deadline != snap.DeadlineAborts {
+		t.Fatalf("trace deadline=%d (dropped %d), counter=%d", deadline, q.TraceDropped(), snap.DeadlineAborts)
+	}
+	// The aborts had no effect: the rival left the queue empty, no
+	// aborted enqueue went in, and a clean round-trip follows.
+	if v, ok, err := s.TryDequeue(); ok || err != nil {
+		t.Fatalf("TryDequeue after the aborts = (%d, %v, %v), want an empty queue", v, ok, err)
+	}
+	if err := s.Enqueue(42); err != nil {
+		t.Fatalf("Enqueue after the aborts: %v", err)
+	}
+	if v, ok := s.Dequeue(); !ok || v != 42 {
+		t.Fatalf("Dequeue after the aborts = (%d, %v), want (42, true)", v, ok)
 	}
 }
 
