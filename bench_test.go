@@ -74,7 +74,7 @@ func mustRun(b *testing.B, q queue.Queue, w bench.Workload) time.Duration {
 
 // BenchmarkNew prices construction alone at capacity 1024, one row per
 // layer that pays for it: evq-llsc (LL/SC word memory), evq-cas (ring
-// slots), evq-seg (segment pool arena, first segment, spare pool) and
+// slots), evq-seg (segment pool arena, first segment) and
 // ms-hp (node arena, hazard domain). It reports B/op and allocs/op.
 func BenchmarkNew(b *testing.B) {
 	for _, key := range []string{bench.KeyEvqLLSC, bench.KeyEvqCAS, bench.KeyEvqSeg, bench.KeyMSHP} {

@@ -24,11 +24,10 @@ import (
 // overload and the ratio between the two.
 //
 // The bounded algorithms gate on depth watermarks. The segmented queue
-// instead runs its overload-hardening stack — pre-armed spare segments
-// and segment-count watermarks — so the measured
-// admitted tail reflects what an unbounded queue can promise under
-// overload: boundary crossings pop a prepared ring instead of zeroing
-// one inline, and admission refuses before any grow work starts.
+// instead gates on segment-count watermarks, so the measured admitted
+// tail reflects what an unbounded queue can promise under overload:
+// admission refuses before any grow work starts, and the boundary
+// crossings it does admit allocate or recycle their ring inline.
 
 // overloadProducers fixes the offered-load multiple: this many producers
 // against one yield-paced consumer.
@@ -53,11 +52,9 @@ type overloadRow struct {
 	AdmittedPerSec float64 `json:"admitted_per_sec"`
 	ShedsPerSec    float64 `json:"sheds_per_sec"`
 	Cycles         int64   `json:"hysteresis_cycles"`
-	// SegmentSheds, SpareHits, SpareMisses and PeakSegments are zero for
-	// the non-segmented algorithms.
+	// SegmentSheds and PeakSegments are zero for the non-segmented
+	// algorithms.
 	SegmentSheds uint64  `json:"segment_sheds"`
-	SpareHits    uint64  `json:"spare_hits"`
-	SpareMisses  uint64  `json:"spare_misses"`
 	PeakSegments int     `json:"peak_segments"`
 	WallSeconds  float64 `json:"wall_seconds"`
 }
@@ -78,8 +75,6 @@ func overloadResult(rows []overloadRow) slo.Result {
 				"sheds_per_sec":     o.ShedsPerSec,
 				"hysteresis_cycles": float64(o.Cycles),
 				"segment_sheds":     float64(o.SegmentSheds),
-				"spare_hits":        float64(o.SpareHits),
-				"spare_misses":      float64(o.SpareMisses),
 				"peak_segments":     float64(o.PeakSegments),
 				"wall_seconds":      o.WallSeconds,
 			},
@@ -196,8 +191,8 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 			runtime.Gosched()
 		}
 	}()
-	// Peak-segments sampler: the governed population (live + preparing
-	// + spare) the memory bound would cap, sampled through the run.
+	// Peak-segments sampler: the governed population (live + preparing)
+	// the memory bound would cap, sampled through the run.
 	peakDone := make(chan struct{})
 	var peakSegs int
 	go func() {
@@ -233,8 +228,6 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 	row.ShedsPerSec = float64(sheds) / row.WallSeconds
 	row.Cycles = cycles.Load()
 	row.SegmentSheds = snap.SegmentSheds
-	row.SpareHits = snap.SpareSegmentHits
-	row.SpareMisses = snap.SpareSegmentMisses
 	row.PeakSegments = peakSegs
 	if sheds == 0 {
 		return row, fmt.Errorf("%s: overload run never shed; offered load did not exceed the admission gate", key)
@@ -258,31 +251,27 @@ func runOverload(out io.Writer, format string, p bench.Params) error {
 	case "json":
 		return slo.Write(out, overloadResult(rows))
 	case "csv":
-		fmt.Fprintln(out, "algorithm,base_p999_us,overload_p999_us,ratio,admitted_per_sec,sheds_per_sec,hysteresis_cycles,segment_sheds,spare_hits,spare_misses,peak_segments")
+		fmt.Fprintln(out, "algorithm,base_p999_us,overload_p999_us,ratio,admitted_per_sec,sheds_per_sec,hysteresis_cycles,segment_sheds,peak_segments")
 		for _, r := range rows {
-			fmt.Fprintf(out, "%s,%.3f,%.3f,%.2f,%.0f,%.0f,%d,%d,%d,%d,%d\n",
+			fmt.Fprintf(out, "%s,%.3f,%.3f,%.2f,%.0f,%.0f,%d,%d,%d\n",
 				r.Key, r.BaseP999Us, r.OverP999Us, r.Ratio,
 				r.AdmittedPerSec, r.ShedsPerSec, r.Cycles,
-				r.SegmentSheds, r.SpareHits, r.SpareMisses, r.PeakSegments)
+				r.SegmentSheds, r.PeakSegments)
 		}
 		return nil
 	}
 	fmt.Fprintf(out, "== Overload shedding: %d producers vs 1 paced consumer, depth watermarks (cap/4, cap/2) or segment watermarks (%d, %d), capacity %d ==\n",
 		overloadProducers, overloadSegLow, overloadSegHigh, p.Capacity)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "algorithm\tbase p99.9 (µs)\toverload p99.9 (µs)\tratio\tadmitted/s\tsheds/s\tcycles\tspare hit/miss\tpeak segs")
+	fmt.Fprintln(tw, "algorithm\tbase p99.9 (µs)\toverload p99.9 (µs)\tratio\tadmitted/s\tsheds/s\tcycles\tpeak segs")
 	for _, r := range rows {
-		spare := "-"
-		if r.Key == bench.KeyEvqSeg {
-			spare = fmt.Sprintf("%d/%d", r.SpareHits, r.SpareMisses)
-		}
 		peak := "-"
 		if r.PeakSegments > 0 {
 			peak = fmt.Sprintf("%d", r.PeakSegments)
 		}
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2fx\t%.3g\t%.3g\t%d\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2fx\t%.3g\t%.3g\t%d\t%s\n",
 			r.Label, r.BaseP999Us, r.OverP999Us, r.Ratio,
-			r.AdmittedPerSec, r.ShedsPerSec, r.Cycles, spare, peak)
+			r.AdmittedPerSec, r.ShedsPerSec, r.Cycles, peak)
 	}
 	return tw.Flush()
 }

@@ -52,7 +52,6 @@ type options struct {
 	tick        time.Duration
 	segSize     int
 	memBound    int
-	spares      int
 	wm          string
 	segWM       string
 	trace       int
@@ -79,7 +78,6 @@ func run(args []string, out io.Writer) error {
 	fs.DurationVar(&o.tick, "tick", 20*time.Millisecond, "timer wheel resolution")
 	fs.IntVar(&o.segSize, "segsize", 0, "ready-queue segment ring size (0 = algorithm default)")
 	fs.IntVar(&o.memBound, "membound", 64, "ready-queue memory bound in segments (0 = unbounded memory)")
-	fs.IntVar(&o.spares, "spares", -1, "spare-segment pool size (-1 = algorithm default)")
 	fs.StringVar(&o.wm, "watermarks", "", "depth admission watermarks low:high (empty disables)")
 	fs.StringVar(&o.segWM, "seg-watermarks", "8:16", "segment admission watermarks low:high (empty disables)")
 	fs.IntVar(&o.trace, "trace", 0, "flight-recorder ring capacity per ready queue (0 disables)")
@@ -168,9 +166,6 @@ func queueOptions(o *options) ([]nbqueue.Option, error) {
 	}
 	if o.memBound > 0 {
 		opts = append(opts, nbqueue.WithMemoryBound(o.memBound))
-	}
-	if o.spares >= 0 {
-		opts = append(opts, nbqueue.WithSpareSegments(o.spares))
 	}
 	if o.wm != "" {
 		low, high, err := parseWatermarks(o.wm)

@@ -131,12 +131,11 @@ func run(args []string, out io.Writer) error {
 //
 // The bounded algorithms run depth watermarks (WithWatermarks). The
 // segmented queue instead runs unbounded with the full overload-
-// hardening stack — spare pool, segment watermarks, memory bound — and
-// is additionally held to the segment-population ceilings: live +
-// preparing + pooled segments must never exceed WithMemoryBound, the
-// spare pool must never exceed its configured capacity, and at
+// hardening stack — segment watermarks and memory bound — and is
+// additionally held to the segment-population ceilings: live +
+// preparing segments must never exceed WithMemoryBound, and at
 // quiescence every segment the pool ever handed out must be accounted
-// for (retired, freed, live, preparing, or pooled).
+// for (retired, freed, live, or preparing).
 func soakOverload(out io.Writer, key string, d time.Duration, threads, capacity int, auditEvery time.Duration) error {
 	if threads < 2 {
 		threads = 2
@@ -155,7 +154,6 @@ func soakOverload(out io.Writer, key string, d time.Duration, threads, capacity 
 	// exercised independently.
 	const (
 		segSize  = 32
-		segSpare = 2
 		segLow   = 2
 		segHigh  = 4
 		memBound = 16
@@ -188,7 +186,6 @@ func soakOverload(out io.Writer, key string, d time.Duration, threads, capacity 
 		opts = append(opts,
 			nbqueue.WithUnbounded(),
 			nbqueue.WithSegmentSize(segSize),
-			nbqueue.WithSpareSegments(segSpare),
 			nbqueue.WithSegmentWatermarks(segLow, segHigh),
 			nbqueue.WithMemoryBound(memBound),
 		)
@@ -280,17 +277,11 @@ loop:
 					peakMem = st.Memory
 				}
 				if st.Memory > memBound {
-					return fail(fmt.Errorf("%s: %d live+preparing+spare segments escaped the memory bound %d", key, st.Memory, memBound))
-				}
-				// Spare-pool conservation: replenishment must never
-				// overfill the ring past its configured capacity.
-				if st.Spare > segSpare {
-					return fail(fmt.Errorf("%s: spare pool holds %d segments, capacity %d", key, st.Spare, segSpare))
+					return fail(fmt.Errorf("%s: %d live+preparing segments escaped the memory bound %d", key, st.Memory, memBound))
 				}
 				// Segment-count ceiling: admission refuses at segHigh,
 				// so live+preparing can overshoot only by appends already
-				// admitted — one per in-flight operation, plus replenish
-				// preps — never unboundedly.
+				// admitted by in-flight operations — never unboundedly.
 				if ceil := segHigh + 2*threads; st.Live+st.Pending > ceil {
 					return fail(fmt.Errorf("%s: %d live+preparing segments escaped admission control (high watermark %d, ceiling %d)", key, st.Live+st.Pending, segHigh, ceil))
 				}
@@ -320,17 +311,17 @@ loop:
 		}
 		// Segment conservation at quiescence: every ring the pool ever
 		// handed out (allocs + recycles + the one New installs) must be
-		// retired, freed, or still standing (live, preparing, spare).
+		// retired, freed, or still standing (live, preparing).
 		st, _ := q.SegmentStats()
 		handedOut := snap.SegmentAllocs + snap.SegmentRecycles + 1
-		accounted := snap.SegmentRetires + snap.SegmentFrees + uint64(st.Live+st.Pending+st.Spare)
+		accounted := snap.SegmentRetires + snap.SegmentFrees + uint64(st.Live+st.Pending)
 		if handedOut != accounted {
-			return fmt.Errorf("%s: segment conservation broken: %d handed out (allocs+recycles+initial) but %d accounted (retires+frees+live+preparing+spare)",
+			return fmt.Errorf("%s: segment conservation broken: %d handed out (allocs+recycles+initial) but %d accounted (retires+frees+live+preparing)",
 				key, handedOut, accounted)
 		}
-		fmt.Fprintf(out, "%-18s ok (overload): produced=%d consumed=%d drained=%d segsheds=%d enters=%d exits=%d sparehits=%d peakmem=%d (bound=%d) maxdepth=%d audits=%d\n",
+		fmt.Fprintf(out, "%-18s ok (overload): produced=%d consumed=%d drained=%d segsheds=%d enters=%d exits=%d peakmem=%d (bound=%d) maxdepth=%d audits=%d\n",
 			key, produced.Load(), consumed.Load(), drained, snap.SegmentSheds, segEnters.Load(), segExits.Load(),
-			snap.SpareSegmentHits, peakMem, memBound, maxDepth, audits)
+			peakMem, memBound, maxDepth, audits)
 		return nil
 	}
 	if sheds.Load() == 0 || snap.OverloadSheds == 0 {
@@ -382,15 +373,11 @@ func instrument(st *statsServer, key string, cfg *bench.Config) func(q queue.Que
 			stats := ss.SegmentStats
 			extras = append(extras,
 				expose.Gauge{
-					Name: "spare_segments", Help: "Pre-armed prepared segments in the spare pool.",
-					Value: func() float64 { return float64(stats().Spare) },
-				},
-				expose.Gauge{
-					Name: "pending_segments", Help: "Segments in the preparing state (append races, replenish in flight).",
+					Name: "pending_segments", Help: "Segments in the preparing state (appends in flight).",
 					Value: func() float64 { return float64(stats().Pending) },
 				},
 				expose.Gauge{
-					Name: "memory_segments", Help: "Live + preparing + pooled segments (the WithMemoryBound-governed population).",
+					Name: "memory_segments", Help: "Live + preparing segments (the WithMemoryBound-governed population).",
 					Value: func() float64 { return float64(stats().Memory) },
 				},
 				expose.Gauge{

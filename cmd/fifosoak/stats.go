@@ -68,7 +68,7 @@ func startStats(addr string, every time.Duration, out, errW io.Writer) (*statsSe
 // setAlgorithm swaps the banks scrapes and ticks read. depth samples
 // the queue's current occupancy and segments its live segment count;
 // either is nil when the queue cannot report one. extras carries any
-// further algorithm-specific gauges (spare-pool depth, segment
+// further algorithm-specific gauges (preparing segments, segment
 // admission state, ...).
 func (st *statsServer) setAlgorithm(key string, ctrs *xsync.Counters, hists *xsync.Histograms, rec *trace.Recorder, depth, segments func() int, extras ...expose.Gauge) {
 	st.mu.Lock()

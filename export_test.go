@@ -13,6 +13,18 @@ import (
 // a single CPU.
 func WithYieldHook(f func()) Option { return func(c *config) { c.instr.Yield = f } }
 
+// WithStealBatch sets how many values one fabric steal attempt moves
+// (default DefaultStealBatch). Test-only: the fabric tests shrink it to
+// make steals, and their relaxation bounds, small. NewFabric rejects
+// n <= 0.
+func WithStealBatch(n int) FabricOption {
+	return func(c *fabricConfig) { c.stealBatch = n }
+}
+
+// DefaultStealBatch is the fabric's steal batch, the B of its
+// relaxation bound.
+const DefaultStealBatch = defaultStealBatch
+
 // PayloadChunkSize is the number of payload-store slots materialised at
 // a time.
 const PayloadChunkSize = storeChunkSize

@@ -58,9 +58,10 @@ import (
 //     k ≤ (S-1)·C + A·B + R
 //
 //     with S shards of capacity C, A consumer sessions holding steal
-//     buffers of at most B values, and R the capacity of one SPSC ring
-//     (0 on shards that never see a declared 1p1c census: a fabric whose
-//     sessions all attach with untyped Attach never specializes). The
+//     buffers of at most B = 32 values (defaultStealBatch), and R the
+//     capacity of one SPSC ring (0 on shards that never see a declared
+//     1p1c census: a fabric whose sessions all attach with untyped
+//     Attach never specializes). The
 //     first term is values parked on other shards, the second values
 //     parked in steal buffers, the third values slipping between a
 //     shard's MPMC ring and its SPSC ring during a specialization
@@ -237,13 +238,10 @@ func WithShardOptions(opts ...Option) FabricOption {
 	return func(c *fabricConfig) { c.shardOpts = append(c.shardOpts, opts...) }
 }
 
-// WithStealBatch sets how many values one steal attempt moves (default
-// 32). Larger batches amortize the victim shard's head RMW further but
-// deepen the steal buffers, growing the A·B term of the relaxation
-// bound. NewFabric rejects n <= 0.
-func WithStealBatch(n int) FabricOption {
-	return func(c *fabricConfig) { c.stealBatch = n }
-}
+// defaultStealBatch is how many values one steal attempt moves: the B
+// of the relaxation bound's A·B term. Larger batches amortize the victim
+// shard's head RMW further but deepen the steal buffers.
+const defaultStealBatch = 32
 
 // fabRing is the specialized payload ring: the word-level SPSC queue
 // for synchronization plus a slot-parallel value array for the payload
@@ -318,7 +316,7 @@ func (r *fabRing[T]) len() int { return r.q.Len() }
 func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 	c := fabricConfig{
 		shards:     runtime.GOMAXPROCS(0),
-		stealBatch: 32,
+		stealBatch: defaultStealBatch,
 	}
 	for _, o := range opts {
 		if o != nil {
@@ -433,7 +431,6 @@ func (f *Fabric[T]) SegmentStats() (SegmentStats, bool) {
 		}
 		any = true
 		sum.Live += st.Live
-		sum.Spare += st.Spare
 		sum.Pending += st.Pending
 		sum.Memory += st.Memory
 		sum.Overloaded = sum.Overloaded || st.Overloaded

@@ -306,7 +306,7 @@ func TestFabricRespecialization(t *testing.T) {
 func TestFabricSPSCConcurrentTransitions(t *testing.T) {
 	const (
 		capacity = 256
-		steal    = 32 // the WithStealBatch default
+		steal    = nbqueue.DefaultStealBatch
 		total    = 20000
 	)
 	k := 1*steal + capacity

@@ -1,8 +1,8 @@
 package nbqueue_test
 
 // Public-API tests of the overload-hardening surface on
-// AlgorithmSegmented: option validation for the spare pool, the memory
-// bound, and segment watermarks; the end-to-end shed/readmit behavior
+// AlgorithmSegmented: option validation for the memory bound and
+// segment watermarks; the end-to-end shed/readmit behavior
 // each enables; and the observability accessors other algorithms must
 // decline.
 
@@ -22,12 +22,6 @@ func TestSegmentHardeningOptionValidation(t *testing.T) {
 		opts []nbqueue.Option
 		want string
 	}{
-		{"negative spare pool", []nbqueue.Option{
-			seg, nbqueue.WithUnbounded(), nbqueue.WithSpareSegments(-1)}, "WithSpareSegments"},
-		{"spare pool on CAS", []nbqueue.Option{
-			nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS), nbqueue.WithSpareSegments(2)}, "WithSpareSegments"},
-		{"spare pool on default algorithm", []nbqueue.Option{
-			nbqueue.WithSpareSegments(2)}, "WithSpareSegments"},
 		{"negative memory bound", []nbqueue.Option{
 			seg, nbqueue.WithUnbounded(), nbqueue.WithMemoryBound(-1)}, "WithMemoryBound"},
 		{"memory bound on LLSC", []nbqueue.Option{
@@ -48,11 +42,6 @@ func TestSegmentHardeningOptionValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
-	}
-	// Disabling the pool is the one zero that must be accepted.
-	if _, err := nbqueue.New[int](seg, nbqueue.WithUnbounded(),
-		nbqueue.WithSpareSegments(0)); err != nil {
-		t.Errorf("WithSpareSegments(0) rejected: %v", err)
 	}
 }
 
@@ -87,7 +76,6 @@ func TestMemoryBoundShedsAndReadmits(t *testing.T) {
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
 		nbqueue.WithUnbounded(),
 		nbqueue.WithSegmentSize(4),
-		nbqueue.WithSpareSegments(0),
 		nbqueue.WithMemoryBound(bound),
 		nbqueue.WithMetrics(m),
 	)
@@ -139,7 +127,6 @@ func TestSegmentWatermarksPublicHysteresis(t *testing.T) {
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
 		nbqueue.WithUnbounded(),
 		nbqueue.WithSegmentSize(4),
-		nbqueue.WithSpareSegments(0),
 		nbqueue.WithSegmentWatermarks(1, 3),
 		nbqueue.WithEventHook(func(e nbqueue.Event) {
 			if e.Kind == nbqueue.EventOverloadEnter || e.Kind == nbqueue.EventOverloadExit {
@@ -211,46 +198,5 @@ func TestSegmentWatermarksPublicHysteresis(t *testing.T) {
 	}
 	if enters == 0 || exits == 0 {
 		t.Fatalf("overload events enter=%d exit=%d, want both nonzero", enters, exits)
-	}
-}
-
-// TestSparePoolPublicObservers checks the pool accessors through the
-// generic facade: pre-armed depth, spare consumption on growth, and
-// hit accounting in Snapshot.
-func TestSparePoolPublicObservers(t *testing.T) {
-	m := nbqueue.NewMetrics()
-	q, err := nbqueue.New[int](
-		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
-		nbqueue.WithUnbounded(),
-		nbqueue.WithSegmentSize(4),
-		nbqueue.WithSpareSegments(2),
-		nbqueue.WithMetrics(m),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, ok := q.SegmentStats()
-	if !ok || ss.Spare != 2 {
-		t.Fatalf("SegmentStats().Spare = %d, %v after New, want pre-armed 2", ss.Spare, ok)
-	}
-	if ss.Pending != 0 {
-		t.Fatalf("SegmentStats().Pending = %d at rest, want 0", ss.Pending)
-	}
-	s := q.Attach()
-	defer s.Detach()
-	// Cross several segment boundaries; growth should ride the pool.
-	for i := 0; i < 20; i++ {
-		if err := s.Enqueue(i); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
-		}
-	}
-	snap := m.Snapshot()
-	if snap.SpareSegmentHits == 0 {
-		t.Fatal("SpareSegmentHits = 0 after growth with an armed pool")
-	}
-	for i := 0; i < 20; i++ {
-		if v, ok := s.Dequeue(); !ok || v != i {
-			t.Fatalf("dequeue %d = %d, %v", i, v, ok)
-		}
 	}
 }

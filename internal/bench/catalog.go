@@ -52,18 +52,9 @@ type Config struct {
 	// derives it from Capacity (clamped to [16, 256]). Ignored
 	// elsewhere.
 	SegSize int
-	// SpareSegments sets the segmented queue's spare-pool capacity:
-	// 0 keeps the algorithm default, n > 0 pre-arms n spares, and a
-	// negative value disables the pool. Ignored elsewhere.
-	SpareSegments int
 	// MemoryBound caps the segmented queue's governed segment population
-	// (live + preparing + spare); 0 leaves memory unbounded. Ignored
-	// elsewhere.
+	// (live + preparing); 0 leaves memory unbounded. Ignored elsewhere.
 	MemoryBound int
-	// ReplenishFault is a chaos hook consulted on each spare-pool
-	// replenish attempt of the segmented queue; a true return fails
-	// that attempt silently. Nil disables. Ignored elsewhere.
-	ReplenishFault func() bool
 	// SegLow/SegHigh arm segment-count watermark admission on the
 	// segmented queue (hysteresis between them); SegHigh 0 disables.
 	// Ignored elsewhere.
@@ -185,16 +176,8 @@ var catalog = map[string]Algo{
 				evqseg.WithCounters(c.Counters), evqseg.WithInstr(c.Instr),
 				evqseg.WithPaddedSlots(c.PaddedSlots),
 			}
-			if c.SpareSegments > 0 {
-				opts = append(opts, evqseg.WithSpareSegments(c.SpareSegments))
-			} else if c.SpareSegments < 0 {
-				opts = append(opts, evqseg.WithSpareSegments(0))
-			}
 			if c.MemoryBound > 0 {
 				opts = append(opts, evqseg.WithMemoryBound(c.MemoryBound))
-			}
-			if c.ReplenishFault != nil {
-				opts = append(opts, evqseg.WithReplenishFault(c.ReplenishFault))
 			}
 			if c.SegHigh > 0 {
 				opts = append(opts, evqseg.WithSegmentWatermarks(c.SegLow, c.SegHigh))

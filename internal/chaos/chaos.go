@@ -87,11 +87,11 @@ func (in *Injector) Arm()    { in.armed.Store(true) }
 func (in *Injector) Disarm() { in.armed.Store(false) }
 
 // AllocFault returns an allocation-fault hook suitable for
-// evqseg.WithAppendFault or evqseg.WithReplenishFault: while the
-// injector is armed, every n-th consult reports a failure (every == 0
-// never fails). Each returned hook counts its consults independently,
-// so one injector can drive several sites at different cadences;
-// disarming silences them all at once.
+// evqseg.WithAppendFault: while the injector is armed, every n-th
+// consult reports a failure (every == 0 never fails). Each returned
+// hook counts its consults independently, so one injector can drive
+// several queues at different cadences; disarming silences them all at
+// once.
 func (in *Injector) AllocFault(every uint64) func() bool {
 	var n atomic.Uint64
 	return func() bool {

@@ -283,8 +283,8 @@ type runner struct {
 // hook suspends the running thread at each memory event until the
 // scheduler grants it another step. Before any thread holds the baton
 // the hook returns at once: the queue's constructor runs single-threaded
-// (evqseg.New pre-arms its spare pool through the hook), so there is
-// nothing to interleave.
+// (evqseg.New takes its first segment from the pool through the hook),
+// so there is nothing to interleave.
 func (r *runner) hook() {
 	t := r.current
 	if t == nil {

@@ -94,8 +94,6 @@ var counterSeries = []struct {
 	{xsync.OpSegRetire, "segments_retired_total", "Drained ring segments handed to the hazard domain."},
 	{xsync.OpSegFree, "segments_freed_total", "Prepared-but-never-linked segments returned straight to the pool."},
 	{xsync.OpSegShed, "segment_sheds_total", "Enqueues refused because segment watermarks or the memory bound blocked growth."},
-	{xsync.OpSegSpareHit, "segment_spare_hits_total", "Segment appends served from the pre-armed spare pool."},
-	{xsync.OpSegSpareMiss, "segment_spare_misses_total", "Segment appends that found the spare pool empty and allocated inline."},
 }
 
 // histSeries maps histogram kinds to Prometheus series names. Latency

@@ -928,7 +928,7 @@ func (s *Server) Gauges() []expose.Gauge {
 			Value: func() float64 { return float64(s.wheel.pending()) }},
 		{Name: "jobs_segments_live", Help: "Live ring segments summed across ready queues.",
 			Value: func() float64 { return float64(s.segmentStats().Live) }},
-		{Name: "jobs_segments_memory", Help: "Governed segment population (live+preparing+spare) summed across ready queues.",
+		{Name: "jobs_segments_memory", Help: "Governed segment population (live+preparing) summed across ready queues.",
 			Value: func() float64 { return float64(s.segmentStats().Memory) }},
 		{Name: "jobs_segments_overloaded", Help: "Ready queues currently shedding on segment watermarks.",
 			Value: func() float64 {
@@ -946,7 +946,7 @@ func (s *Server) Gauges() []expose.Gauge {
 }
 
 // segmentStats sums the ready queues' segment accounting — the struct
-// form makes the aggregation a field-wise add instead of five accessor
+// form makes the aggregation a field-wise add instead of four accessor
 // loops.
 func (s *Server) segmentStats() nbqueue.SegmentStats {
 	s.mu.RLock()
@@ -958,7 +958,6 @@ func (s *Server) segmentStats() nbqueue.SegmentStats {
 			continue
 		}
 		sum.Live += st.Live
-		sum.Spare += st.Spare
 		sum.Pending += st.Pending
 		sum.Memory += st.Memory
 		sum.Overloaded = sum.Overloaded || st.Overloaded

@@ -22,10 +22,6 @@ const (
 	// FaultStallStorm stalls victim-stage workers per item while the
 	// storm lasts, backing the stage's lanes up.
 	FaultStallStorm Fault = "stall-storm"
-	// FaultReplenishOutage fails the victim lanes' spare-segment
-	// replenishment (segmented lanes), draining the pre-armed pool so
-	// boundary crossings fall back to inline allocation.
-	FaultReplenishOutage Fault = "replenish-outage"
 	// FaultLaneOverload stalls the victim stage hard enough that its
 	// watermarked lanes cross the high water and shed upstream
 	// forwards with ErrOverloaded.
@@ -146,7 +142,6 @@ func DefaultCells(stages int) []Cell {
 		Cell{FaultLaneOverload, mid, RecoverShed},
 		Cell{FaultLaneOverload, mid, RecoverSpill},
 		Cell{FaultLaneOverload, mid, RecoverDeadLetter},
-		Cell{FaultReplenishOutage, mid, RecoverShed},
 	)
 	return cells
 }
@@ -163,7 +158,6 @@ type CellReport struct {
 	Scavenged      uint64 `json:"scavenged"`
 	Condemned      uint64 `json:"condemned"`
 	OrphansLeft    int    `json:"orphans_left"`
-	SpareMisses    uint64 `json:"spare_misses"`
 	OverloadEnters uint64 `json:"overload_enters"`
 	OverloadExits  uint64 `json:"overload_exits"`
 	Spills         uint64 `json:"spills"`
@@ -248,11 +242,10 @@ func RunMatrix(o MatrixOptions) (*MatrixReport, error) {
 }
 
 // faultCtl is the per-cell fault controller wired into the pipeline's
-// service hook and (for replenish outages) the victim lanes.
+// service hook.
 type faultCtl struct {
 	cell   Cell
 	active atomic.Bool
-	outage atomic.Bool
 	kills  atomic.Int64
 	victim atomic.Int32
 	stall  time.Duration
@@ -268,10 +261,7 @@ func (c *faultCtl) hook(stage, wk int, it *Item) {
 		if c.kills.Add(-1) >= 0 {
 			panic(chaos.Abandon{})
 		}
-	case FaultStallStorm, FaultLaneOverload, FaultReplenishOutage:
-		// The outage cell stalls too: backpressure deepens the
-		// segmented lanes past segment boundaries, so growth actually
-		// consults the (starved) spare pool.
+	case FaultStallStorm, FaultLaneOverload:
 		deadline := time.Now().Add(c.stall)
 		for c.active.Load() && time.Now().Before(deadline) {
 			runtime.Gosched()
@@ -398,7 +388,6 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	}
 
 	var overEnters, overExits atomic.Uint64
-	var laneMetrics []*nbqueue.Metrics
 
 	cfg := Config{
 		DeadlineBudget: 10 * time.Second,
@@ -428,26 +417,6 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 			}
 		}
 		switch {
-		case victim && cell.Fault == FaultReplenishOutage:
-			// Segmented lanes with a pre-armed spare pool whose
-			// replenishment the fault fails.
-			spec.NewLane = func(l int) (Lane, error) {
-				m := nbqueue.NewMetrics()
-				laneMetrics = append(laneMetrics, m)
-				q, err := nbqueue.New[*Item](
-					nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
-					nbqueue.WithUnbounded(),
-					nbqueue.WithSegmentSize(32),
-					nbqueue.WithSpareSegments(2),
-					nbqueue.WithMemoryBound(64),
-					nbqueue.WithMetrics(m),
-					nbqueue.WithReplenishFault(func() bool { return ctl.outage.Load() }),
-				)
-				if err != nil {
-					return nil, err
-				}
-				return QueueLane(q), nil
-			}
 		case victim && (cell.Fault == FaultLaneOverload || cell.Fault == FaultStallStorm):
 			// Watermarked lanes so the backed-up stage sheds upstream
 			// forwards with ErrOverloaded instead of blocking.
@@ -496,8 +465,6 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	switch cell.Fault {
 	case FaultWorkerKill:
 		ctl.kills.Store(int64(o.Workers))
-	case FaultReplenishOutage:
-		ctl.outage.Store(true)
 	case FaultHeartbeatLoss:
 		if hb := 5 * o.Heartbeat; dur < hb {
 			dur = hb
@@ -506,7 +473,6 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	ctl.active.Store(true)
 	time.Sleep(dur)
 	ctl.active.Store(false)
-	ctl.outage.Store(false)
 
 	cr.Recovered, cr.RecoveryNS = probeRecovery(p, o.RecoveryBudget)
 
@@ -529,9 +495,6 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	cr.Spills = vst.Spills.Load()
 	cr.PressureSheds = vst.PressureSheds.Load()
 	cr.DeadLetters = vst.DeadLetters.Load()
-	for _, m := range laneMetrics {
-		cr.SpareMisses += m.Snapshot().SpareSegmentMisses
-	}
 	cr.DurationNS = time.Since(start).Nanoseconds()
 
 	// Audits. Every failure string carries the seed so any red cell
@@ -595,10 +558,6 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	case FaultStallStorm:
 		if cell.Recovery == RecoverSpill && cr.Spills == 0 {
 			fail("spill recovery never spilled to a sibling lane")
-		}
-	case FaultReplenishOutage:
-		if cr.SpareMisses == 0 {
-			fail("outage never drained the spare pool (0 spare misses)")
 		}
 	}
 	return cr

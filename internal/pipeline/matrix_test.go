@@ -25,7 +25,6 @@ func TestMatrixAllFaults(t *testing.T) {
 		{FaultHeartbeatLoss, 1, RecoverRespawn},
 		{FaultStallStorm, 1, RecoverSpill},
 		{FaultLaneOverload, 1, RecoverShed},
-		{FaultReplenishOutage, 1, RecoverShed},
 	}
 	if testing.Short() {
 		cells = cells[:2]
@@ -78,7 +77,7 @@ func TestDefaultCellsCoverEveryFault(t *testing.T) {
 			killStages[c.Stage] = true
 		}
 	}
-	for _, f := range []Fault{FaultWorkerKill, FaultStallStorm, FaultReplenishOutage, FaultLaneOverload, FaultHeartbeatLoss} {
+	for _, f := range []Fault{FaultWorkerKill, FaultStallStorm, FaultLaneOverload, FaultHeartbeatLoss} {
 		if faults[f] == 0 {
 			t.Errorf("fault %s missing from the default table", f)
 		}

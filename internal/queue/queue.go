@@ -170,24 +170,20 @@ func DequeueBatch(s Session, dst []uint64) (int, error) {
 }
 
 // SegmentStats is one coherent snapshot of a segmented queue's segment
-// accounting — the struct form of what used to be five separate (n, ok)
+// accounting — the struct form of what used to be separate (n, ok)
 // accessors. Each field is an independent racy gauge read; the struct
 // groups them so callers (and the fabric, which sums them across shards)
-// get one value to pass around instead of five calls to sequence.
+// get one value to pass around instead of four calls to sequence.
 type SegmentStats struct {
 	// Live counts segments linked into the chain and holding (or ready
 	// to hold) items. A bounded queue sits at a steady 1.
 	Live int
-	// Spare counts prepared segments parked in the spare pool, pre-armed
-	// so a burst pops a ready segment instead of allocating on the
-	// latency path.
-	Spare int
-	// Pending counts preparing-state segments (allocated or popped from
-	// the pool, not yet linked). Persistently nonzero only when an
-	// appending producer died mid-append.
+	// Pending counts preparing-state segments (allocated, not yet
+	// linked). Persistently nonzero only when an appending producer died
+	// mid-append.
 	Pending int
-	// Memory is the population a memory bound governs: Live + Pending +
-	// Spare. With a bound set this never exceeds it, even transiently.
+	// Memory is the population a memory bound governs: Live + Pending.
+	// With a bound set this never exceeds it, even transiently.
 	Memory int
 	// Overloaded reports whether segment-watermark admission is
 	// currently refusing enqueues.

@@ -70,26 +70,21 @@
 //
 // # Overload hardening
 //
-// Under sustained overload the naive composition amplifies tail latency
-// and memory at once: every segment-boundary crossing resets (or
-// allocates) a whole ring inside an admitted enqueue, and an unbounded
-// queue converts excess offered load into unbounded segment growth.
-// Three mechanisms keep the degradation graceful:
+// Under sustained overload an unbounded queue converts excess offered
+// load into unbounded segment growth. Every boundary crossing gets its
+// segment one way — reserve against the memory bound, take a pool
+// handle, and allocate the ring (fresh, zeroed memory) or reset a
+// recycled one inline — and an append-race loser frees its segment
+// straight back to the pool. Two mechanisms keep the degradation
+// graceful:
 //
-//   - Spare-segment pool (WithSpareSegments): N prepared rings are kept
-//     ready in a small slot array, so allocSegment is an O(N) pop with
-//     no ring-memory work on the hot path. The pool is replenished
-//     cooperatively off the latency path — after successful enqueues,
-//     on Detach, and by Scavenge — and append-race losers park their
-//     already-prepared segment back in it instead of discarding the
-//     reset work.
 //   - Segment-count watermark admission (WithSegmentWatermarks):
 //     enqueues fail fast with queue.ErrOverloaded once live+preparing
 //     segments reach the high watermark, before any grow is attempted,
 //     and stay refused until the chain drains to the low watermark
 //     (hysteresis). Transitions surface through SetOverloadHook.
 //   - Memory bound (WithMemoryBound): a hard cap on the governed
-//     segment population (live + preparing + spare), reserved with a
+//     segment population (live + preparing), reserved with a
 //     CAS loop before any pool allocation so concurrent appends cannot
 //     overshoot it. Growth past the bound becomes accounted shedding
 //     (queue.ErrFull, counted as OpSegShed) plus reclamation pressure:
@@ -126,7 +121,6 @@ const (
 	segPreparing               // allocated by a producer, not yet linked
 	segLive                    // linked into the chain
 	segRetired                 // unlinked, awaiting hazard reclamation
-	segSpare                   // prepared and parked in the spare pool
 )
 
 // segment is one bounded ring plus its chain link and lifecycle state.
@@ -169,34 +163,28 @@ type Queue struct {
 	high    int // soft capacity; 0 = unbounded
 	maxSegs int
 
-	liveSegs   atomic.Int64
-	prepSegs   atomic.Int64 // segments in segPreparing
-	spareDepth atomic.Int64 // segments parked in the spare pool
+	liveSegs atomic.Int64
+	prepSegs atomic.Int64 // segments in segPreparing
 	// memSegs is the population WithMemoryBound governs: live +
-	// preparing + spare. Reservations move through reserveMem so the
-	// bound is hard — concurrent appends cannot overshoot it.
+	// preparing. Reservations move through reserveMem so the bound is
+	// hard — concurrent appends cannot overshoot it.
 	memSegs atomic.Int64
 	epoch   atomic.Uint64 // append-orphan scavenge clock
 
-	// spares holds pool handles of prepared segments ready to link
-	// (state segSpare); zero entries are empty. Sized by spareCap.
-	spares   []atomic.Uint64
-	spareCap int
 	memBound int
 	segLow   int // segment-watermark hysteresis floor
 	segHigh  int // segment-watermark admission ceiling; 0 = disabled
 	segOver  atomic.Bool
 
 	// qctr records ops that happen outside any session (scavenging,
-	// queue-level replenishes).
+	// append-race frees).
 	qctr xsync.Handle
 
-	ctrs           *xsync.Counters
-	in             queue.Instr
-	grow           func(liveSegments int)
-	overHook       func(entered bool, segments int)
-	appendFault    func() bool
-	replenishFault func() bool
+	ctrs        *xsync.Counters
+	in          queue.Instr
+	grow        func(liveSegments int)
+	overHook    func(entered bool, segments int)
+	appendFault func() bool
 }
 
 // Option configures a Queue.
@@ -210,8 +198,7 @@ func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c
 // drained ring) as fruitless rounds. The Yield hook fires before
 // shared-memory accesses — ring words, chain pointers, registry and
 // hazard state — enabling interleaving exploration and fault injection.
-// Its Trace additionally records the segment lifecycle (grow, spare
-// hit/miss).
+// Its Trace additionally records segment growth.
 func WithInstr(in queue.Instr) Option { return func(q *Queue) { q.in = in } }
 
 // WithPaddedSlots spreads ring slots across cache-line pairs.
@@ -241,35 +228,9 @@ func WithMaxSegments(n int) Option { return func(q *Queue) { q.maxSegs = n } }
 // WithAppendFault installs a fault hook consulted each time a producer
 // needs a fresh segment: a true return makes the allocation fail as if
 // the pool were exhausted, so the enqueue surfaces queue.ErrFull. The
-// fault fires before the spare pool is consulted, so it models total
-// allocation failure (spares included). The chaos drills use it to
-// prove growth failure cannot corrupt the rings. Nil in production.
+// chaos drills use it to prove growth failure cannot corrupt the rings.
+// Nil in production.
 func WithAppendFault(f func() bool) Option { return func(q *Queue) { q.appendFault = f } }
-
-// WithReplenishFault installs a fault hook consulted once per
-// spare-pool replenish attempt: a true return makes that attempt fail
-// silently, as if the pool were exhausted, leaving the spare pool
-// shallower than its capacity. Replenish failure is never an operation
-// error — appends fall back to inline allocation on a spare miss — so
-// the chaos drills use this to prove a starved spare pool degrades to
-// exactly the pre-pool behavior. Nil in production.
-func WithReplenishFault(f func() bool) Option { return func(q *Queue) { q.replenishFault = f } }
-
-// WithSpareSegments sets the spare-segment pool capacity: n prepared
-// rings kept parked so a segment append during a spike pops a
-// ready-to-link segment instead of allocating or resetting ring memory
-// on the admitted-operation path. The pool is pre-armed by New and
-// replenished off-path (after successful enqueues, on Detach, and by
-// Scavenge). n == 0 disables the pool; negative n is treated as 0. The
-// default is defaultSpareSegments.
-func WithSpareSegments(n int) Option {
-	return func(q *Queue) {
-		if n < 0 {
-			n = 0
-		}
-		q.spareCap = n
-	}
-}
 
 // WithSegmentWatermarks arms segment-count admission control: once
 // live+preparing segments reach high, enqueues are refused outright
@@ -292,7 +253,7 @@ func WithSegmentWatermarks(low, high int) Option {
 }
 
 // WithMemoryBound caps the governed segment population — live +
-// preparing + spare — at n segments, reserved atomically before any
+// preparing — at n segments, reserved atomically before any
 // allocation so concurrent appends cannot overshoot the cap even
 // transiently. An append that would grow past it sheds with
 // queue.ErrFull (counted as OpSegShed) after pressuring reclamation,
@@ -313,11 +274,6 @@ func WithMemoryBound(n int) Option {
 // bound: 16k segments of the default 256 slots is ~4M in-flight items.
 const defaultMaxSegments = 1 << 14
 
-// defaultSpareSegments pre-arms two segments: enough to cover the
-// common spike shape (one boundary crossing plus one append race) with
-// pool pops while the post-operation replenisher catches up.
-const defaultSpareSegments = 2
-
 // New returns a segmented queue whose rings hold segSize slots each
 // (rounded up to a power of two, minimum 2).
 func New(segSize int, opts ...Option) *Queue {
@@ -329,10 +285,9 @@ func New(segSize int, opts ...Option) *Queue {
 		size <<= 1
 	}
 	q := &Queue{
-		size:     size,
-		mask:     size - 1,
-		stride:   1,
-		spareCap: -1, // sentinel: not configured, use the default
+		size:   size,
+		mask:   size - 1,
+		stride: 1,
 	}
 	for _, o := range opts {
 		o(q)
@@ -353,12 +308,6 @@ func New(segSize int, opts ...Option) *Queue {
 			q.maxSegs = defaultMaxSegments
 		}
 	}
-	if q.spareCap < 0 {
-		q.spareCap = defaultSpareSegments
-	}
-	if q.spareCap > q.maxSegs/2 {
-		q.spareCap = q.maxSegs / 2
-	}
 	q.reg = registry.New(registry.WithYield(q.in.Yield))
 	q.pool = arena.New(q.maxSegs)
 	q.segs = make([]atomic.Pointer[segment], q.maxSegs+1)
@@ -378,12 +327,6 @@ func New(segSize int, opts ...Option) *Queue {
 	q.tailSeg.Store(h)
 	q.liveSegs.Store(1)
 	q.memSegs.Store(1)
-	if q.spareCap > 0 {
-		// Pre-arm the spare pool so the very first boundary crossing —
-		// the seam most overload benchmarks hit first — already pops.
-		q.spares = make([]atomic.Uint64, q.spareCap)
-		q.replenishSpares(nil, q.spareCap)
-	}
 	return q
 }
 
@@ -432,23 +375,15 @@ func (q *Queue) SetOverloadHook(fn func(entered bool, segments int)) { q.overHoo
 // the gauge behind burst-absorption dashboards. At least 1.
 func (q *Queue) Segments() int { return int(q.liveSegs.Load()) }
 
-// PendingSegments counts segments in the preparing state: allocated (or
-// popped from the spare pool) by a producer but not yet linked.
-// Transiently nonzero during appends and replenishes; persistently
-// nonzero only when an appending producer died (the append-orphan case
-// Scavenge reclaims). O(1): maintained as a gauge alongside the state
-// transitions.
+// PendingSegments counts segments in the preparing state: allocated by a
+// producer but not yet linked. Transiently nonzero during appends;
+// persistently nonzero only when an appending producer died (the
+// append-orphan case Scavenge reclaims). O(1): maintained as a gauge
+// alongside the state transitions.
 func (q *Queue) PendingSegments() int { return int(q.prepSegs.Load()) }
 
-// SpareSegments returns the number of prepared segments currently
-// parked in the spare pool.
-func (q *Queue) SpareSegments() int { return int(q.spareDepth.Load()) }
-
-// SpareCapacity returns the configured spare-pool size (0 = disabled).
-func (q *Queue) SpareCapacity() int { return q.spareCap }
-
 // MemorySegments returns the segment population the memory bound
-// governs: live + preparing + spare. With WithMemoryBound(n) set this
+// governs: live + preparing. With WithMemoryBound(n) set this
 // never exceeds n, even transiently — reservations precede allocation.
 func (q *Queue) MemorySegments() int { return int(q.memSegs.Load()) }
 
@@ -460,13 +395,12 @@ func (q *Queue) MemoryBound() int { return q.memBound }
 // the drain back to the low watermark).
 func (q *Queue) SegmentsOverloaded() bool { return q.segOver.Load() }
 
-// SegmentStats returns the five segment gauges as one snapshot (see
+// SegmentStats returns the four segment gauges as one snapshot (see
 // queue.SegmentStats). Each field is its own racy gauge read; the struct
-// does not freeze the queue, it just saves the caller four calls.
+// does not freeze the queue, it just saves the caller three calls.
 func (q *Queue) SegmentStats() queue.SegmentStats {
 	return queue.SegmentStats{
 		Live:       q.Segments(),
-		Spare:      q.SpareSegments(),
 		Pending:    q.PendingSegments(),
 		Memory:     q.MemorySegments(),
 		Overloaded: q.SegmentsOverloaded(),
@@ -484,11 +418,11 @@ func (g *segment) slot(q *Queue, i uint64) *atomic.Uint64 { return &g.slots[int(
 // instants and the chain may grow, shrink, or recycle mid-walk, so the
 // result can lag or lead the true depth by the number of in-flight
 // operations — but it is always non-negative and never reads a torn
-// per-segment count. Two guards make the walk safe against the
-// pool-sourced recycling the spare pool accelerates: a segment whose
-// state is no longer live or preparing (it was retired and recycled
-// into a spare, or freed, after we followed a stale next pointer) ends
-// the walk rather than mixing another incarnation's indices in, and a
+// per-segment count. Two guards make the walk safe against segment
+// recycling: a segment whose state is no longer live or preparing (it
+// was retired and freed, or recycled, after we followed a stale next
+// pointer) ends the walk rather than mixing another incarnation's
+// indices in, and a
 // head/tail pair read across a recycle boundary is clamped to the only
 // range a coherent ring can hold. The walk is bounded by the pool size
 // so a stale chain read can never loop.
@@ -551,25 +485,15 @@ func (q *Queue) reserveMem() bool {
 	}
 }
 
-// allocSegment produces a prepared segment ready for linking. The fast
-// path pops a pre-armed spare — no ring memory touched; on a miss it
-// falls back to reserving against the memory bound and allocating (or
-// recycling) from the pool inline. Returns 0 when the memory bound
-// refuses growth or the pool is exhausted even after giving this
-// session's parked retirees a chance to be reclaimed.
+// allocSegment produces a prepared segment ready for linking: it
+// reserves against the memory bound, then allocates (or recycles) a
+// ring from the pool inline. Returns 0 when the memory bound refuses
+// growth or the pool is exhausted even after giving this session's
+// parked retirees a chance to be reclaimed.
 func (q *Queue) allocSegment(s *Session) uint64 {
 	q.fire()
 	if q.appendFault != nil && q.appendFault() {
 		return 0
-	}
-	if h := q.popSpare(); h != 0 {
-		s.Ctr.Inc(xsync.OpSegSpareHit)
-		s.Tr.Event(trace.OutcomeSpareHit, 1)
-		return h
-	}
-	if q.spareCap > 0 {
-		s.Ctr.Inc(xsync.OpSegSpareMiss)
-		s.Tr.Event(trace.OutcomeSpareMiss, 1)
 	}
 	if !q.reserveMem() {
 		// Memory-bounded shed: growth refused. Pressure reclamation so
@@ -621,71 +545,10 @@ func (q *Queue) prepareSegment(h uint64, ctr xsync.Handle) uint64 {
 	return h
 }
 
-// popSpare claims a prepared segment from the spare pool, moving it
-// spare→preparing. Gauge order matters throughout the spare
-// transitions: the destination population is incremented before the
-// source is decremented, so the memSegs components never transiently
-// undercount and the memory bound cannot be slipped through a seam.
-func (q *Queue) popSpare() uint64 {
-	if q.spareCap == 0 || q.spareDepth.Load() == 0 {
-		return 0
-	}
-	for i := range q.spares {
-		h := q.spares[i].Load()
-		if h == 0 {
-			continue
-		}
-		if q.spares[i].CompareAndSwap(h, 0) {
-			g := q.seg(h)
-			q.prepSegs.Add(1)
-			q.spareDepth.Add(-1)
-			// Fresh beat: the pooled segment's clock aged while parked,
-			// and from here it must look like any in-flight append to
-			// the orphan scavenger.
-			g.beat.Store(q.epoch.Load())
-			g.state.Store(segPreparing)
-			return h
-		}
-	}
-	return 0
-}
-
-// pushSpare parks a prepared segment in the spare pool, moving it
-// preparing→spare. Returns false (and leaves it preparing) when the pool
-// is full — the caller frees the segment instead. The depth is reserved
-// by CAS below the cap before any slot is taken, so racing pushers never
-// lift the gauge past the pool's capacity, even transiently.
-func (q *Queue) pushSpare(h uint64) bool {
-	if q.spareCap == 0 {
-		return false
-	}
-	for {
-		d := q.spareDepth.Load()
-		if d >= int64(q.spareCap) {
-			return false
-		}
-		if q.spareDepth.CompareAndSwap(d, d+1) {
-			break
-		}
-	}
-	g := q.seg(h)
-	g.state.Store(segSpare)
-	q.prepSegs.Add(-1)
-	for i := range q.spares {
-		if q.spares[i].Load() == 0 && q.spares[i].CompareAndSwap(0, h) {
-			return true
-		}
-	}
-	q.prepSegs.Add(1)
-	q.spareDepth.Add(-1)
-	g.state.Store(segPreparing)
-	return false
-}
-
 // freeSegment returns a prepared-but-never-linked segment to the pool:
-// append-race losers that found no spare room, replenish backouts, and
-// (via the scavenger's own path) append orphans. The CAS guards against
-// racing reclaimers; a loser leaves the segment to whoever won.
+// append-race losers and (via the scavenger's own path) append orphans.
+// The CAS guards against racing reclaimers; a loser leaves the segment
+// to whoever won.
 func (q *Queue) freeSegment(h uint64) {
 	if q.seg(h).state.CompareAndSwap(segPreparing, segFree) {
 		q.prepSegs.Add(-1)
@@ -693,49 +556,6 @@ func (q *Queue) freeSegment(h uint64) {
 		q.qctr.Inc(xsync.OpSegFree)
 		q.pool.Free(h)
 	}
-}
-
-// replenishSpares tops the spare pool up by at most n segments. It runs
-// only off the operation latency path — New's pre-arm, the
-// post-operation hook, Detach, and Scavenge — so its ring resets never
-// land inside an admitted operation. s may be nil for the queue-level
-// callers; a nil s just skips the parked-retiree scan on pool
-// exhaustion and books counters to the queue's own handle.
-func (q *Queue) replenishSpares(s *Session, n int) int {
-	if q.spareCap == 0 {
-		return 0
-	}
-	done := 0
-	for done < n && int(q.spareDepth.Load()) < q.spareCap {
-		if q.replenishFault != nil && q.replenishFault() {
-			break
-		}
-		q.fire()
-		if !q.reserveMem() {
-			break // the bound is better spent on live growth
-		}
-		h := q.pool.Alloc()
-		if h == arena.Nil && s != nil {
-			s.rec.Scan()
-			h = q.pool.Alloc()
-		}
-		if h == arena.Nil {
-			q.memSegs.Add(-1)
-			break
-		}
-		ctr := q.qctr
-		if s != nil {
-			ctr = s.Ctr
-		}
-		q.prepareSegment(h, ctr)
-		if !q.pushSpare(h) {
-			// Racing replenishers filled the pool first.
-			q.freeSegment(h)
-			break
-		}
-		done++
-	}
-	return done
 }
 
 // retireState moves a just-unlinked segment to segRetired, decrementing
@@ -852,10 +672,6 @@ func (q *Queue) Scavenge(minAge uint64) int {
 	})
 	n += q.dom.Scavenge(minAge)
 	n += q.scavengeAppends(minAge)
-	// Scavenging freed whatever it could; fold one spare top-up into the
-	// same off-path walk so a pool drained by a spike recovers even when
-	// no enqueuer comes back to replenish it.
-	q.replenishSpares(nil, 1)
 	return n
 }
 
@@ -938,18 +754,10 @@ func (q *Queue) Attach() queue.Session {
 	return s
 }
 
-// Detach releases both records for recycling. Idempotent. A detaching
-// session also tops the spare pool up once — the classic off-path
-// moment — so a worker churn cycle leaves the pool armed.
+// Detach releases both records for recycling. Idempotent.
 func (s *Session) Detach() {
 	if s.varH == 0 {
 		return
-	}
-	if s.rec.Gen() == s.hpGen {
-		s.q.replenishSpares(s, 1)
-	} else {
-		// Revoked hazard record: replenish without the retiree scan.
-		s.q.replenishSpares(nil, 1)
 	}
 	s.q.reg.DeregisterGen(s.varH, s.varGen, s.Ctr)
 	s.varH = 0
@@ -1024,18 +832,11 @@ func (s *Session) Enqueue(v uint64) error {
 		return err
 	}
 	s.prepare()
-	q := s.q
-	if err := q.admitSegments(s); err != nil {
+	if err := s.q.admitSegments(s); err != nil {
 		return err
 	}
 	err := s.Driver.Enqueue(v)
 	s.unpin()
-	if err == nil {
-		// Maintenance runs after the latency measurement closed: the
-		// spare top-up is this operation's contribution to the *next*
-		// spike, not part of its own admitted latency.
-		q.afterEnqueue(s)
-	}
 	return err
 }
 
@@ -1102,12 +903,8 @@ func (q *Queue) appendSegment(s *Session, g *segment, ts uint64) bool {
 			}
 			next = nh
 		} else {
-			// Another producer linked first. Ours is already fully
-			// prepared — park it as a spare rather than discard the reset
-			// work; free only when the pool has no room.
-			if !q.pushSpare(nh) {
-				q.freeSegment(nh)
-			}
+			// Another producer linked first: return ours to the pool.
+			q.freeSegment(nh)
 			next = g.next.Load()
 		}
 	}
@@ -1144,15 +941,6 @@ func (q *Queue) unlinkHead(s *Session, g *segment, hs uint64) bool {
 		s.rec.Retire(hs)
 	}
 	return true
-}
-
-// afterEnqueue is the post-operation maintenance hook, run after an
-// enqueue's latency measurement closes: top the spare pool back up by at
-// most one segment. With the pool full the cost is one atomic load.
-func (q *Queue) afterEnqueue(s *Session) {
-	if q.spareCap > 0 && int(q.spareDepth.Load()) < q.spareCap {
-		q.replenishSpares(s, 1)
-	}
 }
 
 // enqueueRound runs one Figure 5 Enqueue attempt against ring g, with
@@ -1518,9 +1306,6 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	}
 	s.rec.Clear(hpSeg)
 	s.DoneEnqBatch(start, filled, err)
-	if filled > 0 {
-		q.afterEnqueue(s) // off the measured path; see Enqueue
-	}
 	return filled, err
 }
 

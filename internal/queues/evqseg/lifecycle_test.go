@@ -48,7 +48,7 @@ func TestStragglerDrain(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := xsync.NewCounters()
-			q := New(4, WithSpareSegments(0), WithCounters(c))
+			q := New(4, WithCounters(c))
 			s := q.Attach().(*Session)
 			defer s.Detach()
 			for v := uint64(2); v <= 8; v += 2 {
@@ -214,13 +214,13 @@ func TestChaosStormMidAppend(t *testing.T) {
 		t.Fatalf("Orphans(2) = %d after scavenge, want 0", got)
 	}
 	live := q.pool.Live()
-	acct := q.Segments() + q.dom.Parked() + q.SpareSegments() + q.PendingSegments()
+	acct := q.Segments() + q.dom.Parked() + q.PendingSegments()
 	if live != acct {
-		t.Fatalf("pool accounting broken: %d handles live, %d accounted (live segments + parked + spares + pending); segments leaked",
+		t.Fatalf("pool accounting broken: %d handles live, %d accounted (live segments + parked + pending); segments leaked",
 			live, acct)
 	}
-	t.Logf("storm: %d abandoned (%d enq, %d deq), %d scavenged, %d segments live, %d parked, %d spare, %d steps",
-		rep.Abandoned, rep.AbandonedEnq, rep.AbandonedDeq, rep.Scavenged, q.Segments(), q.dom.Parked(), q.SpareSegments(), rep.Steps)
+	t.Logf("storm: %d abandoned (%d enq, %d deq), %d scavenged, %d segments live, %d parked, %d steps",
+		rep.Abandoned, rep.AbandonedEnq, rep.AbandonedDeq, rep.Scavenged, q.Segments(), q.dom.Parked(), rep.Steps)
 }
 
 // TestChaosDelayStorm widens the close/finalize race windows with

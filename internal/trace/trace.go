@@ -5,8 +5,8 @@
 // aggregate questions — how many CAS per op, what is the p99.9 — the
 // flight recorder answers the individual ones the aggregates fold away:
 // which enqueue ate 40 retry rounds before its deadline, whether the p99.9
-// straggler was a deadline abort or a spare-pool miss that zeroed a
-// ring inline.
+// straggler was a deadline abort or a segment-boundary crossing that
+// zeroed a ring inline.
 //
 // # Recording policy
 //
@@ -16,7 +16,7 @@
 // common case adds nothing beyond the branch that notices it was not
 // sampled. The outcome that ends a pathological operation — ErrDeadline
 // — and the segment lifecycle events
-// (grow, spare-pool hit/miss) are recorded unconditionally: they are
+// (grow, scavenge) are recorded unconditionally: they are
 // rare by construction (each ends a long retry loop or a segment
 // boundary crossing), and they are precisely the records a postmortem
 // needs complete. Hot shed paths (ErrFull, ErrOverloaded, segment
@@ -58,8 +58,8 @@ const (
 	// the element count that took effect.
 	KindEnqueueBatch
 	KindDequeueBatch
-	// KindEvent marks queue-lifecycle records (segment grow, spare-pool
-	// traffic, scavenges); the Outcome says which, Record.N the
+	// KindEvent marks queue-lifecycle records (segment grow,
+	// scavenges); the Outcome says which, Record.N the
 	// magnitude.
 	KindEvent
 )
@@ -105,13 +105,6 @@ const (
 	// OutcomeSegGrow is a segment append: the tail ring filled and the
 	// chain grew; N is the live segment count after (always recorded).
 	OutcomeSegGrow
-	// OutcomeSpareHit is a segment append served from the pre-armed
-	// spare pool (always recorded).
-	OutcomeSpareHit
-	// OutcomeSpareMiss is a segment append that found the spare pool
-	// empty and allocated inline — the overload-tail contributor PR-6
-	// hunted (always recorded).
-	OutcomeSpareMiss
 	// OutcomeScavenge is a ScavengeOrphans pass that reclaimed N
 	// presumed-dead session records (always recorded).
 	OutcomeScavenge
@@ -134,10 +127,6 @@ func (o Outcome) String() string {
 		return "segment-shed"
 	case OutcomeSegGrow:
 		return "segment-grow"
-	case OutcomeSpareHit:
-		return "spare-hit"
-	case OutcomeSpareMiss:
-		return "spare-miss"
 	case OutcomeScavenge:
 		return "scavenge"
 	default:
@@ -148,12 +137,12 @@ func (o Outcome) String() string {
 // Rare reports whether records with this outcome are written
 // unconditionally rather than on the sampled beat. Rare outcomes either
 // end a long retry loop (deadline) or fire at
-// segment-boundary cadence (grow, spare traffic, scavenge), so recording
+// segment-boundary cadence (grow, scavenge), so recording
 // every one costs nothing measurable and gives the postmortem a complete
 // set; everything else — including the hot shed paths — stays sampled.
 func (o Outcome) Rare() bool {
 	switch o {
-	case OutcomeDeadline, OutcomeSegGrow, OutcomeSpareHit, OutcomeSpareMiss, OutcomeScavenge:
+	case OutcomeDeadline, OutcomeSegGrow, OutcomeScavenge:
 		return true
 	}
 	return false

@@ -49,14 +49,14 @@ func TestSampledAndRareRecording(t *testing.T) {
 	// Batch kind carries N.
 	h.Op(start, KindEnqueueBatch, OutcomeOK, 0, 0, 64)
 	// Event.
-	h.Event(OutcomeSpareMiss, 5)
+	h.Event(OutcomeSegGrow, 5)
 
 	recs := r.Snapshot()
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
 	counts := CountByOutcome(recs)
-	if counts["deadline"] != 1 || counts["ok"] != 2 || counts["spare-miss"] != 1 {
+	if counts["deadline"] != 1 || counts["ok"] != 2 || counts["segment-grow"] != 1 {
 		t.Fatalf("bad outcome counts: %v", counts)
 	}
 	for _, rec := range recs {
@@ -80,7 +80,7 @@ func TestSampledAndRareRecording(t *testing.T) {
 				t.Fatalf("batch record lost N: %+v", rec)
 			}
 		case rec.Kind == KindEvent:
-			if rec.Outcome != OutcomeSpareMiss || rec.N != 5 {
+			if rec.Outcome != OutcomeSegGrow || rec.N != 5 {
 				t.Fatalf("event record mangled: %+v", rec)
 			}
 		}

@@ -52,20 +52,13 @@ const (
 	// ErrDeadline because their session deadline passed.
 	OpDeadline
 	// OpSegFree counts prepared-but-never-linked segments returned to the
-	// pool by the segmented queue (append-race losers that found no spare
-	// room, replenish backouts, and scavenged append orphans).
+	// pool by the segmented queue (append-race losers and scavenged
+	// append orphans).
 	OpSegFree
 	// OpSegShed counts enqueues the segmented queue refused because
 	// segment-count watermarks or the memory bound converted would-be
 	// growth into shedding.
 	OpSegShed
-	// OpSegSpareHit counts segment appends served by popping a pre-armed
-	// segment from the spare pool (no ring memory touched on the hot
-	// path).
-	OpSegSpareHit
-	// OpSegSpareMiss counts segment appends that found the spare pool
-	// empty and fell back to allocating or recycling inline.
-	OpSegSpareMiss
 
 	numOpKinds
 )
@@ -107,10 +100,6 @@ func (k OpKind) String() string {
 		return "seg-free"
 	case OpSegShed:
 		return "seg-shed"
-	case OpSegSpareHit:
-		return "seg-spare-hit"
-	case OpSegSpareMiss:
-		return "seg-spare-miss"
 	default:
 		return "unknown"
 	}

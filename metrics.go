@@ -84,44 +84,35 @@ type Snapshot struct {
 	SegmentRecycles uint64
 	SegmentRetires  uint64
 	// SegmentFrees counts prepared-but-never-linked segments returned
-	// straight to the pool (append-race losers with no spare-pool room,
-	// replenish backouts, scavenged append orphans).
+	// straight to the pool (append-race losers and scavenged append
+	// orphans).
 	SegmentFrees uint64
 	// SegmentSheds counts enqueues AlgorithmSegmented refused because
 	// segment-count watermarks (WithSegmentWatermarks) or the memory
 	// bound (WithMemoryBound) converted would-be growth into shedding.
 	SegmentSheds uint64
-	// SpareSegmentHits and SpareSegmentMisses trace the WithSpareSegments
-	// pool: appends served by popping a pre-armed segment (no ring memory
-	// touched on the admitted path) versus appends that found the pool
-	// empty and fell back to inline allocation. A rising miss share under
-	// load means the pool is undersized for the burst cadence.
-	SpareSegmentHits   uint64
-	SpareSegmentMisses uint64
 }
 
 // Snapshot returns the current totals.
 func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
-		Enqueues:           m.c.Total(xsync.OpEnqueue),
-		Dequeues:           m.c.Total(xsync.OpDequeue),
-		CASAttempts:        m.c.Total(xsync.OpCASAttempt),
-		CASSuccesses:       m.c.Total(xsync.OpCASSuccess),
-		FetchAndAdds:       m.c.Total(xsync.OpFAA),
-		LLs:                m.c.Total(xsync.OpLL),
-		SCAttempts:         m.c.Total(xsync.OpSCAttempt),
-		SCSuccesses:        m.c.Total(xsync.OpSCSuccess),
-		DeadlineAborts:     m.c.Total(xsync.OpDeadline),
-		OverloadSheds:      m.c.Total(xsync.OpOverload),
-		OrphansScavenged:   m.c.Total(xsync.OpScavenge),
-		LeakedSessions:     m.c.Total(xsync.OpLeak),
-		SegmentAllocs:      m.c.Total(xsync.OpSegAlloc),
-		SegmentRecycles:    m.c.Total(xsync.OpSegRecycle),
-		SegmentRetires:     m.c.Total(xsync.OpSegRetire),
-		SegmentFrees:       m.c.Total(xsync.OpSegFree),
-		SegmentSheds:       m.c.Total(xsync.OpSegShed),
-		SpareSegmentHits:   m.c.Total(xsync.OpSegSpareHit),
-		SpareSegmentMisses: m.c.Total(xsync.OpSegSpareMiss),
+		Enqueues:         m.c.Total(xsync.OpEnqueue),
+		Dequeues:         m.c.Total(xsync.OpDequeue),
+		CASAttempts:      m.c.Total(xsync.OpCASAttempt),
+		CASSuccesses:     m.c.Total(xsync.OpCASSuccess),
+		FetchAndAdds:     m.c.Total(xsync.OpFAA),
+		LLs:              m.c.Total(xsync.OpLL),
+		SCAttempts:       m.c.Total(xsync.OpSCAttempt),
+		SCSuccesses:      m.c.Total(xsync.OpSCSuccess),
+		DeadlineAborts:   m.c.Total(xsync.OpDeadline),
+		OverloadSheds:    m.c.Total(xsync.OpOverload),
+		OrphansScavenged: m.c.Total(xsync.OpScavenge),
+		LeakedSessions:   m.c.Total(xsync.OpLeak),
+		SegmentAllocs:    m.c.Total(xsync.OpSegAlloc),
+		SegmentRecycles:  m.c.Total(xsync.OpSegRecycle),
+		SegmentRetires:   m.c.Total(xsync.OpSegRetire),
+		SegmentFrees:     m.c.Total(xsync.OpSegFree),
+		SegmentSheds:     m.c.Total(xsync.OpSegShed),
 	}
 }
 
@@ -273,24 +264,22 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		return a - b
 	}
 	return Snapshot{
-		Enqueues:           sub(s.Enqueues, prev.Enqueues),
-		Dequeues:           sub(s.Dequeues, prev.Dequeues),
-		CASAttempts:        sub(s.CASAttempts, prev.CASAttempts),
-		CASSuccesses:       sub(s.CASSuccesses, prev.CASSuccesses),
-		FetchAndAdds:       sub(s.FetchAndAdds, prev.FetchAndAdds),
-		LLs:                sub(s.LLs, prev.LLs),
-		SCAttempts:         sub(s.SCAttempts, prev.SCAttempts),
-		SCSuccesses:        sub(s.SCSuccesses, prev.SCSuccesses),
-		DeadlineAborts:     sub(s.DeadlineAborts, prev.DeadlineAborts),
-		OverloadSheds:      sub(s.OverloadSheds, prev.OverloadSheds),
-		OrphansScavenged:   sub(s.OrphansScavenged, prev.OrphansScavenged),
-		LeakedSessions:     sub(s.LeakedSessions, prev.LeakedSessions),
-		SegmentAllocs:      sub(s.SegmentAllocs, prev.SegmentAllocs),
-		SegmentRecycles:    sub(s.SegmentRecycles, prev.SegmentRecycles),
-		SegmentRetires:     sub(s.SegmentRetires, prev.SegmentRetires),
-		SegmentFrees:       sub(s.SegmentFrees, prev.SegmentFrees),
-		SegmentSheds:       sub(s.SegmentSheds, prev.SegmentSheds),
-		SpareSegmentHits:   sub(s.SpareSegmentHits, prev.SpareSegmentHits),
-		SpareSegmentMisses: sub(s.SpareSegmentMisses, prev.SpareSegmentMisses),
+		Enqueues:         sub(s.Enqueues, prev.Enqueues),
+		Dequeues:         sub(s.Dequeues, prev.Dequeues),
+		CASAttempts:      sub(s.CASAttempts, prev.CASAttempts),
+		CASSuccesses:     sub(s.CASSuccesses, prev.CASSuccesses),
+		FetchAndAdds:     sub(s.FetchAndAdds, prev.FetchAndAdds),
+		LLs:              sub(s.LLs, prev.LLs),
+		SCAttempts:       sub(s.SCAttempts, prev.SCAttempts),
+		SCSuccesses:      sub(s.SCSuccesses, prev.SCSuccesses),
+		DeadlineAborts:   sub(s.DeadlineAborts, prev.DeadlineAborts),
+		OverloadSheds:    sub(s.OverloadSheds, prev.OverloadSheds),
+		OrphansScavenged: sub(s.OrphansScavenged, prev.OrphansScavenged),
+		LeakedSessions:   sub(s.LeakedSessions, prev.LeakedSessions),
+		SegmentAllocs:    sub(s.SegmentAllocs, prev.SegmentAllocs),
+		SegmentRecycles:  sub(s.SegmentRecycles, prev.SegmentRecycles),
+		SegmentRetires:   sub(s.SegmentRetires, prev.SegmentRetires),
+		SegmentFrees:     sub(s.SegmentFrees, prev.SegmentFrees),
+		SegmentSheds:     sub(s.SegmentSheds, prev.SegmentSheds),
 	}
 }

@@ -144,20 +144,16 @@ type config struct {
 	hook       func(Event)
 	// instr carries the retry policy (backoff, yield hook) to the
 	// word-level queue; newInner adds the metric sinks.
-	instr          queue.Instr
-	lowWater       int
-	highWater      int
-	wmSet          bool
-	spareSegs      int
-	spareSet       bool
-	memBound       int
-	replenishFault func() bool
-	replenishSet   bool
-	segLow         int
-	segHigh        int
-	segWmSet       bool
-	tracePerRing   int
-	traceSet       bool
+	instr        queue.Instr
+	lowWater     int
+	highWater    int
+	wmSet        bool
+	memBound     int
+	segLow       int
+	segHigh      int
+	segWmSet     bool
+	tracePerRing int
+	traceSet     bool
 	// rec is the flight recorder newInner builds when traceSet; New
 	// stores it on the Queue for TraceSnapshot.
 	rec *trace.Recorder
@@ -267,42 +263,8 @@ func WithWatermarks(low, high int) Option {
 	}
 }
 
-// WithSpareSegments sets the spare-segment pool size of
-// AlgorithmSegmented: n prepared ring segments are kept pre-armed so a
-// burst that crosses a segment boundary pops a ready segment instead of
-// allocating or resetting ring memory inside the admitted enqueue — the
-// single largest contributor to the segmented queue's overload tail
-// latency. The pool is replenished off the latency path (after
-// successful enqueues, on Detach, and by ScavengeOrphans). n == 0
-// disables the pool; unset, the algorithm default (2) applies. New
-// rejects a negative n and any use with another algorithm.
-func WithSpareSegments(n int) Option {
-	return func(c *config) {
-		c.spareSegs = n
-		c.spareSet = true
-	}
-}
-
-// WithReplenishFault installs a chaos hook on AlgorithmSegmented's
-// spare-pool replenishment: each off-path replenish attempt consults f
-// and a true return makes that attempt fail silently, as if the
-// allocator were exhausted, leaving the spare pool shallower than its
-// capacity. Replenish failure is never an operation error — appends
-// fall back to inline allocation on a spare miss (counted in
-// Snapshot.SpareSegmentMisses) — so the hook models an allocation
-// outage degrading the queue to exactly its pre-pool latency profile.
-// The pipeline fault matrix uses it for the replenish-outage cell; nil
-// (the default) disables the hook. New rejects any use with another
-// algorithm.
-func WithReplenishFault(f func() bool) Option {
-	return func(c *config) {
-		c.replenishFault = f
-		c.replenishSet = true
-	}
-}
-
-// WithMemoryBound caps AlgorithmSegmented's segment population — live,
-// preparing, and pooled spare segments together — at n segments,
+// WithMemoryBound caps AlgorithmSegmented's segment population — live
+// and preparing segments together — at n segments,
 // reserved atomically before any allocation so concurrent growth can
 // never overshoot the cap, even transiently. An enqueue that would grow
 // past it sheds with ErrFull (after pressuring segment reclamation so
@@ -446,14 +408,6 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 	if c.segSet && c.segSize <= 0 {
 		return nil, c, fmt.Errorf("nbqueue: WithSegmentSize(%d) must be positive", c.segSize)
 	}
-	if c.spareSet {
-		if c.algorithm != AlgorithmSegmented {
-			return nil, c, fmt.Errorf("nbqueue: WithSpareSegments requires AlgorithmSegmented, not %q", c.algorithm)
-		}
-		if c.spareSegs < 0 {
-			return nil, c, fmt.Errorf("nbqueue: WithSpareSegments(%d) is negative; use 0 to disable the pool", c.spareSegs)
-		}
-	}
 	if c.memBound != 0 {
 		if c.algorithm != AlgorithmSegmented {
 			return nil, c, fmt.Errorf("nbqueue: WithMemoryBound requires AlgorithmSegmented, not %q", c.algorithm)
@@ -461,9 +415,6 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 		if c.memBound < 0 {
 			return nil, c, fmt.Errorf("nbqueue: WithMemoryBound(%d) must be positive", c.memBound)
 		}
-	}
-	if c.replenishSet && c.algorithm != AlgorithmSegmented {
-		return nil, c, fmt.Errorf("nbqueue: WithReplenishFault requires AlgorithmSegmented, not %q", c.algorithm)
 	}
 	if c.segWmSet {
 		if c.algorithm != AlgorithmSegmented {
@@ -496,29 +447,20 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 		ctrs = c.metrics.counters()
 		c.instr.Hists = c.metrics.histograms()
 	}
-	spare := 0
-	if c.spareSet {
-		spare = c.spareSegs
-		if spare == 0 {
-			spare = -1 // explicit disable, distinct from "use the default"
-		}
-	}
 	if c.traceSet {
 		c.rec = trace.New(c.tracePerRing)
 		c.instr.Trace = c.rec
 	}
 	inner := algo.New(bench.Config{
-		Capacity:       c.capacity,
-		MaxThreads:     c.maxThreads,
-		Counters:       ctrs,
-		Instr:          c.instr,
-		Unbounded:      c.unbounded,
-		SegSize:        c.segSize,
-		SpareSegments:  spare,
-		MemoryBound:    c.memBound,
-		ReplenishFault: c.replenishFault,
-		SegLow:         c.segLow,
-		SegHigh:        c.segHigh,
+		Capacity:    c.capacity,
+		MaxThreads:  c.maxThreads,
+		Counters:    ctrs,
+		Instr:       c.instr,
+		Unbounded:   c.unbounded,
+		SegSize:     c.segSize,
+		MemoryBound: c.memBound,
+		SegLow:      c.segLow,
+		SegHigh:     c.segHigh,
 	})
 	if c.hook != nil {
 		name := inner.Name()
@@ -941,9 +883,9 @@ func (q *Queue[T]) Len() (n int, ok bool) {
 }
 
 // SegmentStats is one coherent snapshot of AlgorithmSegmented's segment
-// accounting: live chain length, spare-pool depth, preparing-state
-// segments, the memory-bound-governed population, and whether
-// segment-watermark admission is currently shedding. Callers read the
+// accounting: live chain length, preparing-state segments, the
+// memory-bound-governed population, and whether segment-watermark
+// admission is currently shedding. Callers read the
 // struct once instead of sequencing one call per gauge, and Fabric sums
 // it across shards.
 type SegmentStats = queue.SegmentStats

@@ -314,12 +314,11 @@ func TestLaneAllocatedBytes(t *testing.T) {
 // TestSegmentedLaneBytes is the bytes-per-layer row for one pipeline
 // lane, an AlgorithmSegmented Queue[*T] of capacity 4096, which takes
 // the default segment size. New plus its first Attach may allocate
-// three rings (the live one and two pre-armed spares), the handle pool
-// and segment table sized for the pool, one payload chunk and 2 KiB of
-// bookkeeping, against the 32 KiB ring of the evq-cas lane above. At a
-// steady depth the ring wraps instead of growing, so after 100k
-// enqueue/dequeue pairs at depth 8 the queue has allocated no segment
-// beyond the pre-armed spares.
+// one ring (the live one), the handle pool and segment table sized for
+// the pool, one payload chunk and 2 KiB of bookkeeping, against the
+// 32 KiB ring of the evq-cas lane above. At a steady depth the ring
+// wraps instead of growing, so after 100k enqueue/dequeue pairs at
+// depth 8 the queue has allocated and retired no segment.
 func TestSegmentedLaneBytes(t *testing.T) {
 	type item struct{ n int }
 	const capacity = 4096
@@ -346,10 +345,10 @@ func TestSegmentedLaneBytes(t *testing.T) {
 	if segSize != 256 {
 		t.Fatalf("default segment size at capacity %d is %d, want 256", capacity, segSize)
 	}
-	rings := 3 * uint64(segSize) * uint64(unsafe.Sizeof(uint64(0)))
+	ring := uint64(segSize) * uint64(unsafe.Sizeof(uint64(0)))
 	pool := uint64(unsafe.Sizeof(arena.Arena{})) + uint64(handles+1)*uint64(unsafe.Sizeof(arena.Node{}))
 	table := uint64(handles+1) * uint64(unsafe.Sizeof(uintptr(0)))
-	ceiling := rings + pool + table + nbqueue.PayloadChunkBytes[*item]() + 2<<10
+	ceiling := ring + pool + table + nbqueue.PayloadChunkBytes[*item]() + 2<<10
 	t.Logf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
 	if got > ceiling {
 		t.Errorf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
@@ -359,8 +358,6 @@ func TestSegmentedLaneBytes(t *testing.T) {
 	q = newLane(m)
 	s := q.Attach()
 	defer s.Detach()
-	ss, _ := q.SegmentStats()
-	spares := ss.Spare
 	v := &item{}
 	const depth, pairs = 8, 100_000
 	for i := 0; i < depth; i++ {
@@ -377,9 +374,9 @@ func TestSegmentedLaneBytes(t *testing.T) {
 		}
 	}
 	snap := m.Snapshot()
-	t.Logf("after %d pairs at depth %d: %d segment allocs, %d retires, %d spares", pairs, depth, snap.SegmentAllocs, snap.SegmentRetires, spares)
-	if snap.SegmentAllocs != uint64(spares) || snap.SegmentRetires != 0 {
-		t.Errorf("after %d pairs at depth %d: %d segment allocs and %d retires, want %d (the pre-armed spares) and 0",
-			pairs, depth, snap.SegmentAllocs, snap.SegmentRetires, spares)
+	t.Logf("after %d pairs at depth %d: %d segment allocs, %d retires", pairs, depth, snap.SegmentAllocs, snap.SegmentRetires)
+	if snap.SegmentAllocs != 0 || snap.SegmentRetires != 0 {
+		t.Errorf("after %d pairs at depth %d: %d segment allocs and %d retires, want 0 and 0",
+			pairs, depth, snap.SegmentAllocs, snap.SegmentRetires)
 	}
 }

@@ -22,8 +22,7 @@ type TraceRecord struct {
 	Kind string `json:"kind"`
 	// Outcome says how the operation ended ("ok", "full", "deadline",
 	// "overloaded", "segment-shed") or which
-	// lifecycle event fired ("segment-grow", "spare-hit", "spare-miss",
-	// "scavenge").
+	// lifecycle event fired ("segment-grow", "scavenge").
 	Outcome string `json:"outcome"`
 	// Retries is the number of fruitless retry-loop iterations the
 	// operation burned before ending.
@@ -49,7 +48,7 @@ type TraceRecord struct {
 // already gate: one in 2^5 operations per session records (with
 // latency), so the steady-state cost is a branch on the hot path and
 // one ring write per 32 operations. The outcome that ends a
-// pathological operation — ErrDeadline — and the segment lifecycle (grow, spare-pool hit/miss, scavenge) are recorded
+// pathological operation — ErrDeadline — and the segment lifecycle (grow, scavenge) are recorded
 // unconditionally, so a postmortem sees every one of them; hot shed
 // outcomes (ErrFull, ErrOverloaded, segment-watermark sheds) stay
 // sampled so the recorder cannot become its own overload problem.
@@ -118,7 +117,7 @@ func (q *Queue[T]) TraceWritten() uint64 { return q.rec.Written() }
 
 // SetTraceLogContext links the flight recorder to Go's execution
 // tracer: while runtime/trace is collecting, rare-outcome records
-// (deadline, spare misses …) additionally emit a
+// (deadline, segment grows …) additionally emit a
 // trace.Log event under ctx — typically a context carrying a
 // runtime/trace.Task per queue — so a stall in `go tool trace` is
 // attributable to the specific operation's retry storm. nil detaches.

@@ -85,7 +85,7 @@ func TestTraceSnapshotRecordsOutcomes(t *testing.T) {
 				if r.Algorithm != q.Algorithm() {
 					t.Fatalf("record algorithm %q, want %q", r.Algorithm, q.Algorithm())
 				}
-				// Segment lifecycle events (grow, spare hits) are fine on
+				// Segment lifecycle events (grow) are fine on
 				// evq-seg; operation records must all be ok.
 				if r.Kind != "event" && r.Outcome != "ok" {
 					t.Fatalf("unexpected outcome %q on an uncontended run", r.Outcome)
@@ -252,7 +252,7 @@ func TestTraceRecordsContendedAlways(t *testing.T) {
 // ordering never tears.
 func TestTraceSnapshotRacesDetach(t *testing.T) {
 	m := nbqueue.NewMetrics()
-	// Segmented: Detach races segment-grow/spare events, not just op
+	// Segmented: Detach races segment-grow events, not just op
 	// records.
 	q, err := nbqueue.New[int](
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
