@@ -19,6 +19,10 @@
 // implement orphan scavenging are scavenged on every audit tick. The run
 // fails on space-bound violations or on conservation drift beyond what
 // the abandonment count can account for.
+//
+// Both drills fail, naming the algorithm, the drill and the seed, when
+// their workers complete no operation for 10 s: a queue operation that
+// never returns fails the run instead of hanging it.
 package main
 
 import (
@@ -112,7 +116,7 @@ func run(args []string, out io.Writer) error {
 		case *crash:
 			err = soakCrash(out, st, key, *duration, *threads, *capacity, *audit, *batch, *seed)
 		default:
-			err = soak(out, st, key, *duration, *threads, *capacity, *audit, *rotate, *batch)
+			err = soak(out, st, key, *duration, *threads, *capacity, *audit, *rotate, *batch, *seed)
 		}
 		if err != nil {
 			return err
@@ -398,8 +402,8 @@ func instrument(st *statsServer, key string, cfg *bench.Config) func(q queue.Que
 // batch > 1 each worker operation moves up to batch values through
 // queue.EnqueueBatch/DequeueBatch (native on the Evequoz family,
 // fallback loop elsewhere).
-func soak(out io.Writer, st *statsServer, key string, d time.Duration, threads, capacity int, auditEvery time.Duration, rotate, batch int) error {
-	entry, err := bench.Lookup(key)
+func soak(out io.Writer, st *statsServer, key string, d time.Duration, threads, capacity int, auditEvery time.Duration, rotate, batch int, seed int64) error {
+	entry, err := lookup(key)
 	if err != nil {
 		return err
 	}
@@ -411,6 +415,7 @@ func soak(out io.Writer, st *statsServer, key string, d time.Duration, threads, 
 
 	var ops, rotations atomic.Int64
 	var produced, consumed atomic.Int64
+	wd := watchdog{name: fmt.Sprintf("%s soak drill (seed=%d)", key, seed), ops: &ops}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
@@ -464,17 +469,29 @@ loop:
 		case <-ticker.C:
 			if err := auditLive(q, a); err != nil {
 				close(stop)
-				wg.Wait()
+				if werr := wd.await("stopping the workers", wg.Wait); werr != nil {
+					return werr
+				}
 				return fmt.Errorf("%s: audit failed: %w", key, err)
+			}
+			if err := wd.tick(); err != nil {
+				close(stop)
+				return err
 			}
 			audits++
 		}
 	}
 	close(stop)
-	wg.Wait()
+	if err := wd.await("stopping the workers", wg.Wait); err != nil {
+		return err
+	}
 
 	// Final audit at quiescence: drain and check conservation.
-	drained := drain(q.Attach, a.Free)
+	workerOps := ops.Load()
+	var drained int
+	if err := wd.await("draining", func() { drained = drain(q.Attach, countFree(a, &ops)) }); err != nil {
+		return err
+	}
 	if live := a.Live(); live != 0 {
 		return fmt.Errorf("%s: %d arena nodes leaked after drain", key, live)
 	}
@@ -482,7 +499,7 @@ loop:
 		return fmt.Errorf("%s: conservation broken: produced-consumed-drained = %d", key, got)
 	}
 	fmt.Fprintf(out, "%-18s ok: ops=%d produced=%d consumed=%d drained=%d rotations=%d audits=%d\n",
-		key, ops.Load(), produced.Load(), consumed.Load(), drained, rotations.Load(), audits)
+		key, workerOps, produced.Load(), consumed.Load(), drained, rotations.Load(), audits)
 	return nil
 }
 
@@ -495,7 +512,7 @@ loop:
 // space audits are the relaxed crash versions: drift and leaks must stay
 // within the abandonment budget.
 func soakCrash(out io.Writer, st *statsServer, key string, d time.Duration, threads, capacity int, auditEvery time.Duration, batch int, seed int64) error {
-	entry, err := bench.Lookup(key)
+	entry, err := lookup(key)
 	if err != nil {
 		return err
 	}
@@ -523,6 +540,7 @@ func soakCrash(out io.Writer, st *statsServer, key string, d time.Duration, thre
 
 	var ops, produced, consumed, abandoned, scavenged atomic.Int64
 	var lastAbandon atomic.Int64
+	wd := watchdog{name: fmt.Sprintf("%s crash drill (seed=%d)", key, seed), ops: &ops}
 	stop := make(chan struct{})
 	in.Arm()
 
@@ -609,15 +627,23 @@ loop:
 			}
 			if err := auditCrash(q, a, threads, int(abandoned.Load())); err != nil {
 				close(stop)
-				wg.Wait()
+				if werr := wd.await("stopping the workers", wg.Wait); werr != nil {
+					return werr
+				}
 				<-killDone
 				return fail("crash audit failed: %v", err)
+			}
+			if err := wd.tick(); err != nil {
+				close(stop)
+				return err
 			}
 			audits++
 		}
 	}
 	close(stop)
-	wg.Wait()
+	if err := wd.await("stopping the workers", wg.Wait); err != nil {
+		return err
+	}
 	<-killDone
 	in.Disarm()
 
@@ -628,7 +654,11 @@ loop:
 		}
 		scavenged.Add(int64(sc.Scavenge(2)))
 	}
-	drained := drain(q.Attach, a.Free)
+	workerOps := ops.Load()
+	var drained int
+	if err := wd.await("draining", func() { drained = drain(q.Attach, countFree(a, &ops)) }); err != nil {
+		return err
+	}
 
 	// A session killed mid-operation can strand up to one value in
 	// single-op mode and up to a whole in-flight batch in batch mode —
@@ -643,8 +673,75 @@ loop:
 		return fail("conservation drift %d exceeds abandonment budget %d", drift, abCap)
 	}
 	fmt.Fprintf(out, "%-18s ok (crash): ops=%d produced=%d consumed=%d drained=%d abandoned=%d scavenged=%d audits=%d\n",
-		key, ops.Load(), produced.Load(), consumed.Load(), drained, ab, scavenged.Load(), audits)
+		key, workerOps, produced.Load(), consumed.Load(), drained, ab, scavenged.Load(), audits)
 	return nil
+}
+
+// lookup resolves an algorithm key for the soak and crash drills; tests
+// replace it to drill a stub queue.
+var lookup = bench.Lookup
+
+// stallTimeout bounds how long a soak or crash drill's workers may go
+// without completing an operation.
+var stallTimeout = 10 * time.Second
+
+// watchdog fails a soak or crash drill that stops completing
+// operations, as internal/bench's stall fails a stuck harness worker: a
+// queue operation that never returns would otherwise hang the drill and
+// whatever runs it. ops counts the operations the workers, and then the
+// final drain, complete; name carries the algorithm, the drill and the
+// seed into the error. Goroutines stuck inside an operation are left
+// running.
+type watchdog struct {
+	name  string
+	ops   *atomic.Int64
+	last  int64
+	since time.Time
+}
+
+// tick fails once ops has not moved for stallTimeout.
+func (w *watchdog) tick() error {
+	n, now := w.ops.Load(), time.Now()
+	if n != w.last || w.since.IsZero() {
+		w.last, w.since = n, now
+		return nil
+	}
+	if d := now.Sub(w.since); d > stallTimeout {
+		return fmt.Errorf("%s: workers completed no operation for %v", w.name, d.Round(time.Millisecond))
+	}
+	return nil
+}
+
+// await runs f, the wait for the stopped workers or the final drain,
+// and fails when ops stops moving for stallTimeout before f returns.
+func (w *watchdog) await(what string, f func()) error {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	poll := time.NewTicker(stallTimeout / 10)
+	defer poll.Stop()
+	w.since = time.Time{}
+	for {
+		select {
+		case <-done:
+			return nil
+		case <-poll.C:
+			if err := w.tick(); err != nil {
+				return fmt.Errorf("%w while %s", err, what)
+			}
+		}
+	}
+}
+
+// countFree returns a drain callback that frees each value to a and
+// counts it as a completed operation.
+func countFree(a *arena.Arena, ops *atomic.Int64) func(uint64) {
+	return func(h uint64) {
+		a.Free(h)
+		ops.Add(1)
+	}
 }
 
 // step runs one soak worker operation: a producer allocates arena

@@ -7,8 +7,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"nbqueue/internal/bench"
+	"nbqueue/internal/queue"
 )
 
 // counterValue parses `name{labels} 123` exposition lines matching the
@@ -150,6 +154,70 @@ func TestSoakShortAll(t *testing.T) {
 	}
 	if got := strings.Count(sb.String(), "ok:"); got < 8 {
 		t.Errorf("expected 8 algorithm reports, got %d:\n%s", got, sb.String())
+	}
+}
+
+// stuckQueue accepts every value and answers Dequeue with empty, except
+// that its Dequeue call number stuckAt, or every call when stuckAt is 0,
+// does not return until release is closed: a stand-in for an operation
+// that never completes.
+type stuckQueue struct {
+	release chan struct{}
+	stuckAt int64
+	calls   atomic.Int64
+}
+
+func (q *stuckQueue) Attach() queue.Session { return stuckSession{q} }
+func (q *stuckQueue) Capacity() int         { return 0 }
+func (q *stuckQueue) Name() string          { return "stuck" }
+
+type stuckSession struct{ q *stuckQueue }
+
+func (stuckSession) Enqueue(uint64) error { return nil }
+func (s stuckSession) Dequeue() (uint64, bool) {
+	if n := s.q.calls.Add(1); s.q.stuckAt == 0 || n == s.q.stuckAt {
+		<-s.q.release
+	}
+	return 0, false
+}
+func (stuckSession) Detach() {}
+
+// TestSoakStallFails runs the soak and crash drills on a queue whose
+// Dequeue never returns. Each must fail soon after the stall timeout,
+// with an error naming the algorithm, the drill and the seed, instead
+// of hanging on its workers. When every Dequeue sticks, the audit tick
+// sees no operation complete; when one does, the others keep the drill
+// going until it stops and the wait for that worker gives up.
+func TestSoakStallFails(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	defer func(l func(string) (bench.Algo, error), d time.Duration) { lookup, stallTimeout = l, d }(lookup, stallTimeout)
+	stallTimeout = 200 * time.Millisecond
+	for _, tc := range []struct {
+		drill, flag, duration string
+		stuckAt               int64
+		want                  string
+	}{
+		{"soak", "-crash=false", "10s", 0, "workers completed no operation"},
+		{"crash", "-crash", "10s", 0, "workers completed no operation"},
+		{"soak", "-crash=false", "300ms", 50, "while stopping the workers"},
+		{"crash", "-crash", "300ms", 50, "while stopping the workers"},
+	} {
+		lookup = func(key string) (bench.Algo, error) {
+			return bench.Algo{Key: key, Label: "stuck", Concurrent: true,
+				New: func(bench.Config) queue.Queue { return &stuckQueue{release: release, stuckAt: tc.stuckAt} }}, nil
+		}
+		start := time.Now()
+		err := run([]string{"-algo", "stuck", "-duration", tc.duration, "-audit", "20ms", "-threads", "4", "-seed", "7", tc.flag}, io.Discard)
+		took := time.Since(start)
+		name := "stuck " + tc.drill + " drill (seed=7)"
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s drill, Dequeue %d stuck: err = %v, want one naming %q and %q", tc.drill, tc.stuckAt, err, name, tc.want)
+		}
+		if took > 5*time.Second {
+			t.Errorf("%s drill, Dequeue %d stuck: took %v to fail", tc.drill, tc.stuckAt, took)
+		}
+		t.Logf("%s drill, Dequeue %d stuck: failed after %v: %v", tc.drill, tc.stuckAt, took.Round(time.Millisecond), err)
 	}
 }
 

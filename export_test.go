@@ -3,7 +3,6 @@ package nbqueue
 import (
 	"unsafe"
 
-	"nbqueue/internal/arena"
 	"nbqueue/internal/tagptr"
 )
 
@@ -25,13 +24,9 @@ func WithStealBatch(n int) FabricOption {
 // relaxation bound.
 const DefaultStealBatch = defaultStealBatch
 
-// PayloadChunkSize is the number of payload-store slots materialised at
-// a time.
-const PayloadChunkSize = storeChunkSize
-
-// PayloadChunkBytes is the size of one materialised payload-store chunk
-// of a Queue[T].
-func PayloadChunkBytes[T any]() uint64 { return uint64(unsafe.Sizeof(storeChunk[T]{})) }
+// PayloadSlotBytes is the size of one payload-store slot of a
+// Queue[T].
+func PayloadSlotBytes[T any]() uint64 { return uint64(unsafe.Sizeof(storeSlot[T]{})) }
 
 // PayloadSlots reports how many of q's payload-store slots are
 // allocated, how many chunks are materialised, and how many free slots
@@ -41,17 +36,16 @@ func PayloadSlots[T comparable](q *Queue[T]) (live, chunks, pinned int) {
 	s := q.store
 	var zero T
 	free := 0
-	for idx := tagptr.VerValue(s.head.Load()); idx != 0; idx = s.slot(idx).next.Load() {
+	for idx := tagptr.VerValue(s.head.Load()); idx != 0; idx = s.slots.At(idx).next.Load() {
 		free++
-		if s.slot(idx).v != zero {
+		if s.slots.At(idx).v != zero {
 			pinned++
 		}
 	}
-	for i := range s.spine {
-		if s.spine[i].Load() != nil {
-			chunks++
-		}
-	}
+	s.slots.Chunks(func(uint64, []storeSlot[T]) bool {
+		chunks++
+		return true
+	})
 	return int(s.fresh.Load()-1) - free, chunks, pinned
 }
 
@@ -59,13 +53,7 @@ func PayloadSlots[T comparable](q *Queue[T]) (live, chunks, pinned int) {
 // the queue itself have bound.
 func TraceRings[T any](q *Queue[T]) int { return q.rec.Rings() }
 
-// SegmentGeometry reports an AlgorithmSegmented queue's slots per
-// segment and the capacity of its segment-handle pool, which also sizes
-// its segment table.
-func SegmentGeometry[T any](q *Queue[T]) (segSize, handles int) {
-	g := q.inner.(interface {
-		SegmentSize() int
-		Pool() *arena.Arena
-	})
-	return g.SegmentSize(), g.Pool().Capacity()
+// SegmentSize reports an AlgorithmSegmented queue's slots per segment.
+func SegmentSize[T any](q *Queue[T]) int {
+	return q.inner.(interface{ SegmentSize() int }).SegmentSize()
 }

@@ -5,7 +5,7 @@
 // updated array slots and tag their least-significant bit. Doing that to
 // real Go pointers would hide them from the garbage collector, so the
 // arena substitutes stable *handles*: a handle is a small even uint64
-// naming a slot in a pre-allocated node array. Handles reproduce every
+// naming a slot in a node array of fixed bound. Handles reproduce every
 // property the algorithms need from pointers —
 //
 //   - they fit in one atomic word and can be CAS'd,
@@ -28,15 +28,22 @@
 // The free list holds only nodes that were allocated and freed. A node
 // never handed out sits past a fresh-index frontier instead: Alloc pops
 // the list first and, when it is empty, claims the next never-used index
-// by CAS on a counter. So New stores nothing into the node array, and a
-// new arena hands out indices 1, 2, 3, ... in order — the same idiom as
-// the payload store behind nbqueue.Queue[T].
+// by CAS on a counter. So a new arena hands out indices 1, 2, 3, ... in
+// order — the same idiom as the payload store behind nbqueue.Queue[T].
+//
+// The node array is a grow.Array: its chunks (16, 16, 32, 64, 128, then
+// 256 nodes) are installed by the claim that first reaches them, before
+// the index is returned, and are never released. So New allocates no
+// node, an arena's memory follows the most nodes it ever had live
+// rather than its capacity, and memory named by any handle ever handed
+// out stays mapped.
 package arena
 
 import (
 	"fmt"
 	"sync/atomic"
 
+	"nbqueue/internal/grow"
 	"nbqueue/internal/pad"
 	"nbqueue/internal/tagptr"
 )
@@ -75,7 +82,9 @@ const (
 // Arena is a fixed-capacity lock-free node allocator. All methods are
 // safe for concurrent use.
 type Arena struct {
-	nodes []Node
+	// nodes holds indices 0..capacity; index 0 is never handed out so
+	// that handle 0 can mean nil.
+	nodes grow.Array[Node]
 	// head packs (free-list top index, version).
 	head   pad.Uint64
 	allocs pad.Uint64
@@ -122,13 +131,15 @@ func newArena(capacity int, debug bool) *Arena {
 	if capacity <= 0 || capacity > MaxCapacity {
 		panic(fmt.Sprintf("arena: capacity %d out of range (1..%d)", capacity, MaxCapacity))
 	}
-	// Index 0 is never used so that handle 0 can mean nil. The zero
-	// state is complete: an empty free list and no index claimed.
-	return &Arena{nodes: make([]Node, capacity+1), debug: debug}
+	// The zero state is complete: an empty free list and no index
+	// claimed.
+	a := &Arena{debug: debug}
+	a.nodes.Init(capacity + 1)
+	return a
 }
 
 // Capacity returns the total number of nodes.
-func (a *Arena) Capacity() int { return len(a.nodes) - 1 }
+func (a *Arena) Capacity() int { return a.nodes.Len() - 1 }
 
 // Alloc pops a free node, or claims a never-used one when the free list
 // is empty, and returns its handle; it returns Nil when the arena is
@@ -154,14 +165,14 @@ func (a *Arena) Alloc() Handle {
 			}
 		} else {
 			a.fire()
-			next := a.nodes[idx].Next.Load()
+			next := a.nodes.At(idx).Next.Load()
 			a.fire()
 			if !a.head.CompareAndSwap(head, tagptr.BumpVer(head, next)) {
 				continue
 			}
 		}
 		if a.debug {
-			if !a.nodes[idx].state.CompareAndSwap(stateFree, stateAllocated) {
+			if !a.nodes.At(idx).state.CompareAndSwap(stateFree, stateAllocated) {
 				panic(fmt.Sprintf("arena: node %d allocated while not free", idx))
 			}
 		}
@@ -170,8 +181,8 @@ func (a *Arena) Alloc() Handle {
 	}
 }
 
-// claim takes the next never-used index, or returns 0 when every index
-// has been claimed.
+// claim takes the next never-used index and installs its chunk, or
+// returns 0 when every index has been claimed.
 func (a *Arena) claim() uint64 {
 	for {
 		a.fire()
@@ -181,6 +192,7 @@ func (a *Arena) claim() uint64 {
 		}
 		a.fire()
 		if a.fresh.CompareAndSwap(n, n+1) {
+			a.nodes.Ensure(n + 1)
 			return n + 1
 		}
 	}
@@ -194,15 +206,16 @@ func (a *Arena) Free(h Handle) {
 		return
 	}
 	idx := a.index(h)
+	nd := a.nodes.At(idx)
 	if a.debug {
-		if !a.nodes[idx].state.CompareAndSwap(stateAllocated, stateFree) {
+		if !nd.state.CompareAndSwap(stateAllocated, stateFree) {
 			panic(fmt.Sprintf("arena: double free of node %d", idx))
 		}
 	}
 	for {
 		head := a.head.Load()
 		top, _ := tagptr.UnpackVer(head)
-		a.nodes[idx].Next.Store(top)
+		nd.Next.Store(top)
 		if a.head.CompareAndSwap(head, tagptr.BumpVer(head, idx)) {
 			a.frees.Add(1)
 			return
@@ -214,19 +227,27 @@ func (a *Arena) Free(h Handle) {
 // the arena regardless of Free; whether its contents are meaningful is
 // the caller's concern (hazard-pointer users rely on exactly this).
 func (a *Arena) Get(h Handle) *Node {
-	return &a.nodes[a.index(h)]
+	return a.nodes.At(a.index(h))
 }
 
-// index validates h and converts it to a node index.
+// index validates h and converts it to a node index. It panics with a
+// conversion rather than a call, so it stays cheap enough to inline.
 func (a *Arena) index(h Handle) uint64 {
-	if h&1 != 0 {
-		panic(fmt.Sprintf("arena: tagged value %#x used as handle", h))
-	}
 	idx := h >> 1
-	if idx == 0 || idx >= uint64(len(a.nodes)) {
-		panic(fmt.Sprintf("arena: handle %#x out of range", h))
+	if h&1 != 0 || idx-1 >= uint64(a.nodes.Len()-1) {
+		panic(badHandle(h))
 	}
 	return idx
+}
+
+// badHandle is the panic value for a handle that names no node.
+type badHandle Handle
+
+func (h badHandle) Error() string {
+	if h&1 != 0 {
+		return fmt.Sprintf("arena: tagged value %#x used as handle", uint64(h))
+	}
+	return fmt.Sprintf("arena: handle %#x out of range", uint64(h))
 }
 
 // Live returns the number of nodes currently allocated.

@@ -97,6 +97,7 @@ import (
 	"sync/atomic"
 
 	"nbqueue/internal/arena"
+	"nbqueue/internal/grow"
 	"nbqueue/internal/hazard"
 	"nbqueue/internal/llsc/registry"
 	"nbqueue/internal/pad"
@@ -151,8 +152,10 @@ type Queue struct {
 
 	// segs maps pool-handle>>1 to the ring storage. Entries are created
 	// lazily on first allocation of the pool slot and reused (reset) on
-	// every recycle, so steady state allocates nothing.
-	segs []atomic.Pointer[segment]
+	// every recycle, so steady state allocates nothing. Its chunks are
+	// installed as the pool's indices are first prepared, so the table,
+	// like the pool, follows the peak segment count, not maxSegs.
+	segs grow.Array[atomic.Pointer[segment]]
 	pool *arena.Arena
 	dom  *hazard.Domain
 	reg  *registry.Registry
@@ -310,7 +313,7 @@ func New(segSize int, opts ...Option) *Queue {
 	}
 	q.reg = registry.New(registry.WithYield(q.in.Yield))
 	q.pool = arena.New(q.maxSegs)
-	q.segs = make([]atomic.Pointer[segment], q.maxSegs+1)
+	q.segs.Init(q.maxSegs + 1)
 	q.dom = hazard.NewDomain(q.pool, true, 2)
 	if q.in.Yield != nil {
 		q.pool.SetYield(q.in.Yield)
@@ -322,7 +325,7 @@ func New(segSize int, opts ...Option) *Queue {
 	h := q.pool.Alloc()
 	g := &segment{slots: make([]atomic.Uint64, int(size)*q.stride)}
 	g.state.Store(segLive)
-	q.segs[h>>1].Store(g)
+	q.segs.Ensure(h >> 1).Store(g)
 	q.headSeg.Store(h)
 	q.tailSeg.Store(h)
 	q.liveSegs.Store(1)
@@ -408,7 +411,7 @@ func (q *Queue) SegmentStats() queue.SegmentStats {
 }
 
 // seg resolves a pool handle to its ring storage.
-func (q *Queue) seg(h uint64) *segment { return q.segs[h>>1].Load() }
+func (q *Queue) seg(h uint64) *segment { return q.segs.At(h >> 1).Load() }
 
 func (g *segment) slot(q *Queue, i uint64) *atomic.Uint64 { return &g.slots[int(i)*q.stride] }
 
@@ -514,10 +517,12 @@ func (q *Queue) allocSegment(s *Session) uint64 {
 }
 
 // prepareSegment readies a freshly popped pool slot for linking: fresh
-// slots on first use of the slot, a full reset on recycle. The caller
-// has already reserved the segment against the memory bound.
+// slots (and the table chunk naming them) on first use of the slot, a
+// full reset on recycle. The caller has already reserved the segment
+// against the memory bound.
 func (q *Queue) prepareSegment(h uint64, ctr xsync.Handle) uint64 {
-	g := q.segs[h>>1].Load()
+	e := q.segs.Ensure(h >> 1)
+	g := e.Load()
 	if g == nil {
 		g = &segment{slots: make([]atomic.Uint64, int(q.size)*q.stride)}
 		g.beat.Store(q.epoch.Load())
@@ -525,7 +530,7 @@ func (q *Queue) prepareSegment(h uint64, ctr xsync.Handle) uint64 {
 		q.prepSegs.Add(1)
 		// Publish the storage only after it is fully initialized; the
 		// atomic store orders it for every later reader of the table.
-		q.segs[h>>1].Store(g)
+		e.Store(g)
 		ctr.Inc(xsync.OpSegAlloc)
 		return h
 	}
@@ -638,13 +643,25 @@ func (q *Queue) Orphans(minAge uint64) int {
 func (q *Queue) pendingOlderThan(minAge uint64) int {
 	e := q.epoch.Load()
 	n := 0
-	for i := 1; i < len(q.segs); i++ {
-		g := q.segs[i].Load()
-		if g != nil && g.state.Load() == segPreparing && e-g.beat.Load() >= minAge {
+	q.eachSegment(func(_ uint64, g *segment) {
+		if g.state.Load() == segPreparing && e-g.beat.Load() >= minAge {
 			n++
 		}
-	}
+	})
 	return n
+}
+
+// eachSegment calls f with the handle and storage of every segment the
+// table names, walking only its installed chunks.
+func (q *Queue) eachSegment(f func(h uint64, g *segment)) {
+	q.segs.Chunks(func(first uint64, c []atomic.Pointer[segment]) bool {
+		for j := range c {
+			if g := c[j].Load(); g != nil {
+				f((first+uint64(j))<<1, g)
+			}
+		}
+		return true
+	})
 }
 
 // Scavenge reclaims the state of sessions presumed dead for minAge
@@ -657,18 +674,14 @@ func (q *Queue) pendingOlderThan(minAge uint64) int {
 func (q *Queue) Scavenge(minAge uint64) int {
 	n := q.reg.Scavenge(minAge, func(h registry.Handle, v *registry.Var) {
 		marker := tagptr.Tag(h)
-		for i := 1; i < len(q.segs); i++ {
-			g := q.segs[i].Load()
-			if g == nil {
-				continue
-			}
+		q.eachSegment(func(_ uint64, g *segment) {
 			for j := uint64(0); j < q.size; j++ {
 				w := g.slot(q, j)
 				if w.Load() == marker {
 					w.CompareAndSwap(marker, v.Node())
 				}
 			}
-		}
+		})
 	})
 	n += q.dom.Scavenge(minAge)
 	n += q.scavengeAppends(minAge)
@@ -695,26 +708,25 @@ func (q *Queue) scavengeAppends(minAge uint64) int {
 		h = g.next.Load()
 	}
 	n := 0
-	for i := 1; i < len(q.segs); i++ {
-		g := q.segs[i].Load()
-		if g == nil || g.state.Load() != segPreparing || e-g.beat.Load() < minAge {
-			continue
+	q.eachSegment(func(h uint64, g *segment) {
+		if g.state.Load() != segPreparing || e-g.beat.Load() < minAge {
+			return
 		}
-		if reachable[uint64(i)<<1] {
+		if reachable[h] {
 			if g.state.CompareAndSwap(segPreparing, segLive) {
 				q.liveSegs.Add(1)
 				q.prepSegs.Add(-1)
 			}
-			continue
+			return
 		}
 		if g.state.CompareAndSwap(segPreparing, segFree) {
 			q.prepSegs.Add(-1)
 			q.memSegs.Add(-1)
 			q.qctr.Inc(xsync.OpSegFree)
-			q.pool.Free(uint64(i) << 1)
+			q.pool.Free(h)
 			n++
 		}
-	}
+	})
 	return n
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"nbqueue"
 	"nbqueue/internal/arena"
+	"nbqueue/internal/grow"
 )
 
 // TestPayloadExhaustionParity pins where Queue[T] sheds for lack of
@@ -76,7 +77,8 @@ func TestPayloadExhaustionParity(t *testing.T) {
 // slots across many chunk boundaries of a new queue, so chunks are
 // installed under contention, then drains it concurrently and runs a
 // second round on the recycled slots. Every value must come out exactly
-// once.
+// once, and the fill must install exactly the chunks that hold the
+// claimed indices 1..producers*per.
 func TestPayloadConcurrentFirstTouch(t *testing.T) {
 	const producers, consumers, per = 4, 3, 700
 	q, err := nbqueue.New[uint64](
@@ -177,9 +179,9 @@ func TestPayloadConcurrentFirstTouch(t *testing.T) {
 	produce(&wg, &start)
 	start.Done()
 	wg.Wait()
-	if _, chunks, _ := nbqueue.PayloadSlots(q); chunks != producers*per/nbqueue.PayloadChunkSize+1 {
+	if _, chunks, _ := nbqueue.PayloadSlots(q); chunks != grow.NumChunks(producers*per+1) {
 		t.Fatalf("%d chunks materialised for %d values, want %d",
-			chunks, producers*per, producers*per/nbqueue.PayloadChunkSize+1)
+			chunks, producers*per, grow.NumChunks(producers*per+1))
 	}
 	start.Add(1)
 	consume(&wg, &start)
@@ -197,10 +199,12 @@ func TestPayloadConcurrentFirstTouch(t *testing.T) {
 }
 
 // TestPayloadBatchRollbackAcrossChunk allocates an EnqueueBatch's slots
-// across a chunk boundary, lets the ring take only its capacity, and
-// checks that the rollback freed and zeroed every slot the ring refused.
+// across every chunk boundary up to the first 256-slot chunk, lets the
+// ring take only its capacity, and checks that the batch installed
+// exactly the chunks holding indices 1..batch and that the rollback
+// freed and zeroed every slot the ring refused.
 func TestPayloadBatchRollbackAcrossChunk(t *testing.T) {
-	const capacity, batch = 64, nbqueue.PayloadChunkSize + 44
+	const capacity, batch = 64, 256 + 44
 	q, err := nbqueue.New[*int](
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS), nbqueue.WithCapacity(capacity),
 		nbqueue.WithMaxThreads(batch))
@@ -219,8 +223,8 @@ func TestPayloadBatchRollbackAcrossChunk(t *testing.T) {
 		t.Fatalf("EnqueueBatch = %d,%v, want %d,ErrFull", n, err, capacity)
 	}
 	live, chunks, pinned := nbqueue.PayloadSlots(q)
-	if chunks != 2 {
-		t.Fatalf("batch of %d materialised %d chunks, want 2", batch, chunks)
+	if want := grow.NumChunks(batch + 1); chunks != want {
+		t.Fatalf("batch of %d materialised %d chunks, want %d", batch, chunks, want)
 	}
 	if live != capacity || pinned != 0 {
 		t.Fatalf("after rollback: %d slots allocated, %d free slots pinning values; want %d, 0",
@@ -237,20 +241,26 @@ func TestPayloadBatchRollbackAcrossChunk(t *testing.T) {
 }
 
 // TestNewAllocatedBytes bounds what New allocates before the first
-// enqueue, so the payload store stays materialised on demand. Measured
-// for New[*int] on linux/amd64 (go1.24):
+// enqueue, so no store is sized by its bound. Measured for New[*int]
+// on linux/amd64 (go1.24):
 //
-//	queue                      preallocated store   on-demand store
-//	segmented, WithUnbounded   2,666,798 B          554,923 B
-//	evq-cas, WithCapacity 4096   183,010 B           35,088 B
+//	queue                                 preallocated   flat node arena   chunked
+//	                                      payload        and segment       arrays
+//	                                      store          table
+//	segmented, WithUnbounded              2,666,798 B    548,729 B         9,968 B
+//	evq-cas, WithCapacity 4096            183,010 B      34,592 B          34,704 B
+//	ms-hp, WithCapacity 1024, 4 sessions  -              30,000 B          3,392 B
 //
 // The preallocated store cost 24 B of arena node plus 8 B of value per
-// slot for all 64Ki+144 (unbounded) or 4096+144 slots; what remains is
-// the algorithm's own state (the segmented queue's pre-armed segments,
-// the 32 KiB evq-cas ring) plus the chunk spine. Each ceiling sits
-// about twice above the on-demand figure and well below the
-// preallocated one, so growth of the algorithms' own state by up to
-// roughly 2x does not trip it but a store sized to its bound does.
+// slot for all 64Ki+144 (unbounded) or 4096+144 slots. The flat arrays
+// cost the unbounded segmented queue 24 B of pool node plus 8 B of table
+// entry for each of its 16Ki segment handles, and ms-hp 24 B per node
+// of its 1,057-node arena. With every store a grow.Array, what remains
+// is the algorithms' own state (the first segment's ring, the 32 KiB
+// evq-cas ring, one 16-node arena chunk) and the chunk spines. The
+// evq-cas ceiling sits about twice above its figure; the segmented and
+// ms-hp ceilings, 16 KiB and 4 KiB, fail a store sized to its bound
+// while leaving room for the algorithms' own state to grow.
 func TestNewAllocatedBytes(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -259,10 +269,13 @@ func TestNewAllocatedBytes(t *testing.T) {
 	}{
 		{"segmented-unbounded", []nbqueue.Option{
 			nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented), nbqueue.WithUnbounded(),
-		}, 1 << 20},
+		}, 16 << 10},
 		{"evq-cas-4096", []nbqueue.Option{
 			nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS), nbqueue.WithCapacity(4096),
 		}, 64 << 10},
+		{"ms-hp-1024", []nbqueue.Option{
+			nbqueue.WithAlgorithm(nbqueue.AlgorithmMSHazard), nbqueue.WithCapacity(1024), nbqueue.WithMaxThreads(4),
+		}, 4 << 10},
 	}
 	for _, tc := range cases {
 		r := testing.Benchmark(func(b *testing.B) {
@@ -282,16 +295,16 @@ func TestNewAllocatedBytes(t *testing.T) {
 
 // TestLaneAllocatedBytes is the bytes-per-layer row for an evq-cas
 // queue: a Queue[*T] of capacity 4096 plus its first Attach
-// may allocate the ring's slot words, one payload chunk and 2 KiB of
-// bookkeeping, nothing sized by MaxRecords or by the capacity beyond
-// the ring itself. Before the registry grew geometrically, the first
+// may allocate the ring's slot words, 256 payload slots (one chunk of
+// the store's largest size) and 2 KiB of bookkeeping, nothing sized by
+// MaxRecords or by the capacity beyond the ring itself. Before the registry grew geometrically, the first
 // Attach alone allocated a 40 kB registry segment. The figure is the
 // smallest TotalAlloc delta over three trials, since another
 // goroutine's allocation can only inflate a trial.
 func TestLaneAllocatedBytes(t *testing.T) {
 	type item struct{ n int }
 	const capacity = 4096
-	ceiling := capacity*uint64(unsafe.Sizeof(uint64(0))) + nbqueue.PayloadChunkBytes[*item]() + 2<<10
+	ceiling := capacity*uint64(unsafe.Sizeof(uint64(0))) + 256*nbqueue.PayloadSlotBytes[*item]() + 2<<10
 	got := uint64(math.MaxUint64)
 	for trial := 0; trial < 3; trial++ {
 		var before, after runtime.MemStats
@@ -314,11 +327,15 @@ func TestLaneAllocatedBytes(t *testing.T) {
 // TestSegmentedLaneBytes is the bytes-per-layer row for one pipeline
 // lane, an AlgorithmSegmented Queue[*T] of capacity 4096, which takes
 // the default segment size. New plus its first Attach may allocate
-// one ring (the live one), the handle pool and segment table sized for
-// the pool, one payload chunk and 2 KiB of bookkeeping, against the
-// 32 KiB ring of the evq-cas lane above. At a steady depth the ring
-// wraps instead of growing, so after 100k enqueue/dequeue pairs at
-// depth 8 the queue has allocated and retired no segment.
+// one ring (the live one), the handle pool's first 16-node chunk, the
+// segment table's first 16-entry chunk and 6 KiB for the rest (the
+// queue structs, registry, hazard domain and chunk spines: 3.7 KiB
+// measured), against the 32 KiB ring of the evq-cas lane above.
+// Neither the pool nor the table is sized by its 132-handle bound,
+// and no payload chunk exists before the first enqueue. At a
+// steady depth the ring wraps instead of growing, so after 100k
+// enqueue/dequeue pairs at depth 8 the queue has allocated and retired
+// no segment.
 func TestSegmentedLaneBytes(t *testing.T) {
 	type item struct{ n int }
 	const capacity = 4096
@@ -341,14 +358,14 @@ func TestSegmentedLaneBytes(t *testing.T) {
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 		s.Detach()
 	}
-	segSize, handles := nbqueue.SegmentGeometry(q)
+	segSize := nbqueue.SegmentSize(q)
 	if segSize != 256 {
 		t.Fatalf("default segment size at capacity %d is %d, want 256", capacity, segSize)
 	}
 	ring := uint64(segSize) * uint64(unsafe.Sizeof(uint64(0)))
-	pool := uint64(unsafe.Sizeof(arena.Arena{})) + uint64(handles+1)*uint64(unsafe.Sizeof(arena.Node{}))
-	table := uint64(handles+1) * uint64(unsafe.Sizeof(uintptr(0)))
-	ceiling := ring + pool + table + nbqueue.PayloadChunkBytes[*item]() + 2<<10
+	pool := uint64(unsafe.Sizeof(arena.Arena{})) + 16*uint64(unsafe.Sizeof(arena.Node{}))
+	table := 16 * uint64(unsafe.Sizeof(uintptr(0)))
+	ceiling := ring + pool + table + 6<<10
 	t.Logf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
 	if got > ceiling {
 		t.Errorf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
