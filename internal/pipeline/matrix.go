@@ -43,19 +43,17 @@ type Cell struct {
 // Name is the compact cell label used in reports and failures.
 func (c Cell) Name() string { return fmt.Sprintf("%s@%d/%s", c.Fault, c.Stage, c.Recovery) }
 
+// The fault matrix's fixed shape, beside the stage constants it shares
+// with the steady run. recoveryBudget bounds the post-fault probe per
+// cell: generous for shared 1-CPU runners; real recovery is ~ms.
+const (
+	matrixLaneCapacity = 256
+	matrixCancelEvery  = 25 // submissions between cancels, to keep the fencing proof live
+	recoveryBudget     = 15 * time.Second
+)
+
 // MatrixOptions tunes RunMatrix. The defaults are 1-CPU-smoke sized.
 type MatrixOptions struct {
-	// Stages is the pipeline depth per cell (default 3).
-	Stages int
-	// Workers per stage (default 2).
-	Workers int
-	// LaneCapacity bounds each lane (default 256).
-	LaneCapacity int
-	// ServiceSpin is the per-item synthetic work (default 64 rounds).
-	ServiceSpin int
-	// CancelEvery cancels one in-flight item per this many submissions
-	// (default 25) to keep the fencing proof live in every cell.
-	CancelEvery int
 	// FaultDelay is the warmup before injection (default 50ms).
 	FaultDelay time.Duration
 	// FaultDuration is how long the fault stays armed (default 150ms;
@@ -67,37 +65,16 @@ type MatrixOptions struct {
 	// Heartbeat is the supervisor staleness threshold of
 	// heartbeat-loss cells (default 60ms).
 	Heartbeat time.Duration
-	// RecoveryBudget bounds the post-fault probe per cell (default 15s
-	// — generous for shared 1-CPU runners; real recovery is ~ms).
-	RecoveryBudget time.Duration
-	// DrainBudget bounds the end-of-cell quiescence wait (default 20s).
-	DrainBudget time.Duration
 	// Seed makes cell randomness (priorities, cancel picks)
 	// reproducible; 0 means 1. Every failure string carries it.
 	Seed int64
-	// Cells overrides the declarative table; nil uses
-	// DefaultCells(Stages).
+	// Cells overrides the declarative table; nil uses DefaultCells().
 	Cells []Cell
 	// Log, when non-nil, receives one progress line per cell.
 	Log func(format string, args ...any)
 }
 
 func (o MatrixOptions) withDefaults() MatrixOptions {
-	if o.Stages <= 0 {
-		o.Stages = 3
-	}
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.LaneCapacity <= 0 {
-		o.LaneCapacity = 256
-	}
-	if o.ServiceSpin <= 0 {
-		o.ServiceSpin = 64
-	}
-	if o.CancelEvery <= 0 {
-		o.CancelEvery = 25
-	}
 	if o.FaultDelay <= 0 {
 		o.FaultDelay = 50 * time.Millisecond
 	}
@@ -110,17 +87,11 @@ func (o MatrixOptions) withDefaults() MatrixOptions {
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 60 * time.Millisecond
 	}
-	if o.RecoveryBudget <= 0 {
-		o.RecoveryBudget = 15 * time.Second
-	}
-	if o.DrainBudget <= 0 {
-		o.DrainBudget = 20 * time.Second
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	if o.Cells == nil {
-		o.Cells = DefaultCells(o.Stages)
+		o.Cells = DefaultCells()
 	}
 	return o
 }
@@ -128,13 +99,13 @@ func (o MatrixOptions) withDefaults() MatrixOptions {
 // DefaultCells is the declared fault × stage × recovery table: every
 // fault appears, kills sweep every stage, and the pressure faults
 // exercise each pressure recovery action.
-func DefaultCells(stages int) []Cell {
+func DefaultCells() []Cell {
 	var cells []Cell
-	for s := 0; s < stages; s++ {
+	for s := range stageNames {
 		cells = append(cells, Cell{FaultWorkerKill, s, RecoverRespawn})
 	}
-	mid := stages / 2
-	last := stages - 1
+	mid := len(stageNames) / 2
+	last := len(stageNames) - 1
 	cells = append(cells,
 		Cell{FaultHeartbeatLoss, mid, RecoverRespawn},
 		Cell{FaultStallStorm, mid, RecoverSpill},
@@ -305,8 +276,8 @@ type loadCounters struct {
 
 // runLoad drives one cell: flat-out submissions on the low-priority
 // lane (lane 0 stays clear for the recovery probe), cancelling one
-// recent in-flight item every cancelEvery submissions.
-func runLoad(p *Pipeline, stop <-chan struct{}, cancelEvery int, rng *rand.Rand, lc *loadCounters) {
+// recent in-flight item every matrixCancelEvery submissions.
+func runLoad(p *Pipeline, stop <-chan struct{}, rng *rand.Rand, lc *loadCounters) {
 	pr := p.Producer()
 	defer pr.Close()
 	const ringSize = 32
@@ -325,7 +296,7 @@ func runLoad(p *Pipeline, stop <-chan struct{}, cancelEvery int, rng *rand.Rand,
 			ring[i%ringSize] = it
 			lc.submitted++
 		}
-		if cancelEvery > 0 && i%uint64(cancelEvery) == uint64(cancelEvery)-1 {
+		if i%matrixCancelEvery == matrixCancelEvery-1 {
 			// Fence the newest still-pending recent item: it is
 			// somewhere mid-pipe, racing the workers end to end.
 			for back := uint64(0); back < ringSize; back++ {
@@ -396,17 +367,12 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	if cell.Fault == FaultHeartbeatLoss {
 		cfg.Heartbeat = o.Heartbeat
 	}
-	names := []string{"ingest", "work", "egress"}
-	for s := 0; s < o.Stages; s++ {
-		name := fmt.Sprintf("stage%d", s)
-		if o.Stages == 3 {
-			name = names[s]
-		}
+	for s, name := range stageNames {
 		spec := StageSpec{
 			Name:       name,
-			Workers:    o.Workers,
-			Lanes:      2,
-			Service:    spinService(o.ServiceSpin),
+			Workers:    stageWorkers,
+			Lanes:      stageLanes,
+			Service:    spinService(serviceSpin),
 			OnPressure: RecoverShed,
 		}
 		victim := s == cell.Stage
@@ -420,7 +386,7 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 		case victim && (cell.Fault == FaultLaneOverload || cell.Fault == FaultStallStorm):
 			// Watermarked lanes so the backed-up stage sheds upstream
 			// forwards with ErrOverloaded instead of blocking.
-			cap := o.LaneCapacity
+			cap := matrixLaneCapacity
 			spec.LaneOptions = []nbqueue.Option{
 				nbqueue.WithCapacity(cap),
 				nbqueue.WithWatermarks(cap/8, cap/2),
@@ -434,7 +400,7 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 				}),
 			}
 		default:
-			spec.LaneOptions = []nbqueue.Option{nbqueue.WithCapacity(o.LaneCapacity)}
+			spec.LaneOptions = []nbqueue.Option{nbqueue.WithCapacity(matrixLaneCapacity)}
 		}
 		cfg.Stages = append(cfg.Stages, spec)
 	}
@@ -457,14 +423,14 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	rng := rand.New(rand.NewSource(o.Seed*7919 + cellIdx))
 	go func() {
 		defer close(loadDone)
-		runLoad(p, stopLoad, o.CancelEvery, rng, &lc)
+		runLoad(p, stopLoad, rng, &lc)
 	}()
 
 	time.Sleep(o.FaultDelay)
 	dur := o.FaultDuration
 	switch cell.Fault {
 	case FaultWorkerKill:
-		ctl.kills.Store(int64(o.Workers))
+		ctl.kills.Store(stageWorkers)
 	case FaultHeartbeatLoss:
 		if hb := 5 * o.Heartbeat; dur < hb {
 			dur = hb
@@ -474,11 +440,11 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	time.Sleep(dur)
 	ctl.active.Store(false)
 
-	cr.Recovered, cr.RecoveryNS = probeRecovery(p, o.RecoveryBudget)
+	cr.Recovered, cr.RecoveryNS = probeRecovery(p, recoveryBudget)
 
 	close(stopLoad)
 	<-loadDone
-	drained := p.Drain(o.DrainBudget)
+	drained := p.Drain(drainBudget)
 	p.Stop()
 	cr.Scavenged = uint64(p.Scavenge())
 	cr.OrphansLeft = p.Orphans()
@@ -504,7 +470,7 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 			fmt.Sprintf("(seed=%d) ", o.Seed)+fmt.Sprintf(format, args...))
 	}
 	if !drained {
-		fail("drain timeout: %d items still in flight after %s", p.Ledger().Inflight(), o.DrainBudget)
+		fail("drain timeout: %d items still in flight after %s", p.Ledger().Inflight(), drainBudget)
 	}
 	if v := cr.Audit.ConservationViolations; v != 0 {
 		fail("conservation violated by %d items (injected=%d emitted=%d fenced=%d shed=%d dead=%d drained=%d)",
@@ -515,7 +481,7 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 		fail("fencing violated: %d cancelled items emitted output (ids %v)", v, cr.Audit.ViolatingIDs)
 	}
 	if !cr.Recovered {
-		fail("no post-fault emit within the %s recovery budget", o.RecoveryBudget)
+		fail("no post-fault emit within the %s recovery budget", recoveryBudget)
 	}
 	if cr.OrphansLeft != 0 {
 		fail("orphan leakage: %d session records left after scavenge", cr.OrphansLeft)

@@ -68,7 +68,7 @@ func TestMatrixDeadLetterRecovery(t *testing.T) {
 // TestDefaultCellsCoverEveryFault guards the declarative table: every
 // fault kind present, kills sweep every stage.
 func TestDefaultCellsCoverEveryFault(t *testing.T) {
-	cells := DefaultCells(3)
+	cells := DefaultCells()
 	faults := map[Fault]int{}
 	killStages := map[int]bool{}
 	for _, c := range cells {

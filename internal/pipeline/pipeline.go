@@ -1,9 +1,9 @@
 // Package pipeline is the streaming-pipeline scenario harness: a
 // multi-stage runner where every stage drains one or more priority
-// lanes (each lane an nbqueue queue or fabric from the catalog),
-// services items, and forwards them downstream, with per-item trace
-// IDs, end-to-end deadline budgets, and cancellation that fences
-// in-flight items so a cancelled item can never emit output.
+// lanes (each an nbqueue queue), services items, and forwards them
+// downstream, with per-item trace IDs, end-to-end deadline budgets, and
+// cancellation that fences in-flight items so a cancelled item can
+// never emit output.
 //
 // The fencing guarantee rides a single-word CAS state machine: every
 // item carries one atomic state word that moves exactly once from
@@ -18,7 +18,7 @@
 //
 // matrix.go builds the chaos-driven fault/failover matrix on top;
 // steady.go is the steady-state load runner behind
-// `fifobench -experiment pipeline` and `fifosoak -pipeline`.
+// `fifobench -experiment pipeline`.
 package pipeline
 
 import (
@@ -295,66 +295,10 @@ const (
 	RecoverDeadLetter Recovery = "dead-letter"
 )
 
-// Lane abstracts the queue behind one priority lane so a stage can be
-// backed by either an nbqueue.Queue or an nbqueue.Fabric.
-type Lane interface {
-	// Attach opens a per-worker session on the lane.
-	Attach() LaneSession
-	// Scavenge reclaims orphaned session state, returning records
-	// reclaimed this call.
-	Scavenge() int
-	// Orphans reports attached-but-stale session records (0 when the
-	// backing cannot count them).
-	Orphans() int
-	// SessionRecords reports the per-thread records one session holds,
-	// which its Detach frees (0 when the backing cannot count them).
-	SessionRecords() int
-	// Depth reports the approximate lane population.
-	Depth() int
-}
-
-// LaneSession is one worker's handle on a Lane: the method set
-// nbqueue.Session and nbqueue.FabricSession share, so a lane hands out
-// its backing's own session.
-type LaneSession interface {
-	// Enqueue publishes the item.
-	Enqueue(it *Item) error
-	// Dequeue removes the oldest item (non-blocking).
-	Dequeue() (*Item, bool)
-	// TryDrain removes up to max queued items without blocking.
-	TryDrain(max int) []*Item
-	// Detach releases the session.
-	Detach()
-}
-
-// queueLane adapts nbqueue.Queue[*Item].
-type queueLane struct{ q *nbqueue.Queue[*Item] }
-
-// QueueLane wraps an nbqueue queue as a pipeline lane.
-func QueueLane(q *nbqueue.Queue[*Item]) Lane { return queueLane{q} }
-
-func (l queueLane) Attach() LaneSession { return l.q.Attach() }
-func (l queueLane) Scavenge() int       { return l.q.ScavengeOrphans() }
-func (l queueLane) Orphans() int        { return l.q.Orphans() }
-func (l queueLane) SessionRecords() int { return l.q.SessionRecords() }
-func (l queueLane) Depth() int {
-	n, _ := l.q.Len()
-	return n
-}
-
-// fabricLane adapts nbqueue.Fabric[*Item].
-type fabricLane struct{ f *nbqueue.Fabric[*Item] }
-
-// FabricLane wraps a sharded fabric as a pipeline lane. Fabric
-// sessions have no deadline plumbing; the item budget is still
-// enforced at every stage boundary by the workers.
-func FabricLane(f *nbqueue.Fabric[*Item]) Lane { return fabricLane{f} }
-
-func (l fabricLane) Attach() LaneSession { return l.f.Attach() }
-func (l fabricLane) Scavenge() int       { return l.f.ScavengeOrphans() }
-func (l fabricLane) Orphans() int        { return 0 }
-func (l fabricLane) SessionRecords() int { return 0 }
-func (l fabricLane) Depth() int          { return l.f.Len() }
+// forwardRetries bounds the yield-retry loop on transient ErrFull
+// before a stage's OnPressure action applies. ErrOverloaded is never
+// retried: watermark admission has spoken.
+const forwardRetries = 64
 
 // StageSpec describes one pipeline stage.
 type StageSpec struct {
@@ -363,26 +307,18 @@ type StageSpec struct {
 	Name string
 	// Workers is the number of stage goroutines (default 1).
 	Workers int
-	// Lanes is the number of priority lanes (default 1). Ignored when
-	// NewLane is set and returns fewer.
+	// Lanes is the number of priority lanes (default 1).
 	Lanes int
-	// LaneOptions configures each lane queue (nbqueue.New options);
-	// ignored when NewLane is set. Lanes are AlgorithmSegmented, whose
-	// ring memory follows depth; a WithAlgorithm here overrides that.
+	// LaneOptions configures each lane queue (nbqueue.New options).
+	// Lanes are AlgorithmSegmented, whose ring memory follows depth; a
+	// WithAlgorithm here overrides that.
 	LaneOptions []nbqueue.Option
-	// NewLane, when non-nil, builds lane l explicitly — the hook for
-	// fabric-backed or custom lanes.
-	NewLane func(l int) (Lane, error)
 	// Service is the per-item stage work (may be nil).
 	Service func(it *Item)
 	// OnPressure is the recovery action applied when this stage's
 	// lanes refuse an item being forwarded into them (ErrOverloaded,
 	// persistent ErrFull, segment sheds). Default RecoverShed.
 	OnPressure Recovery
-	// ForwardRetries bounds the yield-retry loop on transient ErrFull
-	// before OnPressure applies (default 64). ErrOverloaded is never
-	// retried: watermark admission has spoken.
-	ForwardRetries int
 }
 
 // Config configures New.
@@ -459,7 +395,7 @@ type worker struct {
 // Start; submit through Producer handles; Stop tears it down.
 type Pipeline struct {
 	cfg    Config
-	lanes  [][]Lane // [stage][prio]
+	lanes  [][]*nbqueue.Queue[*Item] // [stage][prio]
 	stats  []*StageStats
 	ledger *Ledger
 	e2e    xsync.Hist
@@ -491,22 +427,11 @@ func New(cfg Config) (*Pipeline, error) {
 		if spec.Lanes <= 0 {
 			spec.Lanes = 1
 		}
-		if spec.ForwardRetries <= 0 {
-			spec.ForwardRetries = 64
-		}
 		if spec.OnPressure == "" {
 			spec.OnPressure = RecoverShed
 		}
-		lanes := make([]Lane, spec.Lanes)
+		lanes := make([]*nbqueue.Queue[*Item], spec.Lanes)
 		for l := range lanes {
-			if spec.NewLane != nil {
-				ln, err := spec.NewLane(l)
-				if err != nil {
-					return nil, fmt.Errorf("pipeline: stage %q lane %d: %w", spec.Name, l, err)
-				}
-				lanes[l] = ln
-				continue
-			}
 			q, err := nbqueue.New[*Item](nbqueue.Options(
 				nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
 				nbqueue.Options(spec.LaneOptions...),
@@ -514,7 +439,7 @@ func New(cfg Config) (*Pipeline, error) {
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: stage %q lane %d: %w", spec.Name, l, err)
 			}
-			lanes[l] = QueueLane(q)
+			lanes[l] = q
 		}
 		p.lanes = append(p.lanes, lanes)
 		p.stats = append(p.stats, &StageStats{Name: spec.Name})
@@ -579,7 +504,7 @@ func (p *Pipeline) LaneDepths() [][]int {
 	for i, lanes := range p.lanes {
 		out[i] = make([]int, len(lanes))
 		for l, ln := range lanes {
-			out[i][l] = ln.Depth()
+			out[i][l], _ = ln.Len()
 		}
 	}
 	return out
@@ -604,7 +529,7 @@ func (p *Pipeline) Scavenge() int {
 	for round := 0; round < 6; round++ {
 		for _, lanes := range p.lanes {
 			for _, ln := range lanes {
-				total += ln.Scavenge()
+				total += ln.ScavengeOrphans()
 			}
 		}
 		if p.Orphans() == 0 {
@@ -618,7 +543,7 @@ func (p *Pipeline) Scavenge() int {
 // lanes; safe for one goroutine.
 type Producer struct {
 	p    *Pipeline
-	sess []LaneSession
+	sess []*nbqueue.Session[*Item]
 }
 
 // Producer attaches a new submission handle.
@@ -669,17 +594,11 @@ func (p *Pipeline) Cancel(it *Item) bool {
 // per lane), applying the destination's pressure recovery on refusal.
 // The error reports what admission did; the item is settled either way
 // unless placement succeeded.
-func (p *Pipeline) place(it *Item, dst int, sess []LaneSession) error {
+func (p *Pipeline) place(it *Item, dst int, sess []*nbqueue.Session[*Item]) error {
 	spec := &p.cfg.Stages[dst]
 	st := p.stats[dst]
-	lane := it.Prio
-	if lane < 0 {
-		lane = 0
-	}
-	if lane >= len(sess) {
-		lane = len(sess) - 1
-	}
-	err := p.enqueueLane(it, dst, sess[lane], spec.ForwardRetries)
+	lane := min(max(it.Prio, 0), len(sess)-1)
+	err := p.enqueueLane(it, dst, sess[lane], forwardRetries)
 	if err == nil {
 		return nil
 	}
@@ -695,7 +614,7 @@ func (p *Pipeline) place(it *Item, dst int, sess []LaneSession) error {
 			if l == lane {
 				continue
 			}
-			if p.enqueueLane(it, dst, sess[l], spec.ForwardRetries) == nil {
+			if p.enqueueLane(it, dst, sess[l], forwardRetries) == nil {
 				st.Spills.Add(1)
 				return nil
 			}
@@ -716,13 +635,13 @@ func (p *Pipeline) place(it *Item, dst int, sess []LaneSession) error {
 
 // enqueueLane publishes the item on one lane, yield-retrying transient
 // ErrFull up to retries times. ErrOverloaded (watermark admission) and
-// ErrDeadline return immediately. On a queue lane the item's deadline
-// budget is armed on the session for the attempts, so an enqueue still
-// retrying when the budget runs out aborts with ErrDeadline.
-func (p *Pipeline) enqueueLane(it *Item, dst int, s LaneSession, retries int) error {
+// ErrDeadline return immediately. The item's deadline budget is armed
+// on the session for the attempts, so an enqueue still retrying when
+// the budget runs out aborts with ErrDeadline.
+func (p *Pipeline) enqueueLane(it *Item, dst int, s *nbqueue.Session[*Item], retries int) error {
 	it.stage = dst
-	if qs, ok := s.(*nbqueue.Session[*Item]); ok && !it.Deadline.IsZero() && qs.SetDeadline(it.Deadline) {
-		defer qs.SetDeadline(time.Time{})
+	if !it.Deadline.IsZero() && s.SetDeadline(it.Deadline) {
+		defer s.SetDeadline(time.Time{})
 	}
 	for attempt := 0; ; attempt++ {
 		it.enqueuedAt = time.Now().UnixNano()
@@ -797,11 +716,11 @@ func (p *Pipeline) runWorker(w *worker) {
 
 // attach opens one session on each of stage's lanes (none past the
 // last stage).
-func (p *Pipeline) attach(stage int) []LaneSession {
+func (p *Pipeline) attach(stage int) []*nbqueue.Session[*Item] {
 	if stage >= len(p.lanes) {
 		return nil
 	}
-	ss := make([]LaneSession, len(p.lanes[stage]))
+	ss := make([]*nbqueue.Session[*Item], len(p.lanes[stage]))
 	for l, ln := range p.lanes[stage] {
 		ss[l] = ln.Attach()
 	}
@@ -810,7 +729,7 @@ func (p *Pipeline) attach(stage int) []LaneSession {
 
 // release detaches sessions opened by attach(stage), returning the
 // per-thread records freed.
-func (p *Pipeline) release(stage int, ss []LaneSession) int {
+func (p *Pipeline) release(stage int, ss []*nbqueue.Session[*Item]) int {
 	records := 0
 	for l, s := range ss {
 		s.Detach()
@@ -822,7 +741,7 @@ func (p *Pipeline) release(stage int, ss []LaneSession) int {
 // workerBody is one worker incarnation: drain the stage's lanes through
 // in in priority order, service, forward through out (nil at egress).
 // runWorker owns the sessions.
-func (p *Pipeline) workerBody(w *worker, in, out []LaneSession) {
+func (p *Pipeline) workerBody(w *worker, in, out []*nbqueue.Session[*Item]) {
 	spec := &p.cfg.Stages[w.stage]
 	st := p.stats[w.stage]
 	// An idle worker waits on a flat ladder: 256 yields, then 100µs

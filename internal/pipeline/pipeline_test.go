@@ -9,12 +9,6 @@ import (
 	"nbqueue/internal/chaos"
 )
 
-// Both session types are lane sessions as they stand.
-var (
-	_ LaneSession = (*nbqueue.Session[*Item])(nil)
-	_ LaneSession = (*nbqueue.FabricSession[*Item])(nil)
-)
-
 // drainAndAudit is the common epilogue: quiesce, stop, scavenge, audit.
 func drainAndAudit(t *testing.T, p *Pipeline) AuditReport {
 	t.Helper()
@@ -232,40 +226,6 @@ func TestRespawnReclaimsOnlyTheDead(t *testing.T) {
 				t.Errorf("kill recovery lost items: %+v", a)
 			}
 		})
-	}
-}
-
-// TestFabricLane runs the middle stage on a sharded fabric lane.
-func TestFabricLane(t *testing.T) {
-	room := []nbqueue.Option{nbqueue.WithCapacity(2048)}
-	p, err := New(Config{
-		Stages: []StageSpec{
-			{Name: "ingest", Workers: 1, LaneOptions: room},
-			{Name: "work", Workers: 2, NewLane: func(int) (Lane, error) {
-				f, err := nbqueue.NewFabric[*Item](nbqueue.WithShards(2))
-				if err != nil {
-					return nil, err
-				}
-				return FabricLane(f), nil
-			}},
-			{Name: "egress", Workers: 1, LaneOptions: room},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	pr := p.Producer()
-	const n = 1500
-	for i := 0; i < n; i++ {
-		if _, err := pr.Submit(0); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	pr.Close()
-	a := drainAndAudit(t, p)
-	if a.Emitted != n {
-		t.Fatalf("fabric lane lost items: %+v", a)
 	}
 }
 

@@ -9,68 +9,40 @@ import (
 	"nbqueue"
 )
 
+// The steady run's fixed shape. stageNames, stageWorkers, stageLanes,
+// serviceSpin and drainBudget are shared with the fault matrix.
+var stageNames = [...]string{"ingest", "work", "egress"}
+
+const (
+	stageWorkers         = 2                // goroutines per stage
+	stageLanes           = 2                // priority lanes per stage
+	serviceSpin          = 64               // synthetic work per item, in spin rounds
+	drainBudget          = 20 * time.Second // bounds the end-of-run quiescence wait
+	steadyProducers      = 2                // submitting goroutines
+	steadyCancelEvery    = 64               // submissions per producer between cancels
+	steadyDeadlineBudget = 2 * time.Second  // every item's end-to-end deadline
+)
+
 // SteadyOptions tunes RunSteady, the steady-state measurement run
 // behind `fifobench -experiment pipeline`.
 type SteadyOptions struct {
-	// Stages is the pipeline depth (default 3: ingest → work → egress).
-	Stages int
-	// Workers per stage (default 2).
-	Workers int
 	// LaneCapacity bounds each lane (default 512).
 	LaneCapacity int
-	// Lanes is the priority-lane count per stage (default 2).
-	Lanes int
 	// Duration is the measurement window (default 500ms).
 	Duration time.Duration
-	// Producers is the submitting goroutine count (default 2).
-	Producers int
-	// CancelEvery cancels one recent item per this many submissions
-	// per producer (default 64); 0 disables cancellation.
-	CancelEvery int
-	// DeadlineBudget arms every item's end-to-end deadline
-	// (default 2s; <0 disables).
-	DeadlineBudget time.Duration
-	// ServiceSpin is the per-item synthetic work (default 64 rounds).
-	ServiceSpin int
 	// Seed drives producer randomness (0 means 1).
 	Seed int64
-	// DrainBudget bounds the end-of-run quiescence wait (default 20s).
-	DrainBudget time.Duration
 }
 
 func (o SteadyOptions) withDefaults() SteadyOptions {
-	if o.Stages <= 0 {
-		o.Stages = 3
-	}
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
 	if o.LaneCapacity <= 0 {
 		o.LaneCapacity = 512
-	}
-	if o.Lanes <= 0 {
-		o.Lanes = 2
 	}
 	if o.Duration <= 0 {
 		o.Duration = 500 * time.Millisecond
 	}
-	if o.Producers <= 0 {
-		o.Producers = 2
-	}
-	if o.CancelEvery == 0 {
-		o.CancelEvery = 64
-	}
-	if o.DeadlineBudget == 0 {
-		o.DeadlineBudget = 2 * time.Second
-	}
-	if o.ServiceSpin <= 0 {
-		o.ServiceSpin = 64
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.DrainBudget <= 0 {
-		o.DrainBudget = 20 * time.Second
 	}
 	return o
 }
@@ -110,21 +82,13 @@ type SteadyReport struct {
 // sibling lane under pressure.
 func RunSteady(o SteadyOptions) (*SteadyReport, error) {
 	o = o.withDefaults()
-	cfg := Config{Respawn: true}
-	if o.DeadlineBudget > 0 {
-		cfg.DeadlineBudget = o.DeadlineBudget
-	}
-	names := []string{"ingest", "work", "egress"}
-	for s := 0; s < o.Stages; s++ {
-		name := fmt.Sprintf("stage%d", s)
-		if s < len(names) && o.Stages <= len(names) {
-			name = names[s]
-		}
+	cfg := Config{Respawn: true, DeadlineBudget: steadyDeadlineBudget}
+	for s, name := range stageNames {
 		spec := StageSpec{
 			Name:    name,
-			Workers: o.Workers,
-			Lanes:   o.Lanes,
-			Service: spinService(o.ServiceSpin),
+			Workers: stageWorkers,
+			Lanes:   stageLanes,
+			Service: spinService(serviceSpin),
 		}
 		cap := o.LaneCapacity
 		switch s {
@@ -148,8 +112,8 @@ func RunSteady(o SteadyOptions) (*SteadyReport, error) {
 	p.Start()
 
 	stop := make(chan struct{})
-	done := make(chan struct{}, o.Producers)
-	for w := 0; w < o.Producers; w++ {
+	done := make(chan struct{}, steadyProducers)
+	for w := 0; w < steadyProducers; w++ {
 		rng := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
 		go func() {
 			defer func() { done <- struct{}{} }()
@@ -163,11 +127,11 @@ func RunSteady(o SteadyOptions) (*SteadyReport, error) {
 					return
 				default:
 				}
-				it, _ := pr.Submit(rng.Intn(o.Lanes))
+				it, _ := pr.Submit(rng.Intn(stageLanes))
 				if it != nil {
 					ring[i%ringSize] = it
 				}
-				if o.CancelEvery > 0 && i%uint64(o.CancelEvery) == uint64(o.CancelEvery)-1 {
+				if i%steadyCancelEvery == steadyCancelEvery-1 {
 					// Fence the newest still-pending recent item.
 					for back := uint64(0); back < ringSize; back++ {
 						slot := (i + ringSize - back) % ringSize
@@ -190,10 +154,10 @@ func RunSteady(o SteadyOptions) (*SteadyReport, error) {
 	start := time.Now()
 	time.Sleep(o.Duration)
 	close(stop)
-	for w := 0; w < o.Producers; w++ {
+	for w := 0; w < steadyProducers; w++ {
 		<-done
 	}
-	if !p.Drain(o.DrainBudget) {
+	if !p.Drain(drainBudget) {
 		p.Stop()
 		return nil, fmt.Errorf("pipeline steady (seed=%d): drain timeout, %d in flight",
 			o.Seed, p.Ledger().Inflight())

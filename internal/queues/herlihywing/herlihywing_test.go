@@ -113,3 +113,24 @@ func TestFrontHintNeverSkipsPending(t *testing.T) {
 		t.Fatalf("delivered %d values, want 17", len(seen))
 	}
 }
+
+// newSink keeps TestNewBytes' New calls from being optimized away.
+var newSink *herlihywing.Queue
+
+// TestNewBytes is the bytes row for an empty queue: New may allocate
+// the queue struct and its segment spine, 1 KiB at most, and no
+// storage for items. With a fixed 65,536-entry spine New allocated
+// 532,480 B at any depth.
+func TestNewBytes(t *testing.T) {
+	const ceiling = 1 << 10
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			newSink = herlihywing.New()
+		}
+	})
+	got := r.AllocedBytesPerOp()
+	t.Logf("New allocates %d B, ceiling %d B", got, ceiling)
+	if got > ceiling {
+		t.Errorf("New allocates %d B, ceiling %d B", got, ceiling)
+	}
+}

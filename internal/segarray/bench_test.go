@@ -9,7 +9,7 @@ func BenchmarkWordHot(b *testing.B) {
 	a.Word(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Word(uint64(i) & segMask).Store(uint64(i))
+		a.Word(uint64(i) & (segSize - 1)).Store(uint64(i))
 	}
 }
 

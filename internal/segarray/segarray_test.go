@@ -2,6 +2,7 @@ package segarray
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -84,8 +85,97 @@ func TestConcurrentMaterialization(t *testing.T) {
 
 func TestBytesReporting(t *testing.T) {
 	var a Array
+	if a.Bytes() != 0 {
+		t.Fatalf("empty array Bytes = %d, want 0", a.Bytes())
+	}
 	a.Word(0)
 	if a.Bytes() != segSize*8 {
 		t.Fatalf("Bytes = %d, want %d", a.Bytes(), segSize*8)
+	}
+	a.Word(segSize) // segment 1, twice the size
+	if want := 3 * segSize * 8; a.Bytes() != want {
+		t.Fatalf("Bytes = %d, want %d", a.Bytes(), want)
+	}
+}
+
+// TestLocateBijection: walking the word indexes [0, MaxWords) in order
+// visits every (segment, offset) slot exactly once, segment by segment;
+// segment s holds segSize<<s words and the segments hold exactly
+// MaxWords words. Inside a segment the offset just counts up, so the
+// walk jumps from one segment's last few words to the next one's first
+// few instead of visiting all 2^29.
+func TestLocateBijection(t *testing.T) {
+	total := 0
+	for s := 0; s < spineLen; s++ {
+		if got, want := segmentLen(s), segSize<<s; got != want {
+			t.Fatalf("segment %d holds %d words, want %d", s, got, want)
+		}
+		total += segmentLen(s)
+	}
+	if total != MaxWords {
+		t.Fatalf("segments hold %d words, want MaxWords = %d", total, MaxWords)
+	}
+	if MaxWords < 1<<28 {
+		t.Fatalf("MaxWords = %d, want at least 2^28", MaxWords)
+	}
+	const edge = 64 // words checked at each end of a segment
+	first := uint64(0)
+	for s := 0; s < spineLen; s++ {
+		n := uint64(segmentLen(s))
+		for off := uint64(0); off < n; off++ {
+			if off == edge && n > 2*edge {
+				off = n - edge
+			}
+			gs, goff := locate(first + off)
+			if gs != s || uint64(goff) != off {
+				t.Fatalf("index %d -> (%d, %d), want (%d, %d)", first+off, gs, goff, s, off)
+			}
+		}
+		first += n
+	}
+	if first != MaxWords {
+		t.Fatalf("indexes filled %d words, want %d", first, MaxWords)
+	}
+}
+
+// TestConcurrentGrowthKeepsAddresses: goroutines touching interleaved
+// indices at once across six segment boundaries (4Ki, 12Ki, 28Ki, 60Ki,
+// 124Ki, 252Ki words) converge on one segment per slot, and the address
+// Word returned for every index while the array was growing is still
+// the one it returns after the growth, with the value written through it.
+func TestConcurrentGrowthKeepsAddresses(t *testing.T) {
+	const goroutines = 4
+	const words = 260_000 // reaches segment 6, which starts at 258,048
+	var a Array
+	addrs := make([]*atomic.Uint64, words)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			start.Wait()
+			for i := g; i < words; i += goroutines {
+				w := a.Word(uint64(i))
+				w.Store(uint64(i) + 1)
+				addrs[i] = w
+			}
+		}(g)
+	}
+	start.Done()
+	wg.Wait()
+	if s, _ := locate(words - 1); s < 6 {
+		t.Fatalf("growth reached segment %d, want at least 6", s)
+	}
+	if got := a.Segments(); got != 7 {
+		t.Fatalf("segments = %d, want 7", got)
+	}
+	for i, w := range addrs {
+		if got := a.Word(uint64(i)); got != w {
+			t.Fatalf("word %d moved from %p to %p after growth", i, w, got)
+		}
+		if got := a.Load(uint64(i)); got != uint64(i)+1 {
+			t.Fatalf("word %d = %d, want %d (a racing installer's segment won)", i, got, i+1)
+		}
 	}
 }
