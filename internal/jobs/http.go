@@ -71,11 +71,18 @@ func writeErr(w http.ResponseWriter, err error) {
 	}{ae})
 }
 
-// readJSON decodes the body into v; an empty body is allowed and
-// leaves v zero.
+// readJSON decodes the body, one JSON value, into v; an empty body is
+// allowed and leaves v zero. The body is read to its end, and anything
+// but white space after the value is ErrInvalid.
 func readJSON(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil && !errors.Is(err, io.EOF) {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(v); errors.Is(err, io.EOF) {
+		return nil
+	} else if err != nil {
 		return fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("%w: trailing data after the JSON body", ErrInvalid)
 	}
 	return nil
 }

@@ -6,10 +6,58 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestTrailingBodyRejected: a PUSH, FETCH or ACK body holding anything
+// but white space after its JSON value is 400 invalid and does nothing;
+// trailing white space and an empty body are accepted.
+func TestTrailingBodyRejected(t *testing.T) {
+	s, _ := newTestServer(Config{})
+	h := NewHandler(s)
+	do := func(path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	id := mustPush(t, s, "q", PushOptions{})
+	const fetch = `{"queues":["q"],"worker":"w","count":1}`
+	for _, c := range []struct {
+		what, path, body string
+	}{
+		{"PUSH", "/ojs/queues/q/jobs", `{"args":{"n":1}}{"x":1}`},
+		{"PUSH", "/ojs/queues/q/jobs", `{"args":{"n":1}} x`},
+		{"FETCH", "/ojs/fetch", fetch + `{"x":1}`},
+		{"FETCH", "/ojs/fetch", fetch + `]`},
+	} {
+		if code, body := do(c.path, c.body); code != http.StatusBadRequest || !strings.Contains(body, `"invalid"`) {
+			t.Errorf("%s %q: %d %s, want 400 invalid", c.what, c.body, code, body)
+		}
+	}
+	if c := s.Counters(); c["jobs_pushed_total"] != 1 || c["jobs_fetched_total"] != 0 {
+		t.Fatalf("a rejected request acted: %v", c)
+	}
+	wantState(t, s, id, StateAvailable)
+
+	if code, body := do("/ojs/queues/q/jobs", ""); code != http.StatusCreated {
+		t.Fatalf("PUSH with an empty body: %d %s, want 201", code, body)
+	}
+	if code, body := do("/ojs/fetch", fetch+" \n\t"); code != http.StatusOK || !strings.Contains(body, id) {
+		t.Fatalf("FETCH with trailing white space: %d %s, want 200 leasing %s", code, body, id)
+	}
+	ack := "/ojs/jobs/" + id + "/ack"
+	if code, body := do(ack, `{"worker":"w"}{"x":1}`); code != http.StatusBadRequest || !strings.Contains(body, `"invalid"`) {
+		t.Fatalf("ACK with trailing data: %d %s, want 400 invalid", code, body)
+	}
+	wantState(t, s, id, StateActive)
+	if code, body := do(ack, `{"worker":"w"}`+"\n"); code != http.StatusOK {
+		t.Fatalf("ACK: %d %s, want 200", code, body)
+	}
+	wantState(t, s, id, StateCompleted)
+}
 
 // TestHTTPConcurrentWorkersExactlyOnce is the race-detector end-to-end
 // check: a real ticker, a visibility window short enough that leases

@@ -23,6 +23,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,16 +160,15 @@ type Envelope struct {
 }
 
 // Job is the server-side runtime record. Instants are unix
-// nanoseconds, like deadline; Envelope renders them as time.Time.
+// nanoseconds, like deadline; Envelope renders them as time.Time. The
+// fields are ordered to fit the 192 B size class (TestJobRecordSize).
 type Job struct {
-	id          string
-	typ         string // the typeQueue's name, shared by every job of the type
-	args        json.RawMessage
-	maxAttempts int
-	visibility  time.Duration // per-lease no-heartbeat redelivery window
-	timeout     time.Duration // per-attempt execution ceiling, heartbeat-proof
-	retry       *RetryPolicy  // &Config.Retry unless the PUSH set its own
-	createdAt   int64
+	id         [16]byte   // the raw id; ID renders it as 32 lowercase hex characters
+	tq         *typeQueue // the job's type: its ready queue and dead-letter list
+	args       json.RawMessage
+	visibility time.Duration // per-lease no-heartbeat redelivery window
+	timeout    time.Duration // per-attempt execution ceiling, heartbeat-proof
+	retry      *RetryPolicy  // &Config.Retry unless the PUSH set its own
 
 	// word is the packed (generation, state) transition word; see pack.
 	word atomic.Uint64
@@ -179,27 +179,30 @@ type Job struct {
 	// the heartbeat's CAS). Meaningful only while active.
 	deadline atomic.Int64
 
+	maxAttempts int32 // fixed at PUSH; beside mu and attempt, the three pack into 16 B
 	// mu guards the mutable metadata below. Only the winner of a word
 	// CAS writes here; readers (INFO, envelope snapshots) lock to read.
 	mu          sync.Mutex
-	attempt     int
+	attempt     int32
 	worker      string
 	fetchedAt   int64
 	scheduledAt int64
-	// log holds the first nlog lifecycle entries inline: push, fetch
-	// and ack fill three, so a job that never fails never allocates
-	// for its history.
-	nlog int
-	log  [4]logEntry
+	// The first nlog lifecycle entries are stored inline, instants in
+	// logAt and state codes in logCode: push, fetch and ack fill three,
+	// so a job that never fails never allocates for its history. The
+	// first entry is the push, so logAt[0] is the creation instant.
+	nlog    uint8
+	logCode [4]uint8
+	logAt   [4]int64
 	// spill is allocated by the first failure or fifth transition.
 	spill *jobSpill
 }
 
-// logEntry is one stored lifecycle transition: a state code and when
+// logEntry is one spilled lifecycle transition: a state code and when
 // it happened. Envelope renders it as a Transition.
 type logEntry struct {
 	at   int64
-	code uint64
+	code uint8
 }
 
 // jobSpill holds the metadata only failing or long-lived jobs carry:
@@ -210,34 +213,25 @@ type jobSpill struct {
 }
 
 // newJob builds an available job and stamps its creation transition.
-func newJob(id, typ string, args json.RawMessage, maxAttempts int, visibility, timeout time.Duration, retry *RetryPolicy, now int64) *Job {
+func newJob(id [16]byte, tq *typeQueue, args json.RawMessage, maxAttempts int, visibility, timeout time.Duration, retry *RetryPolicy, now int64) *Job {
 	j := &Job{
 		id:          id,
-		typ:         typ,
+		tq:          tq,
 		args:        args,
-		maxAttempts: maxAttempts,
+		maxAttempts: int32(min(maxAttempts, 1<<31-1)),
 		visibility:  visibility,
 		timeout:     timeout,
 		retry:       retry,
-		createdAt:   now,
 		nlog:        1,
-		log:         [4]logEntry{{at: now, code: codeAvailable}},
+		logCode:     [4]uint8{uint8(codeAvailable)},
+		logAt:       [4]int64{now},
 	}
 	j.word.Store(pack(codeAvailable, 0))
 	return j
 }
 
 // ID returns the job id.
-func (j *Job) ID() string { return j.id }
-
-// Type returns the job's queue name.
-func (j *Job) Type() string { return j.typ }
-
-// State returns the current lifecycle state.
-func (j *Job) State() State {
-	code, _ := unpack(j.word.Load())
-	return codeState[code]
-}
+func (j *Job) ID() string { return hex.EncodeToString(j.id[:]) }
 
 // leaseDeadline is the expiry of a lease extended at now (unix nanos)
 // for an attempt fetched at fetched: the visibility window, capped by
@@ -261,22 +255,21 @@ func (j *Job) spilled() *jobSpill {
 
 // recordTransition appends to the lifecycle log; callers hold j.mu.
 func (j *Job) recordTransition(code uint64, at int64) {
-	e := logEntry{at: at, code: code}
-	if j.nlog < len(j.log) {
-		j.log[j.nlog] = e
+	if int(j.nlog) < len(j.logAt) {
+		j.logAt[j.nlog], j.logCode[j.nlog] = at, uint8(code)
 		j.nlog++
 		return
 	}
 	sp := j.spilled()
-	sp.log = append(sp.log, e)
+	sp.log = append(sp.log, logEntry{at: at, code: uint8(code)})
 }
 
 // recordError appends to the error history; callers hold j.mu. The
 // instant goes through time.Unix like every other Envelope instant, so
 // one envelope never mixes zones.
-func (j *Job) recordError(attempt int, msg string, at int64) {
+func (j *Job) recordError(attempt int32, msg string, at int64) {
 	sp := j.spilled()
-	sp.errors = append(sp.errors, JobError{Attempt: attempt, Error: msg, At: time.Unix(0, at)})
+	sp.errors = append(sp.errors, JobError{Attempt: int(attempt), Error: msg, At: time.Unix(0, at)})
 }
 
 // Envelope snapshots the job for the wire. Every instant is rendered
@@ -290,13 +283,13 @@ func (j *Job) Envelope() *Envelope {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	e := &Envelope{
-		ID:           j.id,
-		Type:         j.typ,
+		ID:           j.ID(),
+		Type:         j.tq.name,
 		Args:         j.args,
 		State:        codeState[code],
-		Attempt:      j.attempt,
-		MaxAttempts:  j.maxAttempts,
-		CreatedAt:    time.Unix(0, j.createdAt),
+		Attempt:      int(j.attempt),
+		MaxAttempts:  int(j.maxAttempts),
+		CreatedAt:    time.Unix(0, j.logAt[0]),
 		VisibilityMS: j.visibility.Milliseconds(),
 		TimeoutMS:    j.timeout.Milliseconds(),
 	}
@@ -305,9 +298,13 @@ func (j *Job) Envelope() *Envelope {
 		e.Errors = append([]JobError(nil), j.spill.errors...)
 		spilled = j.spill.log
 	}
-	e.History = make([]Transition, 0, j.nlog+len(spilled))
-	e.History = appendHistory(e.History, j.log[:j.nlog])
-	e.History = appendHistory(e.History, spilled)
+	e.History = make([]Transition, 0, int(j.nlog)+len(spilled))
+	for i := range j.nlog {
+		e.History = append(e.History, Transition{State: codeState[j.logCode[i]], At: time.Unix(0, j.logAt[i])})
+	}
+	for _, t := range spilled {
+		e.History = append(e.History, Transition{State: codeState[t.code], At: time.Unix(0, t.at)})
+	}
 	switch codeState[code] {
 	case StateActive:
 		e.Worker = j.worker
@@ -320,19 +317,21 @@ func (j *Job) Envelope() *Envelope {
 	return e
 }
 
-// appendHistory renders stored log entries as wire transitions.
-func appendHistory(h []Transition, log []logEntry) []Transition {
-	for _, t := range log {
-		h = append(h, Transition{State: codeState[t.code], At: time.Unix(0, t.at)})
-	}
-	return h
-}
-
-// newID returns a fresh 128-bit hex job id.
-func newID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
+// newID returns a fresh 128-bit job id.
+func newID() (id [16]byte) {
+	if _, err := rand.Read(id[:]); err != nil {
 		panic("jobs: crypto/rand unavailable: " + err.Error())
 	}
-	return hex.EncodeToString(b[:])
+	return id
+}
+
+// parseID decodes a job id without allocating. Only the form ID
+// renders, exactly 32 lowercase hex characters, names a job, so an
+// uppercase spelling of a live id is unknown.
+func parseID(s string) (id [16]byte, ok bool) {
+	if len(s) != 2*len(id) || strings.ToLower(s) != s {
+		return id, false
+	}
+	_, err := hex.Decode(id[:], []byte(s))
+	return id, err == nil
 }

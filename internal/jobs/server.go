@@ -56,9 +56,6 @@ type Config struct {
 	Retry RetryPolicy
 	// Tick is the timer wheel resolution. Default 20ms.
 	Tick time.Duration
-	// WheelSlots sizes the timer wheel (rounded up to a power of two).
-	// Default 512.
-	WheelSlots int
 	// MaxQueues caps dynamically created job types. Default 256.
 	MaxQueues int
 	// Now injects the clock; tests drive expiry with a fake clock plus
@@ -110,18 +107,13 @@ func (tq *typeQueue) parkDead(j *Job) {
 	tq.mu.Unlock()
 }
 
-// unparkDead removes j from the dead-letter list; reports whether it
-// was there.
-func (tq *typeQueue) unparkDead(j *Job) bool {
+// unparkDead removes j from the dead-letter list.
+func (tq *typeQueue) unparkDead(j *Job) {
 	tq.mu.Lock()
 	defer tq.mu.Unlock()
-	for i, d := range tq.dead {
-		if d == j {
-			tq.dead = append(tq.dead[:i], tq.dead[i+1:]...)
-			return true
-		}
+	if i := slices.Index(tq.dead, j); i >= 0 {
+		tq.dead = slices.Delete(tq.dead, i, i+1)
 	}
-	return false
 }
 
 func (tq *typeQueue) deadSnapshot() []*Job {
@@ -130,9 +122,19 @@ func (tq *typeQueue) deadSnapshot() []*Job {
 	return append([]*Job(nil), tq.dead...)
 }
 
+// jobShards is the job table's shard count, a power of two. Ids are
+// random, so an id's first byte picks its shard evenly.
+const jobShards = 16
+
+// jobShard is one lock-guarded slice of the job table.
+type jobShard struct {
+	mu   sync.RWMutex
+	jobs map[[16]byte]*Job
+}
+
 // Server is the job-queue core: one ready queue per job type, a global
-// job table, the in-flight lease table, and the timer wheel that
-// drives visibility expiry, retry release, and deferred requeues.
+// job table, and the timer wheel that drives visibility expiry, retry
+// release, and deferred requeues.
 type Server struct {
 	cfg  Config
 	now  func() time.Time
@@ -143,13 +145,10 @@ type Server struct {
 	order  []string // creation order, for the manifest
 
 	// jobs is the global id → *Job table; tracked mirrors its size.
-	jobs    sync.Map
+	jobs    [jobShards]jobShard
 	tracked atomic.Int64
-
-	// leases is the in-flight table: ids of active (leased) jobs. The
-	// authoritative state lives in each job's word; this is the O(1)
-	// "what is in flight" view for gauges and draining.
-	leases sync.Map
+	// active counts leased jobs. Every decrement follows a won CAS out
+	// of the active state, so each lease is counted down exactly once.
 	active atomic.Int64
 
 	wheel *wheel
@@ -182,24 +181,25 @@ func New(cfg Config) *Server {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 20 * time.Millisecond
 	}
-	if cfg.WheelSlots <= 0 {
-		cfg.WheelSlots = 512
-	}
 	if cfg.MaxQueues <= 0 {
 		cfg.MaxQueues = 256
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Server{
+	s := &Server{
 		cfg:    cfg,
 		now:    cfg.Now,
 		tick:   cfg.Tick,
 		queues: make(map[string]*typeQueue),
-		wheel:  newWheel(cfg.Tick, cfg.WheelSlots),
+		wheel:  newWheel(cfg.Tick, 512),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	for i := range s.jobs {
+		s.jobs[i].jobs = make(map[[16]byte]*Job)
+	}
+	return s
 }
 
 // Start launches the ticker goroutine that sweeps the timer wheel.
@@ -239,14 +239,14 @@ func (s *Server) Advance(now time.Time) {
 	s.wheel.advanceTo(now, func(e timerEntry) { s.fire(e, now) })
 }
 
-func (s *Server) event(kind EventKind, j *Job, attempt int, errMsg string) {
+func (s *Server) event(kind EventKind, j *Job, attempt int32, errMsg string) {
 	if s.cfg.Hook == nil {
 		return
 	}
 	j.mu.Lock()
 	worker := j.worker
 	j.mu.Unlock()
-	s.cfg.Hook(Event{Kind: kind, JobID: j.id, Queue: j.typ, Worker: worker, Attempt: attempt, Err: errMsg})
+	s.cfg.Hook(Event{Kind: kind, JobID: j.ID(), Queue: j.tq.name, Worker: worker, Attempt: int(attempt), Err: errMsg})
 }
 
 // lookup resolves a job type's queue; nil when unknown.
@@ -285,8 +285,8 @@ func (s *Server) getOrCreateQueue(typ string) (*typeQueue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: building ready queue for %q: %w", typ, err)
 	}
-	// A clone, so that no job's typ (which shares tq.name) pins the
-	// request that created the queue.
+	// A clone, so that the queue's name does not pin the request that
+	// created it.
 	name := strings.Clone(typ)
 	tq := &typeQueue{name: name, q: q}
 	s.queues[name] = tq
@@ -341,13 +341,20 @@ func (s *Server) Push(typ string, args json.RawMessage, o PushOptions) (*Envelop
 	if len(args) == 0 {
 		args = json.RawMessage("null")
 	}
-	j := newJob(newID(), tq.name, args, maxAttempts, visibility, timeout, retry, s.now().UnixNano())
-	s.jobs.Store(j.id, j)
+	j := newJob(newID(), tq, args, maxAttempts, visibility, timeout, retry, s.now().UnixNano())
+	// The job is in the table before the ready queue, so a worker that
+	// fetches it at once can ACK it.
+	sh := s.shard(j.id)
+	sh.mu.Lock()
+	sh.jobs[j.id] = j
+	sh.mu.Unlock()
 	s.tracked.Add(1)
 	if err := tq.enqueue(j); err != nil {
 		// Not accepted: forget the job entirely so a client retry is a
 		// fresh PUSH, not a duplicate.
-		s.jobs.Delete(j.id)
+		sh.mu.Lock()
+		delete(sh.jobs, j.id)
+		sh.mu.Unlock()
 		s.tracked.Add(-1)
 		s.ctrs.inc(opShed)
 		s.event(EventShed, j, 0, err.Error())
@@ -358,13 +365,20 @@ func (s *Server) Push(typ string, args json.RawMessage, o PushOptions) (*Envelop
 	return j.Envelope(), nil
 }
 
-// job resolves an id.
+// shard returns the job-table shard that holds id.
+func (s *Server) shard(id [16]byte) *jobShard { return &s.jobs[id[0]%jobShards] }
+
+// job resolves an id; nil when it is unknown or not in the form ID
+// renders.
 func (s *Server) job(id string) *Job {
-	v, ok := s.jobs.Load(id)
+	raw, ok := parseID(id)
 	if !ok {
 		return nil
 	}
-	return v.(*Job)
+	sh := s.shard(raw)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.jobs[raw]
 }
 
 // Info returns a job's envelope.
@@ -471,18 +485,11 @@ func (s *Server) lease(j *Job, worker string, now time.Time) *Envelope {
 	j.mu.Unlock()
 	dl := j.leaseDeadline(at, at)
 	j.deadline.Store(dl)
-	s.leases.Store(j.id, j)
 	s.active.Add(1)
 	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl})
 	s.ctrs.inc(opFetched)
 	s.event(EventFetched, j, attempt, "")
 	return j.Envelope()
-}
-
-func (s *Server) dropLease(id string) {
-	if _, loaded := s.leases.LoadAndDelete(id); loaded {
-		s.active.Add(-1)
-	}
 }
 
 // checkLease validates that worker still holds j's lease, returning
@@ -530,7 +537,7 @@ func (s *Server) Ack(id, worker string) (*Envelope, error) {
 		attempt := j.attempt
 		j.recordTransition(codeCompleted, now.UnixNano())
 		j.mu.Unlock()
-		s.dropLease(id)
+		s.active.Add(-1)
 		s.ctrs.inc(opAcked)
 		s.event(EventAcked, j, attempt, "")
 		return j.Envelope(), nil
@@ -571,11 +578,11 @@ func (s *Server) Fail(id, worker, msg string) (*Envelope, error) {
 		j.recordError(attempt, msg, now.UnixNano())
 		j.recordTransition(target, now.UnixNano())
 		if !exhausted {
-			release = now.Add(j.retry.Backoff(attempt)).UnixNano()
+			release = now.Add(j.retry.Backoff(int(attempt))).UnixNano()
 			j.scheduledAt = release
 		}
 		j.mu.Unlock()
-		s.dropLease(id)
+		s.active.Add(-1)
 		if exhausted {
 			s.discard(j, attempt, msg)
 		} else {
@@ -588,10 +595,8 @@ func (s *Server) Fail(id, worker, msg string) (*Envelope, error) {
 }
 
 // discard parks an already-transitioned job in its dead-letter queue.
-func (s *Server) discard(j *Job, attempt int, msg string) {
-	if tq := s.lookup(j.typ); tq != nil {
-		tq.parkDead(j)
-	}
+func (s *Server) discard(j *Job, attempt int32, msg string) {
+	j.tq.parkDead(j)
 	s.ctrs.inc(opDiscarded)
 	s.event(EventDiscarded, j, attempt, msg)
 }
@@ -729,11 +734,11 @@ func (s *Server) fireLease(e timerEntry, now time.Time) {
 	j.recordError(attempt, msg, now.UnixNano())
 	j.recordTransition(target, now.UnixNano())
 	if target == codeRetryable {
-		release = now.Add(j.retry.Backoff(attempt)).UnixNano()
+		release = now.Add(j.retry.Backoff(int(attempt))).UnixNano()
 		j.scheduledAt = release
 	}
 	j.mu.Unlock()
-	s.dropLease(j.id)
+	s.active.Add(-1)
 	s.ctrs.inc(opExpired)
 	s.event(EventLeaseExpired, j, attempt, msg)
 	switch target {
@@ -781,11 +786,7 @@ func (s *Server) fireRequeue(e timerEntry) {
 // insert is deferred on the wheel rather than dropped: server-internal
 // re-releases must not lose jobs the way client PUSHes may shed.
 func (s *Server) release(j *Job, gen uint64) {
-	tq := s.lookup(j.typ)
-	if tq == nil {
-		return // unreachable: the queue existed at PUSH and is never removed
-	}
-	if err := tq.enqueue(j); err != nil {
+	if err := j.tq.enqueue(j); err != nil {
 		s.wheel.schedule(timerEntry{
 			job: j, gen: gen, kind: timerRequeue,
 			at: s.now().Add(5 * s.tick).UnixNano(),
@@ -824,10 +825,7 @@ func (s *Server) RequeueDead(id string) (*Envelope, error) {
 		if !j.word.CompareAndSwap(word, pack(codeAvailable, gen+1)) {
 			continue
 		}
-		tq := s.lookup(j.typ)
-		if tq != nil {
-			tq.unparkDead(j)
-		}
+		j.tq.unparkDead(j)
 		j.mu.Lock()
 		j.attempt = 0
 		j.worker = ""
@@ -864,10 +862,7 @@ func (s *Server) Manifest() Manifest {
 	sort.Strings(names)
 	queues := make([]QueueInfo, 0, len(names))
 	for _, name := range names {
-		tq := s.lookup(name)
-		if tq == nil {
-			continue
-		}
+		tq := s.lookup(name) // never nil: queues are never removed
 		tq.mu.Lock()
 		dead := len(tq.dead)
 		tq.mu.Unlock()

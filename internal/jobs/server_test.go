@@ -4,7 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,6 +89,18 @@ func wantState(t *testing.T, s *Server, id string, want State) {
 	if env.State != want {
 		t.Fatalf("job %s state = %s, want %s", id, env.State, want)
 	}
+}
+
+// gauge reads s's gauge called name.
+func gauge(t *testing.T, s *Server, name string) float64 {
+	t.Helper()
+	for _, g := range s.Gauges() {
+		if g.Name == name {
+			return g.Value()
+		}
+	}
+	t.Fatalf("no gauge %q", name)
+	return 0
 }
 
 // TestVisibilityEdges is the satellite-3 table: lease-expiry races and
@@ -238,6 +257,10 @@ func TestAckVsExpiryExactlyOnce(t *testing.T) {
 		}
 		if c["jobs_acked_total"]+c["jobs_lease_expired_total"] != 1 {
 			t.Fatalf("round %d: attempt resolved %d times", i, c["jobs_acked_total"]+c["jobs_lease_expired_total"])
+		}
+		// Only the CAS winner counts the lease down.
+		if active := gauge(t, s, "jobs_active"); active != 0 {
+			t.Fatalf("round %d: jobs_active = %v after the lease resolved, want 0", i, active)
 		}
 	}
 	t.Logf("200 rounds: %d acks won, %d expiries won", acked, expired)
@@ -557,4 +580,168 @@ func TestFetchRepeatedNames(t *testing.T) {
 	if _, err := s.Fetch(append(repeated, "a"), "w", 1, 0); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Fetch naming %d queues (limit %d): err = %v, want ErrInvalid", len(repeated)+1, s.cfg.MaxQueues, err)
 	}
+}
+
+// TestJobTableConcurrent drives the sharded job table from several
+// goroutines: pushers that cancel every fifth job and read each one
+// back, and workers that fetch and ack, against a ready queue small
+// enough to shed. Every accepted id resolves to its own job, a shed
+// PUSH leaves no entry behind, and only the canonical spelling of an
+// id names it, through Server calls and over HTTP.
+func TestJobTableConcurrent(t *testing.T) {
+	const (
+		pushers   = 4
+		perPusher = 150
+		workers   = 2
+	)
+	var shedMu sync.Mutex
+	var shed []string
+	s, _ := newTestServer(Config{
+		QueueOptions: []nbqueue.Option{nbqueue.WithSegmentSize(4), nbqueue.WithMemoryBound(2)},
+		Hook: func(e Event) {
+			if e.Kind == EventShed {
+				shedMu.Lock()
+				shed = append(shed, e.JobID)
+				shedMu.Unlock()
+			}
+		},
+	})
+	h := NewHandler(s)
+	args := func(p, i int) json.RawMessage { return json.RawMessage(fmt.Sprintf(`{"p":%d,"i":%d}`, p, i)) }
+	push := func(p, i int) (string, bool) {
+		env, err := s.Push("t", args(p, i), PushOptions{})
+		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrOverloaded) {
+			return "", false
+		}
+		if err != nil {
+			t.Errorf("push %d/%d: %v", p, i, err)
+			return "", false
+		}
+		return env.ID, true
+	}
+	// unknown checks that every non-canonical spelling of the live id
+	// is unknown.
+	unknown := func(id string) {
+		spellings := []string{id[:31], id + "0", "g" + id[1:], ""}
+		if up := strings.ToUpper(id); up != id {
+			spellings = append(spellings, up)
+		}
+		for _, bad := range spellings {
+			if _, err := s.Info(bad); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Info(%q) for live id %s: err = %v, want ErrNotFound", bad, id, err)
+			}
+			if _, err := s.Ack(bad, "w"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Ack(%q): err = %v, want ErrNotFound", bad, err)
+			}
+			if _, err := s.Cancel(bad); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Cancel(%q): err = %v, want ErrNotFound", bad, err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ojs/jobs/"+url.PathEscape(bad), nil))
+			if bad != "" && rec.Code != http.StatusNotFound {
+				t.Errorf("GET /ojs/jobs/%s: status %d, want 404", bad, rec.Code)
+			}
+		}
+	}
+
+	// Fill the ready queue first, so that some PUSH is sure to shed.
+	var prefill []string
+	for i := 0; ; i++ {
+		id, ok := push(-1, i)
+		if !ok {
+			break
+		}
+		if i == 64 {
+			t.Fatal("the ready queue never shed")
+		}
+		prefill = append(prefill, id)
+	}
+
+	accepted := make([][]string, pushers)
+	var pushing, working sync.WaitGroup
+	start := make(chan struct{})
+	for p := range pushers {
+		pushing.Add(1)
+		go func() {
+			defer pushing.Done()
+			<-start
+			for i := range perPusher {
+				id, ok := push(p, i)
+				if !ok {
+					continue
+				}
+				accepted[p] = append(accepted[p], id)
+				if env, err := s.Info(id); err != nil || env.ID != id || string(env.Args) != string(args(p, i)) {
+					t.Errorf("Info(%s) right after its push = %+v, %v", id, env, err)
+				}
+				if i%5 == 0 {
+					// Conflict if a worker leased it first.
+					if _, err := s.Cancel(id); err != nil && !errors.Is(err, ErrConflict) {
+						t.Errorf("Cancel(%s): %v", id, err)
+					}
+				}
+				if i%10 == 0 {
+					unknown(id)
+				}
+			}
+		}()
+	}
+	var stop atomic.Bool
+	for w := range workers {
+		working.Add(1)
+		go func() {
+			defer working.Done()
+			worker := fmt.Sprintf("w-%d", w)
+			<-start
+			for {
+				envs, err := s.Fetch([]string{"t"}, worker, 4, 0)
+				if err != nil {
+					t.Errorf("fetch: %v", err)
+					return
+				}
+				if len(envs) == 0 && stop.Load() {
+					return
+				}
+				for _, env := range envs {
+					if _, err := s.Ack(env.ID, worker); err != nil {
+						t.Errorf("Ack(%s): %v", env.ID, err)
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	close(start)
+	pushing.Wait()
+	stop.Store(true)
+	working.Wait()
+
+	all := slices.Concat(append(accepted, prefill)...)
+	c := s.Counters()
+	if got := len(all) + len(shed); got != pushers*perPusher+len(prefill)+1 {
+		t.Fatalf("%d accepted + %d shed = %d PUSHes, want %d", len(all), len(shed), got, pushers*perPusher+len(prefill)+1)
+	}
+	if c["jobs_pushed_total"] != uint64(len(all)) || c["jobs_push_shed_total"] != uint64(len(shed)) {
+		t.Fatalf("counters: %d pushed, %d shed; want %d and %d", c["jobs_pushed_total"], c["jobs_push_shed_total"], len(all), len(shed))
+	}
+	if tracked := gauge(t, s, "jobs_tracked"); tracked != float64(len(all)) {
+		t.Fatalf("jobs_tracked = %v, want %d pushed minus shed", tracked, len(all))
+	}
+	if active := gauge(t, s, "jobs_active"); active != 0 {
+		t.Fatalf("jobs_active = %v after every lease was acked, want 0", active)
+	}
+	for _, id := range shed {
+		if _, err := s.Info(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("shed job %s: Info err = %v, want ErrNotFound", id, err)
+		}
+	}
+	for _, id := range all {
+		if env, err := s.Info(id); err != nil || env.ID != id {
+			t.Errorf("Info(%s) = %+v, %v", id, env, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.job(all[0]) }); allocs != 0 {
+		t.Errorf("an id lookup allocates %v times", allocs)
+	}
+	t.Logf("%d accepted, %d shed", len(all), len(shed))
 }

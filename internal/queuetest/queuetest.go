@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nbqueue/internal/lincheck"
 	"nbqueue/internal/queue"
@@ -150,14 +151,24 @@ func ValueValidation(t *testing.T, mk Maker) {
 	}
 }
 
+// stressStall bounds how long StressMPMC's workers may go without a
+// value being consumed, as internal/bench bounds its workers' retries.
+var stressStall = 10 * time.Second
+
 // StressMPMC hammers the queue with producers and consumers exchanging
 // unique values, then verifies conservation: every value produced is
-// consumed exactly once and nothing else appears.
-func StressMPMC(t *testing.T, mk Maker, producers, consumers, perProducer int) {
+// consumed exactly once and nothing else appears. Once no value has
+// been consumed for stressStall, because a value was lost or a worker
+// is stuck inside the queue, the run fails with the consumed count and
+// the lowest missing value instead of hanging; a stuck worker is left
+// running.
+func StressMPMC(t testing.TB, mk Maker, producers, consumers, perProducer int) {
 	t.Helper()
 	q := mk(256)
 	total := producers * perProducer
 	seen := make([]atomic.Int32, total)
+	var consumed atomic.Int64
+	var stalled atomic.Bool
 	var wg sync.WaitGroup
 	start := xsync.NewBarrier(producers + consumers)
 	for p := 0; p < producers; p++ {
@@ -170,6 +181,9 @@ func StressMPMC(t *testing.T, mk Maker, producers, consumers, perProducer int) {
 			for i := 0; i < perProducer; i++ {
 				v := val(p*perProducer + i)
 				for s.Enqueue(v) != nil {
+					if stalled.Load() {
+						return
+					}
 					runtime.Gosched()
 				}
 			}
@@ -193,9 +207,13 @@ func StressMPMC(t *testing.T, mk Maker, producers, consumers, perProducer int) {
 				}
 				v, ok := s.Dequeue()
 				for !ok {
+					if stalled.Load() {
+						return
+					}
 					runtime.Gosched()
 					v, ok = s.Dequeue()
 				}
+				consumed.Add(1)
 				idx := int(v>>1) - 1
 				if idx < 0 || idx >= total {
 					mu.Lock()
@@ -207,7 +225,27 @@ func StressMPMC(t *testing.T, mk Maker, producers, consumers, perProducer int) {
 			}
 		}()
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for last, since := int64(0), time.Now(); ; {
+		select {
+		case <-done:
+		case <-time.After(stressStall / 100):
+			if n := consumed.Load(); n != last {
+				last, since = n, time.Now()
+			} else if time.Since(since) > stressStall {
+				stalled.Store(true)
+				missing := 0
+				for missing < total && seen[missing].Load() != 0 {
+					missing++
+				}
+				t.Fatalf("%s: no value consumed for %v: %d of %d consumed, lowest missing value %#x (index %d)",
+					q.Name(), stressStall, n, total, val(missing), missing)
+			}
+			continue
+		}
+		break
+	}
 	for _, e := range errs {
 		t.Error(e)
 	}

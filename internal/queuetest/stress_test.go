@@ -1,0 +1,71 @@
+package queuetest
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"nbqueue/internal/queue"
+	"nbqueue/internal/queues/chanq"
+)
+
+// lossy wraps a queue and swallows one value on enqueue.
+type lossy struct {
+	queue.Queue
+	drop uint64
+}
+
+func (l *lossy) Attach() queue.Session { return lossySession{l.Queue.Attach(), l.drop} }
+
+type lossySession struct {
+	queue.Session
+	drop uint64
+}
+
+func (s lossySession) Enqueue(v uint64) error {
+	if v == s.drop {
+		return nil
+	}
+	return s.Session.Enqueue(v)
+}
+
+// fatalRecorder is a testing.TB whose Errorf and Fatalf record the
+// message instead of failing the test; Fatalf ends the calling
+// goroutine, as testing.T's does.
+type fatalRecorder struct {
+	testing.TB
+	msgs []string
+}
+
+func (r *fatalRecorder) Helper() {}
+
+func (r *fatalRecorder) Errorf(format string, args ...any) {
+	r.msgs = append(r.msgs, fmt.Sprintf(format, args...))
+}
+
+func (r *fatalRecorder) Fatalf(format string, args ...any) {
+	r.Errorf(format, args...)
+	runtime.Goexit()
+}
+
+// TestStressMPMCReportsLoss: a queue that loses a value fails
+// StressMPMC with the consumed count and the lowest missing value once
+// no value is consumed for stressStall, instead of hanging.
+func TestStressMPMCReportsLoss(t *testing.T) {
+	defer func(d time.Duration) { stressStall = d }(stressStall)
+	stressStall = 50 * time.Millisecond
+	r := &fatalRecorder{TB: t}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		StressMPMC(r, func(c int) queue.Queue { return &lossy{Queue: chanq.New(c), drop: val(7)} }, 2, 2, 50)
+	}()
+	<-done
+	const want = "99 of 100 consumed, lowest missing value 0x10 (index 7)"
+	if len(r.msgs) != 1 || !strings.Contains(r.msgs[0], want) {
+		t.Fatalf("StressMPMC over a lossy queue reported %q, want one message containing %q", r.msgs, want)
+	}
+	t.Log(r.msgs[0])
+}
