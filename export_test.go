@@ -1,9 +1,8 @@
 package nbqueue
 
 import (
-	"unsafe"
-
-	"nbqueue/internal/tagptr"
+	"nbqueue/internal/arena"
+	"nbqueue/internal/grow"
 )
 
 // WithYieldHook installs a pre-access hook on algorithms that support one
@@ -24,29 +23,28 @@ func WithStealBatch(n int) FabricOption {
 // relaxation bound.
 const DefaultStealBatch = defaultStealBatch
 
-// PayloadSlotBytes is the size of one payload-store slot of a
+// PayloadSlotBytes is the size of one payload-store cell of a
 // Queue[T].
-func PayloadSlotBytes[T any]() uint64 { return uint64(unsafe.Sizeof(storeSlot[T]{})) }
+func PayloadSlotBytes[T any]() uint64 { return arena.CellBytes[T]() }
 
-// PayloadSlots reports how many of q's payload-store slots are
-// allocated, how many chunks are materialised, and how many free slots
-// still hold a non-zero value. It walks the free list, so call it only
-// while no session is operating on q.
+// PayloadSlots reports how many of q's payload-store cells are
+// allocated, how many chunks are materialised, and how many cells hold
+// a non-zero value beyond the allocated ones, which is the count of free
+// cells pinning a value when every queued value is non-zero. Call it
+// only while no session is operating on q.
 func PayloadSlots[T comparable](q *Queue[T]) (live, chunks, pinned int) {
-	s := q.store
 	var zero T
-	free := 0
-	for idx := tagptr.VerValue(s.head.Load()); idx != 0; idx = s.slots.At(idx).next.Load() {
-		free++
-		if s.slots.At(idx).v != zero {
-			pinned++
+	installed := map[int]bool{}
+	nonzero := 0
+	q.store.Cells(func(h uint64, v *T) bool {
+		installed[grow.NumChunks(int(h>>1)+1)] = true
+		if *v != zero {
+			nonzero++
 		}
-	}
-	s.slots.Chunks(func(uint64, []storeSlot[T]) bool {
-		chunks++
 		return true
 	})
-	return int(s.fresh.Load()-1) - free, chunks, pinned
+	live = q.store.Live()
+	return live, len(installed), nonzero - live
 }
 
 // TraceRings reports how many flight-recorder rings q's sessions and

@@ -255,7 +255,7 @@ const defaultStealBatch = 32
 // fences the producer out. No arena, no CAS — the blessed 1p1c pair
 // pays four uncontended atomic ops per transfer, which is what makes
 // the specialization pay off over the MPMC path's reservation CAS plus
-// two payload-store free-list CASes.
+// the two free-list CASes of the payload store's arena.Pool.
 //
 // Both sessions are pre-attached: spsc sessions are stateless, and the
 // mode protocol already serializes producer (pinflight bracket) and

@@ -2,8 +2,10 @@ package arena
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -213,29 +215,127 @@ func TestFrontierOrder(t *testing.T) {
 	}
 }
 
-// TestSeamPreemption enumerates every single-preemption schedule of an
-// Alloc on a capacity-2 arena poised at each point of the
-// frontier/free-list seam: the inner operations run whole inside the
-// Alloc's k-th yield. Each schedule must hand out no index twice, lose
-// none, and return Nil only where a linearization makes the arena
-// exhausted. An Alloc that claims the frontier with a plain load and
-// store hands one index to both allocations here.
+// seamPool is what the seam tests drive of a pool.
+type seamPool interface {
+	Alloc() Handle
+	Free(Handle)
+	SetYield(func())
+	Live() int
+}
+
+// seamPools holds one constructor per element type the module pools:
+// the Arena's Nodes, a payload (a pointer, as Queue[*T] stores) and a
+// segment handle's atomic.Pointer. debug selects the alloc/free checks.
+var seamPools = []struct {
+	name string
+	new  func(capacity int, debug bool) seamPool
+}{
+	{"Node", func(capacity int, debug bool) seamPool {
+		a := new(Arena)
+		a.init(capacity, debug)
+		return a
+	}},
+	{"payload", newSeamPool[*int]},
+	{"segment", newSeamPool[atomic.Pointer[int]]},
+}
+
+func newSeamPool[E any](capacity int, debug bool) seamPool {
+	p := new(Pool[E])
+	p.init(capacity, debug)
+	return p
+}
+
+// TestCellSize pins what a cell costs: a Node cell is the free-list
+// link plus Value and Next, 24 B, and a segment-handle cell a link plus
+// a pointer, 16 B.
+func TestCellSize(t *testing.T) {
+	if n := CellBytes[Node](); n > 24 {
+		t.Errorf("Node cell is %d B, want at most 24", n)
+	}
+	if n := CellBytes[atomic.Pointer[int]](); n > 16 {
+		t.Errorf("segment-handle cell is %d B, want at most 16", n)
+	}
+}
+
+// TestPoolLiveAndCells: Live counts claimed cells not on the free list,
+// and Cells visits every cell of the installed chunks, index 0 aside,
+// with the element Get returns for its handle.
+func TestPoolLiveAndCells(t *testing.T) {
+	p := NewPool[int](100)
+	for i := 1; i <= 20; i++ {
+		*p.Get(p.Alloc()) = i
+	}
+	p.Free(4 << 1)
+	p.Free(20 << 1)
+	if got := p.Live(); got != 18 {
+		t.Fatalf("Live = %d, want 18", got)
+	}
+	n := 0
+	p.Cells(func(h Handle, v *int) bool {
+		if n++; h != Handle(n<<1) || v != p.Get(h) {
+			t.Fatalf("cell %d: handle %#x, element %p; want %#x, %p", n, h, v, n<<1, p.Get(Handle(n<<1)))
+		}
+		return true
+	})
+	if n != 31 { // two 16-cell chunks
+		t.Fatalf("Cells visited %d cells, want 31", n)
+	}
+}
+
+// TestPutTake: Put stores its value in a fresh cell and returns Nil
+// once the pool is exhausted; Take returns the value, leaves the cell
+// zeroed so the pool keeps nothing reachable, and frees it.
+func TestPutTake(t *testing.T) {
+	p := NewPool[*int](1)
+	x := new(int)
+	h := p.Put(x)
+	if h == Nil {
+		t.Fatal("Put on an empty pool returned Nil")
+	}
+	if got := *p.Get(h); got != x {
+		t.Fatalf("Put stored %p, want %p", got, x)
+	}
+	if g := p.Put(new(int)); g != Nil {
+		t.Fatalf("Put on an exhausted pool = %#x, want Nil", g)
+	}
+	if got := p.Take(h); got != x {
+		t.Fatalf("Take = %p, want %p", got, x)
+	}
+	if *p.Get(h) != nil || p.Live() != 0 {
+		t.Fatalf("after Take: cell holds %p, Live = %d; want nil, 0", *p.Get(h), p.Live())
+	}
+	if g := p.Put(x); g != h {
+		t.Fatalf("Put after Take = %#x, want the freed %#x", g, h)
+	}
+}
+
+// TestSeamPreemption enumerates, for each pooled element type, every
+// single-preemption schedule of an Alloc on a capacity-2 pool poised at
+// each point of the frontier/free-list seam: the inner operations run
+// whole inside the Alloc's k-th yield. Each schedule must hand out no
+// index twice, lose none, and return Nil only where a linearization
+// makes the pool exhausted. An Alloc that claims the frontier with a
+// plain load and store hands one index to both allocations here.
 func TestSeamPreemption(t *testing.T) {
 	const capacity = 2
 	names := map[seamOp]string{opAlloc: "alloc", opFree: "free", opAllocFree: "alloc+free"}
-	for _, prep := range [][2]int{{0, 0}, {1, 0}, {1, 1}, {2, 0}, {2, 1}, {2, 2}} {
-		for _, inner := range []seamOp{opAlloc, opFree, opAllocFree} {
-			if inner == opFree && prep[0] == prep[1] {
-				continue // no held handle to free
-			}
-			for k := 1; ; k++ {
-				name := fmt.Sprintf("prep %d/%d, alloc preempted by %s at yield %d",
-					prep[0], prep[1], names[inner], k)
-				if !seamSchedule(t, name, capacity, prep, inner, k) {
-					break
+	for _, sp := range seamPools {
+		t.Run(sp.name, func(t *testing.T) {
+			for _, prep := range [][2]int{{0, 0}, {1, 0}, {1, 1}, {2, 0}, {2, 1}, {2, 2}} {
+				for _, inner := range []seamOp{opAlloc, opFree, opAllocFree} {
+					if inner == opFree && prep[0] == prep[1] {
+						continue // no held handle to free
+					}
+					for k := 1; ; k++ {
+						name := fmt.Sprintf("prep %d/%d, alloc preempted by %s at yield %d",
+							prep[0], prep[1], names[inner], k)
+						if !seamSchedule(t, name, sp.new(capacity, false), capacity, prep, inner, k) {
+							break
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -250,9 +350,8 @@ const (
 
 // seamSchedule runs one schedule of TestSeamPreemption and reports
 // whether the outer Alloc reached its k-th yield.
-func seamSchedule(t *testing.T, name string, capacity int, prep [2]int, inner seamOp, k int) bool {
+func seamSchedule(t *testing.T, name string, a seamPool, capacity int, prep [2]int, inner seamOp, k int) bool {
 	t.Helper()
-	a := New(capacity)
 	var held []Handle
 	for i := 0; i < prep[0]; i++ {
 		held = append(held, a.Alloc())
@@ -324,12 +423,20 @@ func seamSchedule(t *testing.T, name string, capacity int, prep [2]int, inner se
 }
 
 // TestSeamStress drives 4 goroutines across the frontier/free-list seam
-// of fresh capacity-64 debug arenas: while some goroutines still claim
-// never-used indices, others pop indices freed moments earlier, and the
-// demand (4 × 20 held) exceeds capacity, so the exhausted path runs too.
-// The debug arena's double-allocation panic is the oracle; run it under
-// -race.
+// of fresh capacity-64 debug pools of each pooled element type: while
+// some goroutines still claim never-used indices, others pop indices
+// freed moments earlier, and the demand (4 × 20 held) exceeds capacity,
+// so the exhausted path runs too. Every other pool yields at each of
+// Alloc's shared accesses, which on two CPUs interleaves the claims far
+// more often than free running does. The debug pool's double-allocation
+// panic is the oracle; run it under -race.
 func TestSeamStress(t *testing.T) {
+	for _, sp := range seamPools {
+		t.Run(sp.name, func(t *testing.T) { seamStress(t, sp.new) })
+	}
+}
+
+func seamStress(t *testing.T, newPool func(capacity int, debug bool) seamPool) {
 	const (
 		goroutines = 4
 		capacity   = 64
@@ -338,7 +445,10 @@ func TestSeamStress(t *testing.T) {
 		opsPer     = 120
 	)
 	for r := 0; r < arenas; r++ {
-		a := NewDebug(capacity)
+		a := newPool(capacity, true)
+		if r%2 == 1 {
+			a.SetYield(runtime.Gosched)
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)

@@ -35,7 +35,7 @@ const RetireFactor = 4
 // Domain groups the hazard records of the threads operating on one data
 // structure and owns the retire/scan policy.
 type Domain struct {
-	arena   *arena.Arena
+	pool    interface{ Free(arena.Handle) }
 	records atomic.Pointer[Record]
 	nrec    atomic.Int64
 	sorted  bool
@@ -49,16 +49,16 @@ type Domain struct {
 	yield func()
 }
 
-// NewDomain returns a domain reclaiming into a. When sorted is true,
+// NewDomain returns a domain reclaiming into pool. When sorted is true,
 // scans sort the collected hazard pointers and binary-search them (the
 // "MS-Hazard Pointers Sorted" configuration); otherwise each retired
 // handle is checked by linear search ("Not Sorted"). factor <= 0 selects
 // RetireFactor.
-func NewDomain(a *arena.Arena, sorted bool, factor int) *Domain {
+func NewDomain(pool interface{ Free(arena.Handle) }, sorted bool, factor int) *Domain {
 	if factor <= 0 {
 		factor = RetireFactor
 	}
-	return &Domain{arena: a, sorted: sorted, factor: factor}
+	return &Domain{pool: pool, sorted: sorted, factor: factor}
 }
 
 // SetYield installs a pre-access hook for systematic interleaving
@@ -194,7 +194,7 @@ func (r *Record) Scan() {
 		if d.protected(plist, h) {
 			kept = append(kept, h)
 		} else {
-			d.arena.Free(h)
+			d.pool.Free(h)
 		}
 	}
 	// Drop freed handles from the tail so they cannot be double-freed.

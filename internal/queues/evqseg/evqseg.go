@@ -54,7 +54,7 @@
 //
 // # Reclamation
 //
-// Segment handles come from a dedicated arena (the pool). Enqueuers
+// Segment handles come from a dedicated arena.Pool (the pool). Enqueuers
 // publish the tail-segment handle in a hazard slot before touching the
 // ring; dequeuers do the same with the head segment. A drained segment
 // is retired through the hazard domain, so it is recycled only when no
@@ -97,7 +97,6 @@ import (
 	"sync/atomic"
 
 	"nbqueue/internal/arena"
-	"nbqueue/internal/grow"
 	"nbqueue/internal/hazard"
 	"nbqueue/internal/llsc/registry"
 	"nbqueue/internal/pad"
@@ -150,13 +149,10 @@ type Queue struct {
 	headSeg pad.Uint64 // pool handle of the head (oldest) segment
 	tailSeg pad.Uint64 // pool handle of the tail (append) segment
 
-	// segs maps pool-handle>>1 to the ring storage. Entries are created
-	// lazily on first allocation of the pool slot and reused (reset) on
-	// every recycle, so steady state allocates nothing. Its chunks are
-	// installed as the pool's indices are first prepared, so the table,
-	// like the pool, follows the peak segment count, not maxSegs.
-	segs grow.Array[atomic.Pointer[segment]]
-	pool *arena.Arena
+	// pool names each segment by a handle whose cell points at its
+	// ring, created on the cell's first allocation and reset on every
+	// recycle, so steady state allocates nothing.
+	pool *arena.Pool[atomic.Pointer[segment]]
 	dom  *hazard.Domain
 	reg  *registry.Registry
 
@@ -312,8 +308,7 @@ func New(segSize int, opts ...Option) *Queue {
 		}
 	}
 	q.reg = registry.New(registry.WithYield(q.in.Yield))
-	q.pool = arena.New(q.maxSegs)
-	q.segs.Init(q.maxSegs + 1)
+	q.pool = arena.NewPool[atomic.Pointer[segment]](q.maxSegs)
 	q.dom = hazard.NewDomain(q.pool, true, 2)
 	if q.in.Yield != nil {
 		q.pool.SetYield(q.in.Yield)
@@ -325,7 +320,7 @@ func New(segSize int, opts ...Option) *Queue {
 	h := q.pool.Alloc()
 	g := &segment{slots: make([]atomic.Uint64, int(size)*q.stride)}
 	g.state.Store(segLive)
-	q.segs.Ensure(h >> 1).Store(g)
+	q.pool.Get(h).Store(g)
 	q.headSeg.Store(h)
 	q.tailSeg.Store(h)
 	q.liveSegs.Store(1)
@@ -357,9 +352,6 @@ func (q *Queue) Registry() *registry.Registry { return q.reg }
 
 // Domain exposes the hazard domain reclaiming segments, for tests.
 func (q *Queue) Domain() *hazard.Domain { return q.dom }
-
-// Pool exposes the segment-handle arena, for tests and space audits.
-func (q *Queue) Pool() *arena.Arena { return q.pool }
 
 // SetGrowHook installs fn to be called with the new live-segment count
 // each time a producer links a fresh segment. Install before concurrent
@@ -410,8 +402,10 @@ func (q *Queue) SegmentStats() queue.SegmentStats {
 	}
 }
 
-// seg resolves a pool handle to its ring storage.
-func (q *Queue) seg(h uint64) *segment { return q.segs.At(h >> 1).Load() }
+// seg resolves a pool handle to its ring storage. Every handle the
+// queue links was prepared first, and no cell's pointer is ever
+// cleared, so seg never returns nil for one.
+func (q *Queue) seg(h uint64) *segment { return q.pool.Get(h).Load() }
 
 func (g *segment) slot(q *Queue, i uint64) *atomic.Uint64 { return &g.slots[int(i)*q.stride] }
 
@@ -434,9 +428,6 @@ func (q *Queue) Len() int {
 	h := q.headSeg.Load()
 	for i := 0; h != 0 && i <= q.maxSegs; i++ {
 		g := q.seg(h)
-		if g == nil {
-			break
-		}
 		if st := g.state.Load(); st != segLive && st != segPreparing {
 			// The walk strayed off the current chain onto a recycled
 			// incarnation; everything from here is another epoch's data.
@@ -516,12 +507,11 @@ func (q *Queue) allocSegment(s *Session) uint64 {
 	return q.prepareSegment(h, s.Ctr)
 }
 
-// prepareSegment readies a freshly popped pool slot for linking: fresh
-// slots (and the table chunk naming them) on first use of the slot, a
-// full reset on recycle. The caller has already reserved the segment
-// against the memory bound.
+// prepareSegment readies a freshly popped pool cell for linking: fresh
+// slots on first use of the cell, a full reset on recycle. The caller
+// has already reserved the segment against the memory bound.
 func (q *Queue) prepareSegment(h uint64, ctr xsync.Handle) uint64 {
-	e := q.segs.Ensure(h >> 1)
+	e := q.pool.Get(h)
 	g := e.Load()
 	if g == nil {
 		g = &segment{slots: make([]atomic.Uint64, int(q.size)*q.stride)}
@@ -529,7 +519,7 @@ func (q *Queue) prepareSegment(h uint64, ctr xsync.Handle) uint64 {
 		g.state.Store(segPreparing)
 		q.prepSegs.Add(1)
 		// Publish the storage only after it is fully initialized; the
-		// atomic store orders it for every later reader of the table.
+		// atomic store orders it for every later reader of the cell.
 		e.Store(g)
 		ctr.Inc(xsync.OpSegAlloc)
 		return h
@@ -652,13 +642,11 @@ func (q *Queue) pendingOlderThan(minAge uint64) int {
 }
 
 // eachSegment calls f with the handle and storage of every segment the
-// table names, walking only its installed chunks.
+// pool's installed cells name.
 func (q *Queue) eachSegment(f func(h uint64, g *segment)) {
-	q.segs.Chunks(func(first uint64, c []atomic.Pointer[segment]) bool {
-		for j := range c {
-			if g := c[j].Load(); g != nil {
-				f((first+uint64(j))<<1, g)
-			}
+	q.pool.Cells(func(h uint64, e *atomic.Pointer[segment]) bool {
+		if g := e.Load(); g != nil {
+			f(h, g)
 		}
 		return true
 	})
@@ -702,9 +690,6 @@ func (q *Queue) scavengeAppends(minAge uint64) int {
 	for i := 0; h != 0 && i <= q.maxSegs; i++ {
 		reachable[h] = true
 		g := q.seg(h)
-		if g == nil {
-			break
-		}
 		h = g.next.Load()
 	}
 	n := 0

@@ -6,7 +6,6 @@ import (
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqseg"
 	"nbqueue/internal/queuetest"
-	"nbqueue/internal/xsync"
 )
 
 // maker builds a bounded-mode queue: small segments so the conformance
@@ -46,48 +45,6 @@ func TestTinySegmentContention(t *testing.T) {
 
 func TestStraddleUnbalancedConsumers(t *testing.T) {
 	queuetest.StressMPMC(t, func(int) queue.Queue { return evqseg.New(8) }, 5, 2, 2000)
-}
-
-// TestSegmentRecycling drives the queue through many fill/drain cycles
-// and verifies the free-list keeps the steady state allocation-free:
-// fresh ring allocations stay near the in-flight segment count while
-// recycles grow with the cycle count.
-func TestSegmentRecycling(t *testing.T) {
-	ctrs := xsync.NewCounters()
-	q := evqseg.New(8, evqseg.WithCounters(ctrs))
-	s := q.Attach()
-	defer s.Detach()
-	const cycles = 100
-	for c := 0; c < cycles; c++ {
-		for i := 0; i < 20; i++ { // 20 items > 2 segments of 8
-			if err := s.Enqueue(uint64(c*100+i+1) << 1); err != nil {
-				t.Fatalf("cycle %d enqueue %d: %v", c, i, err)
-			}
-		}
-		for i := 0; i < 20; i++ {
-			if _, ok := s.Dequeue(); !ok {
-				t.Fatalf("cycle %d dequeue %d reported empty", c, i)
-			}
-		}
-	}
-	fresh := ctrs.Total(xsync.OpSegAlloc)
-	recycled := ctrs.Total(xsync.OpSegRecycle)
-	retired := ctrs.Total(xsync.OpSegRetire)
-	if fresh > 8 {
-		t.Errorf("%d fresh segment allocations across %d cycles; recycling is not engaging", fresh, cycles)
-	}
-	if recycled < cycles {
-		t.Errorf("only %d segment recycles across %d cycles, want at least one per cycle", recycled, cycles)
-	}
-	if retired < cycles {
-		t.Errorf("only %d segment retires across %d cycles", retired, cycles)
-	}
-	if live := q.Pool().Live(); live > 8 {
-		t.Errorf("%d pool handles live at quiescence; segments are leaking", live)
-	}
-	if got := q.Segments(); got != 1 {
-		t.Errorf("Segments() = %d at quiescence, want 1", got)
-	}
 }
 
 // TestSharedRegistry verifies sessions register once with one shared

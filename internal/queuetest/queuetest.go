@@ -151,9 +151,29 @@ func ValueValidation(t *testing.T, mk Maker) {
 	}
 }
 
-// stressStall bounds how long StressMPMC's workers may go without a
-// value being consumed, as internal/bench bounds its workers' retries.
+// stressStall bounds how long the stress and history workers may go
+// without progress, as internal/bench bounds its workers' retries.
 var stressStall = 10 * time.Second
+
+// awaitProgress returns once done is closed. If progress reads the same
+// count for stressStall first, it calls stall with that count instead;
+// stall must fail the test, and whatever workers are stuck are left
+// running.
+func awaitProgress(done <-chan struct{}, progress func() int64, stall func(n int64)) {
+	for last, since := int64(0), time.Now(); ; {
+		select {
+		case <-done:
+			return
+		case <-time.After(stressStall / 100):
+			if n := progress(); n != last {
+				last, since = n, time.Now()
+			} else if time.Since(since) > stressStall {
+				stall(n)
+				return
+			}
+		}
+	}
+}
 
 // StressMPMC hammers the queue with producers and consumers exchanging
 // unique values, then verifies conservation: every value produced is
@@ -227,25 +247,15 @@ func StressMPMC(t testing.TB, mk Maker, producers, consumers, perProducer int) {
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	for last, since := int64(0), time.Now(); ; {
-		select {
-		case <-done:
-		case <-time.After(stressStall / 100):
-			if n := consumed.Load(); n != last {
-				last, since = n, time.Now()
-			} else if time.Since(since) > stressStall {
-				stalled.Store(true)
-				missing := 0
-				for missing < total && seen[missing].Load() != 0 {
-					missing++
-				}
-				t.Fatalf("%s: no value consumed for %v: %d of %d consumed, lowest missing value %#x (index %d)",
-					q.Name(), stressStall, n, total, val(missing), missing)
-			}
-			continue
+	awaitProgress(done, consumed.Load, func(n int64) {
+		stalled.Store(true)
+		missing := 0
+		for missing < total && seen[missing].Load() != 0 {
+			missing++
 		}
-		break
-	}
+		t.Fatalf("%s: no value consumed for %v: %d of %d consumed, lowest missing value %#x (index %d)",
+			q.Name(), stressStall, n, total, val(missing), missing)
+	})
 	for _, e := range errs {
 		t.Error(e)
 	}
@@ -265,10 +275,37 @@ func StressMPMC(t testing.TB, mk Maker, producers, consumers, perProducer int) {
 // Linearizable records a concurrent history with mixed operations per
 // thread and validates it with the fast checker; small sub-histories are
 // additionally checked exhaustively by the lincheck package's own tests.
-func Linearizable(t *testing.T, mk Maker, threads, opsPerThread int) {
+// A run in which no operation completes for stressStall fails.
+func Linearizable(t testing.TB, mk Maker, threads, opsPerThread int) {
 	t.Helper()
 	q := mk(threads * opsPerThread)
 	rec := lincheck.NewRecorder(threads, opsPerThread)
+	checkHistory(t, q, rec, threads, opsPerThread, func(th int, s queue.Session, log *lincheck.ThreadLog) func(int) {
+		return func(i int) {
+			if (th+i)%2 == 0 {
+				v := val(th*opsPerThread + i)
+				inv := log.Begin()
+				err := s.Enqueue(v)
+				log.Enq(inv, v, err == nil)
+			} else {
+				inv := log.Begin()
+				v, ok := s.Dequeue()
+				log.Deq(inv, v, ok)
+			}
+		}
+	})
+}
+
+// checkHistory runs threads sessions of q from a common start, each
+// performing the ops operations of the step function worker returns
+// for it and logging them in rec, then checks the history with the
+// fast checker. Once no operation has completed for stressStall, the
+// run fails with the count of completed operations instead of hanging;
+// a worker stuck inside the queue is left running.
+func checkHistory(t testing.TB, q queue.Queue, rec *lincheck.Recorder, threads, ops int,
+	worker func(th int, s queue.Session, log *lincheck.ThreadLog) func(i int)) {
+	t.Helper()
+	var completed atomic.Int64
 	var wg sync.WaitGroup
 	start := xsync.NewBarrier(threads)
 	for th := 0; th < threads; th++ {
@@ -277,23 +314,20 @@ func Linearizable(t *testing.T, mk Maker, threads, opsPerThread int) {
 			defer wg.Done()
 			s := q.Attach()
 			defer s.Detach()
-			log := rec.Log(th)
+			step := worker(th, s, rec.Log(th))
 			start.Wait()
-			for i := 0; i < opsPerThread; i++ {
-				if (th+i)%2 == 0 {
-					v := val(th*opsPerThread + i)
-					inv := log.Begin()
-					err := s.Enqueue(v)
-					log.Enq(inv, v, err == nil)
-				} else {
-					inv := log.Begin()
-					v, ok := s.Dequeue()
-					log.Deq(inv, v, ok)
-				}
+			for i := 0; i < ops; i++ {
+				step(i)
+				completed.Add(1)
 			}
 		}(th)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	awaitProgress(done, completed.Load, func(n int64) {
+		t.Fatalf("%s: no operation completed for %v: %d of %d operations completed",
+			q.Name(), stressStall, n, threads*ops)
+	})
 	if err := lincheck.CheckFast(rec.History()); err != nil {
 		t.Fatal(err)
 	}
@@ -777,53 +811,39 @@ func BatchLinearizable(t *testing.T, mk Maker, threads, rounds int) {
 	const maxBatch = 5
 	q := mk(threads * rounds * maxBatch)
 	rec := lincheck.NewRecorder(threads, rounds*maxBatch)
-	var wg sync.WaitGroup
-	start := xsync.NewBarrier(threads)
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			s := q.Attach()
-			defer s.Detach()
-			log := rec.Log(th)
-			next := th * rounds * maxBatch
-			buf := make([]uint64, maxBatch)
-			start.Wait()
-			for i := 0; i < rounds; i++ {
-				size := 1 + (th+i)%maxBatch
-				switch (th + i) % 4 {
-				case 0:
-					vs := buf[:size]
-					for k := range vs {
-						vs[k] = val(next)
-						next++
-					}
-					inv := log.Begin()
-					n, _ := queue.EnqueueBatch(s, vs)
-					log.EnqBatch(inv, vs, n)
-				case 1:
-					v := val(next)
+	checkHistory(t, q, rec, threads, rounds, func(th int, s queue.Session, log *lincheck.ThreadLog) func(int) {
+		next := th * rounds * maxBatch
+		buf := make([]uint64, maxBatch)
+		return func(i int) {
+			size := 1 + (th+i)%maxBatch
+			switch (th + i) % 4 {
+			case 0:
+				vs := buf[:size]
+				for k := range vs {
+					vs[k] = val(next)
 					next++
-					inv := log.Begin()
-					err := s.Enqueue(v)
-					log.Enq(inv, v, err == nil)
-				case 2:
-					dst := buf[:size]
-					inv := log.Begin()
-					n, _ := queue.DequeueBatch(s, dst)
-					log.DeqBatch(inv, dst, n)
-				default:
-					inv := log.Begin()
-					v, ok := s.Dequeue()
-					log.Deq(inv, v, ok)
 				}
+				inv := log.Begin()
+				n, _ := queue.EnqueueBatch(s, vs)
+				log.EnqBatch(inv, vs, n)
+			case 1:
+				v := val(next)
+				next++
+				inv := log.Begin()
+				err := s.Enqueue(v)
+				log.Enq(inv, v, err == nil)
+			case 2:
+				dst := buf[:size]
+				inv := log.Begin()
+				n, _ := queue.DequeueBatch(s, dst)
+				log.DeqBatch(inv, dst, n)
+			default:
+				inv := log.Begin()
+				v, ok := s.Dequeue()
+				log.Deq(inv, v, ok)
 			}
-		}(th)
-	}
-	wg.Wait()
-	if err := lincheck.CheckFast(rec.History()); err != nil {
-		t.Fatal(err)
-	}
+		}
+	})
 }
 
 // Opts tunes the conformance suite per algorithm.

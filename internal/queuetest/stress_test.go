@@ -69,3 +69,49 @@ func TestStressMPMCReportsLoss(t *testing.T) {
 	}
 	t.Log(r.msgs[0])
 }
+
+// stuck wraps a queue whose Dequeue blocks until release is closed.
+type stuck struct {
+	queue.Queue
+	release chan struct{}
+}
+
+func (q *stuck) Attach() queue.Session { return stuckSession{q.Queue.Attach(), q.release} }
+
+type stuckSession struct {
+	queue.Session
+	release chan struct{}
+}
+
+func (s stuckSession) Dequeue() (uint64, bool) {
+	<-s.release
+	return 0, false
+}
+
+// TestLinearizableReportsStall: a queue whose Dequeue never returns
+// fails Linearizable with the count of completed operations once none
+// has completed for stressStall, instead of hanging. Each of the two
+// threads blocks in its first Dequeue: thread 0 after one Enqueue,
+// thread 1 at once.
+func TestLinearizableReportsStall(t *testing.T) {
+	defer func(d time.Duration) { stressStall = d }(stressStall)
+	stressStall = 50 * time.Millisecond
+	release := make(chan struct{})
+	defer close(release)
+	r := &fatalRecorder{TB: t}
+	done := make(chan struct{})
+	start := time.Now()
+	go func() {
+		defer close(done)
+		Linearizable(r, func(c int) queue.Queue { return &stuck{Queue: chanq.New(c), release: release} }, 2, 50)
+	}()
+	<-done
+	if d := time.Since(start); d > 20*stressStall {
+		t.Errorf("Linearizable took %v to report a stall of %v", d, stressStall)
+	}
+	const want = "no operation completed for 50ms: 1 of 100 operations completed"
+	if len(r.msgs) != 1 || !strings.Contains(r.msgs[0], want) {
+		t.Fatalf("Linearizable over a stuck queue reported %q, want one message containing %q", r.msgs, want)
+	}
+	t.Log(r.msgs[0])
+}

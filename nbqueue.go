@@ -58,6 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nbqueue/internal/arena"
 	"nbqueue/internal/bench"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/trace"
@@ -302,8 +303,12 @@ func WithSegmentWatermarks(low, high int) Option {
 // Queue is a bounded MPMC FIFO of T values. Create with New; operate
 // through per-goroutine Sessions.
 type Queue[T any] struct {
-	inner  queue.Queue
-	store  *payloadStore[T]
+	inner queue.Queue
+	// store is the payload store: a payload's word is the handle of the
+	// cell holding it. A cell is written before its word is published
+	// through the queue and read after the word is dequeued; the
+	// queue's own atomics order those plain accesses.
+	store  *arena.Pool[T]
 	leaked atomic.Uint64
 	// mctr records lifecycle events (scavenges, leaks) into the
 	// WithMetrics counter bank; a zero handle when metrics are off.
@@ -489,20 +494,20 @@ func New[T any](opts ...Option) (*Queue[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	// The payload store needs one slot per queued value plus one
-	// in-flight slot per attached session; it is materialised on demand
-	// up to that bound, so only the peak depth costs memory. An
-	// unbounded queue (Capacity() == 0) has no word-level bound to size
-	// from, so the store's bound becomes the generic layer's own
-	// backstop: 64Ki payload slots, past which Enqueue sheds with
-	// ErrFull rather than growing without limit.
+	// The payload store, an arena.Pool[T], needs one cell per queued
+	// value plus one in-flight cell per attached session; it is
+	// materialised on demand up to that bound, so only the peak depth
+	// costs memory. An unbounded queue (Capacity() == 0) has no
+	// word-level bound to size from, so the store's bound becomes the
+	// generic layer's own backstop: 64Ki payload cells, past which
+	// Enqueue sheds with ErrFull rather than growing without limit.
 	capHint := inner.Capacity()
 	if capHint == 0 {
 		capHint = 1 << 16
 	}
 	q := &Queue[T]{
 		inner: inner,
-		store: newPayloadStore[T](capHint + c.maxThreads + 16),
+		store: arena.NewPool[T](capHint + c.maxThreads + 16),
 		hook:  c.hook,
 		rec:   c.rec,
 		qtr:   c.rec.Handle(),
@@ -686,7 +691,7 @@ func (s *Session[T]) Enqueue(v T) error {
 		s.tr.OpSampled(trace.KindEnqueue, trace.OutcomeOverloaded, 0)
 		return err
 	}
-	h := s.q.store.put(v)
+	h := s.q.store.Put(v)
 	if h == 0 {
 		// Store pressure means capacity + in-flight slack is exhausted —
 		// the queue is full for all practical purposes.
@@ -694,7 +699,7 @@ func (s *Session[T]) Enqueue(v T) error {
 		return ErrFull
 	}
 	if err := inner.Enqueue(h); err != nil {
-		s.q.store.take(h)
+		s.q.store.Take(h)
 		return err
 	}
 	return nil
@@ -710,7 +715,7 @@ func (s *Session[T]) Dequeue() (v T, ok bool) {
 	if !ok {
 		return v, false
 	}
-	return s.q.store.take(h), true
+	return s.q.store.Take(h), true
 }
 
 // TryDequeue is the ErrDeadline-aware variant of Dequeue: ok=false with
@@ -728,7 +733,7 @@ func (s *Session[T]) TryDequeue() (v T, ok bool, err error) {
 	if !ok {
 		return v, false, err
 	}
-	return s.q.store.take(h), true, nil
+	return s.q.store.Take(h), true, nil
 }
 
 // words returns a scratch word slice of length n, reused across this
@@ -762,12 +767,12 @@ func (s *Session[T]) EnqueueBatch(vs []T) (int, error) {
 		s.tr.OpSampled(trace.KindEnqueueBatch, trace.OutcomeOverloaded, len(vs))
 		return 0, err
 	}
-	// Map payloads into store slots first; a short allocation is store
+	// Map payloads into store cells first; a short allocation is store
 	// pressure, reported as ErrFull after the words that did fit go in.
 	buf := s.words(len(vs))
 	filled := 0
 	for _, v := range vs {
-		h := s.q.store.put(v)
+		h := s.q.store.Put(v)
 		if h == 0 {
 			break
 		}
@@ -777,7 +782,7 @@ func (s *Session[T]) EnqueueBatch(vs []T) (int, error) {
 	n, err := queue.EnqueueBatch(inner, buf[:filled])
 	s.bhist.ObserveEnqBatchSize(n)
 	for _, h := range buf[n:filled] {
-		s.q.store.take(h)
+		s.q.store.Take(h)
 	}
 	if err == nil && filled < len(vs) {
 		err = ErrFull
@@ -801,7 +806,7 @@ func (s *Session[T]) DequeueBatch(dst []T) (int, error) {
 	n, err := queue.DequeueBatch(inner, buf)
 	s.bhist.ObserveDeqBatchSize(n)
 	for i := 0; i < n; i++ {
-		dst[i] = s.q.store.take(buf[i])
+		dst[i] = s.q.store.Take(buf[i])
 	}
 	return n, err
 }

@@ -244,12 +244,12 @@ func TestPayloadBatchRollbackAcrossChunk(t *testing.T) {
 // enqueue, so no store is sized by its bound. Measured for New[*int]
 // on linux/amd64 (go1.24):
 //
-//	queue                                 preallocated   flat node arena   chunked
-//	                                      payload        and segment       arrays
-//	                                      store          table
-//	segmented, WithUnbounded              2,666,798 B    548,729 B         9,968 B
-//	evq-cas, WithCapacity 4096            183,010 B      34,592 B          34,704 B
-//	ms-hp, WithCapacity 1024, 4 sessions  -              30,000 B          3,392 B
+//	queue                                 preallocated   flat node arena   chunked    one
+//	                                      payload        and segment       arrays     pool
+//	                                      store          table                        type
+//	segmented, WithUnbounded              2,666,798 B    548,729 B         9,968 B    7,920 B
+//	evq-cas, WithCapacity 4096            183,010 B      34,592 B          34,704 B   34,480 B
+//	ms-hp, WithCapacity 1024, 4 sessions  -              30,000 B          3,392 B    3,168 B
 //
 // The preallocated store cost 24 B of arena node plus 8 B of value per
 // slot for all 64Ki+144 (unbounded) or 4096+144 slots. The flat arrays
@@ -257,7 +257,10 @@ func TestPayloadBatchRollbackAcrossChunk(t *testing.T) {
 // entry for each of its 16Ki segment handles, and ms-hp 24 B per node
 // of its 1,057-node arena. With every store a grow.Array, what remains
 // is the algorithms' own state (the first segment's ring, the 32 KiB
-// evq-cas ring, one 16-node arena chunk) and the chunk spines. The
+// evq-cas ring, one 16-node arena chunk) and the chunk spines. With
+// every store an arena.Pool, a segment handle costs a 16 B cell
+// instead of a 24 B node plus an 8 B table entry, and the payload
+// store's frontier counter shares the pool's one padded line. The
 // evq-cas ceiling sits about twice above its figure; the segmented and
 // ms-hp ceilings, 16 KiB and 4 KiB, fail a store sized to its bound
 // while leaving room for the algorithms' own state to grow.
@@ -327,11 +330,11 @@ func TestLaneAllocatedBytes(t *testing.T) {
 // TestSegmentedLaneBytes is the bytes-per-layer row for one pipeline
 // lane, an AlgorithmSegmented Queue[*T] of capacity 4096, which takes
 // the default segment size. New plus its first Attach may allocate
-// one ring (the live one), the handle pool's first 16-node chunk, the
-// segment table's first 16-entry chunk and 6 KiB for the rest (the
-// queue structs, registry, hazard domain and chunk spines: 3.7 KiB
-// measured), against the 32 KiB ring of the evq-cas lane above.
-// Neither the pool nor the table is sized by its 132-handle bound,
+// one ring (the live one), the segment-handle pool with its first
+// 16-cell chunk (a cell is a free-list link and a ring pointer) and
+// 6 KiB for the rest (the queue structs, registry, hazard domain and
+// chunk spines: 3.2 KiB measured), against the 32 KiB ring of the
+// evq-cas lane above. The pool is not sized by its 132-handle bound,
 // and no payload chunk exists before the first enqueue. At a
 // steady depth the ring wraps instead of growing, so after 100k
 // enqueue/dequeue pairs at depth 8 the queue has allocated and retired
@@ -363,9 +366,9 @@ func TestSegmentedLaneBytes(t *testing.T) {
 		t.Fatalf("default segment size at capacity %d is %d, want 256", capacity, segSize)
 	}
 	ring := uint64(segSize) * uint64(unsafe.Sizeof(uint64(0)))
-	pool := uint64(unsafe.Sizeof(arena.Arena{})) + 16*uint64(unsafe.Sizeof(arena.Node{}))
-	table := 16 * uint64(unsafe.Sizeof(uintptr(0)))
-	ceiling := ring + pool + table + 6<<10
+	type handles = arena.Pool[atomic.Pointer[item]]
+	pool := uint64(unsafe.Sizeof(handles{})) + 16*arena.CellBytes[atomic.Pointer[item]]()
+	ceiling := ring + pool + 6<<10
 	t.Logf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
 	if got > ceiling {
 		t.Errorf("New + first Attach allocate %d B, ceiling %d B", got, ceiling)
