@@ -73,7 +73,7 @@ func run(args []string, out io.Writer) error {
 			return evqcas.New(*capacity, evqcas.WithInstr(queue.Instr{Yield: hook}))
 		}
 	case *algo == "evq-seg":
-		label = "FIFO Array Segmented (Algorithm 2 rings, linked)"
+		label = "FIFO Array Segmented (Algorithm 1 rings, linked)"
 		hooked = func(hook func()) queue.Queue {
 			return evqseg.New(*capacity, evqseg.WithInstr(queue.Instr{Yield: hook}))
 		}

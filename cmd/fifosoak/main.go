@@ -824,26 +824,18 @@ func drain[S interface {
 
 // auditCrash checks the crash drill's relaxed space bounds mid-flight:
 // per-thread records may grow with abandonment (every corpse pins one)
-// but never past live threads + corpses + recycling-race slack. Queues
-// whose sessions hold more than one record each (the segmented queue
-// registers with both the LLSC registry and the hazard domain) report
-// the multiplier via SessionRecordCost.
+// but never past live threads + corpses + recycling-race slack. Every
+// session holds at most one record.
 func auditCrash(q interface{ Capacity() int }, a *arena.Arena, threads, abandoned int) error {
 	if live := a.Live(); live > a.Capacity() {
 		return fmt.Errorf("arena live %d exceeds capacity %d", live, a.Capacity())
 	}
 	type spaceRecords interface{ SpaceRecords() int }
 	if sr, ok := q.(spaceRecords); ok {
-		cost := 1
-		if rc, ok := q.(interface{ SessionRecordCost() int }); ok {
-			if c := rc.SessionRecordCost(); c > cost {
-				cost = c
-			}
-		}
-		bound := cost*(2*threads+abandoned) + 64
+		bound := 2*threads + abandoned + 64
 		if n := sr.SpaceRecords(); n > bound {
-			return fmt.Errorf("per-thread records %d exceed crash bound %d (threads=%d abandoned=%d cost=%d)",
-				n, bound, threads, abandoned, cost)
+			return fmt.Errorf("per-thread records %d exceed crash bound %d (threads=%d abandoned=%d)",
+				n, bound, threads, abandoned)
 		}
 	}
 	return nil

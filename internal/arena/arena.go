@@ -198,10 +198,15 @@ func (p *Pool[E]) Free(h Handle) {
 		return
 	}
 	idx := p.index(h)
+	p.free(idx, p.cells.At(idx))
+}
+
+// free pushes cell c, at the already validated index idx, onto the free
+// list: the one copy behind Free and Take, so each validates h once.
+func (p *Pool[E]) free(idx uint64, c *cell[E]) {
 	if p.debug() && !p.states.At(idx).CompareAndSwap(stateAllocated, stateFree) {
 		panic(fmt.Sprintf("arena: double free of cell %d", idx))
 	}
-	c := p.cells.At(idx)
 	for {
 		head := p.head.Load()
 		c.next.Store(tagptr.VerValue(head))
@@ -230,11 +235,12 @@ func (p *Pool[E]) Put(v E) Handle {
 // Take returns the element of the allocated cell h, zeroes the cell so
 // the pool does not keep its old element reachable, and frees it.
 func (p *Pool[E]) Take(h Handle) E {
-	c := p.cells.At(p.index(h))
+	idx := p.index(h)
+	c := p.cells.At(idx)
 	v := c.v
 	var zero E
 	c.v = zero
-	p.Free(h)
+	p.free(idx, c)
 	return v
 }
 

@@ -287,10 +287,14 @@ func TestRunSpace(t *testing.T) {
 			t.Errorf("Algorithm 1 has per-thread space: %+v", r)
 		}
 	}
-	// Algorithm 2: records track peak concurrency.
+	// Algorithm 2: every session owns a record at once (they attach
+	// before the start barrier), and a session owns one record and pins
+	// at most one more inside registry.LL, so threads <= records <=
+	// 2*threads (registry TestRecordsReachThreadsPlusOne reaches
+	// threads+1).
 	for _, r := range byLabel["FIFO Array Simulated CAS"] {
-		if r.Records != r.Threads {
-			t.Errorf("Algorithm 2 records = %d at %d threads", r.Records, r.Threads)
+		if r.Records < r.Threads || r.Records > 2*r.Threads {
+			t.Errorf("Algorithm 2 records = %d at %d threads, want %d..%d", r.Records, r.Threads, r.Threads, 2*r.Threads)
 		}
 	}
 }

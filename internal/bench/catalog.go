@@ -91,9 +91,9 @@ const (
 	KeyEvqLLSC     = "evq-llsc"
 	KeyEvqLLSCWeak = "evq-llsc-weak"
 	KeyEvqCAS      = "evq-cas"
-	// KeyEvqSeg is the segmented composition of the evq-cas ring: an
-	// unbounded MPMC queue chaining Algorithm 2 rings Michael–Scott-style
-	// with hazard-pointer segment reclamation.
+	// KeyEvqSeg is the segmented composition of the evq-llsc ring: an
+	// unbounded MPMC queue chaining Algorithm 1 rings (emulated LL/SC)
+	// Michael–Scott-style with hazard-pointer segment reclamation.
 	KeyEvqSeg = "evq-seg"
 	// KeySPSC is the Torquati-style single-producer/single-consumer ring
 	// (slot-only synchronization, private cursors). Concurrent is false

@@ -295,10 +295,10 @@ func TestSegmentedTwoThreads(t *testing.T) {
 }
 
 // TestSegmentedThreeThreads widens evq-seg to three threads: a third
-// session contends on the close CAS, the successor append and the head
-// unlink. The straggler branch of the finalize walk needs three
-// preemptions placed just so and is not reached within this budget;
-// evqseg's TestStragglerDrain covers it directly.
+// session contends on the close, the successor append and the head
+// unlink. The pending-straggler branch of the finalize walk needs three
+// preemptions with this program and is not reached within this budget;
+// TestSegmentedPendingStraggler reaches it with two.
 func TestSegmentedThreeThreads(t *testing.T) {
 	res, err := explore.RunHooked(explore.Config{
 		Threads:       3,
@@ -334,6 +334,57 @@ func TestSegmentedBatchTwoThreads(t *testing.T) {
 		n, _ = b.DequeueBatch(dst)
 		log.DeqBatch(inv, dst, n)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("explored %d executions (%d events)", res.Executions, res.Events)
+}
+
+// stragglerProgram gives the three threads roles that put the
+// close/finalize race's pending straggler two preemptions deep: thread 0
+// fills a 2-slot ring; thread 1 is the closer (it reads the ring full),
+// then drains the head ring through its finalize; thread 2 dequeues,
+// which opens room, then enqueues — the straggler whose LL predates the
+// close — then dequeues once more, which must find its own value.
+func stragglerProgram(tid int, s queue.Session, log *lincheck.ThreadLog) {
+	enq := func(v uint64) {
+		inv := log.Begin()
+		err := s.Enqueue(v)
+		log.Enq(inv, v, err == nil)
+	}
+	deq := func() {
+		inv := log.Begin()
+		got, ok := s.Dequeue()
+		log.Deq(inv, got, ok)
+	}
+	switch tid {
+	case 0:
+		enq(2)
+		enq(4)
+	case 1:
+		enq(6)
+		deq()
+		deq()
+	default:
+		deq()
+		enq(8)
+		deq()
+	}
+}
+
+// TestSegmentedPendingStraggler explores the finalize step against a
+// straggler whose SC is still pending: thread 1 reads the ring full and
+// is preempted before its close; thread 2 dequeues, LLs the slot the
+// close will name and is preempted before its SC; thread 1 closes,
+// appends, and its second dequeue finalizes the drained head ring. The
+// finalize's SC must defeat thread 2's SC, or thread 2's value lands in a
+// retired ring and its last dequeue comes back empty.
+func TestSegmentedPendingStraggler(t *testing.T) {
+	res, err := explore.RunHooked(explore.Config{
+		Threads:       3,
+		MaxDelays:     2,
+		MaxExecutions: 20000,
+	}, segBuild, stragglerProgram)
 	if err != nil {
 		t.Fatal(err)
 	}

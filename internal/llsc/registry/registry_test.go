@@ -247,3 +247,44 @@ func TestLLRevalidatesForeignMarker(t *testing.T) {
 		t.Fatalf("reader's LL on w1 = %d, want 12: it read the owner's value for another reservation", v>>1)
 	}
 }
+
+// TestRecordsReachThreadsPlusOne is a deterministic schedule in which two
+// sessions hold three records, so "records == peak threads" is not a
+// bound Figure 5 gives. The reader's LL finds owner a's marker and takes
+// a reference on a's record; before the reader drops it, a completes its
+// operation and runs ReRegister, which sees r = 2 and moves a to a fresh
+// record because no record is free: the reader owns one and pins the
+// other. The bound is 2 records per session: a session owns one record
+// and pins at most one more, inside LL.
+func TestRecordsReachThreadsPlusOne(t *testing.T) {
+	const sessions = 2
+	var w atomic.Uint64
+	w.Store(10 << 1)
+	var g *registry.Registry
+	var a registry.Handle
+	fires, armed := 0, false
+	g = registry.New(registry.WithYield(func() {
+		if !armed {
+			return
+		}
+		fires++
+		if fires == 3 { // the reader holds a reference on a's record
+			armed = false
+			w.CompareAndSwap(tagptr.Tag(a), 12<<1) // a's SC ends its operation
+			a = g.ReRegister(a, noCtr())
+		}
+	}))
+	a = g.Register(noCtr())
+	r := g.Register(noCtr())
+	g.LL(&w, a, noCtr())
+	armed = true
+	if v := g.LL(&w, r, noCtr()); v != 12<<1 {
+		t.Fatalf("reader's LL = %d, want 12", v>>1)
+	}
+	if n := g.Records(); n != sessions+1 || n > 2*sessions {
+		t.Fatalf("%d sessions hold %d records, want %d (within the bound %d)", sessions, n, sessions+1, 2*sessions)
+	}
+	if g.Var(a).Refs() != 1 || g.Var(r).Refs() != 1 {
+		t.Fatalf("refs a=%d r=%d, want 1 each", g.Var(a).Refs(), g.Var(r).Refs())
+	}
+}

@@ -177,11 +177,11 @@ func TestRespawnReclaimsOnlyTheDead(t *testing.T) {
 		name string
 		opts []nbqueue.Option
 		// cost is the per-thread records one session holds: evq-cas
-		// registers one LLSCvar, evq-seg an LLSCvar and a hazard record.
+		// registers one LLSCvar, evq-seg acquires one hazard record.
 		cost int
 	}{
 		{"evq-cas", []nbqueue.Option{nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS)}, 1},
-		{"default", nil, 2},
+		{"default", nil, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stages []StageSpec

@@ -53,7 +53,10 @@ func TestPopulationObliviousSpace(t *testing.T) {
 	if n := q.Registry().Records(); n != 1 {
 		t.Errorf("sequential reuse created %d LLSCvar records, want 1", n)
 	}
-	// Now 8 concurrent threads: the registry may grow to at most 8.
+	// Now 8 concurrent threads: each owns one record and pins at most
+	// one more inside registry.LL, so the registry may grow to at most
+	// 16 (registry TestRecordsReachThreadsPlusOne shows more than 8 is
+	// reachable).
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -73,8 +76,8 @@ func TestPopulationObliviousSpace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := q.Registry().Records(); n > 8 {
-		t.Errorf("8 concurrent threads created %d LLSCvar records, want <= 8", n)
+	if n := q.Registry().Records(); n > 2*8 {
+		t.Errorf("8 concurrent threads created %d LLSCvar records, want <= 16", n)
 	}
 }
 

@@ -1,14 +1,17 @@
-// Package evqseg composes the paper's Algorithm 2 ring (Figure 5, the
-// "FIFO Array Simulated CAS" configuration of internal/queues/evqcas)
-// into an *unbounded* MPMC FIFO: each segment is a fixed-size instance
-// of the bounded circular-array queue, and segments are linked
+// Package evqseg composes the paper's Algorithm 1 ring (Figure 3, the
+// "FIFO Array LL/SC" configuration of internal/queues/evqllsc) into an
+// *unbounded* MPMC FIFO: each segment is a fixed-size instance of the
+// bounded circular-array queue, and segments are linked
 // Michael–Scott-style into a list whose head and tail segment pointers
-// advance by CAS. The construction follows the standard bounded-ring/
-// linked-list hybrid of Nikolaev's SCQ (arXiv:1908.04511) and the
-// memory-bound framing of Aksenov et al. (arXiv:2104.15003): the ring
-// stays the unit of fast-path work, the list supplies elasticity, and
-// safe memory reclamation (the existing internal/hazard domain) bounds
-// space by live elements plus O(segments in flight).
+// advance by CAS. A ring's Head, Tail and slots are version-tagged words
+// driven by internal/llsc/emul's LL/SC (one CAS per SC), so the rings
+// keep no per-thread state: a session's one record is the hazard record
+// guarding segment reclamation. The construction follows the
+// bounded-ring/linked-list hybrid of Nikolaev's SCQ (arXiv:1908.04511)
+// and the memory-bound framing of Aksenov et al. (arXiv:2104.15003): the
+// ring stays the unit of fast-path work, the list supplies elasticity,
+// and safe memory reclamation (internal/hazard) bounds space by live
+// elements plus O(segments in flight).
 //
 // # Segment lifecycle
 //
@@ -16,12 +19,12 @@
 //
 //		free → preparing → live (open → closed → drained) → retired → free
 //
-//	  - open: the ring accepts enqueues and dequeues exactly as in evqcas.
+//	  - open: the ring runs Figure 3's rounds E5–E17 and D5–D17.
 //	  - closed: a producer that found the ring full set the closed bit
-//	    (the top bit of the segment's Tail index) with CAS. A closed
-//	    tail index makes every in-flight enqueue's "Tail unchanged?"
-//	    validation fail, so no new item can be installed; producers move
-//	    on and append a successor segment.
+//	    (bit 39, the top of the Tail word's 40-bit value; indices wrap
+//	    in the 39 bits below it) with LL/SC. Every enqueue's E10 check
+//	    ("Tail unchanged?") then fails, so producers move on and append
+//	    a successor segment.
 //	  - drained: Head has caught up with the closed Tail *and* the
 //	    finalize step below proved no late install slipped in.
 //	  - retired: a dequeuer unlinked the drained segment from the chain
@@ -32,25 +35,22 @@
 //
 // # The close/finalize race
 //
-// Closing the ring races with the last in-flight enqueue: a producer
-// may validate Tail, install its value with SC, and then fail the Tail
-// advance because the closed bit appeared — leaving a committed item
-// the ring's indices do not cover. At most one such install can exist
-// (only the producer whose reservation was taken before the close CAS
-// can still succeed its SC; all later LLs re-read a closed Tail).
-// Dequeuers therefore *finalize* a closed segment before declaring it
-// drained: with Head == Tail's position, they LL the slot that position
-// names. The LL displaces any still-pending reservation marker — which
-// defeats the straggler's SC; its operation has not linearized, so it
-// simply retries in the successor segment — and reads the slot value.
-// Zero means the segment is truly drained (and, because reservations
-// were displaced, no install can succeed later). Nonzero means the
-// straggler already committed: the dequeuer helps by advancing the
-// closed Tail over the item so the normal dequeue path consumes it.
-// Either way no value is lost or duplicated, and FIFO order across the
-// segment boundary is preserved: items in the successor were enqueued
-// by operations that saw the ring closed, i.e. after every install the
-// finalize step can observe.
+// A producer that passed E10 before the close still holds a valid
+// reservation on its slot (closing writes Tail, not the slot), so its SC
+// can land after the close and commit an item Tail does not cover; a
+// batch cursor, which commits ahead of the published Tail, can leave
+// several. A dequeuer that finds Head level with the closed Tail
+// therefore finalizes the ring: it LLs the slot at the close position
+// and re-reads Tail. If Tail moved, another finalizer walked it; retry.
+// A non-empty slot is a committed straggler: advance the closed Tail
+// over it so the normal path consumes it, and repeat. An empty slot is
+// SC'd back to 0: the version bump defeats every straggler SC still
+// pending, whose operation has not linearized and retries in the
+// successor, and from then on the ring is drained for good, since any
+// later LL is followed by an E10 check that sees the closed Tail. No
+// value is lost or duplicated, and FIFO order holds across the boundary:
+// items in the successor were enqueued by operations that saw the ring
+// closed, i.e. after every install the walk can observe.
 //
 // # Reclamation
 //
@@ -98,7 +98,7 @@ import (
 
 	"nbqueue/internal/arena"
 	"nbqueue/internal/hazard"
-	"nbqueue/internal/llsc/registry"
+	"nbqueue/internal/llsc/emul"
 	"nbqueue/internal/pad"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/tagptr"
@@ -106,11 +106,19 @@ import (
 	"nbqueue/internal/xsync"
 )
 
-// closedBit marks a segment's Tail index as closed: the ring is full and
-// all further enqueues must go to a successor segment. Index arithmetic
-// always strips it first. Tail indices stay far below 2^63: they are
-// bounded by the segment size per incarnation and reset on recycle.
-const closedBit = uint64(1) << 63
+// closedBit marks a segment's Tail as closed: the ring is full and all
+// further enqueues must go to a successor segment. It is the top bit of
+// the versioned word's 40-bit value field, so indices live in the 39
+// bits below it (idxMask) and every index sum and difference wraps
+// there; the segment size divides 2^39, so wrapped arithmetic stays
+// exact, as evqllsc's indexDelta does in 40 bits.
+const (
+	closedBit = uint64(1) << (tagptr.VerBits - 1)
+	idxMask   = closedBit - 1
+)
+
+// indexDelta returns (t - h) in the wrapped 39-bit index domain.
+func indexDelta(t, h uint64) uint64 { return (t - h) & idxMask }
 
 // Segment states, for scavenging and diagnostics. The open/closed/
 // drained sub-states of live are encoded in the ring indices (closedBit
@@ -124,12 +132,12 @@ const (
 )
 
 // segment is one bounded ring plus its chain link and lifecycle state.
-// The ring fields replicate evqcas.Queue; the logic in enqueueRound and
-// dequeueRound below is Figure 5 verbatim with the closed bit threaded
-// through.
+// head, tail and the slots are version-tagged words (emul's packing);
+// the logic in enqueueRound and dequeueRound below is Figure 3 verbatim
+// with the closed bit threaded through.
 type segment struct {
 	head pad.Uint64
-	tail pad.Uint64 // top bit: closedBit
+	tail pad.Uint64 // closedBit | index
 	// next is the pool handle of the successor segment; 0 while this is
 	// the last segment of its incarnation. Set once per incarnation by
 	// the producer that wins the append CAS.
@@ -154,7 +162,6 @@ type Queue struct {
 	// recycle, so steady state allocates nothing.
 	pool *arena.Pool[atomic.Pointer[segment]]
 	dom  *hazard.Domain
-	reg  *registry.Registry
 
 	size    uint64 // slots per segment (power of two)
 	mask    uint64
@@ -195,8 +202,8 @@ func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c
 // WithInstr attaches the instrumentation and backoff bundle; see
 // queue.Instr. The deadline poll counts segment hops (closed ring,
 // drained ring) as fruitless rounds. The Yield hook fires before
-// shared-memory accesses — ring words, chain pointers, registry and
-// hazard state — enabling interleaving exploration and fault injection.
+// shared-memory accesses — ring words, chain pointers, pool and hazard
+// state — enabling interleaving exploration and fault injection.
 // Its Trace additionally records segment growth.
 func WithInstr(in queue.Instr) Option { return func(q *Queue) { q.in = in } }
 
@@ -307,7 +314,6 @@ func New(segSize int, opts ...Option) *Queue {
 			q.maxSegs = defaultMaxSegments
 		}
 	}
-	q.reg = registry.New(registry.WithYield(q.in.Yield))
 	q.pool = arena.NewPool[atomic.Pointer[segment]](q.maxSegs)
 	q.dom = hazard.NewDomain(q.pool, true, 2)
 	if q.in.Yield != nil {
@@ -344,14 +350,6 @@ func (q *Queue) Name() string { return "FIFO Array Segmented" }
 
 // SegmentSize returns the per-segment slot count.
 func (q *Queue) SegmentSize() int { return int(q.size) }
-
-// Registry exposes the shared LLSCvar registry for tests and space
-// reporting. All segments share one registry: a session registers once,
-// not once per segment.
-func (q *Queue) Registry() *registry.Registry { return q.reg }
-
-// Domain exposes the hazard domain reclaiming segments, for tests.
-func (q *Queue) Domain() *hazard.Domain { return q.dom }
 
 // SetGrowHook installs fn to be called with the new live-segment count
 // each time a producer links a fresh segment. Install before concurrent
@@ -433,30 +431,20 @@ func (q *Queue) Len() int {
 			// incarnation; everything from here is another epoch's data.
 			break
 		}
-		head := g.head.Load()
-		pos := g.tail.Load() &^ closedBit
-		if pos > head {
-			d := pos - head
-			if d > q.size {
-				// head and tail straddled a recycle (reset to 0 between
-				// the two reads); clamp to the ring's capacity.
-				d = q.size
-			}
-			n += int(d)
-		}
+		head := emul.Load(g.head.Ptr())
+		// A delta above size means head and tail straddled a recycle
+		// (reset to 0 between the two reads); clamp to the ring's
+		// capacity.
+		n += int(min(indexDelta(emul.Load(g.tail.Ptr()), head), q.size))
 		h = g.next.Load()
 	}
 	return n
 }
 
-// SpaceRecords reports per-session records ever created: the shared
-// LLSCvar list plus the hazard records guarding segment reclamation.
-func (q *Queue) SpaceRecords() int { return q.reg.Records() + q.dom.Records() }
-
-// SessionRecordCost reports how many of those records one session
-// consumes (one LLSCvar plus one hazard record); crash-audit space
-// bounds scale their per-thread allowance by this.
-func (q *Queue) SessionRecordCost() int { return 2 }
+// SpaceRecords reports per-session records ever created: the hazard
+// records guarding segment reclamation, one per session. The rings
+// themselves keep no per-thread state.
+func (q *Queue) SpaceRecords() int { return q.dom.Records() }
 
 // reserveMem reserves one segment against the memory bound before any
 // allocation. The CAS loop (rather than a blind add) is what makes
@@ -616,18 +604,17 @@ func (q *Queue) admitSegments(s *Session) error {
 
 var _ queue.Scavenger = (*Queue)(nil)
 
-// AdvanceEpoch ticks every orphan-detection clock the queue composes:
-// the registry's, the hazard domain's, and the segment append clock.
+// AdvanceEpoch ticks both orphan-detection clocks the queue composes:
+// the hazard domain's and the segment append clock.
 func (q *Queue) AdvanceEpoch() uint64 {
-	q.dom.AdvanceEpoch()
 	q.epoch.Add(1)
-	return q.reg.AdvanceEpoch()
+	return q.dom.AdvanceEpoch()
 }
 
-// Orphans counts presumed-abandoned per-session state: LLSCvar records,
-// hazard records, and append-orphaned segments.
+// Orphans counts presumed-abandoned per-session state: hazard records
+// and append-orphaned segments.
 func (q *Queue) Orphans(minAge uint64) int {
-	return len(q.reg.Orphans(minAge)) + q.dom.Orphans(minAge) + q.pendingOlderThan(minAge)
+	return q.dom.Orphans(minAge) + q.pendingOlderThan(minAge)
 }
 
 func (q *Queue) pendingOlderThan(minAge uint64) int {
@@ -653,27 +640,14 @@ func (q *Queue) eachSegment(f func(h uint64, g *segment)) {
 }
 
 // Scavenge reclaims the state of sessions presumed dead for minAge
-// epochs: LLSCvar records (restoring any reservation marker the dead
-// owner left in a ring slot, across every segment), hazard records
-// (unpinning whatever segment the dead session had published), and
-// append-orphaned segments (allocated but never linked because the
-// producer died first — returned straight to the pool). See
-// registry.Scavenge for the staleness-policy caveats.
+// epochs: hazard records (unpinning whatever segment the dead session
+// had published) and append-orphaned segments (allocated but never
+// linked because the producer died first — returned straight to the
+// pool). A session killed mid-operation leaves nothing in the rings to
+// repair: an LL writes nothing, and a pending SC simply never lands.
+// See hazard.Domain.Scavenge for the staleness-policy caveats.
 func (q *Queue) Scavenge(minAge uint64) int {
-	n := q.reg.Scavenge(minAge, func(h registry.Handle, v *registry.Var) {
-		marker := tagptr.Tag(h)
-		q.eachSegment(func(_ uint64, g *segment) {
-			for j := uint64(0); j < q.size; j++ {
-				w := g.slot(q, j)
-				if w.Load() == marker {
-					w.CompareAndSwap(marker, v.Node())
-				}
-			}
-		})
-	})
-	n += q.dom.Scavenge(minAge)
-	n += q.scavengeAppends(minAge)
-	return n
+	return q.dom.Scavenge(minAge) + q.scavengeAppends(minAge)
 }
 
 // scavengeAppends reclaims append orphans: segments a dead producer
@@ -715,22 +689,18 @@ func (q *Queue) scavengeAppends(minAge uint64) int {
 	return n
 }
 
-// Session carries the goroutine's LLSCvar (slot reservation), its
-// hazard record (segment protection), and its retry driver.
+// Session carries the goroutine's hazard record (segment protection)
+// and its retry driver.
 type Session struct {
 	queue.Driver
-	q      *Queue
-	varH   registry.Handle
-	varGen uint64
-	rec    *hazard.Record
-	hpGen  uint64
+	q     *Queue
+	rec   *hazard.Record
+	hpGen uint64
 	// cur is the pool handle of the segment the running single operation
 	// holds protected in hpSeg; 0 when none is, so the next round
 	// protects the current tail (head) segment afresh. Rounds keep it
 	// across fruitless attempts on one ring and drop it on a segment hop.
 	cur uint64
-	// reserved records an LL since the last ReRegister; see ll.
-	reserved bool
 }
 
 var (
@@ -739,25 +709,21 @@ var (
 	_ queue.BatchSession    = (*Session)(nil)
 )
 
-// Attach registers the calling goroutine with the shared registry and
-// acquires a hazard record. One registration serves every segment.
+// Attach acquires a hazard record for the calling goroutine. One record
+// serves every segment.
 func (q *Queue) Attach() queue.Session {
 	s := &Session{q: q}
 	s.Driver = queue.NewDriver(q.ctrs, q.in, s)
-	s.varH = q.reg.Register(s.Ctr)
-	s.varGen = q.reg.Gen(s.varH)
 	s.rec = q.dom.Acquire()
 	s.hpGen = s.rec.Gen()
 	return s
 }
 
-// Detach releases both records for recycling. Idempotent.
+// Detach releases the hazard record for recycling. Idempotent.
 func (s *Session) Detach() {
-	if s.varH == 0 {
+	if s.rec == nil {
 		return
 	}
-	s.q.reg.DeregisterGen(s.varH, s.varGen, s.Ctr)
-	s.varH = 0
 	if s.rec.Gen() == s.hpGen {
 		s.rec.Release()
 	}
@@ -765,16 +731,12 @@ func (s *Session) Detach() {
 	s.Hist.Flush()
 }
 
-// prepare runs the between-operations protocol on both records:
-// ReRegister for the LLSCvar (closing the
-// recycled-record ABA, §5), revocation recovery for the hazard record,
-// and heartbeats for the orphan scavenger.
+// prepare runs the between-operations protocol on the hazard record:
+// revocation recovery and a heartbeat for the orphan scavenger.
 func (s *Session) prepare() {
-	if s.varH == 0 {
+	if s.rec == nil {
 		panic("evqseg: session used after Detach")
 	}
-	s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.Ctr)
-	s.reserved = false
 	if s.rec.Gen() != s.hpGen {
 		s.rec = s.q.dom.Acquire()
 		s.hpGen = s.rec.Gen()
@@ -782,19 +744,45 @@ func (s *Session) prepare() {
 	s.rec.Heartbeat()
 }
 
-// ll is the session's simulated LL on w; it returns the application
-// value observed and the marker that now reserves w. Every LL after the
-// first of an operation runs ReRegister first, as prepare does before
-// the first; see evqcas Session.ll for the reader race this closes.
-func (s *Session) ll(w *atomic.Uint64) (slot, marker uint64) {
-	if s.reserved {
-		s.varH, s.varGen = s.q.reg.ReRegisterGen(s.varH, s.varGen, s.Ctr)
-	}
-	s.reserved = true
-	return s.q.reg.LL(w, s.varH, s.Ctr), tagptr.Tag(s.varH)
+// ll is the session's LL (Figure 2) on the ring word w; it writes nothing.
+func (s *Session) ll(w *atomic.Uint64) (v, snap uint64) {
+	s.Ctr.Inc(xsync.OpLL)
+	s.q.fire()
+	return emul.LL(w)
 }
 
-// cas wraps CompareAndSwap with instrumentation.
+// sc is the session's SC on the ring word w against ll's snapshot.
+func (s *Session) sc(w *atomic.Uint64, snap, v uint64) bool {
+	s.Ctr.Inc(xsync.OpSCAttempt)
+	s.q.fire()
+	if emul.SC(w, snap, v) {
+		s.Ctr.Inc(xsync.OpSCSuccess)
+		return true
+	}
+	return false
+}
+
+// swing moves the ring word w from exactly old to new with one LL/SC
+// pair (lines E12–E13 / D12–D13), and gives up once w holds anything
+// else: someone moved it. It retries only an SC that failed while w
+// still read old, as evqllsc's advance does.
+func (s *Session) swing(w *atomic.Uint64, old, new uint64) {
+	for {
+		cur, snap := s.ll(w)
+		if cur != old || s.sc(w, snap, new) {
+			return
+		}
+	}
+}
+
+// advance moves the open index word w from expect to expect+1. A closed
+// Tail never equals an open expect, so advance never moves one.
+func (s *Session) advance(w *atomic.Uint64, expect uint64) {
+	s.swing(w, expect, (expect+1)&idxMask)
+}
+
+// cas wraps CompareAndSwap with instrumentation; only the segment chain
+// pointers use it.
 func (s *Session) cas(w *atomic.Uint64, old, new uint64) bool {
 	s.Ctr.Inc(xsync.OpCASAttempt)
 	s.q.fire()
@@ -837,7 +825,7 @@ func (s *Session) Enqueue(v uint64) error {
 	return err
 }
 
-// EnqueueRound runs one Figure 5 Enqueue attempt against the tail ring
+// EnqueueRound runs one Figure 3 Enqueue attempt against the tail ring
 // (queue.Rounds). A closed ring moves the append pointer on — linking a
 // fresh successor first when there is none — and counts as a fruitless
 // round; a high-water cap or a failed append reports the queue full. The
@@ -940,41 +928,37 @@ func (q *Queue) unlinkHead(s *Session, g *segment, hs uint64) bool {
 	return true
 }
 
-// enqueueRound runs one Figure 5 Enqueue attempt against ring g, with
-// the closed bit threaded through.
+// enqueueRound runs one Figure 3 Enqueue attempt (E5–E17) against ring
+// g, with the closed bit threaded through.
 func (g *segment) enqueueRound(s *Session, v uint64) segResult {
 	q := s.q
 	q.fire()
-	t := g.tail.Load()
+	t := emul.Load(g.tail.Ptr()) // E5
 	if t&closedBit != 0 {
 		return segClosed
 	}
 	q.fire()
-	if t == g.head.Load()+q.size {
+	if indexDelta(t, emul.Load(g.head.Ptr())) == q.size { // E6
 		// Ring full: close it so the append in the caller cannot reorder
 		// ahead of a straggling install here (see the close/finalize race
-		// in the package comment). Failure means the ring moved — either
-		// direction is progress; retry.
-		s.cas(g.tail.Ptr(), t, t|closedBit)
+		// in the package comment). A moved Tail means the ring moved —
+		// either direction is progress; retry.
+		s.swing(g.tail.Ptr(), t, t|closedBit)
 		return segRetry
 	}
-	w := g.slot(q, t&q.mask)
-	slot, marker := s.ll(w) // reserve: slot word now holds marker
+	w := g.slot(q, t&q.mask) // E8
+	x, snap := s.ll(w)       // E9
 	s.Pause()
 	q.fire()
-	if t == g.tail.Load() {
-		if slot != 0 {
-			// A delayed enqueuer's item is already here; release the
-			// reservation and help advance Tail.
-			s.cas(w, marker, slot)
-			s.cas(g.tail.Ptr(), t, t+1)
-		} else if s.cas(w, marker, v) {
-			s.cas(g.tail.Ptr(), t, t+1)
+	if t == emul.Load(g.tail.Ptr()) { // E10: also fails on a closed Tail
+		if x != 0 {
+			// E11: a delayed enqueuer's item is already here; help
+			// advance Tail.
+			s.advance(g.tail.Ptr(), t)
+		} else if s.sc(w, snap, v) { // E15
+			s.advance(g.tail.Ptr(), t) // E16–E17
 			return segOK
 		}
-	} else {
-		// Tail moved (or closed) under us: release and re-read.
-		s.cas(w, marker, slot)
 	}
 	return segRetry
 }
@@ -996,7 +980,7 @@ func (s *Session) DequeueErr() (uint64, bool, error) {
 	return v, ok, err
 }
 
-// DequeueRound runs one Figure 5 Dequeue attempt against the head ring
+// DequeueRound runs one Figure 3 Dequeue attempt against the head ring
 // (queue.Rounds); a ring that proves drained is unlinked, which counts
 // as a fruitless round unless it was the last one. As in EnqueueRound,
 // the head segment is protected only on the first round and after a hop.
@@ -1021,233 +1005,221 @@ func (s *Session) DequeueRound() (v uint64, empty, done bool) {
 	return 0, false, false
 }
 
-// dequeueRound runs one Figure 5 Dequeue attempt against ring g,
-// extended with the closed-segment finalize step.
+// dequeueRound runs one Figure 3 Dequeue attempt (D5–D17) against ring
+// g, extended with the closed-segment finalize step.
 func (g *segment) dequeueRound(s *Session) (uint64, segResult) {
 	q := s.q
 	q.fire()
-	h := g.head.Load()
+	h := emul.Load(g.head.Ptr()) // D5
 	q.fire()
-	t := g.tail.Load()
-	pos := t &^ closedBit
-	if h == pos {
+	t := emul.Load(g.tail.Ptr())
+	if h == t&idxMask { // D6
 		if t&closedBit == 0 {
 			return 0, segEmpty
 		}
-		// Finalize: Head caught the closed Tail. LL the slot Tail names:
-		// the LL displaces any still-pending enqueue reservation
-		// (defeating its SC; that producer retries in the successor), and
-		// reads whatever was committed there.
-		w := g.slot(q, pos&q.mask)
-		x, marker := s.ll(w)
-		s.cas(w, marker, x) // release our reservation, restoring x
-		if x == 0 {
+		if g.finalize(s, t) {
 			return 0, segDrained
 		}
-		// A straggler committed before the close: advance the closed Tail
-		// over it so the normal path consumes it.
-		s.cas(g.tail.Ptr(), t, (pos+1)|closedBit)
 		return 0, segRetry
 	}
-	w := g.slot(q, h&q.mask)
-	slot, marker := s.ll(w)
+	w := g.slot(q, h&q.mask) // D8
+	x, snap := s.ll(w)       // D9
 	s.Pause()
 	q.fire()
-	if h == g.head.Load() {
-		if slot == 0 {
-			// Head is lagging; release the reservation and help.
-			s.cas(w, marker, slot)
-			s.cas(g.head.Ptr(), h, h+1)
-		} else if s.cas(w, marker, 0) {
-			s.cas(g.head.Ptr(), h, h+1)
-			return slot, segOK
+	if h == emul.Load(g.head.Ptr()) { // D10
+		if x == 0 {
+			// D11: Head is lagging; help advance it.
+			s.advance(g.head.Ptr(), h)
+		} else if s.sc(w, snap, 0) { // D15
+			s.advance(g.head.Ptr(), h) // D16–D17
+			return x, segOK
 		}
-	} else {
-		s.cas(w, marker, slot)
 	}
 	return 0, segRetry
 }
 
-// publishTail advances the ring's published Tail to at least c with one
-// CAS; see the evqcas batch for why the jump is sound. A closed Tail is
-// left alone: closing proved every commit to be at or below the closed
-// position or reachable by the finalize walk.
-func (g *segment) publishTail(s *Session, c uint64) {
+// finalize runs one step of the close/finalize walk (see the package
+// comment) on ring g, whose closed Tail word t the caller found level
+// with Head. It reports true when the ring is drained for good; false
+// means retry: a straggler was walked over, or the ring moved.
+func (g *segment) finalize(s *Session, t uint64) bool {
 	q := s.q
+	pos := t & idxMask
+	w := g.slot(q, pos&q.mask)
+	x, snap := s.ll(w)
+	q.fire()
+	if emul.Load(g.tail.Ptr()) != t {
+		// Another finalizer walked Tail on, and x may be a straggler a
+		// dequeuer has consumed since; re-read.
+		return false
+	}
+	if x != 0 {
+		// A straggler committed at the close position: advance the
+		// closed Tail over it so the normal path consumes it.
+		s.swing(g.tail.Ptr(), t, ((pos+1)&idxMask)|closedBit)
+		return false
+	}
+	// The SC stores 0 over 0; its version bump is what defeats every
+	// straggler's SC still pending on this slot.
+	return s.sc(w, snap, 0)
+}
+
+// publish advances a ring's index word w (Head, or an open Tail) to
+// c with one LL/SC pair: every index between the published value and c
+// has been committed (Tail) or drained (Head) by the batch cursor. A
+// closed Tail is left alone: closing proved every commit to be at or
+// below the closed position or reachable by the finalize walk. A
+// wrapped delta above size means the word already moved past c.
+func (s *Session) publish(w *atomic.Uint64, c uint64) {
 	for {
-		q.fire()
-		cur := g.tail.Load()
-		if cur&closedBit != 0 || cur >= c {
+		cur, snap := s.ll(w)
+		if d := indexDelta(c, cur); cur&closedBit != 0 || d == 0 || d > s.q.size {
 			return
 		}
-		if s.cas(g.tail.Ptr(), cur, c) {
+		if s.sc(w, snap, c) {
 			return
 		}
 	}
 }
 
-// publishHead advances the ring's published Head to at least c with one
-// CAS.
-func (g *segment) publishHead(s *Session, c uint64) {
-	q := s.q
-	for {
-		q.fire()
-		cur := g.head.Load()
-		if cur >= c {
-			return
-		}
-		if s.cas(g.head.Ptr(), cur, c) {
-			return
-		}
-	}
-}
-
-// enqueueBatch runs the batch cursor loop of the evqcas EnqueueBatch
+// enqueueBatch runs the batch cursor loop of the evqllsc EnqueueBatch
 // against one ring, with the closed bit threaded through. On a full
 // ring it publishes the cursor first and then closes at the published
 // position, so the close can strand at most the stragglers the
 // finalize walk in dequeue already consumes one by one. Returns with
 // *filled counting every element committed into this ring; a non-nil
 // error is the driver's deadline stop.
+//
+// The cursor runs at most size indices ahead of Head, so a wrapped
+// delta above size means the indices passed it: full is exactly
+// delta == size, as at E6.
 func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int) (segResult, error) {
 	q := s.q
-	c := g.tail.Load()
+	c := emul.Load(g.tail.Ptr())
 	if c&closedBit != 0 {
 		return segClosed, nil
 	}
 	for *filled < len(vs) {
 		if err := s.HaltBatch(); err != nil {
-			g.publishTail(s, c)
+			s.publish(g.tail.Ptr(), c)
 			return segOK, err
 		}
 		q.fire()
-		t := g.tail.Load()
+		t := emul.Load(g.tail.Ptr())
 		if t&closedBit != 0 {
 			return segClosed, nil
 		}
-		if t > c {
+		if indexDelta(c, t) > q.size {
 			c = t // another thread published past the cursor
 		}
 		q.fire()
-		if c >= g.head.Load()+q.size {
+		if indexDelta(c, emul.Load(g.head.Ptr())) == q.size {
 			// Ring full at the cursor: publish the committed run, then
 			// close at the published position so producers move on.
-			g.publishTail(s, c)
+			s.publish(g.tail.Ptr(), c)
 			q.fire()
-			if t := g.tail.Load(); t&closedBit == 0 {
-				s.cas(g.tail.Ptr(), t, t|closedBit)
+			if t := emul.Load(g.tail.Ptr()); t&closedBit == 0 {
+				s.swing(g.tail.Ptr(), t, t|closedBit)
 			}
 			s.Skip()
 			continue
 		}
 		w := g.slot(q, c&q.mask)
-		slot, marker := s.ll(w) // reserve: slot word now holds marker
+		x, snap := s.ll(w)
 		q.fire()
-		if slot != 0 {
+		if x != 0 {
 			// Someone's item is committed at the cursor: step over it.
-			s.cas(w, marker, slot)
-			c++
+			c = (c + 1) & idxMask
 			s.Skip()
 			continue
 		}
-		t2 := g.tail.Load()
+		t2 := emul.Load(g.tail.Ptr())
 		if t2&closedBit != 0 {
-			s.cas(w, marker, 0)
 			return segClosed, nil
 		}
-		if t2 > c {
-			// The ring lapped the cursor before our reservation; see the
-			// evqcas batch for why this check makes the commit decisive.
-			s.cas(w, marker, 0)
+		if indexDelta(c, t2) > q.size {
+			// The ring lapped the cursor before our reservation; after
+			// this check any index passing c writes the slot first,
+			// killing the reservation, so a successful SC really commits
+			// index c.
 			c = t2
 			s.Skip()
 			continue
 		}
-		if s.cas(w, marker, vs[*filled]) {
+		if s.sc(w, snap, vs[*filled]) {
 			*filled++
-			c++
+			c = (c + 1) & idxMask
 			s.Win()
 		} else {
 			s.Lose()
 		}
 	}
-	g.publishTail(s, c)
+	s.publish(g.tail.Ptr(), c)
 	return segOK, nil
 }
 
-// dequeueBatch runs the batch cursor loop of the evqcas DequeueBatch
+// dequeueBatch runs the batch cursor loop of the evqllsc DequeueBatch
 // against one ring, extended with the closed-segment finalize step
 // (which here may walk over several stragglers: commits a concurrent
-// batch left above the close position).
+// batch left above the close position). The cursor never passes Tail,
+// so it meets Tail's position exactly.
 func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int) (segResult, error) {
 	q := s.q
-	c := g.head.Load()
+	c := emul.Load(g.head.Ptr())
 	for *n < len(dst) {
 		if err := s.HaltBatch(); err != nil {
-			g.publishHead(s, c)
+			s.publish(g.head.Ptr(), c)
 			return segOK, err
 		}
 		q.fire()
-		if h := g.head.Load(); h > c {
-			c = h
+		if h := emul.Load(g.head.Ptr()); indexDelta(c, h) > q.size {
+			c = h // Head passed the cursor
 		}
 		q.fire()
-		t := g.tail.Load()
-		closed := t&closedBit != 0
-		pos := t &^ closedBit
-		if c >= pos {
-			g.publishHead(s, c)
-			if !closed {
+		t := emul.Load(g.tail.Ptr())
+		if c == t&idxMask {
+			s.publish(g.head.Ptr(), c)
+			if t&closedBit == 0 {
 				return segEmpty, nil
 			}
-			// Finalize: the cursor caught the closed Tail. LL the slot
-			// Tail names, displacing any still-pending reservation, and
-			// either declare the ring drained or walk the closed Tail over
-			// a committed straggler.
-			w := g.slot(q, pos&q.mask)
-			x, marker := s.ll(w)
-			s.cas(w, marker, x) // release our reservation, restoring x
-			if x == 0 {
+			if g.finalize(s, t) {
 				return segDrained, nil
 			}
-			s.cas(g.tail.Ptr(), t, (pos+1)|closedBit)
 			s.Skip()
 			continue
 		}
 		w := g.slot(q, c&q.mask)
-		x, marker := s.ll(w)
+		x, snap := s.ll(w)
 		q.fire()
 		if x == 0 {
 			// Index c was drained by someone else with Head lagging:
-			// release and step over it.
-			s.cas(w, marker, 0)
-			c++
+			// step over it.
+			c = (c + 1) & idxMask
 			s.Skip()
 			continue
 		}
-		if h := g.head.Load(); h > c {
-			// Head passed the cursor before our reservation: restore x
-			// and restart from the published Head.
-			s.cas(w, marker, x)
+		if h := emul.Load(g.head.Ptr()); indexDelta(c, h) > q.size {
+			// Head passed the cursor before our reservation: restart
+			// from the published Head.
 			c = h
 			s.Skip()
 			continue
 		}
-		if s.cas(w, marker, 0) {
+		if s.sc(w, snap, 0) {
 			dst[*n] = x
 			*n++
-			c++
+			c = (c + 1) & idxMask
 			s.Win()
 		} else {
 			s.Lose()
 		}
 	}
-	g.publishHead(s, c)
+	s.publish(g.head.Ptr(), c)
 	return segOK, nil
 }
 
-// EnqueueBatch inserts the values of vs in order with one Tail CAS per
-// ring touched; see queue.BatchSession for the contract. A batch that
+// EnqueueBatch inserts the values of vs in order with one Tail LL/SC
+// pair per ring touched; see queue.BatchSession for the contract. A batch that
 // fills a ring closes it and continues in the successor (the straddling
 // case), reusing the single-operation append machinery. Under a
 // high-water cap each ring attempt is limited to the remaining room, so
@@ -1306,8 +1278,8 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	return filled, err
 }
 
-// DequeueBatch removes up to len(dst) values with one Head CAS per ring
-// touched; see queue.BatchSession for the contract. A batch that drains
+// DequeueBatch removes up to len(dst) values with one Head LL/SC pair
+// per ring touched; see queue.BatchSession for the contract. A batch that drains
 // a closed ring unlinks it and continues in the successor, reusing the
 // single-operation retire machinery.
 func (s *Session) DequeueBatch(dst []uint64) (int, error) {

@@ -47,10 +47,10 @@ func TestStraddleUnbalancedConsumers(t *testing.T) {
 	queuetest.StressMPMC(t, func(int) queue.Queue { return evqseg.New(8) }, 5, 2, 2000)
 }
 
-// TestSharedRegistry verifies sessions register once with one shared
-// registry, not once per segment: sequential sessions recycle a single
-// LLSCvar record no matter how many segments their traffic crossed.
-func TestSharedRegistry(t *testing.T) {
+// TestOneRecordPerSession verifies a session holds one hazard record
+// for every segment, and the rings none: sequential sessions recycle a
+// single record no matter how many segments their traffic crossed.
+func TestOneRecordPerSession(t *testing.T) {
 	q := evqseg.New(4)
 	for i := 0; i < 50; i++ {
 		s := q.Attach()
@@ -66,11 +66,8 @@ func TestSharedRegistry(t *testing.T) {
 		}
 		s.Detach()
 	}
-	if n := q.Registry().Records(); n != 1 {
-		t.Errorf("sequential reuse created %d LLSCvar records, want 1", n)
-	}
-	if n := q.Domain().Records(); n != 1 {
-		t.Errorf("sequential reuse created %d hazard records, want 1", n)
+	if n := q.SpaceRecords(); n != 1 {
+		t.Errorf("sequential reuse created %d records, want 1 hazard record (the rings keep none)", n)
 	}
 }
 

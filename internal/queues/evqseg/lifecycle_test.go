@@ -11,20 +11,28 @@ import (
 	"time"
 
 	"nbqueue/internal/chaos"
+	"nbqueue/internal/llsc/emul"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/xsync"
 )
 
-// TestStragglerDrain builds the close/finalize race's worst outcome by
-// hand on a 4-slot head ring and drains it through each finalize walk.
-// Values 2, 4, 6, 8 fill the ring (Tail p = 4) and one dequeue takes 2.
-// A producer then reads Tail p, commits 10 into slot p and stalls before
-// its Tail CAS, and a closer's CAS seals Tail at p: the enqueue has
-// completed, but Tail does not cover it. 12 and 14 go to the successor.
-// The walk must advance the closed Tail over 10 so it comes out once, in
-// order, before the successor's values, and the ring must then retire.
-// A session deadline turns a walk that cannot pass the straggler into
-// ErrDeadline instead of a hang.
+// TestStragglerDrain builds the close/finalize race by hand on a 4-slot
+// head ring and drains it through each finalize walk. Values 2, 4, 6, 8
+// fill the ring (Tail p = 4) and one dequeue takes 2. A producer then
+// reads Tail p and LLs slot p, a closer seals Tail at p, and 12 and 14
+// go to the successor. Two outcomes of the producer's pending SC:
+//
+//   - committed: the SC of 10 lands before the drain, so the enqueue has
+//     completed but Tail does not cover it. The walk must advance the
+//     closed Tail over 10 so it comes out once, in order, before the
+//     successor's values.
+//   - pending: the drain runs first. Its finalize must SC the empty slot
+//     (a version bump), so the straggler's SC fails afterwards and the
+//     producer retries in the successor; a finalize that only reads the
+//     slot would let 10 land in a retired ring and vanish.
+//
+// Either way the ring must then retire. A session deadline turns a walk
+// that cannot pass the straggler into ErrDeadline instead of a hang.
 func TestStragglerDrain(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -47,50 +55,76 @@ func TestStragglerDrain(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := xsync.NewCounters()
-			q := New(4, WithCounters(c))
-			s := q.Attach().(*Session)
-			defer s.Detach()
-			for v := uint64(2); v <= 8; v += 2 {
-				if err := s.Enqueue(v); err != nil {
-					t.Fatalf("enqueue %d: %v", v, err)
+			for _, committed := range []bool{true, false} {
+				name := "pending"
+				if committed {
+					name = "committed"
 				}
-			}
-			if v, ok := s.Dequeue(); !ok || v != 2 {
-				t.Fatalf("first dequeue = %d, %v; want 2", v, ok)
-			}
-			h1 := q.headSeg.Load()
-			g := q.seg(h1)
-			p := g.tail.Load()
-			if p != 4 || g.head.Load() != 1 {
-				t.Fatalf("head ring at Head %d, Tail %#x; want 1, 4", g.head.Load(), p)
-			}
-			g.slot(q, p&q.mask).Store(10)
-			g.tail.Store(p | closedBit)
-			for _, v := range []uint64{12, 14} {
-				if err := s.Enqueue(v); err != nil {
-					t.Fatalf("enqueue %d: %v", v, err)
-				}
-			}
-
-			s.SetDeadline(time.Now().Add(time.Second))
-			got, err := tc.drain(s)
-			s.SetDeadline(time.Time{})
-			if err != nil {
-				t.Fatalf("drain after %v: %v", got, err)
-			}
-			want := []uint64{4, 6, 8, 10, 12, 14}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("drained %v, want %v", got, want)
-			}
-			if v, ok := s.Dequeue(); ok {
-				t.Fatalf("extra value %d after the drain", v)
-			}
-			if q.headSeg.Load() == h1 || q.Segments() != 1 || c.Total(xsync.OpSegRetire) != 1 {
-				t.Fatalf("closed ring not retired: head moved %v, Segments() = %d, retires = %d",
-					q.headSeg.Load() != h1, q.Segments(), c.Total(xsync.OpSegRetire))
+				t.Run(name, func(t *testing.T) { stragglerDrain(t, tc.drain, committed) })
 			}
 		})
+	}
+}
+
+func stragglerDrain(t *testing.T, drain func(s *Session) ([]uint64, error), committed bool) {
+	c := xsync.NewCounters()
+	q := New(4, WithCounters(c))
+	s := q.Attach().(*Session)
+	defer s.Detach()
+	for v := uint64(2); v <= 8; v += 2 {
+		if err := s.Enqueue(v); err != nil {
+			t.Fatalf("enqueue %d: %v", v, err)
+		}
+	}
+	if v, ok := s.Dequeue(); !ok || v != 2 {
+		t.Fatalf("first dequeue = %d, %v; want 2", v, ok)
+	}
+	h1 := q.headSeg.Load()
+	g := q.seg(h1)
+	p := emul.Load(g.tail.Ptr())
+	if p != 4 || emul.Load(g.head.Ptr()) != 1 {
+		t.Fatalf("head ring at Head %d, Tail %#x; want 1, 4", emul.Load(g.head.Ptr()), p)
+	}
+	w := g.slot(q, p&q.mask)
+	x, snap := emul.LL(w) // the straggler's LL, before the close
+	if x != 0 {
+		t.Fatalf("slot %d holds %d, want empty", p, x)
+	}
+	_, tsnap := emul.LL(g.tail.Ptr())
+	if !emul.SC(g.tail.Ptr(), tsnap, p|closedBit) {
+		t.Fatal("close SC failed on a quiescent ring")
+	}
+	want := []uint64{4, 6, 8, 12, 14}
+	if committed {
+		if !emul.SC(w, snap, 10) {
+			t.Fatal("straggler SC failed before any finalize")
+		}
+		want = []uint64{4, 6, 8, 10, 12, 14}
+	}
+	for _, v := range []uint64{12, 14} {
+		if err := s.Enqueue(v); err != nil {
+			t.Fatalf("enqueue %d: %v", v, err)
+		}
+	}
+
+	s.SetDeadline(time.Now().Add(time.Second))
+	got, err := drain(s)
+	s.SetDeadline(time.Time{})
+	if err != nil {
+		t.Fatalf("drain after %v: %v", got, err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("drained %v, want %v", got, want)
+	}
+	if !committed && emul.SC(w, snap, 10) {
+		t.Fatal("straggler SC landed after the finalize declared the ring drained")
+	}
+	if v, ok := s.Dequeue(); ok {
+		t.Fatalf("extra value %d after the drain", v)
+	}
+	if q.headSeg.Load() == h1 || q.Segments() != 1 || c.Total(xsync.OpSegRetire) != 1 {
+		t.Fatalf("closed ring not retired: head moved %v, Segments() = %d, retires = %d",
+			q.headSeg.Load() != h1, q.Segments(), c.Total(xsync.OpSegRetire))
 	}
 }
 
@@ -202,7 +236,7 @@ func TestChaosStormMidAppend(t *testing.T) {
 		t.Fatal("storm killed no sessions; the test exercised nothing")
 	}
 	// Post-storm scavenge: everything the dead sessions pinned —
-	// records, markers, half-appended segments — must come back.
+	// hazard records and half-appended segments — must come back.
 	for i := 0; i < 3; i++ {
 		q.AdvanceEpoch()
 	}
@@ -288,5 +322,56 @@ func TestSegmentRecycling(t *testing.T) {
 	}
 	if got := q.Segments(); got != 1 {
 		t.Errorf("Segments() = %d at quiescence, want 1", got)
+	}
+}
+
+// TestFinalizeStaleTail pins the finalize step's Tail re-read. A batch
+// left stragglers 10 and 12 at the close position p and at p+1. One
+// finalizer walks the closed Tail over 10 and a dequeuer consumes it;
+// a second finalizer that read the closed Tail at p before all that
+// then finds slot p empty. It must retry, not declare the ring drained
+// with 12 still above the walk.
+func TestFinalizeStaleTail(t *testing.T) {
+	q := New(4)
+	s := q.Attach().(*Session)
+	defer s.Detach()
+	for v := uint64(2); v <= 8; v += 2 {
+		if err := s.Enqueue(v); err != nil {
+			t.Fatalf("enqueue %d: %v", v, err)
+		}
+	}
+	for v := uint64(2); v <= 6; v += 2 {
+		if got, ok := s.Dequeue(); !ok || got != v {
+			t.Fatalf("dequeue = %d, %v; want %d", got, ok, v)
+		}
+	}
+	g := q.seg(q.headSeg.Load())
+	p := emul.Load(g.tail.Ptr()) // 4; slots p and p+1 were drained
+	for i, v := range []uint64{10, 12} {
+		w := g.slot(q, (p+uint64(i))&q.mask)
+		_, snap := emul.LL(w)
+		if !emul.SC(w, snap, v) {
+			t.Fatal("straggler SC failed on a quiescent ring")
+		}
+	}
+	_, tsnap := emul.LL(g.tail.Ptr())
+	if !emul.SC(g.tail.Ptr(), tsnap, p|closedBit) {
+		t.Fatal("close SC failed on a quiescent ring")
+	}
+	if got, ok := s.Dequeue(); !ok || got != 8 {
+		t.Fatalf("dequeue = %d, %v; want 8", got, ok)
+	}
+	stale := p | closedBit
+	if g.finalize(s, stale) {
+		t.Fatal("finalize declared a ring with a committed straggler drained")
+	}
+	if got, ok := s.Dequeue(); !ok || got != 10 {
+		t.Fatalf("dequeue = %d, %v; want 10", got, ok)
+	}
+	if g.finalize(s, stale) {
+		t.Fatal("finalize on a stale Tail declared the ring drained with 12 above the walk")
+	}
+	if got, ok := s.Dequeue(); !ok || got != 12 {
+		t.Fatalf("dequeue = %d, %v; want 12", got, ok)
 	}
 }

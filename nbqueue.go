@@ -13,9 +13,11 @@
 //     FetchAndAdd. Threads reserve array slots by swapping in a tagged
 //     reference to a registered, reference-counted LLSCvar record.
 //
-// AlgorithmSegmented extends Algorithm 2 beyond its fixed bound: rings
+// AlgorithmSegmented extends Algorithm 1 beyond its fixed bound: rings
 // become segments of a Michael–Scott-style linked list, appended under
-// burst and retired through hazard pointers when drained. With
+// burst and retired through hazard pointers when drained. The rings keep
+// Algorithm 1's emulated LL/SC and no per-thread state; a session holds
+// only the hazard record that guards segment reclamation. With
 // WithUnbounded the queue never sheds for lack of space; with a plain
 // WithCapacity the bound becomes a high-water soft cap.
 //
@@ -79,13 +81,13 @@ const (
 	// over CAS with simulated LL via registered LLSCvar records. This is
 	// the most portable choice and the package default.
 	AlgorithmCAS Algorithm = bench.KeyEvqCAS
-	// AlgorithmSegmented chains Algorithm 2 rings into a Michael–Scott
-	// linked list of segments with hazard-pointer segment reclamation:
-	// the elastic extension of the paper's bounded array. With
-	// WithUnbounded it absorbs arbitrary bursts (enqueues never shed
-	// with ErrFull); with WithCapacity alone the capacity acts as a
-	// high-water soft cap that still returns ErrFull. See WithUnbounded
-	// and WithSegmentSize.
+	// AlgorithmSegmented chains Algorithm 1 rings (emulated LL/SC, no
+	// per-thread records) into a Michael–Scott linked list of segments
+	// with hazard-pointer segment reclamation: the elastic extension of
+	// the paper's bounded array. With WithUnbounded it absorbs arbitrary
+	// bursts (enqueues never shed with ErrFull); with WithCapacity alone
+	// the capacity acts as a high-water soft cap that still returns
+	// ErrFull. See WithUnbounded and WithSegmentSize.
 	AlgorithmSegmented Algorithm = bench.KeyEvqSeg
 	// AlgorithmMSHazard is the Michael–Scott lock-free linked queue with
 	// hazard-pointer reclamation, unsorted scans.
@@ -853,13 +855,11 @@ func (q *Queue[T]) Orphans() int {
 
 // SessionRecords reports how many per-thread records one attached
 // session holds: what its Detach frees, and what ScavengeOrphans
-// reclaims for it once it is presumed dead. AlgorithmSegmented sessions
-// hold two (an LLSCvar and a hazard record); 0 for algorithms with
-// stateless sessions.
+// reclaims for it once it is presumed dead. Every algorithm with
+// per-thread state holds one: an LLSCvar for AlgorithmCAS, a hazard
+// record for AlgorithmSegmented and AlgorithmMSHazard. It is 0 for
+// algorithms with stateless sessions.
 func (q *Queue[T]) SessionRecords() int {
-	if rc, ok := q.inner.(interface{ SessionRecordCost() int }); ok {
-		return rc.SessionRecordCost()
-	}
 	if _, ok := q.inner.(queue.Scavenger); ok {
 		return 1
 	}
