@@ -57,7 +57,7 @@ type overloadRow struct {
 	Ratio          float64 `json:"ratio"`
 	AdmittedPerSec float64 `json:"admitted_per_sec"`
 	ShedsPerSec    float64 `json:"sheds_per_sec"`
-	Cycles         int64   `json:"hysteresis_cycles"`
+	Cycles         uint64  `json:"hysteresis_cycles"`
 	// SegmentSheds and PeakSegments are zero for the non-segmented
 	// algorithms.
 	SegmentSheds uint64  `json:"segment_sheds"`
@@ -102,7 +102,7 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 	row := overloadRow{Key: key}
 	segMode := key == bench.KeyEvqSeg
 
-	build := func(m *nbqueue.Metrics, gated bool, hook func(nbqueue.Event)) (*nbqueue.Queue[uint64], error) {
+	build := func(m *nbqueue.Metrics, gated bool) (*nbqueue.Queue[uint64], error) {
 		opts := []nbqueue.Option{
 			nbqueue.WithAlgorithm(nbqueue.Algorithm(key)),
 			nbqueue.WithMaxThreads(overloadProducers + 4),
@@ -119,9 +119,6 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 				opts = append(opts, nbqueue.WithWatermarks(p.Capacity/4, p.Capacity/2))
 			}
 		}
-		if hook != nil {
-			opts = append(opts, nbqueue.WithEventHook(hook))
-		}
 		return nbqueue.New[uint64](opts...)
 	}
 
@@ -134,7 +131,7 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 	bases := make([]float64, overloadBasePasses)
 	for pass := range bases {
 		m0 := nbqueue.NewMetrics()
-		q0, err := build(m0, false, nil)
+		q0, err := build(m0, false)
 		if err != nil {
 			return row, err
 		}
@@ -152,13 +149,8 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 	base := stats.Summarize(bases).Median
 
 	// Overload: producers flat out, one yield-paced consumer.
-	var cycles atomic.Int64
 	m1 := nbqueue.NewMetrics()
-	q1, err := build(m1, true, func(e nbqueue.Event) {
-		if e.Kind == nbqueue.EventOverloadEnter {
-			cycles.Add(1)
-		}
-	})
+	q1, err := build(m1, true)
 	if err != nil {
 		return row, err
 	}
@@ -237,7 +229,7 @@ func runOverloadExperiment(key string, p bench.Params, d time.Duration) (overloa
 	row.AdmittedPerSec = float64(admitted.Load()) / row.WallSeconds
 	sheds := snap.OverloadSheds + snap.SegmentSheds
 	row.ShedsPerSec = float64(sheds) / row.WallSeconds
-	row.Cycles = cycles.Load()
+	row.Cycles = snap.OverloadEnters + snap.SegmentOverloadEnters
 	row.SegmentSheds = snap.SegmentSheds
 	row.PeakSegments = peakSegs
 	if sheds == 0 {

@@ -163,28 +163,11 @@ func soakOverload(out io.Writer, key string, d time.Duration, threads, capacity 
 		memBound = 16
 	)
 	segMode := key == bench.KeyEvqSeg
-	var enters, exits, segEnters, segExits atomic.Int64
 	m := nbqueue.NewMetrics()
 	opts := []nbqueue.Option{
 		nbqueue.WithAlgorithm(nbqueue.Algorithm(key)),
 		nbqueue.WithMaxThreads(threads + 8),
 		nbqueue.WithMetrics(m),
-		nbqueue.WithEventHook(func(e nbqueue.Event) {
-			switch e.Kind {
-			case nbqueue.EventOverloadEnter:
-				if e.Op == "segments" {
-					segEnters.Add(1)
-				} else {
-					enters.Add(1)
-				}
-			case nbqueue.EventOverloadExit:
-				if e.Op == "segments" {
-					segExits.Add(1)
-				} else {
-					exits.Add(1)
-				}
-			}
-		}),
 	}
 	if segMode {
 		opts = append(opts,
@@ -303,6 +286,14 @@ loop:
 	drained := drain(q.Attach, nil)
 
 	snap := m.Snapshot()
+	// A gate's entries and exits alternate, so its exits are its
+	// entries less one while it is still shut.
+	exitsOf := func(enters uint64, shut bool) uint64 {
+		if shut {
+			return enters - 1
+		}
+		return enters
+	}
 	if got := produced.Load() - consumed.Load() - int64(drained); got != 0 {
 		return fmt.Errorf("%s: conservation broken: produced-consumed-drained = %d", key, got)
 	}
@@ -310,13 +301,14 @@ loop:
 		if sheds.Load() == 0 || snap.SegmentSheds == 0 {
 			return fmt.Errorf("%s: segment overload drill never shed (produced=%d consumed=%d)", key, produced.Load(), consumed.Load())
 		}
-		if segEnters.Load() == 0 || segExits.Load() == 0 {
-			return fmt.Errorf("%s: segment hysteresis did not cycle: %d enters, %d exits", key, segEnters.Load(), segExits.Load())
+		st, _ := q.SegmentStats()
+		enters := snap.SegmentOverloadEnters
+		if exits := exitsOf(enters, st.Overloaded); exits == 0 {
+			return fmt.Errorf("%s: segment hysteresis did not cycle: %d enters, %d exits", key, enters, exits)
 		}
 		// Segment conservation at quiescence: every ring the pool ever
 		// handed out (allocs + recycles + the one New installs) must be
 		// retired, freed, or still standing (live, preparing).
-		st, _ := q.SegmentStats()
 		handedOut := snap.SegmentAllocs + snap.SegmentRecycles + 1
 		accounted := snap.SegmentRetires + snap.SegmentFrees + uint64(st.Live+st.Pending)
 		if handedOut != accounted {
@@ -324,18 +316,20 @@ loop:
 				key, handedOut, accounted)
 		}
 		fmt.Fprintf(out, "%-18s ok (overload): produced=%d consumed=%d drained=%d segsheds=%d enters=%d exits=%d peakmem=%d (bound=%d) maxdepth=%d audits=%d\n",
-			key, produced.Load(), consumed.Load(), drained, snap.SegmentSheds, segEnters.Load(), segExits.Load(),
+			key, produced.Load(), consumed.Load(), drained, snap.SegmentSheds, enters, exitsOf(enters, st.Overloaded),
 			peakMem, memBound, maxDepth, audits)
 		return nil
 	}
 	if sheds.Load() == 0 || snap.OverloadSheds == 0 {
 		return fmt.Errorf("%s: overload drill never shed (produced=%d consumed=%d)", key, produced.Load(), consumed.Load())
 	}
-	if enters.Load() == 0 || exits.Load() == 0 {
-		return fmt.Errorf("%s: hysteresis did not cycle: %d enters, %d exits", key, enters.Load(), exits.Load())
+	enters := snap.OverloadEnters
+	exits := exitsOf(enters, q.Overloaded())
+	if exits == 0 {
+		return fmt.Errorf("%s: hysteresis did not cycle: %d enters, %d exits", key, enters, exits)
 	}
 	fmt.Fprintf(out, "%-18s ok (overload): produced=%d consumed=%d drained=%d sheds=%d enters=%d exits=%d maxdepth=%d (high=%d) audits=%d\n",
-		key, produced.Load(), consumed.Load(), drained, snap.OverloadSheds, enters.Load(), exits.Load(), maxDepth, high, audits)
+		key, produced.Load(), consumed.Load(), drained, snap.OverloadSheds, enters, exits, maxDepth, high, audits)
 	return nil
 }
 
@@ -383,15 +377,6 @@ func instrument(st *statsServer, key string, cfg *bench.Config) func(q queue.Que
 				expose.Gauge{
 					Name: "memory_segments", Help: "Live + preparing segments (the WithMemoryBound-governed population).",
 					Value: func() float64 { return float64(stats().Memory) },
-				},
-				expose.Gauge{
-					Name: "segment_overloaded", Help: "1 while segment-count admission control is refusing enqueues, else 0.",
-					Value: func() float64 {
-						if stats().Overloaded {
-							return 1
-						}
-						return 0
-					},
 				})
 		}
 		st.setAlgorithm(key, cfg.Counters, cfg.Instr.Hists, cfg.Instr.Trace, depth, segments, extras...)
@@ -467,7 +452,7 @@ loop:
 		case <-deadline:
 			break loop
 		case <-ticker.C:
-			if err := auditLive(q, a); err != nil {
+			if err := audit(q, a, threads, 0); err != nil {
 				close(stop)
 				if werr := wd.await("stopping the workers", wg.Wait); werr != nil {
 					return werr
@@ -625,7 +610,7 @@ loop:
 				sc.AdvanceEpoch()
 				scavenged.Add(int64(sc.Scavenge(2)))
 			}
-			if err := auditCrash(q, a, threads, int(abandoned.Load())); err != nil {
+			if err := audit(q, a, threads, int(abandoned.Load())); err != nil {
 				close(stop)
 				if werr := wd.await("stopping the workers", wg.Wait); werr != nil {
 					return werr
@@ -822,11 +807,14 @@ func drain[S interface {
 	}
 }
 
-// auditCrash checks the crash drill's relaxed space bounds mid-flight:
-// per-thread records may grow with abandonment (every corpse pins one)
-// but never past live threads + corpses + recycling-race slack. Every
-// session holds at most one record.
-func auditCrash(q interface{ Capacity() int }, a *arena.Arena, threads, abandoned int) error {
+// audit checks the space invariants that must hold even mid-flight: the
+// value arena within its capacity, and per-thread records within
+// 2·threads + abandoned + 64. A live session owns one record and pins
+// at most one more inside the LLSCvar registry's LL, so peak sessions
+// account for 2·threads; every abandoned session (0 in the soak, each
+// corpse in the crash drill) pins one until scavenged; 64 is
+// recycling-race slack.
+func audit(q interface{ Capacity() int }, a *arena.Arena, threads, abandoned int) error {
 	if live := a.Live(); live > a.Capacity() {
 		return fmt.Errorf("arena live %d exceeds capacity %d", live, a.Capacity())
 	}
@@ -834,25 +822,8 @@ func auditCrash(q interface{ Capacity() int }, a *arena.Arena, threads, abandone
 	if sr, ok := q.(spaceRecords); ok {
 		bound := 2*threads + abandoned + 64
 		if n := sr.SpaceRecords(); n > bound {
-			return fmt.Errorf("per-thread records %d exceed crash bound %d (threads=%d abandoned=%d)",
+			return fmt.Errorf("per-thread records %d exceed bound %d (threads=%d abandoned=%d)",
 				n, bound, threads, abandoned)
-		}
-	}
-	return nil
-}
-
-// auditLive checks invariants that must hold even mid-flight.
-func auditLive(q interface{ Capacity() int }, a *arena.Arena) error {
-	if live := a.Live(); live > a.Capacity() {
-		return fmt.Errorf("arena live %d exceeds capacity %d", live, a.Capacity())
-	}
-	type spaceRecords interface{ SpaceRecords() int }
-	if sr, ok := q.(spaceRecords); ok {
-		// Records must stay bounded by peak concurrency + rotation slack
-		// (a generous constant multiple; unbounded growth is the bug
-		// this catches).
-		if n := sr.SpaceRecords(); n > 10000 {
-			return fmt.Errorf("per-thread records grew unboundedly: %d", n)
 		}
 	}
 	return nil

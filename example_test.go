@@ -189,8 +189,8 @@ func ExampleSession_TryDrain() {
 }
 
 // Option sets as first-class values: Options folds a base configuration
-// into one Option that forwards through New (or NewRaw, or a fabric's
-// shard construction) like any other, with later options overriding.
+// into one Option that forwards through New (or a fabric's shard
+// construction) like any other, with later options overriding.
 func ExampleOptions() {
 	base := nbqueue.Options(
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS),
@@ -202,31 +202,6 @@ func ExampleOptions() {
 	}
 	fmt.Println(q.Algorithm(), q.Capacity())
 	// Output: FIFO Array Simulated CAS 128
-}
-
-// The word-level batch surface: Batch wraps a RawSession with the same
-// batch methods the generic Session has, using the native single-RMW
-// path when the algorithm provides one. Raw values obey the word
-// contract (even, nonzero, below 2^40).
-func ExampleBatch() {
-	q, err := nbqueue.NewRaw(nbqueue.WithCapacity(64))
-	if err != nil {
-		log.Fatal(err)
-	}
-	s := q.Attach()
-	defer s.Detach()
-
-	b := nbqueue.Batch(s)
-	if _, err := b.Enqueue([]uint64{2, 4, 6}); err != nil {
-		log.Fatal(err)
-	}
-	dst := make([]uint64, 8)
-	n, err := b.Dequeue(dst)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(n, dst[:n])
-	// Output: 3 [2 4 6]
 }
 
 // Observing the synchronization cost profile the paper's §6 reports:

@@ -95,15 +95,12 @@ import (
 //
 // All shards share the one Metrics value passed in WithShardOptions —
 // the documented exception to the "one Metrics per queue" rule, giving
-// a merged counter/histogram view for free. Events fan in to the
-// WithEventHook observer with Event.Shard stamped, and TraceSnapshot
+// a merged counter/histogram view for free, rare events (overload
+// entries, segment growth, scavenges, leaks) included. TraceSnapshot
 // merges the shards' flight recorders time-ordered, like the jobs
 // server does across type queues.
 type Fabric[T any] struct {
 	shards []*fabShard[T]
-	// hook is the user's event observer (shards deliver through a
-	// wrapper that stamps Event.Shard).
-	hook func(Event)
 	// stealBatch is the number of values a steal attempt moves.
 	stealBatch int
 	// prodRR/consRR/anyRR assign home shards round-robin per role, so
@@ -339,20 +336,10 @@ func NewFabric[T any](opts ...FabricOption) (*Fabric[T], error) {
 	}
 	f := &Fabric[T]{
 		stealBatch: c.stealBatch,
-		hook:       sc.hook,
 	}
 	f.shards = make([]*fabShard[T], c.shards)
 	for i := range f.shards {
-		i := i
-		shardOpts := append([]Option{Options(c.shardOpts...)}, WithEventHook(nil))
-		if f.hook != nil {
-			user := f.hook
-			shardOpts[len(shardOpts)-1] = WithEventHook(func(e Event) {
-				e.Shard = i
-				user(e)
-			})
-		}
-		q, err := New[T](shardOpts...)
+		q, err := New[T](c.shardOpts...)
 		if err != nil {
 			return nil, fmt.Errorf("nbqueue: building fabric shard %d: %w", i, err)
 		}

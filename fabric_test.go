@@ -68,10 +68,6 @@ func TestFabricSPSCAlgorithmRejectedByNew(t *testing.T) {
 	if err == nil || !contains(err.Error(), "fabric-managed") {
 		t.Fatalf("New(AlgorithmSPSC) = %v, want fabric-managed rejection", err)
 	}
-	_, err = nbqueue.NewRaw(nbqueue.WithAlgorithm(nbqueue.AlgorithmSPSC))
-	if err == nil || !contains(err.Error(), "fabric-managed") {
-		t.Fatalf("NewRaw(AlgorithmSPSC) = %v, want fabric-managed rejection", err)
-	}
 }
 
 func TestFabricAccessors(t *testing.T) {
@@ -554,21 +550,18 @@ func TestFabricScavengeDeadBlessedConsumer(t *testing.T) {
 	}
 }
 
-// Event fan-in: shard events arrive through the fabric hook with
-// Event.Shard stamped.
+// Event fan-in: every shard's rare events reach the fabric's one
+// shared Metrics and its merged TraceSnapshot. Each shard grows its
+// chain twice, so a count of one shard's grows alone would be half.
 func TestFabricEventFanIn(t *testing.T) {
-	var mu sync.Mutex
-	var events []nbqueue.Event
+	m := nbqueue.NewMetrics()
 	f := fabricOf(t, nbqueue.WithShards(2),
 		nbqueue.WithShardOptions(
 			nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
 			nbqueue.WithUnbounded(),
 			nbqueue.WithSegmentSize(16),
-			nbqueue.WithEventHook(func(e nbqueue.Event) {
-				mu.Lock()
-				events = append(events, e)
-				mu.Unlock()
-			})))
+			nbqueue.WithMetrics(m),
+			nbqueue.WithTracing(0)))
 	p := f.Attach() // home 0
 	q := f.Attach() // home 1
 	defer p.Detach()
@@ -581,20 +574,20 @@ func TestFabricEventFanIn(t *testing.T) {
 			t.Fatalf("Enqueue: %v", err)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) == 0 {
-		t.Fatal("no segment-grow events reached the fabric hook")
+	snap := m.Snapshot()
+	counted := snap.SegmentAllocs + snap.SegmentRecycles
+	if counted != 4 {
+		t.Fatalf("merged Metrics count %d segment grows, want 2 per shard", counted)
 	}
-	shards := map[int]bool{}
-	for _, e := range events {
-		if e.Kind != nbqueue.EventSegmentGrow {
-			continue
+	recs, _, _ := f.TraceSnapshot()
+	var traced uint64
+	for _, r := range recs {
+		if r.Outcome == "segment-grow" {
+			traced++
 		}
-		shards[e.Shard] = true
 	}
-	if len(shards) < 2 {
-		t.Fatalf("events stamped with shards %v, want both shards", shards)
+	if traced != counted {
+		t.Fatalf("merged TraceSnapshot holds %d segment-grow events, Metrics counts %d", traced, counted)
 	}
 }
 

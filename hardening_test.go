@@ -9,7 +9,6 @@ package nbqueue_test
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"nbqueue"
@@ -116,25 +115,83 @@ func TestMemoryBoundShedsAndReadmits(t *testing.T) {
 	}
 }
 
+// TestSegmentWatermarkHysteresis walks one full admission cycle
+// of WithSegmentWatermarks(1, 2) over four-slot segments: the grow to
+// two segments shuts the gate (ErrOverloaded, one entry counted), the
+// gate holds while the chain is above the low watermark, and the drain
+// that unlinks the first ring re-admits.
+func TestSegmentWatermarkHysteresis(t *testing.T) {
+	m := nbqueue.NewMetrics()
+	q, err := nbqueue.New[int](
+		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
+		nbqueue.WithUnbounded(),
+		nbqueue.WithSegmentSize(4),
+		nbqueue.WithSegmentWatermarks(1, 2),
+		nbqueue.WithMetrics(m),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overloaded := func() bool {
+		ss, _ := q.SegmentStats()
+		return ss.Overloaded
+	}
+	s := q.Attach()
+	defer s.Detach()
+	// Five enqueues: one grow, two live segments = the high watermark.
+	for i := 1; i <= 5; i++ {
+		if err := s.Enqueue(i); err != nil {
+			t.Fatalf("enqueue %d: %v", i, err)
+		}
+	}
+	if err := s.Enqueue(6); !errors.Is(err, nbqueue.ErrOverloaded) {
+		t.Fatalf("enqueue at the segment high watermark = %v, want ErrOverloaded", err)
+	}
+	if !overloaded() {
+		t.Fatal("SegmentStats().Overloaded = false after the gate shut")
+	}
+	if n, err := s.EnqueueBatch([]int{6, 7}); n != 0 || !errors.Is(err, nbqueue.ErrOverloaded) {
+		t.Fatalf("EnqueueBatch above the low watermark = (%d, %v), want (0, ErrOverloaded)", n, err)
+	}
+	// Drain the first ring; the fifth dequeue unlinks it, dropping the
+	// chain to the low watermark.
+	for i := 1; i <= 5; i++ {
+		if v, ok := s.Dequeue(); !ok || v != i {
+			t.Fatalf("dequeue %d = %d, %v", i, v, ok)
+		}
+	}
+	if ss, _ := q.SegmentStats(); ss.Live != 1 {
+		t.Fatalf("SegmentStats().Live = %d after the drain, want 1", ss.Live)
+	}
+	if err := s.Enqueue(6); err != nil {
+		t.Fatalf("enqueue at the low watermark = %v, want admitted", err)
+	}
+	if overloaded() {
+		t.Fatal("SegmentStats().Overloaded = true after re-admission")
+	}
+	snap := m.Snapshot()
+	if snap.SegmentOverloadEnters != 1 || snap.SegmentSheds != 2 {
+		t.Fatalf("SegmentOverloadEnters = %d, SegmentSheds = %d, want 1 and 2", snap.SegmentOverloadEnters, snap.SegmentSheds)
+	}
+	if snap.OverloadEnters != 0 || snap.OverloadSheds != 0 || q.Overloaded() {
+		t.Fatalf("depth gate moved without WithWatermarks: enters %d, sheds %d, Overloaded %v",
+			snap.OverloadEnters, snap.OverloadSheds, q.Overloaded())
+	}
+}
+
 // TestSegmentWatermarksPublicHysteresis checks the public wiring of
-// segment-count admission: ErrOverloaded at the high watermark, the
-// "segments" Op on both overload events, SegmentsOverloaded flipping,
-// and re-admission only after draining to the low watermark.
+// segment-count admission: ErrOverloaded at the high watermark,
+// SegmentStats().Overloaded flipping, re-admission only after draining
+// to the low watermark, and the segment gate's transitions counted
+// apart from the depth gate's.
 func TestSegmentWatermarksPublicHysteresis(t *testing.T) {
-	var mu sync.Mutex
-	var events []nbqueue.Event
+	m := nbqueue.NewMetrics()
 	q, err := nbqueue.New[int](
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
 		nbqueue.WithUnbounded(),
 		nbqueue.WithSegmentSize(4),
 		nbqueue.WithSegmentWatermarks(1, 3),
-		nbqueue.WithEventHook(func(e nbqueue.Event) {
-			if e.Kind == nbqueue.EventOverloadEnter || e.Kind == nbqueue.EventOverloadExit {
-				mu.Lock()
-				events = append(events, e)
-				mu.Unlock()
-			}
-		}),
+		nbqueue.WithMetrics(m),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -182,21 +239,107 @@ func TestSegmentWatermarksPublicHysteresis(t *testing.T) {
 	if err := s.Enqueue(700); err != nil {
 		t.Fatalf("enqueue after drain to low watermark: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	var enters, exits int
-	for _, e := range events {
-		if e.Op != "segments" {
-			t.Errorf("overload event Op = %q, want \"segments\"", e.Op)
-		}
-		switch e.Kind {
-		case nbqueue.EventOverloadEnter:
-			enters++
-		case nbqueue.EventOverloadExit:
-			exits++
+	// Every entry has been matched by an exit once the gate is open.
+	snap := m.Snapshot()
+	if overloaded() || snap.SegmentOverloadEnters == 0 || snap.SegmentSheds == 0 {
+		t.Fatalf("Overloaded %v, SegmentOverloadEnters %d, SegmentSheds %d; want false and both nonzero",
+			overloaded(), snap.SegmentOverloadEnters, snap.SegmentSheds)
+	}
+	if snap.OverloadEnters != 0 || snap.OverloadSheds != 0 {
+		t.Fatalf("depth counters moved on segment overload: enters %d, sheds %d", snap.OverloadEnters, snap.OverloadSheds)
+	}
+}
+
+// TestDepthAndSegmentWatermarksCompose arms both watermark gates on one
+// segmented queue: WithWatermarks(4, 8) on depth and
+// WithSegmentWatermarks(1, 3) on four-slot segments. Each gate sheds
+// alone, counts only its own sheds and entries, reports only its own
+// state, and re-admits once its level drains to its low watermark.
+func TestDepthAndSegmentWatermarksCompose(t *testing.T) {
+	m := nbqueue.NewMetrics()
+	q, err := nbqueue.New[int](
+		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
+		nbqueue.WithUnbounded(),
+		nbqueue.WithSegmentSize(4),
+		nbqueue.WithWatermarks(4, 8),
+		nbqueue.WithSegmentWatermarks(1, 3),
+		nbqueue.WithMetrics(m),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := q.Attach()
+	defer s.Detach()
+	segmentsShut := func() bool {
+		ss, _ := q.SegmentStats()
+		return ss.Overloaded
+	}
+	enqueue := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.Enqueue(i); err != nil {
+				t.Fatalf("enqueue %d of %d: %v", i, n, err)
+			}
 		}
 	}
-	if enters == 0 || exits == 0 {
-		t.Fatalf("overload events enter=%d exit=%d, want both nonzero", enters, exits)
+	dequeue := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, ok := s.Dequeue(); !ok {
+				t.Fatalf("dequeue %d of %d reported empty", i, n)
+			}
+		}
 	}
+	counts := func() [4]uint64 {
+		snap := m.Snapshot()
+		return [4]uint64{snap.OverloadSheds, snap.OverloadEnters, snap.SegmentSheds, snap.SegmentOverloadEnters}
+	}
+	want := func(step string, w [4]uint64, depthShut, segShut bool) {
+		t.Helper()
+		if got := counts(); got != w {
+			t.Fatalf("%s: depth sheds/enters, segment sheds/enters = %v, want %v", step, got, w)
+		}
+		if q.Overloaded() != depthShut || segmentsShut() != segShut {
+			t.Fatalf("%s: Overloaded() = %v, SegmentStats().Overloaded = %v, want %v and %v",
+				step, q.Overloaded(), segmentsShut(), depthShut, segShut)
+		}
+	}
+	live := func(step string, want int) {
+		t.Helper()
+		if ss, _ := q.SegmentStats(); ss.Live != want {
+			t.Fatalf("%s: SegmentStats().Live = %d, want %d", step, ss.Live, want)
+		}
+	}
+
+	// Depth gate alone: eight items fill two rings, below the segment
+	// high watermark.
+	enqueue(8)
+	live("filled to depth 8", 2)
+	if n, err := s.EnqueueBatch([]int{0, 0}); n != 0 || !errors.Is(err, nbqueue.ErrOverloaded) {
+		t.Fatalf("EnqueueBatch at depth 8, two segments = (%d, %v), want (0, ErrOverloaded)", n, err)
+	}
+	want("depth gate shut", [4]uint64{1, 1, 0, 0}, true, false)
+	dequeue(3) // depth 5: still above the low watermark
+	if err := s.Enqueue(0); !errors.Is(err, nbqueue.ErrOverloaded) {
+		t.Fatalf("enqueue at depth 5 = %v, want ErrOverloaded (hysteresis)", err)
+	}
+	dequeue(1) // depth 4 = the low watermark; the drained first ring stays linked
+	enqueue(1) // the second ring is full, so this grows a third
+	live("depth gate reopened", 3)
+	want("depth gate reopened", [4]uint64{2, 1, 0, 0}, false, false)
+
+	// Segment gate alone: three segments at depth 5.
+	if err := s.Enqueue(0); !errors.Is(err, nbqueue.ErrOverloaded) {
+		t.Fatalf("enqueue at three segments, depth 5 = %v, want ErrOverloaded", err)
+	}
+	want("segment gate shut", [4]uint64{2, 1, 1, 1}, false, true)
+	dequeue(1) // crossing into the second ring unlinks the first
+	live("first ring unlinked", 2)
+	if err := s.Enqueue(0); !errors.Is(err, nbqueue.ErrOverloaded) {
+		t.Fatalf("enqueue at two segments = %v, want ErrOverloaded (hysteresis)", err)
+	}
+	dequeue(4) // crossing into the third ring unlinks the second
+	live("drained", 1)
+	enqueue(1)
+	want("both gates open", [4]uint64{2, 1, 2, 1}, false, false)
 }

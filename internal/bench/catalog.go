@@ -55,11 +55,6 @@ type Config struct {
 	// MemoryBound caps the segmented queue's governed segment population
 	// (live + preparing); 0 leaves memory unbounded. Ignored elsewhere.
 	MemoryBound int
-	// SegLow/SegHigh arm segment-count watermark admission on the
-	// segmented queue (hysteresis between them); SegHigh 0 disables.
-	// Ignored elsewhere.
-	SegLow  int
-	SegHigh int
 }
 
 // normalize fills defaults.
@@ -178,9 +173,6 @@ var catalog = map[string]Algo{
 			}
 			if c.MemoryBound > 0 {
 				opts = append(opts, evqseg.WithMemoryBound(c.MemoryBound))
-			}
-			if c.SegHigh > 0 {
-				opts = append(opts, evqseg.WithSegmentWatermarks(c.SegLow, c.SegHigh))
 			}
 			return evqseg.New(seg, opts...)
 		},

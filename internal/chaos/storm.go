@@ -74,7 +74,8 @@ type Report struct {
 	Hist []lincheck.Op
 }
 
-// spaceReporter is the optional record-space accessor (evqcas, msqueue).
+// spaceReporter is the optional record-space accessor (evqcas, evqseg,
+// msqueue, treiber).
 type spaceReporter interface{ SpaceRecords() int }
 
 // inflightOp is what a worker was doing when it was killed.

@@ -86,7 +86,8 @@ var counterSeries = []struct {
 	{xsync.OpSCAttempt, "sc_attempts_total", "Store-conditional attempts."},
 	{xsync.OpSCSuccess, "sc_successes_total", "Store-conditional successes."},
 	{xsync.OpDeadline, "deadline_aborts_total", "Operations aborted with ErrDeadline (session deadline passed mid-retry)."},
-	{xsync.OpOverload, "overload_sheds_total", "Enqueues refused with ErrOverloaded by watermark admission control."},
+	{xsync.OpOverload, "overload_sheds_total", "Enqueues refused with ErrOverloaded by depth watermark admission control."},
+	{xsync.OpOverloadEnter, "overload_enters_total", "Entries into depth-watermark overload (the high watermark was reached)."},
 	{xsync.OpScavenge, "orphans_scavenged_total", "Per-thread records reclaimed from presumed-dead sessions."},
 	{xsync.OpLeak, "leaked_sessions_total", "Sessions garbage collected without Detach (caller bug)."},
 	{xsync.OpSegAlloc, "segments_allocated_total", "Ring segments allocated fresh from the segment pool."},
@@ -94,6 +95,7 @@ var counterSeries = []struct {
 	{xsync.OpSegRetire, "segments_retired_total", "Drained ring segments handed to the hazard domain."},
 	{xsync.OpSegFree, "segments_freed_total", "Prepared-but-never-linked segments returned straight to the pool."},
 	{xsync.OpSegShed, "segment_sheds_total", "Enqueues refused because segment watermarks or the memory bound blocked growth."},
+	{xsync.OpSegOverloadEnter, "segment_overload_enters_total", "Entries into segment-watermark overload (the high watermark was reached)."},
 }
 
 // histSeries maps histogram kinds to Prometheus series names. Latency

@@ -25,7 +25,7 @@ const (
 
 // Event is one lifecycle notification, delivered synchronously from
 // the transitioning goroutine to the Config.Hook observer. Hooks must
-// be fast and concurrency-safe, exactly like nbqueue.WithEventHook.
+// be fast and concurrency-safe.
 type Event struct {
 	Kind    EventKind
 	JobID   string

@@ -130,7 +130,6 @@ type CellReport struct {
 	Condemned      uint64 `json:"condemned"`
 	OrphansLeft    int    `json:"orphans_left"`
 	OverloadEnters uint64 `json:"overload_enters"`
-	OverloadExits  uint64 `json:"overload_exits"`
 	Spills         uint64 `json:"spills"`
 	PressureSheds  uint64 `json:"pressure_sheds"`
 	DeadLetters    uint64 `json:"dead_letters"`
@@ -358,7 +357,9 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 		ctl.stall = 4 * o.StallDuration
 	}
 
-	var overEnters, overExits atomic.Uint64
+	// The victim stage's lanes share one Metrics: only its overload
+	// entry count, summed over the lanes, is read.
+	victimMetrics := nbqueue.NewMetrics()
 
 	cfg := Config{
 		DeadlineBudget: 10 * time.Second,
@@ -390,14 +391,7 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 			spec.LaneOptions = []nbqueue.Option{
 				nbqueue.WithCapacity(cap),
 				nbqueue.WithWatermarks(cap/8, cap/2),
-				nbqueue.WithEventHook(func(e nbqueue.Event) {
-					switch e.Kind {
-					case nbqueue.EventOverloadEnter:
-						overEnters.Add(1)
-					case nbqueue.EventOverloadExit:
-						overExits.Add(1)
-					}
-				}),
+				nbqueue.WithMetrics(victimMetrics),
 			}
 		default:
 			spec.LaneOptions = []nbqueue.Option{nbqueue.WithCapacity(matrixLaneCapacity)}
@@ -450,8 +444,7 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	cr.OrphansLeft = p.Orphans()
 	cr.Audit = p.Ledger().Audit()
 	cr.Condemned = p.CondemnedTotal()
-	cr.OverloadEnters = overEnters.Load()
-	cr.OverloadExits = overExits.Load()
+	cr.OverloadEnters = victimMetrics.Snapshot().OverloadEnters
 	for s := 0; s < p.Stages(); s++ {
 		st := p.Stats(s)
 		cr.WorkerDeaths += st.WorkerDeaths.Load()

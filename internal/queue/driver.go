@@ -259,8 +259,6 @@ func outcome(err error) trace.Outcome {
 		return trace.OutcomeFull
 	case ErrDeadline:
 		return trace.OutcomeDeadline
-	case ErrOverloaded:
-		return trace.OutcomeOverloaded
 	default:
 		return trace.OutcomeOK
 	}

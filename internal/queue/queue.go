@@ -32,14 +32,6 @@ var ErrValue = errors.New("queue: value must be even, nonzero and below 2^40")
 // otherwise unbounded, as in the paper.
 var ErrDeadline = errors.New("queue: deadline exceeded mid-operation")
 
-// ErrOverloaded is returned by enqueues rejected by admission control: a
-// high-watermark policy (see nbqueue.WithWatermarks) observed the queue
-// depth above its configured bound and shed the operation before any
-// slot-protocol work. Distinct from ErrFull: the queue has physical room
-// — the policy chose not to use it — and re-admission happens only once
-// the depth drains below the low watermark (hysteresis).
-var ErrOverloaded = errors.New("queue: shed by admission control above high watermark")
-
 // MaxValue is the largest enqueueable value.
 const MaxValue = (uint64(1) << 40) - 1
 
@@ -186,7 +178,9 @@ type SegmentStats struct {
 	// With a bound set this never exceeds it, even transiently.
 	Memory int
 	// Overloaded reports whether segment-watermark admission is
-	// currently refusing enqueues.
+	// currently refusing enqueues. The admission gate is nbqueue's
+	// (WithSegmentWatermarks), which fills this in; a word-level
+	// queue leaves it false.
 	Overloaded bool
 }
 

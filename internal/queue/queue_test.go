@@ -52,6 +52,24 @@ func (f *fakeSession) Dequeue() (uint64, bool) {
 }
 func (f *fakeSession) Detach() {}
 
+// TestEnqueueBatchValueContract: the fallback batch path rejects a
+// batch holding any value outside the word contract before enqueuing
+// any of it, and admits the largest legal value.
+func TestEnqueueBatchValueContract(t *testing.T) {
+	s := &fakeSession{}
+	for _, bad := range []uint64{0, 1, 5, MaxValue + 2} {
+		if n, err := EnqueueBatch(s, []uint64{2, bad}); n != 0 || err != ErrValue {
+			t.Errorf("EnqueueBatch([2 %#x]) = (%d, %v), want (0, ErrValue)", bad, n, err)
+		}
+	}
+	if len(s.vals) != 0 {
+		t.Fatalf("rejected batches enqueued %v", s.vals)
+	}
+	if n, err := EnqueueBatch(s, []uint64{2, MaxValue - 1}); n != 2 || err != nil {
+		t.Fatalf("EnqueueBatch([2 MaxValue-1]) = (%d, %v), want (2, nil)", n, err)
+	}
+}
+
 func TestDrain(t *testing.T) {
 	s := &fakeSession{vals: []uint64{2, 4, 6}}
 	got := Drain(s)

@@ -75,21 +75,16 @@
 // segment one way — reserve against the memory bound, take a pool
 // handle, and allocate the ring (fresh, zeroed memory) or reset a
 // recycled one inline — and an append-race loser frees its segment
-// straight back to the pool. Two mechanisms keep the degradation
-// graceful:
-//
-//   - Segment-count watermark admission (WithSegmentWatermarks):
-//     enqueues fail fast with queue.ErrOverloaded once live+preparing
-//     segments reach the high watermark, before any grow is attempted,
-//     and stay refused until the chain drains to the low watermark
-//     (hysteresis). Transitions surface through SetOverloadHook.
-//   - Memory bound (WithMemoryBound): a hard cap on the governed
-//     segment population (live + preparing), reserved with a
-//     CAS loop before any pool allocation so concurrent appends cannot
-//     overshoot it. Growth past the bound becomes accounted shedding
-//     (queue.ErrFull, counted as OpSegShed) plus reclamation pressure:
-//     the shedding session scans its parked retirees first, so the
-//     free list absorbs churn ahead of fresh growth.
+// straight back to the pool. The memory bound (WithMemoryBound) is a
+// hard cap on the governed segment population (live + preparing),
+// reserved with a CAS loop before any pool allocation so concurrent
+// appends cannot overshoot it. Growth past the bound becomes accounted
+// shedding (queue.ErrFull, counted as OpSegShed) plus reclamation
+// pressure: the shedding session scans its parked retirees first, so
+// the free list absorbs churn ahead of fresh growth. Hysteresis
+// admission on the segment count is not this package's: nbqueue's
+// WithSegmentWatermarks gates enqueues on the live+preparing gauges
+// (Segments, PendingSegments) before they reach the queue.
 package evqseg
 
 import (
@@ -178,9 +173,6 @@ type Queue struct {
 	epoch   atomic.Uint64 // append-orphan scavenge clock
 
 	memBound int
-	segLow   int // segment-watermark hysteresis floor
-	segHigh  int // segment-watermark admission ceiling; 0 = disabled
-	segOver  atomic.Bool
 
 	// qctr records ops that happen outside any session (scavenging,
 	// append-race frees).
@@ -188,8 +180,6 @@ type Queue struct {
 
 	ctrs        *xsync.Counters
 	in          queue.Instr
-	grow        func(liveSegments int)
-	overHook    func(entered bool, segments int)
 	appendFault func() bool
 }
 
@@ -237,26 +227,6 @@ func WithMaxSegments(n int) Option { return func(q *Queue) { q.maxSegs = n } }
 // chaos drills use it to prove growth failure cannot corrupt the rings.
 // Nil in production.
 func WithAppendFault(f func() bool) Option { return func(q *Queue) { q.appendFault = f } }
-
-// WithSegmentWatermarks arms segment-count admission control: once
-// live+preparing segments reach high, enqueues are refused outright
-// with queue.ErrOverloaded — before any ring work or grow attempt —
-// and stay refused until the chain drains to at most low segments
-// (hysteresis, so admission does not flap at the boundary). Watermark
-// transitions are reported through SetOverloadHook. high == 0 disables
-// the gate; otherwise panics unless 0 < low <= high.
-func WithSegmentWatermarks(low, high int) Option {
-	return func(q *Queue) {
-		if high == 0 {
-			q.segLow, q.segHigh = 0, 0
-			return
-		}
-		if low <= 0 || low > high {
-			panic(fmt.Sprintf("evqseg: invalid segment watermarks low=%d high=%d", low, high))
-		}
-		q.segLow, q.segHigh = low, high
-	}
-}
 
 // WithMemoryBound caps the governed segment population — live +
 // preparing — at n segments, reserved atomically before any
@@ -351,19 +321,6 @@ func (q *Queue) Name() string { return "FIFO Array Segmented" }
 // SegmentSize returns the per-segment slot count.
 func (q *Queue) SegmentSize() int { return int(q.size) }
 
-// SetGrowHook installs fn to be called with the new live-segment count
-// each time a producer links a fresh segment. Install before concurrent
-// use; the hook runs on the enqueue path and must not block.
-func (q *Queue) SetGrowHook(fn func(liveSegments int)) { q.grow = fn }
-
-// SetOverloadHook installs fn to be called on segment-watermark
-// transitions (WithSegmentWatermarks): entered=true when admission
-// starts refusing at the high watermark, entered=false when the chain
-// drained to the low watermark and admission resumed; segments is the
-// live+preparing count observed at the transition. Install before
-// concurrent use; the hook runs on the enqueue path and must not block.
-func (q *Queue) SetOverloadHook(fn func(entered bool, segments int)) { q.overHook = fn }
-
 // Segments returns the number of live (linked, unretired) segments —
 // the gauge behind burst-absorption dashboards. At least 1.
 func (q *Queue) Segments() int { return int(q.liveSegs.Load()) }
@@ -383,20 +340,15 @@ func (q *Queue) MemorySegments() int { return int(q.memSegs.Load()) }
 // MemoryBound returns the WithMemoryBound cap, 0 when memory-unbounded.
 func (q *Queue) MemoryBound() int { return q.memBound }
 
-// SegmentsOverloaded reports whether segment-watermark admission is
-// currently refusing enqueues (between a high-watermark crossing and
-// the drain back to the low watermark).
-func (q *Queue) SegmentsOverloaded() bool { return q.segOver.Load() }
-
-// SegmentStats returns the four segment gauges as one snapshot (see
-// queue.SegmentStats). Each field is its own racy gauge read; the struct
-// does not freeze the queue, it just saves the caller three calls.
+// SegmentStats returns the three segment gauges as one snapshot (see
+// queue.SegmentStats; Overloaded is the admission layer's and stays
+// false here). Each field is its own racy gauge read; the struct does
+// not freeze the queue, it just saves the caller two calls.
 func (q *Queue) SegmentStats() queue.SegmentStats {
 	return queue.SegmentStats{
-		Live:       q.Segments(),
-		Pending:    q.PendingSegments(),
-		Memory:     q.MemorySegments(),
-		Overloaded: q.SegmentsOverloaded(),
+		Live:    q.Segments(),
+		Pending: q.PendingSegments(),
+		Memory:  q.MemorySegments(),
 	}
 }
 
@@ -568,38 +520,6 @@ func (q *Queue) retireState(g *segment) {
 			return // someone else settled it (and the gauges)
 		}
 	}
-}
-
-// admitSegments is the segment-count admission gate (see
-// WithSegmentWatermarks): checked once per enqueue operation before any
-// ring work, so a spike sheds with one atomic load instead of a grow
-// attempt. Mirrors the depth-based hysteresis of the public wrapper's
-// watermark admission, keyed on the growth signal itself.
-func (q *Queue) admitSegments(s *Session) error {
-	if q.segHigh == 0 {
-		return nil
-	}
-	segs := int(q.liveSegs.Load() + q.prepSegs.Load())
-	if q.segOver.Load() {
-		if segs > q.segLow {
-			s.Ctr.Inc(xsync.OpSegShed)
-			s.Tr.OpSampled(trace.KindEnqueue, trace.OutcomeSegShed, 0)
-			return queue.ErrOverloaded
-		}
-		if q.segOver.CompareAndSwap(true, false) && q.overHook != nil {
-			q.overHook(false, segs)
-		}
-		return nil
-	}
-	if segs >= q.segHigh {
-		if q.segOver.CompareAndSwap(false, true) && q.overHook != nil {
-			q.overHook(true, segs)
-		}
-		s.Ctr.Inc(xsync.OpSegShed)
-		s.Tr.OpSampled(trace.KindEnqueue, trace.OutcomeSegShed, 0)
-		return queue.ErrOverloaded
-	}
-	return nil
 }
 
 var _ queue.Scavenger = (*Queue)(nil)
@@ -817,9 +737,6 @@ func (s *Session) Enqueue(v uint64) error {
 		return err
 	}
 	s.prepare()
-	if err := s.q.admitSegments(s); err != nil {
-		return err
-	}
 	err := s.Driver.Enqueue(v)
 	s.unpin()
 	return err
@@ -882,9 +799,6 @@ func (q *Queue) appendSegment(s *Session, g *segment, ts uint64) bool {
 				q.prepSegs.Add(-1)
 				live := q.liveSegs.Add(1)
 				s.Tr.Event(trace.OutcomeSegGrow, int(live))
-				if q.grow != nil {
-					q.grow(int(live))
-				}
 			}
 			next = nh
 		} else {
@@ -1236,9 +1150,6 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 	}
 	s.prepare()
 	q := s.q
-	if err := q.admitSegments(s); err != nil {
-		return 0, err
-	}
 	start := s.StartEnqBatch()
 	filled := 0
 	var err error

@@ -6,6 +6,7 @@ import (
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqseg"
 	"nbqueue/internal/queuetest"
+	"nbqueue/internal/xsync"
 )
 
 // maker builds a bounded-mode queue: small segments so the conformance
@@ -132,12 +133,11 @@ func TestLenEstimate(t *testing.T) {
 	}
 }
 
-// TestGrowHook verifies the segment-growth callback fires with
-// monotonically informative live counts.
-func TestGrowHook(t *testing.T) {
-	q := evqseg.New(4)
-	var grows []int
-	q.SetGrowHook(func(live int) { grows = append(grows, live) })
+// TestGrowCounters verifies every segment append is counted: each grow
+// allocates or recycles one ring and adds one live segment.
+func TestGrowCounters(t *testing.T) {
+	ctrs := xsync.NewCounters()
+	q := evqseg.New(4, evqseg.WithCounters(ctrs))
 	s := q.Attach()
 	defer s.Detach()
 	for i := 0; i < 20; i++ {
@@ -145,13 +145,12 @@ func TestGrowHook(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(grows) < 4 {
-		t.Fatalf("20 items over 4-slot rings grew %d times, want >= 4", len(grows))
+	grows := int(ctrs.Total(xsync.OpSegAlloc) + ctrs.Total(xsync.OpSegRecycle))
+	if grows < 4 {
+		t.Fatalf("20 items over 4-slot rings grew %d times, want >= 4", grows)
 	}
-	for i, g := range grows {
-		if g != i+2 {
-			t.Fatalf("grow hook sequence %v, want consecutive live counts from 2", grows)
-		}
+	if live := q.Segments(); live != grows+1 {
+		t.Fatalf("Segments() = %d after %d grows, want %d", live, grows, grows+1)
 	}
 }
 

@@ -1,8 +1,8 @@
 package evqseg
 
 // White-box tests of the overload-hardening machinery: the memory
-// bound, segment-count admission hysteresis, the append-race loser's
-// free path, and the Len estimate under concurrent segment recycling.
+// bound, the append-race loser's free path, and the Len estimate under
+// concurrent segment recycling.
 
 import (
 	"runtime"
@@ -55,67 +55,6 @@ func TestMemoryBoundShed(t *testing.T) {
 	}
 	if v, ok := s.Dequeue(); !ok || v != 18 {
 		t.Fatalf("dequeue after re-admitted growth = %#x, %v", v, ok)
-	}
-}
-
-// TestSegmentWatermarkHysteresis walks one full admission cycle of
-// WithSegmentWatermarks: growth to the high watermark flips the gate
-// (hook fires, ErrOverloaded), the gate holds while the chain is above
-// the low watermark, and draining back to it re-admits (hook fires the
-// exit).
-func TestSegmentWatermarkHysteresis(t *testing.T) {
-	q := New(4, WithSegmentWatermarks(1, 2))
-	type transition struct {
-		entered  bool
-		segments int
-	}
-	var mu sync.Mutex
-	var log []transition
-	q.SetOverloadHook(func(entered bool, segments int) {
-		mu.Lock()
-		log = append(log, transition{entered, segments})
-		mu.Unlock()
-	})
-	s := q.Attach().(*Session)
-	defer s.Detach()
-	// Five enqueues: one grow, two live segments = the high watermark.
-	for i := 1; i <= 5; i++ {
-		if err := s.Enqueue(uint64(2 * i)); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
-		}
-	}
-	if err := s.Enqueue(12); err != queue.ErrOverloaded {
-		t.Fatalf("enqueue at the segment high watermark = %v, want ErrOverloaded", err)
-	}
-	if !q.SegmentsOverloaded() {
-		t.Fatal("SegmentsOverloaded() = false after the gate flipped")
-	}
-	if err := s.Enqueue(12); err != queue.ErrOverloaded {
-		t.Fatalf("enqueue above the low watermark = %v, want ErrOverloaded (hysteresis)", err)
-	}
-	// Drain the first ring; the fifth dequeue unlinks it, dropping the
-	// chain to the low watermark.
-	for i := 1; i <= 5; i++ {
-		if v, ok := s.Dequeue(); !ok || v != uint64(2*i) {
-			t.Fatalf("dequeue %d = %#x, %v", i, v, ok)
-		}
-	}
-	if got := q.Segments(); got != 1 {
-		t.Fatalf("Segments() = %d after the drain, want 1", got)
-	}
-	if err := s.Enqueue(12); err != nil {
-		t.Fatalf("enqueue at the low watermark = %v, want admitted (hysteresis exit)", err)
-	}
-	if q.SegmentsOverloaded() {
-		t.Fatal("SegmentsOverloaded() = true after re-admission")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(log) != 2 || !log[0].entered || log[1].entered {
-		t.Fatalf("overload transitions = %+v, want [enter exit]", log)
-	}
-	if log[0].segments < 2 || log[1].segments > 1 {
-		t.Fatalf("transition segment counts = %+v, want enter at >=2, exit at <=1", log)
 	}
 }
 

@@ -135,7 +135,8 @@ func FullEmpty(t *testing.T, mk Maker, soft bool) {
 	}
 }
 
-// ValueValidation checks the word-contract errors.
+// ValueValidation checks the word-contract errors, single and batched:
+// a batch with one bad value is refused whole.
 func ValueValidation(t *testing.T, mk Maker) {
 	t.Helper()
 	q := mk(8)
@@ -145,6 +146,12 @@ func ValueValidation(t *testing.T, mk Maker) {
 		if err := s.Enqueue(bad); err != queue.ErrValue {
 			t.Errorf("Enqueue(%#x) = %v, want ErrValue", bad, err)
 		}
+	}
+	if n, err := queue.EnqueueBatch(s, []uint64{2, 3}); n != 0 || err != queue.ErrValue {
+		t.Errorf("EnqueueBatch([2 3]) = (%d, %v), want (0, ErrValue)", n, err)
+	}
+	if v, ok := s.Dequeue(); ok {
+		t.Errorf("a refused batch enqueued %#x", v)
 	}
 	if err := s.Enqueue(2); err != nil {
 		t.Errorf("Enqueue(2) = %v, want nil", err)

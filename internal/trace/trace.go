@@ -99,8 +99,8 @@ const (
 	// depth-watermark admission control (sampled: shedding is designed to
 	// run at millions per second).
 	OutcomeOverloaded
-	// OutcomeSegShed is an enqueue the segmented queue refused because
-	// segment watermarks or the memory bound blocked growth (sampled).
+	// OutcomeSegShed is an enqueue refused with ErrOverloaded by
+	// segment-watermark admission control (sampled).
 	OutcomeSegShed
 	// OutcomeSegGrow is a segment append: the tail ring filled and the
 	// chain grew; N is the live segment count after (always recorded).

@@ -45,8 +45,8 @@ const (
 	// OpSegRetire counts drained segments handed to the hazard domain for
 	// reclamation by the segmented queue.
 	OpSegRetire
-	// OpOverload counts enqueues shed with ErrOverloaded by watermark
-	// admission control before any slot-protocol work.
+	// OpOverload counts enqueues shed with ErrOverloaded by depth
+	// watermark admission control before any slot-protocol work.
 	OpOverload
 	// OpDeadline counts operations aborted mid-retry-loop with
 	// ErrDeadline because their session deadline passed.
@@ -59,6 +59,14 @@ const (
 	// segment-count watermarks or the memory bound converted would-be
 	// growth into shedding.
 	OpSegShed
+	// OpOverloadEnter counts entries into depth-watermark overload: the
+	// depth reached the high watermark and admission started shedding.
+	// Entries and exits alternate, so exits are this count minus one
+	// while the gate is shut.
+	OpOverloadEnter
+	// OpSegOverloadEnter counts entries into segment-watermark overload,
+	// with the same exit arithmetic as OpOverloadEnter.
+	OpSegOverloadEnter
 
 	numOpKinds
 )
@@ -100,6 +108,10 @@ func (k OpKind) String() string {
 		return "seg-free"
 	case OpSegShed:
 		return "seg-shed"
+	case OpOverloadEnter:
+		return "overload-enter"
+	case OpSegOverloadEnter:
+		return "seg-overload-enter"
 	default:
 		return "unknown"
 	}
@@ -132,7 +144,8 @@ func stripeCount() int {
 
 type stripe struct {
 	vals [numOpKinds]atomic.Uint64
-	_    [7]uint64
+	// _ rounds a stripe up to whole 64-byte cache lines.
+	_ [(64 - numOpKinds*8%64) / 8]uint64
 }
 
 // Counters is a striped bank of per-OpKind counters. The zero value is

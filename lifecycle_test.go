@@ -39,17 +39,17 @@ func TestUseAfterDetachPanics(t *testing.T) {
 	_ = s.Enqueue(1)
 }
 
-// TestRawSessionLifecycle: the word-level sessions of the algorithms with
-// per-thread state carry the same contract — idempotent Detach, loud
-// panic on use after Detach.
-func TestRawSessionLifecycle(t *testing.T) {
-	for _, algo := range []nbqueue.Algorithm{nbqueue.AlgorithmCAS, nbqueue.AlgorithmMSHazard} {
-		q, err := nbqueue.NewRaw(nbqueue.WithAlgorithm(algo))
+// TestSessionLifecycle: a session that was used and detached twice
+// panics loudly on its next use, on every algorithm with per-thread
+// state (an LLSCvar record, a hazard record) and on the stateless one.
+func TestSessionLifecycle(t *testing.T) {
+	for _, algo := range []nbqueue.Algorithm{nbqueue.AlgorithmCAS, nbqueue.AlgorithmMSHazard, nbqueue.AlgorithmLLSC} {
+		q, err := nbqueue.New[int](nbqueue.WithAlgorithm(algo))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := q.Attach()
-		if err := s.Enqueue(2); err != nil {
+		if err := s.Enqueue(1); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 		if _, ok := s.Dequeue(); !ok {
@@ -59,11 +59,15 @@ func TestRawSessionLifecycle(t *testing.T) {
 		s.Detach()
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no use-after-Detach panic", algo)
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: Enqueue after Detach did not panic", algo)
+				}
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "used after Detach") {
+					t.Fatalf("%s: panic = %v, want a 'used after Detach' message", algo, r)
 				}
 			}()
-			_ = s.Enqueue(2)
+			_ = s.Enqueue(1)
 		}()
 	}
 }
@@ -145,21 +149,12 @@ func TestScavengeOrphansReclaimsAbandoned(t *testing.T) {
 }
 
 // TestFinalizerCountsLeakedSessions: the GC safety net counts sessions
-// collected without Detach and reports them to the leak handler.
+// collected without Detach, and only those.
 func TestFinalizerCountsLeakedSessions(t *testing.T) {
 	q, err := nbqueue.New[int]()
 	if err != nil {
 		t.Fatal(err)
 	}
-	algoCh := make(chan string, 1)
-	nbqueue.SetLeakHandler(func(algorithm string) {
-		select {
-		case algoCh <- algorithm:
-		default:
-		}
-	})
-	defer nbqueue.SetLeakHandler(nil)
-
 	func() { _ = q.Attach() }() // leak: session unreachable, never detached
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -169,14 +164,6 @@ func TestFinalizerCountsLeakedSessions(t *testing.T) {
 	}
 	if got := q.LeakedSessions(); got != 1 {
 		t.Fatalf("LeakedSessions = %d, want 1", got)
-	}
-	select {
-	case algorithm := <-algoCh:
-		if algorithm != q.Algorithm() {
-			t.Fatalf("leak handler got algorithm %q, want %q", algorithm, q.Algorithm())
-		}
-	case <-time.After(time.Second):
-		t.Fatal("leak handler never called")
 	}
 	// A detached session must NOT count as a leak.
 	s := q.Attach()

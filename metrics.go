@@ -64,9 +64,13 @@ type Snapshot struct {
 	// DeadlineAborts counts operations aborted with ErrDeadline because
 	// the session deadline passed mid-retry-loop.
 	DeadlineAborts uint64
-	// OverloadSheds counts enqueues refused with ErrOverloaded by
+	// OverloadSheds counts enqueues refused with ErrOverloaded by depth
 	// watermark admission control (WithWatermarks).
 	OverloadSheds uint64
+	// OverloadEnters counts entries into depth-watermark overload: each
+	// is one hysteresis cycle begun. Entries and exits alternate, so the
+	// exits number OverloadEnters, less one while Queue.Overloaded holds.
+	OverloadEnters uint64
 	// OrphansScavenged counts per-thread records reclaimed by
 	// ScavengeOrphans (sessions presumed dead without Detach).
 	OrphansScavenged uint64
@@ -91,28 +95,34 @@ type Snapshot struct {
 	// segment-count watermarks (WithSegmentWatermarks) or the memory
 	// bound (WithMemoryBound) converted would-be growth into shedding.
 	SegmentSheds uint64
+	// SegmentOverloadEnters counts entries into segment-watermark
+	// overload, with the exit arithmetic of OverloadEnters against
+	// SegmentStats().Overloaded.
+	SegmentOverloadEnters uint64
 }
 
 // Snapshot returns the current totals.
 func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
-		Enqueues:         m.c.Total(xsync.OpEnqueue),
-		Dequeues:         m.c.Total(xsync.OpDequeue),
-		CASAttempts:      m.c.Total(xsync.OpCASAttempt),
-		CASSuccesses:     m.c.Total(xsync.OpCASSuccess),
-		FetchAndAdds:     m.c.Total(xsync.OpFAA),
-		LLs:              m.c.Total(xsync.OpLL),
-		SCAttempts:       m.c.Total(xsync.OpSCAttempt),
-		SCSuccesses:      m.c.Total(xsync.OpSCSuccess),
-		DeadlineAborts:   m.c.Total(xsync.OpDeadline),
-		OverloadSheds:    m.c.Total(xsync.OpOverload),
-		OrphansScavenged: m.c.Total(xsync.OpScavenge),
-		LeakedSessions:   m.c.Total(xsync.OpLeak),
-		SegmentAllocs:    m.c.Total(xsync.OpSegAlloc),
-		SegmentRecycles:  m.c.Total(xsync.OpSegRecycle),
-		SegmentRetires:   m.c.Total(xsync.OpSegRetire),
-		SegmentFrees:     m.c.Total(xsync.OpSegFree),
-		SegmentSheds:     m.c.Total(xsync.OpSegShed),
+		Enqueues:              m.c.Total(xsync.OpEnqueue),
+		Dequeues:              m.c.Total(xsync.OpDequeue),
+		CASAttempts:           m.c.Total(xsync.OpCASAttempt),
+		CASSuccesses:          m.c.Total(xsync.OpCASSuccess),
+		FetchAndAdds:          m.c.Total(xsync.OpFAA),
+		LLs:                   m.c.Total(xsync.OpLL),
+		SCAttempts:            m.c.Total(xsync.OpSCAttempt),
+		SCSuccesses:           m.c.Total(xsync.OpSCSuccess),
+		DeadlineAborts:        m.c.Total(xsync.OpDeadline),
+		OverloadSheds:         m.c.Total(xsync.OpOverload),
+		OrphansScavenged:      m.c.Total(xsync.OpScavenge),
+		LeakedSessions:        m.c.Total(xsync.OpLeak),
+		SegmentAllocs:         m.c.Total(xsync.OpSegAlloc),
+		SegmentRecycles:       m.c.Total(xsync.OpSegRecycle),
+		SegmentRetires:        m.c.Total(xsync.OpSegRetire),
+		SegmentFrees:          m.c.Total(xsync.OpSegFree),
+		SegmentSheds:          m.c.Total(xsync.OpSegShed),
+		OverloadEnters:        m.c.Total(xsync.OpOverloadEnter),
+		SegmentOverloadEnters: m.c.Total(xsync.OpSegOverloadEnter),
 	}
 }
 
@@ -264,22 +274,24 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		return a - b
 	}
 	return Snapshot{
-		Enqueues:         sub(s.Enqueues, prev.Enqueues),
-		Dequeues:         sub(s.Dequeues, prev.Dequeues),
-		CASAttempts:      sub(s.CASAttempts, prev.CASAttempts),
-		CASSuccesses:     sub(s.CASSuccesses, prev.CASSuccesses),
-		FetchAndAdds:     sub(s.FetchAndAdds, prev.FetchAndAdds),
-		LLs:              sub(s.LLs, prev.LLs),
-		SCAttempts:       sub(s.SCAttempts, prev.SCAttempts),
-		SCSuccesses:      sub(s.SCSuccesses, prev.SCSuccesses),
-		DeadlineAborts:   sub(s.DeadlineAborts, prev.DeadlineAborts),
-		OverloadSheds:    sub(s.OverloadSheds, prev.OverloadSheds),
-		OrphansScavenged: sub(s.OrphansScavenged, prev.OrphansScavenged),
-		LeakedSessions:   sub(s.LeakedSessions, prev.LeakedSessions),
-		SegmentAllocs:    sub(s.SegmentAllocs, prev.SegmentAllocs),
-		SegmentRecycles:  sub(s.SegmentRecycles, prev.SegmentRecycles),
-		SegmentRetires:   sub(s.SegmentRetires, prev.SegmentRetires),
-		SegmentFrees:     sub(s.SegmentFrees, prev.SegmentFrees),
-		SegmentSheds:     sub(s.SegmentSheds, prev.SegmentSheds),
+		Enqueues:              sub(s.Enqueues, prev.Enqueues),
+		Dequeues:              sub(s.Dequeues, prev.Dequeues),
+		CASAttempts:           sub(s.CASAttempts, prev.CASAttempts),
+		CASSuccesses:          sub(s.CASSuccesses, prev.CASSuccesses),
+		FetchAndAdds:          sub(s.FetchAndAdds, prev.FetchAndAdds),
+		LLs:                   sub(s.LLs, prev.LLs),
+		SCAttempts:            sub(s.SCAttempts, prev.SCAttempts),
+		SCSuccesses:           sub(s.SCSuccesses, prev.SCSuccesses),
+		DeadlineAborts:        sub(s.DeadlineAborts, prev.DeadlineAborts),
+		OverloadSheds:         sub(s.OverloadSheds, prev.OverloadSheds),
+		OrphansScavenged:      sub(s.OrphansScavenged, prev.OrphansScavenged),
+		LeakedSessions:        sub(s.LeakedSessions, prev.LeakedSessions),
+		SegmentAllocs:         sub(s.SegmentAllocs, prev.SegmentAllocs),
+		SegmentRecycles:       sub(s.SegmentRecycles, prev.SegmentRecycles),
+		SegmentRetires:        sub(s.SegmentRetires, prev.SegmentRetires),
+		SegmentFrees:          sub(s.SegmentFrees, prev.SegmentFrees),
+		SegmentSheds:          sub(s.SegmentSheds, prev.SegmentSheds),
+		OverloadEnters:        sub(s.OverloadEnters, prev.OverloadEnters),
+		SegmentOverloadEnters: sub(s.SegmentOverloadEnters, prev.SegmentOverloadEnters),
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,9 +161,6 @@ func TestSnapshotLifecycleCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []nbqueue.Event
-	var mu sync.Mutex
-
 	// Abandon a session, then scavenge it.
 	s := q.Attach()
 	if err := s.Enqueue(1); err != nil {
@@ -188,11 +183,7 @@ func TestSnapshotLifecycleCounters(t *testing.T) {
 	// itself be finalized as a leak eventually, so m's leak count is not
 	// stable from here on.
 	lm := nbqueue.NewMetrics()
-	mq, err := nbqueue.New[int](nbqueue.WithMetrics(lm), nbqueue.WithEventHook(func(e nbqueue.Event) {
-		mu.Lock()
-		events = append(events, e)
-		mu.Unlock()
-	}))
+	mq, err := nbqueue.New[int](nbqueue.WithMetrics(lm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,44 +199,6 @@ func TestSnapshotLifecycleCounters(t *testing.T) {
 	}
 	if snap := lm.Snapshot(); snap.LeakedSessions != 1 {
 		t.Fatalf("Snapshot.LeakedSessions = %d, want 1", snap.LeakedSessions)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, e := range events {
-		if e.Kind == nbqueue.EventSessionLeaked && e.Algorithm == mq.Algorithm() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no EventSessionLeaked delivered; events: %v", events)
-	}
-}
-
-// TestEventHookScavenge: ScavengeOrphans delivers EventOrphanScavenged
-// with the reclaimed count.
-func TestEventHookScavenge(t *testing.T) {
-	var got atomic.Pointer[nbqueue.Event]
-	q, err := nbqueue.New[int](nbqueue.WithEventHook(func(e nbqueue.Event) {
-		if e.Kind == nbqueue.EventOrphanScavenged {
-			got.Store(&e)
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := q.Attach()
-	_ = s.Enqueue(1)
-	for i := 0; i < 4; i++ {
-		q.ScavengeOrphans()
-	}
-	runtime.KeepAlive(s)
-	e := got.Load()
-	if e == nil {
-		t.Fatal("no EventOrphanScavenged delivered")
-	}
-	if e.N != 1 || e.Algorithm != q.Algorithm() {
-		t.Fatalf("event = %+v", *e)
 	}
 }
 

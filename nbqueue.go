@@ -55,6 +55,7 @@
 package nbqueue
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -111,8 +112,8 @@ const (
 	// AlgorithmSPSC is the Torquati-style single-producer/single-consumer
 	// ring (slot-only synchronization, cache-line batching). Its safety
 	// depends on a census — at most one enqueuing and one dequeuing
-	// goroutine — that only Fabric proves at attach time, so New and
-	// NewRaw reject it; Fabric specializes shards to it automatically.
+	// goroutine — that only Fabric proves at attach time, so New
+	// rejects it; Fabric specializes shards to it automatically.
 	AlgorithmSPSC Algorithm = bench.KeySPSC
 )
 
@@ -127,11 +128,11 @@ var (
 	// the only way an Evequoz-family operation gives up early.
 	ErrDeadline = queue.ErrDeadline
 	// ErrOverloaded reports an enqueue refused by watermark admission
-	// control (WithWatermarks): the queue depth crossed the high
-	// watermark and new work is being shed until it drains below the low
-	// watermark. The operation had no effect and cost no slot-protocol
-	// work.
-	ErrOverloaded = queue.ErrOverloaded
+	// control (WithWatermarks or WithSegmentWatermarks): the gated level
+	// reached its high watermark and new work is being shed until it
+	// drains to the low watermark. The operation had no effect and cost
+	// no slot-protocol work.
+	ErrOverloaded = errors.New("nbqueue: shed by admission control above high watermark")
 )
 
 // config collects option state.
@@ -144,7 +145,6 @@ type config struct {
 	segSet     bool
 	segSize    int
 	metrics    *Metrics
-	hook       func(Event)
 	// instr carries the retry policy (backoff, yield hook) to the
 	// word-level queue; newInner adds the metric sinks.
 	instr        queue.Instr
@@ -169,8 +169,8 @@ type Option func(*config)
 // values: a base configuration can be built once, passed around, layered
 // (later options override earlier ones, exactly as if passed flat), and
 // forwarded through one vetted path instead of re-spliced ad hoc at each
-// call site. New, NewRaw, NewFabric's per-shard construction, and the
-// jobs server all accept the combined value like any other Option:
+// call site. New, NewFabric's per-shard construction, and the jobs
+// server all accept the combined value like any other Option:
 //
 //	base := nbqueue.Options(
 //		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
@@ -248,16 +248,16 @@ func WithMetrics(m *Metrics) Option { return func(c *config) { c.metrics = m } }
 // fast with ErrOverloaded — before any payload allocation or slot-protocol
 // work — until the depth drains to low or below (hysteresis, so
 // admission does not flap at the boundary). Dequeues are never refused.
-// The overload transitions fire EventOverloadEnter/EventOverloadExit on
-// the WithEventHook observer and each refused enqueue counts toward
-// Snapshot.OverloadSheds.
+// Each refused enqueue counts toward Snapshot.OverloadSheds and each
+// entry into overload toward Snapshot.OverloadEnters; Overloaded
+// reports the gate's state.
 //
 // Requires 0 < low <= high and an algorithm whose depth is observable
 // (the bounded array queues and AlgorithmSegmented); New rejects
-// anything else, as does NewRaw (admission lives in the payload layer).
-// The depth read is a racy snapshot, so a burst of concurrent enqueues
-// can overshoot high by the number of in-flight operations; watermarks
-// bound steady-state depth, they are not a hard capacity.
+// anything else. The depth read is a racy snapshot, so a burst of
+// concurrent enqueues can overshoot high by the number of in-flight
+// operations; watermarks bound steady-state depth, they are not a hard
+// capacity.
 func WithWatermarks(low, high int) Option {
 	return func(c *config) {
 		c.lowWater = low
@@ -283,16 +283,16 @@ func WithMemoryBound(n int) Option { return func(c *config) { c.memBound = n } }
 // WithSegmentWatermarks arms segment-count admission control on
 // AlgorithmSegmented: once the chain holds high or more segments
 // (live + preparing), Enqueue and EnqueueBatch fail fast with
-// ErrOverloaded — before any ring work or grow attempt — until the
-// chain drains to at most low segments (hysteresis, so admission does
-// not flap at the boundary). This is WithWatermarks keyed on the
-// *growth* signal instead of depth: depth watermarks see overload only
-// after items accumulate, segment watermarks see it the moment the
-// queue starts eating memory to absorb it. Both can be armed together;
-// either refusing sheds the enqueue. Transitions fire
-// EventOverloadEnter/EventOverloadExit with Op "segments" on the
-// WithEventHook observer, and refused enqueues count toward
-// Snapshot.SegmentSheds. Requires 0 < low <= high and
+// ErrOverloaded — before any payload allocation, ring work or grow
+// attempt — until the chain drains to at most low segments
+// (hysteresis). It is the WithWatermarks gate keyed on the *growth*
+// signal instead of depth: depth watermarks see overload only after
+// items accumulate, segment watermarks see it the moment the queue
+// starts eating memory to absorb it. Both can be armed together; each
+// keeps its own state, and either refusing sheds the enqueue. Refused
+// enqueues count toward Snapshot.SegmentSheds and entries into overload
+// toward Snapshot.SegmentOverloadEnters; SegmentStats().Overloaded
+// reports the gate's state. Requires 0 < low <= high and
 // AlgorithmSegmented; New rejects anything else.
 func WithSegmentWatermarks(low, high int) Option {
 	return func(c *config) {
@@ -319,17 +319,10 @@ type Queue[T any] struct {
 	// algorithms without a native batch operation; nil when metrics are
 	// off.
 	hists *xsync.Histograms
-	// hook is the WithEventHook observer; nil when unset.
-	hook func(Event)
-	// lowWater/highWater are the WithWatermarks thresholds; highWater 0
-	// means admission control is off. lenFn observes the inner depth.
-	lowWater  int
-	highWater int
-	lenFn     func() int
-	// overloaded is the admission hysteresis state: set when depth
-	// reached highWater, cleared when an enqueue probe sees depth at or
-	// below lowWater.
-	overloaded atomic.Bool
+	// depth and segs are the WithWatermarks and WithSegmentWatermarks
+	// admission gates; gated is set when either is armed.
+	depth, segs gate
+	gated       bool
 	// rec is the WithTracing flight recorder (nil when tracing is off);
 	// qtr is the queue-level handle used for lifecycle events that have
 	// no owning session (scavenges).
@@ -337,52 +330,67 @@ type Queue[T any] struct {
 	qtr trace.Handle
 }
 
-// admit is the watermark admission check, called by Enqueue and
-// EnqueueBatch before any allocation or slot-protocol work.
-func (q *Queue[T]) admit() error {
-	if q.highWater == 0 {
+// gate is one hysteresis admission gate: once level reaches high it
+// refuses enqueues until level drains to low or below, so admission
+// does not flap at the boundary. high == 0 leaves it unarmed. A refusal
+// counts shed and traces outcome; the CAS that shuts the gate counts
+// enter, once per overload episode however many probes race it.
+type gate struct {
+	low, high   int
+	level       func() int
+	over        atomic.Bool
+	shed, enter xsync.OpKind
+	outcome     trace.Outcome
+}
+
+// admits reports whether one enqueue may pass the gate, moving the gate
+// between its open and shut states on the level it reads.
+func (g *gate) admits(ctr xsync.Handle) bool {
+	if g.high == 0 {
+		return true
+	}
+	level := g.level()
+	if g.over.Load() {
+		if level > g.low {
+			ctr.Inc(g.shed)
+			return false
+		}
+		g.over.Store(false)
+		return true
+	}
+	if level < g.high {
+		return true
+	}
+	if g.over.CompareAndSwap(false, true) {
+		ctr.Inc(g.enter)
+	}
+	ctr.Inc(g.shed)
+	return false
+}
+
+// admit runs the armed admission gates, depth first, for an enqueue of
+// n values (0 for a single Enqueue) before it touches the payload
+// store or the ring; a refusal is traced under kind on tr.
+func (q *Queue[T]) admit(tr *trace.Handle, kind trace.Kind, n int) error {
+	if !q.gated {
 		return nil
 	}
-	depth := q.lenFn()
-	if q.overloaded.Load() {
-		if depth > q.lowWater {
-			q.mctr.Inc(xsync.OpOverload)
+	for _, g := range [...]*gate{&q.depth, &q.segs} {
+		if !g.admits(q.mctr) {
+			tr.OpSampled(kind, g.outcome, n)
 			return ErrOverloaded
 		}
-		// Drained below the low watermark: re-admit. CAS so exactly one
-		// of the racing probes emits the exit event.
-		if q.overloaded.CompareAndSwap(true, false) {
-			q.emit(Event{Kind: EventOverloadExit, N: depth})
-		}
-		return nil
-	}
-	if depth >= q.highWater {
-		if q.overloaded.CompareAndSwap(false, true) {
-			q.emit(Event{Kind: EventOverloadEnter, N: depth})
-		}
-		q.mctr.Inc(xsync.OpOverload)
-		return ErrOverloaded
 	}
 	return nil
 }
 
-// Overloaded reports whether watermark admission control is currently
-// shedding enqueues (depth crossed high and has not yet drained to low).
-// Always false without WithWatermarks. Exposed for gauges and tests.
-func (q *Queue[T]) Overloaded() bool { return q.overloaded.Load() }
+// Overloaded reports whether depth-watermark admission control is
+// currently shedding enqueues (depth reached high and has not yet
+// drained to low). Always false without WithWatermarks. Exposed for
+// gauges and tests; SegmentStats().Overloaded is the segment gate's.
+func (q *Queue[T]) Overloaded() bool { return q.depth.over.Load() }
 
-// emit delivers e to the event hook, stamping the algorithm name.
-// Callers only reach it from rare paths (sheds, scavenges, leaks).
-func (q *Queue[T]) emit(e Event) {
-	if q.hook == nil {
-		return
-	}
-	e.Algorithm = q.inner.Name()
-	q.hook(e)
-}
-
-// newInner resolves options and builds the word-level queue shared by
-// New and NewRaw.
+// newInner resolves options and builds the word-level queue New wraps.
 func newInner(opts []Option) (queue.Queue, config, error) {
 	c := config{
 		algorithm:  AlgorithmCAS,
@@ -466,27 +474,7 @@ func newInner(opts []Option) (queue.Queue, config, error) {
 		Unbounded:   c.unbounded,
 		SegSize:     c.segSize,
 		MemoryBound: c.memBound,
-		SegLow:      c.segLow,
-		SegHigh:     c.segHigh,
 	})
-	if c.hook != nil {
-		name := inner.Name()
-		hook := c.hook
-		if g, ok := inner.(interface{ SetGrowHook(func(int)) }); ok {
-			g.SetGrowHook(func(live int) {
-				hook(Event{Kind: EventSegmentGrow, Algorithm: name, N: live})
-			})
-		}
-		if o, ok := inner.(interface{ SetOverloadHook(func(bool, int)) }); ok {
-			o.SetOverloadHook(func(entered bool, segments int) {
-				kind := EventOverloadExit
-				if entered {
-					kind = EventOverloadEnter
-				}
-				hook(Event{Kind: kind, Algorithm: name, Op: "segments", N: segments})
-			})
-		}
-	}
 	return inner, c, nil
 }
 
@@ -510,19 +498,29 @@ func New[T any](opts ...Option) (*Queue[T], error) {
 	q := &Queue[T]{
 		inner: inner,
 		store: arena.NewPool[T](capHint + c.maxThreads + 16),
-		hook:  c.hook,
 		rec:   c.rec,
 		qtr:   c.rec.Handle(),
+		depth: gate{shed: xsync.OpOverload, enter: xsync.OpOverloadEnter, outcome: trace.OutcomeOverloaded},
+		segs:  gate{shed: xsync.OpSegShed, enter: xsync.OpSegOverloadEnter, outcome: trace.OutcomeSegShed},
 	}
 	if c.wmSet {
 		l, ok := inner.(interface{ Len() int })
 		if !ok {
 			return nil, fmt.Errorf("nbqueue: WithWatermarks requires an algorithm with an observable depth, not %q", c.algorithm)
 		}
-		q.lowWater = c.lowWater
-		q.highWater = c.highWater
-		q.lenFn = l.Len
+		q.depth.low, q.depth.high, q.depth.level = c.lowWater, c.highWater, l.Len
 	}
+	if c.segWmSet {
+		// The chain's live+preparing count, read from two gauges rather
+		// than a walk of the chain.
+		ss := inner.(queue.SegmentStatser)
+		q.segs.low, q.segs.high = c.segLow, c.segHigh
+		q.segs.level = func() int {
+			st := ss.SegmentStats()
+			return st.Live + st.Pending
+		}
+	}
+	q.gated = c.wmSet || c.segWmSet
 	if c.metrics != nil {
 		q.mctr = c.metrics.counters().Handle()
 		q.hists = c.metrics.histograms()
@@ -565,27 +563,12 @@ type Session[T any] struct {
 // disabled handle's methods return before touching it.
 var noTrace trace.Handle
 
-// leakHandler, when set, observes garbage-collected undetached sessions.
-var leakHandler atomic.Pointer[func(algorithm string)]
-
-// SetLeakHandler installs fn, invoked (from the runtime's finalizer
-// goroutine) with the algorithm name each time a Session is garbage
-// collected without Detach — a leak of the session's per-thread record
-// that only the orphan scavenger can repair. A nil fn removes the
-// handler. Intended for wiring a log line or a test hook; the leak is
-// always counted on the queue regardless (see LeakedSessions).
-func SetLeakHandler(fn func(algorithm string)) {
-	if fn == nil {
-		leakHandler.Store(nil)
-		return
-	}
-	leakHandler.Store(&fn)
-}
-
 // LeakedSessions counts sessions of this queue that were garbage
-// collected without Detach. The count is best-effort (it advances when
-// the GC runs finalizers), but a nonzero value always indicates a real
-// lifecycle bug in the caller.
+// collected without Detach — each a leak of the session's per-thread
+// record that only the orphan scavenger can repair. The count is
+// best-effort (it advances when the GC runs finalizers), but a nonzero
+// value always indicates a real lifecycle bug in the caller;
+// Snapshot.LeakedSessions carries the same count.
 func (q *Queue[T]) LeakedSessions() uint64 { return q.leaked.Load() }
 
 // Attach registers the calling goroutine and returns its session.
@@ -593,9 +576,9 @@ func (q *Queue[T]) LeakedSessions() uint64 { return q.leaked.Load() }
 // A session dropped without Detach leaks its per-thread registration
 // record (the crash model the paper acknowledges for Algorithm 2). As a
 // safety net, a finalizer detaches such sessions when the GC proves them
-// unreachable, counts the leak (LeakedSessions), and reports it to the
-// SetLeakHandler hook — but GC-timed reclamation is far too late for a
-// production attach/detach cycle, so treat any leak report as a bug.
+// unreachable and counts the leak (LeakedSessions) — but GC-timed
+// reclamation is far too late for a production attach/detach cycle, so
+// treat any leak as a bug.
 func (q *Queue[T]) Attach() *Session[T] {
 	s := &Session[T]{q: q, inner: q.inner.Attach(), tr: &noTrace}
 	if in, ok := s.inner.(interface{ TraceHandle() *trace.Handle }); ok {
@@ -613,10 +596,6 @@ func (q *Queue[T]) Attach() *Session[T] {
 		}
 		dead.q.leaked.Add(1)
 		dead.q.mctr.Inc(xsync.OpLeak)
-		dead.q.emit(Event{Kind: EventSessionLeaked})
-		if h := leakHandler.Load(); h != nil {
-			(*h)(dead.q.inner.Name())
-		}
 		dead.inner.Detach()
 		dead.inner = nil
 	})
@@ -689,8 +668,7 @@ func (s *Session[T]) SetDeadline(t time.Time) (ok bool) {
 // DequeueBatch.
 func (s *Session[T]) Enqueue(v T) error {
 	inner := s.use()
-	if err := s.q.admit(); err != nil {
-		s.tr.OpSampled(trace.KindEnqueue, trace.OutcomeOverloaded, 0)
+	if err := s.q.admit(s.tr, trace.KindEnqueue, 0); err != nil {
 		return err
 	}
 	h := s.q.store.Put(v)
@@ -765,8 +743,7 @@ func (s *Session[T]) EnqueueBatch(vs []T) (int, error) {
 	if len(vs) == 0 {
 		return 0, nil
 	}
-	if err := s.q.admit(); err != nil {
-		s.tr.OpSampled(trace.KindEnqueueBatch, trace.OutcomeOverloaded, len(vs))
+	if err := s.q.admit(s.tr, trace.KindEnqueueBatch, len(vs)); err != nil {
 		return 0, err
 	}
 	// Map payloads into store cells first; a short allocation is store
@@ -837,7 +814,6 @@ func (q *Queue[T]) ScavengeOrphans() int {
 	if n > 0 {
 		q.mctr.Add(xsync.OpScavenge, uint64(n))
 		q.qtr.Event(trace.OutcomeScavenge, n)
-		q.emit(Event{Kind: EventOrphanScavenged, N: n})
 	}
 	return n
 }
@@ -905,7 +881,9 @@ func (q *Queue[T]) SegmentStats() (s SegmentStats, ok bool) {
 	if !ok {
 		return SegmentStats{}, false
 	}
-	return ss.SegmentStats(), true
+	st := ss.SegmentStats()
+	st.Overloaded = q.segs.over.Load()
+	return st, true
 }
 
 // TryDrain dequeues up to max values (all available when max <= 0),

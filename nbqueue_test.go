@@ -502,38 +502,6 @@ func TestLenBoundsUnderBatchRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRawBatch drives the word-level batch helpers through NewRaw.
-func TestRawBatch(t *testing.T) {
-	q, err := nbqueue.NewRaw(nbqueue.WithCapacity(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := q.Attach()
-	defer s.Detach()
-	if _, ok := s.(nbqueue.RawBatchSession); !ok {
-		t.Fatal("default algorithm session lacks native batch support")
-	}
-	vs := []uint64{2, 4, 6, 8}
-	if n, err := nbqueue.Batch(s).Enqueue(vs); n != 4 || err != nil {
-		t.Fatalf("Batch(s).Enqueue = %d,%v", n, err)
-	}
-	dst := make([]uint64, 8)
-	n, err := nbqueue.Batch(s).Dequeue(dst)
-	if n != 4 || err != nil {
-		t.Fatalf("Batch(s).Dequeue = %d,%v", n, err)
-	}
-	for i, v := range vs {
-		if dst[i] != v {
-			t.Fatalf("dst[%d] = %d want %d", i, dst[i], v)
-		}
-	}
-	// Odd values violate the raw word contract and must be rejected
-	// before any element is enqueued.
-	if n, err := nbqueue.Batch(s).Enqueue([]uint64{2, 3}); n != 0 || !errors.Is(err, nbqueue.ErrRawValue) {
-		t.Fatalf("odd raw value = %d,%v want 0,ErrRawValue", n, err)
-	}
-}
-
 // TestBatchSizesMetric checks the batch-size histogram accessor, both
 // on a batch-native algorithm (recorded inside the word-level call) and
 // on a fallback algorithm (recorded by the generic layer around its

@@ -23,18 +23,11 @@ func fillTo(t *testing.T, s *nbqueue.Session[int], n int) {
 
 func TestWatermarkAdmission(t *testing.T) {
 	m := nbqueue.NewMetrics()
-	var events []nbqueue.Event
-	var mu sync.Mutex
 	q, err := nbqueue.New[int](
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS),
 		nbqueue.WithCapacity(16),
 		nbqueue.WithWatermarks(4, 8),
 		nbqueue.WithMetrics(m),
-		nbqueue.WithEventHook(func(e nbqueue.Event) {
-			mu.Lock()
-			events = append(events, e)
-			mu.Unlock()
-		}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -81,22 +74,11 @@ func TestWatermarkAdmission(t *testing.T) {
 	}
 
 	snap := m.Snapshot()
-	if snap.OverloadSheds < 3 {
-		t.Fatalf("OverloadSheds = %d, want >= 3", snap.OverloadSheds)
+	if snap.OverloadSheds != 3 {
+		t.Fatalf("OverloadSheds = %d, want 3", snap.OverloadSheds)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	var enter, exit int
-	for _, e := range events {
-		switch e.Kind {
-		case nbqueue.EventOverloadEnter:
-			enter++
-		case nbqueue.EventOverloadExit:
-			exit++
-		}
-	}
-	if enter != 1 || exit != 1 {
-		t.Fatalf("overload transitions = %d enter / %d exit, want 1/1", enter, exit)
+	if snap.OverloadEnters != 1 {
+		t.Fatalf("OverloadEnters = %d, want 1", snap.OverloadEnters)
 	}
 }
 
@@ -116,9 +98,6 @@ func TestWatermarkValidation(t *testing.T) {
 		if _, err := nbqueue.New[int](tc.opts...); err == nil {
 			t.Errorf("%s: New accepted invalid watermark config", tc.name)
 		}
-	}
-	if _, err := nbqueue.NewRaw(nbqueue.WithWatermarks(4, 8)); err == nil {
-		t.Error("NewRaw accepted WithWatermarks")
 	}
 }
 
@@ -324,21 +303,16 @@ func TestBatchWaitHonorsContext(t *testing.T) {
 	}
 }
 
-// TestEventHookRacesDetach hammers watermark-admission event delivery
-// (overload enter/exit) concurrently with session detach/reattach churn;
-// run under -race it proves hook invocation never races session
-// teardown.
-func TestEventHookRacesDetach(t *testing.T) {
-	var fired atomic.Uint64
+// TestOverloadTransitionsRaceDetach flaps the depth gate concurrently
+// with session detach/reattach churn; run under -race it proves the
+// gate's transitions and their counters never race session teardown.
+func TestOverloadTransitionsRaceDetach(t *testing.T) {
+	m := nbqueue.NewMetrics()
 	q, err := nbqueue.New[int](
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmCAS),
 		nbqueue.WithCapacity(8),
 		nbqueue.WithWatermarks(2, 4),
-		nbqueue.WithEventHook(func(e nbqueue.Event) {
-			if e.Kind == nbqueue.EventOverloadEnter || e.Kind == nbqueue.EventOverloadExit {
-				fired.Add(1)
-			}
-		}),
+		nbqueue.WithMetrics(m),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -351,9 +325,8 @@ func TestEventHookRacesDetach(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				s := q.Attach()
-				// Production outweighs consumption so the watermark
-				// flaps, firing overload events while other goroutines
-				// are mid-Detach.
+				// Production outweighs consumption so the gate flaps
+				// while other goroutines are mid-Detach.
 				if w%2 == 0 {
 					_ = s.Enqueue(i)
 					_ = s.Enqueue(i)
@@ -369,7 +342,7 @@ func TestEventHookRacesDetach(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
-	if fired.Load() == 0 {
-		t.Fatal("no overload enter/exit event under watermark churn")
+	if snap := m.Snapshot(); snap.OverloadEnters == 0 || snap.OverloadSheds == 0 {
+		t.Fatalf("gate never shut under watermark churn: %d entries, %d sheds", snap.OverloadEnters, snap.OverloadSheds)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"nbqueue"
@@ -103,22 +102,16 @@ func TestSegmentedUnboundedRequiresSegmented(t *testing.T) {
 	}
 }
 
+// TestSegmentedGrowEvent: each segment append is one flight-recorder
+// event carrying the live count after it, and one SegmentAllocs count.
 func TestSegmentedGrowEvent(t *testing.T) {
-	var grows atomic.Int64
-	var lastLive atomic.Int64
+	m := nbqueue.NewMetrics()
 	q, err := nbqueue.New[int](
 		nbqueue.WithAlgorithm(nbqueue.AlgorithmSegmented),
 		nbqueue.WithUnbounded(),
 		nbqueue.WithSegmentSize(16),
-		nbqueue.WithEventHook(func(e nbqueue.Event) {
-			if e.Kind == nbqueue.EventSegmentGrow {
-				grows.Add(1)
-				lastLive.Store(int64(e.N))
-				if e.Algorithm == "" {
-					t.Error("grow event missing algorithm name")
-				}
-			}
-		}),
+		nbqueue.WithMetrics(m),
+		nbqueue.WithTracing(0),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -130,14 +123,22 @@ func TestSegmentedGrowEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g := grows.Load(); g < 5 {
-		t.Fatalf("100 items over 16-slot rings fired %d grow events, want >= 5", g)
+	var lives []uint32
+	for _, r := range q.TraceSnapshot() {
+		if r.Outcome == "segment-grow" {
+			lives = append(lives, r.N)
+		}
 	}
-	if l := lastLive.Load(); l < 2 {
-		t.Fatalf("last grow event reported %d live segments, want >= 2", l)
+	if len(lives) != 6 {
+		t.Fatalf("100 items over 16-slot rings traced %d grow events, want 6", len(lives))
 	}
-	if e := nbqueue.EventSegmentGrow.String(); e != "segment-grow" {
-		t.Fatalf("EventSegmentGrow.String() = %q", e)
+	for i, live := range lives {
+		if live != uint32(i+2) {
+			t.Fatalf("grow events report live counts %v, want 2..7", lives)
+		}
+	}
+	if snap := m.Snapshot(); snap.SegmentAllocs != 6 {
+		t.Fatalf("SegmentAllocs = %d, want one per grow event", snap.SegmentAllocs)
 	}
 }
 
