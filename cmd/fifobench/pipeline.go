@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,8 +25,8 @@ import (
 //
 //   - matrix: the declarative fault/failover table — every
 //     {fault} × {stage} × {recovery} cell on a fresh pipeline, each
-//     asserting conservation, fencing, bounded recovery, and zero
-//     orphan leakage.
+//     asserting conservation, fencing, bounded recovery, and no
+//     session record left attached after Stop.
 //
 // Both phases feed one slo.Result so budgets.json can gate throughput,
 // tail latency, and the hard zero-violation invariants in the same
@@ -54,15 +55,16 @@ type cellAudit struct {
 
 // runPipeline runs both phases, emits the report in the requested
 // format, writes artifacts when artifacts is a directory path, and
-// fails (non-nil error) when any matrix cell failed so CI blocks.
+// fails (non-nil error) when the steady audit or any matrix cell failed
+// so CI blocks.
 func runPipeline(out io.Writer, format string, p bench.Params, artifacts string, seed int64) error {
 	steadyOpts := pipeline.SteadyOptions{Duration: pipelineSteadyPhase, Seed: seed}
 	if p.Capacity > 0 {
 		steadyOpts.LaneCapacity = p.Capacity
 	}
-	steady, err := pipeline.RunSteady(steadyOpts)
-	if err != nil {
-		return err
+	steady, serr := pipeline.RunSteady(steadyOpts)
+	if steady == nil {
+		return serr
 	}
 
 	mo := pipeline.MatrixOptions{Seed: seed}
@@ -82,9 +84,9 @@ func runPipeline(out io.Writer, format string, p bench.Params, artifacts string,
 	if err := writePipelineReport(out, format, steady, matrix); err != nil {
 		return err
 	}
-	// Report written either way; the matrix verdict still decides the
-	// exit code so the CI smoke job blocks on any failed cell.
-	return merr
+	// Report written either way; the steady and matrix verdicts still
+	// decide the exit code so the CI smoke job blocks on any failure.
+	return errors.Join(serr, merr)
 }
 
 func writePipelineArtifacts(dir string, steady *pipeline.SteadyReport, matrix *pipeline.MatrixReport) error {

@@ -13,6 +13,10 @@
 //	fifoexplore -threads 3 -delays 2 -capacity 2 -max-exec 50000
 //	fifoexplore -demo-broken            # watch it catch a planted race
 //
+// With -algo evq-seg every thread runs explore.StragglerProgram, whose
+// roles reach the close/finalize race on 2-slot segments (the default
+// -capacity), instead of the alternating -ops program.
+//
 // The -demo-broken flag swaps in a deliberately racy ring buffer (loads
 // and stores without reservations) so the failure reporting can be seen
 // in action.
@@ -33,7 +37,6 @@ import (
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/queues/evqllsc"
-	"nbqueue/internal/queues/evqseg"
 )
 
 func main() {
@@ -50,7 +53,7 @@ func run(args []string, out io.Writer) error {
 		algo     = fs.String("algo", "evq-llsc", "algorithm to explore: evq-llsc|evq-cas|evq-seg")
 		threads  = fs.Int("threads", 2, "concurrent program instances")
 		delays   = fs.Int("delays", 2, "maximum preemptions per schedule")
-		ops      = fs.Int("ops", 2, "operations per thread (alternating enqueue/dequeue)")
+		ops      = fs.Int("ops", 2, "operations per thread (alternating enqueue/dequeue; evq-seg runs explore.StragglerProgram instead)")
 		capacity = fs.Int("capacity", 2, "queue capacity (slots per segment for evq-seg)")
 		maxExec  = fs.Int("max-exec", 20000, "execution budget")
 		broken   = fs.Bool("demo-broken", false, "explore a deliberately racy ring instead of Algorithm 1")
@@ -61,32 +64,7 @@ func run(args []string, out io.Writer) error {
 
 	var hooked explore.HookedBuild
 	var label string
-	switch {
-	case *broken:
-		label = "racy ring (planted bug)"
-		hooked = llscAdapter(func(mem func(int) llsc.Memory) queue.Queue {
-			return newRacyRing(*capacity, mem)
-		})
-	case *algo == "evq-cas":
-		label = "FIFO Array Simulated CAS (Algorithm 2)"
-		hooked = func(hook func()) queue.Queue {
-			return evqcas.New(*capacity, evqcas.WithInstr(queue.Instr{Yield: hook}))
-		}
-	case *algo == "evq-seg":
-		label = "FIFO Array Segmented (Algorithm 1 rings, linked)"
-		hooked = func(hook func()) queue.Queue {
-			return evqseg.New(*capacity, evqseg.WithInstr(queue.Instr{Yield: hook}))
-		}
-	case *algo == "evq-llsc":
-		label = "FIFO Array LL/SC (Algorithm 1)"
-		hooked = llscAdapter(func(mem func(int) llsc.Memory) queue.Queue {
-			return evqllsc.New(*capacity, mem)
-		})
-	default:
-		return fmt.Errorf("unknown -algo %q (evq-llsc|evq-cas|evq-seg)", *algo)
-	}
-
-	prog := func(tid int, s queue.Session, log *lincheck.ThreadLog) {
+	prog := explore.Program(func(tid int, s queue.Session, log *lincheck.ThreadLog) {
 		for i := 0; i < *ops; i++ {
 			if i%2 == 0 {
 				v := uint64(tid*(*ops)+i+1) << 1
@@ -99,10 +77,37 @@ func run(args []string, out io.Writer) error {
 				log.Deq(inv, v, ok)
 			}
 		}
+	})
+	shape := fmt.Sprintf("ops/thread=%d", *ops)
+	switch {
+	case *broken:
+		label = "racy ring (planted bug)"
+		hooked = llscAdapter(func(mem func(int) llsc.Memory) queue.Queue {
+			return newRacyRing(*capacity, mem)
+		})
+	case *algo == "evq-cas":
+		label = "FIFO Array Simulated CAS (Algorithm 2)"
+		hooked = func(hook func()) queue.Queue {
+			return evqcas.New(*capacity, evqcas.WithInstr(queue.Instr{Yield: hook}))
+		}
+	case *algo == "evq-seg":
+		// Role-shaped threads: an alternating program cannot reach the
+		// close/finalize race's pending straggler.
+		label = "FIFO Array Segmented (Algorithm 1 rings, linked)"
+		hooked = explore.SegmentedBuild(*capacity)
+		prog = explore.StragglerProgram
+		shape = "program=straggler"
+	case *algo == "evq-llsc":
+		label = "FIFO Array LL/SC (Algorithm 1)"
+		hooked = llscAdapter(func(mem func(int) llsc.Memory) queue.Queue {
+			return evqllsc.New(*capacity, mem)
+		})
+	default:
+		return fmt.Errorf("unknown -algo %q (evq-llsc|evq-cas|evq-seg)", *algo)
 	}
 
-	fmt.Fprintf(out, "exploring %s: threads=%d delays<=%d ops/thread=%d capacity=%d\n",
-		label, *threads, *delays, *ops, *capacity)
+	fmt.Fprintf(out, "exploring %s: threads=%d delays<=%d %s capacity=%d\n",
+		label, *threads, *delays, shape, *capacity)
 	t0 := time.Now()
 	res, err := explore.RunHooked(explore.Config{
 		Threads:       *threads,

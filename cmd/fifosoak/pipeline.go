@@ -4,64 +4,41 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"nbqueue"
 	"nbqueue/internal/chaos"
 	"nbqueue/internal/expose"
 	"nbqueue/internal/pipeline"
 )
 
 // soakPipeline is the streaming-pipeline endurance drill: the canonical
-// ingest→work→egress pipeline under continuous producer load and
-// continuous chaos — workers killed mid-service on a seeded schedule,
-// items cancelled mid-flight — with per-tick audits that the fencing
-// invariant holds (no cancelled item's trace ID in the emitted set) and
-// that the pipeline keeps making progress through the kills. The final
-// audit at quiescence is the strict one: exact conservation, zero
-// fencing violations, zero orphaned sessions after scavenge.
+// ingest→work→egress pipeline (pipeline.CanonicalConfig) under
+// continuous producer load and continuous chaos — workers killed
+// mid-service on a seeded schedule, items cancelled mid-flight — with
+// per-tick audits that the fencing invariant holds (no cancelled item's
+// trace ID in the emitted set) and that the pipeline keeps making
+// progress through the kills. The final audit is pipeline.Quiesce, the
+// strict one: exact conservation, zero fencing violations, and no
+// session record left attached after Stop, so a kill recovery that
+// leaks a dead worker's sessions fails the drill.
 //
 // Per-lane depth gauges register with the stats server when -statsaddr
 // is set, so the drill exercises the shutdown gauge flush too.
 func soakPipeline(out io.Writer, st *statsServer, d, auditEvery time.Duration, seed int64) error {
 	const (
-		stages      = 3
-		workers     = 2
-		lanes       = 2
 		laneCap     = 256
+		producers   = 2
 		cancelEvery = 48
 		killEvery   = 15 * time.Millisecond
 	)
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("pipeline (seed=%d): %s", seed, fmt.Sprintf(format, args...))
 	}
-	cfg := pipeline.Config{
-		Respawn:        true,
-		Heartbeat:      250 * time.Millisecond,
-		DeadlineBudget: 30 * time.Second,
-	}
-	names := []string{"ingest", "work", "egress"}
-	for s := 0; s < stages; s++ {
-		spec := pipeline.StageSpec{
-			Name:    names[s],
-			Workers: workers,
-			Lanes:   lanes,
-		}
-		if s == 0 {
-			spec.OnPressure = pipeline.RecoverShed
-			spec.LaneOptions = []nbqueue.Option{
-				nbqueue.WithCapacity(laneCap),
-				nbqueue.WithWatermarks(laneCap/4, laneCap/2),
-			}
-		} else {
-			spec.OnPressure = pipeline.RecoverSpill
-			spec.LaneOptions = []nbqueue.Option{nbqueue.WithCapacity(laneCap)}
-		}
-		cfg.Stages = append(cfg.Stages, spec)
-	}
+	cfg := pipeline.CanonicalConfig(laneCap)
+	cfg.Heartbeat = 250 * time.Millisecond
+	cfg.DeadlineBudget = 30 * time.Second
 	p, err := pipeline.New(cfg)
 	if err != nil {
 		return err
@@ -79,12 +56,12 @@ func soakPipeline(out io.Writer, st *statsServer, d, auditEvery time.Duration, s
 	p.Start()
 
 	if st != nil {
-		gauges := make([]expose.Gauge, 0, stages*lanes)
-		for s := 0; s < stages; s++ {
-			for l := 0; l < lanes; l++ {
+		var gauges []expose.Gauge
+		for s, spec := range cfg.Stages {
+			for l := 0; l < spec.Lanes; l++ {
 				s, l := s, l
 				gauges = append(gauges, expose.Gauge{
-					Name: fmt.Sprintf("pipeline_%s_lane%d_depth", names[s], l),
+					Name: fmt.Sprintf("pipeline_%s_lane%d_depth", spec.Name, l),
 					Help: "Current depth of one pipeline stage lane.",
 					Value: func() float64 {
 						depths := p.LaneDepths()
@@ -102,42 +79,13 @@ func soakPipeline(out io.Writer, st *statsServer, d, auditEvery time.Duration, s
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	const producers = 2
 	for w := 0; w < producers; w++ {
-		wg.Add(1)
 		rng := rand.New(rand.NewSource(seed + int64(w)*7919))
+		lanes := cfg.Stages[0].Lanes
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr := p.Producer()
-			defer pr.Close()
-			const ringSize = 32
-			var ring [ringSize]*pipeline.Item
-			for i := uint64(0); ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				it, _ := pr.Submit(rng.Intn(lanes))
-				if it != nil {
-					ring[i%ringSize] = it
-				}
-				if i%cancelEvery == cancelEvery-1 {
-					for back := uint64(0); back < ringSize; back++ {
-						slot := (i + ringSize - back) % ringSize
-						v := ring[slot]
-						if v == nil || v.State() != pipeline.StatePending {
-							continue
-						}
-						p.Cancel(v)
-						ring[slot] = nil
-						break
-					}
-				}
-				if i%4 == 0 {
-					runtime.Gosched()
-				}
-			}
+			pipeline.Load(p, stop, func() int { return rng.Intn(lanes) }, cancelEvery)
 		}()
 	}
 
@@ -161,7 +109,7 @@ loop:
 		case <-deadline:
 			break loop
 		case <-killTicker.C:
-			killStage.Store(int64(killRng.Intn(stages)))
+			killStage.Store(int64(killRng.Intn(len(cfg.Stages))))
 		case <-ticker.C:
 			// Mid-flight audits: fencing must hold at every instant
 			// (conservation only closes at quiescence), and the kill
@@ -182,21 +130,9 @@ loop:
 	close(stop)
 	wg.Wait()
 
-	if !p.Drain(20 * time.Second) {
-		p.Stop()
-		return fail("drain timeout: %d items in flight", p.Ledger().Inflight())
-	}
-	p.Stop()
-	p.Scavenge()
-	a := p.Ledger().Audit()
-	if orphans := p.Orphans(); orphans != 0 {
-		return fail("%d orphaned sessions after scavenge", orphans)
-	}
-	if a.ConservationViolations != 0 {
-		return fail("conservation broken by %d: %+v", a.ConservationViolations, a)
-	}
-	if a.FencingViolations != 0 {
-		return fail("fencing violated: %d cancelled items emitted (ids %v)", a.FencingViolations, a.ViolatingIDs)
+	a, _, err := p.Quiesce(20 * time.Second)
+	if err != nil {
+		return fail("%v", err)
 	}
 	if a.Fenced == 0 {
 		return fail("drill cancelled items continuously but none was fenced")

@@ -11,7 +11,6 @@ import (
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/queues/evqllsc"
-	"nbqueue/internal/queues/evqseg"
 	"nbqueue/internal/queues/msqueue"
 )
 
@@ -267,12 +266,9 @@ func enq2Deq2Program(tid int, s queue.Session, log *lincheck.ThreadLog) {
 	}
 }
 
-// segBuild builds evq-seg on 2-slot segments with the yield hook, which
-// fires at the ring words, the chain pointers, the registry and the
-// hazard domain.
-func segBuild(hook func()) queue.Queue {
-	return evqseg.New(2, evqseg.WithInstr(queue.Instr{Yield: hook}))
-}
+// segBuild builds evq-seg on 2-slot segments, where two threads fill a
+// ring.
+var segBuild = explore.SegmentedBuild(2)
 
 // TestSegmentedTwoThreads explores evq-seg with two threads: every
 // interleaving of the close, append, finalize walk and unlink within two
@@ -340,51 +336,16 @@ func TestSegmentedBatchTwoThreads(t *testing.T) {
 	t.Logf("explored %d executions (%d events)", res.Executions, res.Events)
 }
 
-// stragglerProgram gives the three threads roles that put the
-// close/finalize race's pending straggler two preemptions deep: thread 0
-// fills a 2-slot ring; thread 1 is the closer (it reads the ring full),
-// then drains the head ring through its finalize; thread 2 dequeues,
-// which opens room, then enqueues — the straggler whose LL predates the
-// close — then dequeues once more, which must find its own value.
-func stragglerProgram(tid int, s queue.Session, log *lincheck.ThreadLog) {
-	enq := func(v uint64) {
-		inv := log.Begin()
-		err := s.Enqueue(v)
-		log.Enq(inv, v, err == nil)
-	}
-	deq := func() {
-		inv := log.Begin()
-		got, ok := s.Dequeue()
-		log.Deq(inv, got, ok)
-	}
-	switch tid {
-	case 0:
-		enq(2)
-		enq(4)
-	case 1:
-		enq(6)
-		deq()
-		deq()
-	default:
-		deq()
-		enq(8)
-		deq()
-	}
-}
-
 // TestSegmentedPendingStraggler explores the finalize step against a
-// straggler whose SC is still pending: thread 1 reads the ring full and
-// is preempted before its close; thread 2 dequeues, LLs the slot the
-// close will name and is preempted before its SC; thread 1 closes,
-// appends, and its second dequeue finalizes the drained head ring. The
-// finalize's SC must defeat thread 2's SC, or thread 2's value lands in a
-// retired ring and its last dequeue comes back empty.
+// straggler whose SC is still pending (explore.StragglerProgram walks
+// through the schedule); `fifoexplore -algo evq-seg` runs the same
+// program.
 func TestSegmentedPendingStraggler(t *testing.T) {
 	res, err := explore.RunHooked(explore.Config{
 		Threads:       3,
 		MaxDelays:     2,
 		MaxExecutions: 20000,
-	}, segBuild, stragglerProgram)
+	}, segBuild, explore.StragglerProgram)
 	if err != nil {
 		t.Fatal(err)
 	}

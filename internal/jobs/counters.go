@@ -6,36 +6,6 @@ import (
 	"nbqueue/internal/expose"
 )
 
-// EventKind classifies job lifecycle events.
-type EventKind string
-
-const (
-	EventPushed       EventKind = "pushed"
-	EventFetched      EventKind = "fetched"
-	EventAcked        EventKind = "acked"
-	EventFailed       EventKind = "failed"    // FAIL with attempts left: scheduled for retry
-	EventDiscarded    EventKind = "discarded" // attempts exhausted: dead-letter
-	EventCancelled    EventKind = "cancelled"
-	EventLeaseExpired EventKind = "lease-expired" // visibility or execution deadline revoked the lease
-	EventRetried      EventKind = "retried"       // retry backoff elapsed, job re-released
-	EventHeartbeat    EventKind = "heartbeat"
-	EventRequeued     EventKind = "requeued" // dead-letter job pushed back by operator
-	EventShed         EventKind = "shed"     // PUSH refused by queue backpressure
-)
-
-// Event is one lifecycle notification, delivered synchronously from
-// the transitioning goroutine to the Config.Hook observer. Hooks must
-// be fast and concurrency-safe.
-type Event struct {
-	Kind    EventKind
-	JobID   string
-	Queue   string
-	Worker  string
-	Attempt int
-	// Err carries the failure message for failed/discarded events.
-	Err string
-}
-
 // jobOp indexes the server's lifecycle counters.
 type jobOp int
 

@@ -39,7 +39,10 @@ var (
 )
 
 // Config parameterizes a Server. The zero value is usable; every field
-// has a default.
+// has a default. Lifecycle transitions (push, fetch, ack, fail, discard,
+// cancel, lease expiry, retry, heartbeat, requeue, shed) are counted,
+// not reported to a callback: read them with Server.Counters or as the
+// jobs_*_total series on /metrics.
 type Config struct {
 	// DefaultVisibility is the per-lease no-heartbeat redelivery window
 	// when PUSH doesn't set one. Default 30s.
@@ -69,8 +72,6 @@ type Config struct {
 	// WithMemoryBound, WithSegmentWatermarks, WithWatermarks,
 	// WithTracing.
 	QueueOptions []nbqueue.Option
-	// Hook, when non-nil, observes every lifecycle event synchronously.
-	Hook func(Event)
 }
 
 // typeQueue is one job type: its ready queue plus its dead-letter
@@ -239,16 +240,6 @@ func (s *Server) Advance(now time.Time) {
 	s.wheel.advanceTo(now, func(e timerEntry) { s.fire(e, now) })
 }
 
-func (s *Server) event(kind EventKind, j *Job, attempt int32, errMsg string) {
-	if s.cfg.Hook == nil {
-		return
-	}
-	j.mu.Lock()
-	worker := j.worker
-	j.mu.Unlock()
-	s.cfg.Hook(Event{Kind: kind, JobID: j.ID(), Queue: j.tq.name, Worker: worker, Attempt: int(attempt), Err: errMsg})
-}
-
 // lookup resolves a job type's queue; nil when unknown.
 func (s *Server) lookup(typ string) *typeQueue {
 	s.mu.RLock()
@@ -357,11 +348,9 @@ func (s *Server) Push(typ string, args json.RawMessage, o PushOptions) (*Envelop
 		sh.mu.Unlock()
 		s.tracked.Add(-1)
 		s.ctrs.inc(opShed)
-		s.event(EventShed, j, 0, err.Error())
 		return nil, err
 	}
 	s.ctrs.inc(opPushed)
-	s.event(EventPushed, j, 0, "")
 	return j.Envelope(), nil
 }
 
@@ -478,7 +467,6 @@ func (s *Server) lease(j *Job, worker string, now time.Time) *Envelope {
 	at := now.UnixNano()
 	j.mu.Lock()
 	j.attempt++
-	attempt := j.attempt
 	j.worker = worker
 	j.fetchedAt = at
 	j.recordTransition(codeActive, at)
@@ -488,7 +476,6 @@ func (s *Server) lease(j *Job, worker string, now time.Time) *Envelope {
 	s.active.Add(1)
 	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl})
 	s.ctrs.inc(opFetched)
-	s.event(EventFetched, j, attempt, "")
 	return j.Envelope()
 }
 
@@ -534,12 +521,10 @@ func (s *Server) Ack(id, worker string) (*Envelope, error) {
 			continue // expiry or another transition raced; re-validate
 		}
 		j.mu.Lock()
-		attempt := j.attempt
 		j.recordTransition(codeCompleted, now.UnixNano())
 		j.mu.Unlock()
 		s.active.Add(-1)
 		s.ctrs.inc(opAcked)
-		s.event(EventAcked, j, attempt, "")
 		return j.Envelope(), nil
 	}
 }
@@ -584,21 +569,19 @@ func (s *Server) Fail(id, worker, msg string) (*Envelope, error) {
 		j.mu.Unlock()
 		s.active.Add(-1)
 		if exhausted {
-			s.discard(j, attempt, msg)
+			s.discard(j)
 		} else {
 			s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerRetry, at: release})
 			s.ctrs.inc(opFailed)
-			s.event(EventFailed, j, attempt, msg)
 		}
 		return j.Envelope(), nil
 	}
 }
 
 // discard parks an already-transitioned job in its dead-letter queue.
-func (s *Server) discard(j *Job, attempt int32, msg string) {
+func (s *Server) discard(j *Job) {
 	j.tq.parkDead(j)
 	s.ctrs.inc(opDiscarded)
-	s.event(EventDiscarded, j, attempt, msg)
 }
 
 // Cancel terminates a queued or retry-waiting job. Active jobs cannot
@@ -624,11 +607,9 @@ func (s *Server) Cancel(id string) (*Envelope, error) {
 			continue
 		}
 		j.mu.Lock()
-		attempt := j.attempt
 		j.recordTransition(codeCancelled, now.UnixNano())
 		j.mu.Unlock()
 		s.ctrs.inc(opCancelled)
-		s.event(EventCancelled, j, attempt, "")
 		return j.Envelope(), nil
 	}
 }
@@ -660,7 +641,6 @@ func (s *Server) heartbeat(worker, id string, now time.Time) string {
 	_, gen := unpack(word)
 	j.mu.Lock()
 	fetched := j.fetchedAt
-	attempt := j.attempt
 	j.mu.Unlock()
 	at := now.UnixNano()
 	dl := j.leaseDeadline(at, fetched)
@@ -677,7 +657,6 @@ func (s *Server) heartbeat(worker, id string, now time.Time) string {
 	}
 	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl})
 	s.ctrs.inc(opHeartbeats)
-	s.event(EventHeartbeat, j, attempt, "")
 	return "ok"
 }
 
@@ -740,10 +719,9 @@ func (s *Server) fireLease(e timerEntry, now time.Time) {
 	j.mu.Unlock()
 	s.active.Add(-1)
 	s.ctrs.inc(opExpired)
-	s.event(EventLeaseExpired, j, attempt, msg)
 	switch target {
 	case codeDiscarded:
-		s.discard(j, attempt, msg)
+		s.discard(j)
 	case codeRetryable:
 		s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerRetry, at: release})
 	default:
@@ -763,11 +741,9 @@ func (s *Server) fireRetry(e timerEntry, now time.Time) {
 		return
 	}
 	j.mu.Lock()
-	attempt := j.attempt
 	j.recordTransition(codeAvailable, now.UnixNano())
 	j.mu.Unlock()
 	s.ctrs.inc(opRetried)
-	s.event(EventRetried, j, attempt, "")
 	s.release(j, gen+1)
 }
 
@@ -832,7 +808,6 @@ func (s *Server) RequeueDead(id string) (*Envelope, error) {
 		j.recordTransition(codeAvailable, now.UnixNano())
 		j.mu.Unlock()
 		s.ctrs.inc(opRequeued)
-		s.event(EventRequeued, j, 0, "")
 		s.release(j, gen+1)
 		return j.Envelope(), nil
 	}

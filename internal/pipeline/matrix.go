@@ -124,10 +124,11 @@ type CellReport struct {
 
 	Audit AuditReport `json:"audit"`
 
-	WorkerDeaths   uint64 `json:"worker_deaths"`
-	Respawns       uint64 `json:"respawns"`
-	Scavenged      uint64 `json:"scavenged"`
-	Condemned      uint64 `json:"condemned"`
+	WorkerDeaths uint64 `json:"worker_deaths"`
+	Respawns     uint64 `json:"respawns"`
+	Condemned    uint64 `json:"condemned"`
+	// OrphansLeft is Quiesce's leak probe count: lane sessions never
+	// detached.
 	OrphansLeft    int    `json:"orphans_left"`
 	OverloadEnters uint64 `json:"overload_enters"`
 	Spills         uint64 `json:"spills"`
@@ -161,9 +162,10 @@ type MatrixReport struct {
 }
 
 // RunMatrix executes every declared cell on a fresh pipeline and
-// audits each for conservation, fencing, bounded recovery, and orphan
-// leakage. The returned error (non-nil iff any cell failed) names the
-// failing cells and carries the seed for reproduction.
+// audits each for conservation, fencing, bounded recovery, and leaked
+// session records (Quiesce). The returned error (non-nil iff any cell
+// failed) names the failing cells and carries the seed for
+// reproduction.
 func RunMatrix(o MatrixOptions) (*MatrixReport, error) {
 	o = o.withDefaults()
 	start := time.Now()
@@ -264,60 +266,6 @@ func spinService(rounds int) func(*Item) {
 	}
 }
 
-// loadCounters is written by the single load goroutine, read after it
-// exits.
-type loadCounters struct {
-	submitted      uint64
-	admitRefused   uint64
-	cancelAttempts uint64
-	cancelWins     uint64
-}
-
-// runLoad drives one cell: flat-out submissions on the low-priority
-// lane (lane 0 stays clear for the recovery probe), cancelling one
-// recent in-flight item every matrixCancelEvery submissions.
-func runLoad(p *Pipeline, stop <-chan struct{}, rng *rand.Rand, lc *loadCounters) {
-	pr := p.Producer()
-	defer pr.Close()
-	const ringSize = 32
-	var ring [ringSize]*Item
-	for i := uint64(0); ; i++ {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		it, err := pr.Submit(1)
-		if err != nil {
-			lc.admitRefused++
-		}
-		if it != nil {
-			ring[i%ringSize] = it
-			lc.submitted++
-		}
-		if i%matrixCancelEvery == matrixCancelEvery-1 {
-			// Fence the newest still-pending recent item: it is
-			// somewhere mid-pipe, racing the workers end to end.
-			for back := uint64(0); back < ringSize; back++ {
-				slot := (i + ringSize - back) % ringSize
-				v := ring[slot]
-				if v == nil || v.State() != StatePending {
-					continue
-				}
-				lc.cancelAttempts++
-				if p.Cancel(v) {
-					lc.cancelWins++
-				}
-				ring[slot] = nil
-				break
-			}
-		}
-		if i%4 == 0 || rng.Intn(16) == 0 {
-			runtime.Gosched() // 1-CPU: give the stage workers air
-		}
-	}
-}
-
 // probeRecovery submits fresh probe items at the highest priority
 // until one traverses the whole pipeline, measuring fault-clear →
 // first post-fault emit.
@@ -411,13 +359,22 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	p.SetHook(ctl.hook)
 	p.Start()
 
-	var lc loadCounters
+	// Load runs flat out on the low-priority lane; lane 0 stays clear
+	// for the recovery probe. On top of Load's every-4th yield, a random
+	// 1 in 16 submissions yields too, giving 1-CPU runners' stage
+	// workers air.
+	var lc LoadCounts
 	stopLoad := make(chan struct{})
 	loadDone := make(chan struct{})
 	rng := rand.New(rand.NewSource(o.Seed*7919 + cellIdx))
 	go func() {
 		defer close(loadDone)
-		runLoad(p, stopLoad, rng, &lc)
+		lc = Load(p, stopLoad, func() int {
+			if rng.Intn(16) == 0 {
+				runtime.Gosched()
+			}
+			return 1
+		}, matrixCancelEvery)
 	}()
 
 	time.Sleep(o.FaultDelay)
@@ -438,11 +395,8 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 
 	close(stopLoad)
 	<-loadDone
-	drained := p.Drain(drainBudget)
-	p.Stop()
-	cr.Scavenged = uint64(p.Scavenge())
-	cr.OrphansLeft = p.Orphans()
-	cr.Audit = p.Ledger().Audit()
+	var qerr error
+	cr.Audit, cr.OrphansLeft, qerr = p.Quiesce(drainBudget)
 	cr.Condemned = p.CondemnedTotal()
 	cr.OverloadEnters = victimMetrics.Snapshot().OverloadEnters
 	for s := 0; s < p.Stages(); s++ {
@@ -462,28 +416,17 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 		cr.Failures = append(cr.Failures,
 			fmt.Sprintf("(seed=%d) ", o.Seed)+fmt.Sprintf(format, args...))
 	}
-	if !drained {
-		fail("drain timeout: %d items still in flight after %s", p.Ledger().Inflight(), drainBudget)
-	}
-	if v := cr.Audit.ConservationViolations; v != 0 {
-		fail("conservation violated by %d items (injected=%d emitted=%d fenced=%d shed=%d dead=%d drained=%d)",
-			v, cr.Audit.Injected, cr.Audit.Emitted, cr.Audit.Fenced, cr.Audit.Shed,
-			cr.Audit.DeadLettered, cr.Audit.Drained)
-	}
-	if v := cr.Audit.FencingViolations; v != 0 {
-		fail("fencing violated: %d cancelled items emitted output (ids %v)", v, cr.Audit.ViolatingIDs)
+	if qerr != nil {
+		fail("%v", qerr)
 	}
 	if !cr.Recovered {
 		fail("no post-fault emit within the %s recovery budget", recoveryBudget)
 	}
-	if cr.OrphansLeft != 0 {
-		fail("orphan leakage: %d session records left after scavenge", cr.OrphansLeft)
-	}
 	if cr.Audit.Emitted == 0 {
 		fail("pipeline emitted nothing")
 	}
-	if lc.cancelAttempts > 0 && cr.Audit.Fenced == 0 {
-		fail("no cancel won its fence (%d attempts): fencing path never exercised", lc.cancelAttempts)
+	if lc.CancelAttempts > 0 && cr.Audit.Fenced == 0 {
+		fail("no cancel won its fence (%d attempts): fencing path never exercised", lc.CancelAttempts)
 	}
 	switch cell.Fault {
 	case FaultWorkerKill, FaultHeartbeatLoss:

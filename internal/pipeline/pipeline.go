@@ -16,9 +16,12 @@
 // drained) and fencing (no fenced ID ever appears in the emitted set)
 // from the observed outcomes rather than from the mechanism.
 //
-// matrix.go builds the chaos-driven fault/failover matrix on top;
-// steady.go is the steady-state load runner behind
-// `fifobench -experiment pipeline`.
+// harness.go holds what every load harness shares: the canonical
+// ingest→work→egress Config, the submit-and-cancel producer loop, and
+// Quiesce, the end-of-run audit (drain, Stop, leak probe, ledger
+// audit). steady.go is the steady-state load runner behind
+// `fifobench -experiment pipeline`; matrix.go builds the chaos-driven
+// fault/failover matrix; `fifosoak -pipeline` is the long drill.
 package pipeline
 
 import (
@@ -365,9 +368,6 @@ type StageStats struct {
 	DeadLetters   atomic.Uint64
 	WorkerDeaths  atomic.Uint64
 	Respawns      atomic.Uint64
-	// Reclaimed counts the per-thread lane records freed by detaching
-	// killed workers' sessions.
-	Reclaimed atomic.Uint64
 
 	queueWait xsync.Hist
 }
@@ -510,35 +510,6 @@ func (p *Pipeline) LaneDepths() [][]int {
 	return out
 }
 
-// Orphans sums the stale attached-session records across all lanes.
-func (p *Pipeline) Orphans() int {
-	n := 0
-	for _, lanes := range p.lanes {
-		for _, ln := range lanes {
-			n += ln.Orphans()
-		}
-	}
-	return n
-}
-
-// Scavenge drives orphan scavenging across all lanes until no orphans
-// remain or rounds run out (staleness needs epochs to advance, so one
-// round is never enough). Returns records reclaimed.
-func (p *Pipeline) Scavenge() int {
-	total := 0
-	for round := 0; round < 6; round++ {
-		for _, lanes := range p.lanes {
-			for _, ln := range lanes {
-				total += ln.ScavengeOrphans()
-			}
-		}
-		if p.Orphans() == 0 {
-			break
-		}
-	}
-	return total
-}
-
 // Producer is a submission handle with its own sessions on the ingest
 // lanes; safe for one goroutine.
 type Producer struct {
@@ -553,9 +524,7 @@ func (p *Pipeline) Producer() *Producer {
 
 // Close detaches the producer's sessions.
 func (pr *Producer) Close() {
-	for _, s := range pr.sess {
-		s.Detach()
-	}
+	release(pr.sess)
 	pr.sess = nil
 }
 
@@ -696,12 +665,12 @@ func (p *Pipeline) runWorker(w *worker) {
 	for !p.stop.Load() {
 		in, out := p.attach(w.stage), p.attach(w.stage+1)
 		killed := chaos.Worker(func() { p.workerBody(w, in, out) })
-		records := p.release(w.stage, in) + p.release(w.stage+1, out)
+		release(in)
+		release(out)
 		if !killed {
 			return // clean exit via stop
 		}
 		st.WorkerDeaths.Add(1)
-		st.Reclaimed.Add(uint64(records))
 		w.condemned.Store(false)
 		if it := w.inflight.Swap(nil); it != nil {
 			p.requeue(it)
@@ -727,15 +696,11 @@ func (p *Pipeline) attach(stage int) []*nbqueue.Session[*Item] {
 	return ss
 }
 
-// release detaches sessions opened by attach(stage), returning the
-// per-thread records freed.
-func (p *Pipeline) release(stage int, ss []*nbqueue.Session[*Item]) int {
-	records := 0
-	for l, s := range ss {
+// release detaches sessions opened by attach.
+func release(ss []*nbqueue.Session[*Item]) {
+	for _, s := range ss {
 		s.Detach()
-		records += p.lanes[stage][l].SessionRecords()
 	}
-	return records
 }
 
 // workerBody is one worker incarnation: drain the stage's lanes through

@@ -3,14 +3,13 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
+	"sync"
 	"time"
-
-	"nbqueue"
 )
 
 // The steady run's fixed shape. stageNames, stageWorkers, stageLanes,
-// serviceSpin and drainBudget are shared with the fault matrix.
+// serviceSpin and drainBudget are shared with the fault matrix, and the
+// first three shape CanonicalConfig.
 var stageNames = [...]string{"ingest", "work", "egress"}
 
 const (
@@ -75,35 +74,16 @@ type SteadyReport struct {
 	FencedIDSample []uint64 `json:"fenced_id_sample,omitempty"`
 }
 
-// RunSteady runs the canonical ingest→work→egress pipeline under
-// flat-out multi-producer load with periodic cancellation, then drains
-// to quiescence and audits. The ingest stage is watermarked so
-// overload sheds instead of blocking; the work stage spills to its
-// sibling lane under pressure.
+// RunSteady runs the canonical pipeline (CanonicalConfig) under
+// flat-out multi-producer load with periodic cancellation, then
+// quiesces and audits it (Quiesce). The report comes back with the
+// audit's error whenever the run got that far.
 func RunSteady(o SteadyOptions) (*SteadyReport, error) {
 	o = o.withDefaults()
-	cfg := Config{Respawn: true, DeadlineBudget: steadyDeadlineBudget}
-	for s, name := range stageNames {
-		spec := StageSpec{
-			Name:    name,
-			Workers: stageWorkers,
-			Lanes:   stageLanes,
-			Service: spinService(serviceSpin),
-		}
-		cap := o.LaneCapacity
-		switch s {
-		case 0:
-			// Ingest sheds at the door under producer overrun.
-			spec.OnPressure = RecoverShed
-			spec.LaneOptions = []nbqueue.Option{
-				nbqueue.WithCapacity(cap),
-				nbqueue.WithWatermarks(cap/4, cap/2),
-			}
-		default:
-			spec.OnPressure = RecoverSpill
-			spec.LaneOptions = []nbqueue.Option{nbqueue.WithCapacity(cap)}
-		}
-		cfg.Stages = append(cfg.Stages, spec)
+	cfg := CanonicalConfig(o.LaneCapacity)
+	cfg.DeadlineBudget = steadyDeadlineBudget
+	for s := range cfg.Stages {
+		cfg.Stages[s].Service = spinService(serviceSpin)
 	}
 	p, err := New(cfg)
 	if err != nil {
@@ -112,65 +92,28 @@ func RunSteady(o SteadyOptions) (*SteadyReport, error) {
 	p.Start()
 
 	stop := make(chan struct{})
-	done := make(chan struct{}, steadyProducers)
+	var producers sync.WaitGroup
 	for w := 0; w < steadyProducers; w++ {
 		rng := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
+		producers.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
-			pr := p.Producer()
-			defer pr.Close()
-			const ringSize = 32
-			var ring [ringSize]*Item
-			for i := uint64(0); ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				it, _ := pr.Submit(rng.Intn(stageLanes))
-				if it != nil {
-					ring[i%ringSize] = it
-				}
-				if i%steadyCancelEvery == steadyCancelEvery-1 {
-					// Fence the newest still-pending recent item.
-					for back := uint64(0); back < ringSize; back++ {
-						slot := (i + ringSize - back) % ringSize
-						v := ring[slot]
-						if v == nil || v.State() != StatePending {
-							continue
-						}
-						p.Cancel(v)
-						ring[slot] = nil
-						break
-					}
-				}
-				if i%4 == 0 {
-					runtime.Gosched()
-				}
-			}
+			defer producers.Done()
+			Load(p, stop, func() int { return rng.Intn(stageLanes) }, steadyCancelEvery)
 		}()
 	}
 
 	start := time.Now()
 	time.Sleep(o.Duration)
 	close(stop)
-	for w := 0; w < steadyProducers; w++ {
-		<-done
-	}
-	if !p.Drain(drainBudget) {
-		p.Stop()
-		return nil, fmt.Errorf("pipeline steady (seed=%d): drain timeout, %d in flight",
-			o.Seed, p.Ledger().Inflight())
-	}
+	producers.Wait()
+	audit, _, qerr := p.Quiesce(drainBudget)
 	elapsed := time.Since(start)
-	p.Stop()
-	p.Scavenge()
 
 	rep := &SteadyReport{
 		Seed:        o.Seed,
 		DurationNS:  elapsed.Nanoseconds(),
-		Audit:       p.Ledger().Audit(),
-		ItemsPerSec: float64(p.Ledger().emittedN.Load()) / elapsed.Seconds(),
+		Audit:       audit,
+		ItemsPerSec: float64(audit.Emitted) / elapsed.Seconds(),
 		E2EP50NS:    p.E2EQuantile(0.50),
 		E2EP99NS:    p.E2EQuantile(0.99),
 
@@ -190,15 +133,8 @@ func RunSteady(o SteadyOptions) (*SteadyReport, error) {
 			DeadLetters:   st.DeadLetters.Load(),
 		})
 	}
-	if orphans := p.Orphans(); orphans != 0 {
-		return rep, fmt.Errorf("pipeline steady (seed=%d): %d orphaned sessions after scavenge", o.Seed, orphans)
-	}
-	if rep.Audit.ConservationViolations != 0 {
-		return rep, fmt.Errorf("pipeline steady (seed=%d): conservation violated by %d", o.Seed, rep.Audit.ConservationViolations)
-	}
-	if rep.Audit.FencingViolations != 0 {
-		return rep, fmt.Errorf("pipeline steady (seed=%d): %d fencing violations (ids %v)",
-			o.Seed, rep.Audit.FencingViolations, rep.Audit.ViolatingIDs)
+	if qerr != nil {
+		return rep, fmt.Errorf("pipeline steady (seed=%d): %w", o.Seed, qerr)
 	}
 	return rep, nil
 }

@@ -39,9 +39,7 @@
 package trace
 
 import (
-	"context"
 	"math/bits"
-	"runtime/trace"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -233,10 +231,6 @@ type Recorder struct {
 	// torn counts records a Snapshot had to discard because a writer
 	// raced the copy.
 	torn atomic.Uint64
-	// logCtx, when set, receives runtime/trace Log events for rare
-	// outcomes so a stall in `go tool trace` is attributable to the
-	// specific op's retry storm. nil disables.
-	logCtx atomic.Pointer[context.Context]
 }
 
 // New returns a recorder holding perRing records in each of its rings
@@ -260,20 +254,6 @@ func (r *Recorder) PerRing() int {
 	return r.perRing
 }
 
-// SetLogContext routes rare-outcome records to runtime/trace.Log under
-// ctx when Go execution tracing is active, linking flight-recorder
-// entries to the runtime trace timeline. nil detaches.
-func (r *Recorder) SetLogContext(ctx context.Context) {
-	if r == nil {
-		return
-	}
-	if ctx == nil {
-		r.logCtx.Store(nil)
-		return
-	}
-	r.logCtx.Store(&ctx)
-}
-
 // Handle returns a writer handle bound to the next ring (round-robin),
 // installing that ring's slots by CAS if no handle has bound to it yet.
 // A nil recorder yields a disabled handle whose recording sites cost one
@@ -291,7 +271,7 @@ func (r *Recorder) Handle() Handle {
 			rg = p.Load()
 		}
 	}
-	return Handle{r: rg, rec: r, phase: id}
+	return Handle{r: rg, phase: id}
 }
 
 // each calls f with every installed ring and its index.
@@ -409,7 +389,6 @@ func CountByOutcome(recs []Record) map[string]uint64 {
 // Handle is disabled: every method is a nil-check and return.
 type Handle struct {
 	r     *ring
-	rec   *Recorder
 	phase uint32
 }
 
@@ -447,7 +426,6 @@ func (h *Handle) opSlow(start time.Time, kind Kind, out Outcome, retries, spins,
 		ts = time.Now().UnixNano()
 	}
 	h.r.write(uint64(ts), lat, pack32(retries)<<32|pack32(spins), uint64(pack16(n))<<16|uint64(kind)<<8|uint64(out))
-	h.log(out)
 }
 
 // OpSampled records an operation outcome at a site with no histogram
@@ -466,7 +444,6 @@ func (h *Handle) OpSampled(kind Kind, out Outcome, n int) {
 	}
 	ts := time.Now().UnixNano()
 	h.r.write(uint64(ts), 0, 0, uint64(pack16(n))<<16|uint64(kind)<<8|uint64(out))
-	h.log(out)
 }
 
 // Event records one lifecycle event (always; events are rare by
@@ -477,19 +454,6 @@ func (h *Handle) Event(out Outcome, n int) {
 	}
 	ts := time.Now().UnixNano()
 	h.r.write(uint64(ts), 0, 0, uint64(pack16(n))<<16|uint64(KindEvent)<<8|uint64(out))
-	h.log(out)
-}
-
-// log mirrors rare outcomes into the Go runtime trace when one is being
-// collected, so `go tool trace` shows the retry storm next to the
-// scheduler's view of the stalled goroutine.
-func (h *Handle) log(out Outcome) {
-	if !out.Rare() || !trace.IsEnabled() {
-		return
-	}
-	if ctx := h.rec.logCtx.Load(); ctx != nil {
-		trace.Log(*ctx, "nbqueue.outcome", out.String())
-	}
 }
 
 // sampleMask matches xsync.SampleShift (1 in 32). Duplicated as a plain

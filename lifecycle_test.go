@@ -174,25 +174,3 @@ func TestFinalizerCountsLeakedSessions(t *testing.T) {
 		t.Fatalf("detached session was finalized as a leak: count %d", got)
 	}
 }
-
-// TestSessionRecords pins how many per-thread records one session
-// holds: none on Algorithm 1, one LLSCvar on Algorithm 2, and one hazard
-// record on the segmented queue, whose Algorithm 1 rings keep none.
-func TestSessionRecords(t *testing.T) {
-	for _, tc := range []struct {
-		algo nbqueue.Algorithm
-		want int
-	}{
-		{nbqueue.AlgorithmLLSC, 0},
-		{nbqueue.AlgorithmCAS, 1},
-		{nbqueue.AlgorithmSegmented, 1},
-	} {
-		q, err := nbqueue.New[int](nbqueue.WithAlgorithm(tc.algo), nbqueue.WithCapacity(64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := q.SessionRecords(); got != tc.want {
-			t.Errorf("%s: SessionRecords() = %d, want %d", tc.algo, got, tc.want)
-		}
-	}
-}

@@ -829,19 +829,6 @@ func (q *Queue[T]) Orphans() int {
 	return sc.Orphans(2)
 }
 
-// SessionRecords reports how many per-thread records one attached
-// session holds: what its Detach frees, and what ScavengeOrphans
-// reclaims for it once it is presumed dead. Every algorithm with
-// per-thread state holds one: an LLSCvar for AlgorithmCAS, a hazard
-// record for AlgorithmSegmented and AlgorithmMSHazard. It is 0 for
-// algorithms with stateless sessions.
-func (q *Queue[T]) SessionRecords() int {
-	if _, ok := q.inner.(queue.Scavenger); ok {
-		return 1
-	}
-	return 0
-}
-
 // Len reports the queue's current depth for algorithms that can observe
 // it (the bounded array queues and AlgorithmSegmented); ok is false when
 // the algorithm cannot. For the bounded array queues the read is O(1);

@@ -1,9 +1,6 @@
 package nbqueue
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // TraceRecord is one decoded flight-recorder entry, the public view of
 // the internal fixed-size record. See WithTracing for the recording
@@ -114,12 +111,3 @@ func (q *Queue[T]) TraceDropped() uint64 { return q.rec.Dropped() }
 // TraceWritten - TraceDropped is the number a snapshot can still
 // return. Always 0 without WithTracing.
 func (q *Queue[T]) TraceWritten() uint64 { return q.rec.Written() }
-
-// SetTraceLogContext links the flight recorder to Go's execution
-// tracer: while runtime/trace is collecting, rare-outcome records
-// (deadline, segment grows …) additionally emit a
-// trace.Log event under ctx — typically a context carrying a
-// runtime/trace.Task per queue — so a stall in `go tool trace` is
-// attributable to the specific operation's retry storm. nil detaches.
-// No-op without WithTracing.
-func (q *Queue[T]) SetTraceLogContext(ctx context.Context) { q.rec.SetLogContext(ctx) }
