@@ -32,8 +32,6 @@ import (
 	"nbqueue/internal/explore"
 	"nbqueue/internal/lincheck"
 	"nbqueue/internal/llsc"
-	"nbqueue/internal/llsc/emul"
-	"nbqueue/internal/llsc/script"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/queues/evqllsc"
@@ -82,7 +80,7 @@ func run(args []string, out io.Writer) error {
 	switch {
 	case *broken:
 		label = "racy ring (planted bug)"
-		hooked = llscAdapter(func(mem func(int) llsc.Memory) queue.Queue {
+		hooked = explore.Hooked(nil, func(mem func(int) llsc.Memory) queue.Queue {
 			return newRacyRing(*capacity, mem)
 		})
 	case *algo == "evq-cas":
@@ -94,12 +92,12 @@ func run(args []string, out io.Writer) error {
 		// Role-shaped threads: an alternating program cannot reach the
 		// close/finalize race's pending straggler.
 		label = "FIFO Array Segmented (Algorithm 1 rings, linked)"
-		hooked = explore.SegmentedBuild(*capacity)
+		hooked = explore.SegmentedBuild(*capacity, nil)
 		prog = explore.StragglerProgram
 		shape = "program=straggler"
 	case *algo == "evq-llsc":
 		label = "FIFO Array LL/SC (Algorithm 1)"
-		hooked = llscAdapter(func(mem func(int) llsc.Memory) queue.Queue {
+		hooked = explore.Hooked(nil, func(mem func(int) llsc.Memory) queue.Queue {
 			return evqllsc.New(*capacity, mem)
 		})
 	default:
@@ -123,16 +121,6 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "no violations: every explored interleaving is linearizable")
 	return nil
-}
-
-// llscAdapter turns an llsc.Memory-based constructor into a HookedBuild
-// via the scripted memory (the same adaptation explore.Run performs).
-func llscAdapter(build explore.Build) explore.HookedBuild {
-	return func(hook func()) queue.Queue {
-		return build(func(n int) llsc.Memory {
-			return script.Wrap(emul.New(n, false), func(script.Event) { hook() })
-		})
-	}
 }
 
 // racyRing is the planted-bug queue for -demo-broken: a ring buffer whose

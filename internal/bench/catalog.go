@@ -6,6 +6,7 @@ import (
 
 	"nbqueue/internal/llsc"
 	"nbqueue/internal/llsc/emul"
+	"nbqueue/internal/llsc/script"
 	"nbqueue/internal/llsc/weak"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/chanq"
@@ -68,6 +69,18 @@ func (c Config) normalize() Config {
 	return c
 }
 
+// memory returns the LL/SC memory constructor for the Algorithm 1
+// rings: the strong emulation, padded when PaddedSlots is set, and
+// wrapped to fire Instr.Yield before every ring-word access when a yield
+// hook is set (the chaos drills' kill points).
+func (c Config) memory() func(words int) llsc.Memory {
+	mem := func(n int) llsc.Memory { return emul.New(n, c.PaddedSlots) }
+	if c.Instr.Yield != nil {
+		mem = script.Yielding(mem, c.Instr.Yield)
+	}
+	return mem
+}
+
 // Algo describes one catalog entry.
 type Algo struct {
 	// Key is the stable identifier used in flags and bench names.
@@ -122,8 +135,7 @@ var catalog = map[string]Algo{
 		Key: KeyEvqLLSC, Label: "FIFO Array LL/SC", Concurrent: true,
 		New: func(c Config) queue.Queue {
 			c = c.normalize()
-			mem := func(n int) llsc.Memory { return emul.New(n, c.PaddedSlots) }
-			return evqllsc.New(c.Capacity, mem,
+			return evqllsc.New(c.Capacity, c.memory(),
 				evqllsc.WithCounters(c.Counters), evqllsc.WithInstr(c.Instr))
 		},
 	},
@@ -169,12 +181,11 @@ var catalog = map[string]Algo{
 			opts := []evqseg.Option{
 				evqseg.WithHighWater(high),
 				evqseg.WithCounters(c.Counters), evqseg.WithInstr(c.Instr),
-				evqseg.WithPaddedSlots(c.PaddedSlots),
 			}
 			if c.MemoryBound > 0 {
 				opts = append(opts, evqseg.WithMemoryBound(c.MemoryBound))
 			}
-			return evqseg.New(seg, opts...)
+			return evqseg.New(seg, c.memory(), opts...)
 		},
 	},
 	KeySPSC: {

@@ -3,6 +3,9 @@ package chaos
 import (
 	"testing"
 
+	"nbqueue/internal/llsc"
+	"nbqueue/internal/llsc/emul"
+	"nbqueue/internal/llsc/script"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqcas"
 	"nbqueue/internal/queues/evqseg"
@@ -17,6 +20,12 @@ func stormOpts(q queue.Queue, in *Injector, scavenge bool) Options {
 		Waves: 6, Workers: 4, OpsPerWorker: 200, KillsPerWave: 3,
 		Scavenge: scavenge, MinAge: 2, Seed: 1,
 	}
+}
+
+// hooked is strong LL/SC memory whose words fire in's hook: the kill
+// points at the ring words of a queue built over llsc.Memory.
+func hooked(in *Injector) func(int) llsc.Memory {
+	return script.Yielding(func(n int) llsc.Memory { return emul.New(n, false) }, in.Hook)
 }
 
 // TestWorkerRecovery: Worker absorbs Abandon panics and only those.
@@ -237,7 +246,7 @@ func TestStormBatchEvqcas(t *testing.T) {
 // half-closed ring or an unlinked successor segment.
 func TestStormBatchEvqseg(t *testing.T) {
 	var in Injector
-	q := evqseg.New(64, evqseg.WithInstr(queue.Instr{Yield: in.Hook}))
+	q := evqseg.New(64, hooked(&in), evqseg.WithInstr(queue.Instr{Yield: in.Hook}))
 	o := stormOpts(q, &in, true)
 	o.BatchMax = 8
 	o.OpsPerWorker = 60

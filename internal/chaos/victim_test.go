@@ -114,7 +114,7 @@ func TestAllocFaultHook(t *testing.T) {
 // conservation must still hold.
 func TestStormWithAppendFaults(t *testing.T) {
 	var in Injector
-	q := evqseg.New(64,
+	q := evqseg.New(64, hooked(&in),
 		evqseg.WithInstr(queue.Instr{Yield: in.Hook}),
 		evqseg.WithAppendFault(in.AllocFault(3)))
 	o := stormOpts(q, &in, true)

@@ -96,15 +96,17 @@ func (v *Violation) Error() string {
 // Run explores interleavings of prog under cfg. It returns the first
 // violation found (as *Violation) or nil with exploration statistics.
 func Run(cfg Config, build Build, prog Program) (Result, error) {
-	base := cfg.BaseMemory
+	return RunHooked(cfg, Hooked(cfg.BaseMemory, build), prog)
+}
+
+// Hooked adapts build for RunHooked: every memory it builds is base's
+// (the strong emulation when nil), wrapped to fire the hook before each
+// Load, LL, SC and Validate.
+func Hooked(base func(words int) llsc.Memory, build Build) HookedBuild {
 	if base == nil {
 		base = func(n int) llsc.Memory { return emul.New(n, false) }
 	}
-	return RunHooked(cfg, func(hook func()) queue.Queue {
-		return build(func(n int) llsc.Memory {
-			return script.Wrap(base(n), func(script.Event) { hook() })
-		})
-	}, prog)
+	return func(hook func()) queue.Queue { return build(script.Yielding(base, hook)) }
 }
 
 // RunHooked explores interleavings of prog over a queue instrumented

@@ -268,7 +268,7 @@ func enq2Deq2Program(tid int, s queue.Session, log *lincheck.ThreadLog) {
 
 // segBuild builds evq-seg on 2-slot segments, where two threads fill a
 // ring.
-var segBuild = explore.SegmentedBuild(2)
+var segBuild = explore.SegmentedBuild(2, nil)
 
 // TestSegmentedTwoThreads explores evq-seg with two threads: every
 // interleaving of the close, append, finalize walk and unlink within two
@@ -350,4 +350,23 @@ func TestSegmentedPendingStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("explored %d executions (%d events)", res.Executions, res.Events)
+}
+
+// TestSegmentedWeakGranules runs explore.StragglerProgram on evq-seg
+// over LL/SC memory with 4-word reservation granules (§5 limitation 5),
+// as TestAlgorithm1WeakGranules does for evq-llsc: the products' rings
+// are the same Figure 3 ring, and a write to a neighbouring slot or
+// index word now also clears reservations in the close/finalize race.
+func TestSegmentedWeakGranules(t *testing.T) {
+	res, err := explore.RunHooked(explore.Config{
+		Threads:       3,
+		MaxDelays:     2,
+		MaxExecutions: 20000,
+	}, explore.SegmentedBuild(2, func(n int) llsc.Memory {
+		return weak.New(n, weak.Config{GranuleWords: 4})
+	}), explore.StragglerProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("explored %d executions (%d events) on granular memory", res.Executions, res.Events)
 }

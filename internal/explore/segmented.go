@@ -2,16 +2,20 @@ package explore
 
 import (
 	"nbqueue/internal/lincheck"
+	"nbqueue/internal/llsc"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqseg"
 )
 
-// SegmentedBuild builds evq-seg on segments of slots entries with the
-// yield hook, which fires at the ring words, the chain pointers and the
-// hazard domain.
-func SegmentedBuild(slots int) HookedBuild {
+// SegmentedBuild builds evq-seg on segments of slots entries over base
+// memory (see Hooked). The hook fires at the ring words through the
+// memory, and at the chain pointers, the pool and the hazard domain
+// through the yield hook.
+func SegmentedBuild(slots int, base func(words int) llsc.Memory) HookedBuild {
 	return func(hook func()) queue.Queue {
-		return evqseg.New(slots, evqseg.WithInstr(queue.Instr{Yield: hook}))
+		return Hooked(base, func(mem func(int) llsc.Memory) queue.Queue {
+			return evqseg.New(slots, mem, evqseg.WithInstr(queue.Instr{Yield: hook}))
+		})(hook)
 	}
 }
 

@@ -13,7 +13,9 @@
 // This emulation never fails spuriously, permits nesting and interleaving
 // of LL/SC pairs, and allows arbitrary memory access between LL and SC —
 // the strong model Algorithm 1 assumes. Package weak selectively breaks
-// these guarantees on purpose.
+// these guarantees on purpose. Memory is the only access path to the
+// words: the Algorithm 1 ring (evqllsc.Ring) of evq-llsc and of every
+// evq-seg segment reaches them through the llsc.Memory interface.
 package emul
 
 import (
@@ -54,37 +56,22 @@ func (m *Memory) Len() int { return len(m.words) / m.stride }
 func (m *Memory) word(i int) *atomic.Uint64 { return &m.words[i*m.stride] }
 
 // Load returns the value of word i without taking a reservation.
-func (m *Memory) Load(i int) uint64 { return Load(m.word(i)) }
+func (m *Memory) Load(i int) uint64 { return tagptr.VerValue(m.word(i).Load()) }
 
-// LL returns the value of word i and a reservation on it.
+// LL returns the value of word i and a reservation on it: the packed
+// word itself, which a later SC must still find.
 func (m *Memory) LL(i int) (uint64, llsc.Res) {
-	v, snap := LL(m.word(i))
-	return v, llsc.Res{Snap: snap}
+	snap := m.word(i).Load()
+	return tagptr.VerValue(snap), llsc.Res{Snap: snap}
 }
 
-// SC installs v iff no successful SC hit word i since the reservation was
-// taken.
-func (m *Memory) SC(i int, r llsc.Res, v uint64) bool { return SC(m.word(i), r.Snap, v) }
+// SC installs v (at most tagptr.VerMax) in word i, bumping its version,
+// iff no successful SC hit word i since the reservation was taken.
+func (m *Memory) SC(i int, r llsc.Res, v uint64) bool {
+	return m.word(i).CompareAndSwap(r.Snap, tagptr.BumpVer(r.Snap, v))
+}
 
 // Validate reports whether the reservation is still valid.
 func (m *Memory) Validate(i int, r llsc.Res) bool {
 	return m.word(i).Load() == r.Snap
-}
-
-// Load, LL and SC are the emulation on one versioned word: Memory calls
-// them per index, and the evq-seg rings call them on their own words.
-
-// Load returns the value of the versioned word w.
-func Load(w *atomic.Uint64) uint64 { return tagptr.VerValue(w.Load()) }
-
-// LL returns the value of w and the snapshot a later SC on w consumes.
-func LL(w *atomic.Uint64) (v, snap uint64) {
-	snap = w.Load()
-	return tagptr.VerValue(snap), snap
-}
-
-// SC installs v (at most tagptr.VerMax) in w, bumping its version, iff
-// no successful SC hit w since the LL that returned snap.
-func SC(w *atomic.Uint64, snap, v uint64) bool {
-	return w.CompareAndSwap(snap, tagptr.BumpVer(snap, v))
 }

@@ -5,17 +5,24 @@
 // clearing the valid set — only if the caller is still in it, i.e. no
 // successful SC intervened since the caller's LL.
 //
-// Two implementations live in subpackages:
+// Algorithm 1 is written once against Memory, as evqllsc.Ring; the
+// evq-llsc queue and every evq-seg segment run that ring, so whichever
+// Memory a queue is built over drives the ring both products use.
+// Three implementations live in subpackages:
 //
 //   - emul provides the strong semantics by packing a version tag next to
 //     the value in one CAS-able word (an SC can then only succeed against
-//     the exact word its LL observed);
+//     the exact word its LL observed); production rings run on it;
 //   - weak wraps emul with the real-architecture limitations of the
 //     paper's §5 — spurious SC failures and reservation granules cleared
-//     by neighbouring writes — to let tests and ablation benchmarks probe
-//     the algorithm's robustness where hardware LL/SC is imperfect.
+//     by neighbouring writes — to let tests, the explorer and ablation
+//     benchmarks probe the algorithm's robustness where hardware LL/SC
+//     is imperfect;
+//   - script wraps any Memory with a hook that fires before every
+//     operation: the scripted Figure 1 and Figure 4 scenarios, the
+//     explorer's scheduler and the chaos drills' kill points.
 //
-// A third subpackage, indirect, is not an implementation of Memory: it
+// A fourth subpackage, indirect, is not an implementation of Memory: it
 // provides Doherty-style LL/SC variables (CAS plus hazard pointers) used
 // by the MS-Doherty baseline.
 package llsc

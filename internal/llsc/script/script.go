@@ -80,6 +80,16 @@ func Wrap(inner llsc.Memory, hook Hook) *Memory {
 	return m
 }
 
+// Yielding returns a memory constructor whose memories are base's,
+// wrapped to call yield before every operation. It lets a plain yield
+// hook (queue.Instr.Yield, the explorer's scheduler, a chaos injector)
+// interleave a ring built over llsc.Memory at its words.
+func Yielding(base func(n int) llsc.Memory, yield func()) func(n int) llsc.Memory {
+	return func(n int) llsc.Memory {
+		return Wrap(base(n), func(Event) { yield() })
+	}
+}
+
 // SetHook installs hook for subsequent operations (nil disables).
 func (m *Memory) SetHook(hook Hook) {
 	if hook == nil {

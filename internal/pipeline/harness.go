@@ -35,14 +35,6 @@ func CanonicalConfig(laneCap int) Config {
 	return cfg
 }
 
-// LoadCounts is what one Load call did.
-type LoadCounts struct {
-	Submitted      uint64 // items injected (the ledger counts them all)
-	Refused        uint64 // submissions ingest admission settled at the door
-	CancelAttempts uint64 // cancels issued
-	CancelWins     uint64 // cancels whose fence won
-}
-
 // cancelWindow is how many recent submissions Load remembers as cancel
 // candidates.
 const cancelWindow = 32
@@ -51,25 +43,21 @@ const cancelWindow = 32
 // priority prio(), and every cancelEvery-th submission fences the newest
 // still-pending item of the last cancelWindow, which is somewhere
 // mid-pipe, racing the workers end to end. It yields every 4th
-// iteration so the stage workers get the CPU on small machines.
-func Load(p *Pipeline, stop <-chan struct{}, prio func() int, cancelEvery uint64) LoadCounts {
+// iteration so the stage workers get the CPU on small machines. It
+// returns the number of cancels issued; the ledger counts everything
+// else.
+func Load(p *Pipeline, stop <-chan struct{}, prio func() int, cancelEvery uint64) (cancels uint64) {
 	pr := p.Producer()
 	defer pr.Close()
-	var lc LoadCounts
 	var recent [cancelWindow]*Item
 	for i := uint64(0); ; i++ {
 		select {
 		case <-stop:
-			return lc
+			return cancels
 		default:
 		}
-		it, err := pr.Submit(prio())
-		if err != nil {
-			lc.Refused++
-		}
-		if it != nil {
+		if it, _ := pr.Submit(prio()); it != nil {
 			recent[i%cancelWindow] = it
-			lc.Submitted++
 		}
 		if i%cancelEvery == cancelEvery-1 {
 			for back := uint64(0); back < cancelWindow; back++ {
@@ -78,10 +66,8 @@ func Load(p *Pipeline, stop <-chan struct{}, prio func() int, cancelEvery uint64
 				if v == nil || v.State() != StatePending {
 					continue
 				}
-				lc.CancelAttempts++
-				if p.Cancel(v) {
-					lc.CancelWins++
-				}
+				cancels++
+				p.Cancel(v)
 				recent[slot] = nil
 				break
 			}

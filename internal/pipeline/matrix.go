@@ -363,13 +363,13 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	// for the recovery probe. On top of Load's every-4th yield, a random
 	// 1 in 16 submissions yields too, giving 1-CPU runners' stage
 	// workers air.
-	var lc LoadCounts
+	var cancels uint64
 	stopLoad := make(chan struct{})
 	loadDone := make(chan struct{})
 	rng := rand.New(rand.NewSource(o.Seed*7919 + cellIdx))
 	go func() {
 		defer close(loadDone)
-		lc = Load(p, stopLoad, func() int {
+		cancels = Load(p, stopLoad, func() int {
 			if rng.Intn(16) == 0 {
 				runtime.Gosched()
 			}
@@ -425,8 +425,8 @@ func runCell(o MatrixOptions, cell Cell, cellIdx int64) CellReport {
 	if cr.Audit.Emitted == 0 {
 		fail("pipeline emitted nothing")
 	}
-	if lc.CancelAttempts > 0 && cr.Audit.Fenced == 0 {
-		fail("no cancel won its fence (%d attempts): fencing path never exercised", lc.CancelAttempts)
+	if cancels > 0 && cr.Audit.Fenced == 0 {
+		fail("no cancel won its fence (%d attempts): fencing path never exercised", cancels)
 	}
 	switch cell.Fault {
 	case FaultWorkerKill, FaultHeartbeatLoss:

@@ -1,12 +1,10 @@
-// Package evqseg composes the paper's Algorithm 1 ring (Figure 3, the
-// "FIFO Array LL/SC" configuration of internal/queues/evqllsc) into an
-// *unbounded* MPMC FIFO: each segment is a fixed-size instance of the
-// bounded circular-array queue, and segments are linked
-// Michael–Scott-style into a list whose head and tail segment pointers
-// advance by CAS. A ring's Head, Tail and slots are version-tagged words
-// driven by internal/llsc/emul's LL/SC (one CAS per SC), so the rings
-// keep no per-thread state: a session's one record is the hazard record
-// guarding segment reclamation. The construction follows the
+// Package evqseg composes the paper's Algorithm 1 ring into an
+// *unbounded* MPMC FIFO: each segment is an evqllsc.Ring (Figure 3, the
+// ring the "FIFO Array LL/SC" queue runs) over the LL/SC memory New is
+// given, and segments are linked Michael–Scott-style into a list whose
+// head and tail segment pointers advance by CAS. The rings keep no
+// per-thread state: a session's one record is the hazard record guarding
+// segment reclamation. The construction follows the
 // bounded-ring/linked-list hybrid of Nikolaev's SCQ (arXiv:1908.04511)
 // and the memory-bound framing of Aksenov et al. (arXiv:2104.15003): the
 // ring stays the unit of fast-path work, the list supplies elasticity,
@@ -20,37 +18,21 @@
 //		free → preparing → live (open → closed → drained) → retired → free
 //
 //	  - open: the ring runs Figure 3's rounds E5–E17 and D5–D17.
-//	  - closed: a producer that found the ring full set the closed bit
-//	    (bit 39, the top of the Tail word's 40-bit value; indices wrap
-//	    in the 39 bits below it) with LL/SC. Every enqueue's E10 check
-//	    ("Tail unchanged?") then fails, so producers move on and append
-//	    a successor segment.
+//	  - closed: a producer that found the ring full closed it
+//	    (Ring.Close sets evqllsc.ClosedBit in Tail) and appends a
+//	    successor segment; every later enqueue on the ring moves on.
 //	  - drained: Head has caught up with the closed Tail *and* the
-//	    finalize step below proved no late install slipped in.
+//	    ring's finalize walk proved no late install slipped in.
 //	  - retired: a dequeuer unlinked the drained segment from the chain
 //	    and handed its handle to the hazard domain; once a scan finds no
 //	    hazard pointer naming it, the handle returns to the segment pool
 //	    and the ring will be reset and reused (recycle), keeping the
 //	    steady-state hot path allocation-free.
 //
-// # The close/finalize race
-//
-// A producer that passed E10 before the close still holds a valid
-// reservation on its slot (closing writes Tail, not the slot), so its SC
-// can land after the close and commit an item Tail does not cover; a
-// batch cursor, which commits ahead of the published Tail, can leave
-// several. A dequeuer that finds Head level with the closed Tail
-// therefore finalizes the ring: it LLs the slot at the close position
-// and re-reads Tail. If Tail moved, another finalizer walked it; retry.
-// A non-empty slot is a committed straggler: advance the closed Tail
-// over it so the normal path consumes it, and repeat. An empty slot is
-// SC'd back to 0: the version bump defeats every straggler SC still
-// pending, whose operation has not linearized and retries in the
-// successor, and from then on the ring is drained for good, since any
-// later LL is followed by an E10 check that sees the closed Tail. No
-// value is lost or duplicated, and FIFO order holds across the boundary:
-// items in the successor were enqueued by operations that saw the ring
-// closed, i.e. after every install the walk can observe.
+// A straggler whose reservation predates the close is walked over or
+// defeated by the ring's finalize walk (evqllsc.Ring), so FIFO order
+// holds across the boundary: items in the successor were enqueued by
+// operations that saw the ring closed.
 //
 // # Reclamation
 //
@@ -93,31 +75,17 @@ import (
 
 	"nbqueue/internal/arena"
 	"nbqueue/internal/hazard"
-	"nbqueue/internal/llsc/emul"
+	"nbqueue/internal/llsc"
 	"nbqueue/internal/pad"
 	"nbqueue/internal/queue"
-	"nbqueue/internal/tagptr"
+	"nbqueue/internal/queues/evqllsc"
 	"nbqueue/internal/trace"
 	"nbqueue/internal/xsync"
 )
 
-// closedBit marks a segment's Tail as closed: the ring is full and all
-// further enqueues must go to a successor segment. It is the top bit of
-// the versioned word's 40-bit value field, so indices live in the 39
-// bits below it (idxMask) and every index sum and difference wraps
-// there; the segment size divides 2^39, so wrapped arithmetic stays
-// exact, as evqllsc's indexDelta does in 40 bits.
-const (
-	closedBit = uint64(1) << (tagptr.VerBits - 1)
-	idxMask   = closedBit - 1
-)
-
-// indexDelta returns (t - h) in the wrapped 39-bit index domain.
-func indexDelta(t, h uint64) uint64 { return (t - h) & idxMask }
-
 // Segment states, for scavenging and diagnostics. The open/closed/
-// drained sub-states of live are encoded in the ring indices (closedBit
-// and Head==Tail), not here: state transitions that matter to
+// drained sub-states of live are encoded in the ring indices (the closed
+// bit and Head==Tail), not here: state transitions that matter to
 // *reclamation* are the ones this word tracks.
 const (
 	segFree      uint32 = iota // in the pool, contents meaningless
@@ -126,13 +94,9 @@ const (
 	segRetired                 // unlinked, awaiting hazard reclamation
 )
 
-// segment is one bounded ring plus its chain link and lifecycle state.
-// head, tail and the slots are version-tagged words (emul's packing);
-// the logic in enqueueRound and dequeueRound below is Figure 3 verbatim
-// with the closed bit threaded through.
+// segment is one Figure 3 ring plus its chain link and lifecycle state.
 type segment struct {
-	head pad.Uint64
-	tail pad.Uint64 // closedBit | index
+	evqllsc.Ring
 	// next is the pool handle of the successor segment; 0 while this is
 	// the last segment of its incarnation. Set once per incarnation by
 	// the producer that wins the append CAS.
@@ -143,8 +107,7 @@ type segment struct {
 	// a segment stuck in segPreparing for minAge epochs is an append
 	// orphan (its producer died before linking) and is reclaimed by
 	// Scavenge.
-	beat  atomic.Uint64
-	slots []atomic.Uint64
+	beat atomic.Uint64
 }
 
 // Queue is the segmented unbounded queue. Create with New.
@@ -159,8 +122,7 @@ type Queue struct {
 	dom  *hazard.Domain
 
 	size    uint64 // slots per segment (power of two)
-	mask    uint64
-	stride  int
+	mem     func(words int) llsc.Memory
 	high    int // soft capacity; 0 = unbounded
 	maxSegs int
 
@@ -191,22 +153,12 @@ func WithCounters(c *xsync.Counters) Option { return func(q *Queue) { q.ctrs = c
 
 // WithInstr attaches the instrumentation and backoff bundle; see
 // queue.Instr. The deadline poll counts segment hops (closed ring,
-// drained ring) as fruitless rounds. The Yield hook fires before
-// shared-memory accesses — ring words, chain pointers, pool and hazard
-// state — enabling interleaving exploration and fault injection.
-// Its Trace additionally records segment growth.
+// drained ring) as fruitless rounds. The Yield hook fires before the
+// chain pointers, pool and hazard state are touched, for interleaving
+// exploration and fault injection; interleavings at the ring words come
+// from the LL/SC memory New is given. Its Trace additionally records
+// segment growth.
 func WithInstr(in queue.Instr) Option { return func(q *Queue) { q.in = in } }
-
-// WithPaddedSlots spreads ring slots across cache-line pairs.
-func WithPaddedSlots(on bool) Option {
-	return func(q *Queue) {
-		if on {
-			q.stride = pad.SlotStride
-		} else {
-			q.stride = 1
-		}
-	}
-}
 
 // WithHighWater sets a soft capacity: an enqueue that observes Len() at
 // or above n returns queue.ErrFull instead of growing further. The
@@ -251,8 +203,9 @@ func WithMemoryBound(n int) Option {
 const defaultMaxSegments = 1 << 14
 
 // New returns a segmented queue whose rings hold segSize slots each
-// (rounded up to a power of two, minimum 2).
-func New(segSize int, opts ...Option) *Queue {
+// (rounded up to a power of two, minimum 2), each ring over LL/SC memory
+// built by mem (see evqllsc.NewRing).
+func New(segSize int, mem func(words int) llsc.Memory, opts ...Option) *Queue {
 	if segSize <= 0 {
 		panic(fmt.Sprintf("evqseg: segment size %d must be positive", segSize))
 	}
@@ -260,11 +213,7 @@ func New(segSize int, opts ...Option) *Queue {
 	for size < uint64(segSize) {
 		size <<= 1
 	}
-	q := &Queue{
-		size:   size,
-		mask:   size - 1,
-		stride: 1,
-	}
+	q := &Queue{size: size, mem: mem}
 	for _, o := range opts {
 		o(q)
 	}
@@ -294,7 +243,7 @@ func New(segSize int, opts ...Option) *Queue {
 	// Install the first segment directly: the queue is born with one
 	// live, open, empty ring.
 	h := q.pool.Alloc()
-	g := &segment{slots: make([]atomic.Uint64, int(size)*q.stride)}
+	g := &segment{Ring: evqllsc.NewRing(size, mem)}
 	g.state.Store(segLive)
 	q.pool.Get(h).Store(g)
 	q.headSeg.Store(h)
@@ -304,7 +253,8 @@ func New(segSize int, opts ...Option) *Queue {
 	return q
 }
 
-// fire invokes the yield hook, if any.
+// fire invokes the yield hook, if any, before a chain pointer, pool or
+// hazard access; ring-word accesses fire the memory's own hook.
 func (q *Queue) fire() {
 	if q.in.Yield != nil {
 		q.in.Yield()
@@ -357,8 +307,6 @@ func (q *Queue) SegmentStats() queue.SegmentStats {
 // cleared, so seg never returns nil for one.
 func (q *Queue) seg(h uint64) *segment { return q.pool.Get(h).Load() }
 
-func (g *segment) slot(q *Queue, i uint64) *atomic.Uint64 { return &g.slots[int(i)*q.stride] }
-
 // Len reports the number of queued items, summed over the segment
 // chain. The estimate contract: O(live segments); exact when quiescent;
 // under concurrency each segment's indices are read at different
@@ -371,8 +319,8 @@ func (g *segment) slot(q *Queue, i uint64) *atomic.Uint64 { return &g.slots[int(
 // pointer) ends the walk rather than mixing another incarnation's
 // indices in, and a
 // head/tail pair read across a recycle boundary is clamped to the only
-// range a coherent ring can hold. The walk is bounded by the pool size
-// so a stale chain read can never loop.
+// range a coherent ring can hold (Ring.Len). The walk is bounded by the
+// pool size so a stale chain read can never loop.
 func (q *Queue) Len() int {
 	n := 0
 	h := q.headSeg.Load()
@@ -383,11 +331,7 @@ func (q *Queue) Len() int {
 			// incarnation; everything from here is another epoch's data.
 			break
 		}
-		head := emul.Load(g.head.Ptr())
-		// A delta above size means head and tail straddled a recycle
-		// (reset to 0 between the two reads); clamp to the ring's
-		// capacity.
-		n += int(min(indexDelta(emul.Load(g.tail.Ptr()), head), q.size))
+		n += g.Len()
 		h = g.next.Load()
 	}
 	return n
@@ -454,7 +398,7 @@ func (q *Queue) prepareSegment(h uint64, ctr xsync.Handle) uint64 {
 	e := q.pool.Get(h)
 	g := e.Load()
 	if g == nil {
-		g = &segment{slots: make([]atomic.Uint64, int(q.size)*q.stride)}
+		g = &segment{Ring: evqllsc.NewRing(q.size, q.mem)}
 		g.beat.Store(q.epoch.Load())
 		g.state.Store(segPreparing)
 		q.prepSegs.Add(1)
@@ -465,17 +409,15 @@ func (q *Queue) prepareSegment(h uint64, ctr xsync.Handle) uint64 {
 		return h
 	}
 	// Recycle: the allocator owns the segment exclusively (the pool
-	// handed it out, hazard scanning proved nobody still addresses it),
-	// so plain-order atomic resets suffice; the link CAS publishes them.
-	for i := range g.slots {
-		g.slots[i].Store(0)
-	}
-	g.head.Store(0)
-	g.tail.Store(0)
+	// handed it out, hazard scanning proved nobody still addresses it);
+	// the link CAS publishes the resets. The segment is marked preparing
+	// before its ring is reset, so a producer that dies mid-reset leaves
+	// an append orphan Scavenge returns to the pool, not a lost handle.
 	g.next.Store(0)
 	g.beat.Store(q.epoch.Load())
 	g.state.Store(segPreparing)
 	q.prepSegs.Add(1)
+	g.Reset()
 	ctr.Inc(xsync.OpSegRecycle)
 	return h
 }
@@ -664,43 +606,6 @@ func (s *Session) prepare() {
 	s.rec.Heartbeat()
 }
 
-// ll is the session's LL (Figure 2) on the ring word w; it writes nothing.
-func (s *Session) ll(w *atomic.Uint64) (v, snap uint64) {
-	s.Ctr.Inc(xsync.OpLL)
-	s.q.fire()
-	return emul.LL(w)
-}
-
-// sc is the session's SC on the ring word w against ll's snapshot.
-func (s *Session) sc(w *atomic.Uint64, snap, v uint64) bool {
-	s.Ctr.Inc(xsync.OpSCAttempt)
-	s.q.fire()
-	if emul.SC(w, snap, v) {
-		s.Ctr.Inc(xsync.OpSCSuccess)
-		return true
-	}
-	return false
-}
-
-// swing moves the ring word w from exactly old to new with one LL/SC
-// pair (lines E12–E13 / D12–D13), and gives up once w holds anything
-// else: someone moved it. It retries only an SC that failed while w
-// still read old, as evqllsc's advance does.
-func (s *Session) swing(w *atomic.Uint64, old, new uint64) {
-	for {
-		cur, snap := s.ll(w)
-		if cur != old || s.sc(w, snap, new) {
-			return
-		}
-	}
-}
-
-// advance moves the open index word w from expect to expect+1. A closed
-// Tail never equals an open expect, so advance never moves one.
-func (s *Session) advance(w *atomic.Uint64, expect uint64) {
-	s.swing(w, expect, (expect+1)&idxMask)
-}
-
 // cas wraps CompareAndSwap with instrumentation; only the segment chain
 // pointers use it.
 func (s *Session) cas(w *atomic.Uint64, old, new uint64) bool {
@@ -720,17 +625,6 @@ func (s *Session) cas(w *atomic.Uint64, old, new uint64) bool {
 // session's next operation or Detach.
 const hpSeg = 0
 
-// Results of one ring-level step.
-type segResult int
-
-const (
-	segOK      segResult = iota // operation (or batch run) completed in this ring
-	segRetry                    // fruitless round; retry
-	segClosed                   // ring closed; move to the successor
-	segEmpty                    // ring open and empty
-	segDrained                  // ring closed and finalized empty
-)
-
 // Enqueue inserts v at the tail of the segment chain.
 func (s *Session) Enqueue(v uint64) error {
 	if err := queue.CheckValue(v); err != nil {
@@ -743,11 +637,12 @@ func (s *Session) Enqueue(v uint64) error {
 }
 
 // EnqueueRound runs one Figure 3 Enqueue attempt against the tail ring
-// (queue.Rounds). A closed ring moves the append pointer on — linking a
-// fresh successor first when there is none — and counts as a fruitless
-// round; a high-water cap or a failed append reports the queue full. The
-// cap is checked, and the tail segment protected, only on an operation's
-// first round and after each hop: retries on one ring skip both.
+// (queue.Rounds). A full ring is closed; a closed ring moves the append
+// pointer on — linking a fresh successor first when there is none — and
+// counts as a fruitless round; a high-water cap or a failed append
+// reports the queue full. The cap is checked, and the tail segment
+// protected, only on an operation's first round and after each hop:
+// retries on one ring skip both.
 func (s *Session) EnqueueRound(v uint64) (done, full bool) {
 	q := s.q
 	if s.cur == 0 {
@@ -757,10 +652,13 @@ func (s *Session) EnqueueRound(v uint64) (done, full bool) {
 		s.cur = s.rec.Protect(hpSeg, q.tailSeg.Ptr())
 	}
 	g := q.seg(s.cur)
-	switch g.enqueueRound(s, v) {
-	case segOK:
+	switch g.Enqueue(&s.Driver, v) {
+	case evqllsc.Done:
 		return true, false
-	case segClosed:
+	case evqllsc.Full:
+		g.Close(&s.Driver)
+		fallthrough
+	case evqllsc.Closed:
 		if !q.appendSegment(s, g, s.cur) {
 			return true, true
 		}
@@ -842,41 +740,6 @@ func (q *Queue) unlinkHead(s *Session, g *segment, hs uint64) bool {
 	return true
 }
 
-// enqueueRound runs one Figure 3 Enqueue attempt (E5–E17) against ring
-// g, with the closed bit threaded through.
-func (g *segment) enqueueRound(s *Session, v uint64) segResult {
-	q := s.q
-	q.fire()
-	t := emul.Load(g.tail.Ptr()) // E5
-	if t&closedBit != 0 {
-		return segClosed
-	}
-	q.fire()
-	if indexDelta(t, emul.Load(g.head.Ptr())) == q.size { // E6
-		// Ring full: close it so the append in the caller cannot reorder
-		// ahead of a straggling install here (see the close/finalize race
-		// in the package comment). A moved Tail means the ring moved —
-		// either direction is progress; retry.
-		s.swing(g.tail.Ptr(), t, t|closedBit)
-		return segRetry
-	}
-	w := g.slot(q, t&q.mask) // E8
-	x, snap := s.ll(w)       // E9
-	s.Pause()
-	q.fire()
-	if t == emul.Load(g.tail.Ptr()) { // E10: also fails on a closed Tail
-		if x != 0 {
-			// E11: a delayed enqueuer's item is already here; help
-			// advance Tail.
-			s.advance(g.tail.Ptr(), t)
-		} else if s.sc(w, snap, v) { // E15
-			s.advance(g.tail.Ptr(), t) // E16–E17
-			return segOK
-		}
-	}
-	return segRetry
-}
-
 // Dequeue removes the head value. A deadline abort is folded into
 // ok=false; use DequeueErr to tell the two apart.
 func (s *Session) Dequeue() (uint64, bool) {
@@ -904,232 +767,19 @@ func (s *Session) DequeueRound() (v uint64, empty, done bool) {
 		s.cur = s.rec.Protect(hpSeg, q.headSeg.Ptr())
 	}
 	g := q.seg(s.cur)
-	v, res := g.dequeueRound(s)
+	v, res := g.Dequeue(&s.Driver)
 	switch res {
-	case segOK:
+	case evqllsc.Done:
 		return v, false, true
-	case segEmpty:
+	case evqllsc.Empty:
 		return 0, true, true
-	case segDrained:
+	case evqllsc.Drained:
 		if !q.unlinkHead(s, g, s.cur) {
 			return 0, true, true
 		}
 		s.cur = 0
 	}
 	return 0, false, false
-}
-
-// dequeueRound runs one Figure 3 Dequeue attempt (D5–D17) against ring
-// g, extended with the closed-segment finalize step.
-func (g *segment) dequeueRound(s *Session) (uint64, segResult) {
-	q := s.q
-	q.fire()
-	h := emul.Load(g.head.Ptr()) // D5
-	q.fire()
-	t := emul.Load(g.tail.Ptr())
-	if h == t&idxMask { // D6
-		if t&closedBit == 0 {
-			return 0, segEmpty
-		}
-		if g.finalize(s, t) {
-			return 0, segDrained
-		}
-		return 0, segRetry
-	}
-	w := g.slot(q, h&q.mask) // D8
-	x, snap := s.ll(w)       // D9
-	s.Pause()
-	q.fire()
-	if h == emul.Load(g.head.Ptr()) { // D10
-		if x == 0 {
-			// D11: Head is lagging; help advance it.
-			s.advance(g.head.Ptr(), h)
-		} else if s.sc(w, snap, 0) { // D15
-			s.advance(g.head.Ptr(), h) // D16–D17
-			return x, segOK
-		}
-	}
-	return 0, segRetry
-}
-
-// finalize runs one step of the close/finalize walk (see the package
-// comment) on ring g, whose closed Tail word t the caller found level
-// with Head. It reports true when the ring is drained for good; false
-// means retry: a straggler was walked over, or the ring moved.
-func (g *segment) finalize(s *Session, t uint64) bool {
-	q := s.q
-	pos := t & idxMask
-	w := g.slot(q, pos&q.mask)
-	x, snap := s.ll(w)
-	q.fire()
-	if emul.Load(g.tail.Ptr()) != t {
-		// Another finalizer walked Tail on, and x may be a straggler a
-		// dequeuer has consumed since; re-read.
-		return false
-	}
-	if x != 0 {
-		// A straggler committed at the close position: advance the
-		// closed Tail over it so the normal path consumes it.
-		s.swing(g.tail.Ptr(), t, ((pos+1)&idxMask)|closedBit)
-		return false
-	}
-	// The SC stores 0 over 0; its version bump is what defeats every
-	// straggler's SC still pending on this slot.
-	return s.sc(w, snap, 0)
-}
-
-// publish advances a ring's index word w (Head, or an open Tail) to
-// c with one LL/SC pair: every index between the published value and c
-// has been committed (Tail) or drained (Head) by the batch cursor. A
-// closed Tail is left alone: closing proved every commit to be at or
-// below the closed position or reachable by the finalize walk. A
-// wrapped delta above size means the word already moved past c.
-func (s *Session) publish(w *atomic.Uint64, c uint64) {
-	for {
-		cur, snap := s.ll(w)
-		if d := indexDelta(c, cur); cur&closedBit != 0 || d == 0 || d > s.q.size {
-			return
-		}
-		if s.sc(w, snap, c) {
-			return
-		}
-	}
-}
-
-// enqueueBatch runs the batch cursor loop of the evqllsc EnqueueBatch
-// against one ring, with the closed bit threaded through. On a full
-// ring it publishes the cursor first and then closes at the published
-// position, so the close can strand at most the stragglers the
-// finalize walk in dequeue already consumes one by one. Returns with
-// *filled counting every element committed into this ring; a non-nil
-// error is the driver's deadline stop.
-//
-// The cursor runs at most size indices ahead of Head, so a wrapped
-// delta above size means the indices passed it: full is exactly
-// delta == size, as at E6.
-func (g *segment) enqueueBatch(s *Session, vs []uint64, filled *int) (segResult, error) {
-	q := s.q
-	c := emul.Load(g.tail.Ptr())
-	if c&closedBit != 0 {
-		return segClosed, nil
-	}
-	for *filled < len(vs) {
-		if err := s.HaltBatch(); err != nil {
-			s.publish(g.tail.Ptr(), c)
-			return segOK, err
-		}
-		q.fire()
-		t := emul.Load(g.tail.Ptr())
-		if t&closedBit != 0 {
-			return segClosed, nil
-		}
-		if indexDelta(c, t) > q.size {
-			c = t // another thread published past the cursor
-		}
-		q.fire()
-		if indexDelta(c, emul.Load(g.head.Ptr())) == q.size {
-			// Ring full at the cursor: publish the committed run, then
-			// close at the published position so producers move on.
-			s.publish(g.tail.Ptr(), c)
-			q.fire()
-			if t := emul.Load(g.tail.Ptr()); t&closedBit == 0 {
-				s.swing(g.tail.Ptr(), t, t|closedBit)
-			}
-			s.Skip()
-			continue
-		}
-		w := g.slot(q, c&q.mask)
-		x, snap := s.ll(w)
-		q.fire()
-		if x != 0 {
-			// Someone's item is committed at the cursor: step over it.
-			c = (c + 1) & idxMask
-			s.Skip()
-			continue
-		}
-		t2 := emul.Load(g.tail.Ptr())
-		if t2&closedBit != 0 {
-			return segClosed, nil
-		}
-		if indexDelta(c, t2) > q.size {
-			// The ring lapped the cursor before our reservation; after
-			// this check any index passing c writes the slot first,
-			// killing the reservation, so a successful SC really commits
-			// index c.
-			c = t2
-			s.Skip()
-			continue
-		}
-		if s.sc(w, snap, vs[*filled]) {
-			*filled++
-			c = (c + 1) & idxMask
-			s.Win()
-		} else {
-			s.Lose()
-		}
-	}
-	s.publish(g.tail.Ptr(), c)
-	return segOK, nil
-}
-
-// dequeueBatch runs the batch cursor loop of the evqllsc DequeueBatch
-// against one ring, extended with the closed-segment finalize step
-// (which here may walk over several stragglers: commits a concurrent
-// batch left above the close position). The cursor never passes Tail,
-// so it meets Tail's position exactly.
-func (g *segment) dequeueBatch(s *Session, dst []uint64, n *int) (segResult, error) {
-	q := s.q
-	c := emul.Load(g.head.Ptr())
-	for *n < len(dst) {
-		if err := s.HaltBatch(); err != nil {
-			s.publish(g.head.Ptr(), c)
-			return segOK, err
-		}
-		q.fire()
-		if h := emul.Load(g.head.Ptr()); indexDelta(c, h) > q.size {
-			c = h // Head passed the cursor
-		}
-		q.fire()
-		t := emul.Load(g.tail.Ptr())
-		if c == t&idxMask {
-			s.publish(g.head.Ptr(), c)
-			if t&closedBit == 0 {
-				return segEmpty, nil
-			}
-			if g.finalize(s, t) {
-				return segDrained, nil
-			}
-			s.Skip()
-			continue
-		}
-		w := g.slot(q, c&q.mask)
-		x, snap := s.ll(w)
-		q.fire()
-		if x == 0 {
-			// Index c was drained by someone else with Head lagging:
-			// step over it.
-			c = (c + 1) & idxMask
-			s.Skip()
-			continue
-		}
-		if h := emul.Load(g.head.Ptr()); indexDelta(c, h) > q.size {
-			// Head passed the cursor before our reservation: restart
-			// from the published Head.
-			c = h
-			s.Skip()
-			continue
-		}
-		if s.sc(w, snap, 0) {
-			dst[*n] = x
-			*n++
-			c = (c + 1) & idxMask
-			s.Win()
-		} else {
-			s.Lose()
-		}
-	}
-	s.publish(g.head.Ptr(), c)
-	return segOK, nil
 }
 
 // EnqueueBatch inserts the values of vs in order with one Tail LL/SC
@@ -1170,13 +820,16 @@ func (s *Session) EnqueueBatch(vs []uint64) (int, error) {
 		}
 		ts := s.rec.Protect(hpSeg, q.tailSeg.Ptr())
 		g := q.seg(ts)
-		var res segResult
-		if res, err = g.enqueueBatch(s, vs[:limit], &filled); err != nil {
+		var res evqllsc.Result
+		if res, err = g.EnqueueBatch(&s.Driver, vs[:limit], &filled); err != nil {
 			break
 		}
-		// segOK: done, unless the high-water cap limited this round; then
+		// Done: done, unless the high-water cap limited this round; then
 		// the loop re-evaluates the room and continues (or sheds).
-		if res == segClosed {
+		if res == evqllsc.Full {
+			g.Close(&s.Driver)
+		}
+		if res != evqllsc.Done {
 			if !q.appendSegment(s, g, ts) {
 				err = queue.ErrFull
 				break
@@ -1208,8 +861,8 @@ func (s *Session) DequeueBatch(dst []uint64) (int, error) {
 		}
 		hs := s.rec.Protect(hpSeg, q.headSeg.Ptr())
 		g := q.seg(hs)
-		var res segResult
-		if res, err = g.dequeueBatch(s, dst, &n); err != nil || res != segDrained {
+		var res evqllsc.Result
+		if res, err = g.DequeueBatch(&s.Driver, dst, &n); err != nil || res != evqllsc.Drained {
 			break
 		}
 		if !q.unlinkHead(s, g, hs) {

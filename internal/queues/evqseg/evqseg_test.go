@@ -3,17 +3,22 @@ package evqseg_test
 import (
 	"testing"
 
+	"nbqueue/internal/llsc"
+	"nbqueue/internal/llsc/emul"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqseg"
 	"nbqueue/internal/queuetest"
 	"nbqueue/internal/xsync"
 )
 
+// strong is the strong LL/SC emulation the test rings run on.
+func strong(n int) llsc.Memory { return emul.New(n, false) }
+
 // maker builds a bounded-mode queue: small segments so the conformance
 // suite constantly crosses segment boundaries, high-water soft cap at
 // the requested capacity.
 func maker(capacity int) queue.Queue {
-	return evqseg.New(16, evqseg.WithHighWater(capacity))
+	return evqseg.New(16, strong, evqseg.WithHighWater(capacity))
 }
 
 func TestConformance(t *testing.T) {
@@ -21,19 +26,19 @@ func TestConformance(t *testing.T) {
 }
 
 func TestConformanceUnbounded(t *testing.T) {
-	queuetest.RunAllWith(t, func(int) queue.Queue { return evqseg.New(64) },
+	queuetest.RunAllWith(t, func(int) queue.Queue { return evqseg.New(64, strong) },
 		queuetest.Opts{Unbounded: true, SegSize: 64})
 }
 
 func TestConformancePadded(t *testing.T) {
 	queuetest.RunAll(t, func(c int) queue.Queue {
-		return evqseg.New(16, evqseg.WithHighWater(c), evqseg.WithPaddedSlots(true))
+		return evqseg.New(16, func(n int) llsc.Memory { return emul.New(n, true) }, evqseg.WithHighWater(c))
 	})
 }
 
 func TestConformanceBackoff(t *testing.T) {
 	queuetest.RunAll(t, func(c int) queue.Queue {
-		return evqseg.New(16, evqseg.WithHighWater(c), evqseg.WithInstr(queue.Instr{Backoff: true}))
+		return evqseg.New(16, strong, evqseg.WithHighWater(c), evqseg.WithInstr(queue.Instr{Backoff: true}))
 	})
 }
 
@@ -41,18 +46,18 @@ func TestConformanceBackoff(t *testing.T) {
 // boundary: two-slot rings mean nearly every enqueue closes a ring and
 // appends, the worst case for the close/finalize protocol.
 func TestTinySegmentContention(t *testing.T) {
-	queuetest.StressMPMC(t, func(int) queue.Queue { return evqseg.New(2) }, 2, 2, 5000)
+	queuetest.StressMPMC(t, func(int) queue.Queue { return evqseg.New(2, strong) }, 2, 2, 5000)
 }
 
 func TestStraddleUnbalancedConsumers(t *testing.T) {
-	queuetest.StressMPMC(t, func(int) queue.Queue { return evqseg.New(8) }, 5, 2, 2000)
+	queuetest.StressMPMC(t, func(int) queue.Queue { return evqseg.New(8, strong) }, 5, 2, 2000)
 }
 
 // TestOneRecordPerSession verifies a session holds one hazard record
 // for every segment, and the rings none: sequential sessions recycle a
 // single record no matter how many segments their traffic crossed.
 func TestOneRecordPerSession(t *testing.T) {
-	q := evqseg.New(4)
+	q := evqseg.New(4, strong)
 	for i := 0; i < 50; i++ {
 		s := q.Attach()
 		for k := 0; k < 10; k++ {
@@ -75,7 +80,7 @@ func TestOneRecordPerSession(t *testing.T) {
 // TestHighWaterSoftCap checks the combined mode: segmented growth below
 // the cap, ErrFull at it, capacity reported.
 func TestHighWaterSoftCap(t *testing.T) {
-	q := evqseg.New(8, evqseg.WithHighWater(40))
+	q := evqseg.New(8, strong, evqseg.WithHighWater(40))
 	if got := q.Capacity(); got != 40 {
 		t.Fatalf("Capacity() = %d, want 40", got)
 	}
@@ -114,7 +119,7 @@ func TestHighWaterSoftCap(t *testing.T) {
 // TestLenEstimate pins the Len contract: exact when quiescent,
 // including across segment boundaries and after partial drains.
 func TestLenEstimate(t *testing.T) {
-	q := evqseg.New(8)
+	q := evqseg.New(8, strong)
 	s := q.Attach()
 	defer s.Detach()
 	for i := 0; i < 30; i++ {
@@ -137,7 +142,7 @@ func TestLenEstimate(t *testing.T) {
 // allocates or recycles one ring and adds one live segment.
 func TestGrowCounters(t *testing.T) {
 	ctrs := xsync.NewCounters()
-	q := evqseg.New(4, evqseg.WithCounters(ctrs))
+	q := evqseg.New(4, strong, evqseg.WithCounters(ctrs))
 	s := q.Attach()
 	defer s.Detach()
 	for i := 0; i < 20; i++ {
@@ -159,7 +164,7 @@ func TestGrowCounters(t *testing.T) {
 // segments while preserving exact FIFO order end to end, and a batch
 // dequeue must walk the drained rings back down.
 func TestBatchStraddle(t *testing.T) {
-	q := evqseg.New(16)
+	q := evqseg.New(16, strong)
 	s := q.Attach().(*evqseg.Session)
 	defer s.Detach()
 	vs := make([]uint64, 100)
@@ -190,7 +195,7 @@ func TestBatchStraddle(t *testing.T) {
 // of 20, an oversized batch enqueues exactly 20 elements and sheds the
 // rest with ErrFull, instead of growing segments past the cap.
 func TestBatchHighWaterShed(t *testing.T) {
-	q := evqseg.New(8, evqseg.WithHighWater(20))
+	q := evqseg.New(8, strong, evqseg.WithHighWater(20))
 	s := q.Attach().(*evqseg.Session)
 	defer s.Detach()
 	vs := make([]uint64, 64)

@@ -20,7 +20,7 @@ import (
 // and draining — which retires segments — re-admits growth.
 func TestMemoryBoundShed(t *testing.T) {
 	c := xsync.NewCounters()
-	q := New(4, WithMemoryBound(2), WithCounters(c))
+	q := New(4, strong, WithMemoryBound(2), WithCounters(c))
 	if got := q.MemoryBound(); got != 2 {
 		t.Fatalf("MemoryBound() = %d, want 2", got)
 	}
@@ -63,7 +63,7 @@ func TestMemoryBoundShed(t *testing.T) {
 // must be invisible to operations, detected once its beat goes stale,
 // and reclaimed by Scavenge with all gauges restored.
 func TestPreparerDiesMidPrepare(t *testing.T) {
-	q := New(8)
+	q := New(8, strong)
 	if !q.reserveMem() {
 		t.Fatal("reserveMem failed on an unbounded queue")
 	}
@@ -105,7 +105,7 @@ func TestPreparerDiesMidPrepare(t *testing.T) {
 // proves Len's unsynchronized walk is data-race clean against
 // pool-sourced grow/shrink.)
 func TestLenUnderRecycle(t *testing.T) {
-	q := New(2)
+	q := New(2, strong)
 	bound := q.maxSegs * int(q.size)
 	stop := make(chan struct{})
 	var bad atomic.Int64
@@ -173,7 +173,7 @@ func TestAppendRaceStorm(t *testing.T) {
 		ops     = 3000
 	)
 	c := xsync.NewCounters()
-	q := New(2, WithCounters(c), WithInstr(queue.Instr{Yield: runtime.Gosched}))
+	q := New(2, yielding(runtime.Gosched), WithCounters(c), WithInstr(queue.Instr{Yield: runtime.Gosched}))
 	stop := make(chan struct{})
 	var bad atomic.Int64
 	go func() {

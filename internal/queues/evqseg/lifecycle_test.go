@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"nbqueue/internal/chaos"
-	"nbqueue/internal/llsc/emul"
+	"nbqueue/internal/llsc"
+	"nbqueue/internal/llsc/script"
 	"nbqueue/internal/queue"
+	"nbqueue/internal/queues/evqllsc"
 	"nbqueue/internal/xsync"
 )
 
@@ -68,7 +70,8 @@ func TestStragglerDrain(t *testing.T) {
 
 func stragglerDrain(t *testing.T, drain func(s *Session) ([]uint64, error), committed bool) {
 	c := xsync.NewCounters()
-	q := New(4, WithCounters(c))
+	rec := &recorder{base: strong}
+	q := New(4, rec.mem, WithCounters(c))
 	s := q.Attach().(*Session)
 	defer s.Detach()
 	for v := uint64(2); v <= 8; v += 2 {
@@ -80,23 +83,23 @@ func stragglerDrain(t *testing.T, drain func(s *Session) ([]uint64, error), comm
 		t.Fatalf("first dequeue = %d, %v; want 2", v, ok)
 	}
 	h1 := q.headSeg.Load()
-	g := q.seg(h1)
-	p := emul.Load(g.tail.Ptr())
-	if p != 4 || emul.Load(g.head.Ptr()) != 1 {
-		t.Fatalf("head ring at Head %d, Tail %#x; want 1, 4", emul.Load(g.head.Ptr()), p)
+	slots, idx := rec.mems[0], rec.mems[1] // the head ring's words
+	p := idx.Load(1)
+	if p != 4 || idx.Load(0) != 1 {
+		t.Fatalf("head ring at Head %d, Tail %#x; want 1, 4", idx.Load(0), p)
 	}
-	w := g.slot(q, p&q.mask)
-	x, snap := emul.LL(w) // the straggler's LL, before the close
+	w := int(p % q.size)
+	x, snap := slots.LL(w) // the straggler's LL, before the close
 	if x != 0 {
 		t.Fatalf("slot %d holds %d, want empty", p, x)
 	}
-	_, tsnap := emul.LL(g.tail.Ptr())
-	if !emul.SC(g.tail.Ptr(), tsnap, p|closedBit) {
-		t.Fatal("close SC failed on a quiescent ring")
+	q.seg(h1).Close(&s.Driver)
+	if got := idx.Load(1); got != p|evqllsc.ClosedBit {
+		t.Fatalf("Tail %#x after the close, want %#x", got, p|evqllsc.ClosedBit)
 	}
 	want := []uint64{4, 6, 8, 12, 14}
 	if committed {
-		if !emul.SC(w, snap, 10) {
+		if !slots.SC(w, snap, 10) {
 			t.Fatal("straggler SC failed before any finalize")
 		}
 		want = []uint64{4, 6, 8, 10, 12, 14}
@@ -116,7 +119,7 @@ func stragglerDrain(t *testing.T, drain func(s *Session) ([]uint64, error), comm
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("drained %v, want %v", got, want)
 	}
-	if !committed && emul.SC(w, snap, 10) {
+	if !committed && slots.SC(w, snap, 10) {
 		t.Fatal("straggler SC landed after the finalize declared the ring drained")
 	}
 	if v, ok := s.Dequeue(); ok {
@@ -133,7 +136,7 @@ func stragglerDrain(t *testing.T, drain func(s *Session) ([]uint64, error), comm
 // half-appended segment must be invisible to the queue, counted as an
 // orphan once stale, and reclaimed by Scavenge.
 func TestAppendOrphanScavenge(t *testing.T) {
-	q := New(8)
+	q := New(8, strong)
 	s := q.Attach().(*Session)
 	live0 := q.pool.Live()
 	h := q.allocSegment(s)
@@ -182,7 +185,7 @@ func TestAppendOrphanScavenge(t *testing.T) {
 // complete the transition (and the live-count accounting), never free
 // it.
 func TestLinkedPreparingPromoted(t *testing.T) {
-	q := New(8)
+	q := New(8, strong)
 	s := q.Attach().(*Session)
 	defer s.Detach()
 	ts := q.tailSeg.Load()
@@ -217,7 +220,7 @@ func TestLinkedPreparingPromoted(t *testing.T) {
 // for as live, parked awaiting hazard reclamation, or returned.
 func TestChaosStormMidAppend(t *testing.T) {
 	var in chaos.Injector
-	q := New(4, WithMaxSegments(4096), WithInstr(queue.Instr{Yield: in.Hook}))
+	q := New(4, yielding(in.Hook), WithMaxSegments(4096), WithInstr(queue.Instr{Yield: in.Hook}))
 	rep, err := chaos.Run(chaos.Options{
 		Queue:        q,
 		Injector:     &in,
@@ -264,7 +267,7 @@ func TestChaosDelayStorm(t *testing.T) {
 	var in chaos.Injector
 	in.DelayEvery = 7
 	in.DelaySpins = 96
-	q := New(2, WithMaxSegments(4096), WithInstr(queue.Instr{Yield: in.Hook}))
+	q := New(2, yielding(in.Hook), WithMaxSegments(4096), WithInstr(queue.Instr{Yield: in.Hook}))
 	rep, err := chaos.Run(chaos.Options{
 		Queue:        q,
 		Injector:     &in,
@@ -289,7 +292,7 @@ func TestChaosDelayStorm(t *testing.T) {
 // recycles grow with the cycle count.
 func TestSegmentRecycling(t *testing.T) {
 	ctrs := xsync.NewCounters()
-	q := New(8, WithCounters(ctrs))
+	q := New(8, strong, WithCounters(ctrs))
 	s := q.Attach()
 	defer s.Detach()
 	const cycles = 100
@@ -326,15 +329,19 @@ func TestSegmentRecycling(t *testing.T) {
 }
 
 // TestFinalizeStaleTail pins the finalize step's Tail re-read. A batch
-// left stragglers 10 and 12 at the close position p and at p+1. One
-// finalizer walks the closed Tail over 10 and a dequeuer consumes it;
-// a second finalizer that read the closed Tail at p before all that
-// then finds slot p empty. It must retry, not declare the ring drained
-// with 12 still above the walk.
+// left stragglers 10 and 12 at the close position p and at p+1. A
+// dequeuer reads the closed Tail at p, level with Head, and is preempted
+// before its finalize LLs slot p; meanwhile a rival finalizer walks the
+// closed Tail over 10 and consumes it. The preempted finalizer then
+// finds slot p empty. It must retry, not declare the ring drained with
+// 12 still above the walk.
 func TestFinalizeStaleTail(t *testing.T) {
-	q := New(4)
+	rec := &recorder{base: func(n int) llsc.Memory { return script.Wrap(strong(n), nil) }}
+	q := New(4, rec.mem)
 	s := q.Attach().(*Session)
 	defer s.Detach()
+	rival := q.Attach()
+	defer rival.Detach()
 	for v := uint64(2); v <= 8; v += 2 {
 		if err := s.Enqueue(v); err != nil {
 			t.Fatalf("enqueue %d: %v", v, err)
@@ -345,33 +352,36 @@ func TestFinalizeStaleTail(t *testing.T) {
 			t.Fatalf("dequeue = %d, %v; want %d", got, ok, v)
 		}
 	}
-	g := q.seg(q.headSeg.Load())
-	p := emul.Load(g.tail.Ptr()) // 4; slots p and p+1 were drained
+	slots, idx := rec.mems[0].(*script.Memory), rec.mems[1] // the head ring's words
+	p := idx.Load(1)                                        // 4; slots p and p+1 were drained
 	for i, v := range []uint64{10, 12} {
-		w := g.slot(q, (p+uint64(i))&q.mask)
-		_, snap := emul.LL(w)
-		if !emul.SC(w, snap, v) {
+		w := int((p + uint64(i)) % q.size)
+		_, snap := slots.LL(w)
+		if !slots.SC(w, snap, v) {
 			t.Fatal("straggler SC failed on a quiescent ring")
 		}
 	}
-	_, tsnap := emul.LL(g.tail.Ptr())
-	if !emul.SC(g.tail.Ptr(), tsnap, p|closedBit) {
-		t.Fatal("close SC failed on a quiescent ring")
-	}
+	q.seg(q.headSeg.Load()).Close(&s.Driver)
 	if got, ok := s.Dequeue(); !ok || got != 8 {
 		t.Fatalf("dequeue = %d, %v; want 8", got, ok)
 	}
-	stale := p | closedBit
-	if g.finalize(s, stale) {
-		t.Fatal("finalize declared a ring with a committed straggler drained")
-	}
-	if got, ok := s.Dequeue(); !ok || got != 10 {
-		t.Fatalf("dequeue = %d, %v; want 10", got, ok)
-	}
-	if g.finalize(s, stale) {
-		t.Fatal("finalize on a stale Tail declared the ring drained with 12 above the walk")
-	}
+	var rivalGot []uint64
+	slots.SetHook(func(e script.Event) {
+		if e.Op != script.OpLL || e.Word != int(p%q.size) {
+			return
+		}
+		slots.SetHook(nil)
+		if v, ok := rival.Dequeue(); ok {
+			rivalGot = append(rivalGot, v)
+		}
+	})
 	if got, ok := s.Dequeue(); !ok || got != 12 {
-		t.Fatalf("dequeue = %d, %v; want 12", got, ok)
+		t.Fatalf("stale finalizer's dequeue = %d, %v; want 12", got, ok)
+	}
+	if fmt.Sprint(rivalGot) != "[10]" {
+		t.Fatalf("rival dequeued %v inside the finalize window, want [10]", rivalGot)
+	}
+	if v, ok := s.Dequeue(); ok {
+		t.Fatalf("extra value %d after the drain", v)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nbqueue/internal/llsc/script"
 	"nbqueue/internal/queue"
 	"nbqueue/internal/queues/evqseg"
 	"nbqueue/internal/xsync"
@@ -34,7 +35,7 @@ func TestDequeueBatchBudgetStraddlePartial(t *testing.T) {
 		armed, inRival    bool
 		rivalIn, rivalOut []uint64
 	)
-	q = evqseg.New(seg, evqseg.WithInstr(queue.Instr{Yield: func() {
+	hook := func() {
 		if rival == nil || inRival {
 			return
 		}
@@ -53,7 +54,8 @@ func TestDequeueBatchBudgetStraddlePartial(t *testing.T) {
 			rivalOut = append(rivalOut, v)
 		}
 		inRival = false
-	}}))
+	}
+	q = evqseg.New(seg, script.Yielding(strong, hook), evqseg.WithInstr(queue.Instr{Yield: hook}))
 	s := q.Attach()
 	defer s.Detach()
 	var in []uint64
@@ -107,7 +109,7 @@ func TestDequeueBatchBudgetStraddlePartial(t *testing.T) {
 func TestAppendFaultShedsWithoutCorruption(t *testing.T) {
 	fault := false
 	ctrs := xsync.NewCounters()
-	q := evqseg.New(2,
+	q := evqseg.New(2, strong,
 		evqseg.WithAppendFault(func() bool { return fault }),
 		evqseg.WithCounters(ctrs))
 	s := q.Attach()
@@ -200,7 +202,7 @@ func TestEarlyReturnUnpinsHazardSlot(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			q := evqseg.New(2, append(tc.opts, evqseg.WithMaxSegments(3))...)
+			q := evqseg.New(2, strong, append(tc.opts, evqseg.WithMaxSegments(3))...)
 			s1 := q.Attach()
 			defer s1.Detach()
 			s2 := q.Attach()

@@ -678,132 +678,152 @@ func BatchSequential(t *testing.T, mk Maker, soft bool) {
 // per-producer FIFO order (the order a producer's elements must keep
 // both inside one batch and across its batches). Phase two: producers
 // and batch consumers run concurrently and every value must be consumed
-// exactly once.
-func BatchMPMC(t *testing.T, mk Maker, producers, perProducer int) {
+// exactly once. Once no element has moved for stressStall in either
+// phase, because a value was lost or a worker is stuck inside the
+// queue, the run fails with the count moved instead of hanging; a stuck
+// worker is left running.
+func BatchMPMC(t testing.TB, mk Maker, producers, perProducer int) {
 	t.Helper()
 	total := producers * perProducer
 	q := mk(total)
+	var moved atomic.Int64 // elements enqueued plus elements dequeued
+	var stalled atomic.Bool
+	// run runs the workers to completion under the watchdog; a worker
+	// reports a violation with t.Errorf and returns, and the run then
+	// stops the test.
+	run := func(phase string, workers ...func()) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for _, w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w()
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		awaitProgress(done, moved.Load, func(n int64) {
+			stalled.Store(true)
+			t.Fatalf("%s: %s: no element moved for %v: %d of %d moved",
+				q.Name(), phase, stressStall, n, 4*total)
+		})
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
 
-	produce := func(p, base int) {
+	produce := func(p, base int, start *xsync.Barrier) func() {
+		return func() {
+			s := q.Attach()
+			defer s.Detach()
+			vals := make([]uint64, perProducer)
+			for i := range vals {
+				vals[i] = val(base + p*perProducer + i)
+			}
+			start.Wait()
+			sent := 0
+			for sent < perProducer && !stalled.Load() {
+				size := 1 + (sent+p)%7
+				if size > perProducer-sent {
+					size = perProducer - sent
+				}
+				n, err := queue.EnqueueBatch(s, vals[sent:sent+size])
+				sent += n
+				moved.Add(int64(n))
+				if err != nil {
+					runtime.Gosched()
+				}
+			}
+		}
+	}
+	// Phase one: produce concurrently, drain sequentially in order.
+	start := xsync.NewBarrier(producers)
+	var workers []func()
+	for p := 0; p < producers; p++ {
+		workers = append(workers, produce(p, 0, start))
+	}
+	run("phase one", workers...)
+	run("phase one drain", func() {
 		s := q.Attach()
 		defer s.Detach()
-		vals := make([]uint64, perProducer)
-		for i := range vals {
-			vals[i] = val(base + p*perProducer + i)
+		lastSeen := make([]int, producers)
+		for p := range lastSeen {
+			lastSeen[p] = -1
 		}
-		sent := 0
-		for sent < perProducer {
-			size := 1 + (sent+p)%7
-			if size > perProducer-sent {
-				size = perProducer - sent
-			}
-			n, err := queue.EnqueueBatch(s, vals[sent:sent+size])
-			sent += n
+		dst := make([]uint64, 13)
+		for got := 0; got < total && !stalled.Load(); {
+			n, err := queue.DequeueBatch(s, dst[:1+got%len(dst)])
+			moved.Add(int64(n))
 			if err != nil {
 				runtime.Gosched()
 			}
-		}
-	}
-
-	// Phase one: produce concurrently, drain sequentially in order.
-	var wg sync.WaitGroup
-	start := xsync.NewBarrier(producers)
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			start.Wait()
-			produce(p, 0)
-		}(p)
-	}
-	wg.Wait()
-	s := q.Attach()
-	lastSeen := make([]int, producers)
-	for p := range lastSeen {
-		lastSeen[p] = -1
-	}
-	dst := make([]uint64, 13)
-	for got := 0; got < total; {
-		n, err := queue.DequeueBatch(s, dst[:1+got%len(dst)])
-		if err != nil {
-			runtime.Gosched()
-		}
-		if n == 0 && err == nil {
-			t.Fatalf("queue empty after %d/%d values", got, total)
-		}
-		for _, v := range dst[:n] {
-			idx := int(v>>1) - 1
-			if idx < 0 || idx >= total {
-				t.Fatalf("alien value %#x", v)
+			if n == 0 && err == nil {
+				t.Errorf("queue empty after %d/%d values", got, total)
+				return
 			}
-			p, i := idx/perProducer, idx%perProducer
-			if i <= lastSeen[p] {
-				t.Fatalf("producer %d order violation: got seq %d after %d", p, i, lastSeen[p])
+			for _, v := range dst[:n] {
+				idx := int(v>>1) - 1
+				if idx < 0 || idx >= total {
+					t.Errorf("alien value %#x", v)
+					return
+				}
+				p, i := idx/perProducer, idx%perProducer
+				if i <= lastSeen[p] {
+					t.Errorf("producer %d order violation: got seq %d after %d", p, i, lastSeen[p])
+					return
+				}
+				lastSeen[p] = i
 			}
-			lastSeen[p] = i
+			got += n
 		}
-		got += n
-	}
-	if v, ok := s.Dequeue(); ok {
-		t.Fatalf("leftover value %#x after ordered drain", v)
-	}
-	s.Detach()
+		if v, ok := s.Dequeue(); ok {
+			t.Errorf("leftover value %#x after ordered drain", v)
+		}
+	})
 
 	// Phase two: batch producers against batch consumers, conservation.
 	const base = 1 << 24 // distinct value space from phase one
 	seen := make([]atomic.Int32, total)
 	var remaining atomic.Int64
 	remaining.Store(int64(total))
-	consumers := producers
-	start = xsync.NewBarrier(producers + consumers)
+	start = xsync.NewBarrier(2 * producers)
+	workers = workers[:0]
 	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			start.Wait()
-			produce(p, base)
-		}(p)
+		workers = append(workers, produce(p, base, start))
 	}
-	var mu sync.Mutex
-	var errs []string
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
+	for c := 0; c < producers; c++ {
+		workers = append(workers, func() {
 			s := q.Attach()
 			defer s.Detach()
 			dst := make([]uint64, 11)
 			start.Wait()
-			for round := 0; remaining.Load() > 0; round++ {
+			for round := 0; remaining.Load() > 0 && !stalled.Load(); round++ {
 				n, _ := queue.DequeueBatch(s, dst[:1+(c+round)%len(dst)])
 				if n == 0 {
 					runtime.Gosched()
 					continue
 				}
+				moved.Add(int64(n))
 				for _, v := range dst[:n] {
 					idx := int(v>>1) - 1 - base
 					if idx < 0 || idx >= total {
-						mu.Lock()
-						errs = append(errs, fmt.Sprintf("alien value %#x", v))
-						mu.Unlock()
+						t.Errorf("alien value %#x", v)
 						continue
 					}
 					seen[idx].Add(1)
 				}
 				remaining.Add(-int64(n))
 			}
-		}(c)
+		})
 	}
-	wg.Wait()
-	for _, e := range errs {
-		t.Error(e)
-	}
+	run("phase two", workers...)
 	for i := range seen {
 		if n := seen[i].Load(); n != 1 {
 			t.Fatalf("value %d consumed %d times, want exactly once", i, n)
 		}
 	}
-	s = q.Attach()
+	s := q.Attach()
 	defer s.Detach()
 	if v, ok := s.Dequeue(); ok {
 		t.Fatalf("leftover value %#x after balanced batch stress", v)

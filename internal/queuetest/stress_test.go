@@ -115,3 +115,23 @@ func TestLinearizableReportsStall(t *testing.T) {
 	}
 	t.Log(r.msgs[0])
 }
+
+// TestBatchMPMCReportsLoss: a queue that loses a value in BatchMPMC's
+// second phase fails it with the count of elements moved once none has
+// moved for stressStall, instead of leaving its consumers spinning.
+func TestBatchMPMCReportsLoss(t *testing.T) {
+	defer func(d time.Duration) { stressStall = d }(stressStall)
+	stressStall = 50 * time.Millisecond
+	r := &fatalRecorder{TB: t}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		BatchMPMC(r, func(c int) queue.Queue { return &lossy{Queue: chanq.New(c), drop: val(1<<24 + 7)} }, 2, 50)
+	}()
+	<-done
+	const want = "phase two: no element moved for 50ms: 399 of 400 moved"
+	if len(r.msgs) != 1 || !strings.Contains(r.msgs[0], want) {
+		t.Fatalf("BatchMPMC over a lossy queue reported %q, want one message containing %q", r.msgs, want)
+	}
+	t.Log(r.msgs[0])
+}

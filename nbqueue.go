@@ -564,10 +564,13 @@ type Session[T any] struct {
 var noTrace trace.Handle
 
 // LeakedSessions counts sessions of this queue that were garbage
-// collected without Detach — each a leak of the session's per-thread
-// record that only the orphan scavenger can repair. The count is
-// best-effort (it advances when the GC runs finalizers), but a nonzero
-// value always indicates a real lifecycle bug in the caller;
+// collected without Detach. The session's finalizer repairs each such
+// leak itself: it detaches the session, so its per-thread record is
+// released and ScavengeOrphans never sees it. A session still reachable
+// but abandoned is the orphan scavenger's instead, so a leak audit must
+// add both counts, as internal/pipeline's Pipeline.Quiesce does. The
+// count is best-effort (it advances when the GC runs finalizers), but a
+// nonzero value always indicates a real lifecycle bug in the caller;
 // Snapshot.LeakedSessions carries the same count.
 func (q *Queue[T]) LeakedSessions() uint64 { return q.leaked.Load() }
 
