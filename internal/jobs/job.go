@@ -20,10 +20,8 @@
 package jobs
 
 import (
-	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,30 +161,35 @@ type Envelope struct {
 // nanoseconds, like deadline; Envelope renders them as time.Time. The
 // fields are ordered to fit the 192 B size class (TestJobRecordSize).
 type Job struct {
-	id         [16]byte   // the raw id; ID renders it as 32 lowercase hex characters
+	id         [16]byte   // random bytes and table slot; ID renders it as 32 lowercase hex characters
 	tq         *typeQueue // the job's type: its ready queue and dead-letter list
 	args       json.RawMessage
 	visibility time.Duration // per-lease no-heartbeat redelivery window
 	timeout    time.Duration // per-attempt execution ceiling, heartbeat-proof
-	retry      *RetryPolicy  // &Config.Retry unless the PUSH set its own
 
 	// word is the packed (generation, state) transition word; see pack.
 	word atomic.Uint64
-	// deadline is the current lease's expiry in unix nanos. Heartbeats
-	// store the extended deadline *before* their generation CAS, so an
-	// expiry racing with the store either sees the new deadline (and
-	// reschedules) or CASes against the old generation (and loses to
-	// the heartbeat's CAS). Meaningful only while active.
+	// deadline is the current lease's expiry in unix nanos. FETCH and
+	// heartbeats store it *before* their generation CAS, so a sweep
+	// that sees the job active never reads an earlier lease's deadline,
+	// and an expiry racing with a heartbeat either sees the new
+	// deadline (and chases it) or loses the CAS to the heartbeat.
 	deadline atomic.Int64
+	// scheduledAt is when a waiting release is due: a retry, or a
+	// re-insert that admission refused. 0 while nothing waits.
+	scheduledAt atomic.Int64
+	// tnext and tpprev, guarded by the wheel's mutex, link the job into
+	// one wheel bucket; tpprev points at the pointer to the job.
+	tnext  *Job
+	tpprev **Job
 
 	maxAttempts int32 // fixed at PUSH; beside mu and attempt, the three pack into 16 B
 	// mu guards the mutable metadata below. Only the winner of a word
 	// CAS writes here; readers (INFO, envelope snapshots) lock to read.
-	mu          sync.Mutex
-	attempt     int32
-	worker      string
-	fetchedAt   int64
-	scheduledAt int64
+	mu        sync.Mutex
+	attempt   int32
+	worker    string
+	fetchedAt int64
 	// The first nlog lifecycle entries are stored inline, instants in
 	// logAt and state codes in logCode: push, fetch and ack fill three,
 	// so a job that never fails never allocates for its history. The
@@ -194,7 +197,8 @@ type Job struct {
 	nlog    uint8
 	logCode [4]uint8
 	logAt   [4]int64
-	// spill is allocated by the first failure or fifth transition.
+	// spill is allocated by a PUSH with its own retry policy, the first
+	// failure or the fifth transition.
 	spill *jobSpill
 }
 
@@ -205,23 +209,22 @@ type logEntry struct {
 	code uint8
 }
 
-// jobSpill holds the metadata only failing or long-lived jobs carry:
+// jobSpill holds what only some jobs carry: a PUSH's own retry policy,
 // the error history and the lifecycle entries past the inline four.
 type jobSpill struct {
+	retry  *RetryPolicy // nil: the server's Config.Retry
 	errors []JobError
 	log    []logEntry
 }
 
 // newJob builds an available job and stamps its creation transition.
-func newJob(id [16]byte, tq *typeQueue, args json.RawMessage, maxAttempts int, visibility, timeout time.Duration, retry *RetryPolicy, now int64) *Job {
+func newJob(tq *typeQueue, args json.RawMessage, maxAttempts int, visibility, timeout time.Duration, now int64) *Job {
 	j := &Job{
-		id:          id,
 		tq:          tq,
 		args:        args,
 		maxAttempts: int32(min(maxAttempts, 1<<31-1)),
 		visibility:  visibility,
 		timeout:     timeout,
-		retry:       retry,
 		nlog:        1,
 		logCode:     [4]uint8{uint8(codeAvailable)},
 		logAt:       [4]int64{now},
@@ -242,6 +245,21 @@ func (j *Job) leaseDeadline(now, fetched int64) int64 {
 		dl = min(dl, fetched+int64(j.timeout))
 	}
 	return dl
+}
+
+// due returns the instant the job's next timer decision falls due, and
+// the word it read: the lease deadline while active, the waiting
+// release while retryable or refused by admission, 0 when nothing
+// waits.
+func (j *Job) due() (at int64, word uint64) {
+	word = j.word.Load()
+	switch code, _ := unpack(word); code {
+	case codeActive:
+		return j.deadline.Load(), word
+	case codeAvailable, codeRetryable:
+		return j.scheduledAt.Load(), word
+	}
+	return 0, word
 }
 
 // spilled returns the job's spill record, allocating it on first use;
@@ -311,27 +329,8 @@ func (j *Job) Envelope() *Envelope {
 		t := time.Unix(0, j.deadline.Load())
 		e.LeaseExpiresAt = &t
 	case StateRetryable:
-		t := time.Unix(0, j.scheduledAt)
+		t := time.Unix(0, j.scheduledAt.Load())
 		e.ScheduledAt = &t
 	}
 	return e
-}
-
-// newID returns a fresh 128-bit job id.
-func newID() (id [16]byte) {
-	if _, err := rand.Read(id[:]); err != nil {
-		panic("jobs: crypto/rand unavailable: " + err.Error())
-	}
-	return id
-}
-
-// parseID decodes a job id without allocating. Only the form ID
-// renders, exactly 32 lowercase hex characters, names a job, so an
-// uppercase spelling of a live id is unknown.
-func parseID(s string) (id [16]byte, ok bool) {
-	if len(s) != 2*len(id) || strings.ToLower(s) != s {
-		return id, false
-	}
-	_, err := hex.Decode(id[:], []byte(s))
-	return id, err == nil
 }

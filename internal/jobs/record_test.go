@@ -14,16 +14,13 @@ import (
 )
 
 // completedJobCeiling bounds the live heap one completed job costs the
-// server beyond its args: the 192 B Job record, its job-table entry
-// and its stale lease-timer entry. The record before the compact
-// layout (three time.Time fields, a RetryPolicy copy and a 40 B
-// Transition per lifecycle entry in a growing slice) measured about
-// 600 B, and about 640 B through NewHandler, whose PUSH left the job's
-// type pinning its request line. The compact 240 B record with a hex
-// id keyed into a sync.Map and a lease map measured about 390 B. The
-// 192 B record keyed by its raw id measures 227–241 B, and up to
-// 277 B in some runs under the race detector.
-const completedJobCeiling = 288
+// server beyond its args. That cost is now the record alone: the 192 B
+// Job and its 8 B word in the job table's slab, for 196–207 B. The job
+// table kept no map entry for it and the timer wheel no entry of its
+// own, since the wheel links the record itself. With the sharded map
+// and a stale 32 B lease-timer entry per job it read 268–281 B, and
+// the 240 B record of an earlier layout about 390 B.
+const completedJobCeiling = 240
 
 // argsBytes is the args size each measured job carries; it is a malloc
 // size class, so each args buffer costs exactly this much heap.
@@ -60,12 +57,19 @@ func checkCompletedJobBytes(t *testing.T, n int, push func(s *Server, args json.
 	// session records; those are not per-job costs.
 	cycle()
 	var before, after runtime.MemStats
+	// Two collections: an object a sync.Pool holds survives the first
+	// in the pool's victim cache. With one, pooled objects of about
+	// 36 KB were live at one reading and not the other, which moved the
+	// result by about 36 B per job, in modes that differed between runs
+	// under the race detector (whose pools drop objects at random).
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = cycle()
 	}
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(n) - argsBytes

@@ -123,16 +123,6 @@ func (tq *typeQueue) deadSnapshot() []*Job {
 	return append([]*Job(nil), tq.dead...)
 }
 
-// jobShards is the job table's shard count, a power of two. Ids are
-// random, so an id's first byte picks its shard evenly.
-const jobShards = 16
-
-// jobShard is one lock-guarded slice of the job table.
-type jobShard struct {
-	mu   sync.RWMutex
-	jobs map[[16]byte]*Job
-}
-
 // Server is the job-queue core: one ready queue per job type, a global
 // job table, and the timer wheel that drives visibility expiry, retry
 // release, and deferred requeues.
@@ -145,9 +135,7 @@ type Server struct {
 	queues map[string]*typeQueue
 	order  []string // creation order, for the manifest
 
-	// jobs is the global id → *Job table; tracked mirrors its size.
-	jobs    [jobShards]jobShard
-	tracked atomic.Int64
+	table table
 	// active counts leased jobs. Every decrement follows a won CAS out
 	// of the active state, so each lease is counted down exactly once.
 	active atomic.Int64
@@ -188,7 +176,7 @@ func New(cfg Config) *Server {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Server{
+	return &Server{
 		cfg:    cfg,
 		now:    cfg.Now,
 		tick:   cfg.Tick,
@@ -197,10 +185,6 @@ func New(cfg Config) *Server {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	for i := range s.jobs {
-		s.jobs[i].jobs = make(map[[16]byte]*Job)
-	}
-	return s
 }
 
 // Start launches the ticker goroutine that sweeps the timer wheel.
@@ -237,7 +221,7 @@ func (s *Server) Stop() {
 // retry releases, and deferred requeues. The background ticker calls
 // it with the real clock; fake-clock tests call it directly.
 func (s *Server) Advance(now time.Time) {
-	s.wheel.advanceTo(now, func(e timerEntry) { s.fire(e, now) })
+	s.wheel.advanceTo(now, func(j *Job) { s.fire(j, now) })
 }
 
 // lookup resolves a job type's queue; nil when unknown.
@@ -324,29 +308,21 @@ func (s *Server) Push(typ string, args json.RawMessage, o PushOptions) (*Envelop
 	if timeout < 0 {
 		timeout = 0
 	}
-	retry := &s.cfg.Retry
-	if o.Retry != nil {
-		r := *o.Retry
-		retry = &r
-	}
 	if len(args) == 0 {
 		args = json.RawMessage("null")
 	}
-	j := newJob(newID(), tq, args, maxAttempts, visibility, timeout, retry, s.now().UnixNano())
+	j := newJob(tq, args, maxAttempts, visibility, timeout, s.now().UnixNano())
+	if o.Retry != nil {
+		r := *o.Retry
+		j.spill = &jobSpill{retry: &r}
+	}
 	// The job is in the table before the ready queue, so a worker that
 	// fetches it at once can ACK it.
-	sh := s.shard(j.id)
-	sh.mu.Lock()
-	sh.jobs[j.id] = j
-	sh.mu.Unlock()
-	s.tracked.Add(1)
+	s.table.add(j)
 	if err := tq.enqueue(j); err != nil {
 		// Not accepted: forget the job entirely so a client retry is a
-		// fresh PUSH, not a duplicate.
-		sh.mu.Lock()
-		delete(sh.jobs, j.id)
-		sh.mu.Unlock()
-		s.tracked.Add(-1)
+		// fresh PUSH, not a duplicate; the next PUSH takes its slot.
+		s.table.remove(j)
 		s.ctrs.inc(opShed)
 		return nil, err
 	}
@@ -354,25 +330,9 @@ func (s *Server) Push(typ string, args json.RawMessage, o PushOptions) (*Envelop
 	return j.Envelope(), nil
 }
 
-// shard returns the job-table shard that holds id.
-func (s *Server) shard(id [16]byte) *jobShard { return &s.jobs[id[0]%jobShards] }
-
-// job resolves an id; nil when it is unknown or not in the form ID
-// renders.
-func (s *Server) job(id string) *Job {
-	raw, ok := parseID(id)
-	if !ok {
-		return nil
-	}
-	sh := s.shard(raw)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.jobs[raw]
-}
-
 // Info returns a job's envelope.
 func (s *Server) Info(id string) (*Envelope, error) {
-	j := s.job(id)
+	j := s.table.get(id)
 	if j == nil {
 		return nil, ErrNotFound
 	}
@@ -461,20 +421,20 @@ func (s *Server) lease(j *Job, worker string, now time.Time) *Envelope {
 	if code != codeAvailable {
 		return nil
 	}
+	at := now.UnixNano()
+	dl := j.leaseDeadline(at, at)
+	j.deadline.Store(dl) // before the CAS; see Job.deadline
 	if !j.word.CompareAndSwap(word, pack(codeActive, gen+1)) {
 		return nil
 	}
-	at := now.UnixNano()
 	j.mu.Lock()
 	j.attempt++
 	j.worker = worker
 	j.fetchedAt = at
 	j.recordTransition(codeActive, at)
 	j.mu.Unlock()
-	dl := j.leaseDeadline(at, at)
-	j.deadline.Store(dl)
 	s.active.Add(1)
-	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl})
+	s.wheel.link(j, dl)
 	s.ctrs.inc(opFetched)
 	return j.Envelope()
 }
@@ -506,7 +466,7 @@ func checkLease(j *Job, worker string) (word uint64, err error) {
 // expiry: whichever CASes the word first wins, the loser observes the
 // new generation and reports ErrLeaseLost / ErrConflict.
 func (s *Server) Ack(id, worker string) (*Envelope, error) {
-	j := s.job(id)
+	j := s.table.get(id)
 	if j == nil {
 		return nil, ErrNotFound
 	}
@@ -533,7 +493,7 @@ func (s *Server) Ack(id, worker string) (*Envelope, error) {
 // retryable and is released after the backoff; otherwise it is
 // discarded to the dead-letter queue.
 func (s *Server) Fail(id, worker, msg string) (*Envelope, error) {
-	j := s.job(id)
+	j := s.table.get(id)
 	if j == nil {
 		return nil, ErrNotFound
 	}
@@ -550,45 +510,55 @@ func (s *Server) Fail(id, worker, msg string) (*Envelope, error) {
 		j.mu.Lock()
 		attempt := j.attempt
 		j.mu.Unlock()
-		exhausted := attempt >= j.maxAttempts
 		target := codeRetryable
-		if exhausted {
+		if attempt >= j.maxAttempts {
 			target = codeDiscarded
 		}
 		if !j.word.CompareAndSwap(word, pack(target, gen+1)) {
 			continue
 		}
-		var release int64
-		j.mu.Lock()
-		j.recordError(attempt, msg, now.UnixNano())
-		j.recordTransition(target, now.UnixNano())
-		if !exhausted {
-			release = now.Add(j.retry.Backoff(int(attempt))).UnixNano()
-			j.scheduledAt = release
-		}
-		j.mu.Unlock()
-		s.active.Add(-1)
-		if exhausted {
-			s.discard(j)
-		} else {
-			s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerRetry, at: release})
+		if target == codeRetryable {
 			s.ctrs.inc(opFailed)
 		}
+		s.endAttempt(j, target, attempt, msg, now)
 		return j.Envelope(), nil
 	}
 }
 
-// discard parks an already-transitioned job in its dead-letter queue.
-func (s *Server) discard(j *Job) {
-	j.tq.parkDead(j)
-	s.ctrs.inc(opDiscarded)
+// endAttempt finishes an attempt that a FAIL's or an expiry's CAS
+// moved from active to target.
+func (s *Server) endAttempt(j *Job, target uint64, attempt int32, msg string, now time.Time) {
+	var release int64
+	j.mu.Lock()
+	j.recordError(attempt, msg, now.UnixNano())
+	j.recordTransition(target, now.UnixNano())
+	if target == codeRetryable {
+		retry := &s.cfg.Retry
+		if j.spill != nil && j.spill.retry != nil {
+			retry = j.spill.retry
+		}
+		release = now.Add(retry.Backoff(int(attempt))).UnixNano()
+		j.scheduledAt.Store(release)
+	}
+	j.mu.Unlock()
+	s.active.Add(-1)
+	switch target {
+	case codeDiscarded:
+		j.tq.parkDead(j)
+		s.ctrs.inc(opDiscarded)
+	case codeRetryable:
+		// The lease's link may sit in a later slot than the retry.
+		s.wheel.link(j, release)
+	default:
+		s.release(j)
+	}
 }
 
 // Cancel terminates a queued or retry-waiting job. Active jobs cannot
 // be cancelled (the worker owns the attempt; FAIL or ACK it), and
 // terminal jobs conflict.
 func (s *Server) Cancel(id string) (*Envelope, error) {
-	j := s.job(id)
+	j := s.table.get(id)
 	if j == nil {
 		return nil, ErrNotFound
 	}
@@ -630,7 +600,7 @@ func (s *Server) Heartbeat(worker string, ids []string) (map[string]string, erro
 }
 
 func (s *Server) heartbeat(worker, id string, now time.Time) string {
-	j := s.job(id)
+	j := s.table.get(id)
 	if j == nil {
 		return "unknown"
 	}
@@ -648,125 +618,75 @@ func (s *Server) heartbeat(worker, id string, now time.Time) string {
 		return "lost" // execution ceiling reached; expiry is imminent
 	}
 	// Store the new deadline BEFORE the generation CAS: a racing expiry
-	// either reads the extended deadline (and reschedules itself) or
+	// either reads the extended deadline (and the sweep chases it) or
 	// CASes first (and this heartbeat reports the lease lost). See the
-	// Job.deadline comment.
+	// Job.deadline comment. The lease's link stays where it is.
 	j.deadline.Store(dl)
 	if !j.word.CompareAndSwap(word, pack(codeActive, gen+1)) {
 		return "lost"
 	}
-	s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerLease, at: dl})
 	s.ctrs.inc(opHeartbeats)
 	return "ok"
 }
 
-// fire dispatches a due timer entry.
-func (s *Server) fire(e timerEntry, now time.Time) {
-	switch e.kind {
-	case timerLease:
-		s.fireLease(e, now)
-	case timerRetry:
-		s.fireRetry(e, now)
-	case timerRequeue:
-		s.fireRequeue(e)
+// fire acts on a job the sweep unlinked, so a path that leaves a
+// decision waiting links it again; a lost CAS re-reads the word.
+func (s *Server) fire(j *Job, now time.Time) {
+	for {
+		at, word := j.due()
+		code, gen := unpack(word)
+		switch {
+		case at == 0:
+			// Nothing waits (a terminal or queued job), or the FAIL that
+			// made the job retryable has yet to store and link its release.
+			return
+		case at > now.UnixNano():
+			// A heartbeat moved the deadline after the sweep read it, or
+			// the instant is later within the swept slot.
+			s.wheel.link(j, at)
+			return
+		case code == codeAvailable:
+			s.release(j) // a re-insert that admission refused
+			return
+		case code == codeRetryable:
+			if j.word.CompareAndSwap(word, pack(codeAvailable, gen+1)) {
+				j.mu.Lock()
+				j.recordTransition(codeAvailable, now.UnixNano())
+				j.mu.Unlock()
+				s.ctrs.inc(opRetried)
+				s.release(j)
+				return
+			}
+		default: // an expired lease
+			j.mu.Lock()
+			attempt, fetched := j.attempt, j.fetchedAt
+			j.mu.Unlock()
+			target, msg := codeAvailable, "visibility timeout: lease expired without heartbeat"
+			if j.timeout > 0 && now.UnixNano() >= fetched+int64(j.timeout) {
+				target, msg = codeRetryable, "execution timeout: attempt exceeded its ceiling"
+			}
+			if attempt >= j.maxAttempts {
+				target = codeDiscarded
+			}
+			if j.word.CompareAndSwap(word, pack(target, gen+1)) {
+				s.ctrs.inc(opExpired)
+				s.endAttempt(j, target, attempt, msg, now)
+				return
+			}
+		}
 	}
-}
-
-// fireLease revokes an expired lease: back to available (visibility
-// expiry), into retry backoff (execution timeout with attempts left),
-// or discarded (attempts exhausted).
-func (s *Server) fireLease(e timerEntry, now time.Time) {
-	j := e.job
-	word := j.word.Load()
-	code, gen := unpack(word)
-	if code != codeActive || gen != e.gen {
-		return // lease already resolved; stale timer
-	}
-	if dl := j.deadline.Load(); dl > now.UnixNano() {
-		// A heartbeat moved the deadline after this entry was scheduled
-		// (its CAS may still be in flight); chase the new deadline.
-		s.wheel.schedule(timerEntry{job: j, gen: e.gen, kind: timerLease, at: dl})
-		return
-	}
-	j.mu.Lock()
-	attempt := j.attempt
-	fetched := j.fetchedAt
-	j.mu.Unlock()
-	execTimeout := j.timeout > 0 && now.UnixNano() >= fetched+int64(j.timeout)
-	exhausted := attempt >= j.maxAttempts
-	target := codeAvailable
-	switch {
-	case exhausted:
-		target = codeDiscarded
-	case execTimeout:
-		target = codeRetryable
-	}
-	if !j.word.CompareAndSwap(word, pack(target, gen+1)) {
-		return // ack/fail/heartbeat won the race
-	}
-	msg := "visibility timeout: lease expired without heartbeat"
-	if execTimeout {
-		msg = "execution timeout: attempt exceeded its ceiling"
-	}
-	var release int64
-	j.mu.Lock()
-	j.recordError(attempt, msg, now.UnixNano())
-	j.recordTransition(target, now.UnixNano())
-	if target == codeRetryable {
-		release = now.Add(j.retry.Backoff(int(attempt))).UnixNano()
-		j.scheduledAt = release
-	}
-	j.mu.Unlock()
-	s.active.Add(-1)
-	s.ctrs.inc(opExpired)
-	switch target {
-	case codeDiscarded:
-		s.discard(j)
-	case codeRetryable:
-		s.wheel.schedule(timerEntry{job: j, gen: gen + 1, kind: timerRetry, at: release})
-	default:
-		s.release(j, gen+1)
-	}
-}
-
-// fireRetry releases a retry-scheduled job back to available.
-func (s *Server) fireRetry(e timerEntry, now time.Time) {
-	j := e.job
-	word := j.word.Load()
-	code, gen := unpack(word)
-	if code != codeRetryable || gen != e.gen {
-		return // cancelled (or otherwise moved) while waiting
-	}
-	if !j.word.CompareAndSwap(word, pack(codeAvailable, gen+1)) {
-		return
-	}
-	j.mu.Lock()
-	j.recordTransition(codeAvailable, now.UnixNano())
-	j.mu.Unlock()
-	s.ctrs.inc(opRetried)
-	s.release(j, gen+1)
-}
-
-// fireRequeue retries a ready-queue insert that admission refused.
-func (s *Server) fireRequeue(e timerEntry) {
-	j := e.job
-	code, gen := unpack(j.word.Load())
-	if code != codeAvailable || gen != e.gen {
-		return // cancelled while waiting for queue room
-	}
-	s.release(j, gen)
 }
 
 // release inserts an available job into its ready queue. When the
 // queue's admission control refuses (overload, memory bound), the
-// insert is deferred on the wheel rather than dropped: server-internal
+// insert is retried 5 ticks later rather than dropped: server-internal
 // re-releases must not lose jobs the way client PUSHes may shed.
-func (s *Server) release(j *Job, gen uint64) {
+func (s *Server) release(j *Job) {
+	j.scheduledAt.Store(0)
 	if err := j.tq.enqueue(j); err != nil {
-		s.wheel.schedule(timerEntry{
-			job: j, gen: gen, kind: timerRequeue,
-			at: s.now().Add(5 * s.tick).UnixNano(),
-		})
+		at := s.now().Add(5 * s.tick).UnixNano()
+		j.scheduledAt.Store(at)
+		s.wheel.link(j, at)
 	}
 }
 
@@ -787,7 +707,7 @@ func (s *Server) DeadLetter(typ string) ([]*Envelope, error) {
 // RequeueDead resurrects a discarded job: attempts reset, back to
 // available, re-inserted into its ready queue.
 func (s *Server) RequeueDead(id string) (*Envelope, error) {
-	j := s.job(id)
+	j := s.table.get(id)
 	if j == nil {
 		return nil, ErrNotFound
 	}
@@ -808,7 +728,7 @@ func (s *Server) RequeueDead(id string) (*Envelope, error) {
 		j.recordTransition(codeAvailable, now.UnixNano())
 		j.mu.Unlock()
 		s.ctrs.inc(opRequeued)
-		s.release(j, gen+1)
+		s.release(j)
 		return j.Envelope(), nil
 	}
 }
@@ -887,14 +807,14 @@ func (s *Server) Gauges() []expose.Gauge {
 				return float64(n)
 			}},
 		{Name: "jobs_tracked", Help: "Jobs in the global id table.",
-			Value: func() float64 { return float64(s.tracked.Load()) }},
+			Value: func() float64 { return float64(s.table.len()) }},
 		{Name: "jobs_queues", Help: "Live job-type queues.",
 			Value: func() float64 {
 				s.mu.RLock()
 				defer s.mu.RUnlock()
 				return float64(len(s.queues))
 			}},
-		{Name: "jobs_timers_pending", Help: "Timer-wheel entries scheduled.",
+		{Name: "jobs_timers_pending", Help: "Jobs linked in the timer wheel.",
 			Value: func() float64 { return float64(s.wheel.pending()) }},
 		{Name: "jobs_segments_live", Help: "Live ring segments summed across ready queues.",
 			Value: func() float64 { return float64(s.segmentStats().Live) }},

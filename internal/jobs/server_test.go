@@ -1,9 +1,12 @@
 package jobs
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -582,25 +585,28 @@ func TestFetchRepeatedNames(t *testing.T) {
 	}
 }
 
-// TestJobTableConcurrent drives the sharded job table from several
-// goroutines: pushers that cancel every fifth job and read each one
-// back, and workers that fetch and ack, against a ready queue small
-// enough to shed. Every accepted id resolves to its own job, a shed
-// PUSH leaves no entry behind, and only the canonical spelling of an
-// id names it, through Server calls and over HTTP.
+// TestJobTableConcurrent drives the job table from several goroutines:
+// pushers that cancel every fifth job and read each one back, and
+// workers that fetch and ack, against a ready queue small enough to
+// shed. Every accepted id resolves to its own job, a shed PUSH hands
+// its slot to the next PUSH, jobs_tracked counts the accepted PUSHes,
+// and only the canonical spelling of a live id names it: a forgery of
+// its random bytes, an id whose slot the table never handed out and
+// every other spelling are unknown, through Server calls and over HTTP.
 func TestJobTableConcurrent(t *testing.T) {
 	const (
 		pushers   = 4
 		perPusher = 150
 		workers   = 2
 	)
-	var shed atomic.Uint64
+	var attempts, shed atomic.Uint64
 	s, _ := newTestServer(Config{
 		QueueOptions: []nbqueue.Option{nbqueue.WithSegmentSize(4), nbqueue.WithMemoryBound(2)},
 	})
 	h := NewHandler(s)
 	args := func(p, i int) json.RawMessage { return json.RawMessage(fmt.Sprintf(`{"p":%d,"i":%d}`, p, i)) }
 	push := func(p, i int) (string, bool) {
+		attempts.Add(1)
 		env, err := s.Push("t", args(p, i), PushOptions{})
 		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrOverloaded) {
 			shed.Add(1)
@@ -612,10 +618,15 @@ func TestJobTableConcurrent(t *testing.T) {
 		}
 		return env.ID, true
 	}
-	// unknown checks that every non-canonical spelling of the live id
-	// is unknown.
+	// unknown checks that the live id's other spellings, the live id
+	// with one random bit flipped and the live id with a slot past any
+	// the table has handed out are unknown.
 	unknown := func(id string) {
-		spellings := []string{id[:31], id + "0", "g" + id[1:], ""}
+		forged, _ := parseID(id)
+		forged[0] ^= 1
+		past, _ := parseID(id)
+		binary.BigEndian.PutUint32(past[12:], math.MaxUint32)
+		spellings := []string{id[:31], id + "0", "g" + id[1:], "", hex.EncodeToString(forged[:]), hex.EncodeToString(past[:])}
 		if up := strings.ToUpper(id); up != id {
 			spellings = append(spellings, up)
 		}
@@ -626,8 +637,14 @@ func TestJobTableConcurrent(t *testing.T) {
 			if _, err := s.Ack(bad, "w"); !errors.Is(err, ErrNotFound) {
 				t.Errorf("Ack(%q): err = %v, want ErrNotFound", bad, err)
 			}
+			if _, err := s.Fail(bad, "w", "boom"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Fail(%q): err = %v, want ErrNotFound", bad, err)
+			}
 			if _, err := s.Cancel(bad); !errors.Is(err, ErrNotFound) {
 				t.Errorf("Cancel(%q): err = %v, want ErrNotFound", bad, err)
+			}
+			if res, err := s.Heartbeat("w", []string{bad}); err != nil || res[bad] != "unknown" {
+				t.Errorf("Heartbeat(%q) = %v, %v; want unknown", bad, res, err)
 			}
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ojs/jobs/"+url.PathEscape(bad), nil))
@@ -648,6 +665,30 @@ func TestJobTableConcurrent(t *testing.T) {
 			t.Fatal("the ready queue never shed")
 		}
 		prefill = append(prefill, id)
+	}
+	// The shed PUSH handed its slot back, and the next accepted PUSH
+	// takes it under its own id; a refused one hands it back again.
+	s.table.mu.Lock()
+	shedSlot := s.table.free[len(s.table.free)-1]
+	s.table.mu.Unlock()
+	for i := 0; ; i++ {
+		if env := mustFetchOne(t, s, "t", "w"); i == 64 {
+			t.Fatal("the ready queue never took a PUSH again")
+		} else if _, err := s.Ack(env.ID, "w"); err != nil {
+			t.Fatal(err)
+		}
+		id, ok := push(-2, i)
+		if !ok {
+			continue
+		}
+		if raw, _ := parseID(id); binary.BigEndian.Uint32(raw[12:]) != shedSlot || slices.Contains(prefill, id) {
+			t.Fatalf("PUSH after the shed got id %s, want a fresh id in slot %d", id, shedSlot)
+		}
+		prefill = append(prefill, id)
+		break
+	}
+	if tracked := gauge(t, s, "jobs_tracked"); tracked != float64(len(prefill)) {
+		t.Fatalf("jobs_tracked = %v after %d accepted PUSHes", tracked, len(prefill))
 	}
 
 	accepted := make([][]string, pushers)
@@ -711,8 +752,8 @@ func TestJobTableConcurrent(t *testing.T) {
 
 	all := slices.Concat(append(accepted, prefill)...)
 	c := s.Counters()
-	if got := uint64(len(all)) + shed.Load(); got != pushers*perPusher+uint64(len(prefill))+1 {
-		t.Fatalf("%d accepted + %d shed = %d PUSHes, want %d", len(all), shed.Load(), got, pushers*perPusher+len(prefill)+1)
+	if got := uint64(len(all)) + shed.Load(); got != attempts.Load() {
+		t.Fatalf("%d accepted + %d shed = %d PUSHes, want %d", len(all), shed.Load(), got, attempts.Load())
 	}
 	if c["jobs_pushed_total"] != uint64(len(all)) || c["jobs_push_shed_total"] != shed.Load() {
 		t.Fatalf("counters: %d pushed, %d shed; want %d and %d", c["jobs_pushed_total"], c["jobs_push_shed_total"], len(all), shed.Load())
@@ -728,7 +769,7 @@ func TestJobTableConcurrent(t *testing.T) {
 			t.Errorf("Info(%s) = %+v, %v", id, env, err)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.job(all[0]) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { s.table.get(all[0]) }); allocs != 0 {
 		t.Errorf("an id lookup allocates %v times", allocs)
 	}
 	t.Logf("%d accepted, %d shed", len(all), shed.Load())

@@ -5,89 +5,78 @@ import (
 	"time"
 )
 
-// timerKind classifies a wheel entry.
-type timerKind uint8
-
-const (
-	// timerLease fires at a lease's visibility/execution deadline and
-	// revokes it if the generation still matches.
-	timerLease timerKind = iota
-	// timerRetry fires at a retryable job's ScheduledAt and releases it
-	// back to the ready queue.
-	timerRetry
-	// timerRequeue retries a ready-queue re-insert that was refused by
-	// admission control (the job is already StateAvailable, just not in
-	// the queue yet).
-	timerRequeue
-)
-
-// timerEntry is one scheduled firing. The generation pins the entry to
-// one specific lease or scheduling decision: if the job's word has
-// moved on by fire time, the entry is stale and dropped — timers never
-// need to be cancelled, they cancel themselves.
-type timerEntry struct {
-	job  *Job
-	gen  uint64
-	kind timerKind
-	at   int64 // unix nanos
-}
-
-// wheel is a hashed timer wheel: deadlines land in slot (t / tick) mod
-// len(buckets), and advanceTo sweeps every slot between the previous
-// cursor and now, firing due entries and re-queuing the rest (entries
-// more than one round out simply go around again). Precision is one
-// tick; the job layer's deadlines re-check wall time at fire, so a
-// late tick delays expiry but never mis-fires it.
+// wheel is a hashed timer wheel whose buckets are lists threaded
+// through the job records, so a job is linked in at most one bucket.
+// A sweep asks each job it visits when its next decision is due
+// (Job.due): it fires a due job, moves one whose deadline a heartbeat
+// carried to another bucket, and leaves one due in a later round.
 type wheel struct {
-	tick    time.Duration
+	tick time.Duration
+	// sweep serializes advanceTo, fires included, so that the fires of
+	// one sweep finish before the next sweep reads a job.
+	sweep sync.Mutex
+	// mu guards the buckets, the cursor, linked and the jobs' links.
 	mu      sync.Mutex
-	buckets [][]timerEntry
+	buckets []*Job
 	// cursor is the next slot index (monotonic, not wrapped) to sweep.
-	// It starts at zero; the rotation clamp in advanceTo turns the
-	// first sweep into one full rotation, which visits every bucket.
+	// The rotation clamp in advanceTo turns the first sweep into one
+	// full rotation.
 	cursor int64
+	linked int
 }
 
-// newWheel sizes the wheel; slots is rounded up to a power of two.
+// newWheel builds a wheel of slots buckets, a power of two.
 func newWheel(tick time.Duration, slots int) *wheel {
-	if tick <= 0 {
-		tick = 20 * time.Millisecond
-	}
-	n := 1
-	for n < slots {
-		n <<= 1
-	}
-	return &wheel{tick: tick, buckets: make([][]timerEntry, n)}
+	return &wheel{tick: tick, buckets: make([]*Job, slots)}
 }
 
 // slot maps a time to its monotonic slot index.
 func (w *wheel) slot(t int64) int64 { return t / int64(w.tick) }
 
-// schedule inserts e at its deadline slot (or the next sweep if the
-// deadline already passed).
-func (w *wheel) schedule(e timerEntry) {
+// link files j under at's slot, or the next sweep's if at has passed,
+// moving it if it is linked elsewhere.
+func (w *wheel) link(j *Job, at int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s := w.slot(e.at)
-	if s < w.cursor {
-		s = w.cursor
-	}
-	idx := int(s & int64(len(w.buckets)-1))
-	w.buckets[idx] = append(w.buckets[idx], e)
+	w.unlink(j)
+	w.insert(j, max(w.slot(at), w.cursor))
 }
 
-// advanceTo sweeps every slot up to and including now's, invoking fire
-// on due entries. The due test is slot-based, not time-based: slot s is
-// swept while now is somewhere *inside* s, so an entry whose deadline
-// falls later within the same slot must still fire on this visit — a
-// time comparison would keep it, and the monotonic cursor would not
-// return to its bucket for a full rotation. Firing is therefore up to
-// one tick early; the job layer re-checks wall-clock deadlines at fire
-// and reschedules, so precision stays one tick without misses. Entries
-// in later rounds of the wheel (slot beyond the sweep) stay. fire runs
-// without the wheel lock held, so it may schedule freely.
-func (w *wheel) advanceTo(now time.Time, fire func(timerEntry)) {
+// insert pushes the unlinked j onto slot s's bucket; callers hold mu.
+func (w *wheel) insert(j *Job, s int64) {
+	head := &w.buckets[s&int64(len(w.buckets)-1)]
+	j.tnext, j.tpprev = *head, head
+	if j.tnext != nil {
+		j.tnext.tpprev = &j.tnext
+	}
+	*head = j
+	w.linked++
+}
+
+// unlink takes j out of its bucket, if it is in one; callers hold mu.
+func (w *wheel) unlink(j *Job) {
+	if j.tpprev == nil {
+		return
+	}
+	*j.tpprev = j.tnext
+	if j.tnext != nil {
+		j.tnext.tpprev = j.tpprev
+	}
+	j.tnext, j.tpprev = nil, nil
+	w.linked--
+}
+
+// advanceTo sweeps every slot up to and including now's, unlinking the
+// jobs that are due (or have nothing due), then calls fire on each
+// without the lock. The due test is slot-based: slot s is swept while
+// now is *inside* s, so a deadline later in s must fire on this visit,
+// or the cursor would not return to its bucket for a rotation; fire
+// re-checks the instant and relinks.
+func (w *wheel) advanceTo(now time.Time, fire func(*Job)) {
+	w.sweep.Lock()
+	defer w.sweep.Unlock()
 	target := w.slot(now.UnixNano())
+	mask := int64(len(w.buckets) - 1)
 
 	w.mu.Lock()
 	// Bound the sweep to one full rotation: older slots alias the same
@@ -95,40 +84,34 @@ func (w *wheel) advanceTo(now time.Time, fire func(timerEntry)) {
 	if target-w.cursor >= int64(len(w.buckets)) {
 		w.cursor = target - int64(len(w.buckets)) + 1
 	}
-	var due []timerEntry
+	var due []*Job
 	for s := w.cursor; s <= target; s++ {
-		idx := int(s & int64(len(w.buckets)-1))
-		bucket := w.buckets[idx]
-		if len(bucket) == 0 {
-			continue
-		}
-		keep := bucket[:0]
-		for _, e := range bucket {
-			if w.slot(e.at) <= s {
-				due = append(due, e)
-			} else {
-				keep = append(keep, e)
+		for j := w.buckets[s&mask]; j != nil; {
+			next := j.tnext
+			switch at, _ := j.due(); {
+			case at == 0 || w.slot(at) <= s:
+				w.unlink(j)
+				due = append(due, j)
+			case w.slot(at)&mask != s&mask:
+				w.unlink(j)
+				w.insert(j, w.slot(at))
 			}
+			j = next
 		}
-		w.buckets[idx] = keep
 	}
 	if target+1 > w.cursor {
 		w.cursor = target + 1
 	}
 	w.mu.Unlock()
 
-	for _, e := range due {
-		fire(e)
+	for _, j := range due {
+		fire(j)
 	}
 }
 
-// pending counts scheduled entries; test and gauge hook.
+// pending returns the number of linked jobs; test and gauge hook.
 func (w *wheel) pending() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := 0
-	for _, b := range w.buckets {
-		n += len(b)
-	}
-	return n
+	return w.linked
 }
